@@ -669,11 +669,23 @@ class VirtualDataCatalog:
         self._notify("put", "transformation", key)
         self._obs_op("insert", "transformation", t0)
 
-    @_synchronized
     def get_transformation(
         self, name: str, version: Optional[str] = None
     ) -> Transformation:
-        """Fetch by name; latest version when ``version`` is omitted."""
+        """Fetch by name; latest version when ``version`` is omitted.
+
+        The caller owns the returned object: it is a copy of the form
+        decoded once per stored payload, serialized XML included, so
+        neither the lookup nor a later :meth:`Transformation.to_dict`
+        (recipe stamping) pays for XML again.
+        """
+        return self._decoded_transformation(name, version).copy()
+
+    @_synchronized
+    def _decoded_transformation(
+        self, name: str, version: Optional[str] = None
+    ) -> Transformation:
+        """The shared decoded form — callers must not mutate it."""
         t0 = self._obs_t0()
         if version is None:
             known = self._indexes.tr_versions.get(name)
@@ -684,13 +696,19 @@ class VirtualDataCatalog:
             if version not in known:
                 # versions registry may normalize (1.0 == 1); fall back.
                 version = sorted(known)[-1]
-        payload = self._cached_payload("transformation", f"{name}@{version}")
+        key = f"{name}@{version}"
+        payload = self._cached_payload("transformation", key)
         if payload is None:
             raise NotFoundError(
                 f"transformation {name!r} version {version} not found"
             )
+        tr = self._cache.decoded("transformation", key)
+        if tr is None:
+            tr = _transformation_from_payload(payload)
+            tr.to_dict()  # serialize once; every copy inherits the XML
+            self._cache.set_decoded("transformation", key, tr)
         self._obs_op("lookup", "transformation", t0)
-        return _transformation_from_payload(payload)
+        return tr
 
     @_synchronized
     def has_transformation(self, name: str, version: Optional[str] = None) -> bool:
@@ -712,9 +730,8 @@ class VirtualDataCatalog:
 
     def transformations(self) -> Iterator[Transformation]:
         for key in sorted(self._store_keys("transformation")):
-            yield _transformation_from_payload(
-                self._store_get("transformation", key)
-            )
+            name, _, version = key.rpartition("@")
+            yield self.get_transformation(name, version)
 
     # ------------------------------------------------------------------
     # derivations
@@ -768,7 +785,7 @@ class VirtualDataCatalog:
             dv.transformation.name
         ):
             return {}
-        tr = self.get_transformation(dv.transformation.name)
+        tr = self._decoded_transformation(dv.transformation.name)
         out = {}
         for formal in tr.signature.formals:
             if not formal.is_string and len(formal.dataset_types.members) == 1:
@@ -833,7 +850,7 @@ class VirtualDataCatalog:
             return
         if not self.has_transformation(ref.name):
             return  # foreign/unregistered; tolerated like remote refs
-        tr = self.get_transformation(ref.name)
+        tr = self._decoded_transformation(ref.name)
         dv.check_against(tr)
         for formal_name, arg in dv.dataset_args():
             formal = tr.signature.formal(formal_name)
@@ -876,6 +893,36 @@ class VirtualDataCatalog:
         """All recorded executions of a derivation, by id order."""
         ids = sorted(self._indexes.invocations_of.get(derivation_name, ()))
         return [self.get_invocation(iid) for iid in ids]
+
+    @_synchronized
+    def invocations_of_transformation(self, name: str) -> list[Invocation]:
+        """Recorded executions of every derivation calling ``name``.
+
+        Ordered by derivation name, then invocation id.  Answered from
+        the indexes alone: no derivation is decoded.
+        """
+        return [
+            invocation
+            for dv_name in sorted(self._indexes.by_transformation.get(name, ()))
+            for invocation in self.invocations_of(dv_name)
+        ]
+
+    @_synchronized
+    def history_stamp(self, transformation: str) -> int:
+        """Changes whenever what is recorded about ``transformation``
+        does: its definition, the derivations calling it, or their
+        invocations (rollbacks included).  Equal stamps mean nothing
+        changed in between; 0 means nothing is recorded at all."""
+        return self._indexes.history_stamp.get(transformation, 0)
+
+    @_synchronized
+    def called_transformations(self) -> list[str]:
+        """Names of transformations at least one derivation calls."""
+        return sorted(
+            name
+            for name, callers in self._indexes.by_transformation.items()
+            if callers
+        )
 
     @_synchronized
     def invocation_ids(self) -> list[str]:

@@ -23,7 +23,7 @@ everything from a cold store (catalog open).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.invocation import observe_invocation_id
 from repro.core.naming import VDPRef
@@ -45,6 +45,12 @@ class PayloadCache:
     isolation contract).  ``hits``/``misses`` are plain counters read
     by the benchmarks and mirrored into the metrics registry by the
     catalog.
+
+    An entry may also carry the object *decoded* from its payload
+    (:meth:`decoded` / :meth:`set_decoded`).  The decoded form lives
+    and dies with the payload it came from: a new ``put``, an
+    ``invalidate``, an eviction or ``clear`` drops it, so whatever
+    already keeps the payload honest keeps the decoded form honest.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
@@ -54,6 +60,7 @@ class PayloadCache:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[tuple[str, str], dict] = OrderedDict()
+        self._decoded: dict[tuple[str, str], Any] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -71,14 +78,27 @@ class PayloadCache:
         entries = self._entries
         entries[(kind, key)] = payload
         entries.move_to_end((kind, key))
+        self._decoded.pop((kind, key), None)
         while len(entries) > self.capacity:
-            entries.popitem(last=False)
+            evicted, _ = entries.popitem(last=False)
+            self._decoded.pop(evicted, None)
+
+    def decoded(self, kind: str, key: str) -> Optional[Any]:
+        """The object decoded from the cached payload, if one is kept."""
+        return self._decoded.get((kind, key))
+
+    def set_decoded(self, kind: str, key: str, obj: Any) -> None:
+        """Keep ``obj`` for as long as the cached payload stays put."""
+        if (kind, key) in self._entries:
+            self._decoded[(kind, key)] = obj
 
     def invalidate(self, kind: str, key: str) -> None:
         self._entries.pop((kind, key), None)
+        self._decoded.pop((kind, key), None)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._decoded.clear()
 
     def stats(self) -> dict[str, int]:
         return {
@@ -132,6 +152,13 @@ class CatalogIndexes:
         self.tr_versions: dict[str, set[str]] = {}
         #: transformation name -> derivation names calling it.
         self.by_transformation: dict[str, set[str]] = {}
+        #: transformation name -> stamp of the last change to anything
+        #: a cost model reads: its registered versions, the derivations
+        #: calling it, their invocations.  Stamps come from one counter
+        #: that :meth:`clear` never resets, so a value is never reused
+        #: for a different history, rollbacks and rebuilds included.
+        self.history_stamp: dict[str, int] = {}
+        self._stamps = 0
         # Shadows for event-driven unindexing.
         self._derivation_shadow: dict[str, tuple[set[str], set[str], str]] = {}
         self._replica_shadow: dict[str, str] = {}
@@ -162,6 +189,17 @@ class CatalogIndexes:
                 self.tr_versions.setdefault(name, set()).add(version)
             else:
                 self.tr_versions.get(name, set()).discard(version)
+            self._touch_history(name)
+
+    def _touch_history(self, tr_name: str) -> None:
+        self._stamps += 1
+        self.history_stamp[tr_name] = self._stamps
+
+    def _touch_history_of(self, derivation: str) -> None:
+        """Stamp the transformation ``derivation`` calls, if indexed."""
+        shadow = self._derivation_shadow.get(derivation)
+        if shadow is not None:
+            self._touch_history(shadow[2])
 
     # -- derivations ------------------------------------------------------
 
@@ -178,6 +216,7 @@ class CatalogIndexes:
             self.consumed_by.setdefault(dataset, set()).add(key)
         self.by_transformation.setdefault(tr_name, set()).add(key)
         self._derivation_shadow[key] = (inputs, outputs, tr_name)
+        self._touch_history(tr_name)
 
     def _unindex_derivation(self, key: str) -> None:
         shadow = self._derivation_shadow.pop(key, None)
@@ -189,6 +228,7 @@ class CatalogIndexes:
         for dataset in inputs:
             self.consumed_by.get(dataset, set()).discard(key)
         self.by_transformation.get(tr_name, set()).discard(key)
+        self._touch_history(tr_name)
 
     # -- replicas ---------------------------------------------------------
 
@@ -218,13 +258,16 @@ class CatalogIndexes:
         old = self._invocation_shadow.get(key)
         if old is not None and old != derivation:
             self.invocations_of.get(old, set()).discard(key)
+            self._touch_history_of(old)
         self.invocations_of.setdefault(derivation, set()).add(key)
         self._invocation_shadow[key] = derivation
+        self._touch_history_of(derivation)
 
     def _unindex_invocation(self, key: str) -> None:
         derivation = self._invocation_shadow.pop(key, None)
         if derivation is not None:
             self.invocations_of.get(derivation, set()).discard(key)
+            self._touch_history_of(derivation)
 
     # -- cold start -------------------------------------------------------
 
@@ -235,6 +278,7 @@ class CatalogIndexes:
         self.invocations_of.clear()
         self.tr_versions.clear()
         self.by_transformation.clear()
+        self.history_stamp.clear()
         self._derivation_shadow.clear()
         self._replica_shadow.clear()
         self._invocation_shadow.clear()
@@ -259,4 +303,5 @@ class CatalogIndexes:
         for key in catalog._store_keys("transformation"):
             name, _, version = key.rpartition("@")
             self.tr_versions.setdefault(name, set()).add(version)
+            self._touch_history(name)
             catalog.versions.register(name, version)

@@ -230,6 +230,9 @@ class Transformation:
     :mod:`repro.core.versioning`.
     """
 
+    #: ``(structure, canonical XML)`` of the last :meth:`to_dict`.
+    _xml_memo: Optional[tuple[tuple, str]] = None
+
     def __init__(
         self,
         name: str,
@@ -250,6 +253,29 @@ class Transformation:
     def is_compound(self) -> bool:
         raise NotImplementedError
 
+    def _structure(self) -> tuple:
+        """An immutable snapshot of everything the canonical XML encodes.
+
+        Subclasses append their body.  Must cover every field
+        :func:`repro.vdl.xml_io.transformation_to_xml` reads:
+        :meth:`to_dict` reuses its serialized XML while this is equal.
+        """
+        return (self.name, self.version, self.signature.formals)
+
+    def copy(self) -> "Transformation":
+        """An independent copy: mutating it leaves ``self`` untouched.
+
+        Skips the constructor's validation (``self`` already passed it)
+        and shares only immutable parts, so a catalog can decode a
+        stored transformation once and hand each reader its own object
+        for a fraction of an XML parse.  The serialized form rides
+        along (see :meth:`to_dict`).
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.attributes = self.attributes.copy()
+        return clone
+
     @property
     def qualified_name(self) -> str:
         """Name plus version, unique within a catalog."""
@@ -261,16 +287,23 @@ class Transformation:
         The structural definition rides as its canonical XML string
         (signing-stable), with attributes alongside.
         """
-        import xml.etree.ElementTree as ET
+        structure = self._structure()
+        memo = self._xml_memo
+        if memo is None or memo[0] != structure:
+            import xml.etree.ElementTree as ET
 
-        from repro.vdl import xml_io
+            from repro.vdl import xml_io
 
+            memo = self._xml_memo = (
+                structure,
+                ET.tostring(
+                    xml_io.transformation_to_xml(self), encoding="unicode"
+                ),
+            )
         return {
             "name": self.name,
             "version": self.version,
-            "xml": ET.tostring(
-                xml_io.transformation_to_xml(self), encoding="unicode"
-            ),
+            "xml": memo[1],
             "attributes": self.attributes.as_dict(),
         }
 
@@ -309,6 +342,30 @@ class SimpleTransformation(Transformation):
     @property
     def is_compound(self) -> bool:
         return False
+
+    def _structure(self) -> tuple:
+        return (
+            *super()._structure(),
+            self.executable,
+            tuple((t.name, tuple(t.parts)) for t in self.arguments),
+            tuple(
+                (var, tuple(t.parts))
+                for var, t in sorted(self.environment.items())
+            ),
+            tuple(sorted(self.profile_hints.items())),
+        )
+
+    def copy(self) -> "SimpleTransformation":
+        clone = super().copy()
+        clone.arguments = tuple(
+            ArgumentTemplate(t.parts, t.name) for t in self.arguments
+        )
+        clone.environment = {
+            var: ArgumentTemplate(t.parts, t.name)
+            for var, t in self.environment.items()
+        }
+        clone.profile_hints = dict(self.profile_hints)
+        return clone
 
     def _check_templates(self) -> None:
         templates: list[ArgumentTemplate] = list(self.arguments)
@@ -398,6 +455,23 @@ class CompoundTransformation(Transformation):
     @property
     def is_compound(self) -> bool:
         return True
+
+    def _structure(self) -> tuple:
+        return (
+            *super()._structure(),
+            tuple(
+                (call.target, tuple(call.bindings.items()))
+                for call in self.calls
+            ),
+        )
+
+    def copy(self) -> "CompoundTransformation":
+        clone = super().copy()
+        clone.calls = tuple(
+            TransformationCall(call.target, dict(call.bindings))
+            for call in self.calls
+        )
+        return clone
 
     def call_dependencies(
         self, direction_of: dict[int, dict[str, str]]

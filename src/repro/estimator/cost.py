@@ -128,20 +128,20 @@ class Estimator:
         self.catalog = catalog
         self.obs = instrumentation or NULL
         self._models: dict[str, TransformationCostModel] = {}
+        # transformation -> catalog history stamp its hint/fallback
+        # model was built at; fitted models are kept regardless.
+        self._unfitted_at: dict[str, int] = {}
 
     # -- model management ------------------------------------------------------
 
     def refit(self) -> None:
         """Rebuild every model from the catalog's invocation records."""
         self._models.clear()
-        by_tr: dict[str, list[Invocation]] = {}
-        for dv in self.catalog.derivations():
-            tr_name = dv.transformation.name
-            by_tr.setdefault(tr_name, []).extend(
-                self.catalog.invocations_of(dv.name)
+        self._unfitted_at.clear()
+        for tr_name in self.catalog.called_transformations():
+            self._models[tr_name] = fit_model(
+                tr_name, self.catalog.invocations_of_transformation(tr_name)
             )
-        for tr_name, invocations in by_tr.items():
-            self._models[tr_name] = fit_model(tr_name, invocations)
 
     def train_on_record(self, record) -> dict[str, TransformationCostModel]:
         """Fit models from one recorded run's flight record.
@@ -211,15 +211,21 @@ class Estimator:
         """The model for one transformation, fitting lazily.
 
         Order of preference: fitted history, declared ``cost.*`` hints,
-        visible fallback constants.
+        visible fallback constants.  A hint/fallback model is reused
+        until the catalog records something new about the
+        transformation (a definition, a derivation, an invocation, or
+        the rollback of one).
         """
         model = self._models.get(transformation)
         if model is not None and model.is_fitted:
             return model
-        invocations: list[Invocation] = []
-        for dv in self.catalog.find_derivations(transformation=transformation):
-            invocations.extend(self.catalog.invocations_of(dv.name))
-        model = fit_model(transformation, invocations)
+        stamp = self.catalog.history_stamp(transformation)
+        if model is not None and self._unfitted_at.get(transformation) == stamp:
+            return model
+        model = fit_model(
+            transformation,
+            self.catalog.invocations_of_transformation(transformation),
+        )
         if not model.is_fitted and self.catalog.has_transformation(
             transformation
         ):
@@ -234,6 +240,7 @@ class Estimator:
             if out_bytes is not None:
                 model.mean_output_bytes = int(out_bytes)
         self._models[transformation] = model
+        self._unfitted_at[transformation] = stamp
         return model
 
     # -- queries --------------------------------------------------------------

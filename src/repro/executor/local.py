@@ -21,12 +21,7 @@ import queue
 import subprocess
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -551,11 +546,11 @@ class LocalExecutor:
             if self.obs.progress is not None:
                 self.obs.progress.start_plan(plan)
             with self.obs.phase("execute"):
-                if backend == "process":
-                    return self._materialize_process(
-                        plan, workers, policy, mspan
-                    )
-                if workers == 1 and policy == FAIL_FAST:
+                if (
+                    backend == "thread"
+                    and workers == 1
+                    and policy == FAIL_FAST
+                ):
                     # Today's sequential path, unchanged.
                     invocations = []
                     for name in plan.topological_order():
@@ -571,20 +566,26 @@ class LocalExecutor:
                         invocations.append(invocation)
                         self._note_step(name, invocation, "success")
                     return invocations
-                return self._materialize_parallel(
-                    plan, workers, policy, mspan
+                return self._materialize_pool(
+                    plan, workers, policy, backend, mspan
                 )
 
-    def _materialize_parallel(
-        self, plan, workers: int, policy: str, parent=None
+    def _materialize_pool(
+        self, plan, workers: int, policy: str, backend: str, parent=None
     ) -> list[Invocation]:
-        """Frontier-driven pool execution of a plan.
+        """Release-driven pool execution of a plan, on either backend.
 
-        The main thread owns all scheduling state (frontier, skip set,
-        bookkeeping); worker threads only run :meth:`execute` — which
-        takes per-output dataset locks so two steps can never write the
-        same sandbox file concurrently — and the catalog serializes its
-        own mutations.
+        The main thread owns all scheduling state.  It dispatches the
+        initial ready set once, then only what each completion releases
+        (``Frontier.complete`` returns exactly that), in name order;
+        finished futures announce themselves on a queue, and a batch of
+        them is handled in topological rank — so the cost per step is
+        independent of how wide the plan is.  What running a step means
+        is the lane's business: :class:`_ThreadLane` runs
+        :meth:`execute` on pool threads, :class:`_ProcessLane` ships
+        payloads to worker processes and commits through a single
+        writer.  A lane may also hold a step back (``submit`` returns
+        ``None``); held steps are offered again after every batch.
         """
         order_index = {
             name: i for i, name in enumerate(plan.topological_order())
@@ -593,70 +594,70 @@ class LocalExecutor:
         completed: dict[str, Invocation] = {}
         failures: dict[str, ExecutionError] = {}
         skipped: set[str] = set()
-        pool = ThreadPoolExecutor(max_workers=workers)
         futures: dict = {}  # future -> step name
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+
+        def fail(name: str, exc: ExecutionError) -> None:
+            failures[name] = exc
+            skipped.update(self._downstream_of(plan, name))
+            self._note_step(name, None, "failure")
+
+        lane = (_ProcessLane if backend == "process" else _ThreadLane)(
+            self, workers, parent
+        )
         try:
+            offered = frontier.ready()
             while True:
-                if not (frontier.exhausted and not futures):
-                    # Dispatch every ready step there is pool room for,
-                    # in deterministic name order.
-                    dispatchable = [
-                        name
-                        for name in frontier.ready()
-                        if name not in futures.values()
-                        and name not in skipped
-                        and name not in failures
-                    ]
-                    stop_dispatch = policy == FAIL_FAST and failures
-                    if not stop_dispatch:
-                        for name in dispatchable:
-                            step = plan.steps[name]
-                            futures[
-                                pool.submit(
-                                    self._execute_step_locked, step, parent
-                                )
-                            ] = name
-                            if self.obs.progress is not None:
-                                self.obs.progress.step_started(name)
-                        self._obs_in_flight(len(futures))
+                if lane.failure is not None:
+                    raise lane.failure
+                held: list[str] = []
+                if not (policy == FAIL_FAST and failures):
+                    for name in offered:
+                        try:
+                            future = lane.submit(plan.steps[name])
+                        except ExecutionError as exc:
+                            fail(name, exc)
+                            continue
+                        if future is None:
+                            held.append(name)
+                            continue
+                        futures[future] = name
+                        future.add_done_callback(finished.put)
+                        if self.obs.progress is not None:
+                            self.obs.progress.step_started(name)
+                    self._obs_in_flight(len(futures))
                 self._sample_frontier(
                     frontier, futures, completed, len(plan.steps)
                 )
                 if not futures:
                     break
-                done, _ = wait(
-                    list(futures), return_when=FIRST_COMPLETED
-                )
+                done = [finished.get()]
+                try:
+                    while True:
+                        done.append(finished.get_nowait())
+                except queue.Empty:
+                    pass
+                offered = held
                 for future in sorted(
                     done, key=lambda f: order_index[futures[f]]
                 ):
                     name = futures.pop(future)
                     try:
-                        completed[name] = future.result()
+                        completed[name] = lane.settle(name, future)
                     except ExecutionError as exc:
-                        failures[name] = exc
-                        skipped.update(self._downstream_of(plan, name))
-                        self._note_step(name, None, "failure")
+                        # Steps downstream of a failure are never
+                        # released; everything else keeps flowing.
+                        fail(name, exc)
                     else:
-                        frontier.complete(name)
+                        offered.extend(frontier.complete(name))
                         self._note_step(name, completed[name], "success")
+                offered.sort()
                 self._obs_in_flight(len(futures))
-                if policy == FAIL_FAST and failures and not futures:
-                    break
-                # Under run-what-you-can, steps downstream of a failure
-                # never become ready; everything else keeps flowing.
-                if (
-                    policy == RUN_WHAT_YOU_CAN
-                    and not futures
-                    and not any(
-                        name not in skipped and name not in failures
-                        for name in frontier.ready()
-                    )
-                ):
-                    break
         finally:
-            pool.shutdown(wait=True)
+            lane.close()
             self._obs_in_flight(0)
+        if lane.failure is not None:
+            raise lane.failure
         for name in sorted(skipped, key=order_index.__getitem__):
             if self.obs.progress is not None:
                 self.obs.progress.step_finished(name, "skipped")
@@ -683,194 +684,6 @@ class LocalExecutor:
         return invocations
 
     # -- process-pool backend -------------------------------------------------
-
-    def _materialize_process(
-        self, plan, workers: int, policy: str, parent=None
-    ) -> list[Invocation]:
-        """Frontier-driven *process*-pool execution of a plan.
-
-        Division of labor (see :mod:`repro.executor.process`):
-
-        - The main thread owns scheduling: it builds a picklable
-          :class:`~repro.executor.process.InvocationPayload` per ready
-          step (pickle-preflighted so failures name the offending
-          field), submits it, and feeds worker outcomes to the
-          collector.
-        - Worker processes run transformation bodies and hash outputs;
-          they never touch the catalog, the executor, or any lock.
-        - A single-writer collector thread performs *all* provenance
-          and metrics writeback — replica and invocation records are
-          allocated parent-side and committed one
-          ``catalog.transaction`` per step, in dispatch-completion
-          order, so an upstream step's provenance always lands before
-          anything downstream of it and catalog locks never cross a
-          process boundary.
-        """
-        from repro.executor.process import preflight_payload, run_invocation
-
-        order_index = {
-            name: i for i, name in enumerate(plan.topological_order())
-        }
-        frontier = plan.frontier()
-        completed: dict[str, Invocation] = {}
-        failures: dict[str, ExecutionError] = {}
-        skipped: set[str] = set()
-        collector = _ProvenanceCollector(self, parent=parent)
-        collector.start()
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures: dict = {}  # future -> step name
-        payloads: dict[str, tuple] = {}  # name -> (payload, dv, tr)
-        busy_outputs: set[str] = set()  # sandbox paths being written
-        try:
-            while True:
-                if collector.failure is not None:
-                    raise collector.failure
-                if not (frontier.exhausted and not futures):
-                    stop_dispatch = policy == FAIL_FAST and failures
-                    if not stop_dispatch:
-                        for name in frontier.ready():
-                            if (
-                                name in futures.values()
-                                or name in skipped
-                                or name in failures
-                            ):
-                                continue
-                            step = plan.steps[name]
-                            try:
-                                payload, dv, tr = self._build_payload(step)
-                                # Two live steps must never write the
-                                # same sandbox file (LFNs can collide
-                                # after path sanitization); hold such a
-                                # step back until the writer finishes.
-                                outs = set(payload.output_paths.values())
-                                if outs & busy_outputs:
-                                    continue
-                                preflight_payload(payload)
-                            except ExecutionError as exc:
-                                failures[name] = exc
-                                skipped.update(
-                                    self._downstream_of(plan, name)
-                                )
-                                self._note_step(name, None, "failure")
-                                if self.obs.enabled:
-                                    self.obs.count(
-                                        "executor.invocations",
-                                        status="failure",
-                                        help=(
-                                            "local executions by "
-                                            "terminal status"
-                                        ),
-                                    )
-                                continue
-                            payloads[name] = (payload, dv, tr)
-                            busy_outputs.update(
-                                payload.output_paths.values()
-                            )
-                            futures[
-                                pool.submit(run_invocation, payload)
-                            ] = name
-                            if self.obs.progress is not None:
-                                self.obs.progress.step_started(name)
-                        self._obs_in_flight(len(futures))
-                self._sample_frontier(
-                    frontier, futures, completed, len(plan.steps)
-                )
-                if not futures:
-                    break
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in sorted(
-                    done, key=lambda f: order_index[futures[f]]
-                ):
-                    name = futures.pop(future)
-                    payload, dv, tr = payloads.pop(name)
-                    busy_outputs.difference_update(
-                        payload.output_paths.values()
-                    )
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:
-                        # A worker died hard (pool broken, unpicklable
-                        # outcome): fail the step without provenance.
-                        failures[name] = ExecutionError(
-                            f"derivation {dv.name!r}: worker failed "
-                            f"({type(exc).__name__}: {exc})"
-                        )
-                        skipped.update(self._downstream_of(plan, name))
-                        self._note_step(name, None, "failure")
-                        collector.submit(dv, tr, None, None)
-                        continue
-                    if outcome.status == "success":
-                        invocation = self._outcome_invocation(
-                            dv, tr, payload, outcome
-                        )
-                        collector.submit(dv, tr, invocation, outcome)
-                        completed[name] = invocation
-                        frontier.complete(name)
-                        self._note_step(name, invocation, "success")
-                    else:
-                        if outcome.commit:
-                            invocation = self._outcome_invocation(
-                                dv, tr, payload, outcome
-                            )
-                            collector.submit(dv, tr, invocation, outcome)
-                            message = (
-                                f"derivation {dv.name!r} failed: "
-                                f"{outcome.error}"
-                            )
-                        else:
-                            # No invocation to commit, but the worker's
-                            # telemetry (spans, stream tails) still
-                            # merges — failed steps are exactly the
-                            # ones whose trace matters.
-                            collector.submit(dv, tr, None, outcome)
-                            message = outcome.error or (
-                                f"derivation {dv.name!r} failed"
-                            )
-                        failures[name] = ExecutionError(message)
-                        skipped.update(self._downstream_of(plan, name))
-                        self._note_step(name, None, "failure")
-                self._obs_in_flight(len(futures))
-                if policy == FAIL_FAST and failures and not futures:
-                    break
-                if (
-                    policy == RUN_WHAT_YOU_CAN
-                    and not futures
-                    and not any(
-                        name not in skipped and name not in failures
-                        for name in frontier.ready()
-                    )
-                ):
-                    break
-        finally:
-            pool.shutdown(wait=True)
-            collector.close()
-            self._obs_in_flight(0)
-        if collector.failure is not None:
-            raise collector.failure
-        for name in sorted(skipped, key=order_index.__getitem__):
-            if self.obs.progress is not None:
-                self.obs.progress.step_finished(name, "skipped")
-            if self.obs.recorder is not None:
-                self.obs.recorder.event(
-                    "step.skipped", step=name, reason="upstream failure"
-                )
-        invocations = [
-            completed[name]
-            for name in sorted(completed, key=order_index.__getitem__)
-        ]
-        if failures:
-            first = min(failures, key=order_index.__getitem__)
-            if policy == FAIL_FAST:
-                raise failures[first]
-            raise MaterializationError(
-                f"{len(failures)} step(s) failed "
-                f"({', '.join(sorted(failures))}); "
-                f"{len(skipped)} skipped downstream",
-                invocations=invocations,
-                failed=failures,
-                skipped=skipped,
-            ) from failures[first]
-        return invocations
 
     def _build_payload(self, step):
         """Build the picklable payload for one plan step (parent side).
@@ -1171,6 +984,127 @@ class LocalExecutor:
                     out.add(child)
                     stack.append(child)
         return out
+
+
+class _ThreadLane:
+    """Thread backend of the pool loop: steps run :meth:`execute`.
+
+    Worker threads take per-output dataset locks, so two steps never
+    write the same sandbox file concurrently, and the catalog
+    serializes its own mutations.
+    """
+
+    #: Nothing commits outside the steps themselves.
+    failure = None
+
+    def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
+        self._executor = executor
+        self._parent = parent
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+
+    def submit(self, step):
+        return self._pool.submit(
+            self._executor._execute_step_locked, step, self._parent
+        )
+
+    def settle(self, name: str, future) -> Invocation:
+        return future.result()
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+
+
+class _ProcessLane:
+    """Process backend of the pool loop.
+
+    Division of labor (see :mod:`repro.executor.process`):
+
+    - The main thread builds a picklable
+      :class:`~repro.executor.process.InvocationPayload` per dispatched
+      step (pickle-preflighted so failures name the offending field),
+      submits it, and feeds worker outcomes to the collector.
+    - Worker processes run transformation bodies and hash outputs;
+      they never touch the catalog, the executor, or any lock.
+    - A single-writer collector thread performs *all* provenance and
+      metrics writeback — replica and invocation records are allocated
+      parent-side and committed one ``catalog.transaction`` per step,
+      in dispatch-completion order, so an upstream step's provenance
+      always lands before anything downstream of it and catalog locks
+      never cross a process boundary.
+    """
+
+    def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
+        self._executor = executor
+        self._collector = _ProvenanceCollector(executor, parent=parent)
+        self._collector.start()
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+        self._payloads: dict[str, tuple] = {}  # name -> (payload, dv, tr)
+        self._busy_outputs: set[str] = set()  # sandbox paths being written
+
+    @property
+    def failure(self) -> Optional[BaseException]:
+        """First exception raised while committing, if any."""
+        return self._collector.failure
+
+    def submit(self, step):
+        from repro.executor.process import preflight_payload, run_invocation
+
+        executor = self._executor
+        try:
+            payload, dv, tr = executor._build_payload(step)
+            # Two live steps must never write the same sandbox file
+            # (LFNs can collide after path sanitization); hold such a
+            # step back until the writer finishes.
+            outs = set(payload.output_paths.values())
+            if outs & self._busy_outputs:
+                return None
+            preflight_payload(payload)
+        except ExecutionError:
+            if executor.obs.enabled:
+                executor.obs.count(
+                    "executor.invocations",
+                    status="failure",
+                    help="local executions by terminal status",
+                )
+            raise
+        self._payloads[step.name] = (payload, dv, tr)
+        self._busy_outputs.update(outs)
+        return self._pool.submit(run_invocation, payload)
+
+    def settle(self, name: str, future) -> Invocation:
+        payload, dv, tr = self._payloads.pop(name)
+        self._busy_outputs.difference_update(payload.output_paths.values())
+        try:
+            outcome = future.result()
+        except Exception as exc:
+            # A worker died hard (pool broken, unpicklable outcome):
+            # fail the step without provenance.
+            self._collector.submit(dv, tr, None, None)
+            raise ExecutionError(
+                f"derivation {dv.name!r}: worker failed "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+        if outcome.status != "success" and not outcome.commit:
+            # No invocation to commit, but the worker's telemetry
+            # (spans, stream tails) still merges — failed steps are
+            # exactly the ones whose trace matters.
+            self._collector.submit(dv, tr, None, outcome)
+            raise ExecutionError(
+                outcome.error or f"derivation {dv.name!r} failed"
+            )
+        invocation = self._executor._outcome_invocation(
+            dv, tr, payload, outcome
+        )
+        self._collector.submit(dv, tr, invocation, outcome)
+        if outcome.status != "success":
+            raise ExecutionError(
+                f"derivation {dv.name!r} failed: {outcome.error}"
+            )
+        return invocation
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+        self._collector.close()
 
 
 class _ProvenanceCollector:

@@ -13,7 +13,7 @@ buys nothing.  The process backend runs bodies in worker *processes*:
   content digest per output (hashing large outputs in the worker keeps
   the parent off the critical path).
 - All provenance writeback happens parent-side through a single-writer
-  collector thread (see ``LocalExecutor._materialize_process``), so
+  collector thread (see ``repro.executor.local._ProcessLane``), so
   catalog locks and transactions never cross a process boundary.
 
 :func:`preflight_payload` pickles a payload *before* submission and, on
