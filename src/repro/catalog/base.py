@@ -466,9 +466,18 @@ class VirtualDataCatalog:
     def _txn_rollback_applied(self) -> None:
         """Undo the applied prefix of the open transaction (lock held)."""
         if self._journal is None and self._txn_abort():
-            # The backend discarded the uncommitted writes wholesale;
-            # in-memory fast paths saw them, so rebuild from storage.
-            self._rebuild_indexes()
+            # The backend discarded the uncommitted writes wholesale,
+            # but every subscriber saw them applied.  Replay the
+            # compensating event for each touched key (its state before
+            # the transaction decides put or delete; subscribers re-read
+            # storage), so whoever listens — cache, indexes, analyzer,
+            # graph cache, federation, planners — sees the abort.
+            before: dict[tuple[str, str], Optional[dict]] = {}
+            for kind, key, prev in self._txn_undo:
+                before.setdefault((kind, key), prev)
+            self._cache_fresh = None
+            for (kind, key), prev in reversed(before.items()):
+                self._notify("put" if prev is not None else "delete", kind, key)
             return
         undo = list(self._txn_undo)
         for kind, key, prev in reversed(undo):

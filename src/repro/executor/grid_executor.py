@@ -19,9 +19,9 @@ from repro.catalog.base import VirtualDataCatalog
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
 from repro.core.recipe import stamp_recipe
 from repro.core.replica import Replica
-from repro.durability.crashpoints import crashpoint
 from repro.errors import WorkflowError
 from repro.estimator.cost import Estimator
+from repro.executor.local import commit_invocation
 from repro.grid.gram import GridExecutionService, JobRecord
 from repro.observability.instrument import NULL, Instrumentation
 from repro.planner.dag import Plan, Planner, PlanStep
@@ -236,12 +236,10 @@ class GridExecutor:
             ),
         )
         stamp_recipe(invocation, step.derivation, step.transformation)
-        # Atomic write-back: the step's replicas, any synthetic
-        # derivation, and the invocation commit together, so a crash
-        # mid-write-back never leaves replicas without provenance.
-        with self.catalog.transaction(label=f"write-back:{step.name}"):
-            for output, size in record.spec.outputs.items():
-                replica = Replica(
+        outputs = [
+            (
+                self._formal_for(step, output),
+                Replica(
                     dataset_name=output,
                     location=choice.site,
                     size=size,
@@ -249,20 +247,19 @@ class GridExecutor:
                     # deterministic pseudo-digest so replica equivalence
                     # and fsck can still cross-check records.
                     digest=expected_digest(output, size),
-                )
-                crashpoint("executor.stage-out")
-                self.catalog.add_replica(replica)
-                formal = self._formal_for(step, output)
-                if formal is not None:
-                    invocation.replica_bindings[formal] = replica.replica_id
+                ),
+            )
+            for output, size in record.spec.outputs.items()
+        ]
+        # Atomic write-back: any synthetic derivation commits in the
+        # same unit as the step's replicas and invocation, so a crash
+        # mid-write-back never leaves replicas without provenance.
+        with self.catalog.transaction(label=f"write-back:{step.name}"):
             if not self.catalog.has_derivation(step.derivation.name):
                 # Synthetic sub-derivations from compound expansion become
                 # first-class provenance records of their own.
                 self.catalog.add_derivation(step.derivation, validate=False)
-            self.catalog.add_invocation(invocation)
-        crashpoint("executor.post-commit")
-        if self.obs.recorder is not None:
-            self.obs.recorder.invocation(invocation)
+            commit_invocation(self.catalog, invocation, outputs, self.obs)
 
     @staticmethod
     def _formal_for(step: PlanStep, dataset: str) -> Optional[str]:

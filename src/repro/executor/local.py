@@ -18,12 +18,11 @@ from __future__ import annotations
 import os
 import platform
 import queue
-import subprocess
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.core.dataset import Dataset
@@ -33,10 +32,17 @@ from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
 from repro.core.recipe import stamp_recipe
 from repro.core.replica import Replica
 from repro.core.transformation import SimpleTransformation
-from repro.durability.checksum import file_digest, verify_file
+from repro.durability.checksum import verify_file
 from repro.durability.crashpoints import crashpoint
 from repro.durability.recovery import sandbox_filename
 from repro.errors import ExecutionError, MaterializationError
+from repro.executor.process import (
+    InvocationOutcome,
+    InvocationPayload,
+    RunContext,
+    preflight_payload,
+    run_invocation,
+)
 from repro.observability.instrument import NULL, Instrumentation
 from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
@@ -47,42 +53,48 @@ from repro.resilience.policies import (
 )
 
 
-class RunContext:
-    """Everything a registered Python transformation body receives."""
-
-    def __init__(
-        self,
-        workdir: Path,
-        argv: tuple[str, ...],
-        environment: dict[str, str],
-        input_paths: dict[str, Path],
-        output_paths: dict[str, Path],
-        parameters: dict[str, str],
-        streams: dict[str, Path],
-    ):
-        self.workdir = workdir
-        self.argv = argv
-        self.environment = environment
-        self.input_paths = input_paths
-        self.output_paths = output_paths
-        self.parameters = parameters
-        self.streams = streams
-
-    def read_input(self, formal: str) -> bytes:
-        """Read the full contents of the input bound to ``formal``."""
-        return self.input_paths[formal].read_bytes()
-
-    def write_output(self, formal: str, data: bytes | str) -> None:
-        """Write the output bound to ``formal``."""
-        path = self.output_paths[formal]
-        if isinstance(data, str):
-            data = data.encode()
-        path.write_bytes(data)
-
-
 #: A registered transformation body: receives the context, returns
 #: nothing; raises to signal failure.
 TransformationBody = Callable[[RunContext], None]
+
+
+def commit_invocation(
+    catalog: VirtualDataCatalog,
+    invocation: Invocation,
+    outputs: Iterable[tuple[Optional[str], Replica]],
+    obs: Instrumentation = NULL,
+) -> None:
+    """The one provenance commit, for every executor and lane.
+
+    ``outputs`` are ``(formal, replica)`` pairs in the order they are
+    to be recorded; ``formal`` (when known) binds the replica in the
+    invocation.  Replicas, the datasets they materialize — exactly
+    those whose replica carries a file descriptor — and the invocation
+    land in one catalog transaction or not at all: a kill inside this
+    window leaves either a rollback-able journal/backend transaction
+    or nothing, never a replica without its invocation.  Inside a
+    caller's own transaction this one extends it.
+    """
+    label = f"invocation:{invocation.derivation_name}"
+    with catalog.transaction(label=label):
+        for formal, replica in outputs:
+            crashpoint("executor.stage-out")
+            catalog.add_replica(replica)
+            if formal is not None:
+                invocation.replica_bindings[formal] = replica.replica_id
+            if isinstance(replica.descriptor, FileDescriptor):
+                name = replica.dataset_name
+                if catalog.has_dataset(name):
+                    ds = catalog.get_dataset(name)
+                else:
+                    ds = Dataset(name=name)
+                catalog.add_dataset(
+                    ds.materialized(replica.descriptor), replace=True
+                )
+        catalog.add_invocation(invocation)
+    crashpoint("executor.post-commit")
+    if obs.recorder is not None:
+        obs.recorder.invocation(invocation)
 
 
 class LocalExecutor:
@@ -115,9 +127,6 @@ class LocalExecutor:
             # scope unless it already has its own.
             self.catalog.obs = self.obs
         self._bodies: dict[str, TransformationBody] = {}
-        # Per-dataset sandbox locks for the parallel engine.
-        self._dataset_locks: dict[str, threading.Lock] = {}
-        self._dataset_locks_guard = threading.Lock()
         # One incremental planner per executor: repeated materialize()
         # calls patch the previous plan instead of re-walking the whole
         # derivation graph (rebuilt lazily if observability is swapped).
@@ -245,131 +254,49 @@ class LocalExecutor:
         success, output datasets get replicas (with sha256 digests) and
         file descriptors registered in the catalog.
         """
-        name = dv if isinstance(dv, str) else dv.name
-        with self.obs.span("executor.execute", derivation=name):
-            try:
-                invocation = self._execute(dv)
-            except ExecutionError:
-                if self.obs.enabled:
-                    self.obs.count(
-                        "executor.invocations",
-                        status="failure",
-                        help="local executions by terminal status",
-                    )
-                raise
-            if self.obs.enabled:
-                self.obs.count(
-                    "executor.invocations",
-                    status=invocation.status,
-                    help="local executions by terminal status",
-                )
-                self.obs.observe(
-                    "executor.invocation.seconds",
-                    invocation.usage.wall_seconds,
-                    help="wall time per local derivation",
-                )
-                self.obs.count(
-                    "executor.bytes_written",
-                    invocation.usage.bytes_written,
-                    help="output bytes produced locally",
-                )
-            return invocation
-
-    def _execute(self, dv: Derivation | str) -> Invocation:
         if isinstance(dv, str):
             dv = self.catalog.get_derivation(dv)
+        try:
+            tr, payload = self._build_payload(dv, dv.name)
+        except ExecutionError:
+            self._count(None)
+            raise
+        return self._run(dv, tr, payload)
+
+    def _run(self, dv, tr, payload, parent=None) -> Invocation:
+        """Run a payload and commit its outcome on the calling thread.
+
+        ``parent`` is the dispatching thread's ``executor.materialize``
+        span: pool threads start with an empty context-local span
+        stack, so it is adopted explicitly to keep the
+        ``executor.execute`` span nested under the materialize span
+        rather than becoming a root.
+        """
+        with self.obs.adopt(parent), self.obs.span(
+            "executor.execute", derivation=dv.name
+        ):
+            outcome = run_invocation(payload, NULL)
+            return self._finish(dv, tr, payload, outcome, self._commit)
+
+    def _build_payload(
+        self, dv: Derivation, step_name: str
+    ) -> tuple[SimpleTransformation, InvocationPayload]:
+        """Bind one derivation into a self-contained payload.
+
+        Performs the pre-run checks: compound transformations are
+        refused, every formal must be bound, and inputs must already be
+        materialized.
+        """
         tr = self.catalog.get_transformation(dv.transformation.name)
         if not isinstance(tr, SimpleTransformation):
             raise ExecutionError(
                 f"local executor runs simple transformations only; "
                 f"{tr.name!r} is compound (plan it first)"
             )
-        values, input_paths, output_paths, parameters = self._bind(dv, tr)
-        for formal, path in input_paths.items():
-            if not path.exists():
-                raise ExecutionError(
-                    f"derivation {dv.name!r}: input {formal!r} "
-                    f"({path.name}) is not materialized"
-                )
-        argv = tr.command_line(values)
-        environment = {**dict(dv.environment), **tr.rendered_environment(values)}
-        streams = {}
-        for stream_name, rendered in tr.stream_redirects(values).items():
-            path = Path(rendered)
-            if not path.is_absolute():
-                # A bare LFN (e.g. a string default): sandbox it.
-                path = self.workdir / rendered.replace("/", "_")
-            streams[stream_name] = path
-        context = RunContext(
-            workdir=self.workdir,
-            argv=argv,
-            environment=environment,
-            input_paths=input_paths,
-            output_paths=output_paths,
-            parameters=parameters,
-            streams=streams,
-        )
-        started = time.time()
-        clock0 = time.perf_counter()
-        error: Optional[str] = None
-        exit_code = 0
-        try:
-            self._run_body(tr, context)
-        except ExecutionError:
-            raise
-        except Exception as exc:  # body failures become failed invocations
-            error = f"{type(exc).__name__}: {exc}"
-            exit_code = 1
-        elapsed = time.perf_counter() - clock0
-        bytes_read = sum(
-            p.stat().st_size for p in input_paths.values() if p.exists()
-        )
-        bytes_written = sum(
-            p.stat().st_size for p in output_paths.values() if p.exists()
-        )
-        invocation = Invocation(
-            derivation_name=dv.name,
-            status="success" if error is None else "failure",
-            start_time=started,
-            context=ExecutionContext.make(
-                site=self.site_name,
-                host=platform.node() or "localhost",
-                os=platform.system().lower() or "linux",
-                processor=platform.machine() or "x86_64",
-                environment=environment,
-            ),
-            usage=ResourceUsage(
-                cpu_seconds=elapsed,
-                wall_seconds=elapsed,
-                bytes_read=bytes_read,
-                bytes_written=bytes_written,
-            ),
-            exit_code=exit_code,
-            error=error,
-        )
-        stamp_recipe(invocation, dv, tr)
-        # One atomic provenance commit: output replicas, materialized
-        # dataset records and the invocation land together or not at
-        # all.  A kill inside this window leaves either a rollback-able
-        # journal/backend transaction or nothing — never a replica
-        # without its invocation.
-        with self.catalog.transaction(label=f"invocation:{dv.name}"):
-            if error is None:
-                self._record_outputs(dv, invocation, output_paths)
-            self.catalog.add_invocation(invocation)
-        crashpoint("executor.post-commit")
-        if self.obs.recorder is not None:
-            self.obs.recorder.invocation(invocation)
-        if error is not None:
-            raise ExecutionError(
-                f"derivation {dv.name!r} failed: {error}"
-            )
-        return invocation
-
-    def _bind(self, dv: Derivation, tr: SimpleTransformation):
         values: dict[str, str] = {}
-        input_paths: dict[str, Path] = {}
-        output_paths: dict[str, Path] = {}
+        input_paths: dict[str, str] = {}
+        output_paths: dict[str, str] = {}
+        output_datasets: dict[str, str] = {}
         parameters: dict[str, str] = {}
         for formal in tr.signature.formals:
             actual = dv.actuals.get(formal.name, formal.default)
@@ -377,101 +304,160 @@ class LocalExecutor:
                 raise ExecutionError(
                     f"derivation {dv.name!r}: formal {formal.name!r} unbound"
                 )
+            if isinstance(actual, str) and formal.is_string:
+                values[formal.name] = parameters[formal.name] = actual
+                continue
             if isinstance(actual, str):
-                values[formal.name] = actual
-                if formal.is_string:
-                    parameters[formal.name] = actual
-                else:
-                    # Dataset formal bound via default LFN string.
-                    path = self.path_for(actual)
-                    if formal.is_input:
-                        input_paths[formal.name] = path
-                    if formal.is_output:
-                        output_paths[formal.name] = path
-                    values[formal.name] = str(path)
+                # Dataset formal bound via default LFN string.
+                path = self.path_for(actual)
+                dataset, direction = path.name, formal
             else:
                 path = self.path_for(actual.dataset)
-                values[formal.name] = str(path)
-                if actual.is_input:
-                    input_paths[formal.name] = path
-                if actual.is_output:
-                    output_paths[formal.name] = path
-        return values, input_paths, output_paths, parameters
+                dataset, direction = actual.dataset, actual
+            values[formal.name] = str(path)
+            if direction.is_input:
+                input_paths[formal.name] = str(path)
+            if direction.is_output:
+                output_paths[formal.name] = str(path)
+                output_datasets[formal.name] = dataset
+        for formal, path in input_paths.items():
+            if not os.path.exists(path):
+                raise ExecutionError(
+                    f"derivation {dv.name!r}: input {formal!r} "
+                    f"({os.path.basename(path)}) is not materialized"
+                )
+        streams = {}
+        for stream_name, rendered in tr.stream_redirects(values).items():
+            if not os.path.isabs(rendered):
+                # A bare LFN (e.g. a string default): sandbox it.
+                rendered = str(self.workdir / rendered.replace("/", "_"))
+            streams[stream_name] = rendered
+        return tr, InvocationPayload(
+            step_name=step_name,
+            derivation_name=dv.name,
+            executable=tr.executable,
+            argv=tuple(tr.command_line(values)),
+            environment={
+                **dict(dv.environment),
+                **tr.rendered_environment(values),
+            },
+            workdir=str(self.workdir),
+            input_paths=input_paths,
+            output_paths=output_paths,
+            output_datasets=output_datasets,
+            parameters=parameters,
+            streams=streams,
+            body=self._bodies.get(tr.executable),
+        )
 
-    def _run_body(self, tr: SimpleTransformation, context: RunContext) -> None:
-        body = self._bodies.get(tr.executable)
-        if body is not None:
-            body(context)
-            return
-        if not os.path.exists(tr.executable):
-            raise ExecutionError(
-                f"executable {tr.executable!r} does not exist and no "
-                f"Python body is registered for it"
-            )
-        stdin_path = context.streams.get("stdin")
-        stdout_path = context.streams.get("stdout")
-        stderr_path = context.streams.get("stderr")
-        # VDL argument statements are text fragments of the command
-        # line; a real invocation splits them into words the way a
-        # shell would (Chimera's POSIX execution model).
-        import shlex
-
-        words = shlex.split(" ".join(context.argv))
-        with _maybe_open(stdin_path, "rb") as stdin, _maybe_open(
-            stdout_path, "wb"
-        ) as stdout, _maybe_open(stderr_path, "wb") as stderr:
-            completed = subprocess.run(
-                [tr.executable, *words],
-                stdin=stdin,
-                stdout=stdout,
-                stderr=stderr,
-                env={**os.environ, **context.environment},
-                cwd=context.workdir,
-                check=False,
-            )
-        if completed.returncode != 0:
-            raise RuntimeError(
-                f"{tr.executable} exited with {completed.returncode}"
-            )
-
-    def _record_outputs(
+    def _finish(
         self,
         dv: Derivation,
-        invocation: Invocation,
-        output_paths: dict[str, Path],
+        tr: SimpleTransformation,
+        payload: InvocationPayload,
+        outcome: InvocationOutcome,
+        commit: Callable[[Optional[Invocation], InvocationOutcome], None],
+    ) -> Invocation:
+        """Hand one outcome's record to ``commit``; raise if it failed.
+
+        ``commit`` is :meth:`_commit` itself, or the process lane's
+        queue in front of it; a refusal (``outcome.commit`` false) is
+        passed on with no record, to be counted only.
+        """
+        if not outcome.commit:
+            commit(None, outcome)
+            raise ExecutionError(outcome.error)
+        invocation = self._outcome_invocation(dv, tr, payload, outcome)
+        commit(invocation, outcome)
+        if outcome.status != "success":
+            raise ExecutionError(
+                f"derivation {dv.name!r} failed: {outcome.error}"
+            )
+        return invocation
+
+    def _outcome_invocation(self, dv, tr, payload, outcome) -> Invocation:
+        """Materialize a run outcome as an Invocation record.
+
+        Ids and the recipe stamp are allocated here, never where the
+        payload ran, so workers stay free of catalog concerns.
+        """
+        invocation = Invocation(
+            derivation_name=dv.name,
+            status=outcome.status,
+            start_time=outcome.started,
+            context=ExecutionContext.make(
+                site=self.site_name,
+                host=platform.node() or "localhost",
+                os=platform.system().lower() or "linux",
+                processor=platform.machine() or "x86_64",
+                environment=dict(payload.environment),
+            ),
+            usage=ResourceUsage(
+                cpu_seconds=outcome.wall_seconds,
+                wall_seconds=outcome.wall_seconds,
+                bytes_read=outcome.bytes_read,
+                bytes_written=outcome.bytes_written,
+            ),
+            exit_code=outcome.exit_code,
+            error=outcome.error,
+        )
+        stamp_recipe(invocation, dv, tr)
+        return invocation
+
+    def _commit(
+        self,
+        invocation: Optional[Invocation],
+        outcome: Optional[InvocationOutcome],
     ) -> None:
-        for formal, path in output_paths.items():
-            actual = dv.actuals.get(formal)
-            dataset_name = (
-                actual.dataset if hasattr(actual, "dataset") else path.name
-            )
-            if not path.exists():
-                raise ExecutionError(
-                    f"derivation {dv.name!r} succeeded but output "
-                    f"{dataset_name!r} was not written"
+        """Commit one finished step's provenance and count it.
+
+        Output replicas are recorded in the transformation's formal
+        order, with the digests the run computed.  ``invocation=None``
+        (a refusal, or a worker that died) records nothing and counts
+        a failure.
+        """
+        if invocation is not None:
+            outputs = [
+                (
+                    formal,
+                    Replica(
+                        dataset_name=stat.dataset,
+                        location=self.site_name,
+                        descriptor=FileDescriptor(
+                            path=stat.path, size=stat.size
+                        ),
+                        size=stat.size,
+                        digest=stat.digest,
+                    ),
                 )
-            size = path.stat().st_size
-            digest = file_digest(path)
-            crashpoint("executor.stage-out")
-            replica = Replica(
-                dataset_name=dataset_name,
-                location=self.site_name,
-                descriptor=FileDescriptor(path=str(path), size=size),
-                size=size,
-                digest=digest,
+                for formal, stat in outcome.outputs.items()
+            ]
+            commit_invocation(self.catalog, invocation, outputs, self.obs)
+            for stat in outcome.outputs.values():
+                self._verified[stat.path] = (stat.size, stat.mtime_ns)
+        self._count(invocation)
+
+    def _count(self, invocation: Optional[Invocation]) -> None:
+        """Account one finished (or refused) step in the metrics."""
+        if not self.obs.enabled:
+            return
+        succeeded = invocation is not None and invocation.status == "success"
+        self.obs.count(
+            "executor.invocations",
+            status="success" if succeeded else "failure",
+            help="local executions by terminal status",
+        )
+        if succeeded:
+            self.obs.observe(
+                "executor.invocation.seconds",
+                invocation.usage.wall_seconds,
+                help="wall time per local derivation",
             )
-            self.catalog.add_replica(replica)
-            invocation.replica_bindings[formal] = replica.replica_id
-            if self.catalog.has_dataset(dataset_name):
-                ds = self.catalog.get_dataset(dataset_name)
-            else:
-                ds = Dataset(name=dataset_name)
-            self.catalog.add_dataset(
-                ds.materialized(FileDescriptor(path=str(path), size=size)),
-                replace=True,
+            self.obs.count(
+                "executor.bytes_written",
+                invocation.usage.bytes_written,
+                help="output bytes produced locally",
             )
-            stat = path.stat()
-            self._verified[str(path)] = (stat.st_size, stat.st_mtime_ns)
 
     # -- end-to-end materialization ------------------------------------------------
 
@@ -551,7 +537,7 @@ class LocalExecutor:
                     and workers == 1
                     and policy == FAIL_FAST
                 ):
-                    # Today's sequential path, unchanged.
+                    # Sequential: stop *at* the first failure.
                     invocations = []
                     for name in plan.topological_order():
                         if self.obs.progress is not None:
@@ -581,11 +567,13 @@ class LocalExecutor:
         finished futures announce themselves on a queue, and a batch of
         them is handled in topological rank — so the cost per step is
         independent of how wide the plan is.  What running a step means
-        is the lane's business: :class:`_ThreadLane` runs
-        :meth:`execute` on pool threads, :class:`_ProcessLane` ships
-        payloads to worker processes and commits through a single
-        writer.  A lane may also hold a step back (``submit`` returns
-        ``None``); held steps are offered again after every batch.
+        is the same on every lane (payload, ``run_invocation``,
+        outcome, one commit); the lane decides where the payload runs
+        and which thread commits: :class:`_ThreadLane` does both on a
+        pool thread, :class:`_ProcessLane` runs in worker processes
+        and commits through a single writer.  A lane holds a step back
+        (``submit`` returns ``None``) while a live step writes the same
+        sandbox file; held steps are offered again after every batch.
         """
         order_index = {
             name: i for i, name in enumerate(plan.topological_order())
@@ -683,140 +671,6 @@ class LocalExecutor:
             ) from failures[first]
         return invocations
 
-    # -- process-pool backend -------------------------------------------------
-
-    def _build_payload(self, step):
-        """Build the picklable payload for one plan step (parent side).
-
-        Performs the same pre-run checks as the in-process path —
-        compound transformations are refused and inputs must already be
-        materialized — so scheduling semantics match the thread
-        backend exactly.
-        """
-        from repro.executor.process import InvocationPayload
-
-        dv = step.derivation
-        tr = self.catalog.get_transformation(dv.transformation.name)
-        if not isinstance(tr, SimpleTransformation):
-            raise ExecutionError(
-                f"local executor runs simple transformations only; "
-                f"{tr.name!r} is compound (plan it first)"
-            )
-        values, input_paths, output_paths, parameters = self._bind(dv, tr)
-        for formal, path in input_paths.items():
-            if not path.exists():
-                raise ExecutionError(
-                    f"derivation {dv.name!r}: input {formal!r} "
-                    f"({path.name}) is not materialized"
-                )
-        argv = tr.command_line(values)
-        environment = {
-            **dict(dv.environment),
-            **tr.rendered_environment(values),
-        }
-        streams = {}
-        for stream_name, rendered in tr.stream_redirects(values).items():
-            path = Path(rendered)
-            if not path.is_absolute():
-                path = self.workdir / rendered.replace("/", "_")
-            streams[stream_name] = str(path)
-        output_datasets = {}
-        for formal, path in output_paths.items():
-            actual = dv.actuals.get(formal)
-            output_datasets[formal] = (
-                actual.dataset if hasattr(actual, "dataset") else path.name
-            )
-        payload = InvocationPayload(
-            step_name=step.name,
-            derivation_name=dv.name,
-            executable=tr.executable,
-            argv=tuple(argv),
-            environment=environment,
-            workdir=str(self.workdir),
-            input_paths={k: str(v) for k, v in input_paths.items()},
-            output_paths={k: str(v) for k, v in output_paths.items()},
-            output_datasets=output_datasets,
-            parameters=dict(parameters),
-            streams=streams,
-            body=self._bodies.get(tr.executable),
-        )
-        return payload, dv, tr
-
-    def _outcome_invocation(self, dv, tr, payload, outcome) -> Invocation:
-        """Materialize a worker outcome as an Invocation record.
-
-        Allocation happens parent-side (ids, recipe stamp) so workers
-        stay free of catalog concerns; field population mirrors
-        ``_execute``'s in-process construction.
-        """
-        invocation = Invocation(
-            derivation_name=dv.name,
-            status=outcome.status,
-            start_time=outcome.started,
-            context=ExecutionContext.make(
-                site=self.site_name,
-                host=platform.node() or "localhost",
-                os=platform.system().lower() or "linux",
-                processor=platform.machine() or "x86_64",
-                environment=dict(payload.environment),
-            ),
-            usage=ResourceUsage(
-                cpu_seconds=outcome.wall_seconds,
-                wall_seconds=outcome.wall_seconds,
-                bytes_read=outcome.bytes_read,
-                bytes_written=outcome.bytes_written,
-            ),
-            exit_code=outcome.exit_code,
-            error=outcome.error,
-        )
-        stamp_recipe(invocation, dv, tr)
-        return invocation
-
-    def _commit_outcome(self, dv, tr, invocation, outcome) -> None:
-        """Write one worker outcome's provenance (collector thread only).
-
-        The single-writer twin of ``_execute``'s commit block: output
-        replicas (digests already computed in the worker), materialized
-        dataset records and the invocation land in one catalog
-        transaction, or not at all.
-        """
-        with self.catalog.transaction(label=f"invocation:{dv.name}"):
-            if invocation.status == "success":
-                for formal, stat in sorted(outcome.outputs.items()):
-                    actual = dv.actuals.get(formal)
-                    dataset_name = (
-                        actual.dataset
-                        if hasattr(actual, "dataset")
-                        else Path(stat.path).name
-                    )
-                    crashpoint("executor.stage-out")
-                    replica = Replica(
-                        dataset_name=dataset_name,
-                        location=self.site_name,
-                        descriptor=FileDescriptor(
-                            path=stat.path, size=stat.size
-                        ),
-                        size=stat.size,
-                        digest=stat.digest,
-                    )
-                    self.catalog.add_replica(replica)
-                    invocation.replica_bindings[formal] = replica.replica_id
-                    if self.catalog.has_dataset(dataset_name):
-                        ds = self.catalog.get_dataset(dataset_name)
-                    else:
-                        ds = Dataset(name=dataset_name)
-                    self.catalog.add_dataset(
-                        ds.materialized(
-                            FileDescriptor(path=stat.path, size=stat.size)
-                        ),
-                        replace=True,
-                    )
-                    self._verified[stat.path] = (stat.size, stat.mtime_ns)
-            self.catalog.add_invocation(invocation)
-        crashpoint("executor.post-commit")
-        if self.obs.recorder is not None:
-            self.obs.recorder.invocation(invocation)
-
     def _merge_worker_telemetry(self, outcome, parent=None) -> None:
         """Graft one worker's shipped telemetry into the parent's obs.
 
@@ -894,37 +748,6 @@ class LocalExecutor:
                         tail=tail,
                     )
 
-    def _execute_step_locked(self, step, parent=None) -> Invocation:
-        """Run one plan step holding its output-dataset locks.
-
-        Producer→consumer ordering is already enforced by the frontier,
-        so inputs are stable once a step dispatches; the only sandbox
-        race left is two steps writing the same file (e.g. LFNs that
-        collide after path sanitization).  Locks are taken in sorted
-        order so overlapping lock sets cannot deadlock.
-
-        ``parent`` is the dispatching thread's ``executor.materialize``
-        span: pool threads start with an empty context-local span
-        stack, so the parent is adopted explicitly here to keep every
-        ``executor.execute`` span nested under the materialize span
-        rather than becoming a root.
-        """
-        names = sorted(set(step.outputs))
-        locks = []
-        with self._dataset_locks_guard:
-            for dataset in names:
-                locks.append(
-                    self._dataset_locks.setdefault(dataset, threading.Lock())
-                )
-        for lock in locks:
-            lock.acquire()
-        try:
-            with self.obs.adopt(parent):
-                return self.execute(step.derivation)
-        finally:
-            for lock in reversed(locks):
-                lock.release()
-
     def _note_step(
         self, name: str, invocation: Optional[Invocation], status: str
     ) -> None:
@@ -986,121 +809,108 @@ class LocalExecutor:
         return out
 
 
-class _ThreadLane:
-    """Thread backend of the pool loop: steps run :meth:`execute`.
+class _Lane:
+    """What the pool loop needs of a backend; the shared half.
 
-    Worker threads take per-output dataset locks, so two steps never
-    write the same sandbox file concurrently, and the catalog
-    serializes its own mutations.
+    ``submit`` builds the step's payload on the main thread and holds
+    the step back (returns ``None``) while a live step is writing one
+    of the same sandbox files — two LFNs can map to one path after
+    sanitization.  The busy set is keyed by path and touched by the
+    main thread only, so it needs no lock.  Subclasses say where the
+    payload runs (``_start``) and who commits its outcome (``_result``).
     """
 
-    #: Nothing commits outside the steps themselves.
-    failure = None
+    #: First exception raised while committing off-thread, if any.
+    failure: Optional[BaseException] = None
 
-    def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
+    def __init__(self, executor: "LocalExecutor", parent=None):
         self._executor = executor
+        #: The dispatching ``executor.materialize`` span.
         self._parent = parent
-        self._pool = ThreadPoolExecutor(max_workers=workers)
+        self._live: dict[str, tuple] = {}  # name -> (dv, tr, payload)
+        self._busy_outputs: set[str] = set()  # sandbox paths being written
 
     def submit(self, step):
-        return self._pool.submit(
-            self._executor._execute_step_locked, step, self._parent
-        )
+        dv = step.derivation
+        try:
+            tr, payload = self._executor._build_payload(dv, step.name)
+            outs = payload.output_paths.values()
+            if not self._busy_outputs.isdisjoint(outs):
+                return None
+            future = self._start(dv, tr, payload)
+        except ExecutionError:
+            self._executor._count(None)
+            raise
+        self._live[step.name] = (dv, tr, payload)
+        self._busy_outputs.update(outs)
+        return future
 
     def settle(self, name: str, future) -> Invocation:
+        dv, tr, payload = self._live.pop(name)
+        self._busy_outputs.difference_update(payload.output_paths.values())
+        return self._result(dv, tr, payload, future)
+
+
+class _ThreadLane(_Lane):
+    """Thread backend: a pool thread runs the payload, then commits it
+    itself (the catalog serializes its own mutations)."""
+
+    def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
+        super().__init__(executor, parent)
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+
+    def _start(self, dv, tr, payload):
+        return self._pool.submit(
+            self._executor._run, dv, tr, payload, self._parent
+        )
+
+    def _result(self, dv, tr, payload, future) -> Invocation:
         return future.result()
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
 
-class _ProcessLane:
-    """Process backend of the pool loop.
-
-    Division of labor (see :mod:`repro.executor.process`):
-
-    - The main thread builds a picklable
-      :class:`~repro.executor.process.InvocationPayload` per dispatched
-      step (pickle-preflighted so failures name the offending field),
-      submits it, and feeds worker outcomes to the collector.
-    - Worker processes run transformation bodies and hash outputs;
-      they never touch the catalog, the executor, or any lock.
-    - A single-writer collector thread performs *all* provenance and
-      metrics writeback — replica and invocation records are allocated
-      parent-side and committed one ``catalog.transaction`` per step,
-      in dispatch-completion order, so an upstream step's provenance
-      always lands before anything downstream of it and catalog locks
-      never cross a process boundary.
+class _ProcessLane(_Lane):
+    """Process backend: a worker process runs the payload and hashes
+    its outputs; it never touches the catalog, the executor, or any
+    lock.  The main thread turns outcomes into invocation records
+    (ids are allocated parent-side) and a single-writer collector
+    thread commits them, one ``catalog.transaction`` per step in
+    completion order — so an upstream step's provenance always lands
+    before anything downstream of it, and catalog locks never cross a
+    process boundary.
     """
 
     def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
-        self._executor = executor
+        super().__init__(executor, parent)
         self._collector = _ProvenanceCollector(executor, parent=parent)
         self._collector.start()
         self._pool = ProcessPoolExecutor(max_workers=workers)
-        self._payloads: dict[str, tuple] = {}  # name -> (payload, dv, tr)
-        self._busy_outputs: set[str] = set()  # sandbox paths being written
 
     @property
     def failure(self) -> Optional[BaseException]:
-        """First exception raised while committing, if any."""
         return self._collector.failure
 
-    def submit(self, step):
-        from repro.executor.process import preflight_payload, run_invocation
-
-        executor = self._executor
-        try:
-            payload, dv, tr = executor._build_payload(step)
-            # Two live steps must never write the same sandbox file
-            # (LFNs can collide after path sanitization); hold such a
-            # step back until the writer finishes.
-            outs = set(payload.output_paths.values())
-            if outs & self._busy_outputs:
-                return None
-            preflight_payload(payload)
-        except ExecutionError:
-            if executor.obs.enabled:
-                executor.obs.count(
-                    "executor.invocations",
-                    status="failure",
-                    help="local executions by terminal status",
-                )
-            raise
-        self._payloads[step.name] = (payload, dv, tr)
-        self._busy_outputs.update(outs)
+    def _start(self, dv, tr, payload):
+        # Pickle-preflighted so a failure names the offending field.
+        preflight_payload(payload)
         return self._pool.submit(run_invocation, payload)
 
-    def settle(self, name: str, future) -> Invocation:
-        payload, dv, tr = self._payloads.pop(name)
-        self._busy_outputs.difference_update(payload.output_paths.values())
+    def _result(self, dv, tr, payload, future) -> Invocation:
         try:
             outcome = future.result()
         except Exception as exc:
             # A worker died hard (pool broken, unpicklable outcome):
             # fail the step without provenance.
-            self._collector.submit(dv, tr, None, None)
+            self._collector.submit(None, None)
             raise ExecutionError(
                 f"derivation {dv.name!r}: worker failed "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
-        if outcome.status != "success" and not outcome.commit:
-            # No invocation to commit, but the worker's telemetry
-            # (spans, stream tails) still merges — failed steps are
-            # exactly the ones whose trace matters.
-            self._collector.submit(dv, tr, None, outcome)
-            raise ExecutionError(
-                outcome.error or f"derivation {dv.name!r} failed"
-            )
-        invocation = self._executor._outcome_invocation(
-            dv, tr, payload, outcome
+        return self._executor._finish(
+            dv, tr, payload, outcome, self._collector.submit
         )
-        self._collector.submit(dv, tr, invocation, outcome)
-        if outcome.status != "success":
-            raise ExecutionError(
-                f"derivation {dv.name!r} failed: {outcome.error}"
-            )
-        return invocation
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -1115,9 +925,10 @@ class _ProvenanceCollector:
     thread only submits a step's outcome before releasing its
     dependents, so upstream provenance is always durable before
     anything downstream commits — the same invariant the sequential
-    path gets for free.  Invocation metrics are also counted here so
-    the counters observed after a run match the thread backend's
-    exactly.
+    path gets for free.  Each item goes through the executor's one
+    ``_commit``; a worker's telemetry (spans, stream tails) is merged
+    even when there is nothing to commit — failed steps are exactly
+    the ones whose trace matters.
     """
 
     def __init__(self, executor: LocalExecutor, parent=None):
@@ -1132,15 +943,13 @@ class _ProvenanceCollector:
         #: First exception raised while committing, if any; the main
         #: scheduling loop re-raises it.
         self.failure: Optional[BaseException] = None
-        self.committed = 0
 
     def start(self) -> None:
         self._thread.start()
 
-    def submit(self, dv, tr, invocation, outcome) -> None:
-        """Queue one finished step.  ``invocation=None`` records
-        nothing and only counts a failure (pre-run refusals)."""
-        self._queue.put((dv, tr, invocation, outcome))
+    def submit(self, invocation, outcome) -> None:
+        """Queue one finished step (see ``LocalExecutor._commit``)."""
+        self._queue.put((invocation, outcome))
 
     def close(self) -> None:
         """Drain the queue and stop the thread."""
@@ -1155,56 +964,10 @@ class _ProvenanceCollector:
                 return
             if self.failure is not None:
                 continue  # drain without committing after a failure
-            dv, tr, invocation, outcome = item
+            invocation, outcome = item
             try:
-                if invocation is not None:
-                    executor._commit_outcome(dv, tr, invocation, outcome)
-                    self.committed += 1
+                executor._commit(invocation, outcome)
                 if outcome is not None:
-                    executor._merge_worker_telemetry(
-                        outcome, self._parent
-                    )
-                if executor.obs.enabled:
-                    status = (
-                        invocation.status
-                        if invocation is not None
-                        and invocation.status == "success"
-                        else "failure"
-                    )
-                    executor.obs.count(
-                        "executor.invocations",
-                        status=status,
-                        help="local executions by terminal status",
-                    )
-                    if invocation is not None and status == "success":
-                        executor.obs.observe(
-                            "executor.invocation.seconds",
-                            invocation.usage.wall_seconds,
-                            help="wall time per local derivation",
-                        )
-                        executor.obs.count(
-                            "executor.bytes_written",
-                            invocation.usage.bytes_written,
-                            help="output bytes produced locally",
-                        )
+                    executor._merge_worker_telemetry(outcome, self._parent)
             except BaseException as exc:
                 self.failure = exc
-
-
-class _maybe_open:
-    """Context manager: open a path or yield None."""
-
-    def __init__(self, path: Optional[Path], mode: str):
-        self._path = path
-        self._mode = mode
-        self._handle = None
-
-    def __enter__(self):
-        if self._path is None:
-            return None
-        self._handle = open(self._path, self._mode)
-        return self._handle
-
-    def __exit__(self, *exc_info):
-        if self._handle is not None:
-            self._handle.close()

@@ -1,38 +1,55 @@
-"""Process-pool execution primitives: escape the GIL for CPU-bound steps.
+"""The run half of the one step path: payload in, outcome out.
 
-Thread workers share one interpreter, so a Python transformation body
-that computes (rather than waits) serializes on the GIL and ``workers=N``
-buys nothing.  The process backend runs bodies in worker *processes*:
+Every step ``LocalExecutor`` executes — ``execute()``, the sequential
+loop, the thread lane, the process lane — takes the same route::
 
-- The parent builds one :class:`InvocationPayload` per plan step at
-  dispatch time — a picklable, self-contained description of the run
-  (argv, environment, bound paths, streams, and the registered body, if
-  any).  Workers never see the catalog, the executor, or any lock.
-- :func:`run_invocation` executes the payload in the worker and returns
-  an :class:`InvocationOutcome`: status, timing, byte counts, and a
-  content digest per output (hashing large outputs in the worker keeps
-  the parent off the critical path).
-- All provenance writeback happens parent-side through a single-writer
-  collector thread (see ``repro.executor.local._ProcessLane``), so
-  catalog locks and transactions never cross a process boundary.
+    InvocationPayload -> run_invocation -> InvocationOutcome -> commit
 
-:func:`preflight_payload` pickles a payload *before* submission and, on
-failure, re-pickles field by field so the error names the offending
-field — typically a transformation body that is a lambda or closure
-instead of a module-level function.
+- The executor builds one :class:`InvocationPayload` per step: a
+  picklable, self-contained description of the run (argv, environment,
+  bound paths, streams, and the registered body, if any).  Nothing in
+  it refers to the catalog, the executor, or a lock.
+- :func:`run_invocation` — this module — executes it and returns an
+  :class:`InvocationOutcome`: status, timing, byte counts, and size,
+  mtime and content digest per output.  It is the only place a body is
+  called or a subprocess started.
+- The executor turns the outcome into an ``Invocation`` and commits it
+  with ``repro.executor.local.commit_invocation``, one catalog
+  transaction per step.
+
+The lanes differ only in *where* :func:`run_invocation` executes and
+*which thread* commits: the calling thread for ``execute()`` and the
+sequential loop; a pool thread, which then commits itself, on the
+thread lane; a worker process on the process lane, whose outcomes a
+single collector thread in the parent commits in completion order (so
+catalog locks and transactions never cross a process boundary, and
+Python bodies that compute escape the GIL).
+
+Only worker processes capture telemetry: called with no
+instrumentation, :func:`run_invocation` records its ``worker.*`` spans,
+metrics and failure stream tails into the outcome for the parent to
+merge; in-process callers pass the no-op instrumentation and keep
+their own ``executor.execute`` span.
+
+:func:`preflight_payload` pickles a payload *before* submission to a
+process pool and, on failure, re-pickles field by field so the error
+names the offending field — typically a transformation body that is a
+lambda or closure instead of a module-level function.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shlex
 import subprocess
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
+from repro.durability.checksum import file_digest
 from repro.errors import ExecutionError
 
 #: How many bytes of a redirected stdout/stderr file ride back to the
@@ -41,9 +58,42 @@ from repro.errors import ExecutionError
 STREAM_TAIL_BYTES = 2048
 
 
+class RunContext:
+    """Everything a registered Python transformation body receives."""
+
+    def __init__(
+        self,
+        workdir: Path,
+        argv: tuple[str, ...],
+        environment: dict[str, str],
+        input_paths: dict[str, Path],
+        output_paths: dict[str, Path],
+        parameters: dict[str, str],
+        streams: dict[str, Path],
+    ):
+        self.workdir = workdir
+        self.argv = argv
+        self.environment = environment
+        self.input_paths = input_paths
+        self.output_paths = output_paths
+        self.parameters = parameters
+        self.streams = streams
+
+    def read_input(self, formal: str) -> bytes:
+        """Read the full contents of the input bound to ``formal``."""
+        return self.input_paths[formal].read_bytes()
+
+    def write_output(self, formal: str, data: bytes | str) -> None:
+        """Write the output bound to ``formal``."""
+        path = self.output_paths[formal]
+        if isinstance(data, str):
+            data = data.encode()
+        path.write_bytes(data)
+
+
 @dataclass
 class InvocationPayload:
-    """Everything a worker process needs to run one plan step.
+    """Everything :func:`run_invocation` needs to run one step.
 
     Paths are plain strings (not ``Path``) and all mappings are plain
     dicts so the payload pickles compactly and identically across
@@ -59,8 +109,8 @@ class InvocationPayload:
     workdir: str
     input_paths: dict[str, str]
     output_paths: dict[str, str]
-    #: formal -> logical dataset name, for error messages that must
-    #: match the in-process executor's wording exactly.
+    #: formal -> logical dataset name (what the output's replica and
+    #: a "was not written" error are filed under).
     output_datasets: dict[str, str]
     parameters: dict[str, str]
     streams: dict[str, str]
@@ -69,8 +119,9 @@ class InvocationPayload:
 
 @dataclass
 class OutputStat:
-    """What the worker observed about one written output file."""
+    """What the run observed about one written output file."""
 
+    dataset: str
     path: str
     size: int
     digest: str
@@ -210,14 +261,14 @@ class TelemetryCapture:
 
 @dataclass
 class InvocationOutcome:
-    """A worker's report for one payload.
+    """What running one payload produced.
 
-    ``commit=False`` marks failures the in-process executor would have
-    raised *without* recording an invocation (missing executable,
-    declared output never written): the collector must record nothing
-    and the step fails with ``error`` as the message.  ``commit=True``
-    failures are ordinary body failures and are recorded as failed
-    invocations, exactly like the sequential path.
+    ``commit=False`` marks failures that leave no invocation record
+    (missing executable, declared output never written): nothing is
+    committed and the step fails with ``error`` as the message.
+    ``commit=True`` failures are ordinary body failures and are
+    recorded as failed invocations.  ``outputs`` is filled, in the
+    payload's formal order, only on success.
     """
 
     step_name: str
@@ -268,31 +319,30 @@ def preflight_payload(payload: InvocationPayload) -> bytes:
         ) from exc
 
 
-def run_invocation(payload: InvocationPayload) -> InvocationOutcome:
-    """Execute one payload in a worker process.
+def run_invocation(
+    payload: InvocationPayload, obs: Any = None
+) -> InvocationOutcome:
+    """Execute one payload: the only place a local step runs.
 
-    Mirrors ``LocalExecutor._execute``'s run phase: registered body or
-    subprocess, body exceptions become failed outcomes, and output
-    stats (size, sha256, mtime) are gathered here so the parent's
-    collector can write provenance without re-reading output bytes.
+    Registered body or subprocess; body exceptions become failed
+    outcomes; size, mtime and sha256 of every output are gathered here
+    so the commit never re-reads output bytes.  With no ``obs`` (a pool
+    worker process) spans, metrics and failure stream tails are
+    captured into ``outcome.telemetry`` for the parent to merge;
+    in-process callers pass the no-op instrumentation.
     """
-    # Imported here, not at module top: worker processes only need the
-    # light pieces, and RunContext lives in the executor module.
-    from repro.durability.checksum import file_digest
-    from repro.executor.local import RunContext
-
     pid = os.getpid()
-    capture = TelemetryCapture(pid)
-    started = time.time()
-    clock0 = time.perf_counter()
+    capture = TelemetryCapture(pid) if obs is None else None
+    obs = capture or obs
     outcome = InvocationOutcome(
         step_name=payload.step_name,
         derivation_name=payload.derivation_name,
         status="success",
-        started=started,
+        started=time.time(),
         pid=pid,
-        telemetry=capture.telemetry,
+        telemetry=capture and capture.telemetry,
     )
+    clock0 = time.perf_counter()
     input_paths = {k: Path(v) for k, v in payload.input_paths.items()}
     output_paths = {k: Path(v) for k, v in payload.output_paths.items()}
     context = RunContext(
@@ -304,59 +354,46 @@ def run_invocation(payload: InvocationPayload) -> InvocationOutcome:
         parameters=dict(payload.parameters),
         streams={k: Path(v) for k, v in payload.streams.items()},
     )
-    with capture.span(
+    with obs.span(
         "worker.invocation",
         derivation=payload.derivation_name,
         step=payload.step_name,
         worker_pid=pid,
-    ) as root:
+    ):
         try:
-            with capture.span(
-                "worker.run", executable=payload.executable
-            ):
-                _run_payload(payload, context)
+            with obs.span("worker.run", executable=payload.executable):
+                _invoke(payload, context)
         except ExecutionError as exc:
-            # Infrastructure refusals (missing executable): the
-            # in-process path raises these without recording an
-            # invocation.
+            # Infrastructure refusals (missing executable) fail the
+            # step without an invocation record.
             outcome.status = "failure"
             outcome.commit = False
             outcome.error = str(exc)
-            outcome.wall_seconds = time.perf_counter() - clock0
-            root.status = "error"
-            root.error = outcome.error
-            _finish_capture(capture, payload, outcome)
-            return outcome
         except Exception as exc:  # body failures → failed invocations
             outcome.status = "failure"
             outcome.error = f"{type(exc).__name__}: {exc}"
             outcome.exit_code = 1
         outcome.wall_seconds = time.perf_counter() - clock0
-        outcome.bytes_read = sum(
-            p.stat().st_size for p in input_paths.values() if p.exists()
-        )
-        outcome.bytes_written = sum(
-            p.stat().st_size
-            for p in output_paths.values()
-            if p.exists()
-        )
+        if outcome.commit:
+            outcome.bytes_read = sum(
+                p.stat().st_size for p in input_paths.values() if p.exists()
+            )
+            outcome.bytes_written = sum(
+                p.stat().st_size for p in output_paths.values() if p.exists()
+            )
         if outcome.status == "success":
-            with capture.span(
-                "worker.digest", outputs=len(output_paths)
-            ):
+            with obs.span("worker.digest", outputs=len(output_paths)):
                 for formal, path in output_paths.items():
+                    dataset = payload.output_datasets[formal]
                     if not path.exists():
-                        dataset = payload.output_datasets.get(
-                            formal, path.name
-                        )
                         outcome.status = "failure"
                         outcome.commit = False
                         outcome.error = (
-                            f"derivation "
-                            f"{payload.derivation_name!r} succeeded "
-                            f"but output {dataset!r} was not written"
+                            f"derivation {payload.derivation_name!r} "
+                            f"succeeded but output {dataset!r} was not "
+                            f"written"
                         )
-                        capture.event(
+                        obs.event(
                             "worker.output.missing",
                             derivation=payload.derivation_name,
                             dataset=dataset,
@@ -364,15 +401,14 @@ def run_invocation(payload: InvocationPayload) -> InvocationOutcome:
                         break
                     stat = path.stat()
                     outcome.outputs[formal] = OutputStat(
+                        dataset=dataset,
                         path=str(path),
                         size=stat.st_size,
                         digest=file_digest(path),
                         mtime_ns=stat.st_mtime_ns,
                     )
-        if outcome.status != "success":
-            root.status = "error"
-            root.error = outcome.error
-    _finish_capture(capture, payload, outcome)
+    if capture is not None:
+        _finish_capture(capture, payload, outcome)
     return outcome
 
 
@@ -383,9 +419,9 @@ def _finish_capture(
 ) -> None:
     """Record worker-side metrics and stream tails on the outcome.
 
-    Worker metrics live in a ``worker.*`` namespace: the parent's
-    collector already replays ``executor.*`` counters for backend
-    parity, so the relay must not double-count them.
+    Worker metrics live in a ``worker.*`` namespace: the parent counts
+    ``executor.*`` itself when it commits, so the relay must not
+    double-count them.
     """
     capture.count(
         "worker.invocations",
@@ -404,11 +440,14 @@ def _finish_capture(
             help="bytes written by worker processes",
         )
     if outcome.status != "success":
+        root = capture.telemetry.spans[0]
+        root.status = "error"
+        root.error = outcome.error
         capture.capture_tails(payload.streams)
 
 
-def _run_payload(payload: InvocationPayload, context: Any) -> None:
-    """The worker-side twin of ``LocalExecutor._run_body``."""
+def _invoke(payload: InvocationPayload, context: RunContext) -> None:
+    """Call the registered body, or start the real executable."""
     if payload.body is not None:
         payload.body(context)
         return
@@ -417,17 +456,14 @@ def _run_payload(payload: InvocationPayload, context: Any) -> None:
             f"executable {payload.executable!r} does not exist and no "
             f"Python body is registered for it"
         )
-    import shlex
-
-    from repro.executor.local import _maybe_open
-
+    # VDL argument statements are text fragments of the command line;
+    # a real invocation splits them into words the way a shell would
+    # (Chimera's POSIX execution model).
     words = shlex.split(" ".join(context.argv))
-    stdin_path = context.streams.get("stdin")
-    stdout_path = context.streams.get("stdout")
-    stderr_path = context.streams.get("stderr")
-    with _maybe_open(stdin_path, "rb") as stdin, _maybe_open(
-        stdout_path, "wb"
-    ) as stdout, _maybe_open(stderr_path, "wb") as stderr:
+    streams = context.streams
+    with _maybe_open(streams.get("stdin"), "rb") as stdin, _maybe_open(
+        streams.get("stdout"), "wb"
+    ) as stdout, _maybe_open(streams.get("stderr"), "wb") as stderr:
         completed = subprocess.run(
             [payload.executable, *words],
             stdin=stdin,
@@ -441,3 +477,8 @@ def _run_payload(payload: InvocationPayload, context: Any) -> None:
         raise RuntimeError(
             f"{payload.executable} exited with {completed.returncode}"
         )
+
+
+def _maybe_open(path: Optional[Path], mode: str):
+    """Context manager: the opened path, or ``None`` for no path."""
+    return nullcontext() if path is None else open(path, mode)

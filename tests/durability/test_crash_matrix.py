@@ -11,6 +11,11 @@ Kill points are discovered, not hard-coded: a clean instrumented run
 logs every crashpoint it passes (``REPRO_CRASHPOINT_LOG``), and the
 matrix then arms ``REPRO_CRASH_AFTER=N`` for each N.  New crashpoints
 added to the commit path are automatically covered.
+
+The matrix runs over the executor's lanes — the sequential loop, the
+thread pool and the process pool — because all three commit through
+one function: each lane discovers its own kill points and must
+converge the same way.
 """
 
 import os
@@ -41,6 +46,13 @@ DV c1->copy( o=@{{output:"copy.txt"}}, i=@{{input:"seed.txt"}} );
 
 SEEDS = ["alpha-0xA", "bravo-0xB", "charlie-0xC"]
 
+#: lane -> extra ``materialize`` arguments.
+LANES = {
+    "sequential": (),
+    "thread": ("--workers", "2"),
+    "process": ("--backend", "process", "--workers", "2"),
+}
+
 
 def cli(workspace: Path, *argv: str) -> tuple[int, str]:
     """Run a CLI command in-process (fast path for setup/recovery)."""
@@ -61,14 +73,16 @@ def make_workspace(tmp_path: Path, name: str, message: str) -> Path:
     return workspace
 
 
-def materialize_subprocess(workspace: Path, extra_env: dict) -> int:
+def materialize_subprocess(
+    workspace: Path, extra_env: dict, lane: str = "sequential"
+) -> int:
     """A real child process, killable by a real SIGKILL."""
     env = {
         **os.environ,
         "PYTHONPATH": str(SRC),
         **extra_env,
     }
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -77,34 +91,56 @@ def materialize_subprocess(workspace: Path, extra_env: dict) -> int:
             str(workspace),
             "materialize",
             "copy.txt",
+            *LANES[lane],
         ],
         env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        # Its own process group: pool workers orphaned by the kill
+        # never learn their parent died, so the group is reaped here.
+        start_new_session=True,
     )
-    return proc.returncode
+    try:
+        return proc.wait(timeout=120)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 @pytest.fixture(scope="module")
-def crashpoint_count(tmp_path_factory):
-    """How many crashpoints one clean materialize passes through."""
-    tmp_path = tmp_path_factory.mktemp("discovery")
-    workspace = make_workspace(tmp_path, "ws", SEEDS[0])
-    log = tmp_path / "crashpoints.log"
-    code = materialize_subprocess(
-        workspace, {"REPRO_CRASHPOINT_LOG": str(log)}
-    )
-    assert code == 0
-    hits = [line for line in log.read_text().splitlines() if line.strip()]
-    # The commit path must traverse stage-out, per-op commit points,
-    # the pre-marker window, and post-commit.
-    names = {h.split()[0] if " " in h else h for h in hits}
-    assert any(n.startswith("executor.stage-out") for n in names)
-    assert any(n.startswith("catalog.commit.op") for n in names)
-    assert any(n.startswith("catalog.commit.pre-marker") for n in names)
-    assert any(n.startswith("executor.post-commit") for n in names)
-    return len(hits)
+def discover(tmp_path_factory):
+    """lane -> how many crashpoints one clean materialize passes."""
+    counts: dict[str, int] = {}
+
+    def count(lane: str) -> int:
+        if lane in counts:
+            return counts[lane]
+        tmp_path = tmp_path_factory.mktemp(f"discovery-{lane}")
+        workspace = make_workspace(tmp_path, "ws", SEEDS[0])
+        log = tmp_path / "crashpoints.log"
+        code = materialize_subprocess(
+            workspace, {"REPRO_CRASHPOINT_LOG": str(log)}, lane
+        )
+        assert code == 0
+        hits = [line for line in log.read_text().splitlines() if line.strip()]
+        # The commit path must traverse stage-out, per-op commit
+        # points, the pre-marker window, and post-commit.
+        names = {h.split()[0] if " " in h else h for h in hits}
+        assert any(n.startswith("executor.stage-out") for n in names)
+        assert any(n.startswith("catalog.commit.op") for n in names)
+        assert any(n.startswith("catalog.commit.pre-marker") for n in names)
+        assert any(n.startswith("executor.post-commit") for n in names)
+        counts[lane] = len(hits)
+        return counts[lane]
+
+    return count
+
+
+@pytest.fixture(scope="module")
+def crashpoint_count(discover):
+    return discover("sequential")
 
 
 def reference_state(tmp_path: Path, message: str) -> bytes:
@@ -115,9 +151,18 @@ def reference_state(tmp_path: Path, message: str) -> bytes:
 
 class TestCrashMatrix:
     @pytest.mark.parametrize("seed_index", range(len(SEEDS)))
-    def test_kill_recover_converge(
-        self, tmp_path, crashpoint_count, seed_index
+    def test_kill_recover_converge(self, tmp_path, discover, seed_index):
+        self.kill_recover_converge(tmp_path, discover, "sequential", seed_index)
+
+    @pytest.mark.parametrize("lane", ("thread", "process"))
+    def test_kill_recover_converge_on_pool_lanes(
+        self, tmp_path, discover, lane
     ):
+        # One seed (the full sweep) per pool lane bounds the run time.
+        self.kill_recover_converge(tmp_path, discover, lane, 0)
+
+    def kill_recover_converge(self, tmp_path, discover, lane, seed_index):
+        crashpoint_count = discover(lane)
         message = SEEDS[seed_index]
         expected = reference_state(tmp_path, message)
         # Seed 0 sweeps every kill point; the other seeds keep the
@@ -131,7 +176,7 @@ class TestCrashMatrix:
         for n in kill_points:
             workspace = make_workspace(tmp_path, f"kill-{n}", message)
             code = materialize_subprocess(
-                workspace, {"REPRO_CRASH_AFTER": str(n)}
+                workspace, {"REPRO_CRASH_AFTER": str(n)}, lane
             )
             assert code == -signal.SIGKILL, (
                 f"kill point {n}: expected SIGKILL, got exit {code}"
@@ -143,7 +188,9 @@ class TestCrashMatrix:
             assert code == 0, f"kill point {n}: fsck --repair said:\n{output}"
 
             # Rerun converges on the uninterrupted final state.
-            code, output = cli(workspace, "materialize", "copy.txt")
+            code, output = cli(
+                workspace, "materialize", "copy.txt", *LANES[lane]
+            )
             assert code == 0, f"kill point {n}: rerun said:\n{output}"
             final = (workspace / "sandbox" / "copy.txt").read_bytes()
             assert final == expected, f"kill point {n}: wrong bytes"

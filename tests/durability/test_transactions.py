@@ -2,23 +2,30 @@
 
 import pytest
 
+from repro.catalog.federation import FederatedIndex
 from repro.catalog.filetree import FileTreeCatalog
 from repro.catalog.memory import MemoryCatalog
 from repro.catalog.sqlite import SQLiteCatalog
 from repro.core.dataset import Dataset
 from repro.core.replica import Replica
 from repro.durability.journal import IntentJournal, load_journal_state
+from repro.errors import UnderivableError
+from repro.planner.dag import Planner
+from repro.planner.request import MaterializationRequest
 
 
 @pytest.fixture(params=["memory", "sqlite", "filetree"])
 def any_catalog(request, tmp_path):
+    # An authority, so the catalog can also join a federation.
     if request.param == "memory":
-        yield MemoryCatalog()
+        yield MemoryCatalog(authority="anl.gov")
     elif request.param == "sqlite":
-        with SQLiteCatalog(str(tmp_path / "cat.db")) as catalog:
+        with SQLiteCatalog(
+            str(tmp_path / "cat.db"), authority="anl.gov"
+        ) as catalog:
             yield catalog
     else:
-        yield FileTreeCatalog(tmp_path / "cat")
+        yield FileTreeCatalog(tmp_path / "cat", authority="anl.gov")
 
 
 class TestRollback:
@@ -85,6 +92,54 @@ class TestRollback:
                 raise RuntimeError("boom")
         assert not any_catalog.has_dataset("outer")
         assert not any_catalog.has_dataset("inner")
+
+
+class TestRollbackReachesSubscribers:
+    """An abort is announced on the event stream, so subscribers the
+    catalog does not know by name see it too (on SQLite the native
+    rollback used to refresh only the catalog's own fast paths)."""
+
+    VDL = """
+    TR emit( output o, none tag="x" ) {
+      argument = ${none:tag}" "${output:o};
+      exec = "py:emit";
+    }
+    TR copy( output o, input i ) {
+      argument = ${input:i}" "${output:o};
+      exec = "py:copy";
+    }
+    DV mk->emit( o=@{output:"base.txt"} );
+    """
+
+    def test_federated_index_drops_aborted_objects(self, any_catalog):
+        any_catalog.add_dataset(Dataset(name="kept"))
+        index = FederatedIndex("live-index")
+        index.attach(any_catalog)
+        with pytest.raises(RuntimeError):
+            with any_catalog.transaction():
+                any_catalog.add_dataset(Dataset(name="ghost"))
+                any_catalog.remove_dataset("kept")
+                assert [e.name for e in index.find("dataset")] == ["ghost"]
+                raise RuntimeError("boom")
+        assert any_catalog.dataset_names() == ["kept"]
+        assert [e.name for e in index.find("dataset")] == ["kept"]
+
+    def test_incremental_planner_forgets_aborted_plan(self, any_catalog):
+        any_catalog.define(self.VDL)
+        planner = Planner(any_catalog, incremental=True)
+        request = MaterializationRequest(targets=("top.txt",), reuse="never")
+        with pytest.raises(RuntimeError):
+            with any_catalog.transaction():
+                any_catalog.define(
+                    'DV up->copy( o=@{output:"top.txt"}, '
+                    'i=@{input:"base.txt"} );'
+                )
+                assert sorted(planner.plan(request).steps) == ["mk", "up"]
+                raise RuntimeError("boom")
+        assert not any_catalog.has_derivation("up")
+        # The plan cached inside the aborted transaction is not served.
+        with pytest.raises(UnderivableError):
+            planner.plan(request)
 
 
 class TestBulk:

@@ -10,7 +10,10 @@ the work instead of timing it, so they hold on any machine:
 * the thread and process loops on a width-200 plan scan
   ``Frontier.ready()`` once, and dispatch/record in the contracted
   order — name order within a release batch, completions handled in
-  topological rank — under both failure policies.
+  topological rank — under both failure policies;
+* every executed step, on every lane and from an interactive session,
+  goes through the one run function and the one commit function
+  exactly once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.catalog.memory import MemoryCatalog
 from repro.errors import ExecutionError, MaterializationError
 from repro.executor import local as local_module
 from repro.executor.local import LocalExecutor
+from repro.executor.session import InteractiveSession
 from repro.observability.instrument import Instrumentation
 from repro.observability.recorder import FlightRecorder, RunRecord
 from repro.planner.dag import Frontier
@@ -252,6 +256,72 @@ class TestDispatchOrder:
                 assert seen["invocations"] == (
                     seen["plan"].topological_order()
                 )
+
+
+class TestOneStepPath:
+    """payload -> run -> outcome -> commit is the only way a step
+    runs: counted, not inferred from end states."""
+
+    LANES = {
+        "sequential": {"workers": 1},
+        "thread": {"workers": 2},
+        "process": {"workers": 2, "backend": "process"},
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts calls of the run and the commit function, per
+        derivation; pools run inline so the process lane's run calls
+        happen where they can be counted."""
+        seen = {"run": [], "commit": []}
+        real_run = local_module.run_invocation
+        real_commit = local_module.commit_invocation
+
+        def run_invocation(payload, *args):
+            seen["run"].append(payload.derivation_name)
+            return real_run(payload, *args)
+
+        def commit_invocation(catalog, invocation, *args):
+            seen["commit"].append(invocation.derivation_name)
+            return real_commit(catalog, invocation, *args)
+
+        monkeypatch.setattr(local_module, "run_invocation", run_invocation)
+        monkeypatch.setattr(
+            local_module, "commit_invocation", commit_invocation
+        )
+        monkeypatch.setattr(
+            local_module, "ThreadPoolExecutor", SynchronousPool
+        )
+        monkeypatch.setattr(
+            local_module, "ProcessPoolExecutor", SynchronousPool
+        )
+        return seen
+
+    def executor(self, tmp_path):
+        vdl, target = reduction_vdl(8)
+        catalog = MemoryCatalog()
+        canonical.define_transformations(catalog)
+        catalog.define(vdl)
+        executor = LocalExecutor(catalog, tmp_path / "sandbox")
+        canonical.register_bodies(executor)
+        return executor, target
+
+    @pytest.mark.parametrize("lane", sorted(LANES))
+    def test_once_per_step_on_every_lane(self, tmp_path, calls, lane):
+        executor, target = self.executor(tmp_path)
+        invocations = executor.materialize(target, **self.LANES[lane])
+        ran = sorted(inv.derivation_name for inv in invocations)
+        assert len(ran) == 12  # 1 source + 8 wide + 3 reducing
+        assert sorted(calls["run"]) == ran
+        assert sorted(calls["commit"]) == ran
+
+    def test_once_per_interactive_run(self, tmp_path, calls):
+        executor, _ = self.executor(tmp_path)
+        session = InteractiveSession(executor)
+        (made,) = session.run("canon0", tag="a")
+        session.run("canon1", i0=made, tag="b")
+        names = [entry.derivation.name for entry in session.log]
+        assert calls["run"] == calls["commit"] == names
 
 
 class TestRealPools:

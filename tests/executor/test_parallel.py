@@ -7,7 +7,9 @@ property then checks the parallel/sequential replica-set equality over
 generated graph shapes.
 """
 
+import os
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,67 @@ class TestParallelParity:
         executor.register("py:canon1", tracking)
         executor.materialize("final.out", workers=8)
         assert peak > 1
+
+
+COLLIDING_VDL = """
+TR left( output o, output scratch=@{output:"work/area"}, none tag="l" ) {
+  argument = ${none:tag}" "${output:o}" "${output:scratch};
+  exec = "py:exclusive";
+}
+TR right( output o, output scratch=@{output:"work_area"}, none tag="r" ) {
+  argument = ${none:tag}" "${output:o}" "${output:scratch};
+  exec = "py:exclusive";
+}
+TR join( output o, input a, input b ) {
+  argument = ${input:a}" "${input:b}" "${output:o};
+  exec = "py:join";
+}
+DV l->left( o=@{output:"left.out"} );
+DV r->right( o=@{output:"right.out"} );
+DV both->join( o=@{output:"both.out"},
+               a=@{input:"left.out"}, b=@{input:"right.out"} );
+"""
+
+
+def exclusive_body(ctx):
+    """Holds its scratch file ``O_EXCL``-style while it works, so it
+    fails if another live step has the same file (module-level: the
+    process backend pickles it)."""
+    scratch = ctx.output_paths["scratch"]
+    held = os.open(f"{scratch}.held", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    try:
+        time.sleep(0.2)
+        scratch.write_text(ctx.parameters["tag"])
+        ctx.write_output("o", ctx.parameters["tag"])
+    finally:
+        os.close(held)
+        os.unlink(f"{scratch}.held")
+
+
+def join_body(ctx):
+    ctx.write_output("o", ctx.read_input("a") + ctx.read_input("b"))
+
+
+class TestCollidingSandboxPaths:
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    def test_same_file_is_never_written_by_two_live_steps(
+        self, tmp_path, backend
+    ):
+        """``work/area`` and ``work_area`` are different names for one
+        sandbox file: sibling steps writing them must not overlap, on
+        either lane (the thread lane used to exclude by *name*)."""
+        catalog = MemoryCatalog()
+        catalog.define(COLLIDING_VDL)
+        executor = LocalExecutor(catalog, tmp_path / backend)
+        executor.register("py:exclusive", exclusive_body)
+        executor.register("py:join", join_body)
+        invocations = executor.materialize(
+            "both.out", workers=4, backend=backend
+        )
+        assert [inv.derivation_name for inv in invocations] == [
+            "l", "r", "both"
+        ]
+        assert executor.path_for("both.out").read_text() == "lr"
 
 
 FAIL_VDL = (

@@ -27,6 +27,23 @@ from tests.executor.test_parallel import (
 
 BACKENDS = (("seq", "thread", 1), ("thread", "thread", 4), ("proc", "process", 4))
 
+#: One step with two outputs whose formals are not in sorted order.
+SPLIT_VDL = """
+TR split( output zeta, output alpha, input i ) {
+  argument = ${input:i}" "${output:zeta}" "${output:alpha};
+  exec = "py:split";
+}
+DV src->canon0( o=@{output:"src.out"}, tag="s" );
+DV cut->split( zeta=@{output:"z.out"}, alpha=@{output:"a.out"},
+               i=@{input:"src.out"} );
+"""
+
+
+def split_body(ctx):
+    data = ctx.read_input("i")
+    ctx.write_output("zeta", data[: len(data) // 2])
+    ctx.write_output("alpha", data[len(data) // 2:])
+
 
 class TestProcessParity:
     def test_three_way_end_state_parity(self, tmp_path):
@@ -43,6 +60,30 @@ class TestProcessParity:
         assert states["seq"] == states["thread"] == states["proc"]
         # The returned invocation list is plan-ordered on every backend.
         assert orders["seq"] == orders["thread"] == orders["proc"]
+
+    def test_output_commit_order_is_formal_order_on_every_lane(
+        self, tmp_path
+    ):
+        """One commit function, one order: outputs are recorded in the
+        transformation's formal order (not sorted), so bindings and
+        replica ids line up the same way on all three lanes."""
+        seen = {}
+        for tag, backend, workers in BACKENDS:
+            catalog, executor = build_executor(tmp_path, SPLIT_VDL, tag)
+            executor.register("py:split", split_body)
+            cut = executor.materialize(
+                "z.out", workers=workers, backend=backend
+            )[-1]
+            stored = catalog.get_invocation(cut.invocation_id)
+            assert stored.replica_bindings == cut.replica_bindings
+            ids = list(cut.replica_bindings.values())
+            assert ids == sorted(ids)  # allocated in commit order
+            seen[tag] = [
+                (formal, catalog.get_replica(rid).dataset_name)
+                for formal, rid in cut.replica_bindings.items()
+            ]
+        assert seen["seq"] == [("zeta", "z.out"), ("alpha", "a.out")]
+        assert seen["seq"] == seen["thread"] == seen["proc"]
 
     def test_counter_parity(self, tmp_path):
         """The collector reproduces the thread backend's counters."""
