@@ -162,9 +162,10 @@ class VirtualDataCatalog:
     ) -> None:
         """Raw batched write: no events, no index or cache upkeep.
 
-        Only for bulk-load paths that rebuild the fast paths afterwards
-        (e.g. :meth:`import_snapshot`).  Backends may override with a
-        genuinely batched implementation (SQLite uses ``executemany``).
+        Only for bulk-load paths that announce the written keys
+        afterwards (:meth:`import_snapshot`).  Backends may override
+        with a genuinely batched implementation (SQLite uses
+        ``executemany``).
         """
         for key, payload in items:
             self._store_put(kind, key, payload)
@@ -311,13 +312,10 @@ class VirtualDataCatalog:
 
     @_synchronized
     def _rebuild_indexes(self) -> None:
-        """Rebuild fast paths by scanning storage (on open)."""
+        """Rebuild fast paths by scanning storage (on open only: every
+        later change, bulk imports included, arrives as events)."""
         self._cache.clear()
         self._indexes.rebuild()
-        if self._analyzer is not None:
-            self._analyzer.rebuild()
-        if self._graph_cache is not None:
-            self._graph_cache.invalidate()
 
     @_synchronized
     def live_analyzer(self, file: str = "<catalog>") -> Any:
@@ -339,12 +337,7 @@ class VirtualDataCatalog:
 
     @_synchronized
     def graph_cache(self) -> Any:
-        """The event-maintained derivation-graph cache (lazy).
-
-        Like :meth:`live_analyzer`: created on first use, then kept
-        current through the mutation-event stream so repeated planning
-        pays only for what changed.
-        """
+        """Read view of the live derivation graph and its counters."""
         if self._graph_cache is None:
             # Local import: repro.provenance imports catalog helpers,
             # so a module-level import would be circular.
@@ -354,11 +347,12 @@ class VirtualDataCatalog:
         return self._graph_cache
 
     def derivation_graph(self) -> Any:
-        """The current derivation graph, cached between mutations.
+        """The derivation graph: the index ``producers_of`` reads.
 
-        The returned graph is shared and event-maintained: treat it as
-        read-only, and re-call this accessor (cheap when nothing
-        changed) rather than holding it across catalog mutations.
+        One shared object, kept current by every mutation event.  Treat
+        it as read-only; a walk of several steps that must see one
+        consistent graph while other threads write holds
+        ``catalog._lock`` for its duration (as ``Planner._plan`` does).
         """
         return self.graph_cache().graph()
 
@@ -471,7 +465,7 @@ class VirtualDataCatalog:
             # compensating event for each touched key (its state before
             # the transaction decides put or delete; subscribers re-read
             # storage), so whoever listens — cache, indexes, analyzer,
-            # graph cache, federation, planners — sees the abort.
+            # federation, planners — sees the abort.
             before: dict[tuple[str, str], Optional[dict]] = {}
             for kind, key, prev in self._txn_undo:
                 before.setdefault((kind, key), prev)
@@ -674,7 +668,6 @@ class VirtualDataCatalog:
                 f"transformation {tr.name!r} version {tr.version} already defined"
             )
         self._apply_put("transformation", key, _transformation_to_payload(tr))
-        self.versions.register(tr.name, tr.version)
         self._notify("put", "transformation", key)
         self._obs_op("insert", "transformation", t0)
 
@@ -944,13 +937,13 @@ class VirtualDataCatalog:
     @_synchronized
     def producers_of(self, dataset_name: str) -> list[Derivation]:
         """Derivations that output ``dataset_name``."""
-        names = sorted(self._indexes.produced_by.get(dataset_name, ()))
+        names = sorted(self._indexes.graph.producer_names(dataset_name))
         return [self.get_derivation(n) for n in names]
 
     @_synchronized
     def consumers_of(self, dataset_name: str) -> list[Derivation]:
         """Derivations that read ``dataset_name``."""
-        names = sorted(self._indexes.consumed_by.get(dataset_name, ()))
+        names = sorted(self._indexes.graph.consumer_names(dataset_name))
         return [self.get_derivation(n) for n in names]
 
     @_synchronized
@@ -1103,13 +1096,19 @@ class VirtualDataCatalog:
 
     @_synchronized
     def import_snapshot(self, snapshot: dict[str, dict[str, dict]]) -> None:
-        """Load payloads produced by :meth:`export_snapshot`."""
+        """Load payloads produced by :meth:`export_snapshot`.
+
+        Written in per-kind batches, then announced as one ordinary
+        ``put`` event per key, so every subscriber — indexes, analyzer,
+        federation, planners — follows the import like any other write.
+        """
         with self.bulk():
             for kind in KINDS:
-                items = list(snapshot.get(kind, {}).items())
-                if items:
-                    self._store_put_many(kind, items)
-        self._rebuild_indexes()
+                self._store_put_many(kind, list(snapshot.get(kind, {}).items()))
+            self._cache_fresh = None
+            for kind in KINDS:
+                for key in snapshot.get(kind, {}):
+                    self._notify("put", kind, key)
 
     @_synchronized
     def counts(self) -> dict[str, int]:

@@ -6,11 +6,11 @@ queries — "which derivations produce/consume this dataset", "which
 replicas exist" — are the planner's hottest loop.  This module gives
 every backend two fast paths:
 
-* :class:`CatalogIndexes` — incremental producer/consumer/replica/
-  invocation/by-transformation indexes, maintained through the
-  catalog's mutation-subscriber hook (the same change-event stream the
-  federated index of Fig 4 consumes), so lineage queries are O(1) dict
-  lookups instead of full-store scans;
+* :class:`CatalogIndexes` — the derivation graph (producer/consumer
+  adjacency) plus replica/invocation/by-transformation indexes,
+  maintained through the catalog's mutation-subscriber hook (the same
+  change-event stream the federated index of Fig 4 consumes), so
+  lineage queries are O(1) dict lookups instead of full-store scans;
 * :class:`PayloadCache` — a bounded LRU of decoded payload documents,
   invalidated by the same mutation events, so repeated lookups skip
   the backend's disk read / JSON decode entirely.
@@ -31,6 +31,7 @@ from repro.core.replica import observe_replica_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.base import VirtualDataCatalog
+    from repro.provenance.graph import DerivationGraph
 
 #: Default number of decoded payloads kept hot.  A whole SDSS stripe
 #: (~5000 derivations plus their datasets) fits with room to spare.
@@ -136,14 +137,24 @@ class CatalogIndexes:
     Deletions are unindexed from per-key *shadow* records captured at
     put time — the store no longer holds the payload when a delete
     event fires, so the index must remember what it indexed.
+
+    The producer/consumer index *is* the catalog's derivation graph:
+    :attr:`graph` is the one adjacency store that ``producers_of``,
+    the planner, lineage and the repair paths read
+    (``catalog.derivation_graph()``).  It changes only inside
+    :meth:`on_event`/:meth:`rebuild`, under the catalog lock; readers
+    treat it as read-only, and a walk of several steps that must see
+    one consistent graph holds ``catalog._lock`` for its duration.
     """
 
     def __init__(self, catalog: "VirtualDataCatalog"):
         self._catalog = catalog
-        #: dataset -> derivation names that output it.
-        self.produced_by: dict[str, set[str]] = {}
-        #: dataset -> derivation names that read it.
-        self.consumed_by: dict[str, set[str]] = {}
+        #: dataset <-> derivation edges, by name.
+        self.graph = self._empty_graph()
+        #: Times the graph was built from storage / derivations
+        #: re-linked by events (``catalog.graph_cache().stats()``).
+        self.graph_builds = 0
+        self.graph_patches = 0
         #: dataset -> replica ids.
         self.replicas_of: dict[str, set[str]] = {}
         #: derivation -> invocation ids.
@@ -159,16 +170,25 @@ class CatalogIndexes:
         #: for a different history, rollbacks and rebuilds included.
         self.history_stamp: dict[str, int] = {}
         self._stamps = 0
-        # Shadows for event-driven unindexing.
-        self._derivation_shadow: dict[str, tuple[set[str], set[str], str]] = {}
+        # Shadows for event-driven unindexing (the graph is its own).
+        self._derivation_tr: dict[str, str] = {}
         self._replica_shadow: dict[str, str] = {}
         self._invocation_shadow: dict[str, str] = {}
         catalog.subscribe(self.on_event)
+
+    def _empty_graph(self) -> "DerivationGraph":
+        # Local import: repro.provenance imports the catalog package.
+        from repro.provenance.graph import DerivationGraph
+
+        graph = DerivationGraph()
+        graph.set_loader(self._catalog._decode_derivation)
+        return graph
 
     # -- event plumbing ---------------------------------------------------
 
     def on_event(self, event: str, kind: str, key: str) -> None:
         if kind == "derivation":
+            self.graph_patches += 1
             if event == "put":
                 self._index_derivation(key)
             else:
@@ -184,12 +204,12 @@ class CatalogIndexes:
             else:
                 self._unindex_invocation(key)
         elif kind == "transformation":
-            name, _, version = key.rpartition("@")
             if event == "put":
-                self.tr_versions.setdefault(name, set()).add(version)
+                self._index_transformation(key)
             else:
+                name, _, version = key.rpartition("@")
                 self.tr_versions.get(name, set()).discard(version)
-            self._touch_history(name)
+                self._touch_history(name)
 
     def _touch_history(self, tr_name: str) -> None:
         self._stamps += 1
@@ -197,9 +217,9 @@ class CatalogIndexes:
 
     def _touch_history_of(self, derivation: str) -> None:
         """Stamp the transformation ``derivation`` calls, if indexed."""
-        shadow = self._derivation_shadow.get(derivation)
-        if shadow is not None:
-            self._touch_history(shadow[2])
+        tr_name = self._derivation_tr.get(derivation)
+        if tr_name is not None:
+            self._touch_history(tr_name)
 
     # -- derivations ------------------------------------------------------
 
@@ -207,26 +227,18 @@ class CatalogIndexes:
         payload = self._catalog._cached_payload("derivation", key)
         if payload is None:  # racing delete; nothing to index
             return
-        if key in self._derivation_shadow:
-            self._unindex_derivation(key)
+        self._unindex_derivation(key)
         inputs, outputs, tr_name = _derivation_edges(payload)
-        for dataset in outputs:
-            self.produced_by.setdefault(dataset, set()).add(key)
-        for dataset in inputs:
-            self.consumed_by.setdefault(dataset, set()).add(key)
+        self.graph.add_derivation_edges(key, inputs, outputs)
         self.by_transformation.setdefault(tr_name, set()).add(key)
-        self._derivation_shadow[key] = (inputs, outputs, tr_name)
+        self._derivation_tr[key] = tr_name
         self._touch_history(tr_name)
 
     def _unindex_derivation(self, key: str) -> None:
-        shadow = self._derivation_shadow.pop(key, None)
-        if shadow is None:
+        tr_name = self._derivation_tr.pop(key, None)
+        if tr_name is None:
             return
-        inputs, outputs, tr_name = shadow
-        for dataset in outputs:
-            self.produced_by.get(dataset, set()).discard(key)
-        for dataset in inputs:
-            self.consumed_by.get(dataset, set()).discard(key)
+        self.graph.remove_derivation(key)
         self.by_transformation.get(tr_name, set()).discard(key)
         self._touch_history(tr_name)
 
@@ -242,6 +254,7 @@ class CatalogIndexes:
             self.replicas_of.get(old, set()).discard(key)
         self.replicas_of.setdefault(dataset, set()).add(key)
         self._replica_shadow[key] = dataset
+        observe_replica_id(key)
 
     def _unindex_replica(self, key: str) -> None:
         dataset = self._replica_shadow.pop(key, None)
@@ -262,6 +275,7 @@ class CatalogIndexes:
         self.invocations_of.setdefault(derivation, set()).add(key)
         self._invocation_shadow[key] = derivation
         self._touch_history_of(derivation)
+        observe_invocation_id(key)
 
     def _unindex_invocation(self, key: str) -> None:
         derivation = self._invocation_shadow.pop(key, None)
@@ -269,39 +283,42 @@ class CatalogIndexes:
             self.invocations_of.get(derivation, set()).discard(key)
             self._touch_history_of(derivation)
 
+    # -- transformations --------------------------------------------------
+
+    def _index_transformation(self, key: str) -> None:
+        name, _, version = key.rpartition("@")
+        self.tr_versions.setdefault(name, set()).add(version)
+        self._touch_history(name)
+        self._catalog.versions.register(name, version)
+
     # -- cold start -------------------------------------------------------
 
     def clear(self) -> None:
-        self.produced_by.clear()
-        self.consumed_by.clear()
+        self.graph = self._empty_graph()
         self.replicas_of.clear()
         self.invocations_of.clear()
         self.tr_versions.clear()
         self.by_transformation.clear()
         self.history_stamp.clear()
-        self._derivation_shadow.clear()
+        self._derivation_tr.clear()
         self._replica_shadow.clear()
         self._invocation_shadow.clear()
 
     def rebuild(self) -> None:
         """Reconstruct every index by scanning storage (catalog open).
 
-        Also advances the process-wide replica/invocation ID allocators
-        past persisted IDs and registers transformation versions, the
-        side effects the old inline rebuild performed.
+        Indexing a replica or invocation also advances the process-wide
+        ID allocators past its ID, and indexing a transformation
+        registers its version, so a populated store is safe to extend.
         """
         catalog = self._catalog
         self.clear()
+        self.graph_builds += 1
         for key in catalog._store_keys("derivation"):
             self._index_derivation(key)
         for key in catalog._store_keys("replica"):
             self._index_replica(key)
-            observe_replica_id(key)
         for key in catalog._store_keys("invocation"):
             self._index_invocation(key)
-            observe_invocation_id(key)
         for key in catalog._store_keys("transformation"):
-            name, _, version = key.rpartition("@")
-            self.tr_versions.setdefault(name, set()).add(version)
-            self._touch_history(name)
-            catalog.versions.register(name, version)
+            self._index_transformation(key)

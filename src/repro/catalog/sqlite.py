@@ -45,13 +45,6 @@ CREATE TABLE IF NOT EXISTS invocation (
     payload TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS invocation_dv ON invocation (derivation_name);
-CREATE TABLE IF NOT EXISTS derivation_io (
-    derivation TEXT NOT NULL,
-    dataset TEXT NOT NULL,
-    direction TEXT NOT NULL,
-    PRIMARY KEY (derivation, dataset, direction)
-);
-CREATE INDEX IF NOT EXISTS derivation_io_ds ON derivation_io (dataset);
 """
 
 
@@ -144,16 +137,6 @@ class SQLiteCatalog(VirtualDataCatalog):
                 " (key, transformation, payload) VALUES (?, ?, ?)",
                 (key, payload["transformation"], doc),
             )
-            self._conn.execute(
-                "DELETE FROM derivation_io WHERE derivation = ?", (key,)
-            )
-            for formal, actual in payload.get("actuals", {}).items():
-                if isinstance(actual, dict):
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO derivation_io"
-                        " (derivation, dataset, direction) VALUES (?, ?, ?)",
-                        (key, actual["dataset"], actual["direction"]),
-                    )
         elif kind == "invocation":
             self._conn.execute(
                 "INSERT OR REPLACE INTO invocation"
@@ -172,10 +155,6 @@ class SQLiteCatalog(VirtualDataCatalog):
 
     def _store_delete(self, kind: str, key: str) -> None:
         self._conn.execute(f"DELETE FROM {kind} WHERE key = ?", (key,))  # noqa: S608
-        if kind == "derivation":
-            self._conn.execute(
-                "DELETE FROM derivation_io WHERE derivation = ?", (key,)
-            )
         self._commit()
 
     def _store_put_many(self, kind: str, items: list[tuple[str, dict]]) -> None:
@@ -214,22 +193,6 @@ class SQLiteCatalog(VirtualDataCatalog):
                     for (key, payload), (_, doc) in zip(items, docs)
                 ],
             )
-            self._conn.executemany(
-                "DELETE FROM derivation_io WHERE derivation = ?",
-                [(key,) for key, _ in items],
-            )
-            io_rows = [
-                (key, actual["dataset"], actual["direction"])
-                for key, payload in items
-                for actual in payload.get("actuals", {}).values()
-                if isinstance(actual, dict)
-            ]
-            if io_rows:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO derivation_io"
-                    " (derivation, dataset, direction) VALUES (?, ?, ?)",
-                    io_rows,
-                )
         elif kind == "invocation":
             self._conn.executemany(
                 "INSERT OR REPLACE INTO invocation"

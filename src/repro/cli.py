@@ -74,7 +74,6 @@ from repro.observability import (
     write_snapshot,
 )
 from repro.observability.health import SLOPolicy
-from repro.provenance.graph import DerivationGraph
 from repro.provenance.invalidation import invalidated_by
 from repro.provenance.lineage import lineage_report
 
@@ -674,9 +673,8 @@ def _cmd_lineage(ws: Workspace, args, out) -> int:
 
 
 def _cmd_invalidate(ws: Workspace, args, out) -> int:
-    graph = DerivationGraph.from_catalog(ws.catalog())
     report = invalidated_by(
-        graph,
+        ws.catalog().derivation_graph(),
         bad_datasets=args.dataset or (),
         bad_transformations=args.transformation or (),
     )

@@ -422,11 +422,11 @@ class RecoveryManager:
 
     def _invalidate(self, dataset_name: str) -> list[str]:
         """Blast radius of a corrupt dataset, via the provenance graph."""
-        from repro.provenance.graph import DerivationGraph
         from repro.provenance.invalidation import invalidated_by
 
-        graph = DerivationGraph.from_catalog(self.catalog)
-        invalidation = invalidated_by(graph, bad_datasets=[dataset_name])
+        invalidation = invalidated_by(
+            self.catalog.derivation_graph(), bad_datasets=[dataset_name]
+        )
         return sorted(invalidation.tainted_datasets)
 
     # -- invocations ---------------------------------------------------------

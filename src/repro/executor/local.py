@@ -194,14 +194,14 @@ class LocalExecutor:
                 "durability.checksum.failures",
                 help="replica checksum/size verification failures",
             )
-        from repro.provenance.graph import DerivationGraph
         from repro.provenance.invalidation import invalidated_by
 
-        graph = DerivationGraph.from_catalog(self.catalog)
-        tainted = invalidated_by(
-            graph, bad_datasets=[dataset_name]
-        ).tainted_datasets
+        # The transaction holds the catalog lock, so the walk over the
+        # live graph cannot interleave with another thread's write.
         with self.catalog.transaction(label=f"quarantine:{dataset_name}"):
+            tainted = invalidated_by(
+                self.catalog.derivation_graph(), bad_datasets=[dataset_name]
+            ).tainted_datasets
             for name in sorted({dataset_name, *tainted}):
                 target = self.path_for(name)
                 if name != dataset_name and not target.exists():

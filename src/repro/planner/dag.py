@@ -38,12 +38,7 @@ from repro.errors import (
 )
 from repro.observability.instrument import NULL, Instrumentation
 from repro.planner.request import MaterializationRequest
-from repro.provenance.graph import (
-    DERIVATION,
-    DerivationGraph,
-    dataset_node,
-    derivation_node,
-)
+from repro.provenance.graph import DerivationGraph
 
 # ---------------------------------------------------------------------------
 # Shared topology helpers
@@ -525,6 +520,10 @@ class Planner:
                 span.set("reused", len(plan.reused))
                 self.obs.count("planner.plans", help="plans constructed")
                 self.obs.count(
+                    "planner.graph.cache.hits",
+                    help="plans served from the catalog's live graph",
+                )
+                self.obs.count(
                     "planner.reuse.hits",
                     len(plan.reused),
                     help="datasets satisfied from existing replicas",
@@ -546,11 +545,11 @@ class Planner:
 
     def _plan(self, request: MaterializationRequest) -> Plan:
         # The whole build runs under the catalog's re-entrant lock so
-        # the shared event-maintained graph cannot be patched (by
-        # another thread's plan) mid-walk; every catalog accessor used
-        # below re-enters the same lock anyway.
+        # the shared live graph cannot change (another thread's write)
+        # mid-walk; every catalog accessor used below re-enters the
+        # same lock anyway.
         with self.catalog._lock:
-            graph = self._current_graph()
+            graph = self.catalog.derivation_graph()
             if self._incremental:
                 patched = self._try_patch(request, graph)
                 if patched is not None:
@@ -565,24 +564,6 @@ class Planner:
                 self._cpu_memo.clear()
                 self._cost_memo.clear()
             return self._build(request, graph)
-
-    def _current_graph(self) -> DerivationGraph:
-        """The catalog's event-maintained graph, with cache counters."""
-        cache = self.catalog.graph_cache()
-        before = cache.misses
-        graph = cache.graph()
-        if self.obs.enabled:
-            if cache.misses > before:
-                self.obs.count(
-                    "planner.graph.cache.misses",
-                    help="derivation-graph rebuilds during planning",
-                )
-            else:
-                self.obs.count(
-                    "planner.graph.cache.hits",
-                    help="plans served from the cached derivation graph",
-                )
-        return graph
 
     def _count_plan_cache(self, hit: bool) -> None:
         if self.obs.enabled:
@@ -680,11 +661,7 @@ class Planner:
                 # produces a dataset the walk visited (a new or
                 # re-pointed producer, or part of a compound/pruned
                 # subgraph), which restructures the plan.
-                produced = {
-                    n.name
-                    for n in graph.successors(derivation_node(key))
-                }
-                if produced & cached.visited:
+                if cached.visited.intersection(graph.output_names(key)):
                     return None
                 continue
             dv = graph.derivation(key)
@@ -773,20 +750,9 @@ class Planner:
         cached = memo.get(dataset)
         if cached is not None:
             return cached
-        closure: set[str] = set()
-        seen = set()
-        stack = [dataset_node(dataset)]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node.kind == DERIVATION:
-                closure.add(node.name)
-            stack.extend(graph.iter_predecessors(node))
         cpu_memo = self._cpu_memo
         total = 0.0
-        for name in sorted(closure):
+        for name in sorted(graph.upstream_derivations(dataset)):
             cpu = cpu_memo.get(name)
             if cpu is None:
                 cpu = cpu_memo[name] = self._cpu_estimate(

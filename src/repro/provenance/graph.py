@@ -8,10 +8,16 @@ graph: *dataset* nodes and *derivation* nodes, with edges
 "When a derivation uses as input the output of a previous derivation, a
 dependency graph is created." (Appendix A)
 
-:class:`DerivationGraph` materializes that graph from a catalog (or any
-collection of derivations) and provides the traversals every other
-provenance feature builds on: ancestry, descent, topological order,
-cycle detection, and target-rooted subgraphs.
+:class:`DerivationGraph` holds that graph as four name-keyed adjacency
+maps (dataset -> producers / consumers, derivation -> inputs / outputs)
+and provides the traversals every other provenance feature builds on:
+ancestry, descent, topological order, cycle detection, and
+target-rooted subgraphs.  :class:`Node` objects exist only at the
+traversal API; nothing is stored per node.
+
+A catalog keeps one such graph current as its derivation index
+(``catalog.derivation_graph()``, see :mod:`repro.catalog.index`);
+:meth:`DerivationGraph.from_catalog` builds an independent snapshot.
 """
 
 from __future__ import annotations
@@ -51,11 +57,15 @@ class DerivationGraph:
     """A bipartite provenance graph over datasets and derivations."""
 
     def __init__(self, derivations: Iterable[Derivation] = ()):
-        self._succ: dict[Node, set[Node]] = {}
-        self._pred: dict[Node, set[Node]] = {}
-        #: name -> Derivation, or None for lazily-registered nodes whose
-        #: object is decoded on first :meth:`derivation` access.
-        self._derivations: dict[str, Optional[Derivation]] = {}
+        #: dataset -> names of the derivations writing / reading it.
+        #: Every dataset node has an entry in both maps.
+        self._producers: dict[str, set[str]] = {}
+        self._consumers: dict[str, set[str]] = {}
+        #: derivation -> names of the datasets it reads / writes.
+        self._inputs: dict[str, tuple[str, ...]] = {}
+        self._outputs: dict[str, tuple[str, ...]] = {}
+        #: name -> Derivation, once decoded through :meth:`derivation`.
+        self._decoded: dict[str, Derivation] = {}
         #: Decoder for lazy nodes (typically ``catalog.get_derivation``).
         self._loader: Optional[Callable[[str], Derivation]] = None
         for dv in derivations:
@@ -63,12 +73,12 @@ class DerivationGraph:
 
     @classmethod
     def from_catalog(cls, catalog) -> "DerivationGraph":
-        """Build the graph over every derivation in a catalog.
+        """Build a snapshot graph over every derivation in a catalog.
 
-        Edges come straight off the stored payload documents — the
-        Derivation objects themselves are decoded lazily on first
-        access, which at 10^5-10^6 derivations is the difference
-        between milliseconds and minutes of graph construction.
+        A full scan of storage, independent of the live graph the
+        catalog maintains: edges come straight off the stored payload
+        documents and the Derivation objects are decoded lazily on
+        first access.
         """
         from repro.catalog.index import _derivation_edges
 
@@ -84,8 +94,8 @@ class DerivationGraph:
 
     def add_derivation(self, dv: Derivation) -> None:
         """Add a derivation and its dataset edges."""
-        self._derivations[dv.name] = dv
-        self._link(dv.name, dv.inputs(), dv.outputs())
+        self.add_derivation_edges(dv.name, dv.inputs(), dv.outputs())
+        self._decoded[dv.name] = dv
 
     def set_loader(self, loader: Callable[[str], Derivation]) -> None:
         """Install the decoder lazy nodes resolve through."""
@@ -97,31 +107,27 @@ class DerivationGraph:
         """Add a derivation node by name and edges only (lazy object).
 
         The Derivation itself is decoded through the loader on first
-        :meth:`derivation` access.  Re-adding a name resets any decoded
-        object, so callers can use this to invalidate stale decodes.
+        :meth:`derivation` access.  Re-adding a name replaces its edges
+        and resets any decoded object.
         """
-        if name in self._derivations:
+        if name in self._inputs:
             self.remove_derivation(name)
-        self._derivations[name] = None
-        self._link(name, inputs, outputs)
+        self._inputs[name] = inputs = tuple(inputs)
+        self._outputs[name] = outputs = tuple(outputs)
+        for dataset in inputs:
+            self._ensure(dataset)
+            self._consumers[dataset].add(name)
+        for dataset in outputs:
+            self._ensure(dataset)
+            self._producers[dataset].add(name)
 
-    def _link(
-        self, name: str, inputs: Iterable[str], outputs: Iterable[str]
-    ) -> None:
-        dnode = derivation_node(name)
-        self._ensure(dnode)
-        for dep in inputs:
-            self._add_edge(dataset_node(dep), dnode)
-        for out in outputs:
-            self._add_edge(dnode, dataset_node(out))
-
-    def _ensure(self, node: Node) -> None:
+    def _ensure(self, dataset: str) -> None:
         # Membership test instead of setdefault: setdefault builds its
         # throwaway set() argument on every call, and edge insertion is
         # the inner loop of whole-catalog graph builds.
-        if node not in self._succ:
-            self._succ[node] = set()
-            self._pred[node] = set()
+        if dataset not in self._producers:
+            self._producers[dataset] = set()
+            self._consumers[dataset] = set()
 
     def remove_derivation(self, name: str) -> None:
         """Remove a derivation node, its edges, and now-orphan datasets.
@@ -130,120 +136,136 @@ class DerivationGraph:
         so ones left with no edges are dropped — the result matches a
         cold rebuild without the removed derivation.
         """
-        self._derivations.pop(name, None)
-        dnode = derivation_node(name)
-        if dnode not in self._succ:
-            return
-        for succ in self._succ.pop(dnode, set()):
-            self._pred.get(succ, set()).discard(dnode)
-            self._drop_if_isolated(succ)
-        for pred in self._pred.pop(dnode, set()):
-            self._succ.get(pred, set()).discard(dnode)
-            self._drop_if_isolated(pred)
+        self._decoded.pop(name, None)
+        for dataset in self._inputs.pop(name, ()):
+            self._consumers[dataset].discard(name)
+            self._drop_if_isolated(dataset)
+        for dataset in self._outputs.pop(name, ()):
+            self._producers[dataset].discard(name)
+            self._drop_if_isolated(dataset)
 
-    def _drop_if_isolated(self, node: Node) -> None:
-        if not self._succ.get(node) and not self._pred.get(node):
-            self._succ.pop(node, None)
-            self._pred.pop(node, None)
-
-    def _add_edge(self, src: Node, dst: Node) -> None:
-        self._ensure(src)
-        self._ensure(dst)
-        self._succ[src].add(dst)
-        self._pred[dst].add(src)
+    def _drop_if_isolated(self, dataset: str) -> None:
+        if not self._producers[dataset] and not self._consumers[dataset]:
+            del self._producers[dataset]
+            del self._consumers[dataset]
 
     # -- basic accessors ----------------------------------------------------
 
     def derivation(self, name: str) -> Derivation:
-        dv = self._derivations[name]
+        dv = self._decoded.get(name)
         if dv is None:
+            if name not in self._inputs:
+                raise KeyError(name)
             if self._loader is None:
                 raise KeyError(
                     f"derivation {name!r} registered lazily but the graph "
                     f"has no loader"
                 )
-            dv = self._derivations[name] = self._loader(name)
+            dv = self._decoded[name] = self._loader(name)
         return dv
 
     def nodes(self) -> list[Node]:
-        return sorted(self._succ, key=lambda n: (n.kind, n.name))
+        return [dataset_node(n) for n in self.dataset_names()] + [
+            derivation_node(n) for n in self.derivation_names()
+        ]
 
     def dataset_names(self) -> list[str]:
-        return sorted(n.name for n in self._succ if n.kind == DATASET)
+        return sorted(self._producers)
 
     def derivation_names(self) -> list[str]:
-        return sorted(self._derivations)
+        return sorted(self._inputs)
 
     def successors(self, node: Node) -> set[Node]:
-        return set(self._succ.get(node, ()))
+        return self._nodes(*self._adjacent(node.kind, node.name, True))
 
     def predecessors(self, node: Node) -> set[Node]:
-        return set(self._pred.get(node, ()))
+        return self._nodes(*self._adjacent(node.kind, node.name, False))
 
-    def iter_predecessors(self, node: Node) -> Iterable[Node]:
-        """Non-copying predecessor view — treat as read-only.
+    def _adjacent(
+        self, kind: str, name: str, forward: bool
+    ) -> tuple[str, Iterable[str]]:
+        """(kind, names) of the nodes one edge away — read-only view."""
+        if kind == DATASET:
+            edges = self._consumers if forward else self._producers
+            return DERIVATION, edges.get(name, ())
+        edges = self._outputs if forward else self._inputs
+        return DATASET, edges.get(name, ())
 
-        Hot-loop companion to :meth:`predecessors`, which copies the
-        edge set on every call; planning walks millions of edges.
-        """
-        return self._pred.get(node, ())
+    @staticmethod
+    def _nodes(kind: str, names: Iterable[str]) -> set[Node]:
+        return {Node(kind, name) for name in names}
 
-    def producer_names(self, dataset_name: str) -> list[str]:
-        """Names of derivations producing a dataset (no set copies).
+    def producer_names(self, dataset_name: str) -> Iterable[str]:
+        """Names of derivations producing a dataset — read-only view.
 
         Empty both for producer-less datasets and for names absent
         from the graph entirely.
         """
-        preds = self._pred.get(dataset_node(dataset_name))
-        if not preds:
-            return []
-        return [n.name for n in preds]
+        return self._producers.get(dataset_name, ())
+
+    def consumer_names(self, dataset_name: str) -> Iterable[str]:
+        """Names of derivations reading a dataset — read-only view."""
+        return self._consumers.get(dataset_name, ())
+
+    def output_names(self, derivation_name: str) -> tuple[str, ...]:
+        """Names of the datasets a derivation writes."""
+        return self._outputs.get(derivation_name, ())
 
     def __contains__(self, node: Node) -> bool:
-        return node in self._succ
+        names = self._producers if node.kind == DATASET else self._inputs
+        return node.name in names
 
     def __len__(self) -> int:
-        return len(self._succ)
+        return len(self._producers) + len(self._inputs)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._succ.values())
+        return sum(map(len, self._inputs.values())) + sum(
+            map(len, self._outputs.values())
+        )
 
     # -- traversals -----------------------------------------------------------
 
     def ancestors(self, node: Node) -> set[Node]:
         """All nodes reachable *backwards* from ``node`` (exclusive)."""
-        return self._reach(node, self._pred)
+        return self._reached(node, False)
 
     def descendants(self, node: Node) -> set[Node]:
         """All nodes reachable *forwards* from ``node`` (exclusive)."""
-        return self._reach(node, self._succ)
+        return self._reached(node, True)
 
-    def _reach(self, start: Node, adjacency: dict[Node, set[Node]]) -> set[Node]:
-        seen: set[Node] = set()
-        frontier = deque(adjacency.get(start, ()))
+    def _reached(self, node: Node, forward: bool) -> set[Node]:
+        datasets, derivations = self._reach(node.kind, node.name, forward)
+        return self._nodes(DATASET, datasets) | self._nodes(
+            DERIVATION, derivations
+        )
+
+    def _reach(
+        self, kind: str, name: str, forward: bool
+    ) -> tuple[set[str], set[str]]:
+        """Names of the (datasets, derivations) reachable from a node.
+
+        Exclusive: the start is reported only if a cycle leads back to it.
+        """
+        seen: dict[str, set[str]] = {DATASET: set(), DERIVATION: set()}
+        frontier = [(kind, name)]
         while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(adjacency.get(node, ()))
-        return seen
+            kind, names = self._adjacent(*frontier.pop(), forward)
+            fresh = [n for n in names if n not in seen[kind]]
+            seen[kind].update(fresh)
+            frontier.extend((kind, n) for n in fresh)
+        return seen[DATASET], seen[DERIVATION]
 
     def upstream_datasets(self, dataset_name: str) -> set[str]:
         """Names of all datasets the given dataset (transitively) depends on."""
-        return {
-            n.name
-            for n in self.ancestors(dataset_node(dataset_name))
-            if n.kind == DATASET
-        }
+        return self._reach(DATASET, dataset_name, False)[0]
+
+    def upstream_derivations(self, dataset_name: str) -> set[str]:
+        """Names of all derivations the given dataset (transitively) needs."""
+        return self._reach(DATASET, dataset_name, False)[1]
 
     def downstream_datasets(self, dataset_name: str) -> set[str]:
         """Names of all datasets that (transitively) depend on the given one."""
-        return {
-            n.name
-            for n in self.descendants(dataset_node(dataset_name))
-            if n.kind == DATASET
-        }
+        return self._reach(DATASET, dataset_name, True)[0]
 
     def topological_order(self) -> list[Node]:
         """Kahn topological sort; raises on cycles.
@@ -251,26 +273,25 @@ class DerivationGraph:
         A cycle in a derivation graph means some dataset transitively
         depends on itself — an invalid virtual data space.
         """
-        in_degree = {node: len(preds) for node, preds in self._pred.items()}
-        ready = deque(
-            sorted(
-                (n for n, d in in_degree.items() if d == 0),
-                key=lambda n: (n.kind, n.name),
-            )
+        in_degree = {
+            (DATASET, name): len(p) for name, p in self._producers.items()
+        }
+        in_degree.update(
+            ((DERIVATION, name), len(i)) for name, i in self._inputs.items()
         )
+        ready = deque(sorted(n for n, d in in_degree.items() if d == 0))
         order: list[Node] = []
         while ready:
             node = ready.popleft()
-            order.append(node)
-            for succ in sorted(
-                self._succ.get(node, ()), key=lambda n: (n.kind, n.name)
-            ):
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self._succ):
+            order.append(Node(*node))
+            kind, names = self._adjacent(*node, True)
+            for name in sorted(names):
+                in_degree[kind, name] -= 1
+                if in_degree[kind, name] == 0:
+                    ready.append((kind, name))
+        if len(order) != len(in_degree):
             cyclic = sorted(
-                str(n) for n, d in in_degree.items() if d > 0
+                f"{kind}:{name}" for (kind, name), d in in_degree.items() if d > 0
             )
             raise CyclicDerivationError(
                 f"derivation graph contains a cycle involving: {cyclic[:6]}"
@@ -292,52 +313,24 @@ class DerivationGraph:
         Walks backwards from the target through producing derivations;
         source datasets (no producer in this graph) become leaves.
         """
-        sub = DerivationGraph()
-        target = dataset_node(dataset_name)
-        if target not in self._succ:
-            return sub
-        seen: set[Node] = set()
-        frontier = deque([target])
-        while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node.kind == DATASET:
-                frontier.extend(self._pred.get(node, ()))
-            else:
-                sub.add_derivation(self.derivation(node.name))
-                frontier.extend(self._pred.get(node, ()))
-        return sub
+        return DerivationGraph(
+            self.derivation(name)
+            for name in self.upstream_derivations(dataset_name)
+        )
 
     def source_datasets(self) -> set[str]:
         """Datasets with no producing derivation in this graph (raw inputs)."""
-        return {
-            n.name
-            for n in self._succ
-            if n.kind == DATASET and not self._pred.get(n)
-        }
+        return {name for name, p in self._producers.items() if not p}
 
     def sink_datasets(self) -> set[str]:
         """Datasets no derivation in this graph consumes (final products)."""
-        return {
-            n.name
-            for n in self._succ
-            if n.kind == DATASET and not self._succ.get(n)
-        }
+        return {name for name, c in self._consumers.items() if not c}
 
     def depth(self) -> int:
         """Longest derivation chain length (number of derivation nodes)."""
-        order = self.topological_order()
-        longest: dict[Node, int] = {}
-        best = 0
-        for node in order:
-            here = max(
-                (longest.get(p, 0) for p in self._pred.get(node, ())),
-                default=0,
-            )
-            if node.kind == DERIVATION:
-                here += 1
-            longest[node] = here
-            best = max(best, here)
-        return best
+        longest: dict[tuple[str, str], int] = {}
+        for node in self.topological_order():
+            kind, names = self._adjacent(node.kind, node.name, False)
+            here = max((longest[kind, n] for n in names), default=0)
+            longest[node.kind, node.name] = here + (node.kind == DERIVATION)
+        return max(longest.values(), default=0)

@@ -1,115 +1,42 @@
-"""An event-maintained cache of the catalog's derivation graph.
+"""Read view of a catalog's live derivation graph.
 
-``Planner._plan`` used to rebuild ``DerivationGraph.from_catalog()`` on
-every ``plan()`` call — the classic scheduler scalability trap the
-data-grid taxonomy literature warns about: planning cost grows with the
-whole catalog, not with what changed.  :class:`GraphCache` builds the
-graph once and then keeps it current through the catalog's
-mutation-subscription hook (the same change-event stream the
-federated index and ``repro.analysis.incremental`` consume).
-
-Invalidation is node/edge-level and *lazy*: events only mark derivation
-keys dirty (O(1) per mutation, so bulk loads are not slowed down), and
-the next :meth:`graph` call patches exactly the dirty nodes — or falls
-back to a full raw-payload rebuild when so much changed that patching
-would be slower.  The served graph object is shared and must be treated
-as read-only by callers; it mutates only inside :meth:`graph`.
+The graph itself is the catalog's derivation index
+(:class:`repro.catalog.index.CatalogIndexes` keeps it current on every
+mutation event), so there is nothing here to build, patch or
+invalidate: :class:`GraphCache` hands out that one shared object and
+reports the counters planners and the benchmark ledger read.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.catalog.index import _derivation_edges
 from repro.provenance.graph import DerivationGraph
-
-#: Patch the cached graph while dirty keys are at most this fraction of
-#: its derivations; beyond that a raw-payload rebuild is cheaper.
-REBUILD_FRACTION = 0.25
 
 
 class GraphCache:
-    """Keeps one :class:`DerivationGraph` current against a catalog.
+    """``catalog.graph_cache()``: the live graph plus its counters.
 
-    ``hits`` counts :meth:`graph` calls served from the cached graph
-    (including ones that applied node-level patches), ``misses`` counts
-    full (re)builds, and ``patches`` counts individual derivations
-    re-read incrementally.  ``version`` bumps whenever the served graph
-    differs from the previous call's, so callers can cheaply detect
-    staleness of anything they derived from it.
+    ``misses`` counts builds from storage (catalog open), ``hits``
+    every :meth:`graph` call, ``patches`` the derivations re-linked or
+    unlinked by events; ``version`` changes with every structural
+    change, so callers can cheaply detect staleness of anything they
+    derived from the graph.
     """
 
     def __init__(self, catalog):
         self._catalog = catalog
-        self._graph: Optional[DerivationGraph] = None
-        self._dirty: set[str] = set()
         self.hits = 0
-        self.misses = 0
-        self.patches = 0
-        self.version = 0
-        catalog.subscribe(self._on_event)
-
-    # -- event plumbing ---------------------------------------------------
-
-    def _on_event(self, event: str, kind: str, key: str) -> None:
-        # Only derivations define graph structure; dataset records are
-        # nodes solely by virtue of being mentioned in derivation edges.
-        if kind == "derivation":
-            self._dirty.add(key)
-
-    def invalidate(self) -> None:
-        """Drop the cached graph (catalog reopen / snapshot import)."""
-        self._graph = None
-        self._dirty.clear()
-
-    # -- the cache --------------------------------------------------------
 
     def graph(self) -> DerivationGraph:
-        """The current graph; patched or rebuilt as needed.
-
-        Runs under the catalog lock so patches never race mutation
-        events; the returned graph is shared — treat it as read-only.
-        """
+        """The current graph — shared and always current; read-only."""
         with self._catalog._lock:
-            graph = self._graph
-            if graph is None:
-                self._graph = graph = DerivationGraph.from_catalog(
-                    self._catalog
-                )
-                self._dirty.clear()
-                self.misses += 1
-                self.version += 1
-                return graph
-            if not self._dirty:
-                self.hits += 1
-                return graph
-            known = len(graph._derivations)
-            if len(self._dirty) > max(REBUILD_FRACTION * known, 8):
-                self._graph = graph = DerivationGraph.from_catalog(
-                    self._catalog
-                )
-                self._dirty.clear()
-                self.misses += 1
-                self.version += 1
-                return graph
-            for key in sorted(self._dirty):
-                payload = self._catalog._cached_payload("derivation", key)
-                if payload is None:
-                    graph.remove_derivation(key)
-                else:
-                    inputs, outputs, _ = _derivation_edges(payload)
-                    graph.add_derivation_edges(key, inputs, outputs)
-                self.patches += 1
-            self._dirty.clear()
             self.hits += 1
-            self.version += 1
-            return graph
+            return self._catalog._indexes.graph
 
     def stats(self) -> dict[str, int]:
+        indexes = self._catalog._indexes
         return {
             "hits": self.hits,
-            "misses": self.misses,
-            "patches": self.patches,
-            "version": self.version,
-            "dirty": len(self._dirty),
+            "misses": indexes.graph_builds,
+            "patches": indexes.graph_patches,
+            "version": indexes.graph_builds + indexes.graph_patches,
         }

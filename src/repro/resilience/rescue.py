@@ -431,9 +431,7 @@ def _quarantine(
     for replica in catalog.replicas_of(lfn):
         if replica.location == site_name:
             catalog.remove_replica(replica.replica_id)
-    from repro.provenance.graph import DerivationGraph
     from repro.provenance.invalidation import invalidated_by
 
-    graph = DerivationGraph.from_catalog(catalog)
-    report = invalidated_by(graph, bad_datasets=[lfn])
+    report = invalidated_by(catalog.derivation_graph(), bad_datasets=[lfn])
     restore.tainted_datasets |= report.tainted_datasets | {lfn}

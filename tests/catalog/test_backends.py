@@ -256,3 +256,145 @@ class TestNotifications:
         any_catalog.unsubscribe(listener)
         any_catalog.add_dataset(Dataset(name="x"))
         assert events == []
+
+
+class TestImportReachesSubscribers:
+    """``import_snapshot`` writes in batches and then announces every
+    key on the ordinary event stream, so subscribers the catalog does
+    not know by name follow it (it used to refresh only the catalog's
+    own fast paths, leaving everyone else stale)."""
+
+    CHAIN = (
+        "TR emit( output o ) {\n"
+        '  argument stdout = ${output:o};\n  exec = "/bin/emit";\n}\n'
+        "TR copy( output o, input i ) {\n"
+        '  argument = ${input:i}" "${output:o};\n  exec = "/bin/cp";\n}\n'
+        'DV d0->emit( o=@{output:"ds0"} );\n'
+        'DV d1->copy( o=@{output:"ds1"}, i=@{input:"ds0"} );\n'
+        'DV d2->copy( o=@{output:"ds2"}, i=@{input:"ds1"} );\n'
+        'DV d3->copy( o=@{output:"ds3"}, i=@{input:"ds2"} );\n'
+    )
+
+    def test_federated_index_sees_imported_objects(self, any_catalog):
+        from repro.catalog.federation import FederatedIndex
+        from repro.catalog.memory import MemoryCatalog
+
+        source = MemoryCatalog().define(DIAMOND_VDL)
+        index = FederatedIndex("live-index")
+        index.attach(any_catalog)
+        assert len(index) == 0
+        any_catalog.import_snapshot(source.export_snapshot())
+        imported = len(index)
+        assert imported == sum(
+            source.counts()[kind]
+            for kind in ("dataset", "transformation", "derivation")
+        )
+        assert index.refresh() == imported  # a full rescan agrees
+
+    def test_incremental_planner_sees_imported_producer(self, any_catalog):
+        from repro.catalog.memory import MemoryCatalog
+        from repro.planner.dag import Planner
+        from repro.planner.request import MaterializationRequest
+
+        any_catalog.define(self.CHAIN)
+        planner = Planner(any_catalog, incremental=True)
+        request = MaterializationRequest(targets=("ds3",), reuse="never")
+        assert sorted(planner.plan(request).steps) == ["d0", "d1", "d2", "d3"]
+        # A second producer of the target that sorts first and needs
+        # only ds0: a fresh planner picks it over d3.
+        addition = MemoryCatalog().define(
+            self.CHAIN.split("DV d1")[0]
+            + 'DV a3->copy( o=@{output:"ds3"}, i=@{input:"ds0"} );\n'
+        )
+        snapshot = addition.export_snapshot()
+        del snapshot["dataset"]["ds3"]  # keep the destination's record
+        any_catalog.import_snapshot(snapshot)
+        fresh = sorted(Planner(any_catalog).plan(request).steps)
+        assert fresh == ["a3", "d0"]
+        assert sorted(planner.plan(request).steps) == fresh
+
+    def test_import_replaces_cached_payloads(self, any_catalog):
+        from repro.catalog.memory import MemoryCatalog
+
+        any_catalog.define(DIAMOND_VDL)
+        assert any_catalog.get_dataset("final").attributes.get("grade") is None
+        source = MemoryCatalog().define(DIAMOND_VDL)
+        final = source.get_dataset("final")
+        final.attributes.set("grade", "gold")
+        source.add_dataset(final, replace=True)
+        any_catalog.import_snapshot(source.export_snapshot())
+        assert any_catalog.get_dataset("final").attributes.get("grade") == "gold"
+
+    def test_import_advances_id_allocators(self, any_catalog):
+        from repro.catalog.memory import MemoryCatalog
+
+        source = MemoryCatalog()
+        ahead = int(Replica(dataset_name="probe", location="x").replica_id[4:])
+        replica = Replica(
+            dataset_name="raw", location="anl",
+            replica_id=f"rep-{ahead + 1000:08d}",
+        )
+        source.add_replica(replica)
+        any_catalog.import_snapshot(source.export_snapshot())
+        assert [r.replica_id for r in any_catalog.replicas_of("raw")] == [
+            replica.replica_id
+        ]
+        assert Replica(dataset_name="raw", location="uc").replica_id > (
+            replica.replica_id
+        )
+
+
+class TestLegacySqliteSchema:
+    """Older files carry a ``derivation_io`` edge table that was only
+    ever written.  It is no longer created or maintained; a file that
+    has it must still open and work."""
+
+    LEGACY = """
+    CREATE TABLE derivation_io (
+        derivation TEXT NOT NULL,
+        dataset TEXT NOT NULL,
+        direction TEXT NOT NULL,
+        PRIMARY KEY (derivation, dataset, direction)
+    );
+    CREATE INDEX derivation_io_ds ON derivation_io (dataset);
+    """
+
+    def test_new_files_have_no_edge_table(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "new.db")
+        with SQLiteCatalog(path) as catalog:
+            catalog.define(DIAMOND_VDL)
+        tables = {
+            row[0]
+            for row in sqlite3.connect(path).execute(
+                "SELECT name FROM sqlite_master"
+            )
+        }
+        assert "derivation" in tables
+        assert not {"derivation_io", "derivation_io_ds"} & tables
+
+    def test_file_with_the_old_table_opens_and_works(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "old.db")
+        with SQLiteCatalog(path) as catalog:
+            catalog.define(DIAMOND_VDL)
+        conn = sqlite3.connect(path)
+        conn.executescript(self.LEGACY)
+        conn.executemany(
+            "INSERT INTO derivation_io VALUES (?, ?, ?)",
+            [("s1", "raw1", "input"), ("s1", "sim1", "output")],
+        )
+        conn.commit()
+        conn.close()
+        with SQLiteCatalog(path) as catalog:
+            assert [d.name for d in catalog.consumers_of("sim1")] == ["a1"]
+            catalog.define('DV s3->sim( o=@{output:"sim3"}, i=@{input:"raw1"} );')
+            catalog.remove_derivation("s1")
+            s3 = catalog.export_snapshot()["derivation"]["s3"]
+            catalog.import_snapshot({"derivation": {"s4": {**s3, "name": "s4"}}})
+        with SQLiteCatalog(path) as catalog:
+            assert catalog.derivation_names() == ["a1", "g1", "g2", "s2", "s3", "s4"]
+            assert [d.name for d in catalog.consumers_of("raw1")] == ["s3", "s4"]
+            assert catalog.producers_of("sim1") == []

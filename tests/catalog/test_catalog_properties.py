@@ -1,15 +1,22 @@
 """Property-based tests on catalog round-trip fidelity (hypothesis).
 
 Random schema objects must survive the store/fetch cycle of every
-backend bit-for-bit (as observed through their dict forms), and
-snapshots must transport whole catalogs losslessly.
+backend bit-for-bit (as observed through their dict forms), snapshots
+must transport whole catalogs losslessly, and the live derivation
+graph must equal a cold build after any sequence of writes.
 """
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.catalog.filetree import FileTreeCatalog
 from repro.catalog.memory import MemoryCatalog
 from repro.catalog.sqlite import SQLiteCatalog
 from repro.core.dataset import Dataset
@@ -19,6 +26,8 @@ from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
 from repro.core.naming import VDPRef
 from repro.core.replica import Replica
 from repro.core.types import DatasetType
+from repro.provenance.graph import DerivationGraph
+from tests.provenance.test_graphcache import edges
 
 name = st.from_regex(r"[a-z][a-z0-9_.]{0,14}", fullmatch=True)
 scalar = st.one_of(
@@ -196,3 +205,109 @@ def test_snapshot_transport_lossless(dvs):
             assert {d.name for d in destination.producers_of(output)} == {
                 d.name for d in source.producers_of(output)
             }
+
+
+# -- the live derivation graph against a cold build -------------------------
+#
+# Small name pools, so random steps collide: derivations get replaced
+# with different edges, removed, re-added, and datasets are shared.
+
+pooled_derivations = st.builds(
+    lambda name, tr, args: Derivation(
+        name=name,
+        transformation=VDPRef(tr, kind="transformation"),
+        actuals={
+            formal: DatasetArg(dataset=dataset, direction=direction)
+            for formal, (dataset, direction) in args.items()
+        },
+    ),
+    st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.sampled_from(["t1", "t2"]),
+    st.dictionaries(
+        st.sampled_from(["x", "y", "z"]),
+        st.tuples(
+            st.sampled_from(["p", "q", "r", "s", "t"]),
+            st.sampled_from(["input", "output", "inout"]),
+        ),
+        min_size=1,
+    ),
+)
+writes = st.one_of(
+    st.tuples(st.just("put"), pooled_derivations),
+    st.tuples(st.just("remove"), st.sampled_from(["a", "b", "c", "d", "e"])),
+)
+steps = st.one_of(
+    writes,
+    st.tuples(
+        st.sampled_from(["bulk", "abort"]), st.lists(writes, max_size=4)
+    ),
+    st.tuples(st.just("import"), st.lists(pooled_derivations, max_size=4)),
+)
+
+
+@contextmanager
+def open_catalog(kind):
+    if kind == "filetree":
+        with tempfile.TemporaryDirectory() as root:
+            yield FileTreeCatalog(Path(root) / "vdc")
+    else:
+        yield make_catalog(kind)
+
+
+def apply_write(catalog, write):
+    op, arg = write
+    if op == "put":
+        catalog.add_derivation(arg, replace=True, validate=False)
+    elif catalog.has_derivation(arg):
+        catalog.remove_derivation(arg)
+
+
+def apply_step(catalog, step):
+    op, arg = step
+    if op == "bulk":
+        with catalog.bulk():
+            for write in arg:
+                apply_write(catalog, write)
+    elif op == "abort":
+        with pytest.raises(ZeroDivisionError):
+            with catalog.transaction():
+                for write in arg:
+                    apply_write(catalog, write)
+                raise ZeroDivisionError
+    elif op == "import":
+        source = MemoryCatalog()
+        for dv in arg:
+            source.add_derivation(dv, replace=True, validate=False)
+        catalog.import_snapshot(source.export_snapshot())
+    else:
+        apply_write(catalog, step)
+
+
+def assert_live_graph_is_cold_graph(catalog):
+    live = catalog.derivation_graph()
+    cold = DerivationGraph.from_catalog(catalog)
+    assert live.nodes() == cold.nodes()
+    assert edges(live) == edges(cold)
+    stored = list(catalog.derivations())
+    for dataset in ["p", "q", "r", "s", "t"]:
+        assert [dv.name for dv in catalog.producers_of(dataset)] == [
+            dv.name for dv in stored if dataset in dv.outputs()
+        ]
+        assert [dv.name for dv in catalog.consumers_of(dataset)] == [
+            dv.name for dv in stored if dataset in dv.inputs()
+        ]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(steps, min_size=1, max_size=8),
+    st.sampled_from(("memory", "sqlite", "filetree")),
+)
+def test_live_graph_equals_cold_build_after_every_step(sequence, kind):
+    with open_catalog(kind) as catalog:
+        live = catalog.derivation_graph()
+        for step in sequence:
+            apply_step(catalog, step)
+            assert catalog.derivation_graph() is live
+            assert_live_graph_is_cold_graph(catalog)

@@ -63,6 +63,26 @@ def any_catalog(request, tmp_path):
 
 
 @pytest.fixture
+def derivation_scans(monkeypatch):
+    """Count whole-store derivation scans: call with a catalog, read
+    the returned list's length afterwards."""
+
+    def watch(catalog):
+        scans = []
+        scan = catalog._store_scan
+
+        def counting(kind):
+            if kind == "derivation":
+                scans.append(kind)
+            return scan(kind)
+
+        monkeypatch.setattr(catalog, "_store_scan", counting)
+        return scans
+
+    return watch
+
+
+@pytest.fixture
 def catalog():
     """A plain in-memory catalog (most tests don't vary the backend)."""
     return MemoryCatalog(authority="test.example")

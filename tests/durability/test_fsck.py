@@ -104,6 +104,15 @@ class TestReplicaFindings:
         assert catalog.replicas_of("base.txt") == []
         assert catalog.get_dataset("base.txt").is_virtual
 
+    def test_blast_radius_reads_the_live_graph(self, workspace, derivation_scans):
+        catalog, executor, recovery, _ = workspace
+        executor.path_for("base.txt").write_bytes(b"fake-bytes")
+        scans = derivation_scans(catalog)
+        report = recovery.fsck(repair=True)
+        (finding,) = [f for f in report.findings if f.kind == "corrupt-replica"]
+        assert "tainted downstream: derived.txt" in finding.detail
+        assert scans == []
+
     def test_structural_mode_skips_digests(self, workspace):
         _, executor, recovery, _ = workspace
         executor.path_for("base.txt").write_bytes(b"fake-bytes")  # same size

@@ -68,6 +68,16 @@ class TestHasValidReplica:
         quarantined = list(executor.quarantine_dir.iterdir())
         assert any(p.name.startswith("base.txt") for p in quarantined)
 
+    def test_quarantine_reads_the_live_graph(self, executor, derivation_scans):
+        """The blast radius comes from the catalog's own graph, not
+        from a rescan of every stored derivation."""
+        executor.materialize("derived.txt")
+        executor.path_for("base.txt").write_bytes(b"fake-bytes")
+        scans = derivation_scans(executor.catalog)
+        assert not executor.has_valid_replica("base.txt")
+        assert executor.catalog.replicas_of("derived.txt") == []  # tainted
+        assert scans == []
+
     def test_checksum_failure_counted(self, executor):
         executor.materialize("base.txt")
         executor.path_for("base.txt").write_bytes(b"fake-bytes")

@@ -1,15 +1,16 @@
-"""GraphCache: the event-maintained derivation graph behind planning.
+"""The catalog's live derivation graph and its ``graph_cache()`` view.
 
-The cache's contract is that :meth:`graph` always returns a graph
+The contract: ``catalog.derivation_graph()`` is always one and the same
+object — the catalog's own producer/consumer index — and is always
 structurally equal to a cold ``DerivationGraph.from_catalog`` over the
-current catalog — served from cache (hit), node-patched (hit +
-patches), or rebuilt (miss) depending on how much changed since the
-last call.
+current catalog.  Nothing is built, patched lazily or subscribed on
+demand: asking for the graph costs nothing and changes nothing.
 """
 
 from repro.catalog.memory import MemoryCatalog
+from repro.planner.dag import Planner
+from repro.planner.request import MaterializationRequest
 from repro.provenance.graph import DerivationGraph
-from repro.provenance.graphcache import REBUILD_FRACTION, GraphCache
 from repro.workloads import canonical
 
 
@@ -35,83 +36,85 @@ def chain_catalog(n=6):
     return catalog
 
 
+EXTRA = (
+    'DV extra->canon1( o=@{output:"extra.out"}, '
+    'i0=@{input:"ds2"}, tag="x" );\n'
+)
+
+
 class TestGraphCache:
     def test_second_call_is_a_hit_on_the_same_object(self):
         catalog = chain_catalog()
-        cache = GraphCache(catalog)
+        cache = catalog.graph_cache()
         first = cache.graph()
         second = cache.graph()
         assert second is first
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 1
+        assert cache.stats()["misses"] == 0  # nothing was ever built
+        assert cache.stats()["hits"] == 2
 
     def test_added_derivation_is_patched_in(self):
         catalog = chain_catalog()
-        cache = GraphCache(catalog)
+        cache = catalog.graph_cache()
         before = cache.graph()
-        version = cache.version
-        catalog.define(
-            'DV extra->canon1( o=@{output:"extra.out"}, '
-            'i0=@{input:"ds2"}, tag="x" );\n'
-        )
+        stats = cache.stats()
+        catalog.define(EXTRA)
         after = cache.graph()
-        assert after is before  # patched, not rebuilt
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["patches"] >= 1
-        assert cache.version > version  # derived state must refresh
+        assert after is before  # same store, updated in place
+        assert cache.stats()["misses"] == stats["misses"]
+        assert cache.stats()["patches"] == stats["patches"] + 1
+        assert cache.stats()["version"] > stats["version"]
         assert edges(after) == edges(DerivationGraph.from_catalog(catalog))
 
     def test_removed_derivation_is_patched_out(self):
         catalog = chain_catalog()
-        catalog.define(
-            'DV extra->canon1( o=@{output:"extra.out"}, '
-            'i0=@{input:"ds2"}, tag="x" );\n'
-        )
-        cache = GraphCache(catalog)
-        cache.graph()
+        catalog.define(EXTRA)
+        graph = catalog.derivation_graph()
+        version = catalog.graph_cache().stats()["version"]
         catalog.remove_derivation("extra")
-        patched = cache.graph()
-        assert cache.stats()["misses"] == 1
-        assert edges(patched) == edges(
-            DerivationGraph.from_catalog(catalog)
-        )
-
-    def test_bulk_mutation_triggers_full_rebuild(self):
-        """Past the rebuild fraction, patching loses to rebuilding."""
-        catalog = chain_catalog(n=8)
-        cache = GraphCache(catalog)
-        old = cache.graph()
-        # Dirty strictly more than max(fraction * known, 8) derivations.
-        known = len(catalog.derivation_names())
-        extra = max(int(REBUILD_FRACTION * known), 8) + 1
-        chunks = []
-        for i in range(extra):
-            chunks.append(
-                f'DV bulk{i}->canon1( o=@{{output:"bulk{i}.out"}}, '
-                f'i0=@{{input:"ds0"}}, tag="b{i}" );\n'
-            )
-        catalog.define("".join(chunks))
-        rebuilt = cache.graph()
-        assert rebuilt is not old
-        assert cache.stats()["misses"] == 2
-        assert edges(rebuilt) == edges(
-            DerivationGraph.from_catalog(catalog)
-        )
-
-    def test_invalidate_drops_the_cached_graph(self):
-        catalog = chain_catalog()
-        cache = GraphCache(catalog)
-        old = cache.graph()
-        cache.invalidate()
-        assert cache.graph() is not old
-        assert cache.stats()["misses"] == 2
+        assert catalog.derivation_graph() is graph
+        assert catalog.graph_cache().stats()["version"] > version
+        assert edges(graph) == edges(DerivationGraph.from_catalog(catalog))
+        # The orphaned output dataset went with its only derivation.
+        assert "extra.out" not in graph.dataset_names()
 
     def test_catalog_accessor_returns_one_cache(self):
-        """catalog.graph_cache() is a stable per-catalog singleton and
-        derivation_graph() serves through it."""
+        """catalog.graph_cache() is a stable per-catalog view and
+        derivation_graph() serves the same index-owned graph."""
         catalog = chain_catalog()
         cache = catalog.graph_cache()
         assert catalog.graph_cache() is cache
+        assert catalog.derivation_graph() is cache.graph()
+        assert cache.graph() is catalog._indexes.graph
+
+    def test_the_graph_is_the_index_producers_of_reads(self):
+        catalog = chain_catalog()
         graph = catalog.derivation_graph()
-        assert graph is cache.graph()
-        assert cache.stats()["misses"] == 1
+        for dataset in graph.dataset_names():
+            assert [dv.name for dv in catalog.producers_of(dataset)] == sorted(
+                graph.producer_names(dataset)
+            )
+            assert [dv.name for dv in catalog.consumers_of(dataset)] == sorted(
+                graph.consumer_names(dataset)
+            )
+
+    def test_reading_the_graph_subscribes_nothing(self):
+        """A fresh catalog has the same subscribers before and after
+        the graph is asked for or planned over."""
+        catalog = chain_catalog()
+        subscribers = list(catalog._subscribers)
+        catalog.derivation_graph()
+        catalog.graph_cache().stats()
+        Planner(catalog).plan(
+            MaterializationRequest(targets=("ds5",), reuse="never")
+        )
+        assert catalog._subscribers == subscribers
+
+    def test_content_only_replace_resets_the_decoded_derivation(self):
+        catalog = chain_catalog()
+        graph = catalog.derivation_graph()
+        assert graph.derivation("d3").actuals["tag"] == "t3"
+        dv = catalog.get_derivation("d3")
+        dv.actuals["tag"] = "edited"
+        catalog.add_derivation(dv, replace=True)
+        assert graph.derivation("d3").actuals["tag"] == "edited"
+        assert edges(graph) == edges(DerivationGraph.from_catalog(catalog))

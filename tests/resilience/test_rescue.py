@@ -225,6 +225,20 @@ class TestWriteBackValidation:
         assert len(vds.catalog.invocations_of("s1")) == 2
         assert vds.replicas.has("sim1")
 
+    def test_validation_reads_the_live_graph(self, derivation_scans):
+        vds = build_vds()
+        result = vds.materialize("final", reuse="never")
+        rescue = vds.executor.rescue_file(result)
+        site = vds.grid.sites[result.outcomes["s1"].site]
+        site.storage.store(
+            "sim1", vds.replicas.size_of("sim1"), vds.simulator.now,
+            digest="corrupt:feedbeef",
+        )
+        scans = derivation_scans(vds.catalog)
+        vds.materialize("final", reuse="never", rescue=rescue)
+        assert {"sim1", "final"} <= vds.executor.last_restore.tainted_datasets
+        assert scans == []
+
     def test_size_mismatch_also_quarantined(self):
         vds = build_vds()
         result = vds.materialize("final", reuse="never")
