@@ -20,7 +20,7 @@ mutation-event stream, surfaced through ``repro analyze`` and
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataflow import (
     DataflowPass,
-    Digraph,
+    GraphView,
     SolveResult,
     SolveStats,
     ds_node,
@@ -54,8 +54,8 @@ __all__ = [
     "DataflowPass",
     "DeadDataPass",
     "Diagnostic",
-    "Digraph",
     "GraphModel",
+    "GraphView",
     "IncrementalAnalyzer",
     "Linter",
     "LintResult",

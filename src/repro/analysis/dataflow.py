@@ -26,10 +26,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.planner.dag import reachable
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.provenance.graph import DerivationGraph
 
 #: Node-id prefixes for the two sides of the bipartite graph.
 DS_PREFIX = "ds:"
@@ -56,58 +68,58 @@ def node_name(node: str) -> str:
     return node[3:]
 
 
-class Digraph:
-    """A mutable directed graph with both adjacency directions.
+class GraphView:
+    """The catalog's derivation graph, read in ``ds:``/``dv:`` node ids.
 
-    Nodes are strings; both ``succ`` and ``pred`` are maintained so
-    forward and backward passes walk with equal cost.  Removing a node
-    detaches it from its neighbours' adjacency sets.
+    A read-only window on the four name-keyed maps of a
+    :class:`~repro.provenance.graph.DerivationGraph` — nothing is
+    copied, so the view is as current as the graph it reads.  Node ids
+    are prefixed on the way out and stripped on the way in; fact tables
+    and report caches key on them.
     """
 
-    __slots__ = ("succ", "pred")
+    __slots__ = ("_producers", "_consumers", "_inputs", "_outputs")
 
-    def __init__(self) -> None:
-        self.succ: Dict[str, Set[str]] = {}
-        self.pred: Dict[str, Set[str]] = {}
+    def __init__(self, graph: "DerivationGraph") -> None:
+        (
+            self._producers,
+            self._consumers,
+            self._inputs,
+            self._outputs,
+        ) = graph.adjacency()
 
     def __contains__(self, node: str) -> bool:
-        return node in self.succ
+        names = self._producers if node.startswith(DS_PREFIX) else self._inputs
+        return node[3:] in names
 
     def __len__(self) -> int:
-        return len(self.succ)
+        return len(self._producers) + len(self._inputs)
+
+    def derivation_count(self) -> int:
+        return len(self._inputs)
 
     @property
-    def nodes(self) -> Iterable[str]:
-        return self.succ.keys()
+    def nodes(self) -> Iterator[str]:
+        for lfn in self._producers:
+            yield DS_PREFIX + lfn
+        for name in self._inputs:
+            yield DV_PREFIX + name
 
-    def add_node(self, node: str) -> None:
-        if node not in self.succ:
-            self.succ[node] = set()
-            self.pred[node] = set()
+    def succ(self, node: str) -> List[str]:
+        """Consumers of a dataset node, outputs of a derivation node."""
+        if node.startswith(DS_PREFIX):
+            return [DV_PREFIX + n for n in self._consumers.get(node[3:], ())]
+        return [DS_PREFIX + n for n in self._outputs.get(node[3:], ())]
 
-    def remove_node(self, node: str) -> None:
-        if node not in self.succ:
-            return
-        for nxt in self.succ.pop(node):
-            self.pred[nxt].discard(node)
-        for prv in self.pred.pop(node):
-            self.succ[prv].discard(node)
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.add_node(src)
-        self.add_node(dst)
-        self.succ[src].add(dst)
-        self.pred[dst].add(src)
-
-    def remove_edge(self, src: str, dst: str) -> None:
-        if src in self.succ:
-            self.succ[src].discard(dst)
-        if dst in self.pred:
-            self.pred[dst].discard(src)
+    def pred(self, node: str) -> List[str]:
+        """Producers of a dataset node, inputs of a derivation node."""
+        if node.startswith(DS_PREFIX):
+            return [DV_PREFIX + n for n in self._producers.get(node[3:], ())]
+        return [DS_PREFIX + n for n in self._inputs.get(node[3:], ())]
 
     def neighbors(self, node: str) -> Set[str]:
         """All nodes adjacent to ``node`` in either direction."""
-        return self.succ.get(node, set()) | self.pred.get(node, set())
+        return {*self.succ(node), *self.pred(node)}
 
 
 class DataflowPass:
@@ -130,7 +142,7 @@ class DataflowPass:
     def transfer(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Any:
@@ -144,7 +156,7 @@ class DataflowPass:
     def report(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Iterable[Diagnostic]:
@@ -200,18 +212,20 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _influence(pass_: DataflowPass, graph: Digraph, node: str) -> Set[str]:
+def _influence(
+    pass_: DataflowPass, graph: GraphView, node: str
+) -> Iterable[str]:
     """Nodes whose transfer reads ``node``'s fact."""
     if pass_.direction == "forward":
-        return graph.succ.get(node, set())
+        return graph.succ(node)
     if pass_.direction == "backward":
-        return graph.pred.get(node, set())
-    return set()
+        return graph.pred(node)
+    return ()
 
 
 def _iterate(
     pass_: DataflowPass,
-    graph: Digraph,
+    graph: GraphView,
     facts: Dict[str, Any],
     model: Any,
     seeds: Iterable[str],
@@ -252,7 +266,7 @@ def _iterate(
 
 def solve(
     pass_: DataflowPass,
-    graph: Digraph,
+    graph: GraphView,
     facts: Dict[str, Any],
     model: Any,
     seeds: Optional[Iterable[str]] = None,
@@ -305,7 +319,7 @@ def solve(
             # the cone boundary are untouched and remain valid inputs.
             # Local passes have no dependents, so propagation (and this
             # reset) is moot for them.
-            def influenced(node: str) -> Set[str]:
+            def influenced(node: str) -> Iterable[str]:
                 return _influence(pass_, graph, node)
 
             cone = reachable(influenced, decreased)
@@ -336,10 +350,9 @@ def solve(
                 break
             nxt: Set[str] = set()
             for node in frontier:
-                nxt |= _influence(pass_, graph, node)
+                nxt.update(_influence(pass_, graph, node))
             result.report |= nxt
             frontier = nxt
-    result.changed &= set(graph.nodes)
     result.report |= result.changed
     stats.changed = len(result.changed)
     return result

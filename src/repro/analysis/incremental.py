@@ -1,14 +1,13 @@
 """Live, incrementally-maintained analysis over a mutating catalog.
 
 :class:`IncrementalAnalyzer` subscribes to the catalog's mutation
-event stream — the same hook that keeps
-:class:`repro.catalog.index.CatalogIndexes` current — and maintains:
+event stream — after :class:`repro.catalog.index.CatalogIndexes`, whose
+structures it reads rather than copies — and maintains:
 
-* a bipartite derivation :class:`~repro.analysis.dataflow.Digraph`
-  (dataset and derivation nodes);
-* the :class:`GraphModel` the dataflow passes consult (replica
-  presence, execution records, interprocedural transformation
-  summaries, the shared-writer index);
+* the :class:`GraphModel` the dataflow passes consult: a window on the
+  catalog's derivation graph and replica/transformation indexes, plus
+  what no index holds (execution records, declared dataset types,
+  interprocedural transformation summaries, the shared-writer index);
 * per-pass fact tables and per-node diagnostic caches, re-solved
   lazily over only the dirty region when queried;
 * a live :class:`~repro.analysis.context.AnalysisContext` so the
@@ -34,7 +33,7 @@ from repro.analysis.context import (
     split_target,
 )
 from repro.analysis.dataflow import (
-    Digraph,
+    GraphView,
     SolveStats,
     ds_node,
     dv_node,
@@ -47,7 +46,7 @@ from repro.analysis.passes import (
     default_passes,
     orphan_invocation_diagnostics,
 )
-from repro.core.naming import VDPRef
+from repro.core.derivation import DatasetArg, Derivation
 from repro.core.recipe import RECIPE_DIGEST_ATTR, TR_VERSION_ATTR, recipe_digest
 from repro.core.types import DatasetType
 from repro.core.versioning import Version
@@ -71,33 +70,24 @@ def _version_key(version: str) -> Any:
 class GraphModel:
     """Everything the dataflow passes may ask about the catalog.
 
-    Structure (graph, bindings, replicas, invocations) is updated
-    eagerly per mutation event; derived knowledge (transformation
-    summaries, recipe digests, the conflict writer index) is memoized
-    and invalidated when its inputs change.
+    Structure is read, not kept: adjacency comes from the catalog's
+    derivation graph (:attr:`graph`), bindings from its shared decoded
+    :class:`~repro.core.derivation.Derivation` objects, replica
+    presence and transformation fan-out from the catalog indexes.
+    What the model owns is what no index holds — per-invocation recipe
+    metadata and declared dataset types, updated per mutation event —
+    and memoized derived knowledge (transformation summaries, current
+    recipes, the conflict writer index), invalidated when its inputs
+    change.
     """
 
     def __init__(self, catalog: Any, file: str) -> None:
         self.catalog = catalog
         self.file = file
-        self.graph = Digraph()
+        self._indexes = catalog._indexes
         self._span = Span(file=file, line=0)
-        #: Derivation name -> live DVInfo view (also feeds lint_context).
-        self.dv_infos: Dict[str, DVInfo] = {}
-        #: Derivation name -> base transformation name (local targets).
-        self._dv_tr: Dict[str, str] = {}
-        #: Base transformation name -> derivations targeting it.
-        self._dvs_by_tr: Dict[str, Set[str]] = {}
-        #: LFN -> number of derivations referencing it (node liveness).
-        self._ds_refs: Dict[str, int] = {}
-        #: LFN -> replica ids.
-        self._replicas: Dict[str, Set[str]] = {}
-        #: Replica id -> LFN (delete shadow).
-        self._replica_owner: Dict[str, str] = {}
         #: Derivation name -> invocation id -> metadata.
         self._invs_by_dv: Dict[str, Dict[str, _InvMeta]] = {}
-        #: Invocation id -> derivation name (delete shadow).
-        self._inv_owner: Dict[str, str] = {}
         # -- memoized derived state --
         self._tr_table_cache: Optional[Dict[str, List[TRInfo]]] = None
         self._tr_objects: Dict[str, Any] = {}
@@ -107,9 +97,6 @@ class GraphModel:
         self._recipe_cache: Dict[str, Any] = {}
         self._ds_types: Dict[str, Optional[DatasetType]] = {}
         self._conflict_writers: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        #: Node ids dropped from the graph since the last drain; the
-        #: analyzer uses this to purge per-node facts and reports.
-        self._removed_nodes: Set[str] = set()
 
     # -- trivia the passes need ---------------------------------------
 
@@ -120,21 +107,25 @@ class GraphModel:
     def span(self) -> Span:
         return self._span
 
+    @property
+    def graph(self) -> GraphView:
+        """The catalog's derivation graph in ``ds:``/``dv:`` node ids."""
+        return GraphView(self._indexes.graph)
+
+    def derivation(self, name: str) -> Derivation:
+        """The graph's shared decoded derivation — read-only."""
+        return self._indexes.graph.derivation(name)
+
     def has_replica(self, lfn: str) -> bool:
-        return bool(self._replicas.get(lfn))
+        return bool(self._indexes.replicas_of.get(lfn))
 
     def dv_target(self, name: str) -> str:
-        info = self.dv_infos.get(name)
-        return info.target if info is not None else ""
+        return self.derivation(name).transformation.vdl_text()
 
     def dv_bindings(self, name: str) -> List[Tuple[str, str, str]]:
-        info = self.dv_infos.get(name)
-        if info is None:
-            return []
         return [
-            (a.name, a.lfn, a.direction)
-            for a in info.dataset_actuals()
-            if a.lfn is not None and a.direction is not None
+            (formal, arg.dataset, arg.direction)
+            for formal, arg in self.derivation(name).dataset_args()
         ]
 
     def dataset_declared_type(self, lfn: str) -> Optional[DatasetType]:
@@ -167,86 +158,24 @@ class GraphModel:
         self._ds_types[lfn] = declared
         return declared
 
-    # -- structural mutation (called by the analyzer) ------------------
+    # -- event upkeep (called by the analyzer) -------------------------
 
-    def index_derivation(self, name: str, payload: Mapping[str, Any]) -> Set[str]:
-        """(Re)index one derivation payload; returns seed node ids."""
-        seeds = self.unindex_derivation(name)
-        info = _dv_info_from_payload(name, payload)
-        self.dv_infos[name] = info
-        if not info.is_remote:
-            base = split_target(info.target)[0]
-            self._dv_tr[name] = base
-            self._dvs_by_tr.setdefault(base, set()).add(name)
-        node = dv_node(name)
-        self.graph.add_node(node)
-        seeds.add(node)
-        for _formal, lfn, direction in self.dv_bindings(name):
-            ds = ds_node(lfn)
-            self._ds_refs[lfn] = self._ds_refs.get(lfn, 0) + 1
-            if direction in _IN:
-                self.graph.add_edge(ds, node)
-            if direction in _OUT:
-                self.graph.add_edge(node, ds)
-            seeds.add(ds)
-        self._removed_nodes -= seeds
-        self._recipe_cache.pop(name, None)
+    def around(self, nodes: Iterable[str]) -> Set[str]:
+        """The live ones among ``nodes``, each with its neighbours."""
+        graph = self.graph
+        seeds: Set[str] = set()
+        for node in nodes:
+            if node in graph:
+                seeds.add(node)
+                seeds |= graph.neighbors(node)
         return seeds
 
-    def drain_removed_nodes(self) -> Set[str]:
-        removed, self._removed_nodes = self._removed_nodes, set()
-        return removed
-
-    def unindex_derivation(self, name: str) -> Set[str]:
-        """Drop a derivation; returns seed node ids (neighbours)."""
-        info = self.dv_infos.pop(name, None)
-        self._recipe_cache.pop(name, None)
-        if info is None:
-            return set()
-        base = self._dv_tr.pop(name, None)
-        if base is not None:
-            group = self._dvs_by_tr.get(base)
-            if group is not None:
-                group.discard(name)
-                if not group:
-                    del self._dvs_by_tr[base]
-        node = dv_node(name)
-        seeds = set(self.graph.neighbors(node))
-        self.graph.remove_node(node)
-        self._removed_nodes.add(node)
-        for lfn in {a.lfn for a in info.dataset_actuals() if a.lfn}:
-            count = self._ds_refs.get(lfn, 0) - 1
-            if count <= 0:
-                self._ds_refs.pop(lfn, None)
-                ds = ds_node(lfn)
-                seeds.discard(ds)
-                self.graph.remove_node(ds)
-                self._removed_nodes.add(ds)
-            else:
-                self._ds_refs[lfn] = count
-        return seeds
-
-    def index_replica(self, replica_id: str, lfn: str) -> Set[str]:
-        self._replica_owner[replica_id] = lfn
-        self._replicas.setdefault(lfn, set()).add(replica_id)
-        return self._dataset_seeds(lfn)
-
-    def unindex_replica(self, replica_id: str) -> Set[str]:
-        lfn = self._replica_owner.pop(replica_id, None)
-        if lfn is None:
-            return set()
-        group = self._replicas.get(lfn)
-        if group is not None:
-            group.discard(replica_id)
-            if not group:
-                del self._replicas[lfn]
-        return self._dataset_seeds(lfn)
+    def forget_recipe(self, dvn: str) -> None:
+        self._recipe_cache.pop(dvn, None)
 
     def index_invocation(
         self, invocation_id: str, payload: Mapping[str, Any]
-    ) -> Set[str]:
-        self.unindex_invocation(invocation_id)
-        dvn = payload["derivation_name"]
+    ) -> None:
         attrs = payload.get("attributes") or {}
         meta: _InvMeta = (
             float(payload.get("start_time") or 0.0),
@@ -254,30 +183,18 @@ class GraphModel:
             attrs.get(TR_VERSION_ATTR),
             attrs.get(RECIPE_DIGEST_ATTR),
         )
-        self._inv_owner[invocation_id] = dvn
+        dvn = payload["derivation_name"]
         self._invs_by_dv.setdefault(dvn, {})[invocation_id] = meta
-        node = dv_node(dvn)
-        if node in self.graph:
-            return {node} | self.graph.neighbors(node)
-        return set()
 
-    def unindex_invocation(self, invocation_id: str) -> Set[str]:
-        dvn = self._inv_owner.pop(invocation_id, None)
-        if dvn is None:
-            return set()
+    def unindex_invocation(self, invocation_id: str, dvn: str) -> None:
         group = self._invs_by_dv.get(dvn)
         if group is not None:
             group.pop(invocation_id, None)
             if not group:
                 del self._invs_by_dv[dvn]
-        node = dv_node(dvn)
-        if node in self.graph:
-            return {node} | self.graph.neighbors(node)
-        return set()
 
-    def invalidate_dataset(self, lfn: str) -> Set[str]:
+    def invalidate_dataset(self, lfn: str) -> None:
         self._ds_types.pop(lfn, None)
-        return self._dataset_seeds(lfn)
 
     def invalidate_transformations(self, base_name: str) -> Set[str]:
         """A TR (version) changed: drop summaries, seed dependent DVs."""
@@ -287,21 +204,15 @@ class GraphModel:
         self._deep_out.clear()
         self._deep_req.clear()
         self._sinks.clear()
-        seeds: Set[str] = set()
-        for tr_name in affected:
-            for dvn in self._dvs_by_tr.get(tr_name, ()):
-                self._recipe_cache.pop(dvn, None)
-                node = dv_node(dvn)
-                if node in self.graph:
-                    seeds.add(node)
-                    seeds |= self.graph.neighbors(node)
-        return seeds
-
-    def _dataset_seeds(self, lfn: str) -> Set[str]:
-        node = ds_node(lfn)
-        if node in self.graph:
-            return {node} | self.graph.neighbors(node)
-        return set()
+        # By reference name, so a remote target of the same name is
+        # re-judged too: harmless, and no derivation is decoded here.
+        dependents: Set[str] = set()
+        for target, callers in self._indexes.by_transformation.items():
+            if split_target(target)[0] in affected:
+                dependents.update(callers)
+        for dvn in dependents:
+            self._recipe_cache.pop(dvn, None)
+        return self.around(map(dv_node, dependents))
 
     def _dependent_tr_names(self, base_name: str) -> Set[str]:
         """``base_name`` plus every TR calling it, transitively."""
@@ -389,16 +300,14 @@ class GraphModel:
         if dvn in self._recipe_cache:
             return self._recipe_cache[dvn]
         result: Optional[Tuple[str, str]] = None
-        info = self.dv_infos.get(dvn)
-        if info is not None and not info.is_remote:
-            tr = self.resolve_transformation(info.target)
-            if tr is not None:
-                payload = self.catalog._cached_payload("derivation", dvn)
-                if payload is not None:
-                    result = (
-                        tr.version,
-                        recipe_digest(payload, tr.to_dict()),
-                    )
+        tr = self.resolve_transformation(self.dv_target(dvn))
+        if tr is not None:
+            payload = self.catalog._cached_payload("derivation", dvn)
+            if payload is not None:
+                result = (
+                    tr.version,
+                    recipe_digest(payload, tr.to_dict()),
+                )
         self._recipe_cache[dvn] = result
         return result
 
@@ -415,12 +324,10 @@ class GraphModel:
         versions_differ = bool(
             rec_version and cur_version and rec_version != cur_version
         )
-        if versions_differ and self._versions_equivalent(
-            dvn, rec_version, cur_version
-        ):
-            return None
         if versions_differ:
-            base = self._dv_tr.get(dvn, "?")
+            base = split_target(self.dv_target(dvn))[0]
+            if self._versions_equivalent(base, rec_version, cur_version):
+                return None
             return (
                 f"transformation {base!r} changed: executed version "
                 f"{rec_version}, catalog now resolves {cur_version}"
@@ -429,10 +336,7 @@ class GraphModel:
             return "recipe redefined since the last successful execution"
         return None
 
-    def _versions_equivalent(self, dvn: str, a: str, b: str) -> bool:
-        base = self._dv_tr.get(dvn)
-        if base is None:
-            return False
+    def _versions_equivalent(self, base: str, a: str, b: str) -> bool:
         try:
             return bool(self.catalog.versions.equivalent(base, a, b))
         except Exception:
@@ -554,18 +458,15 @@ class GraphModel:
 
     def expanded_writes(self, dvn: str) -> List[Tuple[str, str]]:
         """(lfn, via) write multiset once compound bodies are expanded."""
-        info = self.dv_infos.get(dvn)
-        if info is None:
-            return []
         writes: List[Tuple[str, str]] = []
-        counts, literals = self._write_sinks(info.target)
-        for actual in info.writes():
-            if actual.lfn is None:
+        counts, literals = self._write_sinks(self.dv_target(dvn))
+        for formal, lfn, direction in self.dv_bindings(dvn):
+            if direction not in _OUT:
                 continue
-            writes.append((actual.lfn, SURFACE))
-            extra = counts.get(actual.name, 0) - 1
+            writes.append((lfn, SURFACE))
+            extra = counts.get(formal, 0) - 1
             if extra > 0:
-                writes.extend([(actual.lfn, INTERNAL)] * extra)
+                writes.extend([(lfn, INTERNAL)] * extra)
         writes.extend((lfn, INTERNAL) for lfn in literals)
         return writes
 
@@ -658,34 +559,32 @@ class GraphModel:
     def orphan_invocations(self) -> List[Tuple[str, str]]:
         """(invocation_id, derivation_name) whose derivation is gone."""
         orphans: List[Tuple[str, str]] = []
+        graph = self.graph
         for dvn, group in self._invs_by_dv.items():
-            if dvn in self.dv_infos:
+            if dv_node(dvn) in graph:
                 continue
             orphans.extend((inv_id, dvn) for inv_id in group)
         return orphans
 
 
-def _dv_info_from_payload(name: str, payload: Mapping[str, Any]) -> DVInfo:
-    """Normalize a stored derivation payload into a DVInfo (line 0)."""
-    ref = VDPRef.parse(
-        payload["transformation"], default_kind="transformation"
-    )
-    actuals: List[ActualInfo] = []
-    for formal, value in payload.get("actuals", {}).items():
-        if isinstance(value, Mapping):
-            actuals.append(
-                ActualInfo(
-                    name=formal,
-                    value=DatasetRefNode(
-                        direction=value.get("direction", "input"),
-                        lfn=value["dataset"],
-                        temporary=bool(value.get("temporary", False)),
-                    ),
-                )
+def _dv_info(dv: Derivation) -> DVInfo:
+    """Normalize a catalog derivation into a DVInfo (line 0)."""
+    actuals = [
+        ActualInfo(
+            name=formal,
+            value=DatasetRefNode(
+                direction=value.direction,
+                lfn=value.dataset,
+                temporary=value.temporary,
             )
-        else:
-            actuals.append(ActualInfo(name=formal, value=value))
-    return DVInfo(name=name, target=ref.vdl_text(), actuals=actuals)
+            if isinstance(value, DatasetArg)
+            else value,
+        )
+        for formal, value in dv.actuals.items()
+    ]
+    return DVInfo(
+        name=dv.name, target=dv.transformation.vdl_text(), actuals=actuals
+    )
 
 
 class _PassState:
@@ -721,6 +620,10 @@ class IncrementalAnalyzer:
             self._states[pass_.name] = _PassState(pass_)
         self._events = 0
         self._solves = 0
+        #: (nodes, derivations) of the graph as of the last event heard.
+        self._sizes = (0, 0)
+        #: ``catalog.versions.assertion_count`` the solved facts reflect.
+        self._assertions_seen = catalog.versions.assertion_count
         self._ctx: Optional[AnalysisContext] = None
         self._ctx_dirty = True
         self._orphan_cache: Optional[Tuple[Diagnostic, ...]] = None
@@ -738,46 +641,45 @@ class IncrementalAnalyzer:
     # -- event intake ---------------------------------------------------
 
     def on_event(self, event: str, kind: str, key: str) -> None:
-        """Catalog mutation hook: update structure, mark dirt, return."""
+        """Catalog mutation hook: update the model, mark dirt, return.
+
+        The indexes heard this event first, so the graph already shows
+        its outcome; what it unlinked is no longer readable there and
+        arrives in ``touched`` (see :class:`CatalogIndexes`).
+        """
         self._events += 1
         model = self.model
+        touched = self.catalog._indexes.touched
         seeds: Set[str] = set()
         if kind == "derivation":
-            payload = None
-            if event == "put":
-                payload = self.catalog._cached_payload("derivation", key)
-            if payload is not None:
-                seeds = model.index_derivation(key, payload)
-            else:
-                seeds = model.unindex_derivation(key)
-            for node in model.drain_removed_nodes():
+            graph = model.graph
+            nodes = {dv_node(key), *map(ds_node, touched)}
+            seeds = {node for node in nodes if node in graph}
+            for node in nodes - seeds:
                 self._forget_node(node)
+            self._sizes = (len(graph), graph.derivation_count())
+            model.forget_recipe(key)
             self._orphan_cache = None
             self._ctx_dirty = True
         elif kind == "replica":
-            if event == "put":
-                payload = self.catalog._cached_payload("replica", key)
-                if payload is not None:
-                    seeds = model.index_replica(
-                        key, payload["dataset_name"]
-                    )
-            else:
-                seeds = model.unindex_replica(key)
+            seeds = model.around(map(ds_node, touched))
             self._ctx_dirty = True
         elif kind == "transformation":
             base = split_target(key)[0]
             seeds = model.invalidate_transformations(base)
             self._ctx_dirty = True
         elif kind == "invocation":
+            for dvn in touched:
+                model.unindex_invocation(key, dvn)
             if event == "put":
                 payload = self.catalog._cached_payload("invocation", key)
                 if payload is not None:
-                    seeds = model.index_invocation(key, payload)
-            else:
-                seeds = model.unindex_invocation(key)
+                    model.index_invocation(key, payload)
+            seeds = model.around(map(dv_node, touched))
             self._orphan_cache = None
         elif kind == "dataset":
-            seeds = model.invalidate_dataset(key)
+            model.invalidate_dataset(key)
+            seeds = model.around([ds_node(key)])
             self._ctx_dirty = True
         if seeds:
             for state in self._states.values():
@@ -801,17 +703,16 @@ class IncrementalAnalyzer:
             catalog = self.catalog
             self.model = GraphModel(catalog, self.file)
             model = self.model
+            # Only what no catalog index holds is read from storage.
             # Bulk scans: payloads are backend-owned shared documents
             # (read here, never retained), skipping the per-object
             # isolation copy that dominates at 10^5 objects.
-            for name, payload in catalog._store_scan("derivation"):
-                model.index_derivation(name, payload)
-            for replica_id, payload in catalog._store_scan("replica"):
-                model.index_replica(replica_id, payload["dataset_name"])
             for inv_id, payload in catalog._store_scan("invocation"):
                 model.index_invocation(inv_id, payload)
             for lfn, payload in catalog._store_scan("dataset"):
                 model.prime_dataset_type(lfn, payload)
+            graph = model.graph
+            self._sizes = (len(graph), graph.derivation_count())
             for state in self._states.values():
                 state.facts.clear()
                 state.reports.clear()
@@ -824,8 +725,8 @@ class IncrementalAnalyzer:
     def invalidate(self) -> None:
         """Force the next query to re-solve everything from scratch.
 
-        Needed after out-of-band knowledge changes the catalog cannot
-        signal — e.g. new version-compatibility assertions.
+        For out-of-band knowledge changes the catalog cannot signal.
+        (Version-compatibility assertions are noticed at query time.)
         """
         for state in self._states.values():
             state.solved = False
@@ -842,6 +743,11 @@ class IncrementalAnalyzer:
         selected = self._select(passes)
         out: List[Diagnostic] = []
         with self.catalog._lock:
+            # Compatibility assertions arrive outside the event stream.
+            asserted = self.catalog.versions.assertion_count
+            if asserted != self._assertions_seen:
+                self._assertions_seen = asserted
+                self.invalidate()
             for state in selected:
                 self._ensure_solved(state)
                 for report in state.reports.values():
@@ -869,9 +775,9 @@ class IncrementalAnalyzer:
         return self._orphan_cache
 
     def _ensure_solved(self, state: _PassState) -> None:
-        graph = self.model.graph
         if state.solved and not state.dirty:
             return
+        graph = self.model.graph
         self._solves += 1
         pass_ = state.pass_
         mode = "incremental" if state.solved else "full"
@@ -882,7 +788,7 @@ class IncrementalAnalyzer:
                 result = solve(
                     pass_, graph, state.facts, self.model, None
                 )
-                report_nodes: Set[str] = set(graph.nodes)
+                report_nodes: Iterable[str] = graph.nodes
                 state.reports.clear()
             else:
                 result = solve(
@@ -906,7 +812,10 @@ class IncrementalAnalyzer:
             if self.obs.enabled:
                 span.set("nodes", len(graph))
                 span.set("visited", result.stats.visited)
-                span.set("reported", len(report_nodes))
+                span.set(
+                    "reported",
+                    len(graph) if mode == "full" else len(result.report),
+                )
                 self.obs.count(
                     "analysis.incremental.solves",
                     help="dataflow solves",
@@ -923,9 +832,11 @@ class IncrementalAnalyzer:
         with self.catalog._lock:
             if self._ctx is None or self._ctx_dirty:
                 model = self.model
-                dvs = sorted(
-                    model.dv_infos.values(), key=lambda d: d.name
-                )
+                graph = self.catalog.derivation_graph()
+                dvs = [
+                    _dv_info(graph.derivation(name))
+                    for name in graph.derivation_names()
+                ]
                 trs = {
                     name: list(infos)
                     for name, infos in sorted(model._tr_table().items())
@@ -956,7 +867,7 @@ class IncrementalAnalyzer:
             "file": self.file,
             "events": self._events,
             "solves": self._solves,
-            "nodes": len(self.model.graph),
-            "derivations": len(self.model.dv_infos),
+            "nodes": self._sizes[0],
+            "derivations": self._sizes[1],
             "passes": per_pass,
         }

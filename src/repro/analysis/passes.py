@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.dataflow import (
     DataflowPass,
-    Digraph,
+    GraphView,
     ds_node,
     node_kind,
     node_name,
@@ -62,11 +62,11 @@ class StalenessPass(DataflowPass):
     def transfer(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> int:
-        preds = graph.pred.get(node, ())
+        preds = graph.pred(node)
         inherited = any(facts.get(p) or FRESH for p in preds)
         if node_kind(node) == "derivation":
             if model.root_dirty(node_name(node)) is not None:
@@ -80,7 +80,7 @@ class StalenessPass(DataflowPass):
     def report(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Iterable[Diagnostic]:
@@ -91,7 +91,7 @@ class StalenessPass(DataflowPass):
         lfn = node_name(node)
         if not model.has_replica(lfn):
             return
-        producers = sorted(graph.pred.get(node, ()))
+        producers = sorted(graph.pred(node))
         root = next(
             (p for p in producers if facts.get(p) == ROOT), None
         )
@@ -118,7 +118,7 @@ class StalenessPass(DataflowPass):
         stale_input = next(
             (
                 node_name(i)
-                for i in sorted(graph.pred.get(stale_dv, ()))
+                for i in sorted(graph.pred(stale_dv))
                 if facts.get(i)
             ),
             "<unknown>",
@@ -154,11 +154,11 @@ class DeadDataPass(DataflowPass):
     def transfer(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> bool:
-        succs = graph.succ.get(node, ())
+        succs = graph.succ(node)
         if node_kind(node) == "dataset":
             if not succs:
                 return True  # a sink: always a live target
@@ -176,7 +176,7 @@ class DeadDataPass(DataflowPass):
     def report(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Iterable[Diagnostic]:
@@ -222,7 +222,7 @@ class TypeFlowPass(DataflowPass):
     def transfer(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Any:
@@ -234,7 +234,7 @@ class TypeFlowPass(DataflowPass):
         declared = model.dataset_declared_type(lfn)
         if declared is not None:
             members.add(declared)
-        for pred in graph.pred.get(node, ()):
+        for pred in graph.pred(node):
             dvn = node_name(pred)
             target = model.dv_target(dvn)
             for formal, bound_lfn, direction in model.dv_bindings(dvn):
@@ -255,7 +255,7 @@ class TypeFlowPass(DataflowPass):
     def report(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Iterable[Diagnostic]:
@@ -318,7 +318,7 @@ class OutputConflictPass(DataflowPass):
     def transfer(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Tuple[Tuple[str, str], ...]:
@@ -338,7 +338,7 @@ class OutputConflictPass(DataflowPass):
     def report(
         self,
         node: str,
-        graph: Digraph,
+        graph: GraphView,
         facts: Dict[str, Any],
         model: Any,
     ) -> Iterable[Diagnostic]:

@@ -136,7 +136,11 @@ class CatalogIndexes:
     test) observes a ``put``/``delete`` the indexes already reflect it.
     Deletions are unindexed from per-key *shadow* records captured at
     put time — the store no longer holds the payload when a delete
-    event fires, so the index must remember what it indexed.
+    event fires, so the index must remember what it indexed.  Later
+    subscribers cannot look up what a delete or replace just unlinked
+    either, so each event leaves the names it linked or unlinked in
+    :attr:`touched` for them (the live analyzer seeds its re-solve
+    from it instead of keeping shadows of its own).
 
     The producer/consumer index *is* the catalog's derivation graph:
     :attr:`graph` is the one adjacency store that ``producers_of``,
@@ -170,6 +174,10 @@ class CatalogIndexes:
         #: for a different history, rollbacks and rebuilds included.
         self.history_stamp: dict[str, int] = {}
         self._stamps = 0
+        #: Names the event being delivered linked or unlinked, old and
+        #: new: datasets for a derivation or replica event, derivations
+        #: for an invocation event.  Valid until the next event.
+        self.touched: tuple[str, ...] = ()
         # Shadows for event-driven unindexing (the graph is its own).
         self._derivation_tr: dict[str, str] = {}
         self._replica_shadow: dict[str, str] = {}
@@ -187,6 +195,7 @@ class CatalogIndexes:
     # -- event plumbing ---------------------------------------------------
 
     def on_event(self, event: str, kind: str, key: str) -> None:
+        self.touched = ()
         if kind == "derivation":
             self.graph_patches += 1
             if event == "put":
@@ -230,6 +239,7 @@ class CatalogIndexes:
         self._unindex_derivation(key)
         inputs, outputs, tr_name = _derivation_edges(payload)
         self.graph.add_derivation_edges(key, inputs, outputs)
+        self.touched += (*inputs, *outputs)
         self.by_transformation.setdefault(tr_name, set()).add(key)
         self._derivation_tr[key] = tr_name
         self._touch_history(tr_name)
@@ -238,7 +248,9 @@ class CatalogIndexes:
         tr_name = self._derivation_tr.pop(key, None)
         if tr_name is None:
             return
-        self.graph.remove_derivation(key)
+        graph = self.graph
+        self.touched = graph.input_names(key) + graph.output_names(key)
+        graph.remove_derivation(key)
         self.by_transformation.get(tr_name, set()).discard(key)
         self._touch_history(tr_name)
 
@@ -249,9 +261,11 @@ class CatalogIndexes:
         if payload is None:
             return
         dataset = payload["dataset_name"]
+        self.touched = (dataset,)
         old = self._replica_shadow.get(key)
         if old is not None and old != dataset:
             self.replicas_of.get(old, set()).discard(key)
+            self.touched = (old, dataset)
         self.replicas_of.setdefault(dataset, set()).add(key)
         self._replica_shadow[key] = dataset
         observe_replica_id(key)
@@ -260,6 +274,7 @@ class CatalogIndexes:
         dataset = self._replica_shadow.pop(key, None)
         if dataset is not None:
             self.replicas_of.get(dataset, set()).discard(key)
+            self.touched = (dataset,)
 
     # -- invocations ------------------------------------------------------
 
@@ -268,10 +283,12 @@ class CatalogIndexes:
         if payload is None:
             return
         derivation = payload["derivation_name"]
+        self.touched = (derivation,)
         old = self._invocation_shadow.get(key)
         if old is not None and old != derivation:
             self.invocations_of.get(old, set()).discard(key)
             self._touch_history_of(old)
+            self.touched = (old, derivation)
         self.invocations_of.setdefault(derivation, set()).add(key)
         self._invocation_shadow[key] = derivation
         self._touch_history_of(derivation)
@@ -282,6 +299,7 @@ class CatalogIndexes:
         if derivation is not None:
             self.invocations_of.get(derivation, set()).discard(key)
             self._touch_history_of(derivation)
+            self.touched = (derivation,)
 
     # -- transformations --------------------------------------------------
 

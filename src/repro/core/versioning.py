@@ -98,6 +98,9 @@ class VersionRegistry:
     def __init__(self):
         self._versions: dict[str, set[Version]] = {}
         self._assertions: dict[str, list[CompatibilityAssertion]] = {}
+        #: Assertions recorded so far.  Whatever memoizes an
+        #: :meth:`equivalent` answer compares this to notice new ones.
+        self.assertion_count = 0
 
     def register(self, transformation: str, version: str | Version) -> Version:
         """Record a version of ``transformation``; returns it parsed."""
@@ -132,6 +135,7 @@ class VersionRegistry:
             authority=authority,
         )
         self._assertions.setdefault(transformation, []).append(assertion)
+        self.assertion_count += 1
         return assertion
 
     def assertions(self, transformation: str) -> list[CompatibilityAssertion]:

@@ -207,9 +207,23 @@ class DerivationGraph:
         """Names of derivations reading a dataset — read-only view."""
         return self._consumers.get(dataset_name, ())
 
+    def input_names(self, derivation_name: str) -> tuple[str, ...]:
+        """Names of the datasets a derivation reads."""
+        return self._inputs.get(derivation_name, ())
+
     def output_names(self, derivation_name: str) -> tuple[str, ...]:
         """Names of the datasets a derivation writes."""
         return self._outputs.get(derivation_name, ())
+
+    def adjacency(self) -> tuple[dict, dict, dict, dict]:
+        """The store itself: ``(producers, consumers, inputs, outputs)``.
+
+        The four live maps, for read views that render the graph in
+        another id space (the dataflow analyzer's ``ds:``/``dv:``
+        nodes) without copying it.  Read-only, like every other
+        accessor; they are updated in place, never rebound.
+        """
+        return self._producers, self._consumers, self._inputs, self._outputs
 
     def __contains__(self, node: Node) -> bool:
         names = self._producers if node.kind == DATASET else self._inputs

@@ -2,23 +2,46 @@
 
 from repro.analysis.dataflow import (
     DataflowPass,
-    Digraph,
+    GraphView,
     ds_node,
     dv_node,
     node_kind,
     node_name,
     solve,
 )
+from repro.provenance.graph import DerivationGraph
+
+#: A bipartite chain alternates kinds: dataset a feeds derivation b,
+#: which writes dataset c, which feeds derivation d.
+A, B, C, D = ds_node("a"), dv_node("b"), ds_node("c"), dv_node("d")
+X, Y = ds_node("x"), dv_node("y")
+#: Only a derivation can be a node with no edges.
+ISLAND, FAR_AWAY = dv_node("island"), dv_node("far-away")
 
 
-def chain(*nodes):
-    """a -> b -> c ... as a Digraph."""
-    g = Digraph()
-    for src, dst in zip(nodes, nodes[1:]):
-        g.add_edge(src, dst)
-    for node in nodes:
-        g.add_node(node)
-    return g
+def view(*edges, isolated=()):
+    """A DerivationGraph with these ``(src, dst)`` node-id edges, read
+    through the same view the analyzer uses."""
+    inputs = {node_name(n): [] for n in isolated}
+    outputs = {node_name(n): [] for n in isolated}
+    for src, dst in edges:
+        dataset, derivation, sides = (
+            (src, dst, inputs)
+            if node_kind(src) == "dataset"
+            else (dst, src, outputs)
+        )
+        inputs.setdefault(node_name(derivation), [])
+        outputs.setdefault(node_name(derivation), [])
+        sides[node_name(derivation)].append(node_name(dataset))
+    graph = DerivationGraph()
+    for name in inputs:
+        graph.add_derivation_edges(name, inputs[name], outputs[name])
+    return GraphView(graph)
+
+
+def chain(*nodes, isolated=()):
+    """n0 -> n1 -> n2 ... through the view."""
+    return view(*zip(nodes, nodes[1:]), isolated=isolated)
 
 
 class ReachPass(DataflowPass):
@@ -30,7 +53,7 @@ class ReachPass(DataflowPass):
     def transfer(self, node, graph, facts, model):
         if node in model["sources"]:
             return True
-        return any(facts.get(p) or False for p in graph.pred.get(node, ()))
+        return any(facts.get(p) or False for p in graph.pred(node))
 
     def subsumes(self, new, old):
         return bool(new) or not bool(old)
@@ -44,125 +67,120 @@ class TestNodeIds:
         assert node_kind(dv_node("g1")) == "derivation"
 
 
-class TestDigraph:
-    def test_add_edge_creates_nodes(self):
-        g = Digraph()
-        g.add_edge("a", "b")
-        assert "a" in g and "b" in g
-        assert g.succ["a"] == {"b"}
-        assert g.pred["b"] == {"a"}
-
-    def test_remove_node_detaches_neighbours(self):
-        g = chain("a", "b", "c")
-        g.remove_node("b")
-        assert "b" not in g
-        assert g.succ["a"] == set()
-        assert g.pred["c"] == set()
-
-    def test_remove_missing_node_is_noop(self):
-        g = Digraph()
-        g.remove_node("ghost")
-        assert len(g) == 0
+class TestGraphView:
+    def test_renders_both_kinds_and_directions(self):
+        g = chain(A, B, C)
+        assert set(g.nodes) == {A, B, C} and len(g) == 3
+        assert A in g and B in g and dv_node("a") not in g
+        assert g.succ(A) == [B] and g.pred(A) == []
+        assert g.succ(B) == [C] and g.pred(B) == [A]
+        assert g.derivation_count() == 1
 
     def test_neighbors_both_directions(self):
-        g = chain("a", "b", "c")
-        assert g.neighbors("b") == {"a", "c"}
+        assert chain(A, B, C).neighbors(B) == {A, C}
+
+    def test_unknown_nodes_have_no_edges(self):
+        g = chain(A, B)
+        assert g.succ("ds:ghost") == g.pred("dv:ghost") == []
+        assert g.neighbors("dv:ghost") == set()
+
+    def test_view_follows_the_graph(self):
+        graph = DerivationGraph()
+        g = GraphView(graph)
+        graph.add_derivation_edges("b", ["a"], ["c"])
+        assert set(g.nodes) == {A, B, C}
+        graph.remove_derivation("b")
+        assert len(g) == 0 and B not in g
 
 
 class TestFullSolve:
     def test_fixpoint_on_chain(self):
-        g = chain("a", "b", "c")
+        g = chain(A, B, C)
         facts = {}
-        result = solve(ReachPass(), g, facts, {"sources": {"a"}})
+        result = solve(ReachPass(), g, facts, {"sources": {A}})
         assert result.stats.mode == "full"
-        assert facts == {"a": True, "b": True, "c": True}
+        assert facts == {A: True, B: True, C: True}
 
     def test_unreachable_stays_bottom(self):
-        g = chain("a", "b")
-        g.add_node("island")
+        g = chain(A, B, isolated=[ISLAND])
         facts = {}
-        solve(ReachPass(), g, facts, {"sources": {"a"}})
-        assert facts["island"] is False
+        solve(ReachPass(), g, facts, {"sources": {A}})
+        assert facts[ISLAND] is False
 
     def test_cycle_terminates(self):
-        g = chain("a", "b", "c")
-        g.add_edge("c", "a")
+        g = chain(A, B, C, D, A)
         facts = {}
-        solve(ReachPass(), g, facts, {"sources": {"a"}})
-        assert all(facts[n] for n in ("a", "b", "c"))
+        solve(ReachPass(), g, facts, {"sources": {A}})
+        assert all(facts[n] for n in (A, B, C, D))
 
     def test_full_solve_clears_stale_facts(self):
-        g = chain("a", "b")
-        facts = {"ghost": True}
-        solve(ReachPass(), g, facts, {"sources": {"a"}})
-        assert "ghost" not in facts
+        g = chain(A, B)
+        facts = {"dv:ghost": True}
+        solve(ReachPass(), g, facts, {"sources": {A}})
+        assert "dv:ghost" not in facts
 
 
 class TestIncrementalSolve:
     def test_increase_propagates_downstream(self):
-        g = chain("a", "b", "c", "d")
+        g = chain(A, B, C, D)
         model = {"sources": set()}
         facts = {}
         solve(ReachPass(), g, facts, model)
-        model["sources"] = {"a"}
-        result = solve(ReachPass(), g, facts, model, seeds={"a"})
+        model["sources"] = {A}
+        result = solve(ReachPass(), g, facts, model, seeds={A})
         assert result.stats.mode == "incremental"
-        assert facts == {"a": True, "b": True, "c": True, "d": True}
-        assert result.changed == {"a", "b", "c", "d"}
+        assert facts == {A: True, B: True, C: True, D: True}
+        assert result.changed == {A, B, C, D}
 
     def test_untouched_region_not_visited(self):
-        g = chain("a", "b")
-        g.add_edge("x", "y")
-        model = {"sources": {"a", "x"}}
+        g = view((A, B), (X, Y))
+        model = {"sources": {A, X}}
         facts = {}
         solve(ReachPass(), g, facts, model)
-        result = solve(ReachPass(), g, facts, model, seeds={"a"})
+        result = solve(ReachPass(), g, facts, model, seeds={A})
         # The x->y component is quiescent: nothing there is revisited.
         assert result.stats.visited <= 2
 
     def test_decrease_resets_forward_cone(self):
-        g = chain("a", "b", "c")
-        model = {"sources": {"a"}}
+        g = chain(A, B, C)
+        model = {"sources": {A}}
         facts = {}
         solve(ReachPass(), g, facts, model)
         model["sources"] = set()
-        result = solve(ReachPass(), g, facts, model, seeds={"a"})
-        assert facts == {"a": False, "b": False, "c": False}
+        result = solve(ReachPass(), g, facts, model, seeds={A})
+        assert facts == {A: False, B: False, C: False}
         assert result.stats.reset_cone > 0
 
     def test_decrease_on_cycle_kills_self_support(self):
         # b and c sustain each other's reachability on a cycle; after
         # the source unplugs, a naive re-propagation would keep both
         # True forever.  The cone reset must drain them.
-        g = Digraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_edge("c", "b")
-        model = {"sources": {"a"}}
+        g = view((A, B), (B, C), (C, B))
+        model = {"sources": {A}}
         facts = {}
         solve(ReachPass(), g, facts, model)
-        assert facts["b"] and facts["c"]
+        assert facts[B] and facts[C]
         model["sources"] = set()
-        solve(ReachPass(), g, facts, model, seeds={"a"})
-        assert facts == {"a": False, "b": False, "c": False}
+        solve(ReachPass(), g, facts, model, seeds={A})
+        assert facts == {A: False, B: False, C: False}
 
     def test_seeds_outside_graph_ignored(self):
-        g = chain("a", "b")
+        g = chain(A, B)
         facts = {}
-        model = {"sources": {"a"}}
+        model = {"sources": {A}}
         solve(ReachPass(), g, facts, model)
-        result = solve(ReachPass(), g, facts, model, seeds={"gone"})
+        result = solve(ReachPass(), g, facts, model, seeds={"dv:gone"})
         assert result.stats.seeds == 0
         assert result.changed == set()
 
     def test_report_covers_influence_radius(self):
-        g = chain("a", "b", "c", "d")
+        g = chain(A, B, C, D)
         model = {"sources": set()}
         facts = {}
         solve(ReachPass(), g, facts, model)
-        model["sources"] = {"a"}
+        model["sources"] = {A}
         pass_ = ReachPass()
-        result = solve(pass_, g, facts, model, seeds={"a"})
+        result = solve(pass_, g, facts, model, seeds={A})
         # Default report_hops=1: one hop past the last change.
         assert result.report >= result.changed
 
@@ -170,7 +188,7 @@ class TestIncrementalSolve:
         class TwoHopReach(ReachPass):
             report_hops = 2
 
-        g = chain("a", "b", "c", "d")
+        g = chain(A, B, C, D)
         model = {"sources": set()}
         facts = {}
         # b..d already settled; only a's fact will change.
@@ -178,29 +196,28 @@ class TestIncrementalSolve:
 
         class Frozen(TwoHopReach):
             def transfer(self, node, graph, facts, model):
-                if node == "a":
+                if node == A:
                     return True
                 return facts.get(node) or False
 
-        result = solve(Frozen(), g, facts, model, seeds={"a"})
-        assert result.changed == {"a"}
+        result = solve(Frozen(), g, facts, model, seeds={A})
+        assert result.changed == {A}
         # Two influence hops forward of the change: b and c.
-        assert {"b", "c"} <= result.report
-        assert "d" not in result.report
+        assert {B, C} <= result.report
+        assert D not in result.report
 
     def test_on_fact_change_extras_reach_report(self):
         class Hooked(ReachPass):
             def on_fact_change(self, node, old, new, model):
-                return {"far-away"}
+                return {FAR_AWAY}
 
-        g = chain("a", "b")
-        g.add_node("far-away")
+        g = chain(A, B, isolated=[FAR_AWAY])
         model = {"sources": set()}
         facts = {}
         solve(Hooked(), g, facts, model)
-        model["sources"] = {"a"}
-        result = solve(Hooked(), g, facts, model, seeds={"a"})
-        assert "far-away" in result.report
+        model["sources"] = {A}
+        result = solve(Hooked(), g, facts, model, seeds={A})
+        assert FAR_AWAY in result.report
 
 
 class TestLocalDirection:
@@ -212,13 +229,13 @@ class TestLocalDirection:
             def transfer(self, node, graph, facts, model):
                 return model["labels"].get(node, "")
 
-        g = chain("a", "b")
-        model = {"labels": {"a": "x", "b": "y"}}
+        g = chain(A, B)
+        model = {"labels": {A: "x", B: "y"}}
         facts = {}
         solve(Label(), g, facts, model)
-        model["labels"] = {"a": "", "b": "y"}
-        result = solve(Label(), g, facts, model, seeds={"a"})
+        model["labels"] = {A: "", B: "y"}
+        result = solve(Label(), g, facts, model, seeds={A})
         # Shrink on a local pass must not trigger a cone walk.
         assert result.stats.reset_cone == 0
-        assert facts["a"] == ""
-        assert facts["b"] == "y"
+        assert facts[A] == ""
+        assert facts[B] == "y"

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.analysis.dataflow import ds_node, dv_node
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.catalog.memory import MemoryCatalog
 from repro.core.derivation import DatasetArg, Derivation
@@ -21,6 +23,9 @@ from repro.core.invocation import Invocation
 from repro.core.naming import VDPRef
 from repro.core.recipe import stamp_recipe
 from repro.core.replica import Replica
+from repro.provenance.graph import DATASET, DerivationGraph
+from tests.catalog.test_catalog_properties import open_catalog
+from tests.provenance.test_graphcache import edges
 
 #: Small closed universes keep collisions (the interesting case) likely.
 DATASETS = [f"d{i}" for i in range(6)]
@@ -52,33 +57,63 @@ run_op = st.tuples(st.just("run"), st.sampled_from(DERIVATIONS))
 bump_op = st.tuples(st.just("bump"), st.sampled_from(["step", "twostep"]))
 query_op = st.tuples(st.just("query"))
 
-operations = st.lists(
-    st.one_of(
-        define_op,
-        remove_op,
-        replicate_op,
-        drop_replica_op,
-        run_op,
-        bump_op,
-        query_op,
+plain_op = st.one_of(
+    define_op,
+    remove_op,
+    replicate_op,
+    drop_replica_op,
+    run_op,
+    bump_op,
+    query_op,
+)
+#: The catalog's grouped write paths: a committed batch, a transaction
+#: that raises (every applied write is rolled back), and a snapshot
+#: import (raw batched writes announced afterwards).
+grouped_op = st.one_of(
+    st.tuples(st.sampled_from(["bulk", "abort"]), st.lists(plain_op, max_size=4)),
+    st.tuples(
+        st.just("import"),
+        st.lists(st.one_of(define_op, replicate_op, run_op), max_size=4),
     ),
-    min_size=1,
-    max_size=12,
+)
+operations = st.lists(
+    st.one_of(plain_op, grouped_op), min_size=1, max_size=12
 )
 
 
 class Driver:
     """Applies one mutation op to a catalog, tolerating no-ops."""
 
-    def __init__(self, catalog: MemoryCatalog) -> None:
+    def __init__(self, catalog, query=lambda: None, ids: str = "") -> None:
         self.catalog = catalog
+        self.query = query
+        #: Prefix keeping an import source's ids apart from the target's.
+        self.ids = ids
         self.counter = 0
-        self.replicas: dict[str, list[str]] = {}
 
     def apply(self, op: tuple) -> None:
         self.counter += 1
         kind = op[0]
-        if kind == "define":
+        if kind == "query":
+            self.query()  # force an incremental solve mid-run
+        elif kind == "bulk":
+            with self.catalog.bulk():
+                for inner in op[1]:
+                    self.apply(inner)
+        elif kind == "abort":
+            with pytest.raises(ZeroDivisionError):
+                with self.catalog.transaction():
+                    for inner in op[1]:
+                        self.apply(inner)
+                    raise ZeroDivisionError
+        elif kind == "import":
+            source = MemoryCatalog()
+            source.define(BASE_VDL)
+            loader = Driver(source, ids=f"s{self.counter}-")
+            for inner in op[1]:
+                loader.apply(inner)
+            self.catalog.import_snapshot(source.export_snapshot())
+        elif kind == "define":
             _, name, out, inp, target = op
             if out == inp:
                 return  # would be a self-loop; the generator skips it
@@ -102,15 +137,14 @@ class Driver:
             replica = Replica(
                 dataset_name=lfn,
                 location="site-a",
-                replica_id=f"r{self.counter}",
+                replica_id=f"{self.ids}r{self.counter}",
             )
             self.catalog.add_replica(replica)
-            self.replicas.setdefault(lfn, []).append(replica.replica_id)
         elif kind == "drop-replica":
             _, lfn = op
-            ids = self.replicas.get(lfn)
-            if ids:
-                self.catalog.remove_replica(ids.pop())
+            replicas = self.catalog.replicas_of(lfn)
+            if replicas:
+                self.catalog.remove_replica(replicas[-1].replica_id)
         elif kind == "run":
             _, name = op
             if not self.catalog.has_derivation(name):
@@ -121,7 +155,7 @@ class Driver:
             )
             invocation = Invocation(
                 derivation_name=name,
-                invocation_id=f"inv-{self.counter:04d}",
+                invocation_id=f"{self.ids}inv-{self.counter:04d}",
                 start_time=float(self.counter),
             )
             stamp_recipe(invocation, dv, tr)
@@ -145,32 +179,50 @@ def rendered(diagnostics) -> str:
     return json.dumps([d.as_dict() for d in diagnostics], sort_keys=True)
 
 
+def node_id(node) -> str:
+    return (ds_node if node.kind == DATASET else dv_node)(node.name)
+
+
+def assert_view_is_cold_graph(analyzer, catalog) -> None:
+    """The analyzer's graph is the stored derivations, in its own ids."""
+    view = analyzer.model.graph
+    cold = DerivationGraph.from_catalog(catalog)
+    assert sorted(view.nodes) == sorted(map(node_id, cold.nodes()))
+    assert {(n, s) for n in view.nodes for s in view.succ(n)} == {
+        (node_id(n), node_id(s)) for n, s in edges(cold)
+    }
+    assert {(p, n) for n in view.nodes for p in view.pred(n)} == {
+        (node_id(n), node_id(s)) for n, s in edges(cold)
+    }
+
+
 @settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(ops=operations)
-def test_incremental_equals_cold_full_analysis(ops):
-    catalog = MemoryCatalog()
-    catalog.define(BASE_VDL)
-    live = IncrementalAnalyzer(catalog)
-    try:
-        driver = Driver(catalog)
-        for op in ops:
-            if op[0] == "query":
-                live.diagnostics()  # force an incremental solve mid-run
-            else:
-                driver.apply(op)
-        incremental = rendered(live.diagnostics())
-        cold = IncrementalAnalyzer(catalog)
+@given(
+    ops=operations,
+    backend=st.sampled_from(("memory", "sqlite", "filetree")),
+)
+def test_incremental_equals_cold_full_analysis(ops, backend):
+    with open_catalog(backend) as catalog:
+        catalog.define(BASE_VDL)
+        live = IncrementalAnalyzer(catalog)
         try:
-            full = rendered(cold.diagnostics())
+            driver = Driver(catalog, query=live.diagnostics)
+            for op in ops:
+                driver.apply(op)
+            incremental = rendered(live.diagnostics())
+            assert_view_is_cold_graph(live, catalog)
+            cold = IncrementalAnalyzer(catalog)
+            try:
+                full = rendered(cold.diagnostics())
+            finally:
+                cold.close()
+            assert incremental == full
         finally:
-            cold.close()
-        assert incremental == full
-    finally:
-        live.close()
+            live.close()
 
 
 @settings(
@@ -187,8 +239,7 @@ def test_incremental_lint_context_tracks_mutations(ops):
     try:
         driver = Driver(catalog)
         for op in ops:
-            if op[0] != "query":
-                driver.apply(op)
+            driver.apply(op)
         context = live.lint_context()
         assert sorted(d.name for d in context.dvs) == sorted(
             catalog.derivation_names()

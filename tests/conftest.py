@@ -64,17 +64,17 @@ def any_catalog(request, tmp_path):
 
 @pytest.fixture
 def derivation_scans(monkeypatch):
-    """Count whole-store derivation scans: call with a catalog, read
-    the returned list's length afterwards."""
+    """Count whole-store scans of one kind (derivations by default):
+    call with a catalog, read the returned list's length afterwards."""
 
-    def watch(catalog):
+    def watch(catalog, kind="derivation"):
         scans = []
         scan = catalog._store_scan
 
-        def counting(kind):
-            if kind == "derivation":
-                scans.append(kind)
-            return scan(kind)
+        def counting(scanned):
+            if scanned == kind:
+                scans.append(scanned)
+            return scan(scanned)
 
         monkeypatch.setattr(catalog, "_store_scan", counting)
         return scans

@@ -4,7 +4,6 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.errors import ExecutionError
-from repro.executor.events import EventLog
 from repro.executor.grid_executor import GridExecutor
 from repro.grid.gram import GridExecutionService
 from repro.grid.network import uniform_topology
@@ -103,22 +102,3 @@ class TestMaterialize:
             MaterializationRequest(targets=("sim1",), reuse="never")
         )
         assert catalog.invocations_of("s1") == []
-
-
-class TestEventLog:
-    def test_collects_and_filters(self):
-        log = EventLog()
-        log.emit(1.0, "submit", "j1", site="a")
-        log.emit(2.0, "done", "j1")
-        log.emit(3.0, "submit", "j2")
-        assert len(log) == 3
-        assert log.subjects("submit") == ["j1", "j2"]
-        assert log.events("done")[0].time == 2.0
-        assert log.events()[0].detail == {"site": "a"}
-
-    def test_listeners(self):
-        log = EventLog()
-        seen = []
-        log.listen(seen.append)
-        event = log.emit(1.0, "x", "s")
-        assert seen == [event]
