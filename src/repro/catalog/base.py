@@ -82,7 +82,21 @@ def _transformation_from_payload(payload: dict) -> Transformation:
     tr = xml_io.transformation_from_xml(ET.fromstring(payload["xml"]))
     for key, value in payload.get("attributes", {}).items():
         tr.attributes.set(key, value)
+    tr.to_dict()  # serialize once; every copy inherits the XML
     return tr
+
+
+#: How a stored payload of each kind decodes.  Every decoder rebuilds
+#: the containers it fills (attribute values, actuals, environment,
+#: bindings) and freezes the rest, so the object shares nothing
+#: mutable with the document it came from.
+_DECODERS: dict[str, Callable[[dict], Any]] = {
+    "dataset": Dataset.from_dict,
+    "replica": Replica.from_dict,
+    "transformation": _transformation_from_payload,
+    "derivation": Derivation.from_dict,
+    "invocation": Invocation.from_dict,
+}
 
 
 class VirtualDataCatalog:
@@ -259,21 +273,68 @@ class VirtualDataCatalog:
         self._cache.invalidate(kind, key)
 
     def _cached_payload(self, kind: str, key: str) -> Optional[dict]:
-        """``_store_get`` through the decoded-payload LRU.
+        """The stored payload, through the payload LRU.
 
-        The cached document is shared — callers that hand data out must
-        deep-copy (see the get_* accessors) so backend isolation
-        guarantees survive the cache.
+        The document is shared and may be backend-owned (a miss peeks:
+        stored documents are replaced, never edited in place) — read
+        only.  What leaves the catalog is an object decoded from it
+        (:meth:`_decoded`) or a ``json_copy``.
         """
         payload = self._cache.get(kind, key)
         if payload is not None:
             self._obs_cache_op(hit=True)
             return payload
         self._obs_cache_op(hit=False)
-        payload = self._store_get(kind, key)
+        payload = self._store_peek(kind, key)
         if payload is not None:
             self._cache.put(kind, key, payload)
         return payload
+
+    @_synchronized
+    def _decoded(self, kind: str, key: str) -> Any:
+        """The object decoded from the stored payload — shared, read-only.
+
+        Kept in the payload cache's entry (from the second decode of a
+        cached payload on, see :class:`PayloadCache`), so the put /
+        invalidate / evict / clear that keeps the payload honest drops
+        the decoded form with it.  The public accessors hand out its
+        ``copy()``; readers that only inspect use it as is, and must
+        neither mutate it nor keep it across a mutation.
+
+        A derivation's decoded form is the one the derivation graph
+        keeps (``derivation_graph().derivation(name)``), filled by
+        :meth:`_decode_derivation` and dropped whenever the derivation
+        is written, re-linked or unlinked: one object per stored
+        derivation, whoever asks.
+        """
+        payload = self._cached_payload(kind, key)
+        if payload is None:
+            raise NotFoundError(f"{kind} {key!r} not found")
+        if kind == "derivation":
+            try:
+                return self._indexes.graph.derivation(key)
+            except KeyError:
+                # Stored but not linked yet (its put event is still to
+                # fire): decode for this caller only.
+                return Derivation.from_dict(payload)
+        obj = self._cache.decoded(kind, key)
+        if obj is None:
+            obj = _DECODERS[kind](payload)
+            self._cache.set_decoded(kind, key, obj)
+        return obj
+
+    @_synchronized
+    def _decode_derivation(self, name: str) -> Derivation:
+        """Fill for the derivation graph's decoded forms (its loader).
+
+        A raw peek: unlike :meth:`_cached_payload` a miss does not
+        populate the LRU, so planner walks over 10^5+ derivations do
+        not evict the working set.  The graph keeps what this returns.
+        """
+        payload = self._peek_payload("derivation", name)
+        if payload is None:
+            raise NotFoundError(f"derivation {name!r} not found")
+        return Derivation.from_dict(payload)
 
     def _peek_payload(self, kind: str, key: str) -> Optional[dict]:
         """Read-only payload view: cache if present, else a raw peek.
@@ -523,6 +584,11 @@ class VirtualDataCatalog:
         # write then skip the backend read entirely.
         self._cache.put(kind, key, json_copy(payload))
         self._cache_fresh = (kind, key)
+        if kind == "derivation":
+            # The graph re-links on the put event, which add_derivation
+            # fires only after declaring datasets; whoever reads in
+            # between gets the form decoded from the new payload.
+            self._indexes.graph.forget(key)
 
     def _apply_delete(self, kind: str, key: str) -> None:
         """Journal-then-apply a delete (the mutation choke point)."""
@@ -588,11 +654,9 @@ class VirtualDataCatalog:
     @_synchronized
     def get_dataset(self, name: str) -> Dataset:
         t0 = self._obs_t0()
-        payload = self._cached_payload("dataset", name)
-        if payload is None:
-            raise NotFoundError(f"dataset {name!r} not found")
+        ds = self._decoded("dataset", name).copy()
         self._obs_op("lookup", "dataset", t0)
-        return Dataset.from_dict(json_copy(payload))
+        return ds
 
     @_synchronized
     def has_dataset(self, name: str) -> bool:
@@ -631,10 +695,7 @@ class VirtualDataCatalog:
 
     @_synchronized
     def get_replica(self, replica_id: str) -> Replica:
-        payload = self._cached_payload("replica", replica_id)
-        if payload is None:
-            raise NotFoundError(f"replica {replica_id!r} not found")
-        return Replica.from_dict(json_copy(payload))
+        return self._decoded("replica", replica_id).copy()
 
     @_synchronized
     def remove_replica(self, replica_id: str) -> None:
@@ -643,11 +704,15 @@ class VirtualDataCatalog:
         self._apply_delete("replica", replica_id)
         self._notify("delete", "replica", replica_id)
 
-    @_synchronized
     def replicas_of(self, dataset_name: str) -> list[Replica]:
         """All registered physical copies of ``dataset_name``."""
+        return [r.copy() for r in self._decoded_replicas_of(dataset_name)]
+
+    @_synchronized
+    def _decoded_replicas_of(self, dataset_name: str) -> list[Replica]:
+        """:meth:`replicas_of` in shared decoded form — read-only."""
         ids = sorted(self._indexes.replicas_of.get(dataset_name, ()))
-        return [self.get_replica(rid) for rid in ids]
+        return [self._decoded("replica", rid) for rid in ids]
 
     @_synchronized
     def replica_ids(self) -> list[str]:
@@ -698,17 +763,12 @@ class VirtualDataCatalog:
             if version not in known:
                 # versions registry may normalize (1.0 == 1); fall back.
                 version = sorted(known)[-1]
-        key = f"{name}@{version}"
-        payload = self._cached_payload("transformation", key)
-        if payload is None:
+        try:
+            tr = self._decoded("transformation", f"{name}@{version}")
+        except NotFoundError:
             raise NotFoundError(
                 f"transformation {name!r} version {version} not found"
-            )
-        tr = self._cache.decoded("transformation", key)
-        if tr is None:
-            tr = _transformation_from_payload(payload)
-            tr.to_dict()  # serialize once; every copy inherits the XML
-            self._cache.set_decoded("transformation", key, tr)
+            ) from None
         self._obs_op("lookup", "transformation", t0)
         return tr
 
@@ -775,11 +835,13 @@ class VirtualDataCatalog:
                 if arg.is_output:
                     ds.producer = dv.name
                 self.add_dataset(ds)
-            elif arg.is_output:
+            elif (
+                arg.is_output
+                and self._decoded("dataset", arg.dataset).producer != dv.name
+            ):
                 ds = self.get_dataset(arg.dataset)
-                if ds.producer != dv.name:
-                    ds.producer = dv.name
-                    self.add_dataset(ds, replace=True)
+                ds.producer = dv.name
+                self.add_dataset(ds, replace=True)
 
     def _formal_types_for(self, dv: Derivation) -> dict[str, DatasetType]:
         """Best-effort formal types for a derivation's dataset args."""
@@ -799,27 +861,9 @@ class VirtualDataCatalog:
     @_synchronized
     def get_derivation(self, name: str) -> Derivation:
         t0 = self._obs_t0()
-        payload = self._cached_payload("derivation", name)
-        if payload is None:
-            raise NotFoundError(f"derivation {name!r} not found")
+        dv = self._decoded("derivation", name).copy()
         self._obs_op("lookup", "derivation", t0)
-        return Derivation.from_dict(json_copy(payload))
-
-    @_synchronized
-    def _decode_derivation(self, name: str) -> Derivation:
-        """Decode a derivation from the raw stored payload (no copy).
-
-        ``Derivation.from_dict`` rebuilds every mutable substructure
-        (actuals, environment, attributes), so the decoded object
-        shares nothing with the store and the isolation copy of
-        :meth:`get_derivation` is pure overhead.  This is the loader
-        the cached :class:`~repro.provenance.graph.DerivationGraph`
-        uses — at 10^5+ derivations the copy would dominate planning.
-        """
-        payload = self._peek_payload("derivation", name)
-        if payload is None:
-            raise NotFoundError(f"derivation {name!r} not found")
-        return Derivation.from_dict(payload)
+        return dv
 
     @_synchronized
     def has_derivation(self, name: str) -> bool:
@@ -860,7 +904,7 @@ class VirtualDataCatalog:
                 continue
             if not self._store_has("dataset", arg.dataset):
                 continue
-            ds = self.get_dataset(arg.dataset)
+            ds = self._decoded("dataset", arg.dataset)
             if not formal.dataset_types.accepts(ds.dataset_type, self.types):
                 raise TypeConformanceError(
                     f"derivation {dv.name!r}: dataset {arg.dataset!r} of type "
@@ -885,10 +929,7 @@ class VirtualDataCatalog:
 
     @_synchronized
     def get_invocation(self, invocation_id: str) -> Invocation:
-        payload = self._cached_payload("invocation", invocation_id)
-        if payload is None:
-            raise NotFoundError(f"invocation {invocation_id!r} not found")
-        return Invocation.from_dict(json_copy(payload))
+        return self._decoded("invocation", invocation_id).copy()
 
     @_synchronized
     def invocations_of(self, derivation_name: str) -> list[Invocation]:
@@ -971,9 +1012,10 @@ class VirtualDataCatalog:
         """
         t0 = self._obs_t0()
         out = []
-        for ds in self.datasets():
-            if name_glob and not fnmatch.fnmatch(ds.name, name_glob):
+        for name in self.dataset_names():
+            if name_glob and not fnmatch.fnmatchcase(name, name_glob):
                 continue
+            ds = self._decoded("dataset", name)
             if conforms_to is not None and not self.types.conforms(
                 ds.dataset_type, conforms_to
             ):
@@ -982,7 +1024,7 @@ class VirtualDataCatalog:
                 continue
             if virtual is not None and ds.is_virtual != virtual:
                 continue
-            out.append(ds)
+            out.append(ds.copy())
         self._obs_op("query", "dataset", t0)
         return out
 
@@ -1003,9 +1045,11 @@ class VirtualDataCatalog:
         """
         t0 = self._obs_t0()
         out = []
-        for tr in self.transformations():
-            if name_glob and not fnmatch.fnmatch(tr.name, name_glob):
+        for key in sorted(self._store_keys("transformation")):
+            name, _, version = key.rpartition("@")
+            if name_glob and not fnmatch.fnmatchcase(name, name_glob):
                 continue
+            tr = self._decoded_transformation(name, version)
             if attributes and not tr.attributes.matches(attributes):
                 continue
             if produces is not None and not any(
@@ -1018,7 +1062,7 @@ class VirtualDataCatalog:
                 for f in tr.signature.inputs()
             ):
                 continue
-            out.append(tr)
+            out.append(tr.copy())
         self._obs_op("query", "transformation", t0)
         return out
 
@@ -1033,24 +1077,27 @@ class VirtualDataCatalog:
         """Search derivations by callee and by dataset names touched."""
         t0 = self._obs_t0()
         if produces is not None:
-            candidates = self.producers_of(produces)
+            names = sorted(self._indexes.graph.producer_names(produces))
         elif consumes is not None:
-            candidates = self.consumers_of(consumes)
+            names = sorted(self._indexes.graph.consumer_names(consumes))
         elif transformation is not None:
-            candidates = self.derivations_of_transformation(transformation)
+            names = sorted(
+                self._indexes.by_transformation.get(transformation, ())
+            )
         else:
-            candidates = list(self.derivations())
+            names = self.derivation_names()
         out = []
-        for dv in candidates:
-            if transformation and dv.transformation.name != transformation:
+        for name in names:
+            if name_glob and not fnmatch.fnmatchcase(name, name_glob):
                 continue
-            if name_glob and not fnmatch.fnmatch(dv.name, name_glob):
+            dv = self._decoded("derivation", name)
+            if transformation and dv.transformation.name != transformation:
                 continue
             if produces and not dv.produces(produces):
                 continue
             if consumes and not dv.consumes(consumes):
                 continue
-            out.append(dv)
+            out.append(dv.copy())
         self._obs_op("query", "derivation", t0)
         return out
 

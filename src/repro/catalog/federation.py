@@ -236,7 +236,7 @@ class FederatedIndex:
         for (entry_kind, _, _), entry in sorted(self._entries.items()):
             if entry_kind != kind:
                 continue
-            if name_glob and not fnmatch.fnmatch(entry.name, name_glob):
+            if name_glob and not fnmatch.fnmatchcase(entry.name, name_glob):
                 continue
             if conforms_to is not None:
                 if entry.dataset_type is None:

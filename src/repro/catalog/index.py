@@ -41,18 +41,25 @@ DEFAULT_CACHE_CAPACITY = 8192
 class PayloadCache:
     """A bounded LRU of decoded ``(kind, key) -> payload`` documents.
 
-    The cache owns its payloads: callers must copy before mutating
-    (the catalog deep-copies on the way out, preserving each backend's
-    isolation contract).  ``hits``/``misses`` are plain counters read
-    by the benchmarks and mirrored into the metrics registry by the
-    catalog.
+    The cached documents are shared and read-only (what the catalog
+    hands out is a copy of the object decoded from one, preserving
+    each backend's isolation contract).  ``hits``/``misses`` are plain
+    counters read by the benchmarks and mirrored into the metrics
+    registry by the catalog.
 
     An entry may also carry the object *decoded* from its payload
     (:meth:`decoded` / :meth:`set_decoded`).  The decoded form lives
     and dies with the payload it came from: a new ``put``, an
     ``invalidate``, an eviction or ``clear`` drops it, so whatever
     already keeps the payload honest keeps the decoded form honest.
+    It is kept from the second time a payload is decoded: a scan that
+    reads every object once (fsck, a VDL ``define`` checking its
+    datasets) then pins nothing, and a payload read again is decoded
+    one more time and never after.
     """
+
+    #: Slot value of a payload decoded once, whose object was not kept.
+    _DECODED_ONCE = object()
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
         if capacity < 1:
@@ -86,12 +93,17 @@ class PayloadCache:
 
     def decoded(self, kind: str, key: str) -> Optional[Any]:
         """The object decoded from the cached payload, if one is kept."""
-        return self._decoded.get((kind, key))
+        obj = self._decoded.get((kind, key))
+        return None if obj is self._DECODED_ONCE else obj
 
     def set_decoded(self, kind: str, key: str, obj: Any) -> None:
-        """Keep ``obj`` for as long as the cached payload stays put."""
-        if (kind, key) in self._entries:
-            self._decoded[(kind, key)] = obj
+        """Note that the cached payload was decoded to ``obj``; from
+        the second time on, keep it while the payload stays put."""
+        slot = (kind, key)
+        if slot in self._entries:
+            self._decoded[slot] = (
+                obj if slot in self._decoded else self._DECODED_ONCE
+            )
 
     def invalidate(self, kind: str, key: str) -> None:
         self._entries.pop((kind, key), None)
@@ -106,6 +118,10 @@ class PayloadCache:
             "hits": self.hits,
             "misses": self.misses,
             "size": len(self._entries),
+            "decoded": sum(
+                obj is not self._DECODED_ONCE
+                for obj in self._decoded.values()
+            ),
             "capacity": self.capacity,
         }
 

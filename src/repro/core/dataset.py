@@ -47,6 +47,24 @@ class Dataset:
         """True when no physical representation has been described yet."""
         return isinstance(self.descriptor, VirtualDescriptor)
 
+    def copy(self) -> "Dataset":
+        """An independent copy: mutating it leaves ``self`` untouched.
+
+        Skips the constructor's validation (``self`` already passed it)
+        and shares the frozen type and descriptor, so a catalog can
+        decode a stored dataset once and hand each reader its own
+        object for a fraction of the decode.  Field by field rather
+        than through ``__dict__``: reading that would pin a dict on
+        every shared original for the garbage collector to walk.
+        """
+        clone = object.__new__(type(self))
+        clone.name = self.name
+        clone.dataset_type = self.dataset_type
+        clone.descriptor = self.descriptor
+        clone.attributes = self.attributes.copy()
+        clone.producer = self.producer
+        return clone
+
     def materialized(self, descriptor: Descriptor) -> "Dataset":
         """Return a copy of this dataset with a concrete descriptor."""
         return Dataset(

@@ -107,6 +107,18 @@ class Derivation:
                     f"got {type(value).__name__}"
                 )
 
+    def copy(self) -> "Derivation":
+        """An independent, unvalidated copy sharing the frozen callee
+        reference and dataset arguments (see
+        :meth:`repro.core.dataset.Dataset.copy`)."""
+        clone = object.__new__(type(self))
+        clone.name = self.name
+        clone.transformation = self.transformation
+        clone.actuals = dict(self.actuals)
+        clone.environment = dict(self.environment)
+        clone.attributes = self.attributes.copy()
+        return clone
+
     # -- provenance edges ---------------------------------------------
 
     def dataset_args(self) -> Iterator[tuple[str, DatasetArg]]:

@@ -125,6 +125,22 @@ class Invocation:
             self.attributes = AttributeSet(self.attributes)
         observe_invocation_id(self.invocation_id)
 
+    def copy(self) -> "Invocation":
+        """An independent, unvalidated copy sharing the frozen context
+        and usage (see :meth:`repro.core.dataset.Dataset.copy`)."""
+        clone = object.__new__(type(self))
+        clone.derivation_name = self.derivation_name
+        clone.invocation_id = self.invocation_id
+        clone.status = self.status
+        clone.start_time = self.start_time
+        clone.context = self.context
+        clone.usage = self.usage
+        clone.replica_bindings = dict(self.replica_bindings)
+        clone.exit_code = self.exit_code
+        clone.error = self.error
+        clone.attributes = self.attributes.copy()
+        return clone
+
     @property
     def succeeded(self) -> bool:
         return self.status == "success"

@@ -70,6 +70,19 @@ class Replica:
             self.attributes = AttributeSet(self.attributes)
         observe_replica_id(self.replica_id)
 
+    def copy(self) -> "Replica":
+        """An independent, unvalidated copy sharing the frozen
+        descriptor (see :meth:`repro.core.dataset.Dataset.copy`)."""
+        clone = object.__new__(type(self))
+        clone.dataset_name = self.dataset_name
+        clone.location = self.location
+        clone.descriptor = self.descriptor
+        clone.replica_id = self.replica_id
+        clone.size = self.size
+        clone.digest = self.digest
+        clone.attributes = self.attributes.copy()
+        return clone
+
     def size_estimate(self, default: int = 0) -> int:
         """Size in bytes for transfer planning, falling back to ``default``."""
         if self.size is not None:

@@ -85,7 +85,7 @@ def commit_invocation(
             if isinstance(replica.descriptor, FileDescriptor):
                 name = replica.dataset_name
                 if catalog.has_dataset(name):
-                    ds = catalog.get_dataset(name)
+                    ds = catalog._decoded("dataset", name)  # only read
                 else:
                     ds = Dataset(name=name)
                 catalog.add_dataset(
@@ -170,7 +170,7 @@ class LocalExecutor:
             return False
         matching = [
             replica
-            for replica in self.catalog.replicas_of(dataset_name)
+            for replica in self.catalog._decoded_replicas_of(dataset_name)
             if isinstance(replica.descriptor, FileDescriptor)
             and replica.descriptor.path == str(path)
         ]

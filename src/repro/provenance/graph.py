@@ -144,6 +144,15 @@ class DerivationGraph:
             self._producers[dataset].discard(name)
             self._drop_if_isolated(dataset)
 
+    def forget(self, name: str) -> None:
+        """Drop a lazy node's decoded object; its edges stay.
+
+        The next :meth:`derivation` asks the loader again — for when
+        what the loader reads has changed but the node is not
+        re-added yet.
+        """
+        self._decoded.pop(name, None)
+
     def _drop_if_isolated(self, dataset: str) -> None:
         if not self._producers[dataset] and not self._consumers[dataset]:
             del self._producers[dataset]

@@ -196,11 +196,22 @@ def cross_catalog_lineage(
 
 
 def _version_lookup(catalog: VirtualDataCatalog):
+    """``version_of(dv)`` for one report: each transformation is looked
+    up once, and only its version string is read — off the catalog's
+    shared decoded form, not a copy of the whole transformation."""
+    versions: dict[str, Optional[str]] = {}
+
     def version_of(dv: Derivation) -> Optional[str]:
         name = dv.transformation.name
-        if dv.transformation.is_local and catalog.has_transformation(name):
-            return catalog.get_transformation(name).version
-        return None
+        if not dv.transformation.is_local:
+            return None
+        if name not in versions:
+            versions[name] = (
+                catalog._decoded_transformation(name).version
+                if catalog.has_transformation(name)
+                else None
+            )
+        return versions[name]
 
     return version_of
 

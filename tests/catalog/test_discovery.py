@@ -126,3 +126,36 @@ class TestFindDerivations:
             )
             == []
         )
+
+
+class TestGlobsAreCaseSensitive:
+    """Catalog keys are case-sensitive on every host; so are the globs
+    that search them (``fnmatch.fnmatch`` would fold case wherever
+    ``os.path.normcase`` does)."""
+
+    @pytest.fixture(autouse=True)
+    def case_folding_host(self, monkeypatch):
+        monkeypatch.setattr("os.path.normcase", str.lower)
+
+    def test_every_finder(self, loaded):
+        assert loaded.find_datasets(name_glob="SURVEY.*") == []
+        assert len(loaded.find_datasets(name_glob="survey.*")) == 2
+        assert loaded.find_transformations(name_glob="EVENT*") == []
+        assert len(loaded.find_transformations(name_glob="event*")) == 1
+        assert loaded.find_derivations(name_glob="S*1") == []
+        assert len(loaded.find_derivations(name_glob="s*1")) == 2
+
+    def test_mixed_case_keys_stay_distinct(self, loaded):
+        loaded.add_dataset(Dataset(name="Survey.2002"))
+        assert [d.name for d in loaded.find_datasets(name_glob="S*")] == [
+            "Survey.2002"
+        ]
+
+    def test_federated_index(self, loaded):
+        from repro.catalog.federation import FederatedIndex
+
+        loaded.authority = "host.example"
+        index = FederatedIndex("all", kinds=("dataset",))
+        index.attach(loaded)
+        assert index.find("dataset", name_glob="SURVEY.*") == []
+        assert len(index.find("dataset", name_glob="survey.*")) == 2
