@@ -20,13 +20,9 @@ mutation-event stream, surfaced through ``repro analyze`` and
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataflow import (
     DataflowPass,
-    GraphView,
+    PerKind,
     SolveResult,
     SolveStats,
-    ds_node,
-    dv_node,
-    node_kind,
-    node_name,
     solve,
 )
 from repro.analysis.diagnostics import (
@@ -55,11 +51,11 @@ __all__ = [
     "DeadDataPass",
     "Diagnostic",
     "GraphModel",
-    "GraphView",
     "IncrementalAnalyzer",
     "Linter",
     "LintResult",
     "OutputConflictPass",
+    "PerKind",
     "Rule",
     "RuleRegistry",
     "Severity",
@@ -72,12 +68,8 @@ __all__ = [
     "count_by_severity",
     "default_passes",
     "default_rules",
-    "ds_node",
-    "dv_node",
     "exit_code",
     "max_severity",
-    "node_kind",
-    "node_name",
     "parse_suppressions",
     "render_json",
     "render_text",

@@ -1,12 +1,18 @@
 """A generic worklist/fixpoint dataflow engine over derivation graphs.
 
-The derivation graph is bipartite: dataset nodes (``ds:<lfn>``) and
-derivation nodes (``dv:<name>``), with edges ``input -> derivation ->
-output``.  A :class:`DataflowPass` assigns each node a *fact* from a
-small lattice and a monotone transfer function; the engine iterates a
-worklist to the least fixpoint.  Everything is iterative — no
-recursion — so million-node graphs neither overflow the stack nor pay
-quadratic rescans.
+The derivation graph is bipartite — dataset nodes and derivation nodes,
+with edges ``input -> derivation -> output`` — and the engine reads the
+catalog's :class:`~repro.provenance.graph.DerivationGraph` as it is
+stored: nodes go by the names the graph already holds (LFNs and
+derivation names), everything kept per node is a :class:`PerKind` pair
+of containers (``datasets[lfn]``, ``derivations[name]``), and a
+transfer is handed its neighbour names as the very tuple or set the
+graph keeps.  A :class:`DataflowPass` assigns each node a *fact* from a
+small lattice and a monotone transfer function per kind; the engine
+drains a dataset worklist and a derivation worklist in turn until the
+least fixpoint.  Everything is iterative — no recursion — so
+million-node graphs neither overflow the stack nor pay quadratic
+rescans.
 
 Two solve modes:
 
@@ -17,9 +23,6 @@ Two solve modes:
   re-solves the affected cone from bottom (facts on a cycle could
   otherwise sustain each other after their support vanished), which is
   still confined to the nodes reachable from the shrink.
-
-The cone walk reuses :func:`repro.planner.dag.reachable`, the planner's
-shared topology helper.
 """
 
 from __future__ import annotations
@@ -29,106 +32,68 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
+    Callable,
     Iterable,
-    Iterator,
-    List,
+    NamedTuple,
     Optional,
-    Set,
+    Sequence,
 )
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.planner.dag import reachable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.provenance.graph import DerivationGraph
 
-#: Node-id prefixes for the two sides of the bipartite graph.
-DS_PREFIX = "ds:"
-DV_PREFIX = "dv:"
 
+class PerKind(NamedTuple):
+    """One container per node kind, keyed by the graph's own names.
 
-def ds_node(lfn: str) -> str:
-    """Graph node id for a dataset (by logical file name)."""
-    return DS_PREFIX + lfn
-
-
-def dv_node(name: str) -> str:
-    """Graph node id for a derivation."""
-    return DV_PREFIX + name
-
-
-def node_kind(node: str) -> str:
-    """``"dataset"`` or ``"derivation"`` for a graph node id."""
-    return "dataset" if node.startswith(DS_PREFIX) else "derivation"
-
-
-def node_name(node: str) -> str:
-    """The LFN or derivation name behind a graph node id."""
-    return node[3:]
-
-
-class GraphView:
-    """The catalog's derivation graph, read in ``ds:``/``dv:`` node ids.
-
-    A read-only window on the four name-keyed maps of a
-    :class:`~repro.provenance.graph.DerivationGraph` — nothing is
-    copied, so the view is as current as the graph it reads.  Node ids
-    are prefixed on the way out and stripped on the way in; fact tables
-    and report caches key on them.
+    Fact tables and report caches are pairs of dicts; seeds, dirty
+    sets, ``changed`` and ``report`` are pairs of sets.  The containers
+    are filled in place, so a pair is never rebuilt.
     """
 
-    __slots__ = ("_producers", "_consumers", "_inputs", "_outputs")
+    datasets: Any
+    derivations: Any
 
-    def __init__(self, graph: "DerivationGraph") -> None:
-        (
-            self._producers,
-            self._consumers,
-            self._inputs,
-            self._outputs,
-        ) = graph.adjacency()
 
-    def __contains__(self, node: str) -> bool:
-        names = self._producers if node.startswith(DS_PREFIX) else self._inputs
-        return node[3:] in names
+#: Where each kind sits in a :class:`PerKind`.
+DATASETS, DERIVATIONS = 0, 1
 
-    def __len__(self) -> int:
-        return len(self._producers) + len(self._inputs)
 
-    def derivation_count(self) -> int:
-        return len(self._inputs)
+def fact_tables() -> PerKind:
+    return PerKind({}, {})
 
-    @property
-    def nodes(self) -> Iterator[str]:
-        for lfn in self._producers:
-            yield DS_PREFIX + lfn
-        for name in self._inputs:
-            yield DV_PREFIX + name
 
-    def succ(self, node: str) -> List[str]:
-        """Consumers of a dataset node, outputs of a derivation node."""
-        if node.startswith(DS_PREFIX):
-            return [DV_PREFIX + n for n in self._consumers.get(node[3:], ())]
-        return [DS_PREFIX + n for n in self._outputs.get(node[3:], ())]
+def name_sets() -> PerKind:
+    return PerKind(set(), set())
 
-    def pred(self, node: str) -> List[str]:
-        """Producers of a dataset node, inputs of a derivation node."""
-        if node.startswith(DS_PREFIX):
-            return [DV_PREFIX + n for n in self._producers.get(node[3:], ())]
-        return [DS_PREFIX + n for n in self._inputs.get(node[3:], ())]
 
-    def neighbors(self, node: str) -> Set[str]:
-        """All nodes adjacent to ``node`` in either direction."""
-        return {*self.succ(node), *self.pred(node)}
+def members(graph: "DerivationGraph") -> PerKind:
+    """The graph's maps whose keys are its dataset / derivation names."""
+    producers, _, inputs, _ = graph.adjacency()
+    return PerKind(producers, inputs)
+
+
+#: ``transfer_*(name, sources, facts, model)`` and
+#: ``report_*(name, graph, facts, model)``.
+Transfer = Callable[[str, Iterable[str], PerKind, Any], Any]
+Report = Callable[[str, "DerivationGraph", PerKind, Any], Sequence[Diagnostic]]
 
 
 class DataflowPass:
-    """One analysis expressed as facts + a monotone transfer function.
+    """One analysis expressed as facts + monotone transfer functions.
 
     Subclasses set :attr:`name`, :attr:`direction` (``"forward"``:
-    facts flow producer -> consumer, transfer reads predecessor facts;
-    ``"backward"``: the reverse; ``"local"``: per-node only, nothing
-    propagates) and :attr:`codes` (the VDG codes the pass may emit).
+    facts flow producer -> consumer, a transfer's ``sources`` are the
+    node's predecessors; ``"backward"``: the reverse; ``"local"``:
+    per-node only, nothing propagates and ``sources`` is empty) and
+    :attr:`codes` (the VDG codes the pass may emit), and define the
+    methods for the node kinds they have something to say about.  A
+    kind whose method stays ``None`` costs nothing: without a transfer
+    the engine neither seeds, visits nor stores it (its fact is bottom,
+    so no fact travels through it either), without a report it is
+    never reported.
     """
 
     name: str = "pass"
@@ -139,29 +104,26 @@ class DataflowPass:
     #: facts; passes whose reports look further set it higher.
     report_hops: int = 1
 
-    def transfer(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
-    ) -> Any:
-        """The node's new fact, computed from neighbours and ``model``.
+    #: The node's new fact, computed from the facts of ``sources`` (the
+    #: neighbour names on the side the pass reads from, as the graph
+    #: stores them: do not mutate, do not rely on their order) and
+    #: ``model``.  Must be monotone in the neighbour facts and must
+    #: treat a missing one (``facts.derivations.get(n) is None``) as
+    #: bottom.
+    transfer_dataset: Optional[Transfer] = None
+    transfer_derivation: Optional[Transfer] = None
 
-        Must be monotone in the neighbour facts and must treat a
-        missing neighbour fact (``facts.get(n) is None``) as bottom.
-        """
-        raise NotImplementedError
+    #: Diagnostics anchored at the node given the solved facts.
+    report_dataset: Optional[Report] = None
+    report_derivation: Optional[Report] = None
 
-    def report(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
-    ) -> Iterable[Diagnostic]:
-        """Diagnostics anchored at ``node`` given the solved facts."""
-        return ()
+    #: ``on_fact_change(derivation, old, new, model)``: names of other
+    #: derivations whose *reports* depend on this derivation's fact.
+    #: Hook for passes whose diagnostics relate derivations that are
+    #: not graph-adjacent (e.g. two writers of the same LFN); the
+    #: engine re-reports every name returned.  Also called with
+    #: ``new=None`` when the derivation leaves the graph.
+    on_fact_change: Optional[Callable[[str, Any, Any, Any], Iterable[str]]] = None
 
     def subsumes(self, new: Any, old: Any) -> bool:
         """True when ``new`` >= ``old`` in the pass's fact lattice.
@@ -172,18 +134,6 @@ class DataflowPass:
         """
         return new == old
 
-    def on_fact_change(
-        self, node: str, old: Any, new: Any, model: Any
-    ) -> Iterable[str]:
-        """Extra node ids whose *reports* depend on this fact change.
-
-        Hook for passes whose diagnostics relate nodes that are not
-        graph-adjacent (e.g. two writers of the same LFN).  The engine
-        re-reports every id returned.  Also called with ``new=None``
-        when a node leaves the graph.
-        """
-        return ()
-
     def on_full_solve(self, model: Any) -> None:
         """Called before a full solve; reset any model-side indexes."""
         return None
@@ -191,7 +141,11 @@ class DataflowPass:
 
 @dataclass
 class SolveStats:
-    """Work accounting for one :func:`solve` call."""
+    """Work accounting for one :func:`solve` call.
+
+    ``seeds`` and ``visited`` count only the kinds the pass keeps facts
+    for.
+    """
 
     mode: str = "full"
     seeds: int = 0
@@ -205,71 +159,155 @@ class SolveResult:
     """Outcome of one :func:`solve` call."""
 
     #: Nodes whose fact differs from before the solve.
-    changed: Set[str] = field(default_factory=set)
+    changed: PerKind = field(default_factory=name_sets)
     #: Nodes whose diagnostics must be regenerated (superset of
     #: ``changed``: includes seeds and any re-solved cone).
-    report: Set[str] = field(default_factory=set)
+    report: PerKind = field(default_factory=name_sets)
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _influence(
-    pass_: DataflowPass, graph: GraphView, node: str
-) -> Iterable[str]:
-    """Nodes whose transfer reads ``node``'s fact."""
-    if pass_.direction == "forward":
-        return graph.succ(node)
-    if pass_.direction == "backward":
-        return graph.pred(node)
-    return ()
+class _Solver:
+    """What one :func:`solve` call holds fixed: the pass, its tables,
+    and the graph's own maps laid out in the pass's direction."""
+
+    def __init__(
+        self,
+        pass_: DataflowPass,
+        graph: "DerivationGraph",
+        facts: PerKind,
+        model: Any,
+        result: SolveResult,
+    ) -> None:
+        self.pass_, self.facts, self.model = pass_, facts, model
+        self.stats = result.stats
+        self.report_extra: set = result.report.derivations
+        producers, consumers, inputs, outputs = graph.adjacency()
+        self.live = upstream = PerKind(producers, inputs)
+        downstream = PerKind(consumers, outputs)
+        #: Per kind, name -> the names whose facts its transfer reads,
+        #: and name -> the names whose transfer reads its fact; None
+        #: for a local pass.
+        self.sources: Optional[PerKind] = None
+        self.influence: Optional[PerKind] = None
+        if pass_.direction == "forward":
+            self.sources, self.influence = upstream, downstream
+        elif pass_.direction == "backward":
+            self.sources, self.influence = downstream, upstream
+        self.transfers = (pass_.transfer_dataset, pass_.transfer_derivation)
+        #: ``influence`` where facts travel: they do only if both kinds
+        #: keep them — a kind without a transfer stays at bottom,
+        #: whatever its neighbours say.
+        self.feeds = None if None in self.transfers else self.influence
+
+    def seeded(self, seeds: Sequence[Iterable[str]]) -> int:
+        """How many of ``seeds`` a solve enqueues."""
+        return sum(
+            len(names)
+            for names, transfer in zip(seeds, self.transfers)
+            if transfer is not None
+        )
+
+    def iterate(
+        self,
+        seeds: Sequence[Iterable[str]],
+        changed: PerKind,
+        decreased: Optional[PerKind],
+    ) -> None:
+        """Chaotic iteration from ``seeds`` until both worklists drain.
+
+        The worklists take turns, each drained before the other runs:
+        a node only ever enqueues nodes of the other kind, so this is
+        the order one mixed FIFO seeded datasets-first would visit in.
+        """
+        facts, model, transfers = self.facts, self.model, self.transfers
+        subsumes = self.pass_.subsumes
+        work = [
+            deque(sorted(names) if transfer is not None else ())
+            for names, transfer in zip(seeds, transfers)
+        ]
+        queued = [set(todo) for todo in work]
+        visited = 0
+        while work[0] or work[1]:
+            for kind in (DATASETS, DERIVATIONS):
+                todo, transfer = work[kind], transfers[kind]
+                if transfer is None or not todo:
+                    continue
+                table, alive = facts[kind], self.live[kind]
+                reads = self.sources[kind] if self.sources is not None else None
+                feeds = self.feeds[kind] if self.feeds is not None else None
+                hook = self.pass_.on_fact_change if kind == DERIVATIONS else None
+                mine, theirs = queued[kind], queued[1 - kind]
+                moved = changed[kind]
+                shrank = decreased[kind] if decreased is not None else None
+                push = work[1 - kind].append
+                while todo:
+                    name = todo.popleft()
+                    mine.discard(name)
+                    if name not in alive:
+                        continue
+                    visited += 1
+                    old = table.get(name)
+                    new = transfer(
+                        name, reads[name] if reads is not None else (), facts, model
+                    )
+                    if new == old:
+                        continue
+                    if (
+                        shrank is not None
+                        and old is not None
+                        and not subsumes(new, old)
+                    ):
+                        shrank.add(name)
+                        if feeds is not None:
+                            # Leave the fact standing: the cone re-solve
+                            # derives it, and all it reaches, from
+                            # bottom.  Writing only growth is what lets
+                            # this loop drain on any cycle — a shrink
+                            # and a growth chasing each other round one
+                            # would never settle.
+                            continue
+                    table[name] = new
+                    moved.add(name)
+                    if hook is not None:
+                        self.report_extra.update(hook(name, old, new, model))
+                    if feeds is not None:
+                        for nxt in feeds[name]:
+                            if nxt not in theirs:
+                                theirs.add(nxt)
+                                push(nxt)
+        self.stats.visited += visited
+
+    def cone(self, starts: PerKind) -> PerKind:
+        """``starts`` plus everything their facts reach, per kind."""
+        cone = PerKind(set(starts.datasets), set(starts.derivations))
+        if self.feeds is None:
+            return cone
+        stack = [
+            (kind, name)
+            for kind in (DATASETS, DERIVATIONS)
+            for name in starts[kind]
+        ]
+        while stack:
+            kind, name = stack.pop()
+            reached = cone[1 - kind]
+            for nxt in self.feeds[kind].get(name, ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append((1 - kind, nxt))
+        return cone
 
 
-def _iterate(
-    pass_: DataflowPass,
-    graph: GraphView,
-    facts: Dict[str, Any],
-    model: Any,
-    seeds: Iterable[str],
-    stats: SolveStats,
-    changed: Set[str],
-    decreased: Optional[Set[str]],
-    report_extra: Set[str],
-) -> None:
-    """Chaotic iteration from ``seeds`` until the worklist drains."""
-    worklist = deque(sorted(seeds))
-    queued = set(worklist)
-    while worklist:
-        node = worklist.popleft()
-        queued.discard(node)
-        if node not in graph:
-            continue
-        stats.visited += 1
-        old = facts.get(node)
-        new = pass_.transfer(node, graph, facts, model)
-        if new == old:
-            continue
-        facts[node] = new
-        changed.add(node)
-        extra = pass_.on_fact_change(node, old, new, model)
-        if extra:
-            report_extra.update(extra)
-        if (
-            decreased is not None
-            and old is not None
-            and not pass_.subsumes(new, old)
-        ):
-            decreased.add(node)
-        for nxt in _influence(pass_, graph, node):
-            if nxt not in queued:
-                queued.add(nxt)
-                worklist.append(nxt)
+def _merge(into: PerKind, names: PerKind) -> None:
+    for mine, theirs in zip(into, names):
+        mine |= theirs
 
 
 def solve(
     pass_: DataflowPass,
-    graph: GraphView,
-    facts: Dict[str, Any],
+    graph: "DerivationGraph",
+    facts: PerKind,
     model: Any,
-    seeds: Optional[Iterable[str]] = None,
+    seeds: Optional[PerKind] = None,
 ) -> SolveResult:
     """Solve ``pass_`` to fixpoint, fully or from dirty ``seeds``.
 
@@ -279,80 +317,60 @@ def solve(
     """
     result = SolveResult()
     stats = result.stats
+    solver = _Solver(pass_, graph, facts, model, result)
     if seeds is None:
         stats.mode = "full"
-        facts.clear()
+        for table in facts:
+            table.clear()
         pass_.on_full_solve(model)
-        live = set(graph.nodes)
-        stats.seeds = len(live)
-        _iterate(
-            pass_,
-            graph,
-            facts,
-            model,
-            live,
-            stats,
-            result.changed,
-            None,
-            result.report,
-        )
+        stats.seeds = solver.seeded(solver.live)
+        solver.iterate(solver.live, result.changed, None)
     else:
         stats.mode = "incremental"
-        live = {node for node in seeds if node in graph}
-        stats.seeds = len(live)
-        result.report |= live
-        decreased: Set[str] = set()
-        _iterate(
-            pass_,
-            graph,
-            facts,
-            model,
-            live,
-            stats,
-            result.changed,
-            decreased,
-            result.report,
+        seeds = PerKind(
+            *(
+                {name for name in names if name in alive}
+                for names, alive in zip(seeds, solver.live)
+            )
         )
-        if decreased and pass_.direction != "local":
+        stats.seeds = solver.seeded(seeds)
+        _merge(result.report, seeds)
+        decreased = name_sets()
+        solver.iterate(seeds, result.changed, decreased)
+        if any(decreased) and solver.feeds is not None:
             # A fact shrank: re-derive its cone from bottom so no
             # cyclic fact keeps feeding on removed support.  Facts at
             # the cone boundary are untouched and remain valid inputs.
-            # Local passes have no dependents, so propagation (and this
-            # reset) is moot for them.
-            def influenced(node: str) -> Iterable[str]:
-                return _influence(pass_, graph, node)
-
-            cone = reachable(influenced, decreased)
-            stats.reset_cone = len(cone)
-            before = {node: facts.get(node) for node in cone}
-            for node in cone:
-                facts.pop(node, None)
-            _iterate(
-                pass_,
-                graph,
-                facts,
-                model,
-                cone,
-                stats,
-                set(),
-                None,
-                result.report,
-            )
-            for node, prior in before.items():
-                if facts.get(node) != prior:
-                    result.changed.add(node)
-            result.report |= cone
+            # Where facts do not travel (a local pass, or one keeping
+            # a single kind) nothing depends on the shrunk fact, so
+            # propagation (and this reset) is moot.
+            cone = solver.cone(decreased)
+            stats.reset_cone = sum(map(len, cone))
+            before = [
+                {name: table.pop(name, None) for name in names}
+                for table, names in zip(facts, cone)
+            ]
+            solver.iterate(cone, name_sets(), None)
+            for table, priors, moved in zip(facts, before, result.changed):
+                moved.update(
+                    name
+                    for name, prior in priors.items()
+                    if table.get(name) != prior
+                )
+            _merge(result.report, cone)
         # Reports may read facts up to ``report_hops`` influence hops
         # back; everything within that radius of a change re-reports.
-        frontier = set(result.changed)
-        for _ in range(pass_.report_hops):
-            if not frontier:
-                break
-            nxt: Set[str] = set()
-            for node in frontier:
-                nxt.update(_influence(pass_, graph, node))
-            result.report |= nxt
+        frontier, influence = result.changed, solver.influence
+        hops = pass_.report_hops
+        while influence is not None and hops and any(frontier):
+            hops -= 1
+            nxt = name_sets()
+            for kind in (DATASETS, DERIVATIONS):
+                reach = influence[kind]
+                for name in frontier[kind]:
+                    nxt[1 - kind].update(reach.get(name, ()))
+            _merge(result.report, nxt)
             frontier = nxt
-    result.report |= result.changed
-    stats.changed = len(result.changed)
+    _merge(result.report, result.changed)
+    stats.changed = sum(map(len, result.changed))
     return result

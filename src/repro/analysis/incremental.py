@@ -23,7 +23,17 @@ paths produce byte-identical diagnostics (property-tested in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.context import (
     ActualInfo,
@@ -33,10 +43,12 @@ from repro.analysis.context import (
     split_target,
 )
 from repro.analysis.dataflow import (
-    GraphView,
+    DERIVATIONS,
+    PerKind,
     SolveStats,
-    ds_node,
-    dv_node,
+    fact_tables,
+    members,
+    name_sets,
     solve,
 )
 from repro.analysis.diagnostics import Diagnostic, Span
@@ -52,6 +64,9 @@ from repro.core.types import DatasetType
 from repro.core.versioning import Version
 from repro.observability.instrument import NULL, Instrumentation
 from repro.vdl.ast import DatasetRefNode, FormalRefNode
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.provenance.graph import DerivationGraph
 
 _OUT = ("output", "inout")
 _IN = ("input", "inout")
@@ -108,9 +123,9 @@ class GraphModel:
         return self._span
 
     @property
-    def graph(self) -> GraphView:
-        """The catalog's derivation graph in ``ds:``/``dv:`` node ids."""
-        return GraphView(self._indexes.graph)
+    def graph(self) -> DerivationGraph:
+        """The catalog's derivation graph — shared, read-only."""
+        return self._indexes.graph
 
     def derivation(self, name: str) -> Derivation:
         """The graph's shared decoded derivation — read-only."""
@@ -121,12 +136,6 @@ class GraphModel:
 
     def dv_target(self, name: str) -> str:
         return self.derivation(name).transformation.vdl_text()
-
-    def dv_bindings(self, name: str) -> List[Tuple[str, str, str]]:
-        return [
-            (formal, arg.dataset, arg.direction)
-            for formal, arg in self.derivation(name).dataset_args()
-        ]
 
     def dataset_declared_type(self, lfn: str) -> Optional[DatasetType]:
         """The record's dataset type when concretely declared.
@@ -160,14 +169,20 @@ class GraphModel:
 
     # -- event upkeep (called by the analyzer) -------------------------
 
-    def around(self, nodes: Iterable[str]) -> Set[str]:
-        """The live ones among ``nodes``, each with its neighbours."""
-        graph = self.graph
-        seeds: Set[str] = set()
-        for node in nodes:
-            if node in graph:
-                seeds.add(node)
-                seeds |= graph.neighbors(node)
+    def around(
+        self, datasets: Iterable[str] = (), derivations: Iterable[str] = ()
+    ) -> PerKind:
+        """The live ones among the named nodes, each with its neighbours."""
+        producers, consumers, inputs, outputs = self.graph.adjacency()
+        seeds = name_sets()
+        for lfn in datasets:
+            if lfn in producers:
+                seeds.datasets.add(lfn)
+                seeds.derivations.update(producers[lfn], consumers[lfn])
+        for name in derivations:
+            if name in inputs:
+                seeds.derivations.add(name)
+                seeds.datasets.update(inputs[name], outputs[name])
         return seeds
 
     def forget_recipe(self, dvn: str) -> None:
@@ -196,7 +211,7 @@ class GraphModel:
     def invalidate_dataset(self, lfn: str) -> None:
         self._ds_types.pop(lfn, None)
 
-    def invalidate_transformations(self, base_name: str) -> Set[str]:
+    def invalidate_transformations(self, base_name: str) -> PerKind:
         """A TR (version) changed: drop summaries, seed dependent DVs."""
         affected = self._dependent_tr_names(base_name)
         self._tr_table_cache = None
@@ -212,7 +227,7 @@ class GraphModel:
                 dependents.update(callers)
         for dvn in dependents:
             self._recipe_cache.pop(dvn, None)
-        return self.around(map(dv_node, dependents))
+        return self.around(derivations=dependents)
 
     def _dependent_tr_names(self, base_name: str) -> Set[str]:
         """``base_name`` plus every TR calling it, transitively."""
@@ -460,13 +475,13 @@ class GraphModel:
         """(lfn, via) write multiset once compound bodies are expanded."""
         writes: List[Tuple[str, str]] = []
         counts, literals = self._write_sinks(self.dv_target(dvn))
-        for formal, lfn, direction in self.dv_bindings(dvn):
-            if direction not in _OUT:
+        for formal, arg in self.derivation(dvn).dataset_args():
+            if arg.direction not in _OUT:
                 continue
-            writes.append((lfn, SURFACE))
+            writes.append((arg.dataset, SURFACE))
             extra = counts.get(formal, 0) - 1
             if extra > 0:
-                writes.extend([(lfn, INTERNAL)] * extra)
+                writes.extend([(arg.dataset, INTERNAL)] * extra)
         writes.extend((lfn, INTERNAL) for lfn in literals)
         return writes
 
@@ -525,7 +540,7 @@ class GraphModel:
         old: Iterable[Tuple[str, str]],
         new: Iterable[Tuple[str, str]],
     ) -> Set[str]:
-        """Sync the shared-LFN index; returns co-writer node ids."""
+        """Sync the shared-LFN index; returns the co-writers' names."""
         old_map: Dict[str, List[str]] = {}
         for lfn, via in old:
             old_map.setdefault(lfn, []).append(via)
@@ -551,7 +566,7 @@ class GraphModel:
         for lfn in affected:
             for other in self._conflict_writers.get(lfn, {}):
                 if other != dvn:
-                    extra.add(dv_node(other))
+                    extra.add(other)
         return extra
 
     # -- dead-data support ---------------------------------------------
@@ -559,9 +574,9 @@ class GraphModel:
     def orphan_invocations(self) -> List[Tuple[str, str]]:
         """(invocation_id, derivation_name) whose derivation is gone."""
         orphans: List[Tuple[str, str]] = []
-        graph = self.graph
+        live = members(self.graph).derivations
         for dvn, group in self._invs_by_dv.items():
-            if dv_node(dvn) in graph:
+            if dvn in live:
                 continue
             orphans.extend((inv_id, dvn) for inv_id in group)
         return orphans
@@ -594,10 +609,11 @@ class _PassState:
 
     def __init__(self, pass_: Any) -> None:
         self.pass_ = pass_
-        self.facts: Dict[str, Any] = {}
-        self.dirty: Set[str] = set()
+        self.facts = fact_tables()
+        self.dirty = name_sets()
         self.solved = False
-        self.reports: Dict[str, Tuple[Diagnostic, ...]] = {}
+        #: Per kind, name -> its non-empty tuple of diagnostics.
+        self.reports = fact_tables()
         self.stats = SolveStats()
 
 
@@ -650,19 +666,21 @@ class IncrementalAnalyzer:
         self._events += 1
         model = self.model
         touched = self.catalog._indexes.touched
-        seeds: Set[str] = set()
+        seeds = name_sets()
         if kind == "derivation":
-            graph = model.graph
-            nodes = {dv_node(key), *map(ds_node, touched)}
-            seeds = {node for node in nodes if node in graph}
-            for node in nodes - seeds:
-                self._forget_node(node)
-            self._sizes = (len(graph), graph.derivation_count())
+            live = members(model.graph)
+            for which, names in enumerate((touched, (key,))):
+                for name in names:
+                    if name in live[which]:
+                        seeds[which].add(name)
+                    else:
+                        self._forget_node(which, name)
+            self._sizes = (len(model.graph), len(live.derivations))
             model.forget_recipe(key)
             self._orphan_cache = None
             self._ctx_dirty = True
         elif kind == "replica":
-            seeds = model.around(map(ds_node, touched))
+            seeds = model.around(datasets=touched)
             self._ctx_dirty = True
         elif kind == "transformation":
             base = split_target(key)[0]
@@ -675,23 +693,25 @@ class IncrementalAnalyzer:
                 payload = self.catalog._cached_payload("invocation", key)
                 if payload is not None:
                     model.index_invocation(key, payload)
-            seeds = model.around(map(dv_node, touched))
+            seeds = model.around(derivations=touched)
             self._orphan_cache = None
         elif kind == "dataset":
             model.invalidate_dataset(key)
-            seeds = model.around([ds_node(key)])
+            seeds = model.around(datasets=(key,))
             self._ctx_dirty = True
-        if seeds:
+        if any(seeds):
             for state in self._states.values():
-                state.dirty |= seeds
+                for dirty, names in zip(state.dirty, seeds):
+                    dirty |= names
 
-    def _forget_node(self, node: str) -> None:
+    def _forget_node(self, kind: int, name: str) -> None:
         """Drop per-node state for a node that left the graph."""
         for state in self._states.values():
-            old = state.facts.pop(node, None)
-            state.reports.pop(node, None)
-            extra = state.pass_.on_fact_change(node, old, None, self.model)
-            state.dirty |= set(extra)
+            old = state.facts[kind].pop(name, None)
+            state.reports[kind].pop(name, None)
+            hook = state.pass_.on_fact_change
+            if kind == DERIVATIONS and hook is not None:
+                state.dirty.derivations.update(hook(name, old, None, self.model))
 
     # -- rebuild (cold start / snapshot import) ------------------------
 
@@ -712,11 +732,10 @@ class IncrementalAnalyzer:
             for lfn, payload in catalog._store_scan("dataset"):
                 model.prime_dataset_type(lfn, payload)
             graph = model.graph
-            self._sizes = (len(graph), graph.derivation_count())
+            self._sizes = (len(graph), len(members(graph).derivations))
             for state in self._states.values():
-                state.facts.clear()
-                state.reports.clear()
-                state.dirty.clear()
+                for table in (*state.facts, *state.reports, *state.dirty):
+                    table.clear()
                 state.solved = False
             self._ctx = None
             self._ctx_dirty = True
@@ -730,7 +749,8 @@ class IncrementalAnalyzer:
         """
         for state in self._states.values():
             state.solved = False
-            state.dirty.clear()
+            for names in state.dirty:
+                names.clear()
         self._ctx_dirty = True
         self._orphan_cache = None
 
@@ -750,8 +770,9 @@ class IncrementalAnalyzer:
                 self.invalidate()
             for state in selected:
                 self._ensure_solved(state)
-                for report in state.reports.values():
-                    out.extend(report)
+                for cache in state.reports:
+                    for report in cache.values():
+                        out.extend(report)
                 if "VDG612" in state.pass_.codes:
                     out.extend(self._orphans())
         out.sort(key=Diagnostic.sort_key)
@@ -775,9 +796,10 @@ class IncrementalAnalyzer:
         return self._orphan_cache
 
     def _ensure_solved(self, state: _PassState) -> None:
-        if state.solved and not state.dirty:
+        if state.solved and not any(state.dirty):
             return
         graph = self.model.graph
+        live = members(graph)
         self._solves += 1
         pass_ = state.pass_
         mode = "incremental" if state.solved else "full"
@@ -788,34 +810,42 @@ class IncrementalAnalyzer:
                 result = solve(
                     pass_, graph, state.facts, self.model, None
                 )
-                report_nodes: Iterable[str] = graph.nodes
-                state.reports.clear()
+                report_names = live
+                for cache in state.reports:
+                    cache.clear()
             else:
                 result = solve(
                     pass_, graph, state.facts, self.model, state.dirty
                 )
-                report_nodes = result.report
-            state.dirty.clear()
+                report_names = result.report
+            for names in state.dirty:
+                names.clear()
             state.solved = True
             state.stats = result.stats
-            for node in report_nodes:
-                if node not in graph:
-                    state.reports.pop(node, None)
+            reported = 0
+            for names, alive, cache, reporter in zip(
+                report_names,
+                live,
+                state.reports,
+                (pass_.report_dataset, pass_.report_derivation),
+            ):
+                if reporter is None:
                     continue
-                report = tuple(
-                    pass_.report(node, graph, state.facts, self.model)
-                )
-                if report:
-                    state.reports[node] = report
-                else:
-                    state.reports.pop(node, None)
+                reported += len(names)
+                for name in names:
+                    report = (
+                        reporter(name, graph, state.facts, self.model)
+                        if name in alive
+                        else ()
+                    )
+                    if report:
+                        cache[name] = tuple(report)
+                    else:
+                        cache.pop(name, None)
             if self.obs.enabled:
                 span.set("nodes", len(graph))
                 span.set("visited", result.stats.visited)
-                span.set(
-                    "reported",
-                    len(graph) if mode == "full" else len(result.report),
-                )
+                span.set("reported", reported)
                 self.obs.count(
                     "analysis.incremental.solves",
                     help="dataflow solves",

@@ -23,16 +23,13 @@ judge the *catalog*, not a source text.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Set, Tuple
 
-from repro.analysis.dataflow import (
-    DataflowPass,
-    GraphView,
-    ds_node,
-    node_kind,
-    node_name,
-)
+from repro.analysis.dataflow import DataflowPass, PerKind
 from repro.analysis.diagnostics import Diagnostic, Severity
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.provenance.graph import DerivationGraph
 
 #: Staleness lattice: fresh < stale-via-upstream < stale-at-root.
 FRESH, INHERITED, ROOT = 0, 1, 2
@@ -59,81 +56,71 @@ class StalenessPass(DataflowPass):
     #: derivation*, i.e. read facts two dependency hops back.
     report_hops = 2
 
-    def transfer(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
+    def transfer_dataset(
+        self, lfn: str, producers: Iterable[str], facts: PerKind, model: Any
     ) -> int:
-        preds = graph.pred(node)
-        inherited = any(facts.get(p) or FRESH for p in preds)
-        if node_kind(node) == "derivation":
-            if model.root_dirty(node_name(node)) is not None:
-                return ROOT
-            return INHERITED if inherited else FRESH
-        return INHERITED if inherited else FRESH
+        stale = facts.derivations
+        for name in producers:
+            if stale.get(name):
+                return INHERITED
+        return FRESH
+
+    def transfer_derivation(
+        self, name: str, inputs: Iterable[str], facts: PerKind, model: Any
+    ) -> int:
+        if model.root_dirty(name) is not None:
+            return ROOT
+        stale = facts.datasets
+        for lfn in inputs:
+            if stale.get(lfn):
+                return INHERITED
+        return FRESH
 
     def subsumes(self, new: Any, old: Any) -> bool:
         return new >= old
 
-    def report(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
-    ) -> Iterable[Diagnostic]:
-        if node_kind(node) != "dataset":
-            return
-        if not (facts.get(node) or FRESH):
-            return
-        lfn = node_name(node)
-        if not model.has_replica(lfn):
-            return
-        producers = sorted(graph.pred(node))
-        root = next(
-            (p for p in producers if facts.get(p) == ROOT), None
-        )
+    def report_dataset(
+        self, lfn: str, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> Tuple[Diagnostic, ...]:
+        if not facts.datasets.get(lfn) or not model.has_replica(lfn):
+            return ()
+        stale = facts.derivations
+        producers = sorted(graph.producer_names(lfn))
+        root = next((p for p in producers if stale.get(p) == ROOT), None)
         if root is not None:
-            dvn = node_name(root)
-            yield Diagnostic(
-                code="VDG601",
-                severity=Severity.WARNING,
-                message=(
-                    f"replicas of {lfn!r} are stale: "
-                    f"{model.root_dirty(dvn)} "
-                    f"(producing derivation {dvn!r})"
+            message = (
+                f"replicas of {lfn!r} are stale: "
+                f"{model.root_dirty(root)} "
+                f"(producing derivation {root!r})"
+            )
+            code = "VDG601"
+        else:
+            stale_dv = next((p for p in producers if stale.get(p)), None)
+            if stale_dv is None:
+                return ()
+            stale_input = next(
+                (
+                    i
+                    for i in sorted(graph.input_names(stale_dv))
+                    if facts.datasets.get(i)
                 ),
+                "<unknown>",
+            )
+            message = (
+                f"replicas of {lfn!r} are stale: input "
+                f"{stale_input!r} of producing derivation "
+                f"{stale_dv!r} is stale upstream"
+            )
+            code = "VDG602"
+        return (
+            Diagnostic(
+                code=code,
+                severity=Severity.WARNING,
+                message=message,
                 span=model.span(),
                 obj=lfn,
                 rule=self.name,
-            )
-            return
-        stale_dv = next(
-            (p for p in producers if facts.get(p)), None
-        )
-        if stale_dv is None:
-            return
-        stale_input = next(
-            (
-                node_name(i)
-                for i in sorted(graph.pred(stale_dv))
-                if facts.get(i)
             ),
-            "<unknown>",
-        )
-        yield Diagnostic(
-            code="VDG602",
-            severity=Severity.WARNING,
-            message=(
-                f"replicas of {lfn!r} are stale: input "
-                f"{stale_input!r} of producing derivation "
-                f"{node_name(stale_dv)!r} is stale upstream"
-            ),
-            span=model.span(),
-            obj=lfn,
-            rule=self.name,
         )
 
 
@@ -151,53 +138,48 @@ class DeadDataPass(DataflowPass):
     direction = "backward"
     codes = ("VDG611", "VDG612")
 
-    def transfer(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
+    def transfer_dataset(
+        self, lfn: str, consumers: Iterable[str], facts: PerKind, model: Any
     ) -> bool:
-        succs = graph.succ(node)
-        if node_kind(node) == "dataset":
-            if not succs:
-                return True  # a sink: always a live target
-            return any(facts.get(s) or False for s in succs)
-        # Derivation: pending iff some needed output lacks a replica.
-        return any(
-            (facts.get(s) or False)
-            and not model.has_replica(node_name(s))
-            for s in succs
-        )
+        if not consumers:
+            return True  # a sink: always a live target
+        pending = facts.derivations
+        for name in consumers:
+            if pending.get(name):
+                return True
+        return False
+
+    def transfer_derivation(
+        self, name: str, outputs: Iterable[str], facts: PerKind, model: Any
+    ) -> bool:
+        # Pending iff some needed output lacks a replica.
+        needed = facts.datasets
+        for lfn in outputs:
+            if needed.get(lfn) and not model.has_replica(lfn):
+                return True
+        return False
 
     def subsumes(self, new: Any, old: Any) -> bool:
         return bool(new) or not bool(old)
 
-    def report(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
-    ) -> Iterable[Diagnostic]:
-        if node_kind(node) != "dataset":
-            return
-        if facts.get(node) or False:
-            return
-        lfn = node_name(node)
-        if not model.has_replica(lfn):
-            return
-        yield Diagnostic(
-            code="VDG611",
-            severity=Severity.INFO,
-            message=(
-                f"replicas of {lfn!r} are garbage-collection "
-                f"candidates: every downstream product is already "
-                f"materialized"
+    def report_dataset(
+        self, lfn: str, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> Tuple[Diagnostic, ...]:
+        if facts.datasets.get(lfn) or not model.has_replica(lfn):
+            return ()
+        return (
+            Diagnostic(
+                code="VDG611",
+                severity=Severity.INFO,
+                message=(
+                    f"replicas of {lfn!r} are garbage-collection "
+                    f"candidates: every downstream product is already "
+                    f"materialized"
+                ),
+                span=model.span(),
+                obj=lfn,
+                rule=self.name,
             ),
-            span=model.span(),
-            obj=lfn,
-            rule=self.name,
         )
 
 
@@ -207,38 +189,30 @@ class TypeFlowPass(DataflowPass):
     The per-dataset fact is ``(inferred_members, unknown)``: the set of
     :class:`~repro.core.types.DatasetType` members any (deeply
     expanded) producer can emit, plus an *unknown* flag set when some
-    producer is untyped all the way down.  Reports fire on derivations
-    whose dataset actuals are bound to surface-untyped formals that
-    feed typed formals inside compound bodies (``VDG621``) — the
-    mismatches the surface rule ``VDG105`` cannot see.
+    producer is untyped all the way down.  Derivations carry no fact.
+    Reports fire on derivations whose dataset actuals are bound to
+    surface-untyped formals that feed typed formals inside compound
+    bodies (``VDG621``) — the mismatches the surface rule ``VDG105``
+    cannot see.
     """
 
     name = "type-flow"
     direction = "forward"
     codes = ("VDG621",)
 
-    _EMPTY: Tuple[Any, ...] = ()
-
-    def transfer(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
+    def transfer_dataset(
+        self, lfn: str, producers: Iterable[str], facts: PerKind, model: Any
     ) -> Any:
-        if node_kind(node) != "dataset":
-            return self._EMPTY
-        lfn = node_name(node)
         members: Set[Any] = set()
         unknown = False
         declared = model.dataset_declared_type(lfn)
         if declared is not None:
             members.add(declared)
-        for pred in graph.pred(node):
-            dvn = node_name(pred)
-            target = model.dv_target(dvn)
-            for formal, bound_lfn, direction in model.dv_bindings(dvn):
-                if bound_lfn != lfn or direction not in _OUT:
+        for dvn in producers:
+            dv = model.derivation(dvn)
+            target = dv.transformation.vdl_text()
+            for formal, arg in dv.dataset_args():
+                if arg.dataset != lfn or arg.direction not in _OUT:
                     continue
                 deep = model.deep_output_types(target, formal)
                 if deep is None:
@@ -248,29 +222,22 @@ class TypeFlowPass(DataflowPass):
         return (frozenset(members), unknown)
 
     def subsumes(self, new: Any, old: Any) -> bool:
-        if new == self._EMPTY or old == self._EMPTY:
-            return new == old
         return new[0] >= old[0] and new[1] >= old[1]
 
-    def report(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
-    ) -> Iterable[Diagnostic]:
-        if node_kind(node) != "derivation":
-            return
-        dvn = node_name(node)
-        target = model.dv_target(dvn)
-        for formal, lfn, direction in model.dv_bindings(dvn):
-            if direction not in _IN:
+    def report_derivation(
+        self, dvn: str, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> List[Diagnostic]:
+        out: List[Diagnostic] = []
+        dv = model.derivation(dvn)
+        target = dv.transformation.vdl_text()
+        for formal, arg in dv.dataset_args():
+            if arg.direction not in _IN:
                 continue
             requirements = model.deep_requirements(target, formal)
             if not requirements:
                 continue
-            fact = facts.get(ds_node(lfn))
-            if not isinstance(fact, tuple) or len(fact) != 2:
+            fact = facts.datasets.get(arg.dataset)
+            if fact is None:
                 continue
             members, unknown = fact
             if unknown or not members:
@@ -281,19 +248,22 @@ class TypeFlowPass(DataflowPass):
                     for m in members
                 ):
                     continue
-                yield Diagnostic(
-                    code="VDG621",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"DV {dvn!r} binds {lfn!r} to untyped formal "
-                        f"{formal!r}, but it flows into {path!r} "
-                        f"expecting {_type_names(required)}; inferred "
-                        f"types: {_type_names(members)}"
-                    ),
-                    span=model.span(),
-                    obj=dvn,
-                    rule=self.name,
+                out.append(
+                    Diagnostic(
+                        code="VDG621",
+                        severity=Severity.ERROR,
+                        message=(
+                            f"DV {dvn!r} binds {arg.dataset!r} to untyped "
+                            f"formal {formal!r}, but it flows into {path!r} "
+                            f"expecting {_type_names(required)}; inferred "
+                            f"types: {_type_names(members)}"
+                        ),
+                        span=model.span(),
+                        obj=dvn,
+                        rule=self.name,
+                    )
                 )
+        return out
 
 
 class OutputConflictPass(DataflowPass):
@@ -301,11 +271,11 @@ class OutputConflictPass(DataflowPass):
 
     The per-derivation fact is its *expanded write multiset*: surface
     output actuals plus every literal LFN (and duplicated formal sink)
-    written inside nested compound bodies.  A shared-LFN index inside
-    the model relates writers that are not graph-adjacent; the
-    :meth:`on_fact_change` hook keeps co-writers' reports fresh.
-    ``VDG201`` already covers pure surface/surface duplicates, so those
-    pairs are skipped here.
+    written inside nested compound bodies.  Datasets carry no fact.  A
+    shared-LFN index inside the model relates writers that are not
+    graph-adjacent; the :meth:`on_fact_change` hook keeps co-writers'
+    reports fresh.  ``VDG201`` already covers pure surface/surface
+    duplicates, so those pairs are skipped here.
     """
 
     name = "output-conflict"
@@ -315,53 +285,39 @@ class OutputConflictPass(DataflowPass):
     def on_full_solve(self, model: Any) -> None:
         model.clear_writer_index()
 
-    def transfer(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
+    def transfer_derivation(
+        self, dvn: str, _sources: Iterable[str], facts: PerKind, model: Any
     ) -> Tuple[Tuple[str, str], ...]:
-        if node_kind(node) != "derivation":
-            return ()
-        return tuple(sorted(model.expanded_writes(node_name(node))))
+        return tuple(sorted(model.expanded_writes(dvn)))
 
     def on_fact_change(
-        self, node: str, old: Any, new: Any, model: Any
+        self, dvn: str, old: Any, new: Any, model: Any
     ) -> Iterable[str]:
-        if node_kind(node) != "derivation":
-            return ()
-        return model.update_writer_index(
-            node_name(node), old or (), new or ()
-        )
+        return model.update_writer_index(dvn, old or (), new or ())
 
-    def report(
-        self,
-        node: str,
-        graph: GraphView,
-        facts: Dict[str, Any],
-        model: Any,
-    ) -> Iterable[Diagnostic]:
-        if node_kind(node) != "derivation":
-            return
-        dvn = node_name(node)
-        fact: Tuple[Tuple[str, str], ...] = facts.get(node) or ()
+    def report_derivation(
+        self, dvn: str, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> List[Diagnostic]:
+        out: List[Diagnostic] = []
+        fact: Tuple[Tuple[str, str], ...] = facts.derivations.get(dvn) or ()
         vias_by_lfn: Dict[str, List[str]] = {}
         for lfn, via in fact:
             vias_by_lfn.setdefault(lfn, []).append(via)
         for lfn in sorted(vias_by_lfn):
             own = vias_by_lfn[lfn]
             if len(own) > 1 and any(v == INTERNAL for v in own):
-                yield Diagnostic(
-                    code="VDG631",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"derivation {dvn!r} writes {lfn!r} more than "
-                        f"once through compound internals"
-                    ),
-                    span=model.span(),
-                    obj=dvn,
-                    rule=self.name,
+                out.append(
+                    Diagnostic(
+                        code="VDG631",
+                        severity=Severity.ERROR,
+                        message=(
+                            f"derivation {dvn!r} writes {lfn!r} more than "
+                            f"once through compound internals"
+                        ),
+                        span=model.span(),
+                        obj=dvn,
+                        rule=self.name,
+                    )
                 )
             for other, other_vias in sorted(
                 model.writers_of(lfn).items()
@@ -370,17 +326,20 @@ class OutputConflictPass(DataflowPass):
                     continue  # report each pair once, on the later name
                 if set(own) == {SURFACE} and set(other_vias) == {SURFACE}:
                     continue  # VDG201's surface/surface territory
-                yield Diagnostic(
-                    code="VDG631",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"derivations {other!r} and {dvn!r} both write "
-                        f"{lfn!r} through compound internals"
-                    ),
-                    span=model.span(),
-                    obj=dvn,
-                    rule=self.name,
+                out.append(
+                    Diagnostic(
+                        code="VDG631",
+                        severity=Severity.ERROR,
+                        message=(
+                            f"derivations {other!r} and {dvn!r} both write "
+                            f"{lfn!r} through compound internals"
+                        ),
+                        span=model.span(),
+                        obj=dvn,
+                        rule=self.name,
+                    )
                 )
+        return out
 
 
 def default_passes() -> Tuple[DataflowPass, ...]:

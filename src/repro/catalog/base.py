@@ -147,6 +147,12 @@ class VirtualDataCatalog:
     # ------------------------------------------------------------------
 
     def _store_put(self, kind: str, key: str, payload: dict) -> None:
+        """Store ``payload`` under the key.
+
+        The document is handed over: the caller neither mutates it
+        afterwards nor expects a copy to be taken, and may go on
+        sharing it read-only (the payload cache does).
+        """
         raise NotImplementedError
 
     def _store_get(self, kind: str, key: str) -> Optional[dict]:
@@ -577,12 +583,14 @@ class VirtualDataCatalog:
                 )
                 self._txn_ops += 1
                 crashpoint("catalog.commit.op")
+        # One document per put: every caller passes a freshly
+        # serialized ``to_dict()`` it keeps no reference into, and a
+        # stored document is replaced, never edited — so the store, the
+        # cache (write-through: index maintenance and the common
+        # read-after-write skip the backend read) and, when this key is
+        # next overwritten, the undo log can all hold this one.
         self._store_put(kind, key, payload)
-        # Write-through: every caller passes a freshly serialized
-        # document it never mutates afterwards, so an owned copy can be
-        # cached now — index maintenance and the common read-after-
-        # write then skip the backend read entirely.
-        self._cache.put(kind, key, json_copy(payload))
+        self._cache.put(kind, key, payload)
         self._cache_fresh = (kind, key)
         if kind == "derivation":
             # The graph re-links on the put event, which add_derivation
@@ -604,9 +612,12 @@ class VirtualDataCatalog:
         self._store_delete(kind, key)
 
     def _snapshot_payload(self, kind: str, key: str) -> Optional[dict]:
-        """An owned copy of the stored payload, for undo logs."""
-        payload = self._cached_payload(kind, key)
-        return json_copy(payload) if payload is not None else None
+        """The stored payload, for undo logs.
+
+        The document itself: whatever overwrites the key installs a
+        new one and leaves this one as it was.
+        """
+        return self._cached_payload(kind, key)
 
     @_synchronized
     def restore_payload(
@@ -624,12 +635,14 @@ class VirtualDataCatalog:
                 self._store_delete(kind, key)
                 self._notify("delete", kind, key)
         else:
-            owned = json_copy(payload)
-            self._store_put(kind, key, owned)
+            # The caller keeps its document (a journal record, an undo
+            # entry, a repair plan); store and cache share one copy.
             # Same write-through contract as _apply_put: whenever the
             # fresh marker is set, cache and store hold the same
             # document, so the skipped invalidation is always safe.
-            self._cache.put(kind, key, json_copy(owned))
+            owned = json_copy(payload)
+            self._store_put(kind, key, owned)
+            self._cache.put(kind, key, owned)
             self._cache_fresh = (kind, key)
             self._notify("put", kind, key)
 

@@ -15,9 +15,12 @@ from repro.catalog.payloads import json_copy
 class MemoryCatalog(VirtualDataCatalog):
     """A catalog whose storage is a pair of nested dictionaries.
 
-    Payloads are deep-copied on the way in and out so callers can never
-    mutate stored state behind the catalog's back — the same isolation
-    a real service boundary would provide.
+    A put keeps the document it is handed (the base class serializes a
+    fresh one per write and shares it read-only); what is not the
+    catalog's own — a snapshot being imported, a ``_store_get`` result
+    — is deep-copied, so callers can never mutate stored state behind
+    the catalog's back: the same isolation a real service boundary
+    would provide.
     """
 
     def __init__(self, authority: Optional[str] = None, **kwargs):
@@ -25,7 +28,15 @@ class MemoryCatalog(VirtualDataCatalog):
         self._data: dict[str, dict[str, dict]] = {kind: {} for kind in KINDS}
 
     def _store_put(self, kind: str, key: str, payload: dict) -> None:
-        self._data[kind][key] = json_copy(payload)
+        self._data[kind][key] = payload
+
+    def _store_put_many(
+        self, kind: str, items: list[tuple[str, dict]]
+    ) -> None:
+        # A snapshot's documents stay the importer's.
+        self._data[kind].update(
+            (key, json_copy(payload)) for key, payload in items
+        )
 
     def _store_get(self, kind: str, key: str) -> Optional[dict]:
         payload = self._data[kind].get(key)

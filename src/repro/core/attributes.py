@@ -109,8 +109,17 @@ class AttributeSet:
         return sorted(self._history)
 
     def as_dict(self) -> dict[str, Any]:
-        """Return a snapshot of current values, suitable for serialization."""
-        return {key: notes[-1].value for key, notes in self._history.items()}
+        """Return a snapshot of current values, suitable for serialization.
+
+        List values are copied: the snapshot shares nothing mutable
+        with this set, so a catalog may keep it as the stored document.
+        """
+        return {
+            key: list(value)
+            if isinstance(value := notes[-1].value, list)
+            else value
+            for key, notes in self._history.items()
+        }
 
     def matches(self, criteria: dict[str, Any]) -> bool:
         """Return whether every ``criteria`` item equals the current value."""

@@ -274,7 +274,8 @@ def descriptor_to_dict(descriptor: Descriptor) -> dict:
     for key, value in vars(descriptor).items():
         if isinstance(value, tuple):
             items = [
-                vars(item) if isinstance(item, FileSlice) else item for item in value
+                dict(vars(item)) if isinstance(item, FileSlice) else item
+                for item in value
             ]
             out[key] = items
         else:

@@ -20,6 +20,7 @@ dispatch (:mod:`repro.planner.scheduler`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 from repro.catalog.base import VirtualDataCatalog
@@ -139,11 +140,15 @@ class PlanStep:
     #: Output LFN -> estimated size in bytes.
     output_sizes: dict[str, int] = field(default_factory=dict)
 
-    @property
+    # Computed once per step: ``Derivation.inputs()``/``outputs()``
+    # sort a fresh set per call, and planner, frontier and scheduler
+    # each ask every step.  A step's derivation is never swapped —
+    # a re-plan that changes it builds a new step.
+    @cached_property
     def inputs(self) -> tuple[str, ...]:
         return self.derivation.inputs()
 
-    @property
+    @cached_property
     def outputs(self) -> tuple[str, ...]:
         return self.derivation.outputs()
 
@@ -602,12 +607,14 @@ class Planner:
             producer_name = min(producers)
             dv = graph.derivation(producer_name)
             self._expand_derivation(dv, plan)
+            # A simple derivation is its own step, which knows its
+            # inputs already; a compound one expanded into several.
+            step = plan.steps.get(producer_name)
+            inputs = dv.inputs() if step is None else step.inputs
             # Skip already-visited inputs before pushing: high-fan-in
             # graphs would otherwise blow the worklist up with
             # duplicates that each pop-and-discard pass re-touches.
-            needed.extend(
-                name for name in dv.inputs() if name not in visited
-            )
+            needed.extend(name for name in inputs if name not in visited)
         self._wire_dependencies(plan)
         self._prune_reused_subgraphs(plan, request)
         if self._incremental:
@@ -667,8 +674,8 @@ class Planner:
             dv = graph.derivation(key)
             old = step.derivation
             if (
-                set(dv.inputs()) != set(old.inputs())
-                or set(dv.outputs()) != set(old.outputs())
+                dv.inputs() != step.inputs
+                or dv.outputs() != step.outputs
                 or dv.transformation != old.transformation
                 or self._temp_datasets(dv) != self._temp_datasets(old)
             ):
@@ -800,10 +807,10 @@ class Planner:
             derivation=dv,
             transformation=tr,
             cpu_seconds=self._cpu_estimate(dv),
-            output_sizes={
-                out: self._size_estimate(out) for out in dv.outputs()
-            },
         )
+        step.output_sizes = {
+            out: self._size_estimate(out) for out in step.outputs
+        }
         plan.steps[name] = step
         for _, arg in dv.dataset_args():
             if arg.temporary:

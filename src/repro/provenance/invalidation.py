@@ -145,8 +145,8 @@ class StalenessTracker:
                 state[node.name] = True
                 continue
             stale = False
-            for dv_node in preds:
-                for input_node in self._graph.predecessors(dv_node):
+            for producer in preds:
+                for input_node in self._graph.predecessors(producer):
                     input_name = input_node.name
                     if state.get(input_name, False):
                         stale = True

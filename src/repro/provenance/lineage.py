@@ -23,7 +23,7 @@ the MULTI benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.catalog.resolver import ReferenceResolver
@@ -79,24 +79,26 @@ class LineageReport:
             default=0,
         )
 
+    def _trail(self) -> Iterator["LineageReport"]:
+        """This report and every report nested in it, however deep."""
+        stack = [self]
+        while stack:
+            report = stack.pop()
+            yield report
+            for step in report.steps:
+                stack.extend(step.inputs.values())
+
     def all_source_datasets(self) -> set[str]:
         """Every raw dataset this dataset transitively derives from."""
-        if self.is_source:
-            return {self.dataset}
-        out: set[str] = set()
-        for step in self.steps:
-            for report in step.inputs.values():
-                out |= report.all_source_datasets()
-        return out
+        return {r.dataset for r in self._trail() if r.is_source}
 
     def all_derivations(self) -> set[str]:
         """Every derivation name appearing anywhere in the trail."""
-        out: set[str] = set()
-        for step in self.steps:
-            out.add(step.derivation.name)
-            for report in step.inputs.values():
-                out |= report.all_derivations()
-        return out
+        return {
+            step.derivation.name
+            for report in self._trail()
+            for step in report.steps
+        }
 
     def total_cpu_seconds(self) -> float:
         """Sum of recorded cpu time over all invocations in the trail."""
@@ -109,29 +111,50 @@ class LineageReport:
 
     def render(self, indent: int = 0) -> str:
         """Human-readable multi-line audit trail."""
-        pad = "  " * indent
-        if self.is_source:
-            return f"{pad}{self.dataset}  [source]"
-        lines = [f"{pad}{self.dataset}"]
-        for step in self.steps:
-            dv = step.derivation
-            version = (
-                f" (v{step.transformation_version})"
-                if step.transformation_version
-                else ""
-            )
-            runs = f", {len(step.invocations)} run(s)" if step.invocations else ""
-            where = f" @{step.authority}" if step.authority != "local" else ""
-            lines.append(
-                f"{pad}  <- {dv.name} -> {dv.transformation.name}"
-                f"{version}{where}{runs}"
-            )
-            params = step.parameters()
-            if params:
-                rendered = ", ".join(f"{k}={v!r}" for k, v in sorted(params.items()))
-                lines.append(f"{pad}     params: {rendered}")
-            for name in sorted(step.inputs):
-                lines.append(step.inputs[name].render(indent + 3))
+        lines: list[str] = []
+        # Still to print, last first: finished lines and the
+        # ``(report, indent)`` subtrees that go between them.
+        stack: list[str | tuple[LineageReport, int]] = [(self, indent)]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                lines.append(item)
+                continue
+            report, indent = item
+            pad = "  " * indent
+            if not report.steps:
+                lines.append(f"{pad}{report.dataset}  [source]")
+                continue
+            lines.append(f"{pad}{report.dataset}")
+            for step in reversed(report.steps):
+                stack.extend(
+                    (step.inputs[name], indent + 3)
+                    for name in sorted(step.inputs, reverse=True)
+                )
+                dv = step.derivation
+                params = step.parameters()
+                if params:
+                    rendered = ", ".join(
+                        f"{k}={v!r}" for k, v in sorted(params.items())
+                    )
+                    stack.append(f"{pad}     params: {rendered}")
+                version = (
+                    f" (v{step.transformation_version})"
+                    if step.transformation_version
+                    else ""
+                )
+                runs = (
+                    f", {len(step.invocations)} run(s)"
+                    if step.invocations
+                    else ""
+                )
+                where = (
+                    f" @{step.authority}" if step.authority != "local" else ""
+                )
+                stack.append(
+                    f"{pad}  <- {dv.name} -> {dv.transformation.name}"
+                    f"{version}{where}{runs}"
+                )
         return "\n".join(lines)
 
 
@@ -156,7 +179,6 @@ def lineage_report(
         ),
         version_of=_version_lookup(catalog),
         max_depth=max_depth,
-        seen=set(),
     )
 
 
@@ -191,7 +213,6 @@ def cross_catalog_lineage(
         invocations=invocations,
         version_of=_version_lookup(resolver.home),
         max_depth=max_depth,
-        seen=set(),
     )
 
 
@@ -222,29 +243,39 @@ def _report(
     invocations,
     version_of,
     max_depth: Optional[int],
-    seen: set[str],
 ) -> LineageReport:
-    report = LineageReport(dataset=dataset_name)
-    if max_depth is not None and max_depth <= 0:
-        return report
-    if dataset_name in seen:
-        return report  # cycle guard: report as source rather than recurse
-    seen = seen | {dataset_name}
-    for dv, authority in producers(dataset_name):
-        step = LineageStep(
-            derivation=dv,
-            authority=authority,
-            transformation_version=version_of(dv),
-            invocations=list(invocations(dv.name)),
-        )
-        for input_name in dv.inputs():
-            step.inputs[input_name] = _report(
-                input_name,
-                producers,
-                invocations,
-                version_of,
-                None if max_depth is None else max_depth - 1,
-                seen,
+    root = LineageReport(dataset=dataset_name)
+    #: Datasets on the path from the root to the report being expanded.
+    path: set[str] = set()
+    # (report, depth left, leaving): expand the report, or — once the
+    # subtree below it is done — take it off the path again.
+    stack: list[tuple[LineageReport, Optional[int], bool]] = [
+        (root, max_depth, False)
+    ]
+    while stack:
+        report, depth, leaving = stack.pop()
+        if leaving:
+            path.discard(report.dataset)
+            continue
+        if depth is not None and depth <= 0:
+            continue
+        if report.dataset in path:
+            continue  # cycle guard: report as source rather than recurse
+        below = None if depth is None else depth - 1
+        children = []
+        for dv, authority in producers(report.dataset):
+            step = LineageStep(
+                derivation=dv,
+                authority=authority,
+                transformation_version=version_of(dv),
+                invocations=list(invocations(dv.name)),
             )
-        report.steps.append(step)
-    return report
+            for input_name in dv.inputs():
+                step.inputs[input_name] = child = LineageReport(input_name)
+                children.append((child, below, False))
+            report.steps.append(step)
+        if children:
+            path.add(report.dataset)
+            stack.append((report, depth, True))
+            stack.extend(reversed(children))
+    return root

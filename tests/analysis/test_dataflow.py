@@ -1,47 +1,38 @@
 """Unit tests for the generic worklist/fixpoint dataflow engine."""
 
+import repro.analysis
+import repro.analysis.dataflow
 from repro.analysis.dataflow import (
     DataflowPass,
-    GraphView,
-    ds_node,
-    dv_node,
-    node_kind,
-    node_name,
+    PerKind,
+    fact_tables,
     solve,
 )
 from repro.provenance.graph import DerivationGraph
 
 #: A bipartite chain alternates kinds: dataset a feeds derivation b,
-#: which writes dataset c, which feeds derivation d.
-A, B, C, D = ds_node("a"), dv_node("b"), ds_node("c"), dv_node("d")
-X, Y = ds_node("x"), dv_node("y")
-#: Only a derivation can be a node with no edges.
-ISLAND, FAR_AWAY = dv_node("island"), dv_node("far-away")
+#: which writes dataset c, which feeds derivation d.  Datasets are
+#: lower case, derivations upper case; each table holds its own kind.
 
 
-def view(*edges, isolated=()):
-    """A DerivationGraph with these ``(src, dst)`` node-id edges, read
-    through the same view the analyzer uses."""
-    inputs = {node_name(n): [] for n in isolated}
-    outputs = {node_name(n): [] for n in isolated}
-    for src, dst in edges:
-        dataset, derivation, sides = (
-            (src, dst, inputs)
-            if node_kind(src) == "dataset"
-            else (dst, src, outputs)
-        )
-        inputs.setdefault(node_name(derivation), [])
-        outputs.setdefault(node_name(derivation), [])
-        sides[node_name(derivation)].append(node_name(dataset))
-    graph = DerivationGraph()
-    for name in inputs:
-        graph.add_derivation_edges(name, inputs[name], outputs[name])
-    return GraphView(graph)
+def graph(*derivations, isolated=()):
+    """A DerivationGraph of ``(name, inputs, outputs)`` derivations —
+    what the engine reads, with nothing in between."""
+    g = DerivationGraph()
+    for name, inputs, outputs in derivations:
+        g.add_derivation_edges(name, inputs, outputs)
+    for name in isolated:  # only a derivation can have no edges
+        g.add_derivation_edges(name, [], [])
+    return g
 
 
-def chain(*nodes, isolated=()):
-    """n0 -> n1 -> n2 ... through the view."""
-    return view(*zip(nodes, nodes[1:]), isolated=isolated)
+def chain(isolated=()):
+    """a -> B -> c -> D"""
+    return graph(("B", ["a"], ["c"]), ("D", ["c"], []), isolated=isolated)
+
+
+def seeds(datasets=(), derivations=()):
+    return PerKind(set(datasets), set(derivations))
 
 
 class ReachPass(DataflowPass):
@@ -50,174 +41,211 @@ class ReachPass(DataflowPass):
     name = "reach"
     direction = "forward"
 
-    def transfer(self, node, graph, facts, model):
-        if node in model["sources"]:
+    def transfer_dataset(self, lfn, producers, facts, model):
+        if lfn in model["sources"]:
             return True
-        return any(facts.get(p) or False for p in graph.pred(node))
+        return any(facts.derivations.get(p) or False for p in producers)
+
+    def transfer_derivation(self, name, inputs, facts, model):
+        return any(facts.datasets.get(i) or False for i in inputs)
 
     def subsumes(self, new, old):
         return bool(new) or not bool(old)
 
 
-class TestNodeIds:
-    def test_prefixes_round_trip(self):
-        assert node_name(ds_node("raw1")) == "raw1"
-        assert node_name(dv_node("g1")) == "g1"
-        assert node_kind(ds_node("raw1")) == "dataset"
-        assert node_kind(dv_node("g1")) == "derivation"
+class TestOneIdSpace:
+    def test_no_private_node_ids_left(self):
+        for module in (repro.analysis, repro.analysis.dataflow):
+            for gone in (
+                "GraphView",
+                "ds_node",
+                "dv_node",
+                "node_kind",
+                "node_name",
+                "DS_PREFIX",
+                "DV_PREFIX",
+            ):
+                assert not hasattr(module, gone), gone
 
+    def test_transfer_is_handed_the_stored_neighbours(self):
+        seen = {}
 
-class TestGraphView:
-    def test_renders_both_kinds_and_directions(self):
-        g = chain(A, B, C)
-        assert set(g.nodes) == {A, B, C} and len(g) == 3
-        assert A in g and B in g and dv_node("a") not in g
-        assert g.succ(A) == [B] and g.pred(A) == []
-        assert g.succ(B) == [C] and g.pred(B) == [A]
-        assert g.derivation_count() == 1
+        class Spy(ReachPass):
+            def transfer_dataset(self, lfn, producers, facts, model):
+                seen[lfn] = producers
+                return False
 
-    def test_neighbors_both_directions(self):
-        assert chain(A, B, C).neighbors(B) == {A, C}
+            def transfer_derivation(self, name, inputs, facts, model):
+                seen[name] = inputs
+                return False
 
-    def test_unknown_nodes_have_no_edges(self):
-        g = chain(A, B)
-        assert g.succ("ds:ghost") == g.pred("dv:ghost") == []
-        assert g.neighbors("dv:ghost") == set()
+        g = chain()
+        solve(Spy(), g, fact_tables(), {"sources": set()})
+        producers, _, inputs, _ = g.adjacency()
+        assert seen["c"] is producers["c"] and seen["B"] is inputs["B"]
 
-    def test_view_follows_the_graph(self):
-        graph = DerivationGraph()
-        g = GraphView(graph)
-        graph.add_derivation_edges("b", ["a"], ["c"])
-        assert set(g.nodes) == {A, B, C}
-        graph.remove_derivation("b")
-        assert len(g) == 0 and B not in g
+    def test_engine_follows_the_graph(self):
+        g = DerivationGraph()
+        facts = fact_tables()
+        model = {"sources": {"a"}}
+        g.add_derivation_edges("B", ["a"], ["c"])
+        solve(ReachPass(), g, facts, model)
+        assert facts == ({"a": True, "c": True}, {"B": True})
+        g.remove_derivation("B")
+        solve(ReachPass(), g, facts, model)
+        assert facts == ({}, {})
 
 
 class TestFullSolve:
     def test_fixpoint_on_chain(self):
-        g = chain(A, B, C)
-        facts = {}
-        result = solve(ReachPass(), g, facts, {"sources": {A}})
+        facts = fact_tables()
+        result = solve(ReachPass(), chain(), facts, {"sources": {"a"}})
         assert result.stats.mode == "full"
-        assert facts == {A: True, B: True, C: True}
+        assert facts.datasets == {"a": True, "c": True}
+        assert facts.derivations == {"B": True, "D": True}
 
     def test_unreachable_stays_bottom(self):
-        g = chain(A, B, isolated=[ISLAND])
-        facts = {}
-        solve(ReachPass(), g, facts, {"sources": {A}})
-        assert facts[ISLAND] is False
+        facts = fact_tables()
+        g = chain(isolated=["ISLAND"])
+        solve(ReachPass(), g, facts, {"sources": {"a"}})
+        assert facts.derivations["ISLAND"] is False
 
     def test_cycle_terminates(self):
-        g = chain(A, B, C, D, A)
-        facts = {}
-        solve(ReachPass(), g, facts, {"sources": {A}})
-        assert all(facts[n] for n in (A, B, C, D))
+        g = graph(("B", ["a"], ["c"]), ("D", ["c"], ["a"]))
+        facts = fact_tables()
+        solve(ReachPass(), g, facts, {"sources": {"a"}})
+        assert all(facts.datasets[n] for n in "ac")
+        assert all(facts.derivations[n] for n in "BD")
 
     def test_full_solve_clears_stale_facts(self):
-        g = chain(A, B)
-        facts = {"dv:ghost": True}
-        solve(ReachPass(), g, facts, {"sources": {A}})
-        assert "dv:ghost" not in facts
+        facts = PerKind({"ghost": True}, {"GHOST": True})
+        solve(ReachPass(), chain(), facts, {"sources": {"a"}})
+        assert "ghost" not in facts.datasets
+        assert "GHOST" not in facts.derivations
 
 
 class TestIncrementalSolve:
     def test_increase_propagates_downstream(self):
-        g = chain(A, B, C, D)
+        g = chain()
         model = {"sources": set()}
-        facts = {}
+        facts = fact_tables()
         solve(ReachPass(), g, facts, model)
-        model["sources"] = {A}
-        result = solve(ReachPass(), g, facts, model, seeds={A})
+        model["sources"] = {"a"}
+        result = solve(ReachPass(), g, facts, model, seeds(["a"]))
         assert result.stats.mode == "incremental"
-        assert facts == {A: True, B: True, C: True, D: True}
-        assert result.changed == {A, B, C, D}
+        assert facts == ({"a": True, "c": True}, {"B": True, "D": True})
+        assert result.changed == ({"a", "c"}, {"B", "D"})
 
     def test_untouched_region_not_visited(self):
-        g = view((A, B), (X, Y))
-        model = {"sources": {A, X}}
-        facts = {}
+        g = graph(("B", ["a"], []), ("Y", ["x"], []))
+        model = {"sources": {"a", "x"}}
+        facts = fact_tables()
         solve(ReachPass(), g, facts, model)
-        result = solve(ReachPass(), g, facts, model, seeds={A})
-        # The x->y component is quiescent: nothing there is revisited.
+        result = solve(ReachPass(), g, facts, model, seeds(["a"]))
+        # The x->Y component is quiescent: nothing there is revisited.
         assert result.stats.visited <= 2
 
     def test_decrease_resets_forward_cone(self):
-        g = chain(A, B, C)
-        model = {"sources": {A}}
-        facts = {}
+        g = graph(("B", ["a"], ["c"]))
+        model = {"sources": {"a"}}
+        facts = fact_tables()
         solve(ReachPass(), g, facts, model)
         model["sources"] = set()
-        result = solve(ReachPass(), g, facts, model, seeds={A})
-        assert facts == {A: False, B: False, C: False}
+        result = solve(ReachPass(), g, facts, model, seeds(["a"]))
+        assert facts == ({"a": False, "c": False}, {"B": False})
         assert result.stats.reset_cone > 0
 
     def test_decrease_on_cycle_kills_self_support(self):
-        # b and c sustain each other's reachability on a cycle; after
+        # B and c sustain each other's reachability on a cycle; after
         # the source unplugs, a naive re-propagation would keep both
         # True forever.  The cone reset must drain them.
-        g = view((A, B), (B, C), (C, B))
-        model = {"sources": {A}}
-        facts = {}
+        g = graph(("B", ["a", "c"], ["c"]))
+        model = {"sources": {"a"}}
+        facts = fact_tables()
         solve(ReachPass(), g, facts, model)
-        assert facts[B] and facts[C]
+        assert facts.derivations["B"] and facts.datasets["c"]
         model["sources"] = set()
-        solve(ReachPass(), g, facts, model, seeds={A})
-        assert facts == {A: False, B: False, C: False}
+        solve(ReachPass(), g, facts, model, seeds(["a"]))
+        assert facts == ({"a": False, "c": False}, {"B": False})
 
     def test_seeds_outside_graph_ignored(self):
-        g = chain(A, B)
-        facts = {}
-        model = {"sources": {A}}
+        g = graph(("B", ["a"], []))
+        facts = fact_tables()
+        model = {"sources": {"a"}}
         solve(ReachPass(), g, facts, model)
-        result = solve(ReachPass(), g, facts, model, seeds={"dv:gone"})
+        result = solve(
+            ReachPass(), g, facts, model, seeds(["gone"], ["GONE"])
+        )
         assert result.stats.seeds == 0
-        assert result.changed == set()
+        assert result.changed == (set(), set())
+        assert result.report == (set(), set())
+
+    def test_seed_names_are_per_kind(self):
+        # A dataset and a derivation may share a name; a seed in one
+        # table never stands for the node in the other.
+        g = graph(("n", ["a"], ["n"]))
+        facts = fact_tables()
+        model = {"sources": set()}
+        solve(ReachPass(), g, facts, model)
+        model["sources"] = {"n"}
+        result = solve(ReachPass(), g, facts, model, seeds(["n"]))
+        assert facts.datasets["n"] is True
+        assert facts.derivations["n"] is False
+        assert result.changed == ({"n"}, set())
 
     def test_report_covers_influence_radius(self):
-        g = chain(A, B, C, D)
+        g = chain()
         model = {"sources": set()}
-        facts = {}
+        facts = fact_tables()
         solve(ReachPass(), g, facts, model)
-        model["sources"] = {A}
-        pass_ = ReachPass()
-        result = solve(pass_, g, facts, model, seeds={A})
+        model["sources"] = {"a"}
+        result = solve(ReachPass(), g, facts, model, seeds(["a"]))
         # Default report_hops=1: one hop past the last change.
-        assert result.report >= result.changed
+        for reported, changed in zip(result.report, result.changed):
+            assert reported >= changed
 
     def test_report_hops_extends_frontier(self):
         class TwoHopReach(ReachPass):
             report_hops = 2
 
-        g = chain(A, B, C, D)
+        g = chain()
         model = {"sources": set()}
-        facts = {}
-        # b..d already settled; only a's fact will change.
+        facts = fact_tables()
+        # B..D already settled; only a's fact will change.
         solve(TwoHopReach(), g, facts, model)
 
         class Frozen(TwoHopReach):
-            def transfer(self, node, graph, facts, model):
-                if node == A:
-                    return True
-                return facts.get(node) or False
+            def transfer_dataset(self, lfn, producers, facts, model):
+                return lfn == "a" or facts.datasets.get(lfn) or False
 
-        result = solve(Frozen(), g, facts, model, seeds={A})
-        assert result.changed == {A}
-        # Two influence hops forward of the change: b and c.
-        assert {B, C} <= result.report
-        assert D not in result.report
+            def transfer_derivation(self, name, inputs, facts, model):
+                return facts.derivations.get(name) or False
+
+        result = solve(Frozen(), g, facts, model, seeds(["a"]))
+        assert result.changed == ({"a"}, set())
+        # Two influence hops forward of the change: B and c.
+        assert "B" in result.report.derivations
+        assert "c" in result.report.datasets
+        assert "D" not in result.report.derivations
 
     def test_on_fact_change_extras_reach_report(self):
-        class Hooked(ReachPass):
-            def on_fact_change(self, node, old, new, model):
-                return {FAR_AWAY}
+        calls = []
 
-        g = chain(A, B, isolated=[FAR_AWAY])
+        class Hooked(ReachPass):
+            def on_fact_change(self, derivation, old, new, model):
+                calls.append((derivation, old, new))
+                return {"FAR_AWAY"}
+
+        g = graph(("B", ["a"], []), isolated=["FAR_AWAY"])
         model = {"sources": set()}
-        facts = {}
+        facts = fact_tables()
         solve(Hooked(), g, facts, model)
-        model["sources"] = {A}
-        result = solve(Hooked(), g, facts, model, seeds={A})
-        assert FAR_AWAY in result.report
+        del calls[:]
+        model["sources"] = {"a"}
+        result = solve(Hooked(), g, facts, model, seeds(["a"]))
+        # The hook hears derivation facts only, and names derivations.
+        assert calls == [("B", False, True)]
+        assert "FAR_AWAY" in result.report.derivations
 
 
 class TestLocalDirection:
@@ -226,16 +254,108 @@ class TestLocalDirection:
             name = "label"
             direction = "local"
 
-            def transfer(self, node, graph, facts, model):
-                return model["labels"].get(node, "")
+            def transfer_dataset(self, lfn, sources, facts, model):
+                assert sources == ()
+                return model["labels"].get(lfn, "")
 
-        g = chain(A, B)
-        model = {"labels": {A: "x", B: "y"}}
-        facts = {}
+            transfer_derivation = transfer_dataset
+
+        g = graph(("B", ["a"], []))
+        model = {"labels": {"a": "x", "B": "y"}}
+        facts = fact_tables()
         solve(Label(), g, facts, model)
-        model["labels"] = {A: "", B: "y"}
-        result = solve(Label(), g, facts, model, seeds={A})
+        model["labels"] = {"a": "", "B": "y"}
+        result = solve(Label(), g, facts, model, seeds(["a"]))
         # Shrink on a local pass must not trigger a cone walk.
         assert result.stats.reset_cone == 0
-        assert facts[A] == ""
-        assert facts[B] == "y"
+        assert facts == ({"a": ""}, {"B": "y"})
+
+
+class TestUnsetKinds:
+    """A kind whose transfer is unset is never seeded, visited, stored."""
+
+    class DatasetsOnly(DataflowPass):
+        name = "datasets-only"
+        direction = "forward"
+
+        def transfer_dataset(self, lfn, producers, facts, model):
+            return len(producers)
+
+    def test_full_solve_skips_the_kind(self):
+        facts = fact_tables()
+        result = solve(self.DatasetsOnly(), chain(), facts, None)
+        assert facts == ({"a": 0, "c": 1}, {})
+        assert result.stats.seeds == result.stats.visited == 2
+        assert result.changed.derivations == set()
+
+    def test_seeds_of_the_kind_still_report(self):
+        # No fact to recompute, but its report may read what changed.
+        g = chain()
+        facts = fact_tables()
+        solve(self.DatasetsOnly(), g, facts, None)
+        result = solve(
+            self.DatasetsOnly(), g, facts, None, seeds(["a"], ["B"])
+        )
+        assert result.stats.seeds == result.stats.visited == 1
+        assert result.report == ({"a"}, {"B"})
+
+    def test_change_reports_one_hop_into_the_kind(self):
+        g = chain()
+        facts = fact_tables()
+        solve(self.DatasetsOnly(), g, facts, None)
+        g.add_derivation_edges("E", [], ["c"])
+        result = solve(self.DatasetsOnly(), g, facts, None, seeds(["c"]))
+        assert facts.datasets["c"] == 2
+        # c's consumer reads c's fact in its report; nothing is
+        # enqueued behind it, and a lone kind has no cone to reset.
+        assert result.report == ({"c"}, {"D"})
+        assert result.stats.visited == 1 and result.stats.reset_cone == 0
+
+
+class TestTermination:
+    def test_shrink_and_growth_on_one_cycle_do_not_chase_each_other(self):
+        """r_in -> R -> x -> V -> y -> W -> r_in, solved while R was a
+        root and before W closed the ring.  R stops being a root in the
+        same batch: its fact shrinks while W's grows behind it, and a
+        worklist that wrote both would carry the pair round for ever."""
+        visits = []
+
+        class Ring(DataflowPass):
+            name = "ring"
+            direction = "forward"
+
+            def transfer_dataset(self, lfn, producers, facts, model):
+                visits.append(lfn)
+                assert len(visits) < 100, "the worklist does not drain"
+                return any(facts.derivations.get(p) or False for p in producers)
+
+            def transfer_derivation(self, name, inputs, facts, model):
+                visits.append(name)
+                assert len(visits) < 100, "the worklist does not drain"
+                if name in model["roots"]:
+                    return True
+                return any(facts.datasets.get(i) or False for i in inputs)
+
+            def subsumes(self, new, old):
+                return bool(new) or not bool(old)
+
+        g = graph(("R", ["r_in"], ["x"]), ("V", ["x"], ["y"]))
+        facts = fact_tables()
+        model = {"roots": {"R"}}
+        solve(Ring(), g, facts, model)
+        assert facts == (
+            {"r_in": False, "x": True, "y": True}, {"R": True, "V": True}
+        )
+        g.add_derivation_edges("W", ["y"], ["r_in"])
+        model["roots"] = set()
+        del visits[:]
+        result = solve(
+            Ring(), g, facts, model, seeds(["r_in", "x", "y"], ["R", "W"])
+        )
+        assert facts == (
+            {"r_in": False, "x": False, "y": False},
+            {"R": False, "V": False, "W": False},
+        )
+        assert result.stats.reset_cone == 6
+        assert result.changed.datasets >= {"x", "y"}
+        assert result.changed.derivations == {"R", "V", "W"}

@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis.dataflow import ds_node, dv_node
+from repro.analysis.dataflow import fact_tables
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.catalog.memory import MemoryCatalog
 from repro.core.derivation import DatasetArg, Derivation
@@ -23,7 +23,7 @@ from repro.core.invocation import Invocation
 from repro.core.naming import VDPRef
 from repro.core.recipe import stamp_recipe
 from repro.core.replica import Replica
-from repro.provenance.graph import DATASET, DerivationGraph
+from repro.provenance.graph import DerivationGraph
 from tests.catalog.test_catalog_properties import open_catalog
 from tests.provenance.test_graphcache import edges
 
@@ -179,21 +179,19 @@ def rendered(diagnostics) -> str:
     return json.dumps([d.as_dict() for d in diagnostics], sort_keys=True)
 
 
-def node_id(node) -> str:
-    return (ds_node if node.kind == DATASET else dv_node)(node.name)
-
-
 def assert_view_is_cold_graph(analyzer, catalog) -> None:
-    """The analyzer's graph is the stored derivations, in its own ids."""
-    view = analyzer.model.graph
+    """The graph the analyzer solves over is the stored derivations:
+    the catalog's own graph object, equal to a cold rebuild map by map
+    (the predecessor maps too — the engine reads all four)."""
+    live = analyzer.model.graph
+    assert live is catalog.derivation_graph()
     cold = DerivationGraph.from_catalog(catalog)
-    assert sorted(view.nodes) == sorted(map(node_id, cold.nodes()))
-    assert {(n, s) for n in view.nodes for s in view.succ(n)} == {
-        (node_id(n), node_id(s)) for n, s in edges(cold)
-    }
-    assert {(p, n) for n in view.nodes for p in view.pred(n)} == {
-        (node_id(n), node_id(s)) for n, s in edges(cold)
-    }
+    assert live.nodes() == cold.nodes()
+    assert edges(live) == edges(cold)
+    for mine, theirs in zip(live.adjacency(), cold.adjacency()):
+        assert {k: set(v) for k, v in mine.items()} == {
+            k: set(v) for k, v in theirs.items()
+        }
 
 
 @settings(
@@ -244,5 +242,113 @@ def test_incremental_lint_context_tracks_mutations(ops):
         assert sorted(d.name for d in context.dvs) == sorted(
             catalog.derivation_names()
         )
+    finally:
+        live.close()
+
+
+# -- differential: the engine's tables against a sweep of a cold graph -------
+
+#: Two derivations of the op universe feeding each other.
+CYCLE = [
+    ("define", "v0", "d1", "d0", "step"),
+    ("define", "v1", "d0", "d1", "twostep"),
+]
+#: ... executed, materialized, then stale at the root and solved that
+#: way: every pass now carries facts around a cycle.
+STALE_CYCLE = CYCLE + [
+    ("run", "v0"),
+    ("run", "v1"),
+    ("replicate", "d0"),
+    ("replicate", "d1"),
+    ("query",),
+    ("bump", "step"),
+    ("query",),
+]
+
+
+def naive_tables(pass_, graph, model):
+    """Least fixpoint by brute force: every node of ``graph``, in name
+    order, again and again until a whole sweep changes nothing."""
+    producers, consumers, inputs, outputs = graph.adjacency()
+    upstream, downstream = (producers, inputs), (consumers, outputs)
+    sources = {"forward": upstream, "backward": downstream}.get(
+        pass_.direction
+    )
+    transfers = (pass_.transfer_dataset, pass_.transfer_derivation)
+    facts = fact_tables()
+    moved = True
+    while moved:
+        moved = False
+        for kind, transfer in enumerate(transfers):
+            if transfer is None:
+                continue
+            for name in sorted(upstream[kind]):
+                reads = sources[kind][name] if sources else ()
+                new = transfer(name, reads, facts, model)
+                if facts[kind].get(name) != new:
+                    facts[kind][name] = new
+                    moved = True
+    return facts
+
+
+def assert_tables_are_the_naive_fixpoint(live, catalog) -> None:
+    live.diagnostics()
+    cold_graph = DerivationGraph.from_catalog(catalog)
+    for state in live._states.values():
+        pass_ = state.pass_
+        expected = naive_tables(pass_, cold_graph, live.model)
+        assert state.facts == expected, pass_.name
+        # Nothing is kept for a kind the pass has no transfer for, and
+        # nothing reported for one it has no report for.
+        for table, cache, transfer, report in zip(
+            state.facts,
+            state.reports,
+            (pass_.transfer_dataset, pass_.transfer_derivation),
+            (pass_.report_dataset, pass_.report_derivation),
+        ):
+            assert transfer is not None or not table
+            assert report is not None or not cache
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(ops=operations)
+def test_solved_tables_equal_a_naive_sweep_of_a_cold_graph(ops):
+    catalog = MemoryCatalog()
+    catalog.define(BASE_VDL)
+    live = IncrementalAnalyzer(catalog)
+    try:
+        driver = Driver(catalog, query=live.diagnostics)
+        for op in STALE_CYCLE + ops:
+            driver.apply(op)
+        assert_tables_are_the_naive_fixpoint(live, catalog)
+    finally:
+        live.close()
+
+
+def test_a_cycle_unplugged_from_its_stale_root_drains():
+    """Facts on a cycle would keep each other up after their support
+    is gone; the incremental solve must end where a sweep from bottom
+    does."""
+    catalog = MemoryCatalog()
+    catalog.define(BASE_VDL)
+    live = IncrementalAnalyzer(catalog)
+    try:
+        driver = Driver(catalog, query=live.diagnostics)
+        for op in STALE_CYCLE:
+            driver.apply(op)
+        stale = live._states["staleness"].facts
+        assert all(stale.datasets[lfn] for lfn in ("d0", "d1"))
+        assert {d.code for d in live.diagnostics()} >= {"VDG601"}
+        driver.apply(("run", "v0"))
+        driver.apply(("run", "v1"))
+        assert_tables_are_the_naive_fixpoint(live, catalog)
+        assert not any(stale.datasets.values())
+        assert not any(stale.derivations.values())
+        assert live.stats()["passes"]["staleness"]["reset_cone"] >= 4
+        assert not [d for d in live.diagnostics() if d.code.startswith("VDG60")]
     finally:
         live.close()

@@ -7,6 +7,12 @@ through ``CatalogIndexes.touched``.
 """
 
 from repro.analysis.incremental import IncrementalAnalyzer
+from repro.analysis.passes import (
+    DeadDataPass,
+    OutputConflictPass,
+    StalenessPass,
+    TypeFlowPass,
+)
 from repro.catalog.memory import MemoryCatalog
 from repro.core.invocation import Invocation
 from repro.core.replica import Replica
@@ -100,3 +106,56 @@ def test_invocation_moved_to_a_removed_derivation_turns_orphan():
     assert codes(analyzer, "dead-data") == [("VDG612", "run-1")]
     catalog.restore_payload("invocation", "run-1", None)
     assert codes(analyzer, "dead-data") == []
+
+
+def test_cold_solve_works_only_on_the_kinds_a_pass_keeps(monkeypatch):
+    """A pass with nothing to say about a kind never has that kind
+    seeded, visited or stored; each kept node is visited at most twice
+    on a graph with nothing stale."""
+    catalog = MemoryCatalog()
+    canonical.generate_graph(catalog, nodes=2000, layers=12, seed=5, fast=True)
+    graph = catalog.derivation_graph()
+    datasets = set(graph.dataset_names())
+    derivations = set(graph.derivation_names())
+    assert len(derivations) == 2000 and not datasets & derivations
+    calls = {}
+
+    def counting(cls, method):
+        inner = getattr(cls, method)
+
+        def wrapper(self, name, *args):
+            calls.setdefault((cls.name, method), []).append(name)
+            return inner(self, name, *args)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    for cls in (StalenessPass, DeadDataPass, TypeFlowPass, OutputConflictPass):
+        for method in ("transfer_dataset", "transfer_derivation"):
+            if getattr(cls, method) is not None:
+                counting(cls, method)
+    analyzer = catalog.live_analyzer()
+    assert analyzer.diagnostics() == []
+    assert ("type-flow", "transfer_derivation") not in calls
+    assert ("output-conflict", "transfer_dataset") not in calls
+    assert set(calls["type-flow", "transfer_dataset"]) == datasets
+    assert set(calls["output-conflict", "transfer_derivation"]) == derivations
+    kept = {
+        "staleness": len(datasets) + len(derivations),
+        "dead-data": len(datasets) + len(derivations),
+        "type-flow": len(datasets),
+        "output-conflict": len(derivations),
+    }
+    stats = analyzer.stats()
+    assert stats["nodes"] == len(datasets) + len(derivations)
+    for name, nodes in kept.items():
+        per_pass = stats["passes"][name]
+        assert per_pass["seeds"] == nodes, name
+        assert nodes <= per_pass["visited"] <= 2 * nodes, name
+        transfers = sum(
+            len(names) for (owner, _), names in calls.items() if owner == name
+        )
+        assert transfers == per_pass["visited"], name
+    state = analyzer._states
+    assert not state["type-flow"].facts.derivations
+    assert not state["output-conflict"].facts.datasets
+    assert not state["staleness"].reports.derivations

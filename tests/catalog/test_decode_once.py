@@ -24,7 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from repro.catalog import base as catalog_base
 from repro.catalog import memory, payloads
 from repro.catalog.base import KINDS, _DECODERS, _transformation_from_payload
+from repro.catalog.filetree import FileTreeCatalog
 from repro.catalog.memory import MemoryCatalog
+from repro.catalog.sqlite import SQLiteCatalog
 from repro.core.dataset import Dataset
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.descriptors import FileDescriptor
@@ -524,6 +526,120 @@ class TestListingsAreCopies:
         assert any_catalog.derivation_graph().derivation("s1").outputs() == (
             "sim1.v2",
         )
+
+
+# -- the write side: a put keeps the document, not the caller's object -------
+
+
+@pytest.fixture(params=["memory", "sqlite", "filetree"])
+def reopenable(request, tmp_path):
+    """``(catalog, reopen)`` per backend: ``reopen()`` is a second
+    catalog over the same storage, or None where nothing persists."""
+    opened = []
+
+    def sqlite():
+        opened.append(SQLiteCatalog(str(tmp_path / "vdc.db")))
+        return opened[-1]
+
+    if request.param == "memory":
+        yield MemoryCatalog(), lambda: None
+    elif request.param == "sqlite":
+        yield sqlite(), sqlite
+    else:
+        yield (
+            FileTreeCatalog(tmp_path / "vdc"),
+            lambda: FileTreeCatalog(tmp_path / "vdc"),
+        )
+    for catalog in opened:
+        catalog.close()
+
+
+#: ``add_*`` as a caller spells it, per kind.
+ADD = {
+    "dataset": lambda c, obj: c.add_dataset(obj, replace=True),
+    "replica": lambda c, obj: c.add_replica(obj),
+    "transformation": lambda c, obj: c.add_transformation(obj, replace=True),
+    "derivation": lambda c, obj: c.add_derivation(obj, replace=True),
+    "invocation": lambda c, obj: c.add_invocation(obj),
+}
+
+
+def to_write(catalog, kind):
+    """``(obj, key, get)``: an object of ``kind`` that differs from
+    anything stored, the key ``add_*`` will file it under, its reader."""
+    box = populated(catalog)[kind]
+    obj = box.get(catalog)
+    box.edit(obj)
+    key, get = box.key, box.get
+    if kind == "replica":  # write-once kinds: a new id, not a replace
+        obj.replica_id = key = "rep-written"
+        get = lambda c: c.get_replica(key)  # noqa: E731
+    elif kind == "invocation":
+        obj.invocation_id = key = "inv-written"
+        get = lambda c: c.get_invocation(key)  # noqa: E731
+    return obj, key, get
+
+
+def document(catalog, kind, key) -> str:
+    """The stored document, byte for byte (key order included)."""
+    return json.dumps(catalog._store_get(kind, key))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["plain", "bulk"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_put_keeps_nothing_of_the_callers_object(reopenable, kind, batched):
+    catalog, reopen = reopenable
+    obj, key, get = to_write(catalog, kind)
+    written = obj.to_dict()
+    if batched:
+        with catalog.bulk():
+            ADD[kind](catalog, obj)
+            scribble(obj)  # also while the batch is still open
+    else:
+        ADD[kind](catalog, obj)
+        scribble(obj)
+    assert obj.to_dict() != written
+    assert catalog._store_get(kind, key) == written
+    assert get(catalog).to_dict() == written
+    assert catalog._decoded(kind, key).to_dict() == written
+    again = reopen()
+    if again is not None:
+        assert again._store_get(kind, key) == written
+        assert get(again).to_dict() == written
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_imported_snapshot_stays_the_importers(any_catalog, kind):
+    box = populated(any_catalog)[kind]
+    snapshot = any_catalog.export_snapshot()
+    before = document(any_catalog, kind, box.key)
+    any_catalog.import_snapshot(snapshot)
+    snapshot[kind][box.key]["attributes"]["tags"].append("scribbled")
+    snapshot[kind][box.key]["attributes"]["owner"] = "mallory"
+    assert document(any_catalog, kind, box.key) == before
+    assert box.get(any_catalog).to_dict() == box.stored(any_catalog)
+
+
+# Invocations are write-once through the typed API: no replace to undo.
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "invocation"])
+def test_raising_transaction_restores_the_very_document(reopenable, kind):
+    catalog, reopen = reopenable
+    box = populated(catalog)[kind]
+    before = document(catalog, kind, box.key)
+    with pytest.raises(Boom):
+        with catalog.transaction():
+            for _ in range(2):  # the second put's undo entry is the first's
+                edited = box.get(catalog)
+                box.edit(edited)
+                box.write(catalog, edited)
+                scribble(edited)
+                assert document(catalog, kind, box.key) != before
+            raise Boom
+    assert document(catalog, kind, box.key) == before
+    assert box.get(catalog).to_dict() == box.stored(catalog)
+    again = reopen()
+    if again is not None:
+        assert document(again, kind, box.key) == before
 
 
 # -- property: any op sequence leaves every reader on the stored state -------
