@@ -28,6 +28,7 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from repro.catalog.index import CatalogIndexes, PayloadCache
@@ -132,11 +133,13 @@ class VirtualDataCatalog:
         # cache invalidator must observe events before the indexes do:
         # index maintenance re-reads payloads through the cache.
         self._cache = PayloadCache()
-        # Set by the mutation choke points right before they fire the
-        # "put" event: the just-written payload is already cached, so
+        # Keys the mutation choke points wrote whose "put" event is
+        # still to fire: the just-written payload is already cached, so
         # the invalidator must let it live (index maintenance re-reads
-        # payloads through the cache immediately after).
-        self._cache_fresh: Optional[tuple[str, str]] = None
+        # payloads through the cache right after the event).  A set:
+        # add_derivation declares datasets between its own put and its
+        # event, and each of those puts is pending in its turn.
+        self._cache_fresh: set[tuple[str, str]] = set()
         self.subscribe(self._invalidate_cached_payload)
         self._indexes = CatalogIndexes(self)
         self._analyzer: Optional[Any] = None
@@ -166,6 +169,14 @@ class VirtualDataCatalog:
 
     def _store_has(self, kind: str, key: str) -> bool:
         return self._store_get(kind, key) is not None
+
+    def storage_directories(self) -> list[Path]:
+        """Directories the backend writes documents into.
+
+        ``repro fsck`` sweeps them for atomic-write temporaries a crash
+        left behind.  Empty for backends that keep no such directory.
+        """
+        return []
 
     def _store_peek(self, kind: str, key: str) -> Optional[dict]:
         """Raw read without an isolation copy — caller must not mutate.
@@ -271,11 +282,12 @@ class VirtualDataCatalog:
     # ------------------------------------------------------------------
 
     def _invalidate_cached_payload(self, event: str, kind: str, key: str) -> None:
-        if self._cache_fresh == (kind, key) and event == "put":
-            # Write-through from _apply_put/restore_payload: the cache
-            # already holds the new payload; don't throw it away.
-            self._cache_fresh = None
-            return
+        if (kind, key) in self._cache_fresh:
+            self._cache_fresh.discard((kind, key))
+            if event == "put":
+                # Write-through from _apply_put/restore_payload: the
+                # cache already holds the new payload; keep it.
+                return
         self._cache.invalidate(kind, key)
 
     def _cached_payload(self, kind: str, key: str) -> Optional[dict]:
@@ -536,7 +548,7 @@ class VirtualDataCatalog:
             before: dict[tuple[str, str], Optional[dict]] = {}
             for kind, key, prev in self._txn_undo:
                 before.setdefault((kind, key), prev)
-            self._cache_fresh = None
+            self._cache_fresh.clear()
             for (kind, key), prev in reversed(before.items()):
                 self._notify("put" if prev is not None else "delete", kind, key)
             return
@@ -591,7 +603,7 @@ class VirtualDataCatalog:
         # next overwritten, the undo log can all hold this one.
         self._store_put(kind, key, payload)
         self._cache.put(kind, key, payload)
-        self._cache_fresh = (kind, key)
+        self._cache_fresh.add((kind, key))
         if kind == "derivation":
             # The graph re-links on the put event, which add_derivation
             # fires only after declaring datasets; whoever reads in
@@ -643,7 +655,7 @@ class VirtualDataCatalog:
             owned = json_copy(payload)
             self._store_put(kind, key, owned)
             self._cache.put(kind, key, owned)
-            self._cache_fresh = (kind, key)
+            self._cache_fresh.add((kind, key))
             self._notify("put", kind, key)
 
     # ------------------------------------------------------------------
@@ -1165,7 +1177,7 @@ class VirtualDataCatalog:
         with self.bulk():
             for kind in KINDS:
                 self._store_put_many(kind, list(snapshot.get(kind, {}).items()))
-            self._cache_fresh = None
+            self._cache_fresh.clear()
             for kind in KINDS:
                 for key in snapshot.get(kind, {}):
                     self._notify("put", kind, key)

@@ -1,14 +1,18 @@
 """File-tree virtual data catalog backend.
 
 The "hierarchical directory such as a file system" realization of the
-VDC (§3): one directory per object kind, one JSON document per object.
-Keys are percent-encoded into file names so arbitrary object names
-(``example1::t1@1.0``) stay filesystem-safe.
+VDC (§3): one directory per object kind, one JSON document per object
+(one line, sorted keys, trailing newline; documents indented by
+earlier versions read back unchanged).  Keys are percent-encoded into
+file names so arbitrary object names (``example1::t1@1.0``) stay
+filesystem-safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import urllib.parse
 from pathlib import Path
 from typing import Optional
@@ -17,19 +21,19 @@ from repro.catalog.base import KINDS, VirtualDataCatalog
 from repro.durability.atomic import atomic_write_json
 
 
-def _encode(key: str) -> str:
-    return urllib.parse.quote(key, safe="") + ".json"
-
-
-def _decode(filename: str) -> str:
-    return urllib.parse.unquote(filename[: -len(".json")])
-
-
 class FileTreeCatalog(VirtualDataCatalog):
     """A catalog persisted as a directory tree of JSON documents.
 
     Reopening a :class:`FileTreeCatalog` on an existing directory
     recovers the full catalog, including relationship indexes.
+
+    A handle's view of the tree is what it found at open plus what it
+    wrote — the rule the relationship indexes and the payload cache
+    already follow.  The set of stored keys is listed once, at open,
+    and kept current by every put and delete, so membership, key
+    listings and a lookup of an unknown key touch no filesystem.  A
+    document removed behind the handle's back reads as not found and
+    leaves the directory; one added behind it is not seen until reopen.
     """
 
     def __init__(
@@ -40,41 +44,57 @@ class FileTreeCatalog(VirtualDataCatalog):
     ):
         super().__init__(authority=authority, **kwargs)
         self._root = Path(root)
+        #: kind -> its directory as a string prefix, separator included.
+        self._prefix: dict[str, str] = {}
+        #: kind -> stored keys (a dict for its insertion order).
+        self._directory: dict[str, dict[str, None]] = {}
         for kind in KINDS:
-            (self._root / kind).mkdir(parents=True, exist_ok=True)
+            kind_dir = self._root / kind
+            kind_dir.mkdir(parents=True, exist_ok=True)
+            self._prefix[kind] = os.path.join(kind_dir, "")
+            self._directory[kind] = {
+                urllib.parse.unquote(name[: -len(".json")]): None
+                for name in os.listdir(kind_dir)
+                if name.endswith(".json")
+            }
         self._rebuild_indexes()
 
     @property
     def root(self) -> Path:
         return self._root
 
+    def storage_directories(self) -> list[Path]:
+        return [self._root / kind for kind in KINDS]
+
     # -- storage primitives -------------------------------------------------
 
-    def _path(self, kind: str, key: str) -> Path:
-        return self._root / kind / _encode(key)
+    def _path(self, kind: str, key: str) -> str:
+        return self._prefix[kind] + urllib.parse.quote(key, safe="") + ".json"
 
     def _store_put(self, kind: str, key: str, payload: dict) -> None:
-        # Atomic tmp+rename; the ``.vdg-tmp`` marker means a leftover
-        # from a crash mid-write is swept by ``repro fsck``.
-        atomic_write_json(self._path(kind, key), payload, indent=1)
+        # Create, write, rename; a crash in between leaves a
+        # ``.vdg-tmp`` file that ``repro fsck`` reports and removes.
+        atomic_write_json(self._path(kind, key), payload, indent=None)
+        self._directory[kind][key] = None
 
     def _store_get(self, kind: str, key: str) -> Optional[dict]:
-        path = self._path(kind, key)
-        if not path.exists():
+        if key not in self._directory[kind]:
             return None
-        return json.loads(path.read_text())
+        try:
+            with open(self._path(kind, key), "rb") as handle:
+                return json.loads(handle.read())
+        except FileNotFoundError:
+            del self._directory[kind][key]
+            return None
 
     def _store_delete(self, kind: str, key: str) -> None:
-        path = self._path(kind, key)
-        if path.exists():
-            path.unlink()
+        if key in self._directory[kind]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._path(kind, key))
+            del self._directory[kind][key]
 
     def _store_keys(self, kind: str) -> list[str]:
-        return [
-            _decode(p.name)
-            for p in (self._root / kind).iterdir()
-            if p.name.endswith(".json")
-        ]
+        return list(self._directory[kind])
 
     def _store_has(self, kind: str, key: str) -> bool:
-        return self._path(kind, key).exists()
+        return key in self._directory[kind]

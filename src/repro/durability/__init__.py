@@ -7,7 +7,8 @@ crash-consistent end to end, in the spirit of the checksum-verified,
 restartable replica management of Allcock et al. (PAPERS.md):
 
 * :mod:`repro.durability.atomic` — torn-write-free file replacement
-  (``tempfile`` + ``os.replace``) shared by every on-disk writer;
+  (exclusive temporary + ``os.replace``) shared by every on-disk
+  writer, the file-tree catalog's documents included;
 * :mod:`repro.durability.checksum` — content digests stamped on
   replicas at stage-out and verified on consume and during fsck;
 * :mod:`repro.durability.journal` — the append-only intent journal

@@ -146,6 +146,9 @@ class IntentJournal:
         self.obs = instrumentation or NULL
         self._lock = threading.Lock()
         self._handle = None
+        #: Bytes in the file as far as this writer knows: its size when
+        #: opened plus what was appended since.
+        self._size = 0
         self._counter = 0
         self._epoch = (
             f"{int(time.time() * 1000) & 0xFFFFFF:06x}"
@@ -159,6 +162,7 @@ class IntentJournal:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._repair_tail()
             self._handle = open(self.path, "a", encoding="utf-8")
+            self._size = os.fstat(self._handle.fileno()).st_size
         return self._handle
 
     def _repair_tail(self) -> None:
@@ -191,6 +195,7 @@ class IntentJournal:
         line = json.dumps(record, sort_keys=True, default=str)
         handle = self._file()
         handle.write(line + "\n")
+        self._size += len(line) + 1  # json.dumps escapes to ASCII
         # Flush per line: a crash can only tear the final line.
         handle.flush()
         if sync and self.fsync:
@@ -255,13 +260,8 @@ class IntentJournal:
         already been applied to a durable backing store before its
         commit marker was written.
         """
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return
-        if size < CHECKPOINT_BYTES:
-            return
-        self._truncate_locked()
+        if self._size >= CHECKPOINT_BYTES:
+            self._truncate_locked()
 
     def checkpoint(self) -> None:
         """Explicitly truncate the journal (after recovery has run)."""
@@ -272,6 +272,7 @@ class IntentJournal:
         if self._handle is not None and not self._handle.closed:
             self._handle.close()
         self._handle = None
+        self._size = 0
         if self.path.exists():
             with open(self.path, "w", encoding="utf-8"):
                 pass

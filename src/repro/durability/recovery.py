@@ -330,11 +330,22 @@ class RecoveryManager:
     # -- stale atomic-write temporaries --------------------------------------
 
     def _check_temporaries(self, report: FsckReport, fixing) -> None:
-        for directory in (self.sandbox_dir, self.rescue_dir):
+        """Sandbox, rescue directory, and wherever the catalog backend
+        keeps its documents (a put killed before its rename)."""
+        for directory in (
+            self.sandbox_dir,
+            self.rescue_dir,
+            *self.catalog.storage_directories(),
+        ):
             if directory is None or not directory.is_dir():
                 continue
-            for child in sorted(directory.iterdir()):
-                if not (child.is_file() and TMP_MARKER in child.name):
+            # By name first: the catalog's directories hold a file per
+            # object, and only a temporary is worth a stat.
+            for name in sorted(os.listdir(directory)):
+                if TMP_MARKER not in name:
+                    continue
+                child = directory / name
+                if not child.is_file():
                     continue
                 finding = report.add(
                     Finding(

@@ -166,7 +166,9 @@ class LocalExecutor:
         ``stat``, not one hash.
         """
         path = self.path_for(dataset_name)
-        if not path.exists():
+        try:
+            stat = os.stat(path)
+        except OSError:
             return False
         matching = [
             replica
@@ -176,7 +178,6 @@ class LocalExecutor:
         ]
         if not matching:
             return True
-        stat = path.stat()
         stamp = (stat.st_size, stat.st_mtime_ns)
         if self._verified.get(str(path)) == stamp:
             return True

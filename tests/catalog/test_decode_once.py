@@ -898,3 +898,47 @@ class TestDecodeCounts:
         any_catalog.add_dataset(Dataset(name="final"))
         stats = any_catalog.cache_stats()
         assert stats["decoded"] <= stats["size"] <= 4
+
+
+# -- counts: nothing just written is read back --------------------------------
+
+
+def test_a_derivation_that_declares_datasets_is_not_read_back(
+    any_catalog, monkeypatch
+):
+    """``add_derivation`` stores the derivation, declares its datasets,
+    then announces it: the dataset puts in between must not make the
+    index fetch the derivation's document back from the store."""
+    any_catalog.define(DIAMOND_VDL)
+    reads = []
+    for primitive in ("_store_get", "_store_peek"):
+        real = getattr(any_catalog, primitive)
+
+        def counting(kind, key, _real=real):
+            reads.append((kind, key))
+            return _real(kind, key)
+
+        monkeypatch.setattr(any_catalog, primitive, counting)
+    dv = Derivation(
+        name="s3",
+        transformation=any_catalog.get_derivation("s1").transformation,
+        actuals={
+            "o": DatasetArg(dataset="sim3", direction="output"),
+            "i": DatasetArg(dataset="raw3", direction="input"),
+        },
+    )
+    any_catalog.add_derivation(dv)
+    assert any_catalog.has_dataset("sim3") and any_catalog.has_dataset("raw3")
+    assert ("derivation", "s3") not in reads
+    assert sorted(any_catalog.derivation_graph().producer_names("sim3")) == ["s3"]
+    assert any_catalog.get_dataset("sim3").producer == "s3"
+    # Inside a transaction the undo log asks once what each new key
+    # held before (nothing); after its put, nobody asks the store again
+    # (a peek that falls through to ``_store_get`` is recorded twice).
+    reads.clear()
+    with any_catalog.transaction():
+        dv.name, dv.actuals["o"] = "s4", DatasetArg("sim4", "output")
+        any_catalog.add_derivation(dv)
+    assert set(reads) == {("derivation", "s4"), ("dataset", "sim4")}
+    assert reads.count(("derivation", "s4")) <= 2 and len(reads) <= 4
+    assert any_catalog.get_derivation("s4").to_dict() == dv.to_dict()

@@ -7,6 +7,9 @@ identically — the backends must be observationally equivalent.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
+
 import pytest
 
 from repro.catalog.filetree import FileTreeCatalog
@@ -80,6 +83,31 @@ def derivation_scans(monkeypatch):
         return scans
 
     return watch
+
+
+@pytest.fixture
+def syscalls(monkeypatch):
+    """Count calls made through ``os.<name>`` — which is how ``pathlib``,
+    ``os.path`` and ``tempfile`` reach the filesystem too.  A Counter by
+    name (``clear()`` it to start a region); ``open_flags`` lists the
+    flags of each ``os.open``."""
+    calls: Counter = Counter()
+    calls.open_flags = []
+
+    def counted(name):
+        real = getattr(os, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "open":
+                calls.open_flags.append(args[1])
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("stat", "lstat", "open", "replace", "listdir", "scandir"):
+        monkeypatch.setattr(os, name, counted(name))
+    return calls
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Tests for the atomic file-replacement helpers."""
 
+import itertools
 import json
+import os
 
 import pytest
 
+from repro.durability import atomic
 from repro.durability.atomic import (
     TMP_MARKER,
     atomic_write_bytes,
@@ -54,6 +57,59 @@ class TestAtomicWrite:
             atomic_write_json(target, {"bad": object()})
         # Old content survives; no temp debris accumulates forever.
         assert json.loads(target.read_text()) == {"ok": True}
+
+
+class TestTemporaries:
+    """A write is create (exclusive), write, rename; the temporary is
+    named ``<final>.vdg-tmp<pid>-<n>``."""
+
+    def test_string_paths_come_back_as_given(self, tmp_path):
+        target = os.path.join(tmp_path, "plain.txt")
+        assert atomic_write_text(target, "x") is target
+        assert atomic_write_text(tmp_path / "p.txt", "x") == tmp_path / "p.txt"
+
+    def test_colliding_leftover_is_stepped_over(self, tmp_path, monkeypatch):
+        # A dead process with this pid left the very name we would use.
+        monkeypatch.setattr(atomic, "_tmp_ordinal", itertools.count(0))
+        target = tmp_path / "doc.json"
+        leftover = tmp_path / f"doc.json{TMP_MARKER}{os.getpid()}-0"
+        leftover.write_bytes(b"someone else's partial write")
+
+        atomic_write_bytes(target, b"whole")
+
+        assert target.read_bytes() == b"whole"
+        assert leftover.read_bytes() == b"someone else's partial write"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [target.name, leftover.name]
+        )
+        assert sweep_temporaries(tmp_path) == [leftover]
+
+    def test_failed_rename_removes_the_temporary(self, tmp_path, monkeypatch):
+        target = tmp_path / "keep.txt"
+        target.write_text("old")
+
+        def refuse(src, dst):
+            raise OSError("no rename today")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no rename today"):
+            atomic_write_text(target, "new")
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+        assert target.read_text() == "old"
+
+    def test_temporary_is_private_until_renamed(self, tmp_path, monkeypatch):
+        seen = {}
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen["name"] = os.path.basename(src)
+            seen["mode"] = os.stat(src).st_mode & 0o777
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        atomic_write_text(tmp_path / "a.txt", "content")
+        assert seen["name"].startswith(f"a.txt{TMP_MARKER}{os.getpid()}-")
+        assert seen["mode"] & 0o077 == 0
 
 
 class TestSweep:

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro.catalog.base import KINDS
+from repro.catalog.filetree import FileTreeCatalog
 from repro.catalog.memory import MemoryCatalog
+from repro.catalog.sqlite import SQLiteCatalog
+from repro.core.dataset import Dataset
 from repro.durability.atomic import TMP_MARKER
 from repro.durability.journal import IntentJournal, load_journal_state
 from repro.durability.recovery import (
@@ -181,6 +185,46 @@ class TestFileFindings:
         report = recovery.fsck(repair=True)
         assert report.counts().get("stale-temporary") == 1
         assert not stale.exists()
+
+    def test_stale_temporary_in_a_catalog_directory_swept(self, tmp_path):
+        # A put killed between create and rename leaves its temporary
+        # next to the documents, not in the sandbox.
+        catalog = FileTreeCatalog(tmp_path / "catalog")
+        catalog.add_dataset(Dataset(name="x"))
+        stale = tmp_path / "catalog" / "dataset" / f"x.json{TMP_MARKER}abcd"
+        stale.write_bytes(b'{"name": "x", "att')
+        recovery = RecoveryManager(
+            FileTreeCatalog(tmp_path / "catalog"),
+            sandbox_dir=tmp_path / "sandbox",
+        )
+
+        report = recovery.fsck()
+        assert [(f.kind, f.object) for f in report.findings] == [
+            ("stale-temporary", str(stale))
+        ]
+        assert not report.corrupted and stale.exists()
+
+        repaired = recovery.fsck(repair=True)
+        assert [f.repaired for f in repaired.findings] == [True]
+        assert not stale.exists()
+        assert recovery.fsck().clean
+        assert FileTreeCatalog(tmp_path / "catalog").dataset_names() == ["x"]
+
+    def test_the_preflight_sweeps_catalog_temporaries_too(self, tmp_path):
+        catalog = FileTreeCatalog(tmp_path / "catalog")
+        stale = tmp_path / "catalog" / "replica" / f"r.json{TMP_MARKER}1-2"
+        stale.write_bytes(b"")
+        report = RecoveryManager(catalog).preflight()
+        assert report.counts() == {"stale-temporary": 1}
+        assert not stale.exists()
+
+    def test_only_the_file_tree_exposes_directories(self, tmp_path):
+        assert MemoryCatalog().storage_directories() == []
+        with SQLiteCatalog(str(tmp_path / "vdc.db")) as catalog:
+            assert catalog.storage_directories() == []
+        assert FileTreeCatalog(tmp_path / "vdc").storage_directories() == [
+            tmp_path / "vdc" / kind for kind in KINDS
+        ]
 
 
 class TestJournalFindings:

@@ -179,6 +179,46 @@ class TestCheckpoint:
         assert journal_path(tmp_path).stat().st_size == 0
         assert load_journal_state(tmp_path).clean
 
+    def test_size_is_counted_not_stat_ed(self, tmp_path, syscalls):
+        """Commits decide on checkpointing from the byte count the
+        writer keeps: seeded from the file when it is opened, advanced
+        by every append, reset by a truncation."""
+        write_committed_txn(tmp_path, key="caf\u00e9")  # escaped: ASCII bytes
+        seeded = journal_path(tmp_path).stat().st_size
+        journal = IntentJournal(tmp_path)
+        journal.commit(journal.begin("opens the file"), 0)
+        syscalls.clear()
+        for i in range(3):
+            txn = journal.begin("t")
+            journal.record(txn, "put", "dataset", f"d{i}", payload={"n": "\u00e9"})
+            journal.commit(txn, 1)
+        assert dict(syscalls) == {}
+        assert journal._size == journal_path(tmp_path).stat().st_size > seeded
+        journal.checkpoint()
+        assert journal._size == 0
+        txn = journal.begin("after")
+        journal.commit(txn, 0)
+        assert journal._size == journal_path(tmp_path).stat().st_size
+        journal.close()
+
+    def test_large_committed_journal_is_checkpointed(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import journal as journal_mod
+
+        monkeypatch.setattr(journal_mod, "CHECKPOINT_BYTES", 400)
+        journal = IntentJournal(tmp_path)
+        sizes = []
+        for i in range(6):
+            txn = journal.begin("t")
+            journal.record(txn, "put", "dataset", f"d{i}", payload={"n": i})
+            journal.commit(txn, 1)
+            sizes.append(journal_path(tmp_path).stat().st_size)
+        journal.close()
+        assert 0 in sizes  # truncated once the committed history passed 400
+        assert max(sizes) < 400 + 400
+        assert load_journal_state(tmp_path).clean
+
     def test_commit_counts_metric(self, tmp_path):
         from repro.observability.instrument import Instrumentation
 

@@ -51,6 +51,14 @@ class TestHasValidReplica:
     def test_missing_file_fails(self, executor):
         assert not executor.has_valid_replica("base.txt")
 
+    def test_one_stat_answers_a_verified_file(self, executor, syscalls):
+        executor.materialize("base.txt")
+        assert executor.has_valid_replica("base.txt")  # verified, cached
+        syscalls.clear()
+        assert executor.has_valid_replica("base.txt")
+        assert not executor.has_valid_replica("derived.txt")
+        assert dict(syscalls) == {"stat": 2}  # one each: present, absent
+
     def test_unrecorded_file_verifies_trivially(self, executor):
         # A user-staged source has no replica record to check against.
         executor.path_for("staged.dat").write_bytes(b"hand-made")
