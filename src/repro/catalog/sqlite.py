@@ -48,6 +48,34 @@ CREATE INDEX IF NOT EXISTS invocation_dv ON invocation (derivation_name);
 """
 
 
+#: Per kind, the payload fields copied into their own NOT NULL columns
+#: between ``key`` and ``payload`` (what the hot queries look up).
+_COLUMNS: dict[str, tuple[str, ...]] = {
+    "dataset": (),
+    "replica": ("dataset_name",),
+    "transformation": ("name", "version"),
+    "derivation": ("transformation",),
+    "invocation": ("derivation_name",),
+}
+
+_INSERT_SQL = {
+    kind: "INSERT OR REPLACE INTO {} ({}) VALUES ({})".format(
+        kind,
+        ", ".join(("key", *columns, "payload")),
+        ", ".join("?" * (len(columns) + 2)),
+    )
+    for kind, columns in _COLUMNS.items()
+}
+
+
+def _row(kind: str, key: str, payload: dict) -> tuple:
+    """``key``, the kind's own columns, then the JSON document."""
+    columns = _COLUMNS.get(kind)
+    if columns is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return (key, *[payload[column] for column in columns], json.dumps(payload))
+
+
 class SQLiteCatalog(VirtualDataCatalog):
     """A catalog persisted in a SQLite database file.
 
@@ -113,38 +141,8 @@ class SQLiteCatalog(VirtualDataCatalog):
     # -- storage primitives ------------------------------------------------
 
     def _store_put(self, kind: str, key: str, payload: dict) -> None:
-        doc = json.dumps(payload)
-        if kind == "dataset":
-            self._conn.execute(
-                "INSERT OR REPLACE INTO dataset (key, payload) VALUES (?, ?)",
-                (key, doc),
-            )
-        elif kind == "replica":
-            self._conn.execute(
-                "INSERT OR REPLACE INTO replica (key, dataset_name, payload)"
-                " VALUES (?, ?, ?)",
-                (key, payload["dataset_name"], doc),
-            )
-        elif kind == "transformation":
-            self._conn.execute(
-                "INSERT OR REPLACE INTO transformation"
-                " (key, name, version, payload) VALUES (?, ?, ?, ?)",
-                (key, payload["name"], payload["version"], doc),
-            )
-        elif kind == "derivation":
-            self._conn.execute(
-                "INSERT OR REPLACE INTO derivation"
-                " (key, transformation, payload) VALUES (?, ?, ?)",
-                (key, payload["transformation"], doc),
-            )
-        elif kind == "invocation":
-            self._conn.execute(
-                "INSERT OR REPLACE INTO invocation"
-                " (key, derivation_name, payload) VALUES (?, ?, ?)",
-                (key, payload["derivation_name"], doc),
-            )
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
+        row = _row(kind, key, payload)
+        self._conn.execute(_INSERT_SQL[kind], row)
         self._commit()
 
     def _store_get(self, kind: str, key: str) -> Optional[dict]:
@@ -160,50 +158,8 @@ class SQLiteCatalog(VirtualDataCatalog):
     def _store_put_many(self, kind: str, items: list[tuple[str, dict]]) -> None:
         if not items:
             return
-        docs = [(key, json.dumps(payload)) for key, payload in items]
-        if kind == "dataset":
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO dataset (key, payload) VALUES (?, ?)",
-                docs,
-            )
-        elif kind == "replica":
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO replica (key, dataset_name, payload)"
-                " VALUES (?, ?, ?)",
-                [
-                    (key, payload["dataset_name"], doc)
-                    for (key, payload), (_, doc) in zip(items, docs)
-                ],
-            )
-        elif kind == "transformation":
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO transformation"
-                " (key, name, version, payload) VALUES (?, ?, ?, ?)",
-                [
-                    (key, payload["name"], payload["version"], doc)
-                    for (key, payload), (_, doc) in zip(items, docs)
-                ],
-            )
-        elif kind == "derivation":
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO derivation"
-                " (key, transformation, payload) VALUES (?, ?, ?)",
-                [
-                    (key, payload["transformation"], doc)
-                    for (key, payload), (_, doc) in zip(items, docs)
-                ],
-            )
-        elif kind == "invocation":
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO invocation"
-                " (key, derivation_name, payload) VALUES (?, ?, ?)",
-                [
-                    (key, payload["derivation_name"], doc)
-                    for (key, payload), (_, doc) in zip(items, docs)
-                ],
-            )
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
+        rows = [_row(kind, key, payload) for key, payload in items]
+        self._conn.executemany(_INSERT_SQL[kind], rows)
         self._commit()
 
     def _store_keys(self, kind: str) -> list[str]:

@@ -422,7 +422,7 @@ class RecoveryManager:
                     )
                 )
                 if fixing(finding.kind):
-                    self._quarantine_file(path)
+                    quarantine_file(path, self.quarantine_dir)
                     catalog.remove_replica(replica_id)
                     tainted = self._invalidate(replica.dataset_name)
                     if tainted:
@@ -516,7 +516,7 @@ class RecoveryManager:
                 )
             )
             if fixing(finding.kind):
-                catalog.add_dataset(_revirtualized(ds), replace=True)
+                catalog.add_dataset(revirtualized(ds), replace=True)
                 finding.repaired = True
         if self.sandbox_dir is None or not self.sandbox_dir.is_dir():
             return
@@ -536,7 +536,7 @@ class RecoveryManager:
                     )
                 )
                 if fixing(finding.kind):
-                    self._quarantine_file(child)
+                    quarantine_file(child, self.quarantine_dir)
                     finding.repaired = True
                 continue
             if catalog.replicas_of(dataset):
@@ -558,10 +558,10 @@ class RecoveryManager:
                 )
             )
             if fixing(finding.kind):
-                self._quarantine_file(child)
+                quarantine_file(child, self.quarantine_dir)
                 ds = catalog.get_dataset(dataset)
                 if not ds.is_virtual:
-                    catalog.add_dataset(_revirtualized(ds), replace=True)
+                    catalog.add_dataset(revirtualized(ds), replace=True)
                 finding.repaired = True
 
     # -- rescue files --------------------------------------------------------
@@ -588,7 +588,7 @@ class RecoveryManager:
                     )
                 )
                 if fixing(finding.kind):
-                    self._quarantine_file(child)
+                    quarantine_file(child, self.quarantine_dir)
                     finding.repaired = True
                 continue
             if rescue.truncated:
@@ -640,22 +640,25 @@ class RecoveryManager:
                     )
                 )
 
-    # -- quarantine ----------------------------------------------------------
 
-    def _quarantine_file(self, path: Path) -> Path:
-        """Move a suspect file aside; never deletes data."""
-        target_dir = self.quarantine_dir or path.parent / "quarantine"
-        target_dir.mkdir(parents=True, exist_ok=True)
-        target = target_dir / path.name
-        ordinal = 0
-        while target.exists():
-            ordinal += 1
-            target = target_dir / f"{path.name}.{ordinal}"
-        os.replace(path, target)
-        return target
+def quarantine_file(
+    path: Path, quarantine_dir: Optional[Path] = None
+) -> Path:
+    """Move a suspect file into ``quarantine_dir`` (default: a
+    ``quarantine`` directory beside it) as ``<name>`` or the first free
+    ``<name>.<n>``; never deletes data."""
+    target_dir = quarantine_dir or path.parent / "quarantine"
+    target_dir.mkdir(parents=True, exist_ok=True)
+    target = target_dir / path.name
+    ordinal = 0
+    while target.exists():
+        ordinal += 1
+        target = target_dir / f"{path.name}.{ordinal}"
+    os.replace(path, target)
+    return target
 
 
-def _revirtualized(ds):
+def revirtualized(ds):
     """A copy of ``ds`` reset to a virtual (recipe-only) descriptor."""
     from repro.core.dataset import Dataset
 

@@ -7,6 +7,8 @@ able to discriminate the precise failure.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class VirtualDataError(Exception):
     """Base class for all errors raised by the virtual data grid."""
@@ -122,11 +124,15 @@ class PlanningError(VirtualDataError):
 class CycleError(PlanningError):
     """A dependency graph that must be acyclic contains a cycle.
 
-    Raised by :meth:`repro.planner.dag.Plan.topological_order` and
-    :meth:`repro.planner.dag.Plan.depth` instead of hanging or blowing
-    the recursion limit, and matches what the static cycle rule
-    (``VDG301`` in :mod:`repro.analysis`) reports before planning.
+    Raised by :func:`repro.core.topology.topological_levels` (so by
+    every plan and derivation-graph order) instead of hanging, matching
+    what the static cycle rule (``VDG301`` in :mod:`repro.analysis`)
+    reports before planning.  ``nodes``: up to six stuck nodes, sorted.
     """
+
+    def __init__(self, message: str, nodes: Sequence[str] = ()):
+        super().__init__(message)
+        self.nodes = list(nodes)
 
 
 class CyclicDerivationError(CycleError):

@@ -9,10 +9,10 @@ particular desired virtual data product is feasible — whether it can be
 computed in the time that the user is willing to wait for it."
 
 :func:`estimate_plan` performs analytic list scheduling: steps are
-processed in topological order onto ``host_count`` abstract hosts; each
-step pays its transfer seconds then its cpu seconds.  The result is an
-upper-bound-ish makespan that tracks the simulator closely (the EST
-benchmark quantifies the error).
+dispatched round by round (the plan's Kahn levels) onto ``host_count``
+abstract hosts; each step pays its transfer seconds then its cpu
+seconds.  The result is an upper-bound-ish makespan that tracks the
+simulator closely (the EST benchmark quantifies the error).
 """
 
 from __future__ import annotations
@@ -82,45 +82,27 @@ def estimate_plan(
         )
         return transfer, step.cpu_seconds
 
-    # Critical path (infinite hosts).
-    finish: dict[str, float] = {}
-    for name in plan.topological_order():
-        transfer, cpu = step_seconds(name)
-        ready = max(
-            (finish[dep] for dep in plan.dependencies[name]), default=0.0
-        )
-        finish[name] = ready + transfer + cpu
-    critical_path = max(finish.values())
-
-    # List scheduling on host_count hosts.
+    deps = plan.dependencies
+    plan.check_frontier_consistency()
+    # A Kahn level is exactly one list-scheduling round: the steps whose
+    # predecessors all finished in earlier rounds.
+    finish: dict[str, float] = {}  # infinite hosts: the critical path
+    done_at: dict[str, float] = {}  # host_count hosts
     hosts = [0.0] * host_count
     heapq.heapify(hosts)
-    done_at: dict[str, float] = {}
     total_transfer = 0.0
-    remaining = set(plan.steps)
-    completed: set[str] = set()
-    while remaining:
-        ready = [
-            n
-            for n in sorted(remaining)
-            if plan.dependencies[n] <= completed
-        ]
-        if not ready:
-            raise EstimationError("plan has a dependency cycle")
-        # Dispatch ready steps in order of their data-ready time.
-        ready.sort(
-            key=lambda n: (
-                max(
-                    (done_at[d] for d in plan.dependencies[n]),
-                    default=0.0,
-                ),
-                n,
-            )
+    for level in plan.levels():
+        # Dispatch the round in order of data-ready time, then name.
+        ready = sorted(
+            (max((done_at[d] for d in deps[name]), default=0.0), name)
+            for name in level
         )
-        for name in ready:
+        for data_ready, name in ready:
             transfer, cpu = step_seconds(name)
-            data_ready = max(
-                (done_at[d] for d in plan.dependencies[name]), default=0.0
+            finish[name] = (
+                max((finish[d] for d in deps[name]), default=0.0)
+                + transfer
+                + cpu
             )
             host_free = heapq.heappop(hosts)
             start = max(data_ready, host_free)
@@ -128,13 +110,11 @@ def estimate_plan(
             heapq.heappush(hosts, end)
             done_at[name] = end
             total_transfer += transfer
-            remaining.discard(name)
-            completed.add(name)
     return WorkflowEstimate(
         makespan_seconds=max(done_at.values()),
         total_cpu_seconds=plan.total_cpu_seconds(),
         total_transfer_seconds=total_transfer,
-        critical_path_seconds=critical_path,
+        critical_path_seconds=max(finish.values()),
         host_count=host_count,
         step_count=len(plan.steps),
     )

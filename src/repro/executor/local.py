@@ -34,7 +34,11 @@ from repro.core.replica import Replica
 from repro.core.transformation import SimpleTransformation
 from repro.durability.checksum import verify_file
 from repro.durability.crashpoints import crashpoint
-from repro.durability.recovery import sandbox_filename
+from repro.durability.recovery import (
+    quarantine_file,
+    revirtualized,
+    sandbox_filename,
+)
 from repro.errors import ExecutionError, MaterializationError
 from repro.executor.process import (
     InvocationOutcome,
@@ -214,19 +218,13 @@ class LocalExecutor:
                     ):
                         self.catalog.remove_replica(rep.replica_id)
                 if target.exists():
-                    self._move_to_quarantine(target)
+                    quarantine_file(target, self.quarantine_dir)
                 self._verified.pop(str(target), None)
                 if self.catalog.has_dataset(name):
                     ds = self.catalog.get_dataset(name)
                     if not ds.is_virtual:
                         self.catalog.add_dataset(
-                            Dataset(
-                                name=ds.name,
-                                dataset_type=ds.dataset_type,
-                                attributes=ds.attributes.copy(),
-                                producer=ds.producer,
-                            ),
-                            replace=True,
+                            revirtualized(ds), replace=True
                         )
         if self.obs.recorder is not None:
             self.obs.recorder.event(
@@ -235,16 +233,6 @@ class LocalExecutor:
                 replica=replica.replica_id,
                 tainted=sorted(tainted),
             )
-
-    def _move_to_quarantine(self, path: Path) -> Path:
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        target = self.quarantine_dir / path.name
-        ordinal = 0
-        while target.exists():
-            ordinal += 1
-            target = self.quarantine_dir / f"{path.name}.{ordinal}"
-        os.replace(path, target)
-        return target
 
     # -- execution ---------------------------------------------------------------
 
@@ -588,7 +576,7 @@ class LocalExecutor:
 
         def fail(name: str, exc: ExecutionError) -> None:
             failures[name] = exc
-            skipped.update(self._downstream_of(plan, name))
+            skipped.update(plan.downstream_of(name))
             self._note_step(name, None, "failure")
 
         lane = (_ProcessLane if backend == "process" else _ThreadLane)(
@@ -790,24 +778,6 @@ class LocalExecutor:
                 count,
                 help="plan steps currently running in the local pool",
             )
-
-    @staticmethod
-    def _downstream_of(plan, name: str) -> set[str]:
-        """Transitive dependents of ``name`` in the plan DAG.
-
-        Uses the plan's memoized frontier shape instead of re-deriving
-        the dependents map — a failure storm on a 10^5-step plan used
-        to pay O(edges) per failed step just to find what to skip.
-        """
-        dependents = plan.frontier_shape()[1]
-        out: set[str] = set()
-        stack = [name]
-        while stack:
-            for child in dependents.get(stack.pop(), ()):
-                if child not in out:
-                    out.add(child)
-                    stack.append(child)
-        return out
 
 
 class _Lane:

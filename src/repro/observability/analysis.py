@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.core.topology import topological_levels
 from repro.observability.recorder import RunRecord
 
 
@@ -113,20 +114,7 @@ def compute_slack(record: RunRecord) -> dict[str, float]:
     # Both passes are iterative over a topological order: recursive
     # formulations hit Python's recursion limit near 10^3-deep chains,
     # and flight records now reach 10^5+ steps.
-    dependents: dict[str, list[str]] = {n: [] for n in timings}
-    indegree: dict[str, int] = {n: len(ds) for n, ds in deps.items()}
-    for name, ds in deps.items():
-        for d in ds:
-            dependents[d].append(name)
-    order: list[str] = [n for n, d in indegree.items() if d == 0]
-    cursor = 0
-    while cursor < len(order):
-        name = order[cursor]
-        cursor += 1
-        for child in dependents[name]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                order.append(child)
+    order = [name for level in topological_levels(deps) for name in level]
 
     earliest_finish: dict[str, float] = {}
     for name in order:
@@ -136,15 +124,17 @@ def compute_slack(record: RunRecord) -> dict[str, float]:
         earliest_finish[name] = start + durations[name]
     project_end = max(earliest_finish.values())
 
+    # Backward, each step pushes its latest start to its predecessors:
+    # a step's latest finish is the least latest start of its
+    # successors, or the project end when nothing follows it.
     latest_finish: dict[str, float] = {}
     for name in reversed(order):
-        succ = dependents[name]
-        if not succ:
-            latest_finish[name] = project_end
-        else:
-            latest_finish[name] = min(
-                latest_finish[c] - durations[c] for c in succ
-            )
+        latest_start = (
+            latest_finish.setdefault(name, project_end) - durations[name]
+        )
+        for d in deps[name]:
+            if d not in latest_finish or latest_start < latest_finish[d]:
+                latest_finish[d] = latest_start
 
     return {
         name: max(latest_finish[name] - earliest_finish[name], 0.0)

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from itertools import chain
+from typing import Callable, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.catalog.resolver import ReferenceResolver
 from repro.core.derivation import DatasetArg, Derivation
+from repro.core.topology import dependency_counts, kahn_levels, reachable
 from repro.core.transformation import (
     CompoundTransformation,
     FormalRef,
@@ -40,92 +42,6 @@ from repro.errors import (
 from repro.observability.instrument import NULL, Instrumentation
 from repro.planner.request import MaterializationRequest
 from repro.provenance.graph import DerivationGraph
-
-# ---------------------------------------------------------------------------
-# Shared topology helpers
-#
-# Both the planner and the incremental dataflow engine
-# (:mod:`repro.analysis.dataflow`) need iterative, recursion-free graph
-# walks that behave at 10^5-10^6 nodes.  They live here so there is one
-# audited implementation of each.
-# ---------------------------------------------------------------------------
-
-
-def reachable(
-    neighbors: Union[dict[str, set[str]], Callable[[str], Iterable[str]]],
-    seeds: Iterable[str],
-) -> set[str]:
-    """The closure of ``seeds`` under ``neighbors`` (seeds included).
-
-    ``neighbors`` is either an adjacency mapping (missing keys mean no
-    edges) or a callable returning each node's successors.  Iterative
-    BFS: safe on arbitrarily deep graphs and on cycles.
-    """
-    if callable(neighbors):
-        expand = neighbors
-    else:
-        mapping = neighbors
-
-        def expand(node: str) -> Iterable[str]:
-            return mapping.get(node, ())
-
-    seen: set[str] = set()
-    frontier: list[str] = []
-    for seed in seeds:
-        if seed not in seen:
-            seen.add(seed)
-            frontier.append(seed)
-    while frontier:
-        node = frontier.pop()
-        for nxt in expand(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def longest_chain(
-    nodes: Iterable[str], deps: dict[str, Iterable[str]]
-) -> int:
-    """Length of the longest dependency chain over ``nodes``.
-
-    ``deps`` maps a node to its predecessors; edges leaving ``nodes``
-    are ignored.  Iterative (no recursion limit on deep graphs) and
-    cycle-safe: raises :class:`~repro.errors.CycleError` instead of
-    looping forever on a cyclic dependency map.
-    """
-    members = set(nodes)
-    memo: dict[str, int] = {}
-    on_stack: set[str] = set()
-    for root in members:
-        if root in memo:
-            continue
-        stack: list[str] = [root]
-        while stack:
-            name = stack[-1]
-            if name in memo:
-                stack.pop()
-                on_stack.discard(name)
-                continue
-            pending = [
-                d
-                for d in deps.get(name, ())
-                if d not in memo and d in members
-            ]
-            cyclic = [d for d in pending if d in on_stack]
-            if cyclic:
-                raise CycleError(
-                    f"dependency cycle through node {cyclic[0]!r}"
-                )
-            if pending:
-                on_stack.add(name)
-                stack.extend(pending)
-                continue
-            memo[name] = 1 + max(
-                (memo[d] for d in deps.get(name, ()) if d in memo),
-                default=0,
-            )
-    return max(memo.values(), default=0)
 
 
 @dataclass
@@ -211,26 +127,17 @@ class Plan:
     def frontier_shape(
         self,
     ) -> tuple[dict[str, int], dict[str, list[str]]]:
-        """Memoized frontier template: (missing counts, dependents).
-
-        Building a :class:`Frontier` over a 10^5-10^6-step plan is an
-        O(V+E) dict construction; re-plans and repeated frontiers over
-        the same plan reuse this template (each frontier copies the
-        mutable counts, the dependents map is shared read-only).
-        Memoized against the (step count, dependency count) pair, like
-        :meth:`check_frontier_consistency`.
-        """
+        """The plan's :func:`~repro.core.topology.dependency_counts`,
+        (missing counts, dependents), built once: :meth:`levels` and
+        every :class:`Frontier` copy the counts and share the dependents
+        read-only.  Memoized against the (step count, dependency count)
+        pair, like :meth:`check_frontier_consistency`."""
         marker = (len(self.steps), len(self.dependencies))
         cached = self.__dict__.get("_frontier_shape")
-        if cached is not None and cached[0] == marker:
-            return cached[1], cached[2]
-        missing = {name: len(deps) for name, deps in self.dependencies.items()}
-        dependents: dict[str, list[str]] = {}
-        for name, deps in self.dependencies.items():
-            for dep in deps:
-                dependents.setdefault(dep, []).append(name)
-        self.__dict__["_frontier_shape"] = (marker, missing, dependents)
-        return missing, dependents
+        if cached is None or cached[0] != marker:
+            cached = (marker, *dependency_counts(self.dependencies))
+            self.__dict__["_frontier_shape"] = cached
+        return cached[1], cached[2]
 
     def ready_steps(self, done: set[str]) -> list[str]:
         """Steps whose prerequisites are all in ``done`` and that are
@@ -246,52 +153,40 @@ class Plan:
         """An incremental ready-set tracker over this plan's DAG."""
         return Frontier(self, done=done)
 
-    def topological_order(self) -> list[str]:
-        """Step names in a valid execution order.
+    def levels(self) -> list[list[str]]:
+        """The steps a :class:`Frontier` releases round by round, each
+        round in name order; dependencies outside the plan are ignored.
+        A cycle raises :class:`~repro.errors.CyclicDerivationError`
+        naming the stuck steps, as the static ``VDG301`` rule would."""
+        missing, dependents = self.frontier_shape()
+        try:
+            return kahn_levels(dict(missing), dependents)
+        except CycleError as exc:
+            raise CyclicDerivationError(
+                f"plan dependency cycle through steps {exc.nodes}", exc.nodes
+            ) from None
 
-        Raises :class:`~repro.errors.CyclicDerivationError` (a
-        :class:`~repro.errors.CycleError`) naming the steps stuck on a
-        cycle, matching what the static ``VDG301`` rule reports.
-        """
-        frontier = Frontier(self)
-        order: list[str] = []
-        while not frontier.exhausted:
-            ready = frontier.ready()
-            if not ready:
-                stuck = sorted(set(self.steps) - frontier.completed)
-                raise CyclicDerivationError(
-                    f"plan contains a dependency cycle involving: {stuck[:6]}"
-                )
-            order.extend(ready)
-            for name in ready:
-                frontier.complete(name)
-        return order
+    def topological_order(self) -> list[str]:
+        """Step names in a valid execution order (the levels, flattened)."""
+        self.check_frontier_consistency()
+        return list(chain.from_iterable(self.levels()))
 
     def width(self) -> int:
-        """Maximum number of steps runnable concurrently (antichain)."""
-        frontier = Frontier(self)
-        best = 0
-        while not frontier.exhausted:
-            ready = frontier.ready()
-            if not ready:
-                break
-            best = max(best, len(ready))
-            for name in ready:
-                frontier.complete(name)
-        return best
+        """Maximum number of steps runnable concurrently (widest level)."""
+        self.check_frontier_consistency()
+        return max(map(len, self.levels()), default=0)
 
     def depth(self) -> int:
-        """Length of the longest dependency chain.
+        """Length of the longest dependency chain (the level count)."""
+        return len(self.levels())
 
-        Iterative (no recursion limit on deep plans) and cycle-safe:
-        raises :class:`~repro.errors.CycleError` instead of recursing
-        forever when handed a cyclic dependency map.
-        """
-        try:
-            return longest_chain(self.steps, self.dependencies)
-        except CycleError as exc:
-            message = str(exc).replace("cycle through node", "cycle through step")
-            raise CycleError(f"plan {message}") from None
+    def downstream_of(self, name: str) -> set[str]:
+        """Transitive dependents of ``name`` (itself only on a cycle),
+        over the memoized :meth:`frontier_shape` dependents."""
+        dependents = self.frontier_shape()[1]
+        return reachable(
+            lambda step: dependents.get(step, ()), dependents.get(name, ())
+        )
 
     def producers(self) -> dict[str, str]:
         """Dataset name -> producing step name."""

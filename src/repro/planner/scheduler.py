@@ -206,7 +206,7 @@ class WorkflowScheduler:
             progress.start_plan(plan)
             for name in result.pre_completed:
                 progress.step_finished(name, "ok")
-        # Indegree-decrement frontier: completions release successors
+        # The incremental frontier: completions release successors
         # incrementally instead of rescanning ready_steps() every tick.
         frontier = Frontier(plan, done=result.pre_completed)
         done = frontier.completed
@@ -221,11 +221,6 @@ class WorkflowScheduler:
         #: Simulation time the workflow reached a terminal state; the
         #: clock may run past it (killed stragglers still hold hosts).
         finish_clock: dict[str, Optional[float]] = {"t": None}
-
-        dependents: dict[str, set[str]] = {}
-        for name, deps in plan.dependencies.items():
-            for dep in deps:
-                dependents.setdefault(dep, set()).add(name)
 
         def terminal_count() -> int:
             return (
@@ -263,17 +258,20 @@ class WorkflowScheduler:
             breaker_states[site] = code
 
         def skip_downstream(root: str) -> None:
-            """Record every transitive dependent as upstream-failed."""
-            frontier = list(dependents.get(root, ()))
-            while frontier:
-                name = frontier.pop()
+            """Record every transitive dependent as upstream-failed, in
+            name order — but not terminal steps, nor released ones: their
+            predecessors are all done (a rescue resume re-running an
+            invalidated producer), so they need nothing of ``root``."""
+            reason = f"upstream-failed:{root}"
+            for name in sorted(plan.downstream_of(root)):
                 if (
                     name in done
                     or name in result.failed_steps
                     or name in result.skipped_steps
+                    or plan.dependencies[name] <= done
                 ):
                     continue
-                result.skipped_steps[name] = f"upstream-failed:{root}"
+                result.skipped_steps[name] = reason
                 if obs.enabled:
                     obs.count(
                         "scheduler.steps",
@@ -284,12 +282,11 @@ class WorkflowScheduler:
                     recorder.event(
                         "step.skipped",
                         step=name,
-                        reason=f"upstream-failed:{root}",
+                        reason=reason,
                         sim=self.grid.simulator.now,
                     )
                 if progress is not None:
                     progress.step_finished(name, "skipped")
-                frontier.extend(dependents.get(name, ()))
 
         def dispatch_ready() -> None:
             if result.failed_steps and recovery.failure_policy == FAIL_FAST:

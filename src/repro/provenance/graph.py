@@ -22,12 +22,12 @@ A catalog keeps one such graph current as its derivation index
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.core.derivation import Derivation
-from repro.errors import CyclicDerivationError
+from repro.core.topology import topological_levels
+from repro.errors import CycleError, CyclicDerivationError
 
 #: Node kinds in the bipartite graph.
 DATASET = "dataset"
@@ -290,42 +290,45 @@ class DerivationGraph:
         """Names of all datasets that (transitively) depend on the given one."""
         return self._reach(DATASET, dataset_name, True)[0]
 
-    def topological_order(self) -> list[Node]:
-        """Kahn topological sort; raises on cycles.
-
-        A cycle in a derivation graph means some dataset transitively
-        depends on itself — an invalid virtual data space.
-        """
-        in_degree = {
-            (DATASET, name): len(p) for name, p in self._producers.items()
-        }
-        in_degree.update(
-            ((DERIVATION, name), len(i)) for name, i in self._inputs.items()
-        )
-        ready = deque(sorted(n for n, d in in_degree.items() if d == 0))
-        order: list[Node] = []
-        while ready:
-            node = ready.popleft()
-            order.append(Node(*node))
-            kind, names = self._adjacent(*node, True)
-            for name in sorted(names):
-                in_degree[kind, name] -= 1
-                if in_degree[kind, name] == 0:
-                    ready.append((kind, name))
-        if len(order) != len(in_degree):
-            cyclic = sorted(
-                f"{kind}:{name}" for (kind, name), d in in_degree.items() if d > 0
+    def _levels(self) -> list[list[str]]:
+        """Derivation names by Kahn level: a derivation waits for the
+        producers of its inputs.  A cycle (some dataset transitively
+        depends on itself) raises :class:`CyclicDerivationError`."""
+        producers = self._producers
+        try:
+            return topological_levels(
+                {
+                    name: [p for dataset in inputs for p in producers[dataset]]
+                    for name, inputs in self._inputs.items()
+                }
             )
+        except CycleError as exc:
             raise CyclicDerivationError(
-                f"derivation graph contains a cycle involving: {cyclic[:6]}"
-            )
+                f"derivation graph contains a cycle through {exc.nodes}",
+                exc.nodes,
+            ) from None
+
+    def topological_order(self) -> list[Node]:
+        """Every node after its predecessors: source datasets, then the
+        derivations level by level, each dataset right after the last
+        of its producers."""
+        order = [Node(DATASET, n) for n in sorted(self.source_datasets())]
+        unplaced: dict[str, int] = {}  # dataset -> producers still to go
+        for level in self._levels():
+            for name in level:
+                order.append(Node(DERIVATION, name))
+                for dataset in self._outputs[name]:
+                    left = unplaced.get(dataset, len(self._producers[dataset]))
+                    unplaced[dataset] = left - 1
+                    if left == 1:
+                        order.append(Node(DATASET, dataset))
         return order
 
     def is_acyclic(self) -> bool:
         try:
-            self.topological_order()
+            self._levels()
             return True
-        except CyclicDerivationError:
+        except CycleError:
             return False
 
     # -- target-rooted subgraphs (what the planner expands) --------------------
@@ -351,9 +354,4 @@ class DerivationGraph:
 
     def depth(self) -> int:
         """Longest derivation chain length (number of derivation nodes)."""
-        longest: dict[tuple[str, str], int] = {}
-        for node in self.topological_order():
-            kind, names = self._adjacent(node.kind, node.name, False)
-            here = max((longest[kind, n] for n in names), default=0)
-            longest[node.kind, node.name] = here + (node.kind == DERIVATION)
-        return max(longest.values(), default=0)
+        return len(self._levels())

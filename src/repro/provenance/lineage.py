@@ -67,17 +67,18 @@ class LineageReport:
         return not self.steps
 
     def depth(self) -> int:
-        """Longest chain of derivations in this report."""
-        if self.is_source:
-            return 0
-        return 1 + max(
-            (
-                inp.depth()
-                for step in self.steps
+        """Longest chain of derivations in this report (level by level:
+        a report on level *k* with steps of its own adds one)."""
+        depth, level = 0, [self]
+        while any(report.steps for report in level):
+            depth += 1
+            level = [
+                inp
+                for report in level
+                for step in report.steps
                 for inp in step.inputs.values()
-            ),
-            default=0,
-        )
+            ]
+        return depth
 
     def _trail(self) -> Iterator["LineageReport"]:
         """This report and every report nested in it, however deep."""
@@ -102,12 +103,18 @@ class LineageReport:
 
     def total_cpu_seconds(self) -> float:
         """Sum of recorded cpu time over all invocations in the trail."""
-        total = 0.0
-        for step in self.steps:
-            total += sum(inv.usage.cpu_seconds for inv in step.invocations)
-            for report in step.inputs.values():
-                total += report.total_cpu_seconds()
-        return total
+        # Inputs before the reports that read them (a report follows
+        # its parent in the trail), each report adding its own steps'
+        # time and then its inputs' totals: the nested sums' order.
+        totals: dict[int, float] = {}
+        for report in reversed(list(self._trail())):
+            total = 0.0
+            for step in report.steps:
+                total += sum(inv.usage.cpu_seconds for inv in step.invocations)
+                for inp in step.inputs.values():
+                    total += totals[id(inp)]
+            totals[id(report)] = total
+        return totals[id(self)]
 
     def render(self, indent: int = 0) -> str:
         """Human-readable multi-line audit trail."""

@@ -398,3 +398,47 @@ class TestLegacySqliteSchema:
             assert catalog.derivation_names() == ["a1", "g1", "g2", "s2", "s3", "s4"]
             assert [d.name for d in catalog.consumers_of("raw1")] == ["s3", "s4"]
             assert catalog.producers_of("sim1") == []
+
+
+class TestSqliteRows:
+    """Single puts and batched imports write the same rows: every
+    per-kind column holds its payload field, and the payload column is
+    ``json.dumps`` of the document."""
+
+    COLUMNS = {
+        "dataset": (),
+        "replica": ("dataset_name",),
+        "transformation": ("name", "version"),
+        "derivation": ("transformation",),
+        "invocation": ("derivation_name",),
+    }
+
+    def rows(self, catalog):
+        import json
+
+        out = {}
+        for kind, columns in self.COLUMNS.items():
+            for row in catalog._conn.execute(
+                f"SELECT key, {', '.join((*columns, 'payload'))} FROM {kind}"
+            ):
+                key, *values, text = row
+                payload = json.loads(text)
+                assert text == json.dumps(payload)
+                assert values == [payload[c] for c in columns]
+                out[kind, key] = row
+        return out
+
+    def test_put_and_put_many_write_the_same_rows(self):
+        single = SQLiteCatalog()
+        single.define(DIAMOND_VDL)
+        single.add_replica(Replica(dataset_name="final", location="anl"))
+        single.add_invocation(Invocation(derivation_name="a1", status="success"))
+        batched = SQLiteCatalog()
+        batched.import_snapshot(single.export_snapshot())
+        rows = self.rows(single)
+        assert {kind for kind, _ in rows} == set(self.COLUMNS)
+        assert self.rows(batched) == rows
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            SQLiteCatalog()._store_put("bogus", "k", {})

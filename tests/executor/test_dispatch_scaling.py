@@ -348,7 +348,7 @@ class TestRealPools:
         for name in succeeded:
             for dep in plan.dependencies.get(name, ()):
                 assert position[dep] < position[name]
-        downstream = LocalExecutor._downstream_of(plan, BAD)
+        downstream = plan.downstream_of(BAD)
         assert not downstream & set(succeeded)
         if policy == "fail-fast":
             assert isinstance(seen["error"], ExecutionError)

@@ -9,11 +9,16 @@ from repro.grid.network import uniform_topology
 from repro.grid.replica_catalog import ReplicaLocationService
 from repro.grid.simulator import Simulator
 from repro.grid.site import Site
+from repro.observability.instrument import Instrumentation
+from repro.observability.recorder import FlightRecorder, RunRecord
 from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
 from repro.planner.scheduler import WorkflowScheduler
 from repro.planner.strategies import SiteSelector
+from repro.resilience import FAIL_FAST, RUN_WHAT_YOU_CAN, RecoveryConfig
 from tests.conftest import DIAMOND_VDL
+from tests.resilience.conftest import TWO_BRANCH_VDL, StepKiller
+from tests.resilience.conftest import make_world as make_fault_world
 
 
 def make_world(hosts=4, failure_rate=0.0, seed=3):
@@ -127,3 +132,51 @@ class TestRetries:
         _, _, grid, selector, _, _ = make_world()
         with pytest.raises(Exception):
             WorkflowScheduler(grid, selector, max_retries=-1)
+
+
+class TestSkipOrder:
+    """Steps skipped behind a permanent failure are recorded in name
+    order, whatever order string sets iterate in (``PYTHONHASHSEED``)."""
+
+    BRANCHES = ["m", "c", "x", "a", "q", "k", "b", "z", "f", "s", "h", "e"]
+
+    def vdl(self) -> str:
+        lines = [TWO_BRANCH_VDL.split("DV ga")[0]]
+        lines.append('DV g->gen( o=@{output:"root"}, seed="1" );')
+        for b in self.BRANCHES:
+            lines.append(
+                f'DV c{b}->proc( o=@{{output:"m{b}"}}, i=@{{input:"root"}} );'
+            )
+            lines.append(
+                f'DV f{b}->proc( o=@{{output:"t{b}"}}, i=@{{input:"m{b}"}} );'
+            )
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("policy", [FAIL_FAST, RUN_WHAT_YOU_CAN])
+    def test_skipped_steps_and_events_in_name_order(self, tmp_path, policy):
+        world = make_fault_world(
+            self.vdl(),
+            tuple(f"t{b}" for b in self.BRANCHES),
+            injector=StepKiller("g"),
+        )
+        obs = Instrumentation()
+        recorder = FlightRecorder.start(tmp_path, command="skip order")
+        obs.attach_recorder(recorder)
+        result = WorkflowScheduler(
+            world.grid,
+            world.selector,
+            max_retries=0,
+            instrumentation=obs,
+            recovery=RecoveryConfig(failure_policy=policy),
+        ).run(world.plan)
+        recorder.finalize(obs, status="error")
+        expected = sorted(
+            [f"c{b}" for b in self.BRANCHES] + [f"f{b}" for b in self.BRANCHES]
+        )
+        assert result.failed_steps == {"g"}
+        assert list(result.skipped_steps) == expected
+        assert set(result.skipped_steps.values()) == {"upstream-failed:g"}
+        events = RunRecord.load(recorder.path).events
+        assert [
+            e["step"] for e in events if e["kind"] == "step.skipped"
+        ] == expected

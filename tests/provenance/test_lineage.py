@@ -182,6 +182,26 @@ class TestDeepChains:
         assert lines[0] == f"d{depth}"
         assert lines[-1] == "  " * (3 * depth) + "d0  [source]"
 
+    def test_depth_and_cpu_three_thousand_deep(self, catalog):
+        depth = 3000
+        define_chain(catalog, depth)
+        cpu = {k: 0.1 * (k % 7 + 1) for k in range(1, depth + 1)}
+        for k, seconds in cpu.items():
+            catalog.add_invocation(
+                Invocation(
+                    derivation_name=f"s{k}",
+                    status="success",
+                    usage=ResourceUsage(cpu_seconds=seconds),
+                )
+            )
+        report = lineage_report(catalog, f"d{depth}")
+        assert report.depth() == depth
+        # Each report sums its own step first, then its inputs' totals.
+        expected = 0.0
+        for k in range(1, depth + 1):
+            expected = 0.0 + cpu[k] + expected
+        assert report.total_cpu_seconds() == expected
+
     def test_cycle_reports_the_repeat_as_a_source(self, catalog):
         catalog.define(CHAIN_TRS)
         catalog.define(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RescueError
+from repro.errors import RescueError, WorkflowError
 from repro.resilience import (
     RescueFile,
     RescueStep,
@@ -15,6 +15,7 @@ from repro.resilience import (
 )
 from repro.system import VirtualDataSystem
 from tests.conftest import DIAMOND_VDL
+from tests.resilience.conftest import StepKiller
 
 #: Diamond step -> its outputs; the full materialization of "final".
 STEP_OUTPUTS = {
@@ -238,6 +239,35 @@ class TestWriteBackValidation:
         vds.materialize("final", reuse="never", rescue=rescue)
         assert {"sim1", "final"} <= vds.executor.last_restore.tainted_datasets
         assert scans == []
+
+    def test_failed_rerun_skips_nothing_its_completed_consumers_released(
+        self,
+    ):
+        # The rescue says s1 and s2 finished and a1 did not; g1's
+        # replica rotted, so g1 re-runs, and this time fails for good
+        # while the (slow) a1 is still running.  a1 reads only the
+        # verified sim1/sim2: released from the start, it needs nothing
+        # of g1 and must not be recorded as skipped.
+        vds = build_vds()
+        ana = vds.catalog.get_transformation("ana")
+        ana.attributes.set("cost.cpu_seconds", 500.0)
+        vds.catalog.add_transformation(ana, replace=True)
+        result = vds.materialize("final", reuse="never")
+        rescue = vds.executor.rescue_file(result)
+        del rescue.completed["a1"]
+        site = vds.grid.sites[result.outcomes["g1"].site]
+        site.storage.store(
+            "raw1", vds.replicas.size_of("raw1"), vds.simulator.now,
+            digest="corrupt:feedbeef",
+        )
+        vds.grid.injector = StepKiller("g1")
+        with pytest.raises(WorkflowError) as caught:
+            vds.materialize("final", reuse="never", rescue=rescue)
+        resumed = caught.value.result
+        assert vds.executor.last_restore.invalidated_steps == {"g1"}
+        assert resumed.failed_steps == {"g1"}
+        assert resumed.skipped_steps == {}
+        assert resumed.outcomes["a1"].record.succeeded
 
     def test_size_mismatch_also_quarantined(self):
         vds = build_vds()
