@@ -9,13 +9,15 @@ walks are iterative: chains far past the recursion limit are fine.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from repro.errors import CycleError
 
 
 def topological_levels(
     deps: Mapping[str, Collection[str]],
+    error: type[CycleError] = CycleError,
+    prefix: str = "dependency cycle through",
 ) -> list[list[str]]:
     """Kahn levels of the DAG ``deps`` (node -> its predecessors).
 
@@ -23,10 +25,10 @@ def topological_levels(
     *k* links, in name order: the flattened levels are a deterministic
     execution order, the level count is the longest chain, and a level
     is one round of list scheduling.  Predecessors that are not keys
-    are ignored.  Raises :class:`~repro.errors.CycleError` when nodes
-    sit on or behind a cycle; its ``nodes`` are the first six of them.
+    are ignored.  When nodes sit on or behind a cycle, raises ``error``
+    with ``prefix`` and the first six of them in name order.
     """
-    return kahn_levels(*dependency_counts(deps))
+    return list(kahn_levels(*dependency_counts(deps), error, prefix))
 
 
 def dependency_counts(
@@ -48,14 +50,17 @@ def dependency_counts(
 
 
 def kahn_levels(
-    missing: dict[str, int], dependents: Mapping[str, list[str]]
-) -> list[list[str]]:
-    """:func:`topological_levels` from a template; consumes ``missing``."""
+    missing: dict[str, int],
+    dependents: Mapping[str, list[str]],
+    error: type[CycleError] = CycleError,
+    prefix: str = "dependency cycle through",
+) -> Iterator[list[str]]:
+    """:func:`topological_levels` from a template, one level at a time
+    (a cycle raises after the levels before it); consumes ``missing``."""
     level = sorted(node for node, count in missing.items() if not count)
-    levels: list[list[str]] = []
     placed = 0
     while level:
-        levels.append(level)
+        yield level
         placed += len(level)
         released: list[str] = []
         for node in level:
@@ -68,10 +73,7 @@ def kahn_levels(
         level = released
     if placed < len(missing):
         stuck = sorted(node for node, count in missing.items() if count)
-        raise CycleError(
-            f"dependency cycle through {stuck[:6]}", nodes=stuck[:6]
-        )
-    return levels
+        raise error(f"{prefix} {stuck[:6]}")
 
 
 def reachable(

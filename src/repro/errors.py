@@ -7,8 +7,6 @@ able to discriminate the precise failure.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 class VirtualDataError(Exception):
     """Base class for all errors raised by the virtual data grid."""
@@ -127,12 +125,8 @@ class CycleError(PlanningError):
     Raised by :func:`repro.core.topology.topological_levels` (so by
     every plan and derivation-graph order) instead of hanging, matching
     what the static cycle rule (``VDG301`` in :mod:`repro.analysis`)
-    reports before planning.  ``nodes``: up to six stuck nodes, sorted.
+    reports before planning.
     """
-
-    def __init__(self, message: str, nodes: Sequence[str] = ()):
-        super().__init__(message)
-        self.nodes = list(nodes)
 
 
 class CyclicDerivationError(CycleError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.catalog.resolver import ReferenceResolver
@@ -34,7 +34,6 @@ from repro.core.transformation import (
     SimpleTransformation,
 )
 from repro.errors import (
-    CycleError,
     CyclicDerivationError,
     PlanningError,
     UnderivableError,
@@ -158,23 +157,33 @@ class Plan:
         round in name order; dependencies outside the plan are ignored.
         A cycle raises :class:`~repro.errors.CyclicDerivationError`
         naming the stuck steps, as the static ``VDG301`` rule would."""
+        return list(self._walk())
+
+    def _walk(self) -> Iterator[list[str]]:
         missing, dependents = self.frontier_shape()
-        try:
-            return kahn_levels(dict(missing), dependents)
-        except CycleError as exc:
-            raise CyclicDerivationError(
-                f"plan dependency cycle through steps {exc.nodes}", exc.nodes
-            ) from None
+        return kahn_levels(
+            dict(missing),
+            dependents,
+            CyclicDerivationError,
+            "plan dependency cycle through steps",
+        )
 
     def topological_order(self) -> list[str]:
         """Step names in a valid execution order (the levels, flattened)."""
         self.check_frontier_consistency()
-        return list(chain.from_iterable(self.levels()))
+        return list(chain.from_iterable(self._walk()))
 
     def width(self) -> int:
-        """Maximum number of steps runnable concurrently (widest level)."""
+        """Maximum number of steps runnable concurrently: the widest
+        level (on a cyclic plan, the widest before the cycle)."""
         self.check_frontier_consistency()
-        return max(map(len, self.levels()), default=0)
+        best = 0
+        try:
+            for level in self._walk():
+                best = max(best, len(level))
+        except CyclicDerivationError:
+            pass
+        return best
 
     def depth(self) -> int:
         """Length of the longest dependency chain (the level count)."""

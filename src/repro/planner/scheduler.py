@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.core.topology import reachable
 from repro.errors import ExecutionError, PlanningError
 from repro.grid.gram import GridExecutionService, JobRecord, JobSpec
 from repro.observability.instrument import NULL, Instrumentation
@@ -258,19 +259,23 @@ class WorkflowScheduler:
             breaker_states[site] = code
 
         def skip_downstream(root: str) -> None:
-            """Record every transitive dependent as upstream-failed, in
-            name order — but not terminal steps, nor released ones: their
-            predecessors are all done (a rescue resume re-running an
-            invalidated producer), so they need nothing of ``root``."""
+            """Record as upstream-failed, in name order, every transitive
+            dependent reached without passing a done, failed or skipped
+            step: one behind a done step (a rescue resume re-running an
+            invalidated producer) needs nothing more of ``root``."""
+            dependents = plan.frontier_shape()[1]
+
+            def open_dependents(step: str) -> list[str]:
+                return [
+                    name
+                    for name in dependents.get(step, ())
+                    if name not in done
+                    and name not in result.failed_steps
+                    and name not in result.skipped_steps
+                ]
+
             reason = f"upstream-failed:{root}"
-            for name in sorted(plan.downstream_of(root)):
-                if (
-                    name in done
-                    or name in result.failed_steps
-                    or name in result.skipped_steps
-                    or plan.dependencies[name] <= done
-                ):
-                    continue
+            for name in sorted(reachable(open_dependents, open_dependents(root))):
                 result.skipped_steps[name] = reason
                 if obs.enabled:
                     obs.count(

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.core.derivation import Derivation
 from repro.core.topology import topological_levels
-from repro.errors import CycleError, CyclicDerivationError
+from repro.errors import CyclicDerivationError
 
 #: Node kinds in the bipartite graph.
 DATASET = "dataset"
@@ -295,40 +295,36 @@ class DerivationGraph:
         producers of its inputs.  A cycle (some dataset transitively
         depends on itself) raises :class:`CyclicDerivationError`."""
         producers = self._producers
-        try:
-            return topological_levels(
-                {
-                    name: [p for dataset in inputs for p in producers[dataset]]
-                    for name, inputs in self._inputs.items()
-                }
-            )
-        except CycleError as exc:
-            raise CyclicDerivationError(
-                f"derivation graph contains a cycle through {exc.nodes}",
-                exc.nodes,
-            ) from None
+        return topological_levels(
+            {
+                name: [p for dataset in inputs for p in producers[dataset]]
+                for name, inputs in self._inputs.items()
+            },
+            CyclicDerivationError,
+            "derivation graph contains a cycle through",
+        )
 
     def topological_order(self) -> list[Node]:
         """Every node after its predecessors: source datasets, then the
-        derivations level by level, each dataset right after the last
-        of its producers."""
+        derivations level by level, each level followed by the datasets
+        whose last producer it holds."""
+        levels = self._levels()
+        rank = {name: k for k, level in enumerate(levels) for name in level}
+        finished: list[list[str]] = [[] for _ in levels]
+        for dataset, producers in self._producers.items():
+            if producers:
+                finished[max(map(rank.__getitem__, producers))].append(dataset)
         order = [Node(DATASET, n) for n in sorted(self.source_datasets())]
-        unplaced: dict[str, int] = {}  # dataset -> producers still to go
-        for level in self._levels():
-            for name in level:
-                order.append(Node(DERIVATION, name))
-                for dataset in self._outputs[name]:
-                    left = unplaced.get(dataset, len(self._producers[dataset]))
-                    unplaced[dataset] = left - 1
-                    if left == 1:
-                        order.append(Node(DATASET, dataset))
+        for level, datasets in zip(levels, finished):
+            order.extend(Node(DERIVATION, name) for name in level)
+            order.extend(Node(DATASET, name) for name in sorted(datasets))
         return order
 
     def is_acyclic(self) -> bool:
         try:
             self._levels()
             return True
-        except CycleError:
+        except CyclicDerivationError:
             return False
 
     # -- target-rooted subgraphs (what the planner expands) --------------------

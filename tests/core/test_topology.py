@@ -108,9 +108,9 @@ def check_levels(deps) -> None:
     if stuck:
         with pytest.raises(CycleError) as caught:
             topological_levels(deps)
-        assert caught.value.nodes == sorted(stuck)[:6]
-        for name in caught.value.nodes:
-            assert repr(name) in str(caught.value)
+        assert str(caught.value) == (
+            f"dependency cycle through {sorted(stuck)[:6]}"
+        )
         return
     levels = topological_levels(deps)
     order = [name for level in levels for name in level]
@@ -143,13 +143,20 @@ class TestLevels:
         ) == [["a"], ["b", "c"]]
         with pytest.raises(CycleError) as caught:
             topological_levels({"a": {"a"}, "b": {"a"}, "c": set()})
-        assert caught.value.nodes == ["a", "b"]
+        assert str(caught.value) == "dependency cycle through ['a', 'b']"
 
     def test_names_at_most_six_stuck_nodes(self):
         ring = {f"n{i}": {f"n{(i + 1) % 9}"} for i in range(9)}
         with pytest.raises(CycleError) as caught:
             topological_levels(ring)
-        assert caught.value.nodes == [f"n{i}" for i in range(6)]
+        assert str(caught.value) == "dependency cycle through " + str(
+            [f"n{i}" for i in range(6)]
+        )
+
+    def test_raises_the_callers_error_with_its_prefix(self):
+        with pytest.raises(CyclicDerivationError) as caught:
+            topological_levels({"a": {"a"}}, CyclicDerivationError, "loop at")
+        assert str(caught.value) == "loop at ['a']"
 
 
 class TestReachable:
@@ -482,13 +489,16 @@ class TestConsumersMatchTheReferences:
         if not stuck:
             assert plan.topological_order() == reference_topological_order(plan)
             return
-        for method in (plan.topological_order, plan.depth, plan.width):
+        for method in (plan.topological_order, plan.depth, plan.levels):
             with pytest.raises(CyclicDerivationError) as caught:
                 method()
-            assert "cycle through step" in str(caught.value)
-            assert caught.value.nodes == sorted(stuck)[:6]
+            assert str(caught.value) == (
+                f"plan dependency cycle through steps {sorted(stuck)[:6]}"
+            )
         with pytest.raises(CyclicDerivationError):
             estimate_plan(plan, 2)
+        # width() still reports the widest level before the cycle.
+        assert plan.width() == reference_width(plan)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import RescueError, WorkflowError
 from repro.resilience import (
+    FAIL_FAST,
+    RUN_WHAT_YOU_CAN,
+    RecoveryConfig,
     RescueFile,
     RescueStep,
     apply_rescue,
@@ -28,8 +31,10 @@ STEP_OUTPUTS = {
 ALL_DATASETS = [lfn for outs in STEP_OUTPUTS.values() for lfn in outs]
 
 
-def build_vds():
-    vds = VirtualDataSystem.with_grid({"a": 4, "b": 4}, authority="t.example")
+def build_vds(recovery=None):
+    vds = VirtualDataSystem.with_grid(
+        {"a": 4, "b": 4}, authority="t.example", recovery=recovery
+    )
     vds.define(DIAMOND_VDL)
     for name in ("gen", "sim", "ana"):
         tr = vds.catalog.get_transformation(name)
@@ -268,6 +273,35 @@ class TestWriteBackValidation:
         assert resumed.failed_steps == {"g1"}
         assert resumed.skipped_steps == {}
         assert resumed.outcomes["a1"].record.succeeded
+
+    @pytest.mark.parametrize("policy", [FAIL_FAST, RUN_WHAT_YOU_CAN])
+    def test_failed_rerun_skips_nothing_behind_a_completed_step(self, policy):
+        # The rescue says s1 finished and s2 and a1 did not; g1's
+        # replica rotted, so g1 re-runs and fails for good while the
+        # (slow) s2 is still running.  a1 reaches g1 only through the
+        # finished s1: it still waits on s2, not on g1, so it is never
+        # skipped, and once s2 finishes run-what-you-can dispatches it.
+        vds = build_vds(RecoveryConfig(failure_policy=policy))
+        sim = vds.catalog.get_transformation("sim")
+        sim.attributes.set("cost.cpu_seconds", 500.0)
+        vds.catalog.add_transformation(sim, replace=True)
+        result = vds.materialize("final", reuse="never")
+        rescue = vds.executor.rescue_file(result)
+        del rescue.completed["s2"], rescue.completed["a1"]
+        site = vds.grid.sites[result.outcomes["g1"].site]
+        site.storage.store(
+            "raw1", vds.replicas.size_of("raw1"), vds.simulator.now,
+            digest="corrupt:feedbeef",
+        )
+        vds.grid.injector = StepKiller("g1")
+        with pytest.raises(WorkflowError) as caught:
+            vds.materialize("final", reuse="never", rescue=rescue)
+        resumed = caught.value.result
+        assert vds.executor.last_restore.invalidated_steps == {"g1"}
+        assert resumed.failed_steps == {"g1"}
+        assert resumed.skipped_steps == {}
+        assert resumed.outcomes["s2"].record.succeeded
+        assert ("a1" in resumed.outcomes) == (policy == RUN_WHAT_YOU_CAN)
 
     def test_size_mismatch_also_quarantined(self):
         vds = build_vds()
