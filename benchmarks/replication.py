@@ -18,9 +18,12 @@ and geographic locality, and a strategy decides where copies live:
 * ``cascading-caching`` — cascading plus client-side caching (the
   best performer in [19]).
 
-The REPL benchmark reports mean response time and wide-area bytes per
-strategy; the expected shape (cascading/caching beat none under skewed
-access) mirrors the cited results.
+The REPL benchmark (``test_bench_replication.py``) reports mean
+response time and wide-area bytes per strategy; the expected shape
+(cascading/caching beat none under skewed access) mirrors the cited
+results.  This is experiment substrate, not part of the planner:
+nothing in ``repro`` calls it, so it lives beside the benchmark and its
+tests (``test_replication.py``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ storage (replica counts reported).
 
 import pytest
 
-from repro.planner.replication import (
+from benchmarks.replication import (
     HierarchyConfig,
     ReplicationSimulation,
     STRATEGIES,

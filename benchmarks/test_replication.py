@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlanningError
-from repro.planner.replication import (
+from benchmarks.replication import (
     HierarchyConfig,
     ReplicationSimulation,
     STRATEGIES,

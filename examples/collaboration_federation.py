@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""A multi-institution collaboration: hyperlinks, federation, trust.
+"""A multi-institution collaboration: hyperlinks, federation, promotion.
 
 Reconstructs Figures 2-4 of the paper as one running scenario:
 
@@ -9,8 +9,10 @@ Reconstructs Figures 2-4 of the paper as one running scenario:
   lineage query walks all three servers (Fig 3);
 * federated indexes at personal / community scope answer discovery
   without touching member catalogs (Fig 4), including a
-  "community approved data" index gated by signed quality assessments
-  from a trusted calibration team (§4.2).
+  "community approved data" index over the entries a calibration team
+  marked ``quality=approved`` (§4.2);
+* Alice's result is promoted, with its recipe, to the collaboration
+  catalog (§4.1).
 
 Run:  python examples/collaboration_federation.py
 """
@@ -22,7 +24,6 @@ from repro.catalog import (
     ReferenceResolver,
 )
 from repro.provenance import cross_catalog_lineage
-from repro.security import KeyStore, QualityRegistry, Signer, TrustStore
 
 
 def build_collaboration():
@@ -107,29 +108,13 @@ def main():
     print("\nFig 3 — cross-server audit trail for muon-mass.png:")
     print(cross_catalog_lineage(resolver, "muon-mass.png").render())
 
-    # --- §4.2: quality and trust ---
-    keys = KeyStore()
-    for name in ("cms-collab", "calib-team"):
-        keys.generate(name)
-    signer = Signer(keys)
-    trust = TrustStore(keys)
-    trust.add_root("cms-collab")
-    trust.delegate("cms-collab", "calib-team", scope="quality")
-    quality = QualityRegistry(trust=trust, signer=signer)
-
-    events = illinois.get_dataset("events.2003")
-    quality.assess("dataset", "events.2003", "approved", "calib-team",
-                   obj=events)
-    illinois.add_dataset(events, replace=True)
-    quality.assess("dataset", "muon.hits", "raw", "calib-team")
+    # --- §4.2: quality, recorded as an attribute by its assessor ---
     print("\n§4.2 — quality after calib-team review:")
-    for name in ("events.2003", "muon.hits"):
-        print(f"  {name}: {quality.level_of('dataset', name)}")
-    fetched = illinois.get_dataset("events.2003")
-    print(
-        "  signature on events.2003 verifies:",
-        signer.is_signed_by(fetched, "calib-team"),
-    )
+    for name, level in (("events.2003", "approved"), ("muon.hits", "raw")):
+        dataset = illinois.get_dataset(name)
+        dataset.attributes.set("quality", level, author="calib-team")
+        illinois.add_dataset(dataset, replace=True)
+        print(f"  {name}: {level}")
 
     # --- Fig 4: indexes at multiple levels ---
     print("\nFig 4 — federated indexes:")
@@ -137,8 +122,9 @@ def main():
                                                         "derivation"))
     approved = FederatedIndex(
         "community-approved",
+        depth="deep",
         kinds=("dataset",),
-        entry_filter=quality.approved_filter(),
+        entry_filter=lambda e: e.attribute("quality") == "approved",
     )
     for catalog in (wisconsin, illinois, personal):
         if catalog.authority != "alice.uchicago.edu":
@@ -157,13 +143,7 @@ def main():
     from repro.catalog import promote
 
     collab = MemoryCatalog(authority="collab.cms.org")
-    report = promote(
-        "muon-mass.png",
-        resolver,
-        collab,
-        signer=signer,
-        authority="calib-team",
-    )
+    report = promote("muon-mass.png", resolver, collab)
     print("\n§4.1 — promotion of muon-mass.png to collab.cms.org:")
     print(f"  copied {report.total()} objects "
           f"({len(report.derivations)} derivations, "

@@ -19,8 +19,6 @@ recipe, and the paper's promotion story is about recipes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.catalog.base import VirtualDataCatalog
 from repro.catalog.resolver import ReferenceResolver
 from repro.core.naming import VDPRef
@@ -50,38 +48,20 @@ def promote(
     resolver: ReferenceResolver,
     destination: VirtualDataCatalog,
     include_provenance: bool = True,
-    signer=None,
-    authority: Optional[str] = None,
 ) -> PromotionReport:
     """Publish ``dataset_name``'s definition into ``destination``.
 
-    * ``include_provenance=True`` walks producing derivations
-      recursively (the full recipe); ``False`` copies only the dataset
-      record itself.
-    * When ``signer`` and ``authority`` are given, every promoted
-      entry is signed on the way in — the "approved for broader use"
-      step of §4.1.
+    ``include_provenance=True`` walks producing derivations recursively
+    (the full recipe); ``False`` copies only the dataset record itself.
 
     Raises :class:`~repro.errors.NotFoundError` when the dataset is
     unknown everywhere in the resolver's scope.
     """
     report = PromotionReport()
     _promote_dataset(
-        dataset_name,
-        resolver,
-        destination,
-        include_provenance,
-        signer,
-        authority,
-        report,
-        seen=set(),
+        dataset_name, resolver, destination, include_provenance, report, set()
     )
     return report
-
-
-def _sign(obj, signer, authority) -> None:
-    if signer is not None and authority is not None:
-        signer.sign_entry(obj, authority)
 
 
 def _promote_dataset(
@@ -89,8 +69,6 @@ def _promote_dataset(
     resolver: ReferenceResolver,
     destination: VirtualDataCatalog,
     include_provenance: bool,
-    signer,
-    authority,
     report: PromotionReport,
     seen: set[str],
 ) -> None:
@@ -106,7 +84,6 @@ def _promote_dataset(
     if destination.has_dataset(name):
         report.skipped.append(f"dataset/{name}")
     else:
-        _sign(dataset, signer, authority)
         destination.add_dataset(dataset)
         report.datasets.append(name)
     if not include_provenance:
@@ -115,11 +92,7 @@ def _promote_dataset(
         if destination.has_derivation(dv.name):
             report.skipped.append(f"derivation/{dv.name}")
         else:
-            _promote_transformation(
-                dv.transformation, resolver, destination, signer, authority,
-                report,
-            )
-            _sign(dv, signer, authority)
+            _promote_transformation(dv.transformation, resolver, destination, report)
             # Localize: once promoted, the reference resolves at the
             # destination rather than pointing back across the grid.
             dv.transformation = dv.transformation.localized()
@@ -130,13 +103,7 @@ def _promote_dataset(
             report.derivations.append(dv.name)
         for input_name in dv.inputs():
             _promote_dataset(
-                input_name,
-                resolver,
-                destination,
-                include_provenance,
-                signer,
-                authority,
-                report,
+                input_name, resolver, destination, include_provenance, report,
                 seen,
             )
 
@@ -145,8 +112,6 @@ def _promote_transformation(
     ref: VDPRef,
     resolver: ReferenceResolver,
     destination: VirtualDataCatalog,
-    signer,
-    authority,
     report: PromotionReport,
 ) -> None:
     try:
@@ -156,7 +121,6 @@ def _promote_transformation(
     if destination.has_transformation(tr.name, tr.version):
         report.skipped.append(f"transformation/{tr.qualified_name}")
         return
-    _sign(tr, signer, authority)
     destination.add_transformation(tr)
     report.transformations.append(tr.qualified_name)
     # Compound callees must come along or the promoted definition
@@ -165,6 +129,4 @@ def _promote_transformation(
 
     if isinstance(tr, CompoundTransformation):
         for call in tr.calls:
-            _promote_transformation(
-                call.target, resolver, destination, signer, authority, report
-            )
+            _promote_transformation(call.target, resolver, destination, report)

@@ -30,7 +30,6 @@ from repro.core.invocation import (
     STATUSES,
 )
 from repro.core.naming import OBJECT_KINDS, VDPRef, check_object_name
-from repro.core.overlay import OverlayStore, ReclaimReport
 from repro.core.replica import Replica
 from repro.core.transformation import (
     ArgumentTemplate,
@@ -88,8 +87,6 @@ __all__ = [
     "Invocation",
     "OBJECT_KINDS",
     "ObjectClosureDescriptor",
-    "OverlayStore",
-    "ReclaimReport",
     "Replica",
     "ResourceUsage",
     "STATUSES",

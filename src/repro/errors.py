@@ -87,22 +87,6 @@ class FederationError(CatalogError):
     """A federated index operation failed."""
 
 
-class SecurityError(VirtualDataError):
-    """Base class for signing / trust / policy failures."""
-
-
-class InvalidSignatureError(SecurityError):
-    """A signature failed verification."""
-
-
-class UntrustedAuthorityError(SecurityError):
-    """No trust chain connects the signer to a root authority."""
-
-
-class AccessDeniedError(SecurityError):
-    """An access-control policy denied the operation."""
-
-
 class GridError(VirtualDataError):
     """Base class for simulated-grid failures."""
 

@@ -19,7 +19,7 @@ catalog under curated names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.catalog.promotion import PromotionReport, promote
@@ -135,8 +135,6 @@ class InteractiveSession:
         self,
         destination: VirtualDataCatalog,
         names: dict[str, str],
-        signer=None,
-        authority: Optional[str] = None,
     ) -> PromotionReport:
         """Publish selected session results into a permanent catalog.
 
@@ -148,13 +146,7 @@ class InteractiveSession:
         resolver = ReferenceResolver(self.catalog)
         report = PromotionReport()
         for session_name, permanent_name in names.items():
-            sub = promote(
-                session_name,
-                resolver,
-                destination,
-                signer=signer,
-                authority=authority,
-            )
+            sub = promote(session_name, resolver, destination)
             report.datasets += sub.datasets
             report.derivations += sub.derivations
             report.transformations += sub.transformations

@@ -21,7 +21,6 @@ from repro.grid.network import (
     star_topology,
     uniform_topology,
 )
-from repro.grid.objectstore import ObjectStore, ObjectStoreRegistry, StoredObject
 from repro.grid.replica_catalog import ReplicaLocationService
 from repro.grid.simulator import Simulator
 from repro.grid.site import ComputeElement, Host, Site, StorageElement, StoredFile
@@ -38,14 +37,11 @@ __all__ = [
     "Link",
     "LinkStats",
     "NetworkTopology",
-    "ObjectStore",
-    "ObjectStoreRegistry",
     "ReplicaLocationService",
     "Simulator",
     "Site",
     "StorageElement",
     "StoredFile",
-    "StoredObject",
     "star_topology",
     "uniform_topology",
 ]

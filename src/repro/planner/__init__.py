@@ -1,12 +1,6 @@
 """Request planning: DAG expansion, site selection, scheduling (§5.2)."""
 
 from repro.planner.dag import Plan, PlanStep, Planner
-from repro.planner.replication import (
-    HierarchyConfig,
-    ReplicationResult,
-    ReplicationSimulation,
-    STRATEGIES,
-)
 from repro.planner.request import (
     MaterializationRequest,
     REUSE_POLICIES,
@@ -24,17 +18,13 @@ from repro.planner.strategies import (
 )
 
 __all__ = [
-    "HierarchyConfig",
     "MaterializationRequest",
     "Plan",
     "PlanStep",
     "Planner",
     "ProcedureRegistry",
     "REUSE_POLICIES",
-    "ReplicationResult",
-    "ReplicationSimulation",
     "SHIPPING_PATTERNS",
-    "STRATEGIES",
     "SiteChoice",
     "SiteSelector",
     "StepOutcome",

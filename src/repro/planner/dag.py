@@ -138,16 +138,6 @@ class Plan:
             self.__dict__["_frontier_shape"] = cached
         return cached[1], cached[2]
 
-    def ready_steps(self, done: set[str]) -> list[str]:
-        """Steps whose prerequisites are all in ``done`` and that are
-        not themselves done, in name order (deterministic dispatch)."""
-        self.check_frontier_consistency()
-        return sorted(
-            name
-            for name, deps in self.dependencies.items()
-            if name not in done and deps <= done
-        )
-
     def frontier(self, done: Optional[set[str]] = None) -> "Frontier":
         """An incremental ready-set tracker over this plan's DAG."""
         return Frontier(self, done=done)
@@ -215,7 +205,7 @@ class Plan:
 class Frontier:
     """Incremental ready-set tracking over a :class:`Plan`'s DAG.
 
-    Dispatchers used to rescan ``Plan.ready_steps(done)`` after every
+    Dispatchers used to rescan every step's dependencies after every
     completion — O(V·E) over a whole run.  The frontier instead keeps a
     per-step count of unfinished predecessors and decrements it as
     steps complete, so releasing the whole run's worth of work is

@@ -208,7 +208,7 @@ class WorkflowScheduler:
             for name in result.pre_completed:
                 progress.step_finished(name, "ok")
         # The incremental frontier: completions release successors
-        # incrementally instead of rescanning ready_steps() every tick.
+        # instead of a rescan of every step's dependencies each tick.
         frontier = Frontier(plan, done=result.pre_completed)
         done = frontier.completed
         in_flight: set[str] = set()

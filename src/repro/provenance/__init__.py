@@ -1,12 +1,5 @@
-"""Provenance: dependency graphs, lineage, invalidation, equivalence (§2, §8)."""
+"""Provenance: dependency graphs, lineage, invalidation (§2)."""
 
-from repro.provenance.equivalence import EquivalenceChecker, equivalence_classes
-from repro.provenance.finegrained import (
-    ROW_MAPPINGS,
-    RowLineage,
-    row_lineage,
-    rows_affected_by,
-)
 from repro.provenance.graph import (
     DATASET,
     DERIVATION,
@@ -31,20 +24,14 @@ __all__ = [
     "DATASET",
     "DERIVATION",
     "DerivationGraph",
-    "EquivalenceChecker",
     "InvalidationReport",
     "LineageReport",
     "LineageStep",
     "Node",
-    "ROW_MAPPINGS",
-    "RowLineage",
     "StalenessTracker",
     "cross_catalog_lineage",
     "dataset_node",
     "derivation_node",
-    "equivalence_classes",
     "invalidated_by",
     "lineage_report",
-    "row_lineage",
-    "rows_affected_by",
 ]

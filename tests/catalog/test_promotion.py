@@ -7,8 +7,6 @@ from repro.catalog.promotion import promote
 from repro.catalog.resolver import CatalogNetwork, ReferenceResolver
 from repro.errors import NotFoundError
 from repro.provenance.lineage import lineage_report
-from repro.security.identity import KeyStore
-from repro.security.signing import Signer
 
 
 @pytest.fixture
@@ -98,23 +96,6 @@ class TestPromote:
         resolver, _, _, collaboration = world
         with pytest.raises(NotFoundError):
             promote("nope", resolver, collaboration)
-
-    def test_signed_on_promotion(self, world):
-        resolver, _, _, collaboration = world
-        keys = KeyStore()
-        keys.generate("collab-curator")
-        signer = Signer(keys)
-        promote(
-            "alice.result",
-            resolver,
-            collaboration,
-            signer=signer,
-            authority="collab-curator",
-        )
-        ds = collaboration.get_dataset("alice.result")
-        signer.verify_entry(ds, "collab-curator")
-        tr = collaboration.get_transformation("polish")
-        signer.verify_entry(tr, "collab-curator")
 
     def test_invocations_stay_behind(self, world):
         resolver, personal, _, collaboration = world

@@ -99,20 +99,3 @@ class TestSnapshot:
         permanent = MemoryCatalog(authority="collab.org")
         session.snapshot(permanent, names={raw: "kept"})
         assert session.catalog.has_dataset(raw)  # session side unchanged
-
-    def test_snapshot_signed(self, session):
-        from repro.security.identity import KeyStore
-        from repro.security.signing import Signer
-
-        keys = KeyStore()
-        keys.generate("curator")
-        signer = Signer(keys)
-        (raw,) = session.run("gen", seed="2")
-        permanent = MemoryCatalog(authority="collab.org")
-        session.snapshot(
-            permanent,
-            names={raw: raw},
-            signer=signer,
-            authority="curator",
-        )
-        signer.verify_entry(permanent.get_dataset(raw), "curator")

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SubmissionError, TransferError
 from repro.grid.gram import GridExecutionService, JobSpec
 from repro.grid.network import uniform_topology
-from repro.grid.objectstore import ObjectStore, ObjectStoreRegistry
 from repro.grid.replica_catalog import ReplicaLocationService
 from repro.grid.simulator import Simulator
 from repro.grid.site import Site
@@ -160,44 +159,3 @@ class TestGram:
                 sim, {}, net, rls, failure_rate=1.5
             )
 
-
-class TestObjectStore:
-    def test_put_get_delete(self):
-        store = ObjectStore("s")
-        store.put("a", payload=1, refs=["b"])
-        assert store.get("a").payload == 1
-        store.delete("a")
-        with pytest.raises(Exception):
-            store.get("a")
-
-    def test_closure(self):
-        store = ObjectStore("s")
-        store.put("a", refs=["b", "c"])
-        store.put("b", refs=["d"])
-        store.put("c")
-        store.put("d", refs=["a"])  # cycle back
-        store.put("lonely")
-        assert store.closure(["a"]) == {"a", "b", "c", "d"}
-        assert store.closure_size(["c"]) == 1
-
-    def test_closure_ignores_dangling(self):
-        store = ObjectStore("s")
-        store.put("a", refs=["ghost"])
-        assert store.closure(["a"]) == {"a"}
-
-    def test_extract(self):
-        store = ObjectStore("s")
-        store.put("a", payload="pa", refs=["b"])
-        store.put("b", payload="pb")
-        assert store.extract(["a"]) == {"a": "pa", "b": "pb"}
-
-    def test_registry(self):
-        reg = ObjectStoreRegistry()
-        store = reg.create("events")
-        assert reg.get("events") is store
-        assert reg.get_or_create("events") is store
-        with pytest.raises(Exception):
-            reg.create("events")
-        with pytest.raises(Exception):
-            reg.get("nope")
-        assert reg.names() == ["events"]

@@ -10,7 +10,6 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.executor.local import LocalExecutor
-from repro.provenance.equivalence import EquivalenceChecker
 
 
 @pytest.fixture
@@ -56,24 +55,6 @@ class TestVersionIteration:
         assert [str(v) for v in catalog.versions.versions("analyze")] == [
             "1.0", "1.1",
         ]
-
-    def test_semantic_equivalence_gate(self, lab):
-        """Data made with 1.0 counts as equivalent to 1.1 products only
-        after the community asserts compatibility."""
-        catalog, _ = lab
-        catalog.define(
-            'DV run.b->analyze( o=@{output:"result.b"}, i=@{input:"events"} );'
-        )
-        for name, version in (("run.a", "1.0"), ("run.b", "1.1")):
-            dv = catalog.get_derivation(name)
-            dv.attributes.set("transformation_version", version)
-            catalog.add_derivation(dv, replace=True)
-        checker = EquivalenceChecker(catalog)
-        assert not checker.semantic_equal("result.a", "result.b")
-        catalog.versions.assert_compatible(
-            "analyze", "1.0", "1.1", authority="physics-board"
-        )
-        assert checker.semantic_equal("result.a", "result.b")
 
     def test_invalidating_one_version_only(self, lab):
         """A bug found in v1.1 must not taint v1.0 products... at

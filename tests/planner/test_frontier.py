@@ -1,10 +1,10 @@
 """Tests for the incremental ready-set tracker and frontier consistency.
 
-The :class:`~repro.planner.dag.Frontier` replaces the per-tick
-``ready_steps(done)`` rescan (O(V·E) over a run) with indegree
-decrements; these tests pin its equivalence to the rescan and the new
-consistency check that catches plans whose dependency edges point at
-pruned steps.
+The :class:`~repro.planner.dag.Frontier` replaces a per-tick rescan of
+every step's dependencies (O(V·E) over a run) with indegree
+decrements; these tests pin its equivalence to :func:`ready_steps`, that
+rescan kept here as the reference, and the consistency check that
+catches plans whose dependency edges point at pruned steps.
 """
 
 import random
@@ -18,6 +18,16 @@ from repro.planner.request import MaterializationRequest
 from tests.conftest import DIAMOND_VDL
 
 
+def ready_steps(plan, done):
+    """Steps whose prerequisites are all in ``done`` and that are not
+    themselves done, in name order: the rescan the frontier replaced."""
+    return sorted(
+        name
+        for name, deps in plan.dependencies.items()
+        if name not in done and deps <= done
+    )
+
+
 def diamond_plan():
     catalog = MemoryCatalog().define(DIAMOND_VDL)
     planner = Planner(catalog)
@@ -29,7 +39,7 @@ def diamond_plan():
 class TestFrontierParity:
     def test_initial_ready_matches_rescan(self):
         plan = diamond_plan()
-        assert Frontier(plan).ready() == plan.ready_steps(set())
+        assert Frontier(plan).ready() == ready_steps(plan, set())
 
     def test_incremental_matches_rescan_at_every_prefix(self):
         """Completing steps in any legal order, the frontier's ready set
@@ -41,11 +51,11 @@ class TestFrontierParity:
             done = set()
             while not frontier.exhausted:
                 ready = frontier.ready()
-                assert ready == plan.ready_steps(done)
+                assert ready == ready_steps(plan, done)
                 pick = rng.choice(ready)
                 frontier.complete(pick)
                 done.add(pick)
-            assert plan.ready_steps(done) == []
+            assert ready_steps(plan, done) == []
 
     def test_complete_returns_newly_released(self):
         plan = diamond_plan()
@@ -79,9 +89,9 @@ class TestFrontierParity:
 
 
 class TestFrontierConsistency:
-    """Regression: ``ready_steps`` used to silently return steps whose
-    predecessors had been pruned (e.g. as reused subgraphs) without the
-    dependency edges being fixed up — the dependent steps then either
+    """Regression: a ready-set rescan used to silently return steps
+    whose predecessors had been pruned (e.g. as reused subgraphs) without
+    the dependency edges being fixed up — the dependent steps then either
     dispatched early or hung forever, depending on the caller."""
 
     def _plan_with(self, steps, dependencies):
@@ -98,21 +108,25 @@ class TestFrontierConsistency:
             ["s1"], {"s1": {"g1"}}
         )
         with pytest.raises(PlanningError, match="pruned or unknown"):
-            plan.ready_steps(set())
+            plan.check_frontier_consistency()
         with pytest.raises(PlanningError, match="pruned or unknown"):
             Frontier(plan)
 
     def test_step_missing_from_dependency_map_raises(self):
         plan = self._plan_with(["g1", "g2"], {"g1": set()})
         with pytest.raises(PlanningError, match="never dispatch"):
-            plan.ready_steps(set())
+            plan.check_frontier_consistency()
+        with pytest.raises(PlanningError, match="never dispatch"):
+            Frontier(plan)
 
     def test_dependency_entry_for_unknown_step_raises(self):
         plan = self._plan_with(["g1"], {"g1": set(), "ghost": set()})
         with pytest.raises(PlanningError, match="unknown step"):
-            plan.ready_steps(set())
+            plan.check_frontier_consistency()
+        with pytest.raises(PlanningError, match="unknown step"):
+            Frontier(plan)
 
     def test_consistent_plan_passes(self):
         plan = diamond_plan()
         plan.check_frontier_consistency()  # no raise
-        assert plan.ready_steps(set()) == ["g1", "g2"]
+        assert Frontier(plan).ready() == ["g1", "g2"]

@@ -20,9 +20,6 @@ class TestErrorHierarchy:
             errors.NotFoundError,
             errors.ReferenceError_,
             errors.FederationError,
-            errors.InvalidSignatureError,
-            errors.UntrustedAuthorityError,
-            errors.AccessDeniedError,
             errors.SubmissionError,
             errors.TransferError,
             errors.CyclicDerivationError,
@@ -38,8 +35,6 @@ class TestErrorHierarchy:
             raise errors.NotFoundError("x")
         with pytest.raises(errors.CatalogError):
             raise errors.DuplicateEntryError("x")
-        with pytest.raises(errors.SecurityError):
-            raise errors.AccessDeniedError("x")
 
     def test_vdl_syntax_error_position(self):
         err = errors.VDLSyntaxError("bad token", line=3, column=7)
