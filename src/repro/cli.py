@@ -36,6 +36,7 @@ span tree and metrics snapshot of each run are written under
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -1478,9 +1479,18 @@ def main(argv: list[str] | None = None, out=print, err=None) -> int:
     args = build_parser().parse_args(argv)
     ws = Workspace(args.workspace)
     try:
-        return args.fn(ws, args, out)
+        code = args.fn(ws, args, out)
+        # A reader that went away early (``| head``) fails this flush
+        # here rather than the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
     except VirtualDataError as exc:
         err(f"error: {exc}")
+        return 1
+    except BrokenPipeError:
+        # Stop quietly; with stdout on devnull the exit flush cannot
+        # fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

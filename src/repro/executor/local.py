@@ -18,9 +18,8 @@ from __future__ import annotations
 import os
 import platform
 import queue
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -44,6 +43,7 @@ from repro.executor.process import (
     InvocationOutcome,
     InvocationPayload,
     RunContext,
+    exit_with_parent,
     preflight_payload,
     run_invocation,
 )
@@ -53,7 +53,6 @@ from repro.planner.request import MaterializationRequest
 from repro.resilience.policies import (
     FAIL_FAST,
     FAILURE_POLICIES,
-    RUN_WHAT_YOU_CAN,
 )
 
 
@@ -113,7 +112,9 @@ class LocalExecutor:
         quarantine_dir: Optional[str | Path] = None,
     ):
         self.catalog = catalog
-        self.workdir = Path(workdir)
+        # Absolute, so stream redirects and subprocesses (which run
+        # inside the sandbox) never resolve a path against the cwd.
+        self.workdir = Path(workdir).absolute()
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.site_name = site_name
         self.quarantine_dir = (
@@ -265,7 +266,7 @@ class LocalExecutor:
             "executor.execute", derivation=dv.name
         ):
             outcome = run_invocation(payload, NULL)
-            return self._finish(dv, tr, payload, outcome, self._commit)
+            return self._finish(dv, tr, payload, outcome)
 
     def _build_payload(
         self, dv: Derivation, step_name: str
@@ -345,19 +346,37 @@ class LocalExecutor:
         tr: SimpleTransformation,
         payload: InvocationPayload,
         outcome: InvocationOutcome,
-        commit: Callable[[Optional[Invocation], InvocationOutcome], None],
     ) -> Invocation:
-        """Hand one outcome's record to ``commit``; raise if it failed.
+        """Commit one outcome's provenance and count it; raise if the
+        step failed.
 
-        ``commit`` is :meth:`_commit` itself, or the process lane's
-        queue in front of it; a refusal (``outcome.commit`` false) is
-        passed on with no record, to be counted only.
+        Output replicas are recorded in the transformation's formal
+        order, with the digests the run computed.  A refusal
+        (``outcome.commit`` false) records nothing and is only counted.
         """
         if not outcome.commit:
-            commit(None, outcome)
+            self._count(None)
             raise ExecutionError(outcome.error)
         invocation = self._outcome_invocation(dv, tr, payload, outcome)
-        commit(invocation, outcome)
+        outputs = [
+            (
+                formal,
+                Replica(
+                    dataset_name=stat.dataset,
+                    location=self.site_name,
+                    descriptor=FileDescriptor(
+                        path=stat.path, size=stat.size
+                    ),
+                    size=stat.size,
+                    digest=stat.digest,
+                ),
+            )
+            for formal, stat in outcome.outputs.items()
+        ]
+        commit_invocation(self.catalog, invocation, outputs, self.obs)
+        for stat in outcome.outputs.values():
+            self._verified[stat.path] = (stat.size, stat.mtime_ns)
+        self._count(invocation)
         if outcome.status != "success":
             raise ExecutionError(
                 f"derivation {dv.name!r} failed: {outcome.error}"
@@ -392,39 +411,6 @@ class LocalExecutor:
         )
         stamp_recipe(invocation, dv, tr)
         return invocation
-
-    def _commit(
-        self,
-        invocation: Optional[Invocation],
-        outcome: Optional[InvocationOutcome],
-    ) -> None:
-        """Commit one finished step's provenance and count it.
-
-        Output replicas are recorded in the transformation's formal
-        order, with the digests the run computed.  ``invocation=None``
-        (a refusal, or a worker that died) records nothing and counts
-        a failure.
-        """
-        if invocation is not None:
-            outputs = [
-                (
-                    formal,
-                    Replica(
-                        dataset_name=stat.dataset,
-                        location=self.site_name,
-                        descriptor=FileDescriptor(
-                            path=stat.path, size=stat.size
-                        ),
-                        size=stat.size,
-                        digest=stat.digest,
-                    ),
-                )
-                for formal, stat in outcome.outputs.items()
-            ]
-            commit_invocation(self.catalog, invocation, outputs, self.obs)
-            for stat in outcome.outputs.values():
-                self._verified[stat.path] = (stat.size, stat.mtime_ns)
-        self._count(invocation)
 
     def _count(self, invocation: Optional[Invocation]) -> None:
         """Account one finished (or refused) step in the metrics."""
@@ -484,12 +470,13 @@ class LocalExecutor:
         ``workers`` sizes a pool that dispatches the entire ready
         frontier concurrently (§5.4's workflow manager dispatches
         "nodes of the workflow graph when the node's predecessor
-        dependencies have completed").  ``backend`` selects the pool:
-        ``"thread"`` (default) shares the interpreter and suits
-        I/O-bound or subprocess-heavy steps; ``"process"`` runs
-        registered Python bodies in worker processes so CPU-bound
-        steps scale past the GIL (bodies must then be module-level
-        functions — see :mod:`repro.executor.process`).
+        dependencies have completed"); ``workers=1`` on the thread
+        backend runs each step on the calling thread instead.
+        ``backend`` selects the pool: ``"thread"`` (default) shares the
+        interpreter and suits I/O-bound or subprocess-heavy steps;
+        ``"process"`` runs registered Python bodies in worker processes
+        so CPU-bound steps scale past the GIL (bodies must then be
+        module-level functions — see :mod:`repro.executor.process`).
         ``failure_policy`` is one of the PR-3 policies: ``"fail-fast"``
         (default) stops dispatching on the first failure and re-raises
         it once in-flight steps drain; ``"run-what-you-can"`` keeps
@@ -521,26 +508,6 @@ class LocalExecutor:
             if self.obs.progress is not None:
                 self.obs.progress.start_plan(plan)
             with self.obs.phase("execute"):
-                if (
-                    backend == "thread"
-                    and workers == 1
-                    and policy == FAIL_FAST
-                ):
-                    # Sequential: stop *at* the first failure.
-                    invocations = []
-                    for name in plan.topological_order():
-                        if self.obs.progress is not None:
-                            self.obs.progress.step_started(name)
-                        try:
-                            invocation = self.execute(
-                                plan.steps[name].derivation
-                            )
-                        except ExecutionError:
-                            self._note_step(name, None, "failure")
-                            raise
-                        invocations.append(invocation)
-                        self._note_step(name, invocation, "success")
-                    return invocations
                 return self._materialize_pool(
                     plan, workers, policy, backend, mspan
                 )
@@ -548,100 +515,65 @@ class LocalExecutor:
     def _materialize_pool(
         self, plan, workers: int, policy: str, backend: str, parent=None
     ) -> list[Invocation]:
-        """Release-driven pool execution of a plan, on either backend.
+        """Release-driven execution of a plan, on any lane.
 
-        The main thread owns all scheduling state.  It dispatches the
-        initial ready set once, then only what each completion releases
-        (``Frontier.complete`` returns exactly that), in name order;
-        finished futures announce themselves on a queue, and a batch of
-        them is handled in topological rank — so the cost per step is
-        independent of how wide the plan is.  What running a step means
-        is the same on every lane (payload, ``run_invocation``,
-        outcome, one commit); the lane decides where the payload runs
-        and which thread commits: :class:`_ThreadLane` does both on a
-        pool thread, :class:`_ProcessLane` runs in worker processes
-        and commits through a single writer.  A lane holds a step back
-        (``submit`` returns ``None``) while a live step writes the same
-        sandbox file; held steps are offered again after every batch.
+        The calling thread owns the scheduling state; the plan's
+        :class:`~repro.planner.dag.Frontier` holds its DAG side.  Each
+        round submits everything the frontier hands out, in name order,
+        then settles a batch of finished steps in topological rank, so
+        the cost per step does not depend on the plan's width.  The
+        lane decides where a payload runs and which thread commits it;
+        a step it refuses waits in the frontier until the next settle.
         """
         order_index = {
             name: i for i, name in enumerate(plan.topological_order())
         }
         frontier = plan.frontier()
+        frontier.fail_fast = policy == FAIL_FAST
         completed: dict[str, Invocation] = {}
         failures: dict[str, ExecutionError] = {}
-        skipped: set[str] = set()
-        futures: dict = {}  # future -> step name
-        finished: queue.SimpleQueue = queue.SimpleQueue()
-
-        def fail(name: str, exc: ExecutionError) -> None:
-            failures[name] = exc
-            skipped.update(plan.downstream_of(name))
-            self._note_step(name, None, "failure")
-
-        lane = (_ProcessLane if backend == "process" else _ThreadLane)(
-            self, workers, parent
-        )
+        if backend == "process":
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=exit_with_parent
+            )
+            lane: _Lane = _ProcessLane(self, parent, pool)
+        elif workers == 1:
+            lane = _InlineLane(self, parent)
+        else:
+            lane = _Lane(self, parent, ThreadPoolExecutor(max_workers=workers))
         try:
-            offered = frontier.ready()
             while True:
-                if lane.failure is not None:
-                    raise lane.failure
-                held: list[str] = []
-                if not (policy == FAIL_FAST and failures):
-                    for name in offered:
-                        try:
-                            future = lane.submit(plan.steps[name])
-                        except ExecutionError as exc:
-                            fail(name, exc)
-                            continue
-                        if future is None:
-                            held.append(name)
-                            continue
-                        futures[future] = name
-                        future.add_done_callback(finished.put)
-                        if self.obs.progress is not None:
-                            self.obs.progress.step_started(name)
-                    self._obs_in_flight(len(futures))
-                self._sample_frontier(
-                    frontier, futures, completed, len(plan.steps)
-                )
-                if not futures:
-                    break
-                done = [finished.get()]
-                try:
-                    while True:
-                        done.append(finished.get_nowait())
-                except queue.Empty:
-                    pass
-                offered = held
-                for future in sorted(
-                    done, key=lambda f: order_index[futures[f]]
-                ):
-                    name = futures.pop(future)
+                while (name := frontier.take()) is not None:
                     try:
-                        completed[name] = lane.settle(name, future)
+                        if not lane.submit(plan.steps[name]):
+                            frontier.hold(name)
+                    except ExecutionError as exc:
+                        failures[name] = exc
+                        self._settle(frontier, name, None)
+                self._obs_in_flight(lane.in_flight)
+                if self.obs.recorder is not None:
+                    self.obs.recorder.sample(
+                        ready=frontier.ready_count(),
+                        in_flight=lane.in_flight,
+                        completed=len(completed),
+                        total=len(plan.steps),
+                    )
+                batch = lane.wait()
+                if not batch:
+                    break
+                for name in sorted(batch, key=order_index.__getitem__):
+                    try:
+                        completed[name] = lane.settle(name)
                     except ExecutionError as exc:
                         # Steps downstream of a failure are never
                         # released; everything else keeps flowing.
-                        fail(name, exc)
+                        failures[name] = exc
+                        self._settle(frontier, name, None)
                     else:
-                        offered.extend(frontier.complete(name))
-                        self._note_step(name, completed[name], "success")
-                offered.sort()
-                self._obs_in_flight(len(futures))
+                        self._settle(frontier, name, completed[name])
         finally:
             lane.close()
             self._obs_in_flight(0)
-        if lane.failure is not None:
-            raise lane.failure
-        for name in sorted(skipped, key=order_index.__getitem__):
-            if self.obs.progress is not None:
-                self.obs.progress.step_finished(name, "skipped")
-            if self.obs.recorder is not None:
-                self.obs.recorder.event(
-                    "step.skipped", step=name, reason="upstream failure"
-                )
         invocations = [
             completed[name]
             for name in sorted(completed, key=order_index.__getitem__)
@@ -653,19 +585,19 @@ class LocalExecutor:
             raise MaterializationError(
                 f"{len(failures)} step(s) failed "
                 f"({', '.join(sorted(failures))}); "
-                f"{len(skipped)} skipped downstream",
+                f"{len(frontier.skipped)} skipped downstream",
                 invocations=invocations,
                 failed=failures,
-                skipped=skipped,
+                skipped=frontier.skipped,
             ) from failures[first]
         return invocations
 
     def _merge_worker_telemetry(self, outcome, parent=None) -> None:
         """Graft one worker's shipped telemetry into the parent's obs.
 
-        Called from the collector thread, so all merges are serialized
-        and land in dispatch-completion order.  Clock-skew alignment:
-        worker span times are offsets from the worker's
+        Called on the dispatching thread as each outcome settles, so
+        merges are serialized and land in settle order.  Clock-skew
+        alignment: worker span times are offsets from the worker's
         ``perf_counter`` base, whose epoch differs per process.  The
         worker ships ``wall0`` (its ``time.time()`` at that base);
         wall clocks agree across processes on one host, so
@@ -737,16 +669,21 @@ class LocalExecutor:
                         tail=tail,
                     )
 
-    def _note_step(
-        self, name: str, invocation: Optional[Invocation], status: str
+    def _settle(
+        self, frontier, name: str, invocation: Optional[Invocation]
     ) -> None:
-        """Publish one finished step to the recorder and progress sink."""
+        """Complete ``name`` in the frontier, or fail it when it has no
+        invocation; publish it, and then what a failure skips (in name
+        order), to the recorder and progress sink."""
+        if invocation is not None:
+            frontier.complete(name)
+            status, skipped = "success", []
+            start = invocation.start_time
+            end = start + invocation.usage.wall_seconds
+        else:
+            status, skipped = "failure", frontier.fail(name)
+            start = end = time.time()
         if self.obs.recorder is not None:
-            if invocation is not None:
-                start = invocation.start_time
-                end = start + invocation.usage.wall_seconds
-            else:
-                start = end = time.time()
             self.obs.recorder.step(
                 name,
                 status=status,
@@ -755,21 +692,16 @@ class LocalExecutor:
                 clock="wall",
                 site=self.site_name,
             )
+            for step in skipped:
+                self.obs.recorder.event(
+                    "step.skipped", step=step, reason="upstream failure"
+                )
         if self.obs.progress is not None:
             self.obs.progress.step_finished(
                 name, "ok" if status == "success" else "failed"
             )
-
-    def _sample_frontier(
-        self, frontier, futures, completed, total: int
-    ) -> None:
-        if self.obs.recorder is not None:
-            self.obs.recorder.sample(
-                ready=frontier.ready_count(),
-                in_flight=len(futures),
-                completed=len(completed),
-                total=total,
-            )
+            for step in skipped:
+                self.obs.progress.step_finished(step, "skipped")
 
     def _obs_in_flight(self, count: int) -> None:
         if self.obs.enabled:
@@ -781,91 +713,104 @@ class LocalExecutor:
 
 
 class _Lane:
-    """What the pool loop needs of a backend; the shared half.
+    """What the dispatch loop needs of a backend, and the thread lane:
+    a pool thread runs the payload, then commits it itself (the catalog
+    serializes its own mutations).
 
-    ``submit`` builds the step's payload on the main thread and holds
-    the step back (returns ``None``) while a live step is writing one
-    of the same sandbox files — two LFNs can map to one path after
-    sanitization.  The busy set is keyed by path and touched by the
-    main thread only, so it needs no lock.  Subclasses say where the
-    payload runs (``_start``) and who commits its outcome (``_result``).
+    ``submit`` builds the payload on the calling thread, and refuses
+    the step (returns false) while a live step is writing one of the
+    same sandbox files — two LFNs can map to one path after
+    sanitization; the busy set is touched by the calling thread only.
+    ``wait`` returns the live steps that have finished (blocking for
+    one), or none when nothing is live.
     """
 
-    #: First exception raised while committing off-thread, if any.
-    failure: Optional[BaseException] = None
-
-    def __init__(self, executor: "LocalExecutor", parent=None):
+    def __init__(self, executor: "LocalExecutor", parent=None, pool=None):
         self._executor = executor
         #: The dispatching ``executor.materialize`` span.
         self._parent = parent
-        self._live: dict[str, tuple] = {}  # name -> (dv, tr, payload)
+        self._pool = pool
+        self._live: dict[str, tuple] = {}  # name -> (dv, tr, payload, future)
         self._busy_outputs: set[str] = set()  # sandbox paths being written
+        self._finished: queue.SimpleQueue = queue.SimpleQueue()
 
-    def submit(self, step):
+    @property
+    def in_flight(self) -> int:
+        return len(self._live)
+
+    def submit(self, step) -> bool:
         dv = step.derivation
         try:
             tr, payload = self._executor._build_payload(dv, step.name)
-            outs = payload.output_paths.values()
-            if not self._busy_outputs.isdisjoint(outs):
-                return None
-            future = self._start(dv, tr, payload)
         except ExecutionError:
             self._executor._count(None)
             raise
-        self._live[step.name] = (dv, tr, payload)
+        outs = payload.output_paths.values()
+        if not self._busy_outputs.isdisjoint(outs):
+            return False
+        if self._executor.obs.progress is not None:
+            self._executor.obs.progress.step_started(step.name)
+        future = self._start(dv, tr, payload)
+        future.add_done_callback(lambda _: self._finished.put(step.name))
+        self._live[step.name] = (dv, tr, payload, future)
         self._busy_outputs.update(outs)
-        return future
+        return True
 
-    def settle(self, name: str, future) -> Invocation:
-        dv, tr, payload = self._live.pop(name)
-        self._busy_outputs.difference_update(payload.output_paths.values())
-        return self._result(dv, tr, payload, future)
-
-
-class _ThreadLane(_Lane):
-    """Thread backend: a pool thread runs the payload, then commits it
-    itself (the catalog serializes its own mutations)."""
-
-    def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
-        super().__init__(executor, parent)
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-
-    def _start(self, dv, tr, payload):
+    def _start(self, dv, tr, payload) -> Future:
         return self._pool.submit(
             self._executor._run, dv, tr, payload, self._parent
         )
+
+    def wait(self) -> list[str]:
+        if not self._live:
+            return []
+        batch = [self._finished.get()]
+        while not self._finished.empty():
+            batch.append(self._finished.get())
+        return batch
+
+    def settle(self, name: str) -> Invocation:
+        dv, tr, payload, future = self._live.pop(name)
+        self._busy_outputs.difference_update(payload.output_paths.values())
+        return self._result(dv, tr, payload, future)
 
     def _result(self, dv, tr, payload, future) -> Invocation:
         return future.result()
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+
+class _InlineLane(_Lane):
+    """``workers=1`` on the thread backend: the calling thread runs and
+    commits each step as it is submitted.  A failed run raises out of
+    ``submit``, so the frontier sees it before anything else is taken —
+    under fail-fast nothing behind it runs.  Each round is one level of
+    the plan, so a clean run goes in the plan's topological order."""
+
+    def _start(self, dv, tr, payload) -> Future:
+        future: Future = Future()
+        future.set_result(self._executor._run(dv, tr, payload, self._parent))
+        return future
 
 
 class _ProcessLane(_Lane):
     """Process backend: a worker process runs the payload and hashes
-    its outputs; it never touches the catalog, the executor, or any
-    lock.  The main thread turns outcomes into invocation records
-    (ids are allocated parent-side) and a single-writer collector
-    thread commits them, one ``catalog.transaction`` per step in
-    completion order — so an upstream step's provenance always lands
-    before anything downstream of it, and catalog locks never cross a
-    process boundary.
+    its outputs, touching no catalog or lock.  The calling thread
+    commits each outcome as it settles the step, before the step's
+    dependents are released — so upstream provenance always lands
+    first.  A worker's telemetry is merged even when there is nothing
+    to commit: failed steps are the ones whose trace matters.
     """
 
-    def __init__(self, executor: "LocalExecutor", workers: int, parent=None):
-        super().__init__(executor, parent)
-        self._collector = _ProvenanceCollector(executor, parent=parent)
-        self._collector.start()
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-
-    @property
-    def failure(self) -> Optional[BaseException]:
-        return self._collector.failure
-
-    def _start(self, dv, tr, payload):
+    def _start(self, dv, tr, payload) -> Future:
         # Pickle-preflighted so a failure names the offending field.
-        preflight_payload(payload)
+        try:
+            preflight_payload(payload)
+        except ExecutionError:
+            self._executor._count(None)
+            raise
         return self._pool.submit(run_invocation, payload)
 
     def _result(self, dv, tr, payload, future) -> Invocation:
@@ -874,71 +819,12 @@ class _ProcessLane(_Lane):
         except Exception as exc:
             # A worker died hard (pool broken, unpicklable outcome):
             # fail the step without provenance.
-            self._collector.submit(None, None)
+            self._executor._count(None)
             raise ExecutionError(
                 f"derivation {dv.name!r}: worker failed "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
-        return self._executor._finish(
-            dv, tr, payload, outcome, self._collector.submit
-        )
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-        self._collector.close()
-
-
-class _ProvenanceCollector:
-    """The process backend's single catalog writer.
-
-    Worker processes compute; this thread records.  Outcomes are
-    committed strictly in submission order (a FIFO queue), and the main
-    thread only submits a step's outcome before releasing its
-    dependents, so upstream provenance is always durable before
-    anything downstream commits — the same invariant the sequential
-    path gets for free.  Each item goes through the executor's one
-    ``_commit``; a worker's telemetry (spans, stream tails) is merged
-    even when there is nothing to commit — failed steps are exactly
-    the ones whose trace matters.
-    """
-
-    def __init__(self, executor: LocalExecutor, parent=None):
-        self._executor = executor
-        #: The dispatching ``executor.materialize`` span — worker-side
-        #: root spans are grafted under it at merge time.
-        self._parent = parent
-        self._queue: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._run, name="provenance-collector", daemon=True
-        )
-        #: First exception raised while committing, if any; the main
-        #: scheduling loop re-raises it.
-        self.failure: Optional[BaseException] = None
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def submit(self, invocation, outcome) -> None:
-        """Queue one finished step (see ``LocalExecutor._commit``)."""
-        self._queue.put((invocation, outcome))
-
-    def close(self) -> None:
-        """Drain the queue and stop the thread."""
-        self._queue.put(None)
-        self._thread.join()
-
-    def _run(self) -> None:
-        executor = self._executor
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            if self.failure is not None:
-                continue  # drain without committing after a failure
-            invocation, outcome = item
-            try:
-                executor._commit(invocation, outcome)
-                if outcome is not None:
-                    executor._merge_worker_telemetry(outcome, self._parent)
-            except BaseException as exc:
-                self.failure = exc
+        try:
+            return self._executor._finish(dv, tr, payload, outcome)
+        finally:
+            self._executor._merge_worker_telemetry(outcome, self._parent)

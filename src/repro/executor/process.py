@@ -1,7 +1,7 @@
 """The run half of the one step path: payload in, outcome out.
 
-Every step ``LocalExecutor`` executes — ``execute()``, the sequential
-loop, the thread lane, the process lane — takes the same route::
+Every step ``LocalExecutor`` executes — ``execute()``, the inline
+lane, the thread lane, the process lane — takes the same route::
 
     InvocationPayload -> run_invocation -> InvocationOutcome -> commit
 
@@ -19,11 +19,11 @@ loop, the thread lane, the process lane — takes the same route::
 
 The lanes differ only in *where* :func:`run_invocation` executes and
 *which thread* commits: the calling thread for ``execute()`` and the
-sequential loop; a pool thread, which then commits itself, on the
-thread lane; a worker process on the process lane, whose outcomes a
-single collector thread in the parent commits in completion order (so
-catalog locks and transactions never cross a process boundary, and
-Python bodies that compute escape the GIL).
+inline lane (``workers=1``); a pool thread, which then commits itself,
+on the thread lane; a worker process on the process lane, whose
+outcomes the parent's dispatching thread commits as it settles each
+step (so catalog locks and transactions never cross a process
+boundary, and Python bodies that compute escape the GIL).
 
 Only worker processes capture telemetry: called with no
 instrumentation, :func:`run_invocation` records its ``worker.*`` spans,
@@ -43,6 +43,7 @@ import os
 import pickle
 import shlex
 import subprocess
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
@@ -317,6 +318,20 @@ def preflight_payload(payload: InvocationPayload) -> bytes:
             f"derivation {payload.derivation_name!r}: payload is not "
             f"picklable ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def exit_with_parent() -> None:
+    """Pool-worker initializer: a daemon thread ends the worker once it
+    is re-parented, i.e. its parent died without shutting the pool
+    down (SIGKILL) and will never send it work or a sentinel."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def run_invocation(

@@ -19,6 +19,7 @@ dispatch (:mod:`repro.planner.scheduler`).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -179,14 +180,6 @@ class Plan:
         """Length of the longest dependency chain (the level count)."""
         return len(self.levels())
 
-    def downstream_of(self, name: str) -> set[str]:
-        """Transitive dependents of ``name`` (itself only on a cycle),
-        over the memoized :meth:`frontier_shape` dependents."""
-        dependents = self.frontier_shape()[1]
-        return reachable(
-            lambda step: dependents.get(step, ()), dependents.get(name, ())
-        )
-
     def producers(self) -> dict[str, str]:
         """Dataset name -> producing step name."""
         out = {}
@@ -203,26 +196,32 @@ class Plan:
 
 
 class Frontier:
-    """Incremental ready-set tracking over a :class:`Plan`'s DAG.
+    """A run's DAG-side state over a :class:`Plan`.
 
     Dispatchers used to rescan every step's dependencies after every
     completion — O(V·E) over a whole run.  The frontier instead keeps a
     per-step count of unfinished predecessors and decrements it as
     steps complete, so releasing the whole run's worth of work is
-    O(V+E) total.  Steps whose counts reach zero join the ready set and
-    stay there until :meth:`complete` is called for them, which is what
-    lets callers track in-flight work against the same set.
+    O(V+E) total.  Steps whose counts reach zero join the ready set
+    until they complete, and the dispatch queue until :meth:`take`
+    hands them out.  :meth:`fail` records a failure and skips what
+    stands behind it.
 
     The constructor validates the plan (see
     :meth:`Plan.check_frontier_consistency`); ``done`` pre-completes
     steps already satisfied, e.g. by a rescue file.
     """
 
+    #: Hand out no more steps once one has failed.
+    fail_fast = False
+
     def __init__(self, plan: Plan, done: Optional[set[str]] = None):
         plan.check_frontier_consistency()
         missing, dependents = plan.frontier_shape()
         self._total = len(plan.steps)
         self.completed: set[str] = set()
+        self.failed: set[str] = set()
+        self.skipped: set[str] = set()
         # Own copy of the counts (decremented in complete()); the
         # dependents map is shared with the plan's template, read-only.
         self._missing: dict[str, int] = dict(missing)
@@ -230,19 +229,15 @@ class Frontier:
         self._ready: set[str] = {
             name for name, count in self._missing.items() if count == 0
         }
-        if done:
-            for name in done:
-                if name in plan.steps and name not in self.completed:
-                    # Pre-completed steps may arrive in any order, so a
-                    # dependent of one may complete before it; tolerate
-                    # the resulting double release.
-                    self._force_release(name)
-                    self.complete(name)
-
-    def _force_release(self, name: str) -> None:
-        if name not in self.completed:
-            self._missing[name] = 0
-            self._ready.add(name)
+        self._queue: list[str] = []  # a heap of released, untaken steps
+        self._held: list[str] = []
+        for name in done or ():
+            # Pre-completed steps may arrive in any order, so a
+            # dependent of one may complete before it; complete()
+            # never releases a completed step again.
+            if name in plan.steps:
+                self.complete(name)
+        self._queue = sorted(self._ready)
 
     def ready(self) -> list[str]:
         """Released, uncompleted steps in name order (deterministic)."""
@@ -253,11 +248,33 @@ class Frontier:
 
     @property
     def exhausted(self) -> bool:
-        """True when every step has completed."""
-        return len(self.completed) >= self._total
+        """True when every step has completed, failed or been skipped."""
+        return self.remaining() <= 0
 
     def remaining(self) -> int:
-        return self._total - len(self.completed)
+        settled = len(self.completed) + len(self.failed) + len(self.skipped)
+        return self._total - settled
+
+    @property
+    def halted(self) -> bool:
+        """True once a step failed under ``fail_fast``."""
+        return self.fail_fast and bool(self.failed)
+
+    def take(self) -> Optional[str]:
+        """The first released step in name order not yet taken; ``None``
+        when there is none, or once the frontier has halted."""
+        if not self._queue or self.halted:
+            return None
+        return heapq.heappop(self._queue)
+
+    def hold(self, name: str) -> None:
+        """Hand a taken step back until the next complete() or fail()."""
+        self._held.append(name)
+
+    def _requeue_held(self) -> None:
+        for name in self._held:
+            heapq.heappush(self._queue, name)
+        self._held.clear()
 
     def complete(self, name: str) -> list[str]:
         """Mark ``name`` done; returns the steps this newly releases."""
@@ -276,7 +293,30 @@ class Frontier:
             if count == 0:
                 self._ready.add(dependent)
                 released.append(dependent)
+                heapq.heappush(self._queue, dependent)
+        self._requeue_held()
         return sorted(released)
+
+    def fail(self, name: str) -> list[str]:
+        """Mark ``name`` failed; returns the steps this newly skips, in
+        name order: its transitive dependents up to, not through, done,
+        failed or skipped steps (a step behind a done one, on a rescue
+        resume, needs nothing more of ``name``)."""
+        self.failed.add(name)
+
+        def open_dependents(step: str) -> list[str]:
+            return [
+                dependent
+                for dependent in self._dependents.get(step, ())
+                if dependent not in self.completed
+                and dependent not in self.failed
+                and dependent not in self.skipped
+            ]
+
+        newly = sorted(reachable(open_dependents, open_dependents(name)))
+        self.skipped.update(newly)
+        self._requeue_held()
+        return newly
 
 
 #: Callback deciding rerun-vs-retrieve for one dataset under the

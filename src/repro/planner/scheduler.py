@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.topology import reachable
 from repro.errors import ExecutionError, PlanningError
 from repro.grid.gram import GridExecutionService, JobRecord, JobSpec
 from repro.observability.instrument import NULL, Instrumentation
@@ -35,7 +34,6 @@ from repro.planner.dag import Frontier, Plan, PlanStep
 from repro.planner.strategies import SiteChoice, SiteSelector
 from repro.resilience.policies import (
     FAIL_FAST,
-    RUN_WHAT_YOU_CAN,
     RecoveryConfig,
 )
 
@@ -210,28 +208,18 @@ class WorkflowScheduler:
         # The incremental frontier: completions release successors
         # instead of a rescan of every step's dependencies each tick.
         frontier = Frontier(plan, done=result.pre_completed)
-        done = frontier.completed
+        frontier.fail_fast = recovery.failure_policy == FAIL_FAST
+        result.failed_steps = frontier.failed
         in_flight: set[str] = set()
-        #: Steps with a resubmission already scheduled (backoff delay or
-        #: breaker deferral) — dispatch_ready must not double-submit.
-        pending_retry: set[str] = set()
         attempts: dict[str, int] = {}
         #: Step -> sites where an attempt of it already failed.
         failed_sites: dict[str, set[str]] = {}
-        total = len(plan.steps)
         #: Simulation time the workflow reached a terminal state; the
         #: clock may run past it (killed stragglers still hold hosts).
         finish_clock: dict[str, Optional[float]] = {"t": None}
 
-        def terminal_count() -> int:
-            return (
-                len(done)
-                + len(result.failed_steps)
-                + len(result.skipped_steps)
-            )
-
         def note_terminal() -> None:
-            if finish_clock["t"] is None and terminal_count() >= total:
+            if finish_clock["t"] is None and frontier.exhausted:
                 finish_clock["t"] = self.grid.simulator.now
 
         #: Last recorded breaker state per site, so the recorder logs
@@ -258,71 +246,26 @@ class WorkflowScheduler:
                 )
             breaker_states[site] = code
 
-        def skip_downstream(root: str) -> None:
-            """Record as upstream-failed, in name order, every transitive
-            dependent reached without passing a done, failed or skipped
-            step: one behind a done step (a rescue resume re-running an
-            invalidated producer) needs nothing more of ``root``."""
-            dependents = plan.frontier_shape()[1]
-
-            def open_dependents(step: str) -> list[str]:
-                return [
-                    name
-                    for name in dependents.get(step, ())
-                    if name not in done
-                    and name not in result.failed_steps
-                    and name not in result.skipped_steps
-                ]
-
-            reason = f"upstream-failed:{root}"
-            for name in sorted(reachable(open_dependents, open_dependents(root))):
-                result.skipped_steps[name] = reason
-                if obs.enabled:
-                    obs.count(
-                        "scheduler.steps",
-                        status="skipped",
-                        help="step completions by terminal status",
-                    )
-                if recorder is not None:
-                    recorder.event(
-                        "step.skipped",
-                        step=name,
-                        reason=reason,
-                        sim=self.grid.simulator.now,
-                    )
-                if progress is not None:
-                    progress.step_finished(name, "skipped")
-
         def dispatch_ready() -> None:
-            if result.failed_steps and recovery.failure_policy == FAIL_FAST:
+            if frontier.halted:
                 return
-            for name in frontier.ready():
-                if (
-                    name in in_flight
-                    or name in pending_retry
-                    or name in result.failed_steps
-                    or name in result.skipped_steps
-                ):
-                    continue
-                # The workflow-level width cap ("as many as 120 hosts in
-                # a single workflow", §6) bounds jobs in flight globally.
-                if (
-                    self.max_hosts is not None
-                    and len(in_flight) >= self.max_hosts
-                ):
+            # The workflow-level width cap ("as many as 120 hosts in a
+            # single workflow", §6) bounds jobs in flight globally.
+            while self.max_hosts is None or len(in_flight) < self.max_hosts:
+                name = frontier.take()
+                if name is None:
                     break
                 submit(name)
             if recorder is not None:
                 recorder.sample(
                     ready=frontier.ready_count(),
                     in_flight=len(in_flight),
-                    completed=len(done),
-                    total=total,
+                    completed=len(frontier.completed),
+                    total=len(plan.steps),
                     sim=self.grid.simulator.now,
                 )
 
         def submit(name: str) -> None:
-            pending_retry.discard(name)
             step = plan.steps[name]
             now = self.grid.simulator.now
             candidates: Optional[list[str]] = None
@@ -344,7 +287,6 @@ class WorkflowScheduler:
                     wait = resume_at - now
                     if wait <= 0:
                         wait = 1.0
-                    pending_retry.add(name)
                     if obs.enabled:
                         obs.count(
                             "scheduler.breaker.deferrals",
@@ -508,7 +450,6 @@ class WorkflowScheduler:
                         # event ordering of immediate retries.
                         submit(name)
                     else:
-                        pending_retry.add(name)
                         self.grid.simulator.schedule(
                             delay, lambda: submit(name)
                         )
@@ -528,17 +469,32 @@ class WorkflowScheduler:
                         )
                     if progress is not None:
                         progress.step_finished(name, "failed")
-                    result.failed_steps.add(name)
                     result.outcomes[name] = StepOutcome(
                         step=name,
                         site=choice.site,
                         attempts=attempts[name],
                         record=record,
                     )
-                    skip_downstream(name)
+                    reason = f"upstream-failed:{name}"
+                    for skipped in frontier.fail(name):
+                        result.skipped_steps[skipped] = reason
+                        if obs.enabled:
+                            obs.count(
+                                "scheduler.steps",
+                                status="skipped",
+                                help="step completions by terminal status",
+                            )
+                        if recorder is not None:
+                            recorder.event(
+                                "step.skipped",
+                                step=skipped,
+                                reason=reason,
+                                sim=now,
+                            )
+                        if progress is not None:
+                            progress.step_finished(skipped, "skipped")
                     note_terminal()
-                    if recovery.failure_policy == RUN_WHAT_YOU_CAN:
-                        dispatch_ready()
+                    dispatch_ready()
 
             def on_complete(record: JobRecord) -> None:
                 conclude(record)
@@ -594,7 +550,7 @@ class WorkflowScheduler:
 
         dispatch_ready()
         self.grid.simulator.run(until=until)
-        if until is not None and terminal_count() < total:
+        if until is not None and not frontier.exhausted:
             # Killed mid-flight: drop abandoned events so a resume on
             # the same simulator cannot replay them.
             result.interrupted = True
@@ -609,7 +565,7 @@ class WorkflowScheduler:
             and not result.failed_steps
             and not result.interrupted
         ):
-            missing = sorted(set(plan.steps) - done)
+            missing = sorted(set(plan.steps) - frontier.completed)
             raise ExecutionError(
                 f"workflow stalled; steps never became ready: {missing[:5]}"
             )

@@ -12,10 +12,10 @@ logs every crashpoint it passes (``REPRO_CRASHPOINT_LOG``), and the
 matrix then arms ``REPRO_CRASH_AFTER=N`` for each N.  New crashpoints
 added to the commit path are automatically covered.
 
-The matrix runs over the executor's lanes — the sequential loop, the
-thread pool and the process pool — because all three commit through
-one function: each lane discovers its own kill points and must
-converge the same way.
+The matrix runs over the executor's lanes — the inline lane
+(``workers=1``), the thread pool and the process pool — because all
+three commit through one function: each lane discovers its own kill
+points and must converge the same way.
 """
 
 import os
@@ -97,7 +97,9 @@ def materialize_subprocess(
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         # Its own process group: pool workers orphaned by the kill
-        # never learn their parent died, so the group is reaped here.
+        # exit on their own once they see their parent is gone
+        # (tests/executor/test_orphan_workers.py); reaping the group
+        # here is a safety net.
         start_new_session=True,
     )
     try:

@@ -7,13 +7,17 @@ the work instead of timing it, so they hold on any machine:
 
 * ``GridExecutor.plan`` over N derivations of one transformation, on a
   catalog with no history, decodes O(N) derivations in total;
-* the thread and process loops on a width-200 plan scan
-  ``Frontier.ready()`` once, and dispatch/record in the contracted
+* the thread and process loops on a width-200 plan never rescan
+  ``Frontier.ready()`` per step, and dispatch/record in the contracted
   order — name order within a release batch, completions handled in
   topological rank — under both failure policies;
 * every executed step, on every lane and from an interactive session,
   goes through the one run function and the one commit function
-  exactly once.
+  exactly once;
+* ``workers=1`` keeps the sequential loop's guarantees (plan order,
+  nothing run behind a fail-fast failure, progress before the body),
+  and every lane records skipped steps, in name order, as the failure
+  settles.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from repro.executor.local import LocalExecutor
 from repro.executor.session import InteractiveSession
 from repro.observability.instrument import Instrumentation
 from repro.observability.recorder import FlightRecorder, RunRecord
+from repro.observability.progress import ProgressSink
 from repro.planner.dag import Frontier
 from repro.planner.request import MaterializationRequest
 from repro.workloads import canonical
+from tests.planner.test_frontier import downstream_of
 
 WIDTH = 200
 #: The step whose body fails: halfway through the wide layer.
@@ -134,7 +140,7 @@ class SynchronousPool:
     """Runs each submission inline: every batch of completions is the
     whole batch of dispatches, so a run is fully deterministic."""
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, initializer=None):
         pass
 
     def submit(self, fn, *args):
@@ -348,7 +354,7 @@ class TestRealPools:
         for name in succeeded:
             for dep in plan.dependencies.get(name, ()):
                 assert position[dep] < position[name]
-        downstream = plan.downstream_of(BAD)
+        downstream = downstream_of(plan, BAD)
         assert not downstream & set(succeeded)
         if policy == "fail-fast":
             assert isinstance(seen["error"], ExecutionError)
@@ -363,6 +369,130 @@ class TestRealPools:
                 if n != BAD and n not in downstream
             ]
             assert sorted(succeeded) == sorted(seen["invocations"])
+
+
+#: ``zed`` sits in the first level but sorts after the second level's
+#: ``a1`` and ``b1``, so name order alone is not the plan's order.
+LEVELS_VDL = (
+    'DV src->canon0( o=@{output:"src.out"}, tag="src" );\n'
+    'DV zed->canon0( o=@{output:"zed.out"}, tag="zed" );\n'
+    'DV a1->canon1( o=@{output:"a1.out"}, i0=@{input:"src.out"}, '
+    'tag="a1" );\n'
+    'DV b1->canon1( o=@{output:"b1.out"}, i0=@{input:"src.out"}, '
+    'tag="b1" );\n'
+    'DV x1->canon1( o=@{output:"x1.out"}, i0=@{input:"a1.out"}, '
+    'tag="x1" );\n'
+    'DV top->canon3( o=@{output:"top.out"}, i0=@{input:"x1.out"}, '
+    'i1=@{input:"b1.out"}, i2=@{input:"zed.out"}, tag="top" );\n'
+)
+
+
+class EventLog(ProgressSink):
+    """A progress sink that also logs, in order, every step start."""
+
+    def __init__(self, log):
+        super().__init__()
+        self._log = log
+
+    def step_started(self, name):
+        self._log.append(("started", name))
+        super().step_started(name)
+
+
+def levels_run(tmp_path, tag, fail, **options):
+    """Materialize ``top.out`` over :data:`LEVELS_VDL`, logging progress
+    starts and body calls; ``a1``'s body raises when ``fail`` is set."""
+    log = []
+
+    def body(ctx):
+        log.append(("body", ctx.parameters["tag"]))
+        if fail and ctx.parameters["tag"] == "a1":
+            raise RuntimeError("injected failure")
+        canonical._canon_body(ctx)
+
+    obs = Instrumentation()
+    obs.attach_progress(EventLog(log))
+    catalog = MemoryCatalog(instrumentation=obs)
+    canonical.define_transformations(catalog)
+    catalog.define(LEVELS_VDL)
+    executor = LocalExecutor(catalog, tmp_path / tag, instrumentation=obs)
+    for k in range(4):
+        executor.register(f"py:canon{k}", body)
+    recorder = FlightRecorder.start(tmp_path / f"{tag}-runs", command="t")
+    obs.attach_recorder(recorder)
+    plan = executor.planner().plan(
+        MaterializationRequest(targets=("top.out",))
+    )
+    error = None
+    try:
+        executor.materialize("top.out", **options)
+    except ExecutionError as exc:
+        error = exc
+    recorder.finalize(obs, status="ok")
+    committed = {
+        catalog.get_invocation(iid).derivation_name
+        for iid in catalog.invocation_ids()
+    }
+    return plan, log, RunRecord.load(recorder.path), committed, error
+
+
+class TestSequentialSemantics:
+    """``workers=1`` on the thread backend keeps what the old
+    sequential loop guaranteed."""
+
+    def test_clean_run_follows_the_topological_order(self, tmp_path):
+        plan, log, record, _, error = levels_run(tmp_path, "ok", False)
+        assert error is None
+        order = plan.topological_order()
+        assert order == ["src", "zed", "a1", "b1", "x1", "top"]
+        assert [a["step"] for a in record.step_attempts] == order
+        assert [name for kind, name in log if kind == "body"] == order
+
+    def test_progress_start_precedes_the_body(self, tmp_path):
+        _, log, _, _, _ = levels_run(tmp_path, "start", False)
+        assert log == [
+            event for name in ("src", "zed", "a1", "b1", "x1", "top")
+            for event in (("started", name), ("body", name))
+        ]
+
+    def test_fail_fast_stops_at_the_failure(self, tmp_path):
+        _, log, record, committed, error = levels_run(
+            tmp_path, "ff", True
+        )
+        assert "injected failure" in str(error)
+        ran = [name for kind, name in log if kind == "body"]
+        assert ran == ["src", "zed", "a1"]
+        # b1 shares a1's level but comes after it: never run, never
+        # committed (a1's failed invocation is).
+        assert committed == {"src", "zed", "a1"}
+        assert [(a["step"], a["status"]) for a in record.step_attempts] == [
+            ("src", "success"), ("zed", "success"), ("a1", "failure"),
+        ]
+
+
+def skipped_events(record):
+    return [e["step"] for e in record.events if e["kind"] == "step.skipped"]
+
+
+class TestSkippedEvents:
+    """Steps skipped behind a local failure are recorded when the
+    failure settles, in name order, on every lane."""
+
+    def test_sequential_failure_records_its_skipped_steps(self, tmp_path):
+        _, _, record, _, _ = levels_run(tmp_path, "seq", True)
+        # In name order: the plan runs x1 before top.
+        assert skipped_events(record) == ["top", "x1"]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_pool_records_skips_in_name_order(self, tmp_path, workers):
+        _, _, record, committed, error = levels_run(
+            tmp_path, f"rwyc{workers}", True, workers=workers,
+            failure_policy="run-what-you-can",
+        )
+        assert error.failed == ["a1"]
+        assert error.skipped == ["top", "x1"]
+        assert skipped_events(record) == ["top", "x1"]
+        assert committed == {"src", "zed", "a1", "b1"}
 
 
 class TestCompletionQueueStress:

@@ -1,8 +1,15 @@
 """Tests for the workspace CLI (`python -m repro`)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VDL = """
 TR copy( output o, input i ) {
@@ -484,3 +491,44 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert "no workspace" in captured.err
         assert captured.out == ""
+
+
+class TestRelativeWorkspace:
+    def test_materialize_in_a_relative_workspace(self, tmp_path, monkeypatch):
+        """A stdout redirect used to resolve against the cwd and land
+        under a sandbox-mangled name, failing the step."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.vdl").write_text(VDL)
+        lines = []
+
+        def cli(*argv):
+            return main(
+                ["--workspace", "ws", *argv],
+                out=lambda text="": lines.append(str(text)),
+            )
+
+        assert cli("init") == 0
+        assert cli("define", "p.vdl") == 0
+        assert cli("materialize", "copy.txt") == 0, "\n".join(lines)
+        copy = tmp_path / "ws" / "sandbox" / "copy.txt"
+        assert copy.read_text() == "hello-vdg\n"
+
+
+class TestClosedReader:
+    def test_no_traceback_when_the_reader_goes_away(self, defined, tmp_path):
+        """``repro stats | head`` style: the reader closes first."""
+        defined("materialize", "copy.txt")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro",
+                "--workspace", str(tmp_path / "ws"),
+                "stats", "--format", "json",
+            ],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # gone before the command writes anything
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
