@@ -13,7 +13,7 @@ tracking" (§2) — that identity is exactly what gets recorded here.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
@@ -26,7 +26,6 @@ from repro.grid.gram import GridExecutionService, JobRecord
 from repro.observability.instrument import NULL, Instrumentation
 from repro.planner.dag import Plan, Planner, PlanStep
 from repro.planner.request import MaterializationRequest
-from repro.planner.scheduler import WorkflowResult, WorkflowScheduler
 from repro.planner.strategies import SiteChoice, SiteSelector
 from repro.resilience.policies import RecoveryConfig
 from repro.resilience.rescue import (
@@ -36,6 +35,9 @@ from repro.resilience.rescue import (
     expected_digest,
     rescue_from_result,
 )
+
+if TYPE_CHECKING:
+    from repro.planner.scheduler import WorkflowResult
 
 #: ``materialize(rescue=...)`` accepts a loaded file or a path to one.
 RescueInput = Union[RescueFile, str, Path]
@@ -127,6 +129,9 @@ class GridExecutor:
         until: Optional[float] = None,
     ) -> WorkflowResult:
         """Execute a plan; provenance lands in the catalog."""
+        # Imported here: the scheduler runs on this package's driver.
+        from repro.planner.scheduler import WorkflowScheduler
+
         pattern = request.pattern if request else "ship-data"
         max_hosts = request.max_hosts if request else None
         listener = self._write_back if self.record_provenance else None

@@ -21,7 +21,7 @@ import queue
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.core.dataset import Dataset
@@ -39,6 +39,7 @@ from repro.durability.recovery import (
     sandbox_filename,
 )
 from repro.errors import ExecutionError, MaterializationError
+from repro.executor.driver import UNTIL_SETTLED, Attempt, Driver
 from repro.executor.process import (
     InvocationOutcome,
     InvocationPayload,
@@ -503,92 +504,55 @@ class LocalExecutor:
                 plan = self.planner().plan(
                     MaterializationRequest(targets=(target,), reuse=reuse)
                 )
-            if self.obs.recorder is not None:
-                self.obs.recorder.plan(plan)
-            if self.obs.progress is not None:
-                self.obs.progress.start_plan(plan)
             with self.obs.phase("execute"):
-                return self._materialize_pool(
-                    plan, workers, policy, backend, mspan
-                )
+                lane = self._lane(plan, workers, backend, mspan)
+                try:
+                    driver = Driver(
+                        plan, lane, self.obs, fail_fast=policy == FAIL_FAST
+                    )
+                    driver.run()
+                finally:
+                    lane.close()
+                return self._results(driver, lane.rank, policy)
 
-    def _materialize_pool(
-        self, plan, workers: int, policy: str, backend: str, parent=None
-    ) -> list[Invocation]:
-        """Release-driven execution of a plan, on any lane.
-
-        The calling thread owns the scheduling state; the plan's
-        :class:`~repro.planner.dag.Frontier` holds its DAG side.  Each
-        round submits everything the frontier hands out, in name order,
-        then settles a batch of finished steps in topological rank, so
-        the cost per step does not depend on the plan's width.  The
-        lane decides where a payload runs and which thread commits it;
-        a step it refuses waits in the frontier until the next settle.
-        """
-        order_index = {
-            name: i for i, name in enumerate(plan.topological_order())
-        }
-        frontier = plan.frontier()
-        frontier.fail_fast = policy == FAIL_FAST
-        completed: dict[str, Invocation] = {}
-        failures: dict[str, ExecutionError] = {}
+    def _lane(self, plan, workers: int, backend: str, parent) -> "_Lane":
         if backend == "process":
             pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=exit_with_parent
             )
-            lane: _Lane = _ProcessLane(self, parent, pool)
-        elif workers == 1:
-            lane = _InlineLane(self, parent)
-        else:
-            lane = _Lane(self, parent, ThreadPoolExecutor(max_workers=workers))
-        try:
-            while True:
-                while (name := frontier.take()) is not None:
-                    try:
-                        if not lane.submit(plan.steps[name]):
-                            frontier.hold(name)
-                    except ExecutionError as exc:
-                        failures[name] = exc
-                        self._settle(frontier, name, None)
-                self._obs_in_flight(lane.in_flight)
-                if self.obs.recorder is not None:
-                    self.obs.recorder.sample(
-                        ready=frontier.ready_count(),
-                        in_flight=lane.in_flight,
-                        completed=len(completed),
-                        total=len(plan.steps),
-                    )
-                batch = lane.wait()
-                if not batch:
-                    break
-                for name in sorted(batch, key=order_index.__getitem__):
-                    try:
-                        completed[name] = lane.settle(name)
-                    except ExecutionError as exc:
-                        # Steps downstream of a failure are never
-                        # released; everything else keeps flowing.
-                        failures[name] = exc
-                        self._settle(frontier, name, None)
-                    else:
-                        self._settle(frontier, name, completed[name])
-        finally:
-            lane.close()
-            self._obs_in_flight(0)
+            return _ProcessLane(self, plan, parent, pool)
+        if workers == 1:
+            return _InlineLane(self, plan, parent)
+        return _Lane(
+            self, plan, parent, ThreadPoolExecutor(max_workers=workers)
+        )
+
+    @staticmethod
+    def _results(driver: Driver, rank, policy: str) -> list[Invocation]:
+        """The invocations a run performed, in topological order, or
+        the error its failures come to."""
+        settled = sorted(driver.outcomes, key=rank.__getitem__)
         invocations = [
-            completed[name]
-            for name in sorted(completed, key=order_index.__getitem__)
+            driver.outcomes[name].value
+            for name in settled
+            if driver.outcomes[name].ok
         ]
+        failures = {
+            name: driver.outcomes[name].error
+            for name in settled
+            if not driver.outcomes[name].ok
+        }
         if failures:
-            first = min(failures, key=order_index.__getitem__)
+            first = next(iter(failures))
             if policy == FAIL_FAST:
                 raise failures[first]
             raise MaterializationError(
                 f"{len(failures)} step(s) failed "
                 f"({', '.join(sorted(failures))}); "
-                f"{len(frontier.skipped)} skipped downstream",
+                f"{len(driver.skipped)} skipped downstream",
                 invocations=invocations,
                 failed=failures,
-                skipped=frontier.skipped,
+                skipped=set(driver.skipped),
             ) from failures[first]
         return invocations
 
@@ -633,21 +597,24 @@ class LocalExecutor:
                     **attributes,
                 )
             )
-        for metric in telemetry.metrics:
-            if metric.kind == "counter":
-                self.obs.count(
-                    metric.name,
-                    metric.value,
-                    help=metric.help,
-                    **metric.labels,
-                )
-            else:
-                self.obs.observe(
-                    metric.name,
-                    metric.value,
-                    help=metric.help,
-                    **metric.labels,
-                )
+        # Worker metrics live in a ``worker.*`` namespace: this process
+        # counts ``executor.*`` itself when it commits.
+        self.obs.count(
+            "worker.invocations",
+            help="invocations executed in worker processes",
+            status=outcome.status,
+        )
+        self.obs.observe(
+            "worker.invocation.seconds",
+            outcome.wall_seconds,
+            help="worker-side wall time per invocation",
+        )
+        if outcome.bytes_written:
+            self.obs.count(
+                "worker.bytes_written",
+                outcome.bytes_written,
+                help="bytes written by worker processes",
+            )
         if self.obs.recorder is not None:
             for event in telemetry.events:
                 fields = {
@@ -669,110 +636,114 @@ class LocalExecutor:
                         tail=tail,
                     )
 
-    def _settle(
-        self, frontier, name: str, invocation: Optional[Invocation]
-    ) -> None:
-        """Complete ``name`` in the frontier, or fail it when it has no
-        invocation; publish it, and then what a failure skips (in name
-        order), to the recorder and progress sink."""
-        if invocation is not None:
-            frontier.complete(name)
-            status, skipped = "success", []
-            start = invocation.start_time
-            end = start + invocation.usage.wall_seconds
-        else:
-            status, skipped = "failure", frontier.fail(name)
-            start = end = time.time()
-        if self.obs.recorder is not None:
-            self.obs.recorder.step(
-                name,
-                status=status,
-                start=start,
-                end=end,
-                clock="wall",
-                site=self.site_name,
-            )
-            for step in skipped:
-                self.obs.recorder.event(
-                    "step.skipped", step=step, reason="upstream failure"
-                )
-        if self.obs.progress is not None:
-            self.obs.progress.step_finished(
-                name, "ok" if status == "success" else "failed"
-            )
-            for step in skipped:
-                self.obs.progress.step_finished(step, "skipped")
-
-    def _obs_in_flight(self, count: int) -> None:
-        if self.obs.enabled:
-            self.obs.gauge(
-                "executor.pool.in_flight",
-                count,
-                help="plan steps currently running in the local pool",
-            )
-
 
 class _Lane:
-    """What the dispatch loop needs of a backend, and the thread lane:
-    a pool thread runs the payload, then commits it itself (the catalog
-    serializes its own mutations).
+    """The thread lane, and what every local lane shares as a driver
+    backend: a pool thread runs the payload, then commits it itself
+    (the catalog serializes its own mutations).
 
-    ``submit`` builds the payload on the calling thread, and refuses
-    the step (returns false) while a live step is writing one of the
-    same sandbox files — two LFNs can map to one path after
-    sanitization; the busy set is touched by the calling thread only.
-    ``wait`` returns the live steps that have finished (blocking for
-    one), or none when nothing is live.
+    ``admit`` builds the payload on the calling thread, and holds the
+    step back while a live step is writing one of the same sandbox
+    files — two LFNs can map to one path after sanitization; the busy
+    set is touched by the calling thread only.  ``run`` blocks for a
+    batch of finished steps and settles it in topological rank, so the
+    cost per step does not depend on the plan's width.  The lanes
+    never retry (``max_retries`` stays 0), so they keep no timers.
     """
 
-    def __init__(self, executor: "LocalExecutor", parent=None, pool=None):
+    namespace = "executor.pool"
+    clock = "wall"
+
+    def __init__(self, executor: LocalExecutor, plan, parent=None, pool=None):
         self._executor = executor
+        self._steps = plan.steps
+        #: Step -> topological rank: the order a batch settles in.
+        self.rank = {n: i for i, n in enumerate(plan.topological_order())}
         #: The dispatching ``executor.materialize`` span.
         self._parent = parent
         self._pool = pool
         self._live: dict[str, tuple] = {}  # name -> (dv, tr, payload, future)
         self._busy_outputs: set[str] = set()  # sandbox paths being written
         self._finished: queue.SimpleQueue = queue.SimpleQueue()
+        #: What ``admit`` prepared for ``start``: (dv, tr, payload), or
+        #: the error that building the payload raised.
+        self._admitted: Any = None
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._live)
+    def now(self) -> float:
+        return time.time()
 
-    def submit(self, step) -> bool:
-        dv = step.derivation
+    def later(self, delay: float, fn: Callable[[], None]) -> None:
+        raise NotImplementedError("local lanes keep no timers")
+
+    def admit(self, name: str) -> Optional[float]:
+        dv = self._steps[name].derivation
         try:
-            tr, payload = self._executor._build_payload(dv, step.name)
-        except ExecutionError:
+            tr, payload = self._executor._build_payload(dv, name)
+        except ExecutionError as exc:
             self._executor._count(None)
-            raise
-        outs = payload.output_paths.values()
-        if not self._busy_outputs.isdisjoint(outs):
-            return False
-        if self._executor.obs.progress is not None:
-            self._executor.obs.progress.step_started(step.name)
-        future = self._start(dv, tr, payload)
-        future.add_done_callback(lambda _: self._finished.put(step.name))
-        self._live[step.name] = (dv, tr, payload, future)
-        self._busy_outputs.update(outs)
-        return True
+            self._admitted = exc
+            return None
+        if not self._busy_outputs.isdisjoint(payload.output_paths.values()):
+            return UNTIL_SETTLED
+        self._admitted = (dv, tr, payload)
+        return None
+
+    def start(self, name: str, attempt: int) -> Optional[Attempt]:
+        admitted, self._admitted = self._admitted, None
+        if isinstance(admitted, ExecutionError):
+            return self._failed(admitted)
+        dv, tr, payload = admitted
+        try:
+            future = self._start(dv, tr, payload)
+        except ExecutionError as exc:
+            return self._failed(exc)
+        future.add_done_callback(lambda _: self._finished.put(name))
+        self._live[name] = admitted + (future,)
+        self._busy_outputs.update(payload.output_paths.values())
+        return None
 
     def _start(self, dv, tr, payload) -> Future:
         return self._pool.submit(
             self._executor._run, dv, tr, payload, self._parent
         )
 
-    def wait(self) -> list[str]:
-        if not self._live:
-            return []
-        batch = [self._finished.get()]
-        while not self._finished.empty():
-            batch.append(self._finished.get())
-        return batch
+    def run(self, driver: Driver) -> None:
+        driver.dispatch()
+        while self._live:
+            batch = [self._finished.get()]
+            while not self._finished.empty():
+                batch.append(self._finished.get())
+            for name in sorted(batch, key=self.rank.__getitem__):
+                driver.settle(name, self._settle(name))
+            driver.dispatch()
 
-    def settle(self, name: str) -> Invocation:
+    def _settle(self, name: str) -> Attempt:
         dv, tr, payload, future = self._live.pop(name)
         self._busy_outputs.difference_update(payload.output_paths.values())
-        return self._result(dv, tr, payload, future)
+        try:
+            invocation = self._result(dv, tr, payload, future)
+        except ExecutionError as exc:
+            return self._failed(exc)
+        start = invocation.start_time
+        return Attempt(
+            ok=True,
+            status="success",
+            start=start,
+            end=start + invocation.usage.wall_seconds,
+            site=self._executor.site_name,
+            value=invocation,
+        )
+
+    def _failed(self, error: ExecutionError) -> Attempt:
+        now = time.time()
+        return Attempt(
+            ok=False,
+            status="failure",
+            start=now,
+            end=now,
+            site=self._executor.site_name,
+            error=error,
+        )
 
     def _result(self, dv, tr, payload, future) -> Invocation:
         return future.result()
@@ -784,8 +755,8 @@ class _Lane:
 
 class _InlineLane(_Lane):
     """``workers=1`` on the thread backend: the calling thread runs and
-    commits each step as it is submitted.  A failed run raises out of
-    ``submit``, so the frontier sees it before anything else is taken —
+    commits each step as it starts.  A failed run comes back from
+    ``start``, so the driver settles it before anything else is taken —
     under fail-fast nothing behind it runs.  Each round is one level of
     the plan, so a clean run goes in the plan's topological order."""
 

@@ -27,7 +27,7 @@ boundary, and Python bodies that compute escape the GIL).
 
 Only worker processes capture telemetry: called with no
 instrumentation, :func:`run_invocation` records its ``worker.*`` spans,
-metrics and failure stream tails into the outcome for the parent to
+events and failure stream tails into the outcome for the parent to
 merge; in-process callers pass the no-op instrumentation and keep
 their own ``executor.execute`` span.
 
@@ -151,34 +151,22 @@ class WorkerSpan:
 
 
 @dataclass
-class WorkerMetric:
-    """A counter increment or histogram observation made in a worker."""
-
-    kind: str  # "counter" | "histogram"
-    name: str
-    value: float
-    labels: dict[str, str] = field(default_factory=dict)
-    help: str = ""
-
-
-@dataclass
 class WorkerTelemetry:
     """Everything a worker observed about one invocation, picklable.
 
-    Workers cannot touch the parent's ``Tracer``/``MetricsRegistry`` —
-    they live in another process — so spans, metric deltas, and events
-    are captured into plain dataclasses and shipped home inside the
-    :class:`InvocationOutcome`.  ``wall0`` is the worker's
-    ``time.time()`` at the capture's ``perf_counter`` base: the parent
-    uses it to map span offsets into its own ``perf_counter`` domain
-    (wall clocks agree across processes on one host; ``perf_counter``
-    bases do not).
+    Workers cannot touch the parent's ``Tracer`` — they live in another
+    process — so spans and events are captured into plain dataclasses
+    and shipped home inside the :class:`InvocationOutcome` (the parent
+    derives the ``worker.*`` metrics from the outcome itself).
+    ``wall0`` is the worker's ``time.time()`` at the capture's
+    ``perf_counter`` base: the parent uses it to map span offsets into
+    its own ``perf_counter`` domain (wall clocks agree across processes
+    on one host; ``perf_counter`` bases do not).
     """
 
     pid: int
     wall0: float
     spans: list[WorkerSpan] = field(default_factory=list)
-    metrics: list[WorkerMetric] = field(default_factory=list)
     events: list[dict[str, Any]] = field(default_factory=list)
     stdout_tail: str = ""
     stderr_tail: str = ""
@@ -188,9 +176,9 @@ class TelemetryCapture:
     """Worker-side recorder: cheap list appends, no locks, no I/O.
 
     Mirrors the parent ``Instrumentation`` surface (``span`` /
-    ``count`` / ``observe`` / ``event``) closely enough that worker
-    code reads like executor code, but every call lands in the
-    picklable :class:`WorkerTelemetry` instead of shared state.
+    ``event``) closely enough that worker code reads like executor
+    code, but every call lands in the picklable
+    :class:`WorkerTelemetry` instead of shared state.
     """
 
     def __init__(self, pid: int) -> None:
@@ -223,20 +211,6 @@ class TelemetryCapture:
         finally:
             span.end = self._now()
             self._stack.pop()
-
-    def count(
-        self, name: str, amount: float = 1, help: str = "", **labels: str
-    ) -> None:
-        self.telemetry.metrics.append(
-            WorkerMetric("counter", name, amount, dict(labels), help)
-        )
-
-    def observe(
-        self, name: str, value: float, help: str = "", **labels: str
-    ) -> None:
-        self.telemetry.metrics.append(
-            WorkerMetric("histogram", name, value, dict(labels), help)
-        )
 
     def event(self, name: str, **fields_: Any) -> None:
         self.telemetry.events.append(
@@ -342,7 +316,7 @@ def run_invocation(
     Registered body or subprocess; body exceptions become failed
     outcomes; size, mtime and sha256 of every output are gathered here
     so the commit never re-reads output bytes.  With no ``obs`` (a pool
-    worker process) spans, metrics and failure stream tails are
+    worker process) spans, events and failure stream tails are
     captured into ``outcome.telemetry`` for the parent to merge;
     in-process callers pass the no-op instrumentation.
     """
@@ -432,28 +406,8 @@ def _finish_capture(
     payload: InvocationPayload,
     outcome: InvocationOutcome,
 ) -> None:
-    """Record worker-side metrics and stream tails on the outcome.
-
-    Worker metrics live in a ``worker.*`` namespace: the parent counts
-    ``executor.*`` itself when it commits, so the relay must not
-    double-count them.
-    """
-    capture.count(
-        "worker.invocations",
-        help="invocations executed in worker processes",
-        status=outcome.status,
-    )
-    capture.observe(
-        "worker.invocation.seconds",
-        outcome.wall_seconds,
-        help="worker-side wall time per invocation",
-    )
-    if outcome.bytes_written:
-        capture.count(
-            "worker.bytes_written",
-            outcome.bytes_written,
-            help="bytes written by worker processes",
-        )
+    """On failure, mark the worker's root span and keep the tails of
+    its redirected streams."""
     if outcome.status != "success":
         root = capture.telemetry.spans[0]
         root.status = "error"

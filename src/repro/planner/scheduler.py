@@ -6,19 +6,22 @@ and monitor their completion, dispatching nodes of the workflow graph
 when the node's predecessor dependencies have completed.  An example of
 such a scheduler is the Condor DAGMan facility."
 
-:class:`WorkflowScheduler` dispatches a :class:`~repro.planner.dag.Plan`
-onto the simulated grid: ready steps are submitted as jobs, completions
-release successors, failures are retried up to a bound, and the whole
-run is summarized in a :class:`WorkflowResult`.
+:class:`WorkflowScheduler` runs a :class:`~repro.planner.dag.Plan` on
+the simulated grid: the shared plan-run driver
+(:mod:`repro.executor.driver`) dispatches ready steps, retries failures
+up to a bound and applies the failure policy and the width cap, over a
+:class:`GramBackend` that submits one GRAM job per attempt; the run is
+summarized in a :class:`WorkflowResult`.
 
 Recovery behaviour is pluggable through
 :class:`~repro.resilience.policies.RecoveryConfig`: retry backoff with
-deterministic jitter, per-site circuit breakers with half-open probing,
-failover (retries re-invoke the site selector with already-failed sites
-excluded), per-attempt straggler timeouts, and the ``fail-fast`` vs
-``run-what-you-can`` failure policy.  The default configuration
-reproduces the historical behaviour exactly: immediate same-site
-retries and fail-fast.
+deterministic jitter and the ``fail-fast`` vs ``run-what-you-can``
+failure policy (applied by the driver); per-site circuit breakers with
+half-open probing, failover (retries re-invoke the site selector with
+already-failed sites excluded) and per-attempt straggler timeouts
+(applied by the backend).  The default configuration reproduces the
+historical behaviour exactly: immediate same-site retries and
+fail-fast.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import ExecutionError, PlanningError
+from repro.executor.driver import Attempt, Driver
 from repro.grid.gram import GridExecutionService, JobRecord, JobSpec
 from repro.observability.instrument import NULL, Instrumentation
-from repro.planner.dag import Frontier, Plan, PlanStep
+from repro.planner.dag import Plan, PlanStep
 from repro.planner.strategies import SiteChoice, SiteSelector
-from repro.resilience.policies import (
-    FAIL_FAST,
-    RecoveryConfig,
-)
+from repro.resilience.policies import FAIL_FAST, RecoveryConfig
 
 
 @dataclass
@@ -174,12 +175,57 @@ class WorkflowScheduler:
                 raise ExecutionError(
                     f"source dataset {source!r} has no replica on the grid"
                 )
+        started = self.grid.simulator.now
         with self.obs.span(
             "scheduler.run",
             steps=len(plan.steps),
             pattern=self.pattern,
         ) as run_span:
-            result = self._run(plan, completed or set(), until)
+            backend = GramBackend(self, plan, until)
+            driver = Driver(
+                plan,
+                backend,
+                self.obs,
+                max_retries=self.max_retries,
+                retry_policy=self.recovery.retry_policy,
+                fail_fast=self.recovery.failure_policy == FAIL_FAST,
+                max_hosts=self.max_hosts,
+                done=completed,
+            )
+            driver.run()
+            result = WorkflowResult(
+                plan=plan,
+                outcomes={
+                    name: StepOutcome(
+                        step=name,
+                        site=outcome.site,
+                        attempts=driver.attempts[name],
+                        record=outcome.value,
+                    )
+                    for name, outcome in driver.outcomes.items()
+                },
+                started_at=started,
+                finished_at=(
+                    driver.finished_at
+                    if driver.finished_at is not None
+                    else self.grid.simulator.now
+                ),
+                failed_steps=driver.frontier.failed,
+                skipped_steps=driver.skipped,
+                pre_completed=driver.pre_completed,
+                interrupted=backend.interrupted,
+                peak_in_flight=driver.peak_in_flight,
+            )
+            if (
+                not result.succeeded
+                and not result.failed_steps
+                and not result.interrupted
+            ):
+                missing = sorted(set(plan.steps) - driver.frontier.completed)
+                raise ExecutionError(
+                    f"workflow stalled; steps never became ready: "
+                    f"{missing[:5]}"
+                )
             if self.obs.enabled:
                 run_span.set("peak_in_flight", result.peak_in_flight)
                 run_span.set("failed", len(result.failed_steps))
@@ -187,386 +233,246 @@ class WorkflowScheduler:
                 run_span.set("resumed", len(result.pre_completed))
             return result
 
-    def _run(
-        self, plan: Plan, completed: set[str], until: Optional[float]
-    ) -> WorkflowResult:
-        obs = self.obs
-        recorder = obs.recorder
-        progress = obs.progress
-        recovery = self.recovery
-        policy = recovery.retry_policy
-        breakers = recovery.breakers
-        all_sites = sorted(self.selector.sites)
-        result = WorkflowResult(plan=plan, started_at=self.grid.simulator.now)
-        result.pre_completed = {n for n in completed if n in plan.steps}
-        if recorder is not None:
-            recorder.plan(plan)
-        if progress is not None:
-            progress.start_plan(plan)
-            for name in result.pre_completed:
-                progress.step_finished(name, "ok")
-        # The incremental frontier: completions release successors
-        # instead of a rescan of every step's dependencies each tick.
-        frontier = Frontier(plan, done=result.pre_completed)
-        frontier.fail_fast = recovery.failure_policy == FAIL_FAST
-        result.failed_steps = frontier.failed
-        in_flight: set[str] = set()
-        attempts: dict[str, int] = {}
+
+class GramBackend:
+    """The simulated grid as a driver backend: one GRAM job per attempt.
+
+    It keeps what depends on the grid: site choice with failover (a
+    retry avoids the sites that already failed the step) and per-site
+    circuit breakers (with every breaker open a step is deferred until
+    the first cooldown ends), GRAM submission, write-back verification
+    with quarantine of corrupt outputs, the per-attempt step-timeout
+    watchdog, and the ``until=`` cut-off.  Outcomes are settled from
+    GRAM completion callbacks inside one :meth:`Simulator.run
+    <repro.grid.simulator.Simulator.run>`.
+    """
+
+    namespace = "scheduler"
+    clock = "sim"
+
+    def __init__(
+        self,
+        scheduler: WorkflowScheduler,
+        plan: Plan,
+        until: Optional[float] = None,
+    ):
+        self.scheduler = scheduler
+        self.grid = scheduler.grid
+        self.sim = scheduler.grid.simulator
+        self.plan = plan
+        self.until = until
+        self.obs = scheduler.obs
+        self.recovery = scheduler.recovery
+        self.breakers = scheduler.recovery.breakers
+        self.all_sites = sorted(scheduler.selector.sites)
+        #: True when the ``until=`` cut-off killed the run mid-flight.
+        self.interrupted = False
         #: Step -> sites where an attempt of it already failed.
-        failed_sites: dict[str, set[str]] = {}
-        #: Simulation time the workflow reached a terminal state; the
-        #: clock may run past it (killed stragglers still hold hosts).
-        finish_clock: dict[str, Optional[float]] = {"t": None}
-
-        def note_terminal() -> None:
-            if finish_clock["t"] is None and frontier.exhausted:
-                finish_clock["t"] = self.grid.simulator.now
-
+        self._failed_sites: dict[str, set[str]] = {}
         #: Last recorded breaker state per site, so the recorder logs
         #: transitions rather than every touch.
-        breaker_states: dict[str, int] = {}
+        self._breaker_states: dict[str, int] = {}
+        #: The sites ``admit`` left open to the step ``start`` submits.
+        self._candidates: Optional[list[str]] = None
+        self._driver: Driver  # set by run()
 
-        def note_breaker(site: str) -> None:
-            if breakers is None:
-                return
-            code = breakers.breaker(site).state_code
-            if obs.enabled:
-                obs.gauge(
-                    "scheduler.breaker.state",
-                    code,
-                    site=site,
-                    help="per-site breaker (0=closed 1=half-open 2=open)",
-                )
-            if recorder is not None and breaker_states.get(site, 0) != code:
-                recorder.event(
-                    "breaker.transition",
-                    site=site,
-                    state=code,
-                    sim=self.grid.simulator.now,
-                )
-            breaker_states[site] = code
+    def now(self) -> float:
+        return self.sim.now
 
-        def dispatch_ready() -> None:
-            if frontier.halted:
-                return
-            # The workflow-level width cap ("as many as 120 hosts in a
-            # single workflow", §6) bounds jobs in flight globally.
-            while self.max_hosts is None or len(in_flight) < self.max_hosts:
-                name = frontier.take()
-                if name is None:
-                    break
-                submit(name)
-            if recorder is not None:
-                recorder.sample(
-                    ready=frontier.ready_count(),
-                    in_flight=len(in_flight),
-                    completed=len(frontier.completed),
-                    total=len(plan.steps),
-                    sim=self.grid.simulator.now,
-                )
+    def later(self, delay: float, fn: Callable[[], None]) -> None:
+        self.sim.schedule(delay, fn)
 
-        def submit(name: str) -> None:
-            step = plan.steps[name]
-            now = self.grid.simulator.now
-            candidates: Optional[list[str]] = None
-            excluded = failed_sites.get(name)
-            if recovery.failover and excluded:
-                pool = [s for s in all_sites if s not in excluded]
-                if pool:  # all sites failed: fall back to every site
-                    candidates = pool
-            if breakers is not None:
-                pool = candidates if candidates is not None else all_sites
-                avail = breakers.available(pool, now)
-                if not avail and candidates is not None:
-                    # Every failover candidate is tripped; widen to all.
-                    avail = breakers.available(all_sites, now)
-                if not avail:
-                    # Every breaker open: park until the first cooldown
-                    # expires (or poll while a half-open probe flies).
-                    resume_at = breakers.earliest_retry(all_sites, now)
-                    wait = resume_at - now
-                    if wait <= 0:
-                        wait = 1.0
-                    if obs.enabled:
-                        obs.count(
-                            "scheduler.breaker.deferrals",
-                            help="submissions delayed by open breakers",
-                        )
-                    if recorder is not None:
-                        recorder.event(
-                            "breaker.deferred",
-                            step=name,
-                            resume_at=resume_at,
-                            sim=now,
-                        )
-                    self.grid.simulator.schedule(wait, lambda: submit(name))
-                    return
-                candidates = avail
-            attempts[name] = attempts.get(name, 0) + 1
-            in_flight.add(name)
-            if progress is not None:
-                progress.step_started(name)
-            result.peak_in_flight = max(result.peak_in_flight, len(in_flight))
-            if obs.enabled:
-                obs.count(
-                    "scheduler.dispatched", help="job submissions (incl. retries)"
-                )
-                if attempts[name] > 1:
-                    obs.count("scheduler.retries", help="step resubmissions")
-                obs.gauge(
-                    "scheduler.in_flight",
-                    len(in_flight),
-                    help="steps currently submitted and incomplete",
-                )
-                obs.gauge(
-                    "scheduler.queue_depth",
-                    frontier.ready_count() - len(in_flight),
-                    help="ready steps awaiting dispatch",
-                )
-            if candidates is None:
-                choice = self.selector.choose(step, self.pattern, now=now)
-            else:
-                choice = self.selector.choose(
-                    step, self.pattern, now=now, candidates=candidates
-                )
-            if breakers is not None:
-                breakers.breaker(choice.site).admit(now)
-                note_breaker(choice.site)
-            spec = JobSpec(
-                name=name,
-                site=choice.site,
-                cpu_seconds=step.cpu_seconds,
-                inputs=step.inputs,
-                outputs=dict(step.output_sizes),
-                executable=step.transformation.executable,
-                environment=dict(step.derivation.environment),
-                # The width cap is enforced globally in dispatch_ready;
-                # per-site host restriction is not additionally needed.
-                max_hosts=None,
-                setup_seconds=choice.procedure_seconds,
-            )
-
-            def conclude(record: JobRecord) -> None:
-                in_flight.discard(name)
-                if recorder is not None:
-                    end = (
-                        record.end_time
-                        if record.end_time is not None
-                        else self.grid.simulator.now
-                    )
-                    recorder.step(
-                        name,
-                        status=(
-                            "success" if record.succeeded else "failure"
-                        ),
-                        start=record.submitted_at,
-                        end=end,
-                        clock="sim",
-                        site=choice.site,
-                        host=record.host,
-                        attempt=attempts[name],
-                        job_status=record.status,
-                        fault=record.fault,
-                    )
-                if obs.enabled:
-                    obs.record(
-                        "scheduler.step",
-                        sim_start=record.submitted_at,
-                        sim_end=record.end_time,
-                        status="ok" if record.succeeded else "error",
-                        step=name,
-                        site=choice.site,
-                        host=record.host,
-                        attempt=attempts[name],
-                    )
-                    obs.count(
-                        "scheduler.steps",
-                        status=record.status,
-                        help="step completions by terminal status",
-                    )
-                    obs.observe(
-                        "scheduler.step.queue_seconds",
-                        record.queue_seconds,
-                        help="simulated batch-queue wait per step",
-                    )
-                    obs.gauge("scheduler.in_flight", len(in_flight))
-
-            def handle_success(record: JobRecord) -> None:
-                frontier.complete(name)
-                if breakers is not None:
-                    breakers.breaker(choice.site).record_success(
-                        self.grid.simulator.now
-                    )
-                    note_breaker(choice.site)
-                if choice.ship_procedure:
-                    self.selector.procedures.install(
-                        step.transformation.name, choice.site
-                    )
-                result.outcomes[name] = StepOutcome(
-                    step=name,
-                    site=choice.site,
-                    attempts=attempts[name],
-                    record=record,
-                )
-                if self.step_listener is not None:
-                    self.step_listener(step, choice, record)
-                if progress is not None:
-                    progress.step_finished(name, "ok")
-                note_terminal()
-                dispatch_ready()
-
-            def handle_failure(record: JobRecord) -> None:
-                failed_sites.setdefault(name, set()).add(choice.site)
-                now = self.grid.simulator.now
-                if breakers is not None:
-                    breakers.breaker(choice.site).record_failure(now)
-                    note_breaker(choice.site)
-                if obs.enabled and record.fault:
-                    obs.count(
-                        "scheduler.step.faults",
-                        kind=record.fault,
-                        help="failed attempts by fault kind",
-                    )
-                if attempts[name] <= self.max_retries:
-                    delay = policy.delay(attempts[name], key=name)
-                    if obs.enabled:
-                        obs.observe(
-                            "scheduler.retry.backoff_seconds",
-                            delay,
-                            help="retry delays (sim time)",
-                        )
-                    if recorder is not None:
-                        recorder.event(
-                            "step.retry",
-                            step=name,
-                            attempt=attempts[name],
-                            site=choice.site,
-                            fault=record.fault,
-                            delay=delay,
-                            sim=now,
-                        )
-                    if delay <= 0.0:
-                        # Synchronous resubmit preserves the historical
-                        # event ordering of immediate retries.
-                        submit(name)
-                    else:
-                        self.grid.simulator.schedule(
-                            delay, lambda: submit(name)
-                        )
-                else:
-                    obs.count(
-                        "scheduler.failures",
-                        help="steps failed after exhausting retries",
-                    )
-                    if recorder is not None:
-                        recorder.event(
-                            "step.failed",
-                            step=name,
-                            attempts=attempts[name],
-                            site=choice.site,
-                            fault=record.fault,
-                            sim=now,
-                        )
-                    if progress is not None:
-                        progress.step_finished(name, "failed")
-                    result.outcomes[name] = StepOutcome(
-                        step=name,
-                        site=choice.site,
-                        attempts=attempts[name],
-                        record=record,
-                    )
-                    reason = f"upstream-failed:{name}"
-                    for skipped in frontier.fail(name):
-                        result.skipped_steps[skipped] = reason
-                        if obs.enabled:
-                            obs.count(
-                                "scheduler.steps",
-                                status="skipped",
-                                help="step completions by terminal status",
-                            )
-                        if recorder is not None:
-                            recorder.event(
-                                "step.skipped",
-                                step=skipped,
-                                reason=reason,
-                                sim=now,
-                            )
-                        if progress is not None:
-                            progress.step_finished(skipped, "skipped")
-                    note_terminal()
-                    dispatch_ready()
-
-            def on_complete(record: JobRecord) -> None:
-                conclude(record)
-                if not record.succeeded:
-                    handle_failure(record)
-                    return
-                bad = self.grid.verify_outputs(record)
-                if bad:
-                    # Write-back validation: quarantine corrupt replicas
-                    # and treat the attempt as failed so it re-executes.
-                    for lfn in bad:
-                        self.grid.quarantine(lfn, choice.site)
-                    record.status = "failed"
-                    record.fault = "corrupt"
-                    record.error = (
-                        "output verification failed for "
-                        + ", ".join(sorted(bad))
-                    )
-                    handle_failure(record)
-                    return
-                handle_success(record)
-
-            record = self.grid.submit(spec, on_complete)
-            if recovery.step_timeout is not None:
-                this_attempt = attempts[name]
-
-                def watchdog() -> None:
-                    # Stale timers: a newer attempt superseded this one,
-                    # or the attempt already reached a terminal state.
-                    if attempts.get(name) != this_attempt:
-                        return
-                    if record.status in ("done", "failed", "killed"):
-                        return
-                    self.grid.cancel(record)
-                    record.status = "killed"
-                    if obs.enabled:
-                        obs.count(
-                            "scheduler.timeouts",
-                            help="straggler attempts killed at step timeout",
-                        )
-                    if recorder is not None:
-                        recorder.event(
-                            "step.timeout",
-                            step=name,
-                            attempt=this_attempt,
-                            site=choice.site,
-                            sim=self.grid.simulator.now,
-                        )
-                    conclude(record)
-                    handle_failure(record)
-
-                self.grid.simulator.schedule(recovery.step_timeout, watchdog)
-
-        dispatch_ready()
-        self.grid.simulator.run(until=until)
-        if until is not None and not frontier.exhausted:
+    def run(self, driver: Driver) -> None:
+        self._driver = driver
+        driver.dispatch()
+        self.sim.run(until=self.until)
+        if self.until is not None and not driver.frontier.exhausted:
             # Killed mid-flight: drop abandoned events so a resume on
             # the same simulator cannot replay them.
-            result.interrupted = True
-            self.grid.simulator.flush()
-        result.finished_at = (
-            finish_clock["t"]
-            if finish_clock["t"] is not None
-            else self.grid.simulator.now
+            self.interrupted = True
+            self.sim.flush()
+
+    def admit(self, name: str) -> Optional[float]:
+        now = self.sim.now
+        candidates: Optional[list[str]] = None
+        excluded = self._failed_sites.get(name)
+        if self.recovery.failover and excluded:
+            pool = [s for s in self.all_sites if s not in excluded]
+            if pool:  # all sites failed: fall back to every site
+                candidates = pool
+        breakers = self.breakers
+        if breakers is not None:
+            pool = candidates if candidates is not None else self.all_sites
+            avail = breakers.available(pool, now)
+            if not avail and candidates is not None:
+                # Every failover candidate is tripped; widen to all.
+                avail = breakers.available(self.all_sites, now)
+            if not avail:
+                # Every breaker open: park until the first cooldown
+                # expires (or poll while a half-open probe flies).
+                resume_at = breakers.earliest_retry(self.all_sites, now)
+                wait = resume_at - now
+                if self.obs.enabled:
+                    self.obs.count(
+                        "scheduler.breaker.deferrals",
+                        help="submissions delayed by open breakers",
+                    )
+                if self.obs.recorder is not None:
+                    self.obs.recorder.event(
+                        "breaker.deferred",
+                        step=name,
+                        resume_at=resume_at,
+                        sim=now,
+                    )
+                return wait if wait > 0 else 1.0
+            candidates = avail
+        self._candidates = candidates
+        return None
+
+    def start(self, name: str, attempt: int) -> None:
+        step = self.plan.steps[name]
+        now = self.sim.now
+        candidates, self._candidates = self._candidates, None
+        choice = self.scheduler.selector.choose(
+            step, self.scheduler.pattern, now=now, candidates=candidates
         )
-        if (
-            not result.succeeded
-            and not result.failed_steps
-            and not result.interrupted
-        ):
-            missing = sorted(set(plan.steps) - frontier.completed)
-            raise ExecutionError(
-                f"workflow stalled; steps never became ready: {missing[:5]}"
+        if self.breakers is not None:
+            self.breakers.breaker(choice.site).admit(now)
+            self._note_breaker(choice.site)
+        spec = JobSpec(
+            name=name,
+            site=choice.site,
+            cpu_seconds=step.cpu_seconds,
+            inputs=step.inputs,
+            outputs=dict(step.output_sizes),
+            executable=step.transformation.executable,
+            environment=dict(step.derivation.environment),
+            # The driver enforces the workflow's width cap; per-site
+            # host restriction is not additionally needed.
+            max_hosts=None,
+            setup_seconds=choice.procedure_seconds,
+        )
+        job = self.grid.submit(
+            spec, lambda job: self._complete(step, attempt, choice, job)
+        )
+        timeout = self.recovery.step_timeout
+        if timeout is not None:
+            self.sim.schedule(
+                timeout, lambda: self._timeout(step, attempt, choice, job)
             )
-        return result
+
+    def _complete(
+        self, step: PlanStep, attempt: int, choice: SiteChoice, job: JobRecord
+    ) -> None:
+        """GRAM completion: verify what the job wrote, then settle."""
+        if job.succeeded:
+            bad = self.grid.verify_outputs(job)
+            if bad:
+                # Write-back validation: quarantine corrupt replicas and
+                # treat the attempt as failed so it re-executes.
+                for lfn in bad:
+                    self.grid.quarantine(lfn, choice.site)
+                job.status = "failed"
+                job.fault = "corrupt"
+                job.error = "output verification failed for " + ", ".join(
+                    sorted(bad)
+                )
+        self._settle(step, attempt, choice, job)
+
+    def _timeout(
+        self, step: PlanStep, attempt: int, choice: SiteChoice, job: JobRecord
+    ) -> None:
+        """The step timeout fired: kill the attempt if it still runs."""
+        if job.status in ("done", "failed", "killed"):
+            return  # finished, or superseded by a newer attempt
+        self.grid.cancel(job)
+        job.status = "killed"
+        if self.obs.enabled:
+            self.obs.count(
+                "scheduler.timeouts",
+                help="straggler attempts killed at step timeout",
+            )
+        if self.obs.recorder is not None:
+            self.obs.recorder.event(
+                "step.timeout",
+                step=step.name,
+                attempt=attempt,
+                site=choice.site,
+                sim=self.sim.now,
+            )
+        self._settle(step, attempt, choice, job)
+
+    def _settle(
+        self, step: PlanStep, attempt: int, choice: SiteChoice, job: JobRecord
+    ) -> None:
+        """Update site health, write provenance back, hand the outcome
+        to the driver, and dispatch if the frontier may have moved."""
+        name, site, now = step.name, choice.site, self.sim.now
+        obs = self.obs
+        if obs.enabled:
+            obs.record(
+                "scheduler.step",
+                sim_start=job.submitted_at,
+                sim_end=job.end_time,
+                status="ok" if job.succeeded else "error",
+                step=name,
+                site=site,
+                host=job.host,
+                attempt=attempt,
+            )
+            obs.observe(
+                "scheduler.step.queue_seconds",
+                job.queue_seconds,
+                help="simulated batch-queue wait per step",
+            )
+        if job.succeeded:
+            if self.breakers is not None:
+                self.breakers.breaker(site).record_success(now)
+                self._note_breaker(site)
+            if choice.ship_procedure:
+                self.scheduler.selector.procedures.install(
+                    step.transformation.name, site
+                )
+            if self.scheduler.step_listener is not None:
+                self.scheduler.step_listener(step, choice, job)
+        else:
+            self._failed_sites.setdefault(name, set()).add(site)
+            if self.breakers is not None:
+                self.breakers.breaker(site).record_failure(now)
+                self._note_breaker(site)
+            if obs.enabled and job.fault:
+                obs.count(
+                    "scheduler.step.faults",
+                    kind=job.fault,
+                    help="failed attempts by fault kind",
+                )
+        outcome = Attempt(
+            ok=job.succeeded,
+            status=job.status,
+            start=job.submitted_at,
+            end=job.end_time if job.end_time is not None else now,
+            site=site,
+            value=job,
+            host=job.host,
+            fault=job.fault,
+        )
+        if self._driver.settle(name, outcome):
+            self._driver.dispatch()
+
+    def _note_breaker(self, site: str) -> None:
+        code = self.breakers.breaker(site).state_code
+        if self.obs.enabled:
+            self.obs.gauge(
+                "scheduler.breaker.state",
+                code,
+                site=site,
+                help="per-site breaker (0=closed 1=half-open 2=open)",
+            )
+        if (
+            self.obs.recorder is not None
+            and self._breaker_states.get(site, 0) != code
+        ):
+            self.obs.recorder.event(
+                "breaker.transition", site=site, state=code, sim=self.sim.now
+            )
+        self._breaker_states[site] = code

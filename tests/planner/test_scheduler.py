@@ -15,7 +15,12 @@ from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
 from repro.planner.scheduler import WorkflowScheduler
 from repro.planner.strategies import SiteSelector
-from repro.resilience import FAIL_FAST, RUN_WHAT_YOU_CAN, RecoveryConfig
+from repro.resilience import (
+    FAIL_FAST,
+    RUN_WHAT_YOU_CAN,
+    ExponentialBackoff,
+    RecoveryConfig,
+)
 from tests.conftest import DIAMOND_VDL
 from tests.resilience.conftest import TWO_BRANCH_VDL, StepKiller
 from tests.resilience.conftest import make_world as make_fault_world
@@ -180,3 +185,45 @@ class TestSkipOrder:
         assert [
             e["step"] for e in events if e["kind"] == "step.skipped"
         ] == expected
+
+
+class FirstAttemptKiller(StepKiller):
+    """Fails only the first attempt of each named step."""
+
+    def run_fault(self, job, site, start, end):
+        if job in self.doomed:
+            self.doomed.discard(job)
+            self._record(self.kind)
+            return (self.kind, f"injected {self.kind} fault for test")
+        return None
+
+
+class TestWidthCap:
+    """``max_hosts`` bounds every submission, retries included."""
+
+    VDL = TWO_BRANCH_VDL.split("DV ga")[0] + "".join(
+        f'DV g{x}->gen( o=@{{output:"{x}0"}}, seed="{i}" );\n'
+        for i, x in enumerate("abcd")
+    )
+
+    def test_backoff_retry_waits_for_a_slot(self):
+        # ga fails at t=10 and is due again at t=15, while gc and gd
+        # hold both slots; it must wait for one of them to finish.
+        world = make_fault_world(
+            self.VDL,
+            ("a0", "b0", "c0", "d0"),
+            injector=FirstAttemptKiller("ga", kind="transient"),
+        )
+        result = WorkflowScheduler(
+            world.grid,
+            world.selector,
+            max_retries=2,
+            max_hosts=2,
+            recovery=RecoveryConfig(
+                retry_policy=ExponentialBackoff(base=5.0, jitter=0.0)
+            ),
+        ).run(world.plan)
+        assert result.succeeded
+        assert result.outcomes["ga"].attempts == 2
+        assert result.peak_in_flight <= 2
+        assert result.outcomes["ga"].record.start_time >= 20.0
