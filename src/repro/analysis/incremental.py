@@ -29,7 +29,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -58,6 +57,7 @@ from repro.analysis.passes import (
     default_passes,
     orphan_invocation_diagnostics,
 )
+from repro.catalog.payloads import attribute, dataset_type, document, field
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.recipe import RECIPE_DIGEST_ATTR, TR_VERSION_ATTR, recipe_digest
 from repro.core.types import DatasetType
@@ -143,28 +143,23 @@ class GraphModel:
     def dataset_declared_type(self, lfn: str) -> Optional[DatasetType]:
         """The record's dataset type when concretely declared.
 
-        Reads the shared cached payload rather than
+        Reads the stored object at rest rather than
         ``catalog.get_dataset`` — this runs once per dataset node per
-        full solve, and the accessor's isolation deep-copy dominates
-        at 10^5 nodes.
+        full solve, and the accessor's isolation copy dominates at
+        10^5 nodes.
         """
         if lfn in self._ds_types:
             return self._ds_types[lfn]
-        payload = self.catalog._cached_payload("dataset", lfn)
-        return self.prime_dataset_type(lfn, payload)
+        return self.prime_dataset_type(lfn, self.catalog._at_rest("dataset", lfn))
 
     def prime_dataset_type(
-        self, lfn: str, payload: Optional[Mapping[str, Any]]
+        self, lfn: str, entry: Any
     ) -> Optional[DatasetType]:
-        """Decode and cache a dataset record's declared type."""
+        """Cache the declared type of a dataset at rest (a record or a
+        loaded document; None when absent)."""
         declared: Optional[DatasetType] = None
-        if payload is not None:
-            spec = payload.get("type") or {}
-            dtype = DatasetType(
-                content=spec.get("content", DatasetType.content),
-                format=spec.get("format", DatasetType.format),
-                encoding=spec.get("encoding", DatasetType.encoding),
-            )
+        if entry is not None:
+            dtype = dataset_type(entry)
             if not dtype.is_any():
                 declared = dtype
         self._ds_types[lfn] = declared
@@ -191,17 +186,15 @@ class GraphModel:
     def forget_recipe(self, dvn: str) -> None:
         self._recipe_cache.pop(dvn, None)
 
-    def index_invocation(
-        self, invocation_id: str, payload: Mapping[str, Any]
-    ) -> None:
-        attrs = payload.get("attributes") or {}
+    def index_invocation(self, invocation_id: str, entry: Any) -> None:
+        """Index an invocation at rest (a record or a loaded document)."""
         meta: _InvMeta = (
-            float(payload.get("start_time") or 0.0),
-            payload.get("status") or "",
-            attrs.get(TR_VERSION_ATTR),
-            attrs.get(RECIPE_DIGEST_ATTR),
+            float(field(entry, "start_time") or 0.0),
+            field(entry, "status") or "",
+            attribute(entry, TR_VERSION_ATTR),
+            attribute(entry, RECIPE_DIGEST_ATTR),
         )
-        dvn = payload["derivation_name"]
+        dvn = field(entry, "derivation_name")
         self._invs_by_dv.setdefault(dvn, {})[invocation_id] = meta
 
     def unindex_invocation(self, invocation_id: str, dvn: str) -> None:
@@ -320,11 +313,11 @@ class GraphModel:
         result: Optional[Tuple[str, str]] = None
         tr = self.resolve_transformation(self.dv_target(dvn))
         if tr is not None:
-            payload = self.catalog._cached_payload("derivation", dvn)
-            if payload is not None:
+            entry = self.catalog._at_rest("derivation", dvn)
+            if entry is not None:
                 result = (
                     tr.version,
-                    recipe_digest(payload, tr.to_dict()),
+                    recipe_digest(document(entry), tr.to_dict()),
                 )
         self._recipe_cache[dvn] = result
         return result
@@ -701,9 +694,9 @@ class IncrementalAnalyzer:
             for dvn in touched:
                 model.unindex_invocation(key, dvn)
             if event == "put":
-                payload = self.catalog._cached_payload("invocation", key)
-                if payload is not None:
-                    model.index_invocation(key, payload)
+                entry = self.catalog._at_rest("invocation", key)
+                if entry is not None:
+                    model.index_invocation(key, entry)
             seeds = model.around(derivations=touched)
             self._orphan_cache = None
         elif kind == "dataset":
@@ -735,13 +728,13 @@ class IncrementalAnalyzer:
             self.model = GraphModel(catalog, self.file)
             model = self.model
             # Only what no catalog index holds is read from storage.
-            # Bulk scans: payloads are backend-owned shared documents
-            # (read here, never retained), skipping the per-object
-            # isolation copy that dominates at 10^5 objects.
-            for inv_id, payload in catalog._store_scan("invocation"):
-                model.index_invocation(inv_id, payload)
-            for lfn, payload in catalog._store_scan("dataset"):
-                model.prime_dataset_type(lfn, payload)
+            # Bulk scans of the objects at rest (records, or documents
+            # a document backend loads): read here, never retained,
+            # and nothing is decoded or copied.
+            for inv_id, entry in catalog._scan("invocation"):
+                model.index_invocation(inv_id, entry)
+            for lfn, entry in catalog._scan("dataset"):
+                model.prime_dataset_type(lfn, entry)
             graph = model.graph
             self._sizes = (len(graph), len(members(graph).derivations))
             for state in self._states.values():

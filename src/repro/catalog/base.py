@@ -15,14 +15,20 @@ sibling modules provide three backends:
 
 The base class owns all semantics — registration rules, link
 maintenance, discovery queries, change notification — and delegates
-only dumb ``(kind, key) -> payload dict`` persistence to the backend.
-All backends therefore behave identically, which the test suite checks
-by running the same scenarios against each.
+only storage to the backend.  What a put stores is a *record*: a
+private, read-only copy of the object ``add_*`` was handed
+(:func:`repro.catalog.payloads.owned`).  The memory backend keeps the
+record itself; the SQLite and file-tree backends persist its document
+(``(kind, key) -> payload dict``) and keep the record in their cache.
+Documents are built only where bytes leave the process: those two
+backends' writes, the intent journal (with the undo entries it
+carries), ``export_snapshot`` and ``_store_get``.  All backends
+therefore behave identically, which the test suite checks by running
+the same scenarios against each.
 """
 
 from __future__ import annotations
 
-import copy
 import fnmatch
 import functools
 import threading
@@ -31,8 +37,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
-from repro.catalog.index import CatalogIndexes, PayloadCache
-from repro.catalog.payloads import json_copy
+from repro.catalog.index import CatalogIndexes, RecordCache
+from repro.catalog.payloads import document, owned
 from repro.core.dataset import Dataset
 from repro.durability.crashpoints import crashpoint
 from repro.core.derivation import Derivation
@@ -62,7 +68,7 @@ def _synchronized(method):
 
     The parallel local executor records provenance from worker threads;
     every public catalog operation is atomic with respect to the
-    storage primitives, the secondary indexes and the payload cache.
+    storage primitives, the secondary indexes and the record cache.
     """
 
     @functools.wraps(method)
@@ -71,10 +77,6 @@ def _synchronized(method):
             return method(self, *args, **kwargs)
 
     return wrapper
-
-
-def _transformation_to_payload(tr: Transformation) -> dict:
-    return tr.to_dict()
 
 
 def _transformation_from_payload(payload: dict) -> Transformation:
@@ -103,11 +105,17 @@ _DECODERS: dict[str, Callable[[dict], Any]] = {
 class VirtualDataCatalog:
     """Backend-independent VDC semantics.
 
-    Subclasses implement five storage primitives (``_store_put``,
-    ``_store_get``, ``_store_delete``, ``_store_keys``, ``_store_has``).
+    Document backends implement five storage primitives
+    (``_store_put``, ``_store_get``, ``_store_delete``, ``_store_keys``,
+    ``_store_has``); a backend that keeps records instead overrides the
+    record hooks too (see :class:`repro.catalog.memory.MemoryCatalog`).
     Keys are: dataset name, replica id, ``name@version`` for
     transformations, derivation name, invocation id.
     """
+
+    #: True when the store holds the records themselves (nothing to
+    #: decode, nothing worth caching).
+    _stores_records = False
 
     def __init__(
         self,
@@ -124,23 +132,25 @@ class VirtualDataCatalog:
         self._lock = threading.RLock()
         self._txn_depth = 0
         self._txn_rollback_on_error = True
-        self._txn_undo: list[tuple[str, str, Optional[dict]]] = []
+        #: (kind, key, state before) per logged mutation: the record,
+        #: the loaded document, or None when the key was absent.
+        self._txn_undo: list[tuple[str, str, Any]] = []
         self._txn_ops = 0
         self._txn_id: Optional[str] = None
         self._journal = None
         self._subscribers: list[Callable[[str, str, str], None]] = []
         # Fast paths, kept current by the mutation-event stream.  The
         # cache invalidator must observe events before the indexes do:
-        # index maintenance re-reads payloads through the cache.
-        self._cache = PayloadCache()
+        # index maintenance re-reads objects through the cache.
+        self._cache = RecordCache()
         # Keys the mutation choke points wrote whose "put" event is
-        # still to fire: the just-written payload is already cached, so
+        # still to fire: the just-written record is already cached, so
         # the invalidator must let it live (index maintenance re-reads
-        # payloads through the cache right after the event).  A set:
+        # it through the cache right after the event).  A set:
         # add_derivation declares datasets between its own put and its
         # event, and each of those puts is pending in its turn.
         self._cache_fresh: set[tuple[str, str]] = set()
-        self.subscribe(self._invalidate_cached_payload)
+        self.subscribe(self._invalidate_cached)
         self._indexes = CatalogIndexes(self)
         self._analyzer: Optional[Any] = None
         self._graph_cache: Optional[Any] = None
@@ -150,15 +160,15 @@ class VirtualDataCatalog:
     # ------------------------------------------------------------------
 
     def _store_put(self, kind: str, key: str, payload: dict) -> None:
-        """Store ``payload`` under the key.
+        """Store ``payload`` (a document) under the key.
 
-        The document is handed over: the caller neither mutates it
-        afterwards nor expects a copy to be taken, and may go on
-        sharing it read-only (the payload cache does).
+        The caller keeps the document: a backend writes it out and
+        holds no reference into it.
         """
         raise NotImplementedError
 
     def _store_get(self, kind: str, key: str) -> Optional[dict]:
+        """The stored document, owned by the caller; None if absent."""
         raise NotImplementedError
 
     def _store_delete(self, kind: str, key: str) -> None:
@@ -178,23 +188,14 @@ class VirtualDataCatalog:
         """
         return []
 
-    def _store_peek(self, kind: str, key: str) -> Optional[dict]:
-        """Raw read without an isolation copy — caller must not mutate.
-
-        The point-lookup companion to :meth:`_store_scan`: backends
-        whose storage is already plain dicts override this to skip the
-        per-object copy.  The default delegates to :meth:`_store_get`
-        (which copies), so it is always safe.
-        """
-        return self._store_get(kind, key)
-
     def _store_put_many(
         self, kind: str, items: list[tuple[str, dict]]
     ) -> None:
-        """Raw batched write: no events, no index or cache upkeep.
+        """Raw batched write of documents: no events, no index or
+        cache upkeep, no undo log.
 
-        Only for bulk-load paths that announce the written keys
-        afterwards (:meth:`import_snapshot`).  Backends may override
+        Only for bulk-load paths that log and announce the written keys
+        themselves (:meth:`import_snapshot`).  Backends may override
         with a genuinely batched implementation (SQLite uses
         ``executemany``).
         """
@@ -202,18 +203,82 @@ class VirtualDataCatalog:
             self._store_put(kind, key, payload)
 
     def _store_scan(self, kind: str) -> Iterator[tuple[str, dict]]:
-        """Yield every ``(key, payload)`` of a kind for bulk readers.
-
-        Like :meth:`_cached_payload`, the yielded documents may be
-        backend-owned: callers must treat them as read-only and not
-        retain them.  Backends with cheap raw access override this to
-        skip the per-object isolation copy — at 10^5 objects that copy
-        dominates any whole-catalog scan (index or analysis rebuilds).
-        """
+        """Yield every ``(key, document)`` of a kind for bulk readers."""
         for key in self._store_keys(kind):
             payload = self._store_get(kind, key)
             if payload is not None:
                 yield key, payload
+
+    # ------------------------------------------------------------------
+    # records: the in-process form (document backends; the memory
+    # backend overrides these with its store)
+    # ------------------------------------------------------------------
+
+    def _put_record(
+        self, kind: str, key: str, record: Any, payload: Optional[dict]
+    ) -> None:
+        """Store a private record; ``payload`` is its document when the
+        put already built one (a journaled put), else None.
+
+        A document backend writes the document (encoding it here if
+        need be: once per put) and caches the record write-through, so
+        index maintenance and the common read-after-write skip the
+        backend read and the decode.
+        """
+        self._store_put(
+            kind, key, payload if payload is not None else record.to_dict()
+        )
+        self._cache.put(kind, key, record)
+        self._cache_fresh.add((kind, key))
+
+    def _at_rest(
+        self, kind: str, key: str, keep: bool = True
+    ) -> Optional[Any]:
+        """The stored object as the cache or the store holds it — a
+        record, or the document loaded for it — for readers that take
+        a few fields off either form (:mod:`repro.catalog.payloads`)
+        and decode nothing.  Shared: read only.
+
+        ``keep=False`` for bulk walks: a miss does not populate the
+        cache, so a planner walk over 10^5+ objects does not evict the
+        working set.
+        """
+        entry = self._cache.get(kind, key)
+        if keep:
+            self._obs_cache_op(hit=entry is not None)
+        if entry is None:
+            entry = self._store_get(kind, key)
+            if keep and entry is not None:
+                self._cache.put(kind, key, entry)
+        return entry
+
+    def _find_record(self, kind: str, key: str) -> Optional[Any]:
+        """The stored record — shared, read-only — or None.
+
+        A cold read decodes the loaded document once, and the cache
+        keeps the record from the second decode on (see
+        :class:`RecordCache`).
+        """
+        entry = self._at_rest(kind, key)
+        if entry is None or type(entry) is not dict:
+            return entry
+        record = _DECODERS[kind](entry)
+        self._cache.decoded(kind, key, record)
+        return record
+
+    def _peek_record(self, kind: str, key: str) -> Optional[Any]:
+        """:meth:`_find_record` for bulk walks: neither a miss nor a
+        decode leaves anything in the cache."""
+        entry = self._at_rest(kind, key, keep=False)
+        if entry is None or type(entry) is not dict:
+            return entry
+        return _DECODERS[kind](entry)
+
+    def _scan(self, kind: str) -> Iterator[tuple[str, Any]]:
+        """Every ``(key, object at rest)`` of a kind for bulk readers:
+        loaded documents here, records on the memory backend.  Read
+        only, and not retained."""
+        return self._store_scan(kind)
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -278,94 +343,49 @@ class VirtualDataCatalog:
             callback(event, kind, key)
 
     # ------------------------------------------------------------------
-    # payload cache and index maintenance
+    # record cache and index maintenance
     # ------------------------------------------------------------------
 
-    def _invalidate_cached_payload(self, event: str, kind: str, key: str) -> None:
+    def _invalidate_cached(self, event: str, kind: str, key: str) -> None:
         if (kind, key) in self._cache_fresh:
             self._cache_fresh.discard((kind, key))
             if event == "put":
-                # Write-through from _apply_put/restore_payload: the
-                # cache already holds the new payload; keep it.
+                # Write-through from _put_record: the cache already
+                # holds the new record; keep it.
                 return
         self._cache.invalidate(kind, key)
 
-    def _cached_payload(self, kind: str, key: str) -> Optional[dict]:
-        """The stored payload, through the payload LRU.
-
-        The document is shared and may be backend-owned (a miss peeks:
-        stored documents are replaced, never edited in place) — read
-        only.  What leaves the catalog is an object decoded from it
-        (:meth:`_decoded`) or a ``json_copy``.
-        """
-        payload = self._cache.get(kind, key)
-        if payload is not None:
-            self._obs_cache_op(hit=True)
-            return payload
-        self._obs_cache_op(hit=False)
-        payload = self._store_peek(kind, key)
-        if payload is not None:
-            self._cache.put(kind, key, payload)
-        return payload
-
     @_synchronized
-    def _decoded(self, kind: str, key: str) -> Any:
-        """The object decoded from the stored payload — shared, read-only.
+    def _record(self, kind: str, key: str) -> Any:
+        """The stored record — shared, read-only.
 
-        Kept in the payload cache's entry (from the second decode of a
-        cached payload on, see :class:`PayloadCache`), so the put /
-        invalidate / evict / clear that keeps the payload honest drops
-        the decoded form with it.  The public accessors hand out its
-        ``copy()``; readers that only inspect use it as is, and must
-        neither mutate it nor keep it across a mutation.
-
-        A derivation's decoded form is the one the derivation graph
-        keeps (``derivation_graph().derivation(name)``), filled by
-        :meth:`_decode_derivation` and dropped whenever the derivation
-        is written, re-linked or unlinked: one object per stored
-        derivation, whoever asks.
+        The public accessors hand out its ``copy()``; readers that only
+        inspect use it as is, and must neither mutate it nor keep it
+        across a mutation.  A derivation's record is the one the
+        derivation graph holds (``derivation_graph().derivation(name)``):
+        one object per stored derivation, whoever asks.
         """
-        payload = self._cached_payload(kind, key)
-        if payload is None:
-            raise NotFoundError(f"{kind} {key!r} not found")
         if kind == "derivation":
             try:
                 return self._indexes.graph.derivation(key)
             except KeyError:
                 # Stored but not linked yet (its put event is still to
-                # fire): decode for this caller only.
-                return Derivation.from_dict(payload)
-        obj = self._cache.decoded(kind, key)
-        if obj is None:
-            obj = _DECODERS[kind](payload)
-            self._cache.set_decoded(kind, key, obj)
-        return obj
+                # fire), or absent.
+                pass
+        record = self._find_record(kind, key)
+        if record is None:
+            raise NotFoundError(f"{kind} {key!r} not found")
+        return record
 
     @_synchronized
-    def _decode_derivation(self, name: str) -> Derivation:
-        """Fill for the derivation graph's decoded forms (its loader).
-
-        A raw peek: unlike :meth:`_cached_payload` a miss does not
-        populate the LRU, so planner walks over 10^5+ derivations do
-        not evict the working set.  The graph keeps what this returns.
-        """
-        payload = self._peek_payload("derivation", name)
-        if payload is None:
+    def _load_derivation(self, name: str) -> Derivation:
+        """The derivation graph's loader: a peek, so a planner walk
+        over 10^5+ derivations leaves the cache alone.  The graph
+        keeps what this returns (on a memory catalog, the store does)."""
+        dv = self._peek_record("derivation", name)
+        if dv is None:
             raise NotFoundError(f"derivation {name!r} not found")
-        return Derivation.from_dict(payload)
-
-    def _peek_payload(self, kind: str, key: str) -> Optional[dict]:
-        """Read-only payload view: cache if present, else a raw peek.
-
-        Unlike :meth:`_cached_payload` a miss does *not* populate the
-        LRU — bulk planner walks over 10^5+ objects would otherwise
-        evict the whole working set.  Callers must treat the document
-        as read-only and must not retain it across mutations.
-        """
-        payload = self._cache.get(kind, key)
-        if payload is not None:
-            return payload
-        return self._store_peek(kind, key)
+        return dv
 
     def _obs_cache_op(self, hit: bool) -> None:
         if not self._obs.enabled:
@@ -376,7 +396,7 @@ class VirtualDataCatalog:
             cached = self._obs_cache["payload-cache"] = (
                 metrics.counter(
                     "catalog.index.hits",
-                    help="catalog lookups served from the payload cache",
+                    help="catalog lookups served from the record cache",
                 ),
                 metrics.counter(
                     "catalog.index.misses",
@@ -386,7 +406,7 @@ class VirtualDataCatalog:
         (cached[0] if hit else cached[1]).inc_at(())
 
     def cache_stats(self) -> dict[str, int]:
-        """Payload-cache hit/miss/size counters (for stats and tests)."""
+        """Record-cache hit/miss/size counters (for stats and tests)."""
         return self._cache.stats()
 
     @_synchronized
@@ -545,7 +565,7 @@ class VirtualDataCatalog:
             # the transaction decides put or delete; subscribers re-read
             # storage), so whoever listens — cache, indexes, analyzer,
             # federation, planners — sees the abort.
-            before: dict[tuple[str, str], Optional[dict]] = {}
+            before: dict[tuple[str, str], Any] = {}
             for kind, key, prev in self._txn_undo:
                 before.setdefault((kind, key), prev)
             self._cache_fresh.clear()
@@ -564,10 +584,10 @@ class VirtualDataCatalog:
                     "put" if prev is not None else "delete",
                     kind,
                     key,
-                    payload=prev,
+                    payload=document(prev),
                 )
                 self._txn_ops += 1
-            self.restore_payload(kind, key, prev)
+            self._restore(kind, key, prev)
         self._txn_seal()
 
     def _txn_begin(self) -> None:
@@ -584,52 +604,62 @@ class VirtualDataCatalog:
         """
         return False
 
-    def _apply_put(self, kind: str, key: str, payload: dict) -> None:
-        """Journal-then-apply a put (the mutation choke point)."""
-        if self._txn_depth:
-            prev = self._snapshot_payload(kind, key)
-            self._txn_undo.append((kind, key, prev))
-            if self._txn_id is not None:
-                self._journal.record(
-                    self._txn_id, "put", kind, key, payload=payload, prev=prev
-                )
-                self._txn_ops += 1
-                crashpoint("catalog.commit.op")
-        # One document per put: every caller passes a freshly
-        # serialized ``to_dict()`` it keeps no reference into, and a
-        # stored document is replaced, never edited — so the store, the
-        # cache (write-through: index maintenance and the common
-        # read-after-write skip the backend read) and, when this key is
-        # next overwritten, the undo log can all hold this one.
-        self._store_put(kind, key, payload)
-        self._cache.put(kind, key, payload)
-        self._cache_fresh.add((kind, key))
+    def _log(
+        self, op: str, kind: str, key: str, payload: Optional[dict] = None
+    ) -> None:
+        """Log a mutation about to be applied inside a transaction: its
+        undo entry, and — with a journal — its intent (the document it
+        writes and the one it replaces).
+
+        The undo state is read only when something may need it: a
+        rollback on error, or the journal's record of what was there.
+        """
+        if not self._txn_depth:
+            return
+        if not self._txn_rollback_on_error and self._txn_id is None:
+            return
+        # What the key holds now.  Stored objects are replaced, never
+        # edited, so the entry stays valid after the key is overwritten.
+        prev = self._at_rest(kind, key, keep=False)
+        self._txn_undo.append((kind, key, prev))
+        if self._txn_id is not None:
+            self._journal.record(
+                self._txn_id, op, kind, key, payload=payload, prev=document(prev)
+            )
+            self._txn_ops += 1
+            crashpoint("catalog.commit.op")
+
+    def _apply_put(self, kind: str, key: str, obj: Any) -> None:
+        """Journal-then-apply a put of ``obj`` (the mutation choke point).
+
+        What is stored is a private copy (:func:`owned`): mutating
+        ``obj`` afterwards changes neither the store nor any reader.
+        A journaled put encodes its document once, for the journal and
+        the store alike.
+        """
+        record, payload = owned(kind, obj, _DECODERS[kind])
+        if self._txn_id is not None and payload is None:
+            payload = record.to_dict()
+        self._log("put", kind, key, payload)
+        self._put_record(kind, key, record, payload)
         if kind == "derivation":
             # The graph re-links on the put event, which add_derivation
             # fires only after declaring datasets; whoever reads in
-            # between gets the form decoded from the new payload.
+            # between gets the new record.
             self._indexes.graph.forget(key)
 
     def _apply_delete(self, kind: str, key: str) -> None:
         """Journal-then-apply a delete (the mutation choke point)."""
-        if self._txn_depth:
-            prev = self._snapshot_payload(kind, key)
-            self._txn_undo.append((kind, key, prev))
-            if self._txn_id is not None:
-                self._journal.record(
-                    self._txn_id, "delete", kind, key, prev=prev
-                )
-                self._txn_ops += 1
-                crashpoint("catalog.commit.op")
+        self._log("delete", kind, key)
         self._store_delete(kind, key)
 
-    def _snapshot_payload(self, kind: str, key: str) -> Optional[dict]:
-        """The stored payload, for undo logs.
-
-        The document itself: whatever overwrites the key installs a
-        new one and leaves this one as it was.
-        """
-        return self._cached_payload(kind, key)
+    def _restore(self, kind: str, key: str, state: Any) -> None:
+        """Put back an undo state and announce it (lock held)."""
+        if state is None or type(state) is dict:
+            self.restore_payload(kind, key, state)
+        else:
+            self._put_record(kind, key, state, None)
+            self._notify("put", kind, key)
 
     @_synchronized
     def restore_payload(
@@ -640,22 +670,15 @@ class VirtualDataCatalog:
         ``payload=None`` deletes the key.  Fires the normal mutation
         events so the cache, indexes, and any live analyzer stay
         coherent.  Used by journal rollback/replay and ``repro fsck``
-        repairs; not part of the application-facing API.
+        repairs; not part of the application-facing API.  The caller
+        keeps its document (a journal record, a repair plan).
         """
         if payload is None:
             if self._store_has(kind, key):
                 self._store_delete(kind, key)
                 self._notify("delete", kind, key)
         else:
-            # The caller keeps its document (a journal record, an undo
-            # entry, a repair plan); store and cache share one copy.
-            # Same write-through contract as _apply_put: whenever the
-            # fresh marker is set, cache and store hold the same
-            # document, so the skipped invalidation is always safe.
-            owned = json_copy(payload)
-            self._store_put(kind, key, owned)
-            self._cache.put(kind, key, owned)
-            self._cache_fresh.add((kind, key))
+            self._store_put(kind, key, payload)
             self._notify("put", kind, key)
 
     # ------------------------------------------------------------------
@@ -672,14 +695,14 @@ class VirtualDataCatalog:
         t0 = self._obs_t0()
         if not replace and self._store_has("dataset", dataset.name):
             raise DuplicateEntryError(f"dataset {dataset.name!r} already defined")
-        self._apply_put("dataset", dataset.name, dataset.to_dict())
+        self._apply_put("dataset", dataset.name, dataset)
         self._notify("put", "dataset", dataset.name)
         self._obs_op("insert", "dataset", t0)
 
     @_synchronized
     def get_dataset(self, name: str) -> Dataset:
         t0 = self._obs_t0()
-        ds = self._decoded("dataset", name).copy()
+        ds = self._record("dataset", name).copy()
         self._obs_op("lookup", "dataset", t0)
         return ds
 
@@ -714,13 +737,13 @@ class VirtualDataCatalog:
             raise DuplicateEntryError(
                 f"replica {replica.replica_id!r} already registered"
             )
-        self._apply_put("replica", replica.replica_id, replica.to_dict())
+        self._apply_put("replica", replica.replica_id, replica)
         self._notify("put", "replica", replica.replica_id)
         self._obs_op("insert", "replica", t0)
 
     @_synchronized
     def get_replica(self, replica_id: str) -> Replica:
-        return self._decoded("replica", replica_id).copy()
+        return self._record("replica", replica_id).copy()
 
     @_synchronized
     def remove_replica(self, replica_id: str) -> None:
@@ -731,13 +754,13 @@ class VirtualDataCatalog:
 
     def replicas_of(self, dataset_name: str) -> list[Replica]:
         """All registered physical copies of ``dataset_name``."""
-        return [r.copy() for r in self._decoded_replicas_of(dataset_name)]
+        return [r.copy() for r in self._replica_records_of(dataset_name)]
 
     @_synchronized
-    def _decoded_replicas_of(self, dataset_name: str) -> list[Replica]:
-        """:meth:`replicas_of` in shared decoded form — read-only."""
+    def _replica_records_of(self, dataset_name: str) -> list[Replica]:
+        """:meth:`replicas_of` as the shared records — read-only."""
         ids = sorted(self._indexes.replicas_of.get(dataset_name, ()))
-        return [self._decoded("replica", rid) for rid in ids]
+        return [self._record("replica", rid) for rid in ids]
 
     @_synchronized
     def replica_ids(self) -> list[str]:
@@ -757,7 +780,7 @@ class VirtualDataCatalog:
             raise DuplicateEntryError(
                 f"transformation {tr.name!r} version {tr.version} already defined"
             )
-        self._apply_put("transformation", key, _transformation_to_payload(tr))
+        self._apply_put("transformation", key, tr)
         self._notify("put", "transformation", key)
         self._obs_op("insert", "transformation", t0)
 
@@ -766,18 +789,18 @@ class VirtualDataCatalog:
     ) -> Transformation:
         """Fetch by name; latest version when ``version`` is omitted.
 
-        The caller owns the returned object: it is a copy of the form
-        decoded once per stored payload, serialized XML included, so
-        neither the lookup nor a later :meth:`Transformation.to_dict`
-        (recipe stamping) pays for XML again.
+        The caller owns the returned object: it is a copy of the stored
+        record, serialized XML included, so neither the lookup nor a
+        later :meth:`Transformation.to_dict` (recipe stamping) pays for
+        XML again.
         """
-        return self._decoded_transformation(name, version).copy()
+        return self._transformation_record(name, version).copy()
 
     @_synchronized
-    def _decoded_transformation(
+    def _transformation_record(
         self, name: str, version: Optional[str] = None
     ) -> Transformation:
-        """The shared decoded form — callers must not mutate it."""
+        """The shared record — callers must not mutate it."""
         t0 = self._obs_t0()
         if version is None:
             known = self._indexes.tr_versions.get(name)
@@ -789,7 +812,7 @@ class VirtualDataCatalog:
                 # versions registry may normalize (1.0 == 1); fall back.
                 version = sorted(known)[-1]
         try:
-            tr = self._decoded("transformation", f"{name}@{version}")
+            tr = self._record("transformation", f"{name}@{version}")
         except NotFoundError:
             raise NotFoundError(
                 f"transformation {name!r} version {version} not found"
@@ -845,7 +868,7 @@ class VirtualDataCatalog:
             raise DuplicateEntryError(f"derivation {dv.name!r} already defined")
         if validate:
             self.check_derivation(dv)
-        self._apply_put("derivation", dv.name, dv.to_dict())
+        self._apply_put("derivation", dv.name, dv)
         if auto_declare:
             self._declare_mentioned_datasets(dv)
         self._notify("put", "derivation", dv.name)
@@ -862,7 +885,7 @@ class VirtualDataCatalog:
                 self.add_dataset(ds)
             elif (
                 arg.is_output
-                and self._decoded("dataset", arg.dataset).producer != dv.name
+                and self._record("dataset", arg.dataset).producer != dv.name
             ):
                 ds = self.get_dataset(arg.dataset)
                 ds.producer = dv.name
@@ -874,7 +897,7 @@ class VirtualDataCatalog:
             dv.transformation.name
         ):
             return {}
-        tr = self._decoded_transformation(dv.transformation.name)
+        tr = self._transformation_record(dv.transformation.name)
         out = {}
         for formal in tr.signature.formals:
             if not formal.is_string and len(formal.dataset_types.members) == 1:
@@ -886,7 +909,7 @@ class VirtualDataCatalog:
     @_synchronized
     def get_derivation(self, name: str) -> Derivation:
         t0 = self._obs_t0()
-        dv = self._decoded("derivation", name).copy()
+        dv = self._record("derivation", name).copy()
         self._obs_op("lookup", "derivation", t0)
         return dv
 
@@ -921,7 +944,7 @@ class VirtualDataCatalog:
             return
         if not self.has_transformation(ref.name):
             return  # foreign/unregistered; tolerated like remote refs
-        tr = self._decoded_transformation(ref.name)
+        tr = self._transformation_record(ref.name)
         dv.check_against(tr)
         for formal_name, arg in dv.dataset_args():
             formal = tr.signature.formal(formal_name)
@@ -929,7 +952,7 @@ class VirtualDataCatalog:
                 continue
             if not self._store_has("dataset", arg.dataset):
                 continue
-            ds = self._decoded("dataset", arg.dataset)
+            ds = self._record("dataset", arg.dataset)
             if not formal.dataset_types.accepts(ds.dataset_type, self.types):
                 raise TypeConformanceError(
                     f"derivation {dv.name!r}: dataset {arg.dataset!r} of type "
@@ -948,13 +971,13 @@ class VirtualDataCatalog:
             raise DuplicateEntryError(
                 f"invocation {inv.invocation_id!r} already recorded"
             )
-        self._apply_put("invocation", inv.invocation_id, inv.to_dict())
+        self._apply_put("invocation", inv.invocation_id, inv)
         self._notify("put", "invocation", inv.invocation_id)
         self._obs_op("insert", "invocation", t0)
 
     @_synchronized
     def get_invocation(self, invocation_id: str) -> Invocation:
-        return self._decoded("invocation", invocation_id).copy()
+        return self._record("invocation", invocation_id).copy()
 
     @_synchronized
     def invocations_of(self, derivation_name: str) -> list[Invocation]:
@@ -1040,7 +1063,7 @@ class VirtualDataCatalog:
         for name in self.dataset_names():
             if name_glob and not fnmatch.fnmatchcase(name, name_glob):
                 continue
-            ds = self._decoded("dataset", name)
+            ds = self._record("dataset", name)
             if conforms_to is not None and not self.types.conforms(
                 ds.dataset_type, conforms_to
             ):
@@ -1074,7 +1097,7 @@ class VirtualDataCatalog:
             name, _, version = key.rpartition("@")
             if name_glob and not fnmatch.fnmatchcase(name, name_glob):
                 continue
-            tr = self._decoded_transformation(name, version)
+            tr = self._transformation_record(name, version)
             if attributes and not tr.attributes.matches(attributes):
                 continue
             if produces is not None and not any(
@@ -1115,7 +1138,7 @@ class VirtualDataCatalog:
         for name in names:
             if name_glob and not fnmatch.fnmatchcase(name, name_glob):
                 continue
-            dv = self._decoded("derivation", name)
+            dv = self._record("derivation", name)
             if transformation and dv.transformation.name != transformation:
                 continue
             if produces and not dv.produces(produces):
@@ -1157,7 +1180,8 @@ class VirtualDataCatalog:
 
     @_synchronized
     def export_snapshot(self) -> dict[str, dict[str, dict]]:
-        """Dump all storage payloads, keyed by kind then key."""
+        """Dump every stored object as a document (owned by the
+        caller), keyed by kind then key."""
         return {
             kind: {
                 key: self._store_get(kind, key)
@@ -1170,13 +1194,19 @@ class VirtualDataCatalog:
     def import_snapshot(self, snapshot: dict[str, dict[str, dict]]) -> None:
         """Load payloads produced by :meth:`export_snapshot`.
 
-        Written in per-kind batches, then announced as one ordinary
-        ``put`` event per key, so every subscriber — indexes, analyzer,
+        Logged like any other put (so an enclosing transaction that
+        aborts takes the import back, and a journal records it), written
+        in per-kind batches, then announced as one ordinary ``put``
+        event per key, so every subscriber — indexes, analyzer,
         federation, planners — follows the import like any other write.
+        The snapshot stays the caller's.
         """
         with self.bulk():
             for kind in KINDS:
-                self._store_put_many(kind, list(snapshot.get(kind, {}).items()))
+                items = list(snapshot.get(kind, {}).items())
+                for key, payload in items:
+                    self._log("put", kind, key, payload)
+                self._store_put_many(kind, items)
             self._cache_fresh.clear()
             for kind in KINDS:
                 for key in snapshot.get(kind, {}):

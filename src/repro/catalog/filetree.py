@@ -28,7 +28,7 @@ class FileTreeCatalog(VirtualDataCatalog):
     recovers the full catalog, including relationship indexes.
 
     A handle's view of the tree is what it found at open plus what it
-    wrote — the rule the relationship indexes and the payload cache
+    wrote — the rule the relationship indexes and the record cache
     already follow.  The set of stored keys is listed once, at open,
     and kept current by every put and delete, so membership, key
     listings and a lookup of an unknown key touch no filesystem.  A

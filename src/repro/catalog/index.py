@@ -1,19 +1,24 @@
-"""Catalog fast paths: secondary indexes and a decoded-payload cache.
+"""Catalog fast paths: secondary indexes and a record cache.
 
 Real virtual-data campaigns push tens of thousands of derivations into
 a catalog (*Virtual Data in CMS Production*, cs/0306009), and lineage
 queries — "which derivations produce/consume this dataset", "which
 replicas exist" — are the planner's hottest loop.  This module gives
-every backend two fast paths:
+every backend its indexes, and the document backends a cache:
 
 * :class:`CatalogIndexes` — the derivation graph (producer/consumer
   adjacency) plus replica/invocation/by-transformation indexes,
   maintained through the catalog's mutation-subscriber hook (the same
   change-event stream the federated index of Fig 4 consumes), so
-  lineage queries are O(1) dict lookups instead of full-store scans;
-* :class:`PayloadCache` — a bounded LRU of decoded payload documents,
+  lineage queries are O(1) dict lookups instead of full-store scans.
+  They read what they index off each object at rest
+  (:mod:`repro.catalog.payloads`): a record, or a document a document
+  backend loaded and nobody decoded yet;
+* :class:`RecordCache` — a bounded LRU, for the SQLite and file-tree
+  backends, of the records they wrote and the documents they read,
   invalidated by the same mutation events, so repeated lookups skip
-  the backend's disk read / JSON decode entirely.
+  the backend's disk read / JSON decode entirely.  A memory catalog
+  keeps its records in its store and needs none.
 
 Both structures observe events only; the storage primitives remain the
 single source of truth and :meth:`CatalogIndexes.rebuild` reconstructs
@@ -25,41 +30,37 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.catalog.payloads import derivation_edges, field
 from repro.core.invocation import observe_invocation_id
-from repro.core.naming import VDPRef
 from repro.core.replica import observe_replica_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.base import VirtualDataCatalog
     from repro.provenance.graph import DerivationGraph
 
-#: Default number of decoded payloads kept hot.  A whole SDSS stripe
-#: (~5000 derivations plus their datasets) fits with room to spare.
+#: Default number of objects kept hot.  A whole SDSS stripe (~5000
+#: derivations plus their datasets) fits with room to spare.
 DEFAULT_CACHE_CAPACITY = 8192
 
 
-class PayloadCache:
-    """A bounded LRU of decoded ``(kind, key) -> payload`` documents.
+class RecordCache:
+    """A bounded LRU of ``(kind, key) -> record or loaded document``.
 
-    The cached documents are shared and read-only (what the catalog
-    hands out is a copy of the object decoded from one, preserving
-    each backend's isolation contract).  ``hits``/``misses`` are plain
+    A put caches the record it stored; a read that misses caches the
+    document it loaded.  Entries are shared and read-only (what the
+    catalog hands out is a copy of the record, preserving each
+    backend's isolation contract).  ``hits``/``misses`` are plain
     counters read by the benchmarks and mirrored into the metrics
     registry by the catalog.
 
-    An entry may also carry the object *decoded* from its payload
-    (:meth:`decoded` / :meth:`set_decoded`).  The decoded form lives
-    and dies with the payload it came from: a new ``put``, an
-    ``invalidate``, an eviction or ``clear`` drops it, so whatever
-    already keeps the payload honest keeps the decoded form honest.
-    It is kept from the second time a payload is decoded: a scan that
-    reads every object once (fsck, a VDL ``define`` checking its
-    datasets) then pins nothing, and a payload read again is decoded
-    one more time and never after.
+    A loaded document is decoded by whoever needs the record, and
+    replaced by the record from the second decode on (:meth:`decoded`):
+    a scan that reads every object once (fsck, a VDL ``define``
+    checking its datasets) then pins nothing, and a document read
+    again is decoded one more time and never after.  Whatever drops an
+    entry — a put, an ``invalidate``, an eviction, ``clear`` — drops
+    its record with it.
     """
-
-    #: Slot value of a payload decoded once, whose object was not kept.
-    _DECODED_ONCE = object()
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
         if capacity < 1:
@@ -67,13 +68,14 @@ class PayloadCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[tuple[str, str], dict] = OrderedDict()
-        self._decoded: dict[tuple[str, str], Any] = {}
+        self._entries: OrderedDict[tuple[str, str], Any] = OrderedDict()
+        #: Slots holding a document that was decoded once.
+        self._once: set[tuple[str, str]] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, kind: str, key: str) -> Optional[dict]:
+    def get(self, kind: str, key: str) -> Optional[Any]:
         entry = self._entries.get((kind, key))
         if entry is None:
             self.misses += 1
@@ -82,66 +84,46 @@ class PayloadCache:
         self.hits += 1
         return entry
 
-    def put(self, kind: str, key: str, payload: dict) -> None:
+    def put(self, kind: str, key: str, entry: Any) -> None:
         entries = self._entries
-        entries[(kind, key)] = payload
+        entries[(kind, key)] = entry
         entries.move_to_end((kind, key))
-        self._decoded.pop((kind, key), None)
+        self._once.discard((kind, key))
         while len(entries) > self.capacity:
             evicted, _ = entries.popitem(last=False)
-            self._decoded.pop(evicted, None)
+            self._once.discard(evicted)
 
-    def decoded(self, kind: str, key: str) -> Optional[Any]:
-        """The object decoded from the cached payload, if one is kept."""
-        obj = self._decoded.get((kind, key))
-        return None if obj is self._DECODED_ONCE else obj
-
-    def set_decoded(self, kind: str, key: str, obj: Any) -> None:
-        """Note that the cached payload was decoded to ``obj``; from
-        the second time on, keep it while the payload stays put."""
+    def decoded(self, kind: str, key: str, record: Any) -> None:
+        """Note that the cached document was decoded to ``record``;
+        from the second time on, keep the record in its place."""
         slot = (kind, key)
-        if slot in self._entries:
-            self._decoded[slot] = (
-                obj if slot in self._decoded else self._DECODED_ONCE
-            )
+        if type(self._entries.get(slot)) is not dict:
+            return
+        if slot in self._once:
+            self._once.discard(slot)
+            self._entries[slot] = record
+        else:
+            self._once.add(slot)
 
     def invalidate(self, kind: str, key: str) -> None:
         self._entries.pop((kind, key), None)
-        self._decoded.pop((kind, key), None)
+        self._once.discard((kind, key))
 
     def clear(self) -> None:
         self._entries.clear()
-        self._decoded.clear()
+        self._once.clear()
 
     def stats(self) -> dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "size": len(self._entries),
+            # Entries holding a record: written, or decoded twice.
             "decoded": sum(
-                obj is not self._DECODED_ONCE
-                for obj in self._decoded.values()
+                type(entry) is not dict for entry in self._entries.values()
             ),
             "capacity": self.capacity,
         }
-
-
-def _derivation_edges(payload: dict) -> tuple[set[str], set[str], str]:
-    """(inputs, outputs, transformation name) straight off a payload."""
-    inputs: set[str] = set()
-    outputs: set[str] = set()
-    for actual in payload.get("actuals", {}).values():
-        if not isinstance(actual, dict):
-            continue
-        direction = actual.get("direction", "input")
-        if direction in ("input", "inout"):
-            inputs.add(actual["dataset"])
-        if direction in ("output", "inout"):
-            outputs.add(actual["dataset"])
-    tr_name = VDPRef.parse(
-        payload["transformation"], default_kind="transformation"
-    ).name
-    return inputs, outputs, tr_name
 
 
 class CatalogIndexes:
@@ -151,7 +133,7 @@ class CatalogIndexes:
     subscriber, so by the time any external listener (federation, a
     test) observes a ``put``/``delete`` the indexes already reflect it.
     Deletions are unindexed from per-key *shadow* records captured at
-    put time — the store no longer holds the payload when a delete
+    put time — the store no longer holds the object when a delete
     event fires, so the index must remember what it indexed.  Later
     subscribers cannot look up what a delete or replace just unlinked
     either, so each event leaves the names it linked or unlinked in
@@ -204,8 +186,12 @@ class CatalogIndexes:
         # Local import: repro.provenance imports the catalog package.
         from repro.provenance.graph import DerivationGraph
 
+        # A memory catalog's loader is its store: nothing to keep.
+        catalog = self._catalog
         graph = DerivationGraph()
-        graph.set_loader(self._catalog._decode_derivation)
+        graph.set_loader(
+            catalog._load_derivation, keep=not catalog._stores_records
+        )
         return graph
 
     # -- event plumbing ---------------------------------------------------
@@ -233,7 +219,10 @@ class CatalogIndexes:
                 self._index_transformation(key)
             else:
                 name, _, version = key.rpartition("@")
-                self.tr_versions.get(name, set()).discard(version)
+                versions = self.tr_versions.get(name, set())
+                versions.discard(version)
+                if not versions:
+                    self.tr_versions.pop(name, None)
                 self._touch_history(name)
 
     def _touch_history(self, tr_name: str) -> None:
@@ -249,11 +238,11 @@ class CatalogIndexes:
     # -- derivations ------------------------------------------------------
 
     def _index_derivation(self, key: str) -> None:
-        payload = self._catalog._cached_payload("derivation", key)
-        if payload is None:  # racing delete; nothing to index
+        entry = self._catalog._at_rest("derivation", key)
+        if entry is None:  # racing delete; nothing to index
             return
         self._unindex_derivation(key)
-        inputs, outputs, tr_name = _derivation_edges(payload)
+        inputs, outputs, tr_name = derivation_edges(entry)
         self.graph.add_derivation_edges(key, inputs, outputs)
         self.touched += (*inputs, *outputs)
         self.by_transformation.setdefault(tr_name, set()).add(key)
@@ -273,10 +262,10 @@ class CatalogIndexes:
     # -- replicas ---------------------------------------------------------
 
     def _index_replica(self, key: str) -> None:
-        payload = self._catalog._cached_payload("replica", key)
-        if payload is None:
+        entry = self._catalog._at_rest("replica", key)
+        if entry is None:
             return
-        dataset = payload["dataset_name"]
+        dataset = field(entry, "dataset_name")
         self.touched = (dataset,)
         old = self._replica_shadow.get(key)
         if old is not None and old != dataset:
@@ -295,10 +284,10 @@ class CatalogIndexes:
     # -- invocations ------------------------------------------------------
 
     def _index_invocation(self, key: str) -> None:
-        payload = self._catalog._cached_payload("invocation", key)
-        if payload is None:
+        entry = self._catalog._at_rest("invocation", key)
+        if entry is None:
             return
-        derivation = payload["derivation_name"]
+        derivation = field(entry, "derivation_name")
         self.touched = (derivation,)
         old = self._invocation_shadow.get(key)
         if old is not None and old != derivation:

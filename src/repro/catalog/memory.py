@@ -6,58 +6,74 @@ simulation workloads: nothing persists beyond the process.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
-from repro.catalog.base import KINDS, VirtualDataCatalog
-from repro.catalog.payloads import json_copy, share_common
+from repro.catalog.base import _DECODERS, KINDS, VirtualDataCatalog
+from repro.errors import NotFoundError
 
 
 class MemoryCatalog(VirtualDataCatalog):
-    """A catalog whose storage is a pair of nested dictionaries.
+    """A catalog whose storage is one dictionary of records per kind.
 
-    A put keeps the document it is handed (the base class serializes a
-    fresh one per write and shares it read-only); what is not the
-    catalog's own — a snapshot being imported, a ``_store_get`` result
-    — is deep-copied, so callers can never mutate stored state behind
-    the catalog's back: the same isolation a real service boundary
-    would provide.  Being read-only, stored documents also share the
-    sub-documents most records spell out alike (``share_common``).
+    A put keeps the private record the base class made of the caller's
+    object (one copy, canonicalized as decoding its document would be),
+    and every reader shares it read-only: there is no document to
+    decode and nothing to cache.  Documents exist only where they leave
+    the catalog — ``_store_get`` and ``export_snapshot`` encode a fresh
+    one, owned by the caller — and where they enter it: an imported
+    snapshot or a restored payload is decoded into records.  Callers
+    can therefore never mutate stored state behind the catalog's back:
+    the same isolation a real service boundary would provide.
     """
+
+    _stores_records = True
 
     def __init__(self, authority: Optional[str] = None, **kwargs):
         super().__init__(authority=authority, **kwargs)
-        self._data: dict[str, dict[str, dict]] = {kind: {} for kind in KINDS}
+        self._data: dict[str, dict[str, Any]] = {kind: {} for kind in KINDS}
+
+    # -- records ------------------------------------------------------------
+
+    def _put_record(
+        self, kind: str, key: str, record: Any, payload: Optional[dict]
+    ) -> None:
+        self._data[kind][key] = record
+
+    def _at_rest(
+        self, kind: str, key: str, keep: bool = True
+    ) -> Optional[Any]:
+        return self._data[kind].get(key)
+
+    def _scan(self, kind: str) -> Iterator[tuple[str, Any]]:
+        return iter(self._data[kind].items())
+
+    def _load_derivation(self, name: str) -> Any:
+        # Unsynchronized on purpose: one dict read, the graph's hot path.
+        dv = self._data["derivation"].get(name)
+        if dv is None:
+            raise NotFoundError(f"derivation {name!r} not found")
+        return dv
+
+    # -- documents ----------------------------------------------------------
 
     def _store_put(self, kind: str, key: str, payload: dict) -> None:
-        self._data[kind][key] = share_common(payload)
+        self._data[kind][key] = _DECODERS[kind](payload)
 
     def _store_put_many(
         self, kind: str, items: list[tuple[str, dict]]
     ) -> None:
-        # A snapshot's documents stay the importer's.
-        self._data[kind].update(
-            (key, share_common(json_copy(payload))) for key, payload in items
-        )
+        decode = _DECODERS[kind]
+        self._data[kind].update((key, decode(payload)) for key, payload in items)
 
     def _store_get(self, kind: str, key: str) -> Optional[dict]:
-        payload = self._data[kind].get(key)
-        return json_copy(payload) if payload is not None else None
+        record = self._data[kind].get(key)
+        return record.to_dict() if record is not None else None
 
     def _store_delete(self, kind: str, key: str) -> None:
         self._data[kind].pop(key, None)
 
     def _store_keys(self, kind: str) -> list[str]:
         return list(self._data[kind])
-
-    def _store_peek(self, kind: str, key: str) -> Optional[dict]:
-        # The stored document itself (no isolation copy); the
-        # base-class contract makes the caller promise read-only.
-        return self._data[kind].get(key)
-
-    def _store_scan(self, kind: str) -> Iterator[tuple[str, dict]]:
-        # Yields the stored documents themselves (no isolation copy);
-        # the base-class contract makes the caller promise read-only.
-        yield from self._data[kind].items()
 
     def _store_has(self, kind: str, key: str) -> bool:
         return key in self._data[kind]

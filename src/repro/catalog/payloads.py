@@ -1,73 +1,192 @@
-"""Fast structural copies for catalog payload documents.
+"""The two forms of a stored object: records in the process, documents
+where bytes leave it.
 
-Every payload a catalog stores is a JSON document by construction —
-the persistent backends round-trip them through ``json.dumps`` — so
-isolation copies never need :func:`copy.deepcopy`'s cycle detection,
-memo table, or ``__deepcopy__`` dispatch.  :func:`json_copy` walks the
-dict/list/scalar structure directly, which profiles 4-6x faster and
-dominates both bulk graph registration and cold planning at 10^5-10^6
-catalog objects.
+A catalog's working form is the *record* — the :class:`Dataset`,
+:class:`Derivation`, ... object itself, private to the catalog and
+read-only once stored.  A *document* (``to_dict()``) is a persistence
+format: the SQLite and file-tree backends write one per put, the
+intent journal records them, ``export_snapshot`` hands them out.
+
+:func:`owned` makes the record a put stores: a copy of the caller's
+object, canonicalized the way decoding its document would be, so a
+record kept in memory and one read back from disk are the same
+object graph (untyped datasets share :data:`ANY_DATASET`, size-less
+virtual descriptors one instance, attribute-less records the shared
+empty history, and formal names are interned).
+
+The readers below take a stored object *at rest*: a record, or — on a
+document backend, until a reader decodes it — the document loaded for
+it.  Whole-store scans and index maintenance read the few fields they
+need off either form, so a cold scan of a document backend decodes
+nothing and a memory catalog encodes nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from sys import intern
+from typing import Any, Callable, Optional
 
-from repro.core.descriptors import VirtualDescriptor, descriptor_to_dict
-from repro.core.types import ANY_DATASET
+from repro.core.attributes import AttributeSet
+from repro.core.derivation import DatasetArg
+from repro.core.descriptors import descriptor_from_dict
+from repro.core.invocation import ExecutionContext
+from repro.core.naming import VDPRef
+from repro.core.types import ANY_DATASET, DatasetType
 
-#: Immutable leaf types a JSON payload may contain.  Tuples appear only
-#: transiently (in-memory payloads built from dataclasses); they are
-#: copied as lists, matching what a JSON round trip would produce.
-_ATOMIC = (str, int, float, bool, type(None))
-
-
-def json_copy(document: Any) -> Any:
-    """An owned structural copy of a JSON-shaped document.
-
-    Handles dicts, lists/tuples and scalar leaves; anything else falls
-    back to :func:`copy.deepcopy` so a payload that smuggles in an
-    unexpected object is still copied correctly (just not quickly).
-    """
-    if isinstance(document, _ATOMIC):
-        return document
-    if isinstance(document, dict):
-        return {key: json_copy(value) for key, value in document.items()}
-    if isinstance(document, (list, tuple)):
-        return [json_copy(item) for item in document]
-    import copy
-
-    return copy.deepcopy(document)
+#: The shared instance every size-less virtual descriptor decodes to.
+_VIRTUAL = descriptor_from_dict({"kind": "virtual", "size_hint": None})
 
 
-#: Sub-documents most stored records carry verbatim — empty attribute
-#: and environment maps, the untyped dataset's type, the undescribed
-#: (virtual) dataset's descriptor — keyed by their items.
-_COMMON: dict[tuple, dict] = {
-    tuple(document.items()): document
-    for document in (
-        {},
-        ANY_DATASET.as_dict(),
-        descriptor_to_dict(VirtualDescriptor()),
+def _attributes(attributes: AttributeSet) -> AttributeSet:
+    """The set decoding would build: current values only, and the
+    shared empty history when there are none."""
+    return AttributeSet(attributes.as_dict()) if len(attributes) else AttributeSet()
+
+
+def _descriptor(descriptor):
+    return _VIRTUAL if descriptor == _VIRTUAL else descriptor
+
+
+def _own_dataset(ds):
+    clone = ds.copy()
+    if clone.dataset_type == ANY_DATASET:
+        clone.dataset_type = ANY_DATASET
+    clone.descriptor = _descriptor(clone.descriptor)
+    clone.attributes = _attributes(ds.attributes)
+    return clone
+
+
+def _own_replica(replica):
+    clone = replica.copy()
+    if clone.descriptor is not None:
+        clone.descriptor = _descriptor(clone.descriptor)
+    clone.attributes = _attributes(replica.attributes)
+    return clone
+
+
+def _own_derivation(dv):
+    clone = dv.copy()
+    clone.transformation = VDPRef.parse(
+        dv.transformation.uri(), default_kind="transformation"
     )
+    clone.actuals = {intern(key): value for key, value in dv.actuals.items()}
+    clone.attributes = _attributes(dv.attributes)
+    return clone
+
+
+def _own_invocation(inv):
+    clone = inv.copy()
+    ctx = inv.context
+    clone.context = ExecutionContext.make(
+        site=ctx.site,
+        host=ctx.host,
+        os=ctx.os,
+        processor=ctx.processor,
+        environment=ctx.environment_dict(),
+    )
+    clone.attributes = _attributes(inv.attributes)
+    return clone
+
+
+_OWNERS: dict[str, Callable[[Any], Any]] = {
+    "dataset": _own_dataset,
+    "replica": _own_replica,
+    "derivation": _own_derivation,
+    "invocation": _own_invocation,
 }
-_LONGEST = max(map(len, _COMMON))
 
 
-def share_common(document: dict) -> dict:
-    """``document`` with each top-level sub-document that equals a
-    common one (:data:`_COMMON`) replaced by the shared instance.
+def owned(
+    kind: str, obj: Any, decode: Callable[[dict], Any]
+) -> tuple[Any, Optional[dict]]:
+    """``(record, document)``: the private record a put of ``obj``
+    stores, and its document when making the record built one.
 
-    Edits ``document`` in place and returns it.  Only for documents a
-    catalog owns: stored documents are read-only, so every record can
-    point at one copy of what most records spell out in full.
+    A transformation's structure is its canonical XML, so its record
+    is decoded from the document (``decode``), which the put then
+    writes; every other kind is copied field by field and encodes
+    nothing here.
     """
-    for key, value in document.items():
-        if type(value) is dict and len(value) <= _LONGEST:
-            try:
-                common = _COMMON.get(tuple(value.items()))
-            except TypeError:  # an unhashable (list) value
+    owner = _OWNERS.get(kind)
+    if owner is not None:
+        return owner(obj), None
+    document = obj.to_dict()
+    return decode(document), document
+
+
+# -- reading an object at rest -----------------------------------------------
+
+
+def document(entry: Any) -> Optional[dict]:
+    """``entry`` as a document (a loaded one is returned as is)."""
+    if entry is None or type(entry) is dict:
+        return entry
+    return entry.to_dict()
+
+
+def field(entry: Any, name: str) -> Any:
+    """A top-level field a record and its document spell alike
+    (``dataset_name``, ``derivation_name``, ``status``, ...)."""
+    if type(entry) is dict:
+        return entry.get(name)
+    return getattr(entry, name)
+
+
+def attribute(entry: Any, name: str) -> Any:
+    """The current value of attribute ``name``, or None."""
+    if type(entry) is dict:
+        return (entry.get("attributes") or {}).get(name)
+    return entry.attributes.get(name)
+
+
+def dataset_type(entry: Any) -> DatasetType:
+    """A dataset's declared type."""
+    if type(entry) is dict:
+        spec = entry.get("type") or {}
+        return DatasetType(
+            content=spec.get("content", DatasetType.content),
+            format=spec.get("format", DatasetType.format),
+            encoding=spec.get("encoding", DatasetType.encoding),
+        )
+    return entry.dataset_type
+
+
+def dataset_size(entry: Any, default: int) -> int:
+    """A dataset's planning size (:meth:`Dataset.size_estimate`)."""
+    if type(entry) is not dict:
+        return entry.size_estimate(default)
+    size = (entry.get("attributes") or {}).get("size")
+    if isinstance(size, (int, float)):
+        return int(size)
+    if entry.get("descriptor"):
+        nominal = descriptor_from_dict(entry["descriptor"]).nominal_size()
+        if nominal is not None:
+            return nominal
+    return default
+
+
+def derivation_edges(entry: Any) -> tuple[set[str], set[str], str]:
+    """(inputs, outputs, transformation name) of a derivation."""
+    inputs: set[str] = set()
+    outputs: set[str] = set()
+    if type(entry) is dict:
+        for actual in entry.get("actuals", {}).values():
+            if not isinstance(actual, dict):
                 continue
-            if common is not None:
-                document[key] = common
-    return document
+            direction = actual.get("direction", "input")
+            if direction in ("input", "inout"):
+                inputs.add(actual["dataset"])
+            if direction in ("output", "inout"):
+                outputs.add(actual["dataset"])
+        tr_name = VDPRef.parse(
+            entry["transformation"], default_kind="transformation"
+        ).name
+        return inputs, outputs, tr_name
+    for actual in entry.actuals.values():
+        if isinstance(actual, DatasetArg):
+            if actual.direction in ("input", "inout"):
+                inputs.add(actual.dataset)
+            if actual.direction in ("output", "inout"):
+                outputs.add(actual.dataset)
+    return inputs, outputs, entry.transformation.name
+

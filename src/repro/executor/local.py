@@ -89,7 +89,7 @@ def commit_invocation(
             if isinstance(replica.descriptor, FileDescriptor):
                 name = replica.dataset_name
                 if catalog.has_dataset(name):
-                    ds = catalog._decoded("dataset", name)  # only read
+                    ds = catalog._record("dataset", name)  # only read
                 else:
                     ds = Dataset(name=name)
                 catalog.add_dataset(
@@ -178,7 +178,7 @@ class LocalExecutor:
             return False
         matching = [
             replica
-            for replica in self.catalog._decoded_replicas_of(dataset_name)
+            for replica in self.catalog._replica_records_of(dataset_name)
             if isinstance(replica.descriptor, FileDescriptor)
             and replica.descriptor.path == str(path)
         ]

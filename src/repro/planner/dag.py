@@ -25,6 +25,7 @@ from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
+from repro.catalog.payloads import dataset_size
 from repro.catalog.resolver import ReferenceResolver
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.topology import dependency_counts, kahn_levels, reachable
@@ -417,27 +418,13 @@ class Planner:
         cached = self._size_memo.get(lfn)
         if cached is not None:
             return cached
-        # Straight off the payload document: decoding a full Dataset
-        # per plan-step output dominates plan construction at 10^5+
-        # steps, and the size lives in two known payload spots.  The
-        # peek (vs _cached_payload) keeps bulk planner walks from
-        # evicting the LRU's working set one dataset at a time.
-        payload = self.catalog._peek_payload("dataset", lfn)
-        if payload is None:
-            size = 1_000_000
-        else:
-            attr = (payload.get("attributes") or {}).get("size")
-            if isinstance(attr, (int, float)):
-                size = int(attr)
-            elif payload.get("descriptor"):
-                from repro.core.descriptors import descriptor_from_dict
-
-                nominal = descriptor_from_dict(
-                    payload["descriptor"]
-                ).nominal_size()
-                size = nominal if nominal is not None else 1_000_000
-            else:
-                size = 1_000_000
+        # Straight off the stored object at rest: on a document backend
+        # decoding a full Dataset per plan-step output dominates plan
+        # construction at 10^5+ steps, and the size lives in two known
+        # document spots.  keep=False keeps bulk planner walks from
+        # evicting the cache's working set one dataset at a time.
+        entry = self.catalog._at_rest("dataset", lfn, keep=False)
+        size = 1_000_000 if entry is None else dataset_size(entry, 1_000_000)
         self._size_memo[lfn] = size
         return size
 

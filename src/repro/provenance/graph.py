@@ -92,10 +92,12 @@ class DerivationGraph:
         #: derivation -> names of the datasets it reads / writes.
         self._inputs: dict[str, tuple[str, ...]] = {}
         self._outputs: dict[str, tuple[str, ...]] = {}
-        #: name -> Derivation, once decoded through :meth:`derivation`.
+        #: name -> Derivation, once loaded through :meth:`derivation`.
         self._decoded: dict[str, Derivation] = {}
-        #: Decoder for lazy nodes (typically ``catalog.get_derivation``).
+        #: Loader for lazy nodes (typically the catalog's record read).
         self._loader: Optional[Callable[[str], Derivation]] = None
+        #: Whether what the loader returns is kept in :attr:`_decoded`.
+        self._keep = True
         for dv in derivations:
             self.add_derivation(dv)
 
@@ -104,17 +106,17 @@ class DerivationGraph:
         """Build a snapshot graph over every derivation in a catalog.
 
         A full scan of storage, independent of the live graph the
-        catalog maintains: edges come straight off the stored payload
-        documents and the Derivation objects are decoded lazily on
-        first access.
+        catalog maintains: edges come straight off the stored records
+        (or the documents a document backend loads), and the Derivation
+        objects are read lazily on first access.
         """
-        from repro.catalog.index import _derivation_edges
+        from repro.catalog.payloads import derivation_edges
 
         graph = cls()
-        loader = getattr(catalog, "_decode_derivation", None)
+        loader = getattr(catalog, "_load_derivation", None)
         graph.set_loader(loader or catalog.get_derivation)
-        for key, payload in catalog._store_scan("derivation"):
-            inputs, outputs, _ = _derivation_edges(payload)
+        for key, entry in catalog._scan("derivation"):
+            inputs, outputs, _ = derivation_edges(entry)
             graph.add_derivation_edges(key, inputs, outputs)
         return graph
 
@@ -125,9 +127,17 @@ class DerivationGraph:
         self.add_derivation_edges(dv.name, dv.inputs(), dv.outputs())
         self._decoded[dv.name] = dv
 
-    def set_loader(self, loader: Callable[[str], Derivation]) -> None:
-        """Install the decoder lazy nodes resolve through."""
+    def set_loader(
+        self, loader: Callable[[str], Derivation], keep: bool = True
+    ) -> None:
+        """Install the loader lazy nodes resolve through.
+
+        ``keep=False`` when the loader is as cheap as a lookup here (a
+        memory catalog's store): the graph then holds no second
+        reference per derivation.
+        """
         self._loader = loader
+        self._keep = keep
 
     def add_derivation_edges(
         self, name: str, inputs: Iterable[str], outputs: Iterable[str]
@@ -201,7 +211,9 @@ class DerivationGraph:
                     f"derivation {name!r} registered lazily but the graph "
                     f"has no loader"
                 )
-            dv = self._decoded[name] = self._loader(name)
+            dv = self._loader(name)
+            if self._keep:
+                self._decoded[name] = dv
         return dv
 
     def nodes(self) -> list[Node]:

@@ -226,7 +226,7 @@ def cross_catalog_lineage(
 def _version_lookup(catalog: VirtualDataCatalog):
     """``version_of(dv)`` for one report: each transformation is looked
     up once, and only its version string is read — off the catalog's
-    shared decoded form, not a copy of the whole transformation."""
+    shared record, not a copy of the whole transformation."""
     versions: dict[str, Optional[str]] = {}
 
     def version_of(dv: Derivation) -> Optional[str]:
@@ -235,7 +235,7 @@ def _version_lookup(catalog: VirtualDataCatalog):
             return None
         if name not in versions:
             versions[name] = (
-                catalog._decoded_transformation(name).version
+                catalog._transformation_record(name).version
                 if catalog.has_transformation(name)
                 else None
             )

@@ -56,11 +56,22 @@ class TestByTransformationIndex:
 class TestPayloadCache:
     def test_repeat_lookups_hit(self, any_catalog):
         any_catalog.define(DIAMOND_VDL)
-        any_catalog.get_derivation("a1")
+        any_catalog.get_dataset("final")
         before = any_catalog.cache_stats()["hits"]
-        any_catalog.get_derivation("a1")
-        any_catalog.get_derivation("a1")
-        assert any_catalog.cache_stats()["hits"] >= before + 2
+        any_catalog.get_dataset("final")
+        any_catalog.get_dataset("final")
+        if isinstance(any_catalog, MemoryCatalog):
+            # The store holds the records: there is no cache to hit.
+            assert any_catalog.cache_stats()["hits"] == before == 0
+        else:
+            assert any_catalog.cache_stats()["hits"] >= before + 2
+        # Derivations are served from the graph's one record each.
+        assert any_catalog.get_derivation("a1") is not (
+            any_catalog.get_derivation("a1")
+        )
+        assert any_catalog._record("derivation", "a1") is (
+            any_catalog.derivation_graph().derivation("a1")
+        )
 
     def test_mutation_invalidates(self, any_catalog):
         any_catalog.define(DIAMOND_VDL)

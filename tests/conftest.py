@@ -72,14 +72,14 @@ def derivation_scans(monkeypatch):
 
     def watch(catalog, kind="derivation"):
         scans = []
-        scan = catalog._store_scan
+        scan = catalog._scan
 
         def counting(scanned):
             if scanned == kind:
                 scans.append(scanned)
             return scan(scanned)
 
-        monkeypatch.setattr(catalog, "_store_scan", counting)
+        monkeypatch.setattr(catalog, "_scan", counting)
         return scans
 
     return watch

@@ -20,7 +20,7 @@ from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
 from repro.core.naming import VDPRef, check_object_name
 from repro.core.replica import Replica
 from repro.core.transformation import SimpleTransformation
-from repro.core.types import DatasetType
+from repro.core.types import ANY_DATASET, DatasetType
 from repro.planner.dag import PlanStep
 
 
@@ -124,16 +124,24 @@ def test_empty_attribute_sets_write_into_their_own_history():
 
 
 def test_memory_store_shares_common_subdocuments():
+    """The memory store keeps records, and records share what nearly
+    every one spells out alike: the untyped type, the size-less virtual
+    descriptor and the empty attribute history."""
     catalog = MemoryCatalog()
     catalog.add_dataset(Dataset(name="d.one"))
-    catalog.add_dataset(Dataset(name="d.two"))
-    one = catalog._store_peek("dataset", "d.one")
-    two = catalog._store_peek("dataset", "d.two")
-    for key in ("type", "descriptor", "attributes"):
-        assert one[key] is two[key]
-    # What leaves the catalog is still an owned copy.
+    catalog.add_dataset(Dataset(name="d.two", dataset_type=DatasetType()))
+    one = catalog._record("dataset", "d.one")
+    two = catalog._record("dataset", "d.two")
+    assert one.dataset_type is two.dataset_type is ANY_DATASET
+    assert one.descriptor is two.descriptor
+    assert one.attributes._history is two.attributes._history
+    # What leaves the catalog is still an owned document.
     copied = catalog._store_get("dataset", "d.one")
-    assert copied == one and copied["type"] is not one["type"]
+    assert copied == Dataset(name="d.one").to_dict()
+    assert copied == catalog._store_get("dataset", "d.one")
+    assert copied is not catalog._store_get("dataset", "d.one")
+    copied["type"]["content"] = "scribbled"
+    assert catalog._store_get("dataset", "d.one")["type"] == ANY_DATASET.as_dict()
     catalog.add_dataset(Dataset(name="d.one", attributes={"size": 3}), replace=True)
     assert catalog.get_dataset("d.two").attributes.as_dict() == {}
     assert catalog.get_dataset("d.one").attributes.as_dict() == {"size": 3}

@@ -30,6 +30,8 @@ import pytest
 
 from repro import VirtualDataSystem
 from repro.catalog.memory import MemoryCatalog
+from repro.catalog.sqlite import SQLiteCatalog
+from repro.core.derivation import Derivation
 from repro.errors import ExecutionError, MaterializationError
 from repro.executor import local as local_module
 from repro.executor.local import LocalExecutor
@@ -50,24 +52,9 @@ BAD = f"mid{WIDTH // 2:03d}"
 # -- estimator / planner: O(N) derivation decodes ---------------------------
 
 
-class CountingCatalog(MemoryCatalog):
-    """Counts every derivation decode, copying or not."""
-
-    decodes = 0
-
-    def get_derivation(self, name):
-        self.decodes += 1
-        return super().get_derivation(name)
-
-    def _decode_derivation(self, name):
-        self.decodes += 1
-        return super()._decode_derivation(name)
-
-
-def plan_decodes(n: int) -> int:
-    """Derivation decodes of one ``GridExecutor.plan`` over ``n``
-    derivations of one transformation, none of them ever run."""
-    catalog = CountingCatalog()
+def plan_decodes(n: int, catalog) -> int:
+    """``Derivation.from_dict`` calls of one ``GridExecutor.plan`` over
+    ``n`` derivations of one transformation, none of them ever run."""
     canonical.define_transformations(catalog)
     catalog.define(
         "".join(
@@ -77,22 +64,36 @@ def plan_decodes(n: int) -> int:
         )
     )
     vds = VirtualDataSystem.with_grid({"a": 4, "b": 4}, catalog=catalog)
-    catalog.decodes = 0
-    plan = vds.executor.plan(
-        MaterializationRequest(
-            targets=tuple(f"g{i:04d}.out" for i in range(n)), reuse="never"
+    catalog._rebuild_indexes()  # cold, as after an open
+    decodes = []
+    real = Derivation.from_dict.__func__
+
+    def counting(cls, data):
+        decodes.append(data["name"])
+        return real(cls, data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Derivation, "from_dict", classmethod(counting))
+        plan = vds.executor.plan(
+            MaterializationRequest(
+                targets=tuple(f"g{i:04d}.out" for i in range(n)),
+                reuse="never",
+            )
         )
-    )
     assert len(plan.steps) == n
-    return catalog.decodes
+    return len(decodes)
 
 
 class TestPlanDecodesLinear:
     def test_decodes_are_linear_in_derivations(self):
-        small, large = plan_decodes(300), plan_decodes(600)
-        # A handful of decodes per derivation (graph build, planning),
-        # where re-scanning per estimate cost 2·N per derivation.
-        assert small <= 4 * 300
+        # A memory catalog keeps records: a cold plan decodes nothing.
+        assert plan_decodes(300, MemoryCatalog()) == 0
+        assert plan_decodes(600, MemoryCatalog()) == 0
+        # A document backend decodes each derivation once (the graph
+        # keeps it), where re-scanning per estimate cost 2·N each.
+        small = plan_decodes(300, SQLiteCatalog())
+        large = plan_decodes(600, SQLiteCatalog())
+        assert small <= 300
         assert large <= 2 * small
 
 

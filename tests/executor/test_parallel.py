@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.memory import MemoryCatalog
+from repro.catalog.sqlite import SQLiteCatalog
 from repro.errors import ExecutionError, MaterializationError
 from repro.executor.local import LocalExecutor
 from repro.workloads import canonical
@@ -266,9 +267,12 @@ class TestPoolMetrics:
         from repro.observability.instrument import Instrumentation
 
         obs = Instrumentation()
-        catalog = MemoryCatalog(instrumentation=obs)
+        # The record cache lives on the document backends (a memory
+        # catalog's store holds its records).
+        catalog = SQLiteCatalog(instrumentation=obs)
         canonical.define_transformations(catalog)
         catalog.define(wide_vdl())
+        catalog._rebuild_indexes()  # cold cache, as after an open
         executor = LocalExecutor(catalog, tmp_path / "obs", instrumentation=obs)
         canonical.register_bodies(executor)
         executor.materialize("final.out", workers=4)
