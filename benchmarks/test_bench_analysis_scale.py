@@ -12,9 +12,9 @@ Writes ``BENCH_ANALYSIS_SCALE.json`` at the repo root;
 still covers the full 10^5-node graph.
 """
 
-import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.analysis.incremental import IncrementalAnalyzer
@@ -31,6 +31,10 @@ NODES = 100_000
 #: (staleness targets, GC candidates) without dominating generation.
 REPLICA_STRIDE = 16
 MUTATIONS = 3
+#: What the cold solve finds on this graph, per code.  The sparse full
+#: solve seeds and reports only nodes whose fact or report can leave
+#: bottom; a seed set that misses one drops a finding here.
+EXPECTED_DIAGNOSTICS = {"VDG611": 123}
 RESULT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_ANALYSIS_SCALE.json"
 )
@@ -112,6 +116,9 @@ def test_anscale_incremental_vs_cold(scenario, table):
             "incremental_s": incremental_s,
             "speedup": speedup,
             "diagnostics": len(cold_diags),
+            "diagnostics_by_code": dict(
+                sorted(Counter(d.code for d in cold_diags).items())
+            ),
         }
         table(
             "ANSCALE: full vs single-mutation incremental analysis",
@@ -128,6 +135,8 @@ def test_anscale_incremental_vs_cold(scenario, table):
         )
         atomic_write_json(RESULT_PATH, results)
         analyzer.close()
+        assert results["diagnostics_by_code"] == EXPECTED_DIAGNOSTICS
+        assert len(cold_diags) == sum(EXPECTED_DIAGNOSTICS.values())
         # The incremental query must beat the cold solve handily even
         # on loaded CI hosts; the full 50x acceptance floor is enforced
         # on unloaded baseline runs and by check_bench_trajectory.py.

@@ -14,9 +14,16 @@ least fixpoint.  Everything is iterative — no recursion — so
 million-node graphs neither overflow the stack nor pay quadratic
 rescans.
 
+Facts equal to the pass's :attr:`~DataflowPass.bottom` are never
+stored: a missing fact *is* bottom, so an analysis pays only for the
+nodes it has something to say about.
+
 Two solve modes:
 
-* **full** — clear all facts, seed every node, iterate to fixpoint;
+* **full** — clear all facts, seed the nodes the pass names
+  (:meth:`~DataflowPass.full_seeds`: those whose fact can leave bottom
+  while every neighbour is still there), iterate to fixpoint, and
+  report the nodes it names (:meth:`~DataflowPass.full_report`);
 * **incremental** — seed only the nodes whose inputs changed and let
   changes propagate outward.  Facts that merely *grow* (lattice
   increases) propagate exactly.  When a fact *shrinks* the engine
@@ -94,6 +101,10 @@ class DataflowPass:
     the engine neither seeds, visits nor stores it (its fact is bottom,
     so no fact travels through it either), without a report it is
     never reported.
+
+    A full solve costs what :meth:`full_seeds` and :meth:`full_report`
+    name, so a pass that can tell which nodes leave :attr:`bottom`
+    names only those; the defaults name every live node.
     """
 
     name: str = "pass"
@@ -103,6 +114,9 @@ class DataflowPass:
     #: node's *report*.  1 covers reports that read dependency-neighbour
     #: facts; passes whose reports look further set it higher.
     report_hops: int = 1
+    #: The least fact.  A fact equal to it is never stored, and a
+    #: missing fact reads as it.
+    bottom: Any = None
 
     #: The node's new fact, computed from the facts of ``sources`` (the
     #: neighbour names on the side the pass reads from, as the graph
@@ -125,6 +139,13 @@ class DataflowPass:
     #: ``new=None`` when the derivation leaves the graph.
     on_fact_change: Optional[Callable[[str, Any, Any, Any], Iterable[str]]] = None
 
+    #: ``on_relink(lfns, model)``: names of derivations whose *reports*
+    #: depend on which derivations write ``lfns``.  Called by the live
+    #: analyzer when a derivation put or delete links or unlinks those
+    #: datasets, for reports that relate a derivation to writers whose
+    #: fact stays at bottom (and so never calls :attr:`on_fact_change`).
+    on_relink: Optional[Callable[[Iterable[str], Any], Iterable[str]]] = None
+
     def subsumes(self, new: Any, old: Any) -> bool:
         """True when ``new`` >= ``old`` in the pass's fact lattice.
 
@@ -134,9 +155,26 @@ class DataflowPass:
         """
         return new == old
 
-    def on_full_solve(self, model: Any) -> None:
-        """Called before a full solve; reset any model-side indexes."""
-        return None
+    def full_seeds(self, graph: "DerivationGraph", model: Any) -> PerKind:
+        """Where a full solve starts, from empty tables.
+
+        Must name every node whose transfer leaves :attr:`bottom` while
+        all its sources are still at bottom; every other non-bottom
+        fact is reached from those.  Names outside the graph are
+        skipped.  Called once per full solve, before any transfer, so a
+        pass resets its model-side indexes here.
+        """
+        return members(graph)
+
+    def full_report(
+        self, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> PerKind:
+        """After a full solve, every node whose report can be non-empty.
+
+        Read once, right after the solve, so it may name the pass's own
+        tables or the model's indexes rather than copy them.
+        """
+        return members(graph)
 
 
 @dataclass
@@ -160,8 +198,11 @@ class SolveResult:
 
     #: Nodes whose fact differs from before the solve.
     changed: PerKind = field(default_factory=name_sets)
-    #: Nodes whose diagnostics must be regenerated (superset of
-    #: ``changed``: includes seeds and any re-solved cone).
+    #: Nodes whose diagnostics must be regenerated.  Incremental: a
+    #: superset of ``changed`` that includes seeds and any re-solved
+    #: cone.  Full: the pass's :meth:`~DataflowPass.full_report`, which
+    #: may name the graph's, the model's or the pass's own containers
+    #: (read it before the next mutation; never write to it).
     report: PerKind = field(default_factory=name_sets)
     stats: SolveStats = field(default_factory=SolveStats)
 
@@ -220,7 +261,7 @@ class _Solver:
         the order one mixed FIFO seeded datasets-first would visit in.
         """
         facts, model, transfers = self.facts, self.model, self.transfers
-        subsumes = self.pass_.subsumes
+        subsumes, bottom = self.pass_.subsumes, self.pass_.bottom
         work = [
             deque(sorted(names) if transfer is not None else ())
             for names, transfer in zip(seeds, transfers)
@@ -246,7 +287,7 @@ class _Solver:
                     if name not in alive:
                         continue
                     visited += 1
-                    old = table.get(name)
+                    old = table.get(name, bottom)
                     new = transfer(
                         name, reads[name] if reads is not None else (), facts, model
                     )
@@ -254,7 +295,7 @@ class _Solver:
                         continue
                     if (
                         shrank is not None
-                        and old is not None
+                        and old != bottom
                         and not subsumes(new, old)
                     ):
                         shrank.add(name)
@@ -266,7 +307,10 @@ class _Solver:
                             # and a growth chasing each other round one
                             # would never settle.
                             continue
-                    table[name] = new
+                    if new == bottom:
+                        del table[name]
+                    else:
+                        table[name] = new
                     moved.add(name)
                     if hook is not None:
                         self.report_extra.update(hook(name, old, new, model))
@@ -312,8 +356,10 @@ def solve(
     """Solve ``pass_`` to fixpoint, fully or from dirty ``seeds``.
 
     ``facts`` is mutated in place.  ``seeds=None`` requests a full
-    solve (facts cleared, every node seeded); otherwise only the seeds
-    are recomputed and changes propagate along the pass's direction.
+    solve (facts cleared, the pass's :meth:`~DataflowPass.full_seeds`
+    seeded, its :meth:`~DataflowPass.full_report` returned as the
+    report set); otherwise only the seeds are recomputed and changes
+    propagate along the pass's direction.
     """
     result = SolveResult()
     stats = result.stats
@@ -322,9 +368,10 @@ def solve(
         stats.mode = "full"
         for table in facts:
             table.clear()
-        pass_.on_full_solve(model)
-        stats.seeds = solver.seeded(solver.live)
-        solver.iterate(solver.live, result.changed, None)
+        seeds = pass_.full_seeds(graph, model)
+        stats.seeds = solver.seeded(seeds)
+        solver.iterate(seeds, result.changed, None)
+        result.report = pass_.full_report(graph, facts, model)
     else:
         stats.mode = "incremental"
         seeds = PerKind(
@@ -371,6 +418,6 @@ def solve(
                     nxt[1 - kind].update(reach.get(name, ()))
             _merge(result.report, nxt)
             frontier = nxt
-    _merge(result.report, result.changed)
+        _merge(result.report, result.changed)
     stats.changed = sum(map(len, result.changed))
     return result

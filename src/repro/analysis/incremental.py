@@ -29,6 +29,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -75,6 +76,22 @@ _IN = ("input", "inout")
 _InvMeta = Tuple[float, str, Optional[str], Optional[str]]
 
 
+class _Traits(NamedTuple):
+    """What a full solve asks of a transformation target."""
+
+    #: A formal has deep output types: its outputs get type-flow facts.
+    writes_types: bool
+    #: An untyped formal feeds typed ones inside: type-flow reports.
+    requires_types: bool
+    #: A formal is written more than once, or a literal LFN is
+    #: written, inside the body: output-conflict facts.
+    writes_internally: bool
+
+
+#: The vias of a writer the graph lists and the writer index does not.
+_SURFACE_ONLY = (SURFACE,)
+
+
 def _version_key(version: str) -> Any:
     try:
         return (0, Version.parse(version))
@@ -109,10 +126,17 @@ class GraphModel:
         self._deep_out: Dict[Tuple[str, str], Any] = {}
         self._deep_req: Dict[Tuple[str, str], Any] = {}
         self._sinks: Dict[str, Tuple[Dict[str, int], Tuple[str, ...]]] = {}
+        self._traits: Dict[str, _Traits] = {}
         self._recipe_cache: Dict[str, Any] = {}
-        self._ds_types: Dict[str, Optional[DatasetType]] = {}
-        #: LFN -> ((writer, vias), ...): a tuple, as nearly every LFN
-        #: has one writer; the vias tuples are shared (``_vias``).
+        #: LFN -> declared type, for the datasets at rest declaring one.
+        self._ds_types: Dict[str, DatasetType] = {}
+        #: Datasets whose record changed since it was last read.
+        self._ds_unread: Set[str] = set()
+        #: LFN -> ((writer, vias), ...) for the derivations whose
+        #: target writes internally; every other writer writes on the
+        #: surface only, and the graph lists it.  A tuple, as nearly
+        #: every LFN has one writer; the vias tuples are shared
+        #: (``_vias``).
         self._conflict_writers: Dict[str, Tuple[Tuple[str, Any], ...]] = {}
         self._vias: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
@@ -144,26 +168,29 @@ class GraphModel:
         """The record's dataset type when concretely declared.
 
         Reads the stored object at rest rather than
-        ``catalog.get_dataset`` — this runs once per dataset node per
-        full solve, and the accessor's isolation copy dominates at
-        10^5 nodes.
+        ``catalog.get_dataset`` (the accessor's isolation copy would
+        dominate a scan at 10^5 nodes), and only when its record
+        changed since it was last read.
         """
-        if lfn in self._ds_types:
-            return self._ds_types[lfn]
-        return self.prime_dataset_type(lfn, self.catalog._at_rest("dataset", lfn))
+        if lfn in self._ds_unread:
+            self._ds_unread.discard(lfn)
+            self.prime_dataset_type(lfn, self.catalog._at_rest("dataset", lfn))
+        return self._ds_types.get(lfn)
 
-    def prime_dataset_type(
-        self, lfn: str, entry: Any
-    ) -> Optional[DatasetType]:
-        """Cache the declared type of a dataset at rest (a record or a
+    def typed_datasets(self) -> Dict[str, DatasetType]:
+        """LFN -> declared type of every dataset declaring one."""
+        for lfn in list(self._ds_unread):
+            self.dataset_declared_type(lfn)
+        return self._ds_types
+
+    def prime_dataset_type(self, lfn: str, entry: Any) -> None:
+        """Note the declared type of a dataset at rest (a record or a
         loaded document; None when absent)."""
-        declared: Optional[DatasetType] = None
-        if entry is not None:
-            dtype = dataset_type(entry)
-            if not dtype.is_any():
-                declared = dtype
-        self._ds_types[lfn] = declared
-        return declared
+        dtype = dataset_type(entry) if entry is not None else None
+        if dtype is None or dtype.is_any():
+            self._ds_types.pop(lfn, None)
+        else:
+            self._ds_types[lfn] = dtype
 
     # -- event upkeep (called by the analyzer) -------------------------
 
@@ -205,7 +232,7 @@ class GraphModel:
                 del self._invs_by_dv[dvn]
 
     def invalidate_dataset(self, lfn: str) -> None:
-        self._ds_types.pop(lfn, None)
+        self._ds_unread.add(lfn)
 
     def invalidate_transformations(self, base_name: str) -> PerKind:
         """A TR (version) changed: drop summaries, seed dependent DVs."""
@@ -215,6 +242,7 @@ class GraphModel:
         self._deep_out.clear()
         self._deep_req.clear()
         self._sinks.clear()
+        self._traits.clear()
         # By reference name, so a remote target of the same name is
         # re-judged too: harmless, and no derivation is decoded here.
         dependents: Set[str] = set()
@@ -289,6 +317,52 @@ class GraphModel:
                     obj = None
         self._tr_objects[target] = obj
         return obj
+
+    # -- where a full solve starts ---------------------------------------
+
+    def traits(self, target: str) -> _Traits:
+        """What ``target``'s deeply expanded body declares, memoized."""
+        traits = self._traits.get(target)
+        if traits is None:
+            info = self.resolve_trinfo(target)
+            formals = [
+                f.name for f in (info.formals if info else ()) if not f.is_string
+            ]
+            counts, literals = self._write_sinks(target)
+            traits = self._traits[target] = _Traits(
+                writes_types=any(
+                    self.deep_output_types(target, f) is not None
+                    for f in formals
+                ),
+                requires_types=any(
+                    self.deep_requirements(target, f) for f in formals
+                ),
+                writes_internally=bool(literals)
+                or any(count > 1 for count in counts.values()),
+            )
+        return traits
+
+    def callers(self, trait: str) -> Set[str]:
+        """Derivations whose target has ``trait``, a :class:`_Traits` field.
+
+        Judged by reference name, as the catalog indexes callers: a
+        remote target of the same name is counted in, which only adds
+        a node whose fact and report stay at bottom.
+        """
+        names: Set[str] = set()
+        for target, callers in self._indexes.by_transformation.items():
+            if callers and getattr(self.traits(target), trait):
+                names.update(callers)
+        return names
+
+    def executed(self) -> List[str]:
+        """Live derivations with recorded invocations."""
+        live = members(self.graph).derivations
+        return [dvn for dvn in self._invs_by_dv if dvn in live]
+
+    def replicated(self) -> Dict[str, Any]:
+        """The replica index: LFN -> replica ids (possibly none left)."""
+        return self._indexes.replicas_of
 
     # -- staleness support ---------------------------------------------
 
@@ -524,8 +598,28 @@ class GraphModel:
             self._sinks[target] = result
         return result
 
+    def writes_internally(self, dvn: str) -> bool:
+        return self.traits(self.dv_target(dvn)).writes_internally
+
     def writers_of(self, lfn: str) -> Dict[str, Tuple[str, ...]]:
-        return dict(self._conflict_writers.get(lfn, ()))
+        """Writer -> vias of ``lfn``: the index's, then the graph's."""
+        writers = dict.fromkeys(self.graph.producer_names(lfn), _SURFACE_ONLY)
+        writers.update(self._conflict_writers.get(lfn, ()))
+        return writers
+
+    def internal_writers(self, lfns: Iterable[str]) -> Set[str]:
+        """The indexed writers of any of ``lfns``."""
+        writers = self._conflict_writers
+        return {dvn for lfn in lfns for dvn, _ in writers.get(lfn, ())}
+
+    def conflict_report(self) -> Set[str]:
+        """The indexed writers and every surface writer of their LFNs."""
+        producers = self.graph.producer_names
+        names: Set[str] = set()
+        for lfn, writers in self._conflict_writers.items():
+            names.update(dvn for dvn, _ in writers)
+            names.update(producers(lfn))
+        return names
 
     def clear_writer_index(self) -> None:
         self._conflict_writers.clear()
@@ -563,9 +657,8 @@ class GraphModel:
             )
         extra: Set[str] = set()
         for lfn in affected:
-            for other, _vias in writers.get(lfn, ()):
-                if other != dvn:
-                    extra.add(other)
+            extra.update(self.writers_of(lfn))
+        extra.discard(dvn)
         return extra
 
     # -- dead-data support ---------------------------------------------
@@ -681,6 +774,10 @@ class IncrementalAnalyzer:
                         self._forget_node(which, name)
             self._sizes = (len(model.graph), len(live.derivations))
             model.forget_recipe(key)
+            for state in self._states.values():
+                relink = state.pass_.on_relink
+                if relink is not None:
+                    state.dirty.derivations.update(relink(touched, model))
             self._orphan_cache = None
             self._ctx_dirty = True
         elif kind == "replica":
@@ -811,24 +908,22 @@ class IncrementalAnalyzer:
             "analysis.solve", analysis=pass_.name, mode=mode
         ) as span:
             if not state.solved:
-                result = solve(
-                    pass_, graph, state.facts, self.model, None
-                )
-                report_names = live
                 for cache in state.reports:
                     cache.clear()
-            else:
-                result = solve(
-                    pass_, graph, state.facts, self.model, state.dirty
-                )
-                report_names = result.report
+            result = solve(
+                pass_,
+                graph,
+                state.facts,
+                self.model,
+                state.dirty if state.solved else None,
+            )
             for names in state.dirty:
                 names.clear()
             state.solved = True
             state.stats = result.stats
             reported = 0
             for names, alive, cache, reporter in zip(
-                report_names,
+                result.report,
                 live,
                 state.reports,
                 (pass_.report_dataset, pass_.report_derivation),
@@ -890,7 +985,7 @@ class IncrementalAnalyzer:
         for name, state in self._states.items():
             per_pass[name] = {
                 "solved": state.solved,
-                "dirty": len(state.dirty),
+                "dirty": sum(map(len, state.dirty)),
                 "mode": state.stats.mode,
                 "seeds": state.stats.seeds,
                 "visited": state.stats.visited,

@@ -55,6 +55,17 @@ class StalenessPass(DataflowPass):
     #: Dataset reports name the stale *input of the producing
     #: derivation*, i.e. read facts two dependency hops back.
     report_hops = 2
+    bottom = FRESH
+
+    def full_seeds(self, graph: "DerivationGraph", model: Any) -> PerKind:
+        # Only a derivation that ran can be stale at the root.
+        return PerKind((), model.executed())
+
+    def full_report(
+        self, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> PerKind:
+        # Only a stale dataset is reported.
+        return PerKind(facts.datasets, ())
 
     def transfer_dataset(
         self, lfn: str, producers: Iterable[str], facts: PerKind, model: Any
@@ -137,6 +148,19 @@ class DeadDataPass(DataflowPass):
     name = "dead-data"
     direction = "backward"
     codes = ("VDG611", "VDG612")
+    bottom = False
+
+    def full_seeds(self, graph: "DerivationGraph", model: Any) -> PerKind:
+        # Need starts at the sinks.  On a graph with nothing
+        # materialized it reaches every node: this pass stays dense
+        # there, because every node is needed.
+        return PerKind(graph.sink_datasets(), ())
+
+    def full_report(
+        self, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> PerKind:
+        # Only a replica can be a garbage-collection candidate.
+        return PerKind(model.replicated(), ())
 
     def transfer_dataset(
         self, lfn: str, consumers: Iterable[str], facts: PerKind, model: Any
@@ -193,17 +217,32 @@ class TypeFlowPass(DataflowPass):
     Reports fire on derivations whose dataset actuals are bound to
     surface-untyped formals that feed typed formals inside compound
     bodies (``VDG621``) — the mismatches the surface rule ``VDG105``
-    cannot see.
+    cannot see.  A fact with no member is bottom whatever its flag:
+    reports stay silent on it, and nothing propagates it.
     """
 
     name = "type-flow"
     direction = "forward"
     codes = ("VDG621",)
+    bottom = (frozenset(), False)
 
     def __init__(self) -> None:
-        #: One object per distinct fact: datasets share a handful (an
-        #: untyped graph has one), and a fact is ~270 bytes.
+        #: One object per distinct fact: datasets share a handful, and a
+        #: fact is ~270 bytes.
         self._facts: Dict[Any, Any] = {}
+
+    def full_seeds(self, graph: "DerivationGraph", model: Any) -> PerKind:
+        # A member comes from a declared type or a typed producer.
+        producers, _, _, outputs = graph.adjacency()
+        datasets = {lfn for lfn in model.typed_datasets() if lfn in producers}
+        for dvn in model.callers("writes_types"):
+            datasets.update(outputs.get(dvn, ()))
+        return PerKind(datasets, ())
+
+    def full_report(
+        self, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> PerKind:
+        return PerKind((), model.callers("requires_types"))
 
     def transfer_dataset(
         self, lfn: str, producers: Iterable[str], facts: PerKind, model: Any
@@ -224,6 +263,8 @@ class TypeFlowPass(DataflowPass):
                     unknown = True
                 else:
                     members.update(deep)
+        if not members:
+            return self.bottom
         fact = (frozenset(members), unknown)
         return self._facts.setdefault(fact, fact)
 
@@ -277,23 +318,36 @@ class OutputConflictPass(DataflowPass):
 
     The per-derivation fact is its *expanded write multiset*: surface
     output actuals plus every literal LFN (and duplicated formal sink)
-    written inside nested compound bodies.  Datasets carry no fact.  A
-    shared-LFN index inside the model relates writers that are not
-    graph-adjacent; the :meth:`on_fact_change` hook keeps co-writers'
-    reports fresh.  ``VDG201`` already covers pure surface/surface
-    duplicates, so those pairs are skipped here.
+    written inside nested compound bodies.  Only a derivation whose
+    target writes internally keeps one; every other writes on the
+    surface only, which the graph already records, so its fact is
+    bottom.  Datasets carry no fact.  A shared-LFN index inside the
+    model relates writers that are not graph-adjacent; the
+    :meth:`on_fact_change` and :meth:`on_relink` hooks keep
+    co-writers' reports fresh.  ``VDG201`` already covers pure
+    surface/surface duplicates, so those pairs are skipped here.
     """
 
     name = "output-conflict"
     direction = "local"
     codes = ("VDG631",)
+    bottom = ()
 
-    def on_full_solve(self, model: Any) -> None:
+    def full_seeds(self, graph: "DerivationGraph", model: Any) -> PerKind:
         model.clear_writer_index()
+        return PerKind((), model.callers("writes_internally"))
+
+    def full_report(
+        self, graph: "DerivationGraph", facts: PerKind, model: Any
+    ) -> PerKind:
+        # Every pair has an internal writer in it.
+        return PerKind((), model.conflict_report())
 
     def transfer_derivation(
         self, dvn: str, _sources: Iterable[str], facts: PerKind, model: Any
     ) -> Tuple[Tuple[str, str], ...]:
+        if not model.writes_internally(dvn):
+            return ()
         return tuple(sorted(model.expanded_writes(dvn)))
 
     def on_fact_change(
@@ -301,13 +355,18 @@ class OutputConflictPass(DataflowPass):
     ) -> Iterable[str]:
         return model.update_writer_index(dvn, old or (), new or ())
 
+    def on_relink(self, lfns: Iterable[str], model: Any) -> Iterable[str]:
+        # A surface-only writer came or went: its internal co-writers
+        # may pair with it.
+        return model.internal_writers(lfns)
+
     def report_derivation(
         self, dvn: str, graph: "DerivationGraph", facts: PerKind, model: Any
     ) -> List[Diagnostic]:
         out: List[Diagnostic] = []
-        fact: Tuple[Tuple[str, str], ...] = facts.derivations.get(dvn) or ()
+        writes = facts.derivations.get(dvn) or model.expanded_writes(dvn)
         vias_by_lfn: Dict[str, List[str]] = {}
-        for lfn, via in fact:
+        for lfn, via in writes:
             vias_by_lfn.setdefault(lfn, []).append(via)
         for lfn in sorted(vias_by_lfn):
             own = vias_by_lfn[lfn]

@@ -239,6 +239,8 @@ class DatasetType:
 
     def is_any(self) -> bool:
         """True when every dimension sits at its root ("Dataset")."""
+        if self is ANY_DATASET:  # what every untyped record shares
+            return True
         return all(
             getattr(self, dim).lower() == DIMENSION_ROOTS[dim].lower()
             for dim in DIMENSIONS

@@ -96,6 +96,20 @@ class TestGraphLifecycle:
         assert per_pass["mode"] == "incremental"
         assert per_pass["seeds"] >= 1
 
+    def test_stats_count_dirty_node_names(self):
+        catalog = MemoryCatalog().define(PIPELINE_VDL)
+        analyzer = catalog.live_analyzer()
+        analyzer.diagnostics()
+        for per_pass in analyzer.stats()["passes"].values():
+            assert per_pass["dirty"] == 0
+        put_replica(catalog, "mid")
+        # The replica's dataset, its producer s1 and its consumer s2.
+        for per_pass in analyzer.stats()["passes"].values():
+            assert per_pass["dirty"] == 3
+        analyzer.diagnostics()
+        for per_pass in analyzer.stats()["passes"].values():
+            assert per_pass["dirty"] == 0
+
 
 class TestDeadDataPass:
     def test_unneeded_replica_flagged(self):

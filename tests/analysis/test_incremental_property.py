@@ -13,22 +13,26 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.analysis.dataflow import fact_tables
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.catalog.memory import MemoryCatalog
+from repro.core.dataset import Dataset
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.invocation import Invocation
 from repro.core.naming import VDPRef
 from repro.core.recipe import stamp_recipe
 from repro.core.replica import Replica
+from repro.core.types import DatasetType
 from repro.provenance.graph import DerivationGraph
 from tests.catalog.test_catalog_properties import open_catalog
 from tests.provenance.test_graphcache import edges
 
 #: Small closed universes keep collisions (the interesting case) likely.
-DATASETS = [f"d{i}" for i in range(6)]
+#: ``scratch.tmp`` is what ``twostep`` writes inside its body, so a
+#: surface writer of it races an internal one.
+DATASETS = [f"d{i}" for i in range(6)] + ["scratch.tmp"]
 DERIVATIONS = [f"v{i}" for i in range(5)]
 
 BASE_VDL = """
@@ -41,20 +45,43 @@ TR twostep( output o, input i ) {
   step( o=${output:o}, i=${input:i} );
   step( o="scratch.tmp", i=${input:i} );
 }
+TR typed( output o : SDSS/Simple/Binary, input i : SDSS/Simple/ASCII ) {
+  argument stdin = ${input:i};
+  argument stdout = ${output:o};
+  exec = "/bin/typed";
+}
+TR wrap( output o, input i ) {
+  typed( o=${output:o}, i=${input:i} );
+}
 """
+
+#: Declared dataset types a ``retype`` op picks from: untyped, one that
+#: conforms to ``typed``'s input, and one that does not.  ``typed``'s
+#: own output does not either, so ``typed`` feeding ``wrap`` is a
+#: finding with no declared type at all.
+TYPES = {
+    "any": DatasetType(),
+    "sdss": DatasetType(content="SDSS", format="Simple", encoding="ASCII"),
+    "image": DatasetType(content="Image-raw", format="Simple", encoding="Binary"),
+}
 
 define_op = st.tuples(
     st.just("define"),
     st.sampled_from(DERIVATIONS),
     st.sampled_from(DATASETS),  # output
     st.sampled_from(DATASETS),  # input
-    st.sampled_from(["step", "twostep"]),
+    st.sampled_from(["step", "twostep", "typed", "wrap"]),
 )
 remove_op = st.tuples(st.just("remove"), st.sampled_from(DERIVATIONS))
 replicate_op = st.tuples(st.just("replicate"), st.sampled_from(DATASETS))
 drop_replica_op = st.tuples(st.just("drop-replica"), st.sampled_from(DATASETS))
 run_op = st.tuples(st.just("run"), st.sampled_from(DERIVATIONS))
-bump_op = st.tuples(st.just("bump"), st.sampled_from(["step", "twostep"]))
+bump_op = st.tuples(
+    st.just("bump"), st.sampled_from(["step", "twostep", "wrap"])
+)
+retype_op = st.tuples(
+    st.just("retype"), st.sampled_from(DATASETS), st.sampled_from(sorted(TYPES))
+)
 query_op = st.tuples(st.just("query"))
 
 plain_op = st.one_of(
@@ -64,6 +91,7 @@ plain_op = st.one_of(
     drop_replica_op,
     run_op,
     bump_op,
+    retype_op,
     query_op,
 )
 #: The catalog's grouped write paths: a committed batch, a transaction
@@ -73,7 +101,9 @@ grouped_op = st.one_of(
     st.tuples(st.sampled_from(["bulk", "abort"]), st.lists(plain_op, max_size=4)),
     st.tuples(
         st.just("import"),
-        st.lists(st.one_of(define_op, replicate_op, run_op), max_size=4),
+        st.lists(
+            st.one_of(define_op, replicate_op, run_op, retype_op), max_size=4
+        ),
     ),
 )
 operations = st.lists(
@@ -160,6 +190,11 @@ class Driver:
             )
             stamp_recipe(invocation, dv, tr)
             self.catalog.add_invocation(invocation)
+        elif kind == "retype":
+            _, lfn, type_name = op
+            self.catalog.add_dataset(
+                Dataset(name=lfn, dataset_type=TYPES[type_name]), replace=True
+            )
         elif kind == "bump":
             _, tr_name = op
             body = (
@@ -194,6 +229,11 @@ def assert_view_is_cold_graph(analyzer, catalog) -> None:
         }
 
 
+#: ``twostep`` writes scratch.tmp inside; ``step`` writes it on the
+#: surface.  The pair is reported on the later name.
+INTERNAL_FIRST = [("define", "v1", "d0", "d1", "twostep"), ("query",)]
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -202,6 +242,35 @@ def assert_view_is_cold_graph(analyzer, catalog) -> None:
 @given(
     ops=operations,
     backend=st.sampled_from(("memory", "sqlite", "filetree")),
+)
+# A surface writer named later races the internal one: a cold solve
+# reports it although its own fact is bottom.
+@example(
+    ops=INTERNAL_FIRST + [("define", "v2", "scratch.tmp", "d4", "step")],
+    backend="memory",
+)
+# A surface writer named earlier gains, then loses, the LFN: the
+# internal writer, whose fact never moves, is re-reported both times.
+@example(
+    ops=INTERNAL_FIRST + [("define", "v0", "scratch.tmp", "d2", "step")],
+    backend="memory",
+)
+@example(
+    ops=INTERNAL_FIRST
+    + [
+        ("define", "v0", "scratch.tmp", "d2", "step"),
+        ("query",),
+        ("define", "v0", "d5", "d2", "step"),
+    ],
+    backend="memory",
+)
+# A typed producer feeds a typed formal inside a compound body.
+@example(
+    ops=[
+        ("define", "v0", "d1", "d0", "typed"),
+        ("define", "v1", "d2", "d1", "wrap"),
+    ],
+    backend="memory",
 )
 def test_incremental_equals_cold_full_analysis(ops, backend):
     with open_catalog(backend) as catalog:
@@ -268,7 +337,10 @@ STALE_CYCLE = CYCLE + [
 
 def naive_tables(pass_, graph, model):
     """Least fixpoint by brute force: every node of ``graph``, in name
-    order, again and again until a whole sweep changes nothing."""
+    order, again and again until a whole sweep changes nothing.  A fact
+    equal to the pass's bottom is dropped, as the engine never stores
+    one; since the sweep seeds every node, matching it also proves a
+    sparse full solve's seeds complete."""
     producers, consumers, inputs, outputs = graph.adjacency()
     upstream, downstream = (producers, inputs), (consumers, outputs)
     sources = {"forward": upstream, "backward": downstream}.get(
@@ -285,29 +357,40 @@ def naive_tables(pass_, graph, model):
             for name in sorted(upstream[kind]):
                 reads = sources[kind][name] if sources else ()
                 new = transfer(name, reads, facts, model)
-                if facts[kind].get(name) != new:
+                if facts[kind].get(name, pass_.bottom) != new:
                     facts[kind][name] = new
                     moved = True
+    for table in facts:
+        for name in [n for n, fact in table.items() if fact == pass_.bottom]:
+            del table[name]
     return facts
 
 
 def assert_tables_are_the_naive_fixpoint(live, catalog) -> None:
+    """Both the live analyzer's tables and a cold analyzer's (one full
+    solve from the passes' seeds) equal the naive sweep."""
     live.diagnostics()
-    cold_graph = DerivationGraph.from_catalog(catalog)
-    for state in live._states.values():
-        pass_ = state.pass_
-        expected = naive_tables(pass_, cold_graph, live.model)
-        assert state.facts == expected, pass_.name
-        # Nothing is kept for a kind the pass has no transfer for, and
-        # nothing reported for one it has no report for.
-        for table, cache, transfer, report in zip(
-            state.facts,
-            state.reports,
-            (pass_.transfer_dataset, pass_.transfer_derivation),
-            (pass_.report_dataset, pass_.report_derivation),
-        ):
-            assert transfer is not None or not table
-            assert report is not None or not cache
+    cold = IncrementalAnalyzer(catalog)
+    try:
+        cold.diagnostics()
+        cold_graph = DerivationGraph.from_catalog(catalog)
+        for state in live._states.values():
+            pass_ = state.pass_
+            expected = naive_tables(pass_, cold_graph, live.model)
+            assert state.facts == expected, pass_.name
+            assert cold._states[pass_.name].facts == expected, pass_.name
+            # Nothing is kept for a kind the pass has no transfer for,
+            # and nothing reported for one it has no report for.
+            for table, cache, transfer, report in zip(
+                state.facts,
+                state.reports,
+                (pass_.transfer_dataset, pass_.transfer_derivation),
+                (pass_.report_dataset, pass_.report_derivation),
+            ):
+                assert transfer is not None or not table
+                assert report is not None or not cache
+    finally:
+        cold.close()
 
 
 @settings(

@@ -6,6 +6,7 @@ from repro.core.types import (
     ANY_DATASET,
     DIMENSION_ROOTS,
     DIMENSIONS,
+    DatasetType,
     TypeRegistry,
     TypeUnion,
     default_registry,
@@ -113,6 +114,14 @@ class TestDatasetType:
     def test_default_is_any(self):
         assert ANY_DATASET.is_any()
         assert str(ANY_DATASET) == "Dataset"
+
+    def test_separately_built_root_in_another_case_is_any(self):
+        root = DatasetType(
+            **{dim: DIMENSION_ROOTS[dim].upper() for dim in DIMENSIONS}
+        )
+        assert root is not ANY_DATASET and root != ANY_DATASET
+        assert root.is_any()
+        assert not DatasetType(content="CMS").is_any()
 
     def test_make_type_validates(self, registry):
         t = registry.make_type(content="CMS", format="Fileset")
