@@ -8,13 +8,20 @@ and version-compatibility assertions.  Findings are
 ``docs/LINTING.md``), surfaced through ``repro lint`` and the
 ``plan --strict`` pre-flight.
 
-Beyond the per-source rules, :mod:`repro.analysis.dataflow` provides a
-generic worklist/fixpoint engine over the derivation graph, and
+Every rule is a check over one node of a derivation graph — a
+transformation, a derivation, or a dataset with its producers and
+consumers — plus one cycle query (:mod:`repro.analysis.rules`).  The
+:class:`Linter` runs them over every node of a parsed program
+(:class:`AnalysisContext` is its AST front end).
+:mod:`repro.analysis.dataflow` provides a generic worklist/fixpoint
+engine over the catalog's derivation graph, and
 :mod:`repro.analysis.incremental` keeps its results (staleness, dead
 data, interprocedural type flow, output conflicts — see
 :mod:`repro.analysis.passes`) live against a mutating catalog via the
-mutation-event stream, surfaced through ``repro analyze`` and
-``repro lint --incremental``.
+mutation-event stream, surfaced through ``repro analyze``; once a
+catalog is linted, it re-runs the rules' checks as a report-only pass
+of the same engine on only the nodes that changed
+(``repro lint --incremental``).
 """
 
 from repro.analysis.context import AnalysisContext
@@ -41,7 +48,7 @@ from repro.analysis.passes import (
     TypeFlowPass,
     default_passes,
 )
-from repro.analysis.registry import Rule, RuleRegistry, default_rules, rule
+from repro.analysis.registry import Rule, RuleRegistry, default_rules
 from repro.analysis.reporters import exit_code, render_json, render_text
 from repro.analysis.suppressions import apply_suppressions, parse_suppressions
 
@@ -73,6 +80,5 @@ __all__ = [
     "parse_suppressions",
     "render_json",
     "render_text",
-    "rule",
     "solve",
 ]

@@ -1,23 +1,21 @@
-"""The whole-program index the lint rules run against.
+"""The AST front end of the linter: one parsed program, normalized.
 
 :class:`AnalysisContext` normalizes one parsed VDL program (plus an
-optional catalog supplying dataset records, the type registry and the
-version registry) into flat, cross-referenced views:
+optional catalog supplying the type registry, the version registry and
+the signatures of transformations the program does not declare) into
+:class:`TRInfo`/:class:`DVInfo` views that keep their source lines:
 
-* transformations by name (with resolved formal signatures — type
-  expressions resolved against the registry, unknown names collected
-  for the ``VDG106`` rule rather than raised);
+* transformations by name, with resolved formal signatures — type
+  expressions resolved against the registry, unknown names kept on the
+  declaration for the ``VDG106`` check rather than raised;
 * derivations with per-actual source lines;
-* writer/reader maps from logical file name (LFN) to the bindings that
-  produce/consume it — the substrate of the output-race detector;
-* inferred dataset types per LFN (catalog record first, else the
-  producing formal's declared type union) for cross-derivation type
-  conformance.
+* :meth:`AnalysisContext.resolve_tr`, mapping a DV/call target to a
+  signature.
 
-The one-pass :class:`~repro.vdl.semantics.Analyzer` deliberately defers
-all of these cross-object views to "catalog registration time"; the
-linter builds them up front so mistakes surface before any
-materialization request is planned.
+Everything that relates declarations to one another — who writes or
+reads a dataset, what types it may have, cycles — is read off a
+derivation graph by the per-node checks in :mod:`repro.analysis.rules`,
+the same way for a parsed program and for a catalog.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.vdl.semantics import resolve_type_triple
 
 if TYPE_CHECKING:
     from repro.catalog.base import VirtualDataCatalog
-    from repro.core.dataset import Dataset
 
 
 @dataclass
@@ -91,9 +88,8 @@ class TRInfo:
     #: Formal names referenced by argument/env templates (simple TRs)
     #: or bound into calls (compound TRs).
     referenced: set[str] = field(default_factory=set)
-    #: "program" for declarations in the linted source, "catalog" for
-    #: signatures pulled from a backing catalog.
-    origin: str = "program"
+    #: ``(line, message)`` per unresolvable formal type name (VDG106).
+    type_issues: list[tuple[int, str]] = field(default_factory=list)
 
     def formal(self, name: str) -> Optional[FormalInfo]:
         for f in self.formals:
@@ -102,28 +98,19 @@ class TRInfo:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class ActualInfo:
     """One DV actual argument with its source line."""
 
     name: str
-    #: String literal, or the dataset reference.
-    value: Union[str, DatasetRefNode]
+    #: The dataset reference's LFN and direction; None for a string.
+    lfn: Optional[str] = None
+    direction: Optional[str] = None
     line: int = 0
 
     @property
     def is_dataset(self) -> bool:
-        return isinstance(self.value, DatasetRefNode)
-
-    @property
-    def lfn(self) -> Optional[str]:
-        return self.value.lfn if isinstance(self.value, DatasetRefNode) else None
-
-    @property
-    def direction(self) -> Optional[str]:
-        if isinstance(self.value, DatasetRefNode):
-            return self.value.direction
-        return None
+        return self.lfn is not None
 
 
 @dataclass
@@ -139,22 +126,13 @@ class DVInfo:
     def is_remote(self) -> bool:
         return self.target.startswith("vdp://")
 
-    def dataset_actuals(self) -> list[ActualInfo]:
-        return [a for a in self.actuals if a.is_dataset]
-
-    def writes(self) -> list[ActualInfo]:
-        return [
-            a
-            for a in self.dataset_actuals()
-            if a.direction in ("output", "inout")
-        ]
-
-    def reads(self) -> list[ActualInfo]:
-        return [
-            a
-            for a in self.dataset_actuals()
-            if a.direction in ("input", "inout")
-        ]
+    def lfns(self, directions: tuple[str, ...]) -> set[str]:
+        """The LFNs bound with one of ``directions``."""
+        return {
+            a.lfn
+            for a in self.actuals
+            if a.lfn is not None and a.direction in directions
+        }
 
 
 #: One (derivation, actual) pair touching an LFN.
@@ -167,8 +145,16 @@ def split_target(target: str) -> tuple[str, Optional[str]]:
     return name, (version or None)
 
 
+def pick_declaration(declared: list[TRInfo], version: Optional[str]) -> TRInfo:
+    """The declaration a target picks: the last of the version it asks
+    for, else the latest.  A versioned target that misses every declared
+    version still resolves, so arity/type checks remain useful; the
+    version rules flag the mismatch separately."""
+    return ([d for d in declared if d.version == version] or declared)[-1]
+
+
 class AnalysisContext:
-    """Cross-referenced views over one program (plus optional catalog)."""
+    """One parsed program's declarations, plus an optional catalog."""
 
     def __init__(
         self,
@@ -178,7 +164,6 @@ class AnalysisContext:
         versions: Optional[VersionRegistry] = None,
         catalog: Optional["VirtualDataCatalog"] = None,
     ) -> None:
-        self.program = program
         self.file = file
         self.catalog = catalog
         self.types = types or (
@@ -190,74 +175,18 @@ class AnalysisContext:
         #: TR name -> declarations (several when versions/duplicates exist).
         self.trs: dict[str, list[TRInfo]] = {}
         self.dvs: list[DVInfo] = []
-        #: ``(tr_name, line, message)`` for unresolvable type names (VDG106).
-        self.type_issues: list[tuple[str, int, str]] = []
-        #: LFN -> bindings that produce it (direction output/inout).
-        self.writers: dict[str, list[Binding]] = {}
-        #: LFN -> bindings that consume it (direction input/inout).
-        self.readers: dict[str, list[Binding]] = {}
         self._tr_cache: dict[str, Optional[TRInfo]] = {}
-        self._lfn_types: Optional[dict[str, list]] = None
         for decl in program.transformations():
             info = self._tr_info(decl)
             self.trs.setdefault(info.name, []).append(info)
         for decl in program.derivations():
             self.dvs.append(self._dv_info(decl))
-        self._index_bindings()
-
-    @classmethod
-    def from_entities(
-        cls,
-        *,
-        file: str,
-        catalog: Optional["VirtualDataCatalog"],
-        trs: dict[str, list[TRInfo]],
-        dvs: list[DVInfo],
-        types: Optional[TypeRegistry] = None,
-        versions: Optional[VersionRegistry] = None,
-    ) -> "AnalysisContext":
-        """Build a context from pre-normalized catalog entities.
-
-        The incremental analyzer (:mod:`repro.analysis.incremental`)
-        keeps :class:`TRInfo`/:class:`DVInfo` views live against the
-        catalog's mutation stream and assembles contexts through here,
-        skipping the export-VDL/reparse round trip entirely.  Such
-        contexts carry no source lines (everything is line 0).
-        """
-        ctx = cls.__new__(cls)
-        ctx.program = ProgramNode()
-        ctx.file = file
-        ctx.catalog = catalog
-        ctx.types = types or (
-            catalog.types if catalog is not None else default_registry()
-        )
-        ctx.versions = versions or (
-            catalog.versions if catalog is not None else VersionRegistry()
-        )
-        ctx.trs = trs
-        ctx.dvs = list(dvs)
-        ctx.type_issues = []
-        ctx.writers = {}
-        ctx.readers = {}
-        ctx._tr_cache = {}
-        ctx._lfn_types = None
-        ctx._index_bindings()
-        return ctx
-
-    def _index_bindings(self) -> None:
-        """(Re)build the LFN writer/reader maps from ``self.dvs``."""
-        self.writers = {}
-        self.readers = {}
-        for dv in self.dvs:
-            for actual in dv.writes():
-                self.writers.setdefault(actual.lfn, []).append((dv, actual))
-            for actual in dv.reads():
-                self.readers.setdefault(actual.lfn, []).append((dv, actual))
 
     # -- normalization ----------------------------------------------------
 
     def _tr_info(self, decl: TransformationDeclNode) -> TRInfo:
         formals = []
+        type_issues: list[tuple[int, str]] = []
         for node in decl.formals:
             types: Optional[TypeUnion] = None
             if node.type_expr is not None:
@@ -268,8 +197,8 @@ class AnalysisContext:
                             resolve_type_triple(self.types, content, fmt, enc)
                         )
                     except UnknownTypeError as exc:
-                        self.type_issues.append(
-                            (decl.name, node.line, f"formal {node.name!r}: {exc}")
+                        type_issues.append(
+                            (node.line, f"formal {node.name!r}: {exc}")
                         )
                 if members:
                     types = TypeUnion(members=tuple(members))
@@ -308,6 +237,7 @@ class AnalysisContext:
             is_compound=bool(calls),
             calls=calls,
             referenced=referenced,
+            type_issues=type_issues,
         )
 
     @staticmethod
@@ -320,8 +250,11 @@ class AnalysisContext:
     def _dv_info(self, decl: DerivationDeclNode) -> DVInfo:
         actuals = []
         for name, value in decl.actuals:
-            line = value.line if isinstance(value, DatasetRefNode) else decl.line
-            actuals.append(ActualInfo(name=name, value=value, line=line))
+            if isinstance(value, DatasetRefNode):
+                actual = ActualInfo(name, value.lfn, value.direction, value.line)
+            else:
+                actual = ActualInfo(name, line=decl.line)
+            actuals.append(actual)
         return DVInfo(
             name=decl.name, target=decl.target, actuals=actuals, line=decl.line
         )
@@ -364,7 +297,6 @@ class AnalysisContext:
             is_compound=tr.is_compound,
             calls=calls,
             referenced=referenced,
-            origin="catalog",
         )
 
     # -- resolution -------------------------------------------------------
@@ -384,18 +316,7 @@ class AnalysisContext:
         info: Optional[TRInfo] = None
         declared = self.trs.get(name)
         if declared:
-            if version is None:
-                info = declared[-1]
-            else:
-                for candidate in declared:
-                    if candidate.version == version:
-                        info = candidate
-                # A versioned target that misses every declared version
-                # still resolves to the latest declaration: arity/type
-                # checks remain useful, and the version rules flag the
-                # mismatch separately.
-                if info is None:
-                    info = declared[-1]
+            info = pick_declaration(declared, version)
         elif self.catalog is not None and self.catalog.has_transformation(name):
             try:
                 info = self._from_transformation(
@@ -407,50 +328,3 @@ class AnalysisContext:
                 )
         self._tr_cache[target] = info
         return info
-
-    # -- dataset views ----------------------------------------------------
-
-    def dataset_record(self, lfn: str) -> Optional["Dataset"]:
-        """The catalog's dataset record for an LFN, or None."""
-        if self.catalog is not None and self.catalog.has_dataset(lfn):
-            return self.catalog.get_dataset(lfn)
-        return None
-
-    def is_materialized(self, lfn: str) -> bool:
-        """Whether a backing catalog knows a physical copy of the LFN."""
-        if self.catalog is None:
-            return False
-        record = self.dataset_record(lfn)
-        if record is not None and not record.is_virtual:
-            return True
-        return bool(self.catalog.replicas_of(lfn))
-
-    def lfn_types(self, lfn: str) -> list:
-        """Plausible :class:`DatasetType`s of an LFN, statically inferred.
-
-        The catalog's dataset record (when typed) is authoritative;
-        otherwise every typed output formal the LFN is bound to
-        contributes its union members.  An empty list means "nothing
-        known" — type rules must then stay silent.
-        """
-        if self._lfn_types is None:
-            self._lfn_types = {}
-        if lfn in self._lfn_types:
-            return self._lfn_types[lfn]
-        record = self.dataset_record(lfn)
-        if record is not None and not record.dataset_type.is_any():
-            inferred = [record.dataset_type]
-        else:
-            inferred = []
-            for dv, actual in self.writers.get(lfn, ()):
-                tr = self.resolve_tr(dv.target)
-                if tr is None:
-                    continue
-                formal = tr.formal(actual.name)
-                if formal is None or formal.types is None:
-                    continue
-                for member in formal.types.members:
-                    if member not in inferred:
-                        inferred.append(member)
-        self._lfn_types[lfn] = inferred
-        return inferred

@@ -10,9 +10,10 @@ structures it reads rather than copies — and maintains:
   interprocedural transformation summaries, the shared-writer index);
 * per-pass fact tables and per-node diagnostic caches, re-solved
   lazily over only the dirty region when queried;
-* a live :class:`~repro.analysis.context.AnalysisContext` so the
-  classic VDG lint rules can run against the catalog without the
-  export-VDL/reparse round trip (``repro lint --incremental``).
+* once the catalog is first linted, the lint rules' per-node reports
+  (:mod:`repro.analysis.rules`, run as a report-only local pass) and
+  the cycles found, re-checked only where the catalog changed, so
+  ``repro lint --incremental`` needs no export-VDL/reparse round trip.
 
 Mutation handling is O(degree) per event; querying pays only for the
 cone the mutations actually influence.  A cold query after
@@ -40,10 +41,12 @@ from repro.analysis.context import (
     AnalysisContext,
     DVInfo,
     TRInfo,
+    pick_declaration,
     split_target,
 )
 from repro.analysis.dataflow import (
     DERIVATIONS,
+    DataflowPass,
     PerKind,
     SolveStats,
     fact_tables,
@@ -58,13 +61,22 @@ from repro.analysis.passes import (
     default_passes,
     orphan_invocation_diagnostics,
 )
+from repro.analysis.registry import RULES
+from repro.analysis.rules import (
+    Program,
+    check_dataset,
+    check_derivation,
+    check_transformation,
+    cycles_through,
+    find_cycles,
+)
 from repro.catalog.payloads import attribute, dataset_type, document, field
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.recipe import RECIPE_DIGEST_ATTR, TR_VERSION_ATTR, recipe_digest
 from repro.core.types import DatasetType
 from repro.core.versioning import Version
 from repro.observability.instrument import NULL, Instrumentation
-from repro.vdl.ast import DatasetRefNode, FormalRefNode
+from repro.vdl.ast import FormalRefNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.provenance.graph import DerivationGraph
@@ -122,6 +134,8 @@ class GraphModel:
         self._invs_by_dv: Dict[str, Dict[str, _InvMeta]] = {}
         # -- memoized derived state --
         self._tr_table_cache: Optional[Dict[str, List[TRInfo]]] = None
+        #: Callee name -> names of the transformations calling it.
+        self._tr_callers: Optional[Dict[str, Set[str]]] = None
         self._tr_objects: Dict[str, Any] = {}
         self._deep_out: Dict[Tuple[str, str], Any] = {}
         self._deep_req: Dict[Tuple[str, str], Any] = {}
@@ -238,6 +252,7 @@ class GraphModel:
         """A TR (version) changed: drop summaries, seed dependent DVs."""
         affected = self._dependent_tr_names(base_name)
         self._tr_table_cache = None
+        self._tr_callers = None
         self._tr_objects.clear()
         self._deep_out.clear()
         self._deep_req.clear()
@@ -255,12 +270,7 @@ class GraphModel:
 
     def _dependent_tr_names(self, base_name: str) -> Set[str]:
         """``base_name`` plus every TR calling it, transitively."""
-        callers: Dict[str, Set[str]] = {}
-        for infos in self._tr_table().values():
-            for info in infos:
-                for call in info.calls:
-                    callee = split_target(call.target)[0]
-                    callers.setdefault(callee, set()).add(info.name)
+        callers = self._callers_of()
         affected = {base_name}
         frontier = [base_name]
         while frontier:
@@ -285,19 +295,33 @@ class GraphModel:
             self._tr_table_cache = table
         return self._tr_table_cache
 
+    def _callers_of(self) -> Dict[str, Set[str]]:
+        """Callee name -> the transformations calling it, memoized."""
+        if self._tr_callers is None:
+            callers: Dict[str, Set[str]] = {}
+            for infos in self._tr_table().values():
+                for info in infos:
+                    for call in info.calls:
+                        callee = split_target(call.target)[0]
+                        callers.setdefault(callee, set()).add(info.name)
+            self._tr_callers = callers
+        return self._tr_callers
+
+    def is_called(self, name: str) -> bool:
+        """Whether a local derivation or a compound call targets ``name``."""
+        # The index goes by reference name, remote targets included.
+        for dvn in self._indexes.by_transformation.get(name, ()):
+            if self.dv_target(dvn) == name:
+                return True
+        return name in self._callers_of()
+
     def resolve_trinfo(self, target: str) -> Optional[TRInfo]:
         """TRInfo for a DV/call target; None for remote or unknown."""
         if not target or target.startswith("vdp://"):
             return None
         name, version = split_target(target)
         infos = self._tr_table().get(name)
-        if not infos:
-            return None
-        if version is not None:
-            for info in infos:
-                if info.version == version:
-                    return info
-        return infos[-1]
+        return pick_declaration(infos, version) if infos else None
 
     def resolve_transformation(self, target: str) -> Any:
         """The core Transformation object for a local target, or None."""
@@ -682,21 +706,65 @@ def _without(writers: Tuple[Tuple[str, Any], ...], dvn: str) -> tuple:
 def _dv_info(dv: Derivation) -> DVInfo:
     """Normalize a catalog derivation into a DVInfo (line 0)."""
     actuals = [
-        ActualInfo(
-            name=formal,
-            value=DatasetRefNode(
-                direction=value.direction,
-                lfn=value.dataset,
-                temporary=value.temporary,
-            )
-            if isinstance(value, DatasetArg)
-            else value,
-        )
+        ActualInfo(formal, value.dataset, value.direction)
+        if isinstance(value, DatasetArg)
+        else ActualInfo(formal)
         for formal, value in dv.actuals.items()
     ]
     return DVInfo(
         name=dv.name, target=dv.transformation.vdl_text(), actuals=actuals
     )
+
+
+class _LiveProgram(Program):
+    """The catalog as the lint checks read it: its own graph, keyed by
+    derivation name, and the model's transformation table.  Made per
+    lint query; each derivation is normalized once per query."""
+
+    def __init__(self, model: GraphModel, file: str) -> None:
+        catalog = model.catalog
+        super().__init__(
+            file, model.graph, catalog.types, catalog.versions, catalog
+        )
+        self.model = model
+        self._dvs: Dict[str, DVInfo] = {}
+
+    def dv(self, key: str) -> DVInfo:
+        dv = self._dvs.get(key)
+        if dv is None:
+            dv = self._dvs[key] = _dv_info(self.model.derivation(key))
+        return dv
+
+    def resolve_tr(self, target: str) -> Optional[TRInfo]:
+        return self.model.resolve_trinfo(target)
+
+    def declarations(self, name: str) -> List[TRInfo]:
+        return self.model._tr_table().get(name, [])
+
+    def is_called(self, name: str) -> bool:
+        return self.model.is_called(name)
+
+    def declared_type(self, lfn: str) -> Optional[DatasetType]:
+        return self.model.dataset_declared_type(lfn)
+
+
+class LintPass(DataflowPass):
+    """The lint rules' derivation and dataset checks as a report-only
+    local pass: no facts, and a node is re-checked when it is dirty."""
+
+    name = "lint"
+    direction = "local"
+    codes = tuple(code for rule in RULES for code in rule.codes)
+
+    def report_dataset(
+        self, lfn: str, graph: DerivationGraph, facts: PerKind, model: Any
+    ) -> Tuple[Diagnostic, ...]:
+        return tuple(check_dataset(lfn, model))
+
+    def report_derivation(
+        self, dvn: str, graph: DerivationGraph, facts: PerKind, model: Any
+    ) -> Tuple[Diagnostic, ...]:
+        return tuple(check_derivation(dvn, model))
 
 
 class _PassState:
@@ -712,6 +780,24 @@ class _PassState:
         #: Per kind, name -> its non-empty tuple of diagnostics.
         self.reports = fact_tables()
         self.stats = SolveStats()
+
+
+class _LintState:
+    """What the live lint keeps between queries, for one file name."""
+
+    def __init__(self, file: str) -> None:
+        self.file = file
+        #: Derivation and dataset reports, kept by the engine.
+        self.nodes = _PassState(LintPass())
+        #: Transformation name -> its non-empty report.  Transformations
+        #: are few: all are re-checked after a derivation or
+        #: transformation event (which may start or end a call).
+        self.trs: Dict[str, Tuple[Diagnostic, ...]] = {}
+        self.trs_dirty = True
+        #: Cycle members in name order -> their VDG301, and derivations
+        #: a cycle may now run through.
+        self.cycles: Dict[Tuple[str, ...], Diagnostic] = {}
+        self.cycles_dirty: Set[str] = set()
 
 
 class IncrementalAnalyzer:
@@ -737,8 +823,9 @@ class IncrementalAnalyzer:
         self._sizes = (0, 0)
         #: ``catalog.versions.assertion_count`` the solved facts reflect.
         self._assertions_seen = catalog.versions.assertion_count
-        self._ctx: Optional[AnalysisContext] = None
-        self._ctx_dirty = True
+        #: Made by the first :meth:`lint`; until then nothing lint-side
+        #: is kept or marked.
+        self._lint: Optional[_LintState] = None
         self._orphan_cache: Optional[Tuple[Diagnostic, ...]] = None
         self.rebuild()
         catalog.subscribe(self.on_event)
@@ -747,10 +834,6 @@ class IncrementalAnalyzer:
         """Detach from the catalog's event stream."""
         self.catalog.unsubscribe(self.on_event)
 
-    @property
-    def pass_names(self) -> List[str]:
-        return list(self._states)
-
     # -- event intake ---------------------------------------------------
 
     def on_event(self, event: str, kind: str, key: str) -> None:
@@ -758,35 +841,36 @@ class IncrementalAnalyzer:
 
         The indexes heard this event first, so the graph already shows
         its outcome; what it unlinked is no longer readable there and
-        arrives in ``touched`` (see :class:`CatalogIndexes`).
+        arrives in ``touched`` (see :class:`CatalogIndexes`).  Only
+        solved state is marked: an unsolved pass starts from scratch.
         """
         self._events += 1
         model = self.model
         touched = self.catalog._indexes.touched
+        solved = [s for s in self._states.values() if s.solved]
+        lint = self._lint
         seeds = name_sets()
         if kind == "derivation":
             live = members(model.graph)
+            forget = solved + [lint.nodes] if lint is not None else solved
             for which, names in enumerate((touched, (key,))):
                 for name in names:
                     if name in live[which]:
                         seeds[which].add(name)
                     else:
-                        self._forget_node(which, name)
+                        self._forget_node(forget, which, name)
             self._sizes = (len(model.graph), len(live.derivations))
             model.forget_recipe(key)
-            for state in self._states.values():
+            for state in solved:
                 relink = state.pass_.on_relink
                 if relink is not None:
                     state.dirty.derivations.update(relink(touched, model))
             self._orphan_cache = None
-            self._ctx_dirty = True
         elif kind == "replica":
             seeds = model.around(datasets=touched)
-            self._ctx_dirty = True
         elif kind == "transformation":
             base = split_target(key)[0]
             seeds = model.invalidate_transformations(base)
-            self._ctx_dirty = True
         elif kind == "invocation":
             for dvn in touched:
                 model.unindex_invocation(key, dvn)
@@ -799,15 +883,33 @@ class IncrementalAnalyzer:
         elif kind == "dataset":
             model.invalidate_dataset(key)
             seeds = model.around(datasets=(key,))
-            self._ctx_dirty = True
-        if any(seeds):
-            for state in self._states.values():
-                for dirty, names in zip(state.dirty, seeds):
-                    dirty |= names
+        for state in solved:
+            for dirty, names in zip(state.dirty, seeds):
+                dirty |= names
+        if lint is not None and kind != "invocation":
+            self._mark_lint(lint, kind, key, seeds)
 
-    def _forget_node(self, kind: int, name: str) -> None:
+    def _mark_lint(
+        self, lint: _LintState, kind: str, key: str, seeds: PerKind
+    ) -> None:
+        """Mark what an event may change in the lint's reports."""
+        wide = seeds
+        if kind in ("derivation", "transformation"):
+            # What a changed writer may type (VDG105) is read by every
+            # derivation using its datasets; and a call may start or end.
+            wide = self.model.around(datasets=seeds.datasets)
+            lint.trs_dirty = True
+        for dirty, names, more in zip(lint.nodes.dirty, seeds, wide):
+            dirty |= names
+            dirty |= more
+        if kind == "derivation":
+            lint.cycles_dirty.add(key)
+
+    def _forget_node(
+        self, states: List[_PassState], kind: int, name: str
+    ) -> None:
         """Drop per-node state for a node that left the graph."""
-        for state in self._states.values():
+        for state in states:
             old = state.facts[kind].pop(name, None)
             state.reports[kind].pop(name, None)
             hook = state.pass_.on_fact_change
@@ -838,8 +940,7 @@ class IncrementalAnalyzer:
                 for table in (*state.facts, *state.reports, *state.dirty):
                     table.clear()
                 state.solved = False
-            self._ctx = None
-            self._ctx_dirty = True
+            self._lint = None
             self._orphan_cache = None
 
     def invalidate(self) -> None:
@@ -852,7 +953,7 @@ class IncrementalAnalyzer:
             state.solved = False
             for names in state.dirty:
                 names.clear()
-        self._ctx_dirty = True
+        self._lint = None
         self._orphan_cache = None
 
     # -- queries --------------------------------------------------------
@@ -864,13 +965,9 @@ class IncrementalAnalyzer:
         selected = self._select(passes)
         out: List[Diagnostic] = []
         with self.catalog._lock:
-            # Compatibility assertions arrive outside the event stream.
-            asserted = self.catalog.versions.assertion_count
-            if asserted != self._assertions_seen:
-                self._assertions_seen = asserted
-                self.invalidate()
+            self._notice_assertions()
             for state in selected:
-                self._ensure_solved(state)
+                self._ensure_solved(state, self.model)
                 for cache in state.reports:
                     for report in cache.values():
                         out.extend(report)
@@ -878,6 +975,57 @@ class IncrementalAnalyzer:
                     out.extend(self._orphans())
         out.sort(key=Diagnostic.sort_key)
         return out
+
+    def lint(self, file: str) -> List[Diagnostic]:
+        """The lint rules' sorted diagnostics, spans at ``file``.
+
+        The first query checks every node; later ones re-check only
+        the nodes changed since, and the cycles that may run through
+        them.  A query naming another file than the last starts over.
+        """
+        with self.catalog._lock:
+            self._notice_assertions()
+            state = self._lint
+            if state is None or state.file != file:
+                state = self._lint = _LintState(file)
+            program = _LiveProgram(self.model, file)
+            cold = not state.nodes.solved
+            self._ensure_solved(state.nodes, program)
+            if state.trs_dirty:
+                state.trs = {}
+                for name in self.model._tr_table():
+                    report = tuple(check_transformation(name, program))
+                    if report:
+                        state.trs[name] = report
+                state.trs_dirty = False
+            if cold or state.cycles_dirty:
+                live = members(self.model.graph).derivations
+                if cold:
+                    state.cycles = find_cycles(live, program)
+                else:
+                    # A new cycle runs through a changed derivation; a
+                    # broken one had members reported last time.
+                    through = state.cycles_dirty.union(*state.cycles)
+                    state.cycles = cycles_through(
+                        [name for name in through if name in live], program
+                    )
+                state.cycles_dirty.clear()
+            out = [
+                diagnostic
+                for reports in (*state.nodes.reports, state.trs)
+                for report in reports.values()
+                for diagnostic in report
+            ]
+            out.extend(state.cycles.values())
+        out.sort(key=Diagnostic.sort_key)
+        return out
+
+    def _notice_assertions(self) -> None:
+        """Compatibility assertions arrive outside the event stream."""
+        asserted = self.catalog.versions.assertion_count
+        if asserted != self._assertions_seen:
+            self._assertions_seen = asserted
+            self.invalidate()
 
     def _select(
         self, passes: Optional[Iterable[str]]
@@ -896,7 +1044,8 @@ class IncrementalAnalyzer:
             self._orphan_cache = orphan_invocation_diagnostics(self.model)
         return self._orphan_cache
 
-    def _ensure_solved(self, state: _PassState) -> None:
+    def _ensure_solved(self, state: _PassState, model: Any) -> None:
+        """Bring ``state`` up to date; ``model`` is what its pass reads."""
         if state.solved and not any(state.dirty):
             return
         graph = self.model.graph
@@ -914,7 +1063,7 @@ class IncrementalAnalyzer:
                 pass_,
                 graph,
                 state.facts,
-                self.model,
+                model,
                 state.dirty if state.solved else None,
             )
             for names in state.dirty:
@@ -933,7 +1082,7 @@ class IncrementalAnalyzer:
                 reported += len(names)
                 for name in names:
                     report = (
-                        reporter(name, graph, state.facts, self.model)
+                        reporter(name, graph, state.facts, model)
                         if name in alive
                         else ()
                     )
@@ -951,33 +1100,6 @@ class IncrementalAnalyzer:
                     analysis=pass_.name,
                     mode=mode,
                 )
-
-    def lint_context(self) -> AnalysisContext:
-        """A live AnalysisContext equivalent to a cold catalog lint.
-
-        Built from catalog objects (no VDL export, no reparse), so all
-        spans are line 0.
-        """
-        with self.catalog._lock:
-            if self._ctx is None or self._ctx_dirty:
-                model = self.model
-                graph = self.catalog.derivation_graph()
-                dvs = [
-                    _dv_info(graph.derivation(name))
-                    for name in graph.derivation_names()
-                ]
-                trs = {
-                    name: list(infos)
-                    for name, infos in sorted(model._tr_table().items())
-                }
-                self._ctx = AnalysisContext.from_entities(
-                    file=self.file,
-                    catalog=self.catalog,
-                    trs=trs,
-                    dvs=dvs,
-                )
-                self._ctx_dirty = False
-            return self._ctx
 
     def stats(self) -> Dict[str, Any]:
         """Counters for benchmarks and ``repro analyze --stats``."""

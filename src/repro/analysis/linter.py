@@ -9,22 +9,28 @@ use.  It degrades gracefully through the front-end stages:
    :class:`~repro.vdl.semantics.Analyzer` — a semantic error in one
    declaration becomes a ``VDG010`` diagnostic *without* hiding
    problems in the others;
-3. finally every enabled rule runs over the :class:`AnalysisContext`.
+3. finally the per-node checks of :mod:`repro.analysis.rules` run on
+   every transformation, derivation and dataset the program declares,
+   over a derivation graph with one node per DV declaration.
 
-Instrumented through the PR-1 observability layer: one
-``analysis.lint`` span per run with nested ``analysis.rule`` spans, and
-``analysis.diagnostics`` counters labelled by code, so lint activity
-shows up in ``repro stats`` and ``repro trace`` like any other
-subsystem.
+Instrumented through the observability layer: one ``analysis.lint``
+span per run, and ``analysis.diagnostics`` counters labelled by code,
+so lint activity shows up in ``repro stats`` and ``repro trace`` like
+any other subsystem.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
-from repro.analysis.context import AnalysisContext
+from repro.analysis.context import (
+    AnalysisContext,
+    DVInfo,
+    TRInfo,
+    split_target,
+)
 from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
@@ -33,11 +39,13 @@ from repro.analysis.diagnostics import (
     max_severity,
 )
 from repro.analysis.registry import RuleRegistry, default_rules
+from repro.analysis.rules import Program, check_all
 from repro.analysis.suppressions import apply_suppressions
-from repro.core.types import TypeRegistry
+from repro.core.types import DatasetType, TypeRegistry
 from repro.core.versioning import VersionRegistry
 from repro.errors import SchemaError, VDLSemanticError, VDLSyntaxError
 from repro.observability.instrument import NULL, Instrumentation
+from repro.provenance.graph import DerivationGraph
 from repro.vdl.ast import ProgramNode
 from repro.vdl.parser import parse
 from repro.vdl.semantics import Analyzer
@@ -58,10 +66,6 @@ class LintResult:
         return [d for d in self.diagnostics if d.severity >= Severity.ERROR]
 
     @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == Severity.WARNING]
-
-    @property
     def clean(self) -> bool:
         """No errors and no warnings (info-only results are clean)."""
         severity = max_severity(self.diagnostics)
@@ -69,13 +73,6 @@ class LintResult:
 
     def counts(self) -> dict[str, int]:
         return count_by_severity(self.diagnostics)
-
-    def merged(self, other: "LintResult") -> "LintResult":
-        combined = LintResult(file=self.file)
-        combined.diagnostics = sorted(
-            self.diagnostics + other.diagnostics, key=Diagnostic.sort_key
-        )
-        return combined
 
 
 class Linter:
@@ -103,14 +100,7 @@ class Linter:
     ) -> LintResult:
         """Lint VDL text; never raises on malformed input."""
         with self.obs.span("analysis.lint", file=file) as span:
-            result = self._lint(source, file, catalog)
-            if self.obs.enabled:
-                counts = result.counts()
-                span.set("diagnostics", len(result.diagnostics))
-                span.set("errors", counts["error"])
-                self.obs.count("analysis.runs", help="lint invocations")
-                self._count_diagnostics(result)
-            return result
+            return self._observed(span, self._lint(source, file, catalog))
 
     def lint_file(self, path: Union[str, os.PathLike[str]]) -> LintResult:
         """Lint one ``.vdl`` file from disk."""
@@ -132,12 +122,12 @@ class Linter:
         come from the catalog itself (replica knowledge suppresses
         ``VDG403`` for datasets that exist physically).
 
-        With ``incremental=True`` the rules instead run over the live
-        :class:`~repro.analysis.context.AnalysisContext` maintained by
-        the catalog's incremental analyzer — no export, no reparse, no
-        semantic re-lowering.  Spans are line 0 (there is no source
-        text); parse/semantic diagnostics cannot occur because the
-        entities were validated on their way into the catalog.
+        With ``incremental=True`` the catalog's live analyzer checks
+        its own graph instead — no export, no reparse, no semantic
+        re-lowering — re-checking only the nodes changed since its last
+        lint.  Spans are line 0 at ``file`` (there is no source text);
+        parse/semantic diagnostics cannot occur because the entities
+        were validated on their way into the catalog.
         """
         if not incremental:
             return self.lint_source(
@@ -146,16 +136,10 @@ class Linter:
         with self.obs.span(
             "analysis.lint", file=file, incremental=True
         ) as span:
-            context = catalog.live_analyzer(file=file).lint_context()
-            result = LintResult(file=file)
-            self._run_rules(context, result)
+            analyzer = catalog.live_analyzer(file=file)
+            result = LintResult(file=file, diagnostics=analyzer.lint(file))
             self._finish(result, source=None)
-            if self.obs.enabled:
-                span.set("diagnostics", len(result.diagnostics))
-                span.set("errors", result.counts()["error"])
-                self.obs.count("analysis.runs", help="lint invocations")
-                self._count_diagnostics(result)
-            return result
+            return self._observed(span, result)
 
     # -- pipeline ----------------------------------------------------------
 
@@ -187,18 +171,13 @@ class Linter:
             catalog=catalog,
         )
         result.diagnostics.extend(self._semantic_pass(program, context))
-        self._run_rules(context, result)
+        result.diagnostics.extend(check_all(_SourceProgram(context), context.trs))
         self._finish(result, source=source)
         return result
 
-    def _run_rules(self, context: AnalysisContext, result: LintResult) -> None:
-        for rule in self.registry.enabled():
-            with self.obs.span("analysis.rule", rule=rule.name):
-                result.diagnostics.extend(rule.check(context))
-
     def _finish(self, result: LintResult, source: Optional[str]) -> None:
         """Registry- and ``noqa``-filter, then impose canonical order."""
-        suppressed = self.registry.suppressed_codes()
+        suppressed = self.registry.disabled_codes()
         if suppressed:
             result.diagnostics = [
                 d for d in result.diagnostics if d.code not in suppressed
@@ -206,14 +185,20 @@ class Linter:
         result.diagnostics = apply_suppressions(result.diagnostics, source)
         result.diagnostics.sort(key=Diagnostic.sort_key)
 
-    def _count_diagnostics(self, result: LintResult) -> None:
-        for diag in result.diagnostics:
-            self.obs.count(
-                "analysis.diagnostics",
-                help="lint findings by code",
-                code=diag.code,
-                severity=str(diag.severity),
-            )
+    def _observed(self, span: Any, result: LintResult) -> LintResult:
+        """Record a finished run on its span and in the counters."""
+        if self.obs.enabled:
+            span.set("diagnostics", len(result.diagnostics))
+            span.set("errors", result.counts()["error"])
+            self.obs.count("analysis.runs", help="lint invocations")
+            for diag in result.diagnostics:
+                self.obs.count(
+                    "analysis.diagnostics",
+                    help="lint findings by code",
+                    code=diag.code,
+                    severity=str(diag.severity),
+                )
+        return result
 
     def _semantic_pass(
         self, program: ProgramNode, context: AnalysisContext
@@ -224,8 +209,15 @@ class Linter:
         for decl in program.declarations:
             try:
                 analyzer.analyze(ProgramNode(declarations=(decl,)))
-            except VDLSemanticError as exc:
-                if "is not registered" in exc.bare_message:
+            except (VDLSemanticError, SchemaError) as exc:
+                if isinstance(exc, VDLSemanticError):
+                    message, line = exc.bare_message, exc.line
+                else:
+                    # A versioned DV target (``tr@2.0``) fails VDPRef's
+                    # name check, as in ``define``; the version rules
+                    # still judge the version itself.
+                    message, line = str(exc), decl.line
+                if "is not registered" in message:
                     # Unknown type names get the finer-grained VDG106
                     # (with the formal's own line) from the signature
                     # rule; a second VDG010 would be noise.
@@ -234,15 +226,72 @@ class Linter:
                     Diagnostic(
                         code="VDG010",
                         severity=Severity.ERROR,
-                        message=exc.bare_message,
-                        span=Span(file=context.file, line=exc.line),
+                        message=message,
+                        span=Span(file=context.file, line=line),
                         obj=getattr(decl, "name", None),
                         rule="semantic",
                     )
                 )
-            except SchemaError:
-                # Lowering a versioned DV target (``tr@2.0``) trips
-                # VDPRef's name check; the version rules cover that
-                # statically, so lowering failures here are not news.
-                continue
         return out
+
+
+class _SourceProgram(Program):
+    """A parsed program as the checks read it.
+
+    Each DV declaration is its own graph node, keyed by its index, so a
+    shadowed name (VDG404) still races and reads as a declaration of
+    its own; cycles are judged per name.
+    """
+
+    def __init__(self, context: AnalysisContext) -> None:
+        super().__init__(
+            context.file,
+            DerivationGraph(),
+            context.types,
+            context.versions,
+            context.catalog,
+        )
+        self.context = context
+        self._named: dict[str, list[str]] = {}
+        self._called: set[str] = set()
+        for index, dv in enumerate(context.dvs):
+            key = str(index)
+            self.graph.add_derivation_edges(
+                key, dv.lfns(("input", "inout")), dv.lfns(("output", "inout"))
+            )
+            self._named.setdefault(dv.name, []).append(key)
+            self._called.add(split_target(dv.target)[0])
+        for trs in context.trs.values():
+            for tr in trs:
+                self._called.update(split_target(c.target)[0] for c in tr.calls)
+
+    def ordered(self, keys: Iterable[str]) -> list[str]:
+        return sorted(keys, key=int)
+
+    def names_of(self, keys: Iterable[str]) -> set[str]:
+        return {self.dv(key).name for key in keys}
+
+    def keys_named(self, name: str) -> Sequence[str]:
+        return self._named[name]
+
+    def line_of(self, name: str) -> int:
+        return self.dv(self._named[name][-1]).line
+
+    def dv(self, key: str) -> DVInfo:
+        return self.context.dvs[int(key)]
+
+    def resolve_tr(self, target: str) -> Optional[TRInfo]:
+        return self.context.resolve_tr(target)
+
+    def declarations(self, name: str) -> Sequence[TRInfo]:
+        return self.context.trs.get(name, ())
+
+    def is_called(self, name: str) -> bool:
+        return name in self._called
+
+    def declared_type(self, lfn: str) -> Optional[DatasetType]:
+        catalog = self.catalog
+        if catalog is None or not catalog.has_dataset(lfn):
+            return None
+        dtype = catalog.get_dataset(lfn).dataset_type
+        return None if dtype.is_any() else dtype

@@ -1,29 +1,26 @@
-"""Pluggable rule registry for the VDL linter.
+"""The lint rules by name, and which of them a run leaves out.
 
-A rule is a plain function ``(AnalysisContext) -> Iterable[Diagnostic]``
-wrapped in a :class:`Rule` record carrying its stable metadata (the
-``VDGxxx`` codes it may emit, a short kebab-case name, a one-line
-description).  :class:`RuleRegistry` holds an ordered set of rules and
-supports suppression by rule name *or* diagnostic code, so CI can say
-``--no-rule VDG402`` or ``--no-rule dead-code`` and mean the same thing.
+A :class:`Rule` is the stable metadata of one family of checks: a
+short kebab-case name and the ``VDGxxx`` codes it may emit.  The
+checks themselves run per node (:mod:`repro.analysis.rules`); a rule
+only names them.  :class:`RuleRegistry` holds an ordered set of rules
+and supports suppression by rule name *or* diagnostic code, so CI can
+say ``--no-rule VDG402`` or ``--no-rule dead-code`` and mean the same
+thing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
-
-from repro.analysis.diagnostics import Diagnostic
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One registered check."""
+    """One family of checks, by name and codes."""
 
     name: str
     codes: tuple[str, ...]
-    description: str
-    check: Callable[..., Iterable[Diagnostic]]
 
     def matches(self, token: str) -> bool:
         """Whether a suppression token (rule name or code) targets us."""
@@ -49,22 +46,14 @@ class RuleRegistry:
         """Suppress rules by name (``output-race``) or code (``VDG201``)."""
         self._disabled.update(tokens)
 
-    def enabled(self) -> list[Rule]:
-        return [
-            r
-            for r in self._rules
-            if not any(r.matches(t) for t in self._disabled)
-        ]
-
-    def suppressed_codes(self) -> set[str]:
-        """Individual codes suppressed without disabling their whole rule."""
-        return {t.upper() for t in self._disabled if t.upper().startswith("VDG")}
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules)
-
-    def __len__(self) -> int:
-        return len(self._rules)
+    def disabled_codes(self) -> set[str]:
+        """Every code a run drops: each disabled rule's, and codes
+        named on their own (front-end ones like ``VDG010`` included)."""
+        codes = {t.upper() for t in self._disabled if t.upper().startswith("VDG")}
+        for r in self._rules:
+            if any(r.matches(t) for t in self._disabled):
+                codes.update(r.codes)
+        return codes
 
     def rule(self, name: str) -> Rule:
         for r in self._rules:
@@ -73,27 +62,22 @@ class RuleRegistry:
         raise KeyError(name)
 
 
-#: Module-level accumulator the ``@rule`` decorator feeds; consumed by
-#: :func:`default_rules`.
-_DEFAULT: list[Rule] = []
-
-
-def rule(
-    name: str, codes: tuple[str, ...], description: str
-) -> Callable[[Callable[..., Iterable[Diagnostic]]], Rule]:
-    """Decorator registering a check function as a default rule."""
-
-    def wrap(fn: Callable[..., Iterable[Diagnostic]]) -> Rule:
-        record = Rule(name=name, codes=codes, description=description, check=fn)
-        _DEFAULT.append(record)
-        return record
-
-    return wrap
+#: The built-in rules, in documentation order (``docs/LINTING.md``
+#: describes each code).
+RULES = (
+    Rule("duplicate-transformation", ("VDG001",)),
+    Rule("unknown-transformation", ("VDG002",)),
+    Rule(
+        "signature-conformance",
+        ("VDG101", "VDG102", "VDG103", "VDG104", "VDG105", "VDG106"),
+    ),
+    Rule("output-race", ("VDG201", "VDG202", "VDG203")),
+    Rule("derivation-cycle", ("VDG301",)),
+    Rule("dead-code", ("VDG401", "VDG402", "VDG403", "VDG404")),
+    Rule("versioning", ("VDG501", "VDG502")),
+)
 
 
 def default_rules() -> RuleRegistry:
     """A fresh registry holding every built-in rule."""
-    # Importing the module runs the @rule decorators exactly once.
-    import repro.analysis.rules  # noqa: F401
-
-    return RuleRegistry(_DEFAULT)
+    return RuleRegistry(RULES)

@@ -305,8 +305,8 @@ def _cmd_plan(ws: Workspace, args, out) -> int:
     if args.strict:
         from repro.analysis import Linter
 
-        # The incremental path reuses (or seeds) the catalog's live
-        # analysis context instead of re-exporting and re-parsing.
+        # The incremental path checks the catalog's own graph instead
+        # of re-exporting and re-parsing it.
         with obs.phase("analyze"):
             result = Linter().lint_catalog(catalog, incremental=True)
         if result.errors:
@@ -1013,8 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--incremental",
         action="store_true",
-        help="catalog mode only: run the rules over the live analysis "
-        "context instead of re-exporting and re-parsing the VDL",
+        help="catalog mode only: check the catalog's own graph instead "
+        "of re-exporting and re-parsing the VDL",
     )
     lint.set_defaults(fn=_cmd_lint)
 

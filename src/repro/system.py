@@ -170,9 +170,10 @@ class VirtualDataSystem:
 
         Returns a :class:`repro.analysis.LintResult`; see
         ``docs/LINTING.md`` for the diagnostic codes.  With
-        ``incremental=True`` (catalog mode only) the rules run over the
-        live analysis context maintained by the catalog's incremental
-        analyzer instead of re-exporting and re-parsing the VDL.
+        ``incremental=True`` (catalog mode only) the catalog's
+        incremental analyzer checks its own graph, re-checking only what
+        changed since its last lint, instead of re-exporting and
+        re-parsing the VDL.
         """
         from repro.analysis import Linter
 

@@ -141,20 +141,44 @@ class TestIncrementalLint:
         result = Linter().lint_catalog(catalog, incremental=True)
         assert any(d.code == "VDG201" for d in result.diagnostics)
 
-    def test_context_is_cached_between_runs(self):
+    def test_live_lint_spans_carry_the_callers_file(self):
+        """The analyzer is one per catalog, made under its own name; a
+        lint names the file it was asked for, first call or later."""
+        from repro.analysis import Linter, render_text
         from repro.catalog.memory import MemoryCatalog
 
-        catalog = MemoryCatalog().define(CLEAN_VDL)
-        analyzer = catalog.live_analyzer()
-        first = analyzer.lint_context()
-        assert analyzer.lint_context() is first
-        # A mutation invalidates; the next query rebuilds once.
-        catalog.define(
-            'DV c9->copy( o=@{output:"c9.txt"}, i=@{input:"seed.txt"} );'
-        )
-        second = analyzer.lint_context()
-        assert second is not first
-        assert analyzer.lint_context() is second
+        catalog = MemoryCatalog().define(RACY_VDL)
+        assert catalog.live_analyzer().file == "<catalog>"
+        for file in ("<sdss>", "<hep>"):
+            result = Linter().lint_catalog(
+                catalog, file=file, incremental=True
+            )
+            assert result.file == file
+            assert {d.span.file for d in result.diagnostics} == {file}
+            assert render_text(result).startswith(f"{file}: error[VDG201]")
+
+    def test_catalog_messages_name_no_line_zero(self):
+        """A catalog has no source lines: the VDG201/VDG202 messages
+        leave out the "(line N)" of the declaration they point back to."""
+        from repro.analysis import Linter
+        from repro.catalog.memory import MemoryCatalog
+
+        catalog = MemoryCatalog().define(RACY_VDL + CONFLICT_VDL)
+        result = Linter().lint_catalog(catalog, incremental=True)
+        messages = {
+            d.code: d.message
+            for d in result.diagnostics
+            if d.code in ("VDG201", "VDG202")
+        }
+        assert messages == {
+            "VDG201": (
+                "dataset 'copy2.txt' is produced by DV 'c3' and by DV "
+                "'c2'; materialization order would be nondeterministic"
+            ),
+            "VDG202": (
+                "TR 'twice': calls to 'emitx' and 'emitx' both write 'o'"
+            ),
+        }
 
 
 class TestStrictPlanReusesContext:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.core.dataset import Dataset
+from repro.core.derivation import DatasetArg, Derivation
+from repro.core.naming import VDPRef
 from repro.core.replica import Replica
 from repro.core.types import DatasetType
 from repro.executor.local import LocalExecutor
@@ -371,3 +373,89 @@ TR hidden( output o ) {
             passes=["output-conflict"]
         )
         assert diags == []  # the static surface rule owns that pair
+
+
+class TestLiveLint:
+    """The lint checks kept live: nothing before the first lint, then
+    only the changed region re-checked."""
+
+    def test_nothing_kept_or_marked_before_the_first_lint(self):
+        from repro.analysis import Linter
+
+        catalog = MemoryCatalog().define(PIPELINE_VDL)
+        analyzer = catalog.live_analyzer()
+        catalog.define('DV s3->step( o=@{output:"x"}, i=@{input:"end"} );')
+        put_replica(catalog, "mid")
+        assert analyzer._lint is None
+        for per_pass in analyzer.stats()["passes"].values():
+            assert not per_pass["solved"] and per_pass["dirty"] == 0
+        Linter().lint_catalog(catalog, incremental=True)
+        catalog.remove_derivation("s3")
+        assert any(analyzer._lint.nodes.dirty)
+
+    def test_a_relint_rechecks_only_the_changed_region(self, monkeypatch):
+        from repro.analysis import Linter
+        from repro.analysis.incremental import LintPass
+
+        checked = []
+        for hook in ("report_dataset", "report_derivation"):
+            check = getattr(LintPass, hook)
+
+            def counted(self, name, *rest, check=check):
+                checked.append(name)
+                return check(self, name, *rest)
+
+            monkeypatch.setattr(LintPass, hook, counted)
+        catalog = MemoryCatalog().define(PIPELINE_VDL)
+        lint = lambda: Linter().lint_catalog(catalog, incremental=True)
+        lint()
+        assert sorted(checked) == ["end", "g1", "mid", "raw", "s1", "s2"]
+        checked.clear()
+        lint()
+        assert checked == []
+        catalog.define('DV s3->step( o=@{output:"x"}, i=@{input:"end"} );')
+        lint()
+        # s3, the datasets it links, and their other writer s2.
+        assert sorted(checked) == ["end", "s2", "s3", "x"]
+
+    def test_new_writer_version_retypes_what_a_reader_sees(self):
+        from repro.analysis import Linter
+        from repro.analysis.incremental import IncrementalAnalyzer
+
+        catalog = MemoryCatalog().define(
+            'TR mk( output o ) { argument stdout = ${output:o}; exec = "/mk"; }\n'
+            "TR use( input i : SDSS/Simple/ASCII, output o ) {\n"
+            "  argument stdin = ${input:i};\n"
+            "  argument stdout = ${output:o};\n"
+            '  exec = "/use";\n'
+            "}\n"
+            'DV w->mk( o=@{output:"l"} );\n'
+        )
+        # Untyped ``l`` fails ``use``'s input type: only lint may see it.
+        catalog.add_derivation(
+            Derivation(
+                name="x",
+                transformation=VDPRef.parse("use", default_kind="transformation"),
+                actuals={
+                    "i": DatasetArg(dataset="l", direction="input"),
+                    "o": DatasetArg(dataset="out", direction="output"),
+                },
+            ),
+            validate=False,
+        )
+        lint = lambda: Linter().lint_catalog(catalog, incremental=True)
+        assert "VDG105" not in [d.code for d in lint().diagnostics]
+        catalog.define(
+            "TR mk@2.0( output o : SDSS/Simple/Binary ) {\n"
+            '  argument stdout = ${output:o}; exec = "/mk2";\n'
+            "}\n"
+        )
+        (found,) = [d for d in lint().diagnostics if d.code == "VDG105"]
+        assert found.obj == "x"
+        fresh = IncrementalAnalyzer(catalog)
+        try:
+            assert [d.code for d in fresh.lint("<workspace>")] == [
+                d.code for d in lint().diagnostics
+            ]
+        finally:
+            fresh.close()

@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis import (
     Linter,
-    RuleRegistry,
     Severity,
     default_rules,
     render_json,
@@ -360,6 +359,20 @@ class TestVersionCodes:
         )
         assert "VDG502" not in codes(source, versions=versions)
 
+    def test_versioned_dv_target_is_vdg010_like_define(self):
+        """``define`` rejects a versioned DV target, so lint must fail
+        it too; the version rules still report on it as before."""
+        source = SIMPLE_PAIR + (
+            'DV d->extract@9.9( a=@{input:"r"}, b=@{output:"o"} );'
+        )
+        result = lint(source)
+        (diag,) = [d for d in result.diagnostics if d.code == "VDG010"]
+        assert diag.message == "invalid object name 'extract@9.9'"
+        assert diag.span.line == 9
+        assert diag.obj == "d"
+        assert "VDG502" in codes(source)
+        assert exit_code(result) == 1
+
 
 class TestSuppression:
     RACY = SIMPLE_PAIR + (
@@ -383,19 +396,6 @@ class TestSuppression:
         registry = default_rules()
         with pytest.raises(ValueError, match="duplicate rule name"):
             registry.register(registry.rule("output-race"))
-
-    def test_custom_rule_plugs_in(self):
-        from repro.analysis import Diagnostic, Rule
-
-        def no_tabs(ctx):
-            return [
-                Diagnostic("VDG900", Severity.INFO, "custom finding")
-            ]
-
-        registry = RuleRegistry(
-            [Rule("no-tabs", ("VDG900",), "demo", no_tabs)]
-        )
-        assert codes("", registry=registry) == ["VDG900"]
 
 
 class TestAcceptanceScenario:
