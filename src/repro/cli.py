@@ -71,6 +71,7 @@ from repro.observability import (
     render_report,
     render_span_tree,
     report_dict,
+    to_openmetrics,
     validate_openmetrics,
     write_snapshot,
 )
@@ -703,7 +704,8 @@ def _cmd_export(ws: Workspace, args, out) -> int:
     return 0
 
 
-def _render_run_list(ws: Workspace, out) -> int:
+def _render_run_list(ws: Workspace, out, verb: str = "") -> int:
+    """List the recorded runs; ``verb`` adds how to pick the newest."""
     runs = ws.list_runs()
     if not runs:
         out(f"no recorded runs under {ws.runs_dir}")
@@ -712,7 +714,17 @@ def _render_run_list(ws: Workspace, out) -> int:
     for record in runs:
         command = f"  command={record.command}" if record.command else ""
         out(f"  {record.run_id}  status={record.status}{command}")
+    if verb:
+        out(f"({verb} one with: {verb} {runs[-1].run_id})")
     return 0
+
+
+def _load_metrics(ws: Workspace, run: Optional[str]) -> dict:
+    """A recorded run's metrics (``""`` is the latest), or without
+    ``run`` the last snapshot's."""
+    if run is not None:
+        return ws.load_run(run or "latest").metrics
+    return ws.load_snapshot()[1]
 
 
 def _cmd_stats(ws: Workspace, args, out) -> int:
@@ -721,21 +733,9 @@ def _cmd_stats(ws: Workspace, args, out) -> int:
 
     if args.run == "":
         return _render_run_list(ws, out)
-    if args.run is not None:
-        record = ws.load_run(args.run)
-        if args.format == "prom":
-            out("error: --format prom needs the live snapshot; run "
-                "'stats' without --run")
-            return 1
-        if args.format == "json":
-            out(json.dumps(record.metrics, indent=2, sort_keys=True))
-        else:
-            rendered = render_metrics(record.metrics)
-            out(rendered if rendered else "no metrics recorded")
-        return 0
-    _, metrics, prom = ws.load_snapshot()
+    metrics = _load_metrics(ws, args.run)
     if args.format == "prom":
-        out(prom.rstrip("\n"))
+        out(to_openmetrics(metrics).rstrip("\n"))
     elif args.format == "json":
         out(json.dumps(metrics, indent=2, sort_keys=True))
     else:
@@ -770,7 +770,7 @@ def _cmd_trace(ws: Workspace, args, out) -> int:
     if args.run is not None:
         spans = ws.load_run(args.run).spans
     else:
-        spans, _, _ = ws.load_snapshot()
+        spans, _ = ws.load_snapshot()
     if not spans:
         out("no spans recorded")
         return 0
@@ -783,11 +783,7 @@ def _cmd_report(ws: Workspace, args, out) -> int:
     import json
 
     if not args.run_id:
-        _render_run_list(ws, out)
-        runs = ws.list_runs()
-        if runs:
-            out(f"(report one with: report {runs[-1].run_id})")
-        return 0
+        return _render_run_list(ws, out, verb="report")
     record = ws.load_run(args.run_id)
     if args.json:
         out(json.dumps(report_dict(record), indent=2, sort_keys=True))
@@ -803,11 +799,7 @@ def _cmd_profile(ws: Workspace, args, out) -> int:
     from repro.observability import collapsed_stacks
 
     if not args.run_id:
-        _render_run_list(ws, out)
-        runs = ws.list_runs()
-        if runs:
-            out(f"(profile one with: profile {runs[-1].run_id})")
-        return 0
+        return _render_run_list(ws, out, verb="profile")
     record = ws.load_run(args.run_id)
     if record.profile is None:
         out(
@@ -947,10 +939,7 @@ def _cmd_metrics(ws: Workspace, args, out) -> int:
     OpenMetrics text exposition (``--openmetrics``) or the human
     rendering.
     """
-    if args.run is not None:
-        metrics = ws.load_run(args.run or "latest").metrics
-    else:
-        _, metrics, _ = ws.load_snapshot()
+    metrics = _load_metrics(ws, args.run)
     health_report = None
     if ws.exists and ws.list_runs():
         with ws.history() as history:
@@ -1102,27 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool type: threads (default; I/O-bound steps) or "
         "processes (CPU-bound Python bodies scale past the GIL)",
     )
-    mat.add_argument(
-        "--progress",
-        action="store_true",
-        help="show a live steps-done/running/failed ticker with ETA",
-    )
-    mat.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the sampling profiler; the profile rides in the run "
-        "record (read back with 'profile RUN_ID')",
-    )
-    mat.add_argument(
-        "--no-record",
-        action="store_true",
-        help="skip writing a flight record under <workspace>/runs/",
-    )
-    mat.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the crash-consistency preflight check",
-    )
     mat.set_defaults(fn=_cmd_materialize)
 
     run = sub.add_parser(
@@ -1203,28 +1171,30 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="kill the run at sim time T (writes a rescue file)",
     )
-    run.add_argument(
-        "--progress",
-        action="store_true",
-        help="show a live steps-done/running/failed ticker with ETA",
-    )
-    run.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the sampling profiler; the profile rides in the run "
-        "record (read back with 'profile RUN_ID')",
-    )
-    run.add_argument(
-        "--no-record",
-        action="store_true",
-        help="skip writing a flight record under <workspace>/runs/",
-    )
-    run.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the crash-consistency preflight check",
-    )
     run.set_defaults(fn=_cmd_run)
+    # The flags every executing command takes, last in its help.
+    for executing in (mat, run):
+        executing.add_argument(
+            "--progress",
+            action="store_true",
+            help="show a live steps-done/running/failed ticker with ETA",
+        )
+        executing.add_argument(
+            "--profile",
+            action="store_true",
+            help="run the sampling profiler; the profile rides in the run "
+            "record (read back with 'profile RUN_ID')",
+        )
+        executing.add_argument(
+            "--no-record",
+            action="store_true",
+            help="skip writing a flight record under <workspace>/runs/",
+        )
+        executing.add_argument(
+            "--no-verify",
+            action="store_true",
+            help="skip the crash-consistency preflight check",
+        )
 
     fsck = sub.add_parser(
         "fsck",

@@ -64,8 +64,8 @@ def fit_samples(
 
     Each sample is ``(bytes_read, cpu_seconds, bytes_written)``.  The
     sample-based core lets the same fit serve live
-    :class:`~repro.core.invocation.Invocation` objects, flight
-    records, and the run-history metastore's aggregate tables.
+    :class:`~repro.core.invocation.Invocation` objects and the
+    run-history metastore's aggregate tables.
     """
     if not samples:
         return TransformationCostModel(transformation=transformation)
@@ -143,47 +143,17 @@ class Estimator:
                 tr_name, self.catalog.invocations_of_transformation(tr_name)
             )
 
-    def train_on_record(self, record) -> dict[str, TransformationCostModel]:
-        """Fit models from one recorded run's flight record.
-
-        A :class:`~repro.observability.recorder.RunRecord` carries the
-        same (bytes_read, cpu_seconds) pairs the catalog does, but for
-        exactly one run — so a record taken on one grid can train an
-        estimator bound to a different (even empty) catalog.  Returns
-        the transformations whose models were refreshed.
-        """
-        plan_steps = record.plan_steps()
-        by_tr: dict[str, list[Invocation]] = {}
-        for data in record.invocations:
-            entry = plan_steps.get(data.get("derivation_name", ""))
-            if entry is None:
-                continue
-            by_tr.setdefault(entry["transformation"], []).append(
-                Invocation.from_dict(data)
-            )
-        trained: dict[str, TransformationCostModel] = {}
-        for tr_name, invocations in sorted(by_tr.items()):
-            model = fit_model(tr_name, invocations)
-            if model.is_fitted:
-                self._models[tr_name] = trained[tr_name] = model
-                if self.obs.enabled:
-                    self.obs.count(
-                        "estimator.trained",
-                        help="models refreshed from run records",
-                    )
-        return trained
-
     def train_on_history(
         self, history
     ) -> dict[str, TransformationCostModel]:
         """Fit models from the whole run-history metastore.
 
-        Where :meth:`train_on_record` learns from one run, this pools
-        every successful invocation the
+        Pools every successful planned invocation the
         :class:`~repro.observability.history.HistoryStore` has
         ingested — the §5.3 estimation loop closed over *all* recorded
-        history rather than the latest flight.  Returns the
-        transformations whose models were refreshed.
+        history.  A record taken on one grid can thus train an
+        estimator bound to a different (even empty) catalog.  Returns
+        the transformations whose models were refreshed.
         """
         trained: dict[str, TransformationCostModel] = {}
         for tr_name, rows in sorted(history.training_samples().items()):

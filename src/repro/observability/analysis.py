@@ -13,8 +13,7 @@ RunRecord` — nothing needs the live process that produced it:
   much longer a step could have taken without moving the finish line);
   critical steps have zero slack.
 * :func:`transformation_profiles` / :func:`site_profiles` — latency and
-  throughput aggregates from the recorded invocations, the same shape
-  :meth:`repro.estimator.cost.Estimator.train_on_record` learns from.
+  throughput aggregates from the recorded invocations.
 * :func:`chrome_trace` — Chrome Trace Event Format (the JSON object
   form), loadable in Perfetto / ``chrome://tracing``: spans become
   complete (``"X"``) events laned by recording thread, step attempts
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.topology import topological_levels
-from repro.observability.recorder import RunRecord
+from repro.observability.recorder import InvocationRow, RunRecord
 
 
 @dataclass
@@ -154,10 +153,9 @@ def critical_path(record: RunRecord) -> CriticalPathReport:
     report = CriticalPathReport()
     if not timings:
         return report
-    report.clock = next(iter(timings.values())).get("clock", "sim")
+    report.clock = record.clock
     report.slack = compute_slack(record)
     deps = record.dependencies()
-    plan_steps = record.plan_steps()
 
     # Built tail-first then reversed: list.insert(0, ...) is O(n) per
     # hop, which made deep chains quadratic to extract.
@@ -181,9 +179,7 @@ def critical_path(record: RunRecord) -> CriticalPathReport:
         report.steps.append(
             CriticalStep(
                 step=name,
-                transformation=(
-                    plan_steps.get(name, {}).get("transformation")
-                ),
+                transformation=timing["transformation"],
                 site=timing.get("site"),
                 start=timing["start"],
                 end=timing["end"],
@@ -201,80 +197,62 @@ def critical_path(record: RunRecord) -> CriticalPathReport:
 # -- latency / throughput profiles -------------------------------------------
 
 
+def _profiles(
+    key: str, groups: dict[str, list[InvocationRow]], fields: tuple[str, ...]
+) -> list[dict[str, Any]]:
+    """Latency and throughput ``fields`` of each group of invocations."""
+    profiles = []
+    for name in sorted(groups):
+        rows = groups[name]
+        ok = [r for r in rows if r.status == "success"]
+        read = sum(r.bytes_read for r in ok)
+        wall = sum(r.wall_seconds for r in ok)
+        stats = {
+            "runs": len(rows),
+            "failures": len(rows) - len(ok),
+            "mean_wall_seconds": wall / len(ok) if ok else 0.0,
+            "mean_cpu_seconds": (
+                sum(r.cpu_seconds for r in ok) / len(ok) if ok else 0.0
+            ),
+            "busy_seconds": wall,
+            "bytes_read": read,
+            "bytes_written": sum(r.bytes_written for r in ok),
+            "throughput_bytes_per_second": read / wall if wall > 0 else 0.0,
+        }
+        profiles.append({key: name, **{f: stats[f] for f in fields}})
+    return profiles
+
+
 def transformation_profiles(record: RunRecord) -> list[dict[str, Any]]:
     """Per-transformation latency+throughput from recorded invocations.
 
-    This is exactly the estimator's food: (bytes_read, cpu_seconds)
-    pairs aggregated per transformation, plus wall latency and
-    bytes/second throughput.
+    (bytes_read, cpu_seconds) pairs aggregated per transformation, plus
+    wall latency and bytes/second throughput; an invocation no plan
+    line names is grouped under ``?<derivation>``.
     """
-    plan_steps = record.plan_steps()
-    groups: dict[str, list[dict[str, Any]]] = {}
-    for inv in record.invocations:
-        name = inv.get("derivation_name", "")
-        entry = plan_steps.get(name)
-        transformation = (
-            entry["transformation"] if entry else f"?{name}"
-        )
-        groups.setdefault(transformation, []).append(inv)
-    profiles = []
-    for transformation in sorted(groups):
-        invs = groups[transformation]
-        ok = [i for i in invs if i.get("status") == "success"]
-        walls = [i["usage"]["wall_seconds"] for i in ok]
-        cpus = [i["usage"]["cpu_seconds"] for i in ok]
-        read = sum(i["usage"]["bytes_read"] for i in ok)
-        written = sum(i["usage"]["bytes_written"] for i in ok)
-        wall_total = sum(walls)
-        profiles.append(
-            {
-                "transformation": transformation,
-                "runs": len(invs),
-                "failures": len(invs) - len(ok),
-                "mean_wall_seconds": (
-                    wall_total / len(walls) if walls else 0.0
-                ),
-                "mean_cpu_seconds": (
-                    sum(cpus) / len(cpus) if cpus else 0.0
-                ),
-                "bytes_read": read,
-                "bytes_written": written,
-                "throughput_bytes_per_second": (
-                    read / wall_total if wall_total > 0 else 0.0
-                ),
-            }
-        )
-    return profiles
+    groups: dict[str, list[InvocationRow]] = {}
+    for row in record.invocation_rows:
+        label = row.transformation or f"?{row.derivation}"
+        groups.setdefault(label, []).append(row)
+    return _profiles(
+        "transformation",
+        groups,
+        ("runs", "failures", "mean_wall_seconds", "mean_cpu_seconds",
+         "bytes_read", "bytes_written", "throughput_bytes_per_second"),
+    )
 
 
 def site_profiles(record: RunRecord) -> list[dict[str, Any]]:
     """Per-site latency+throughput from recorded invocations."""
-    groups: dict[str, list[dict[str, Any]]] = {}
-    for inv in record.invocations:
-        site = inv.get("context", {}).get("site", "?")
-        groups.setdefault(site, []).append(inv)
-    profiles = []
-    for site in sorted(groups):
-        invs = groups[site]
-        ok = [i for i in invs if i.get("status") == "success"]
-        walls = [i["usage"]["wall_seconds"] for i in ok]
-        read = sum(i["usage"]["bytes_read"] for i in ok)
-        wall_total = sum(walls)
-        profiles.append(
-            {
-                "site": site,
-                "runs": len(invs),
-                "failures": len(invs) - len(ok),
-                "busy_seconds": wall_total,
-                "mean_wall_seconds": (
-                    wall_total / len(walls) if walls else 0.0
-                ),
-                "throughput_bytes_per_second": (
-                    read / wall_total if wall_total > 0 else 0.0
-                ),
-            }
-        )
-    return profiles
+    groups: dict[str, list[InvocationRow]] = {}
+    for row in record.invocation_rows:
+        groups.setdefault(row.site or "?", []).append(row)
+    return _profiles(
+        "site",
+        groups,
+        ("runs", "failures", "busy_seconds", "mean_wall_seconds",
+         "throughput_bytes_per_second"),
+    )
 
 
 # -- Chrome trace (Perfetto) export ------------------------------------------
@@ -297,22 +275,21 @@ def chrome_trace(record: RunRecord) -> dict[str, Any]:
     Profiled runs (schema v2 ``profile`` line) additionally get a
     ``profiler`` lane with one event per lifecycle-phase interval.
     """
-    attempts = record.step_attempts
-    clock = attempts[0].get("clock", "sim") if attempts else "wall"
+    clock = record.clock
     events: list[tuple[int, str, str, float, float, dict[str, Any]]] = []
     # (pid, lane, name, start, end, args)
-    for attempt in attempts:
+    for attempt in record.attempts:
         events.append(
             (
                 1,
-                f"site {attempt.get('site') or '?'}",
-                attempt["step"],
-                float(attempt["start"]),
-                float(attempt["end"]),
+                f"site {attempt.site or '?'}",
+                attempt.step,
+                float(attempt.start),
+                float(attempt.end),
                 {
-                    "status": attempt.get("status"),
-                    "attempt": attempt.get("attempt", 1),
-                    "host": attempt.get("host"),
+                    "status": attempt.status,
+                    "attempt": attempt.ordinal,
+                    "host": attempt.host,
                 },
             )
         )
@@ -333,13 +310,11 @@ def chrome_trace(record: RunRecord) -> dict[str, Any]:
         events.append(
             (pid, lane, span["name"], float(start), float(end), args)
         )
-    if record.profile and clock == "wall":
+    if clock == "wall":
         # Phase intervals are absolute wall stamps — the same clock
         # domain local step attempts already use.
-        for phase, stat in sorted(
-            record.profile.get("phases", {}).items()
-        ):
-            for interval in stat.get("intervals", ()):
+        for phase, stat in record.phases.items():
+            for interval in stat["intervals"]:
                 events.append(
                     (
                         1,
@@ -453,10 +428,6 @@ def validate_chrome_trace(trace: dict[str, Any]) -> list[str]:
 def report_dict(record: RunRecord) -> dict[str, Any]:
     """The machine-readable ``repro report --json`` payload."""
     path = critical_path(record)
-    event_counts: dict[str, int] = {}
-    for event in record.events:
-        kind = event.get("kind", "?")
-        event_counts[kind] = event_counts.get(kind, 0) + 1
     statuses: dict[str, int] = {}
     for timing in record.step_timings().values():
         statuses[timing["status"]] = statuses.get(timing["status"], 0) + 1
@@ -468,7 +439,7 @@ def report_dict(record: RunRecord) -> dict[str, Any]:
         "makespan": record.makespan(),
         "steps": statuses,
         "invocations": len(record.invocations),
-        "events": dict(sorted(event_counts.items())),
+        "events": record.event_counts,
         "critical_path": path.to_dict(),
         "transformation_profiles": transformation_profiles(record),
         "site_profiles": site_profiles(record),
@@ -478,11 +449,9 @@ def report_dict(record: RunRecord) -> dict[str, Any]:
     if record.profile is not None:
         data["profile_phases"] = {
             name: {
-                "seconds": stat.get("seconds", 0.0),
-                "samples": stat.get("samples", 0),
-                "peak_bytes": stat.get("peak_bytes", 0),
+                key: stat[key] for key in ("seconds", "samples", "peak_bytes")
             }
-            for name, stat in record.profile.get("phases", {}).items()
+            for name, stat in record.phases.items()
         }
     return data
 

@@ -12,6 +12,12 @@ Two complementary entry points:
   :class:`~repro.observability.history.HistoryStore`, the shape a CI
   regression gate wants ("is today's run slower than the last N?").
 
+Both read a step's duration the one way the record decoder defines it
+(:meth:`~repro.observability.recorder.RunRecord.duration_samples`, the
+successful attempt's ``end - start``), which is also what the history
+store's ``attempt`` table holds, so a pair of identical runs is clean
+under either.
+
 Significance is deliberately conservative and distribution-free at
 its core: a delta is flagged when **both** the relative change exceeds
 ``threshold_pct`` **and** the absolute change exceeds ``abs_floor``
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.observability.analysis import critical_path
+from repro.observability.history import HistoryStore
 from repro.observability.recorder import RunRecord
 
 #: Welch t statistic required when a variance-based test is possible.
@@ -192,21 +199,14 @@ class RunDiff:
                 "candidate": self.makespan[1],
                 "significant": self.makespan_significant,
             },
-            "critical_path": {
-                "base": self.critical_path[0],
-                "candidate": self.critical_path[1],
-            },
-            "retries": {
-                "base": self.retries[0],
-                "candidate": self.retries[1],
-            },
-            "faults": {
-                "base": self.faults[0],
-                "candidate": self.faults[1],
-            },
-            "failures": {
-                "base": self.failures[0],
-                "candidate": self.failures[1],
+            **{
+                label: {"base": pair[0], "candidate": pair[1]}
+                for label, pair in (
+                    ("critical_path", self.critical_path),
+                    ("retries", self.retries),
+                    ("faults", self.faults),
+                    ("failures", self.failures),
+                )
             },
             "transformations": [
                 d.to_dict() for d in self.transformations
@@ -251,26 +251,13 @@ class RunDiff:
             ("failures", self.failures),
         ):
             lines.append(f"  {label:<14} {pair[0]} -> {pair[1]}")
-        if self.transformations:
-            lines.append("  per-transformation mean step duration:")
-            for d in sorted(
-                self.transformations,
-                key=lambda d: -abs(d.delta),
-            ):
-                pct = (
-                    f"{d.delta_pct:+.1f}%"
-                    if not math.isinf(d.delta_pct)
-                    else "new"
-                )
-                flag = " **" if d.significant else ""
-                lines.append(
-                    f"    {d.transformation:<20} "
-                    f"{d.base_mean:.3f}s -> {d.cand_mean:.3f}s "
-                    f"({pct}, n={d.base_n}->{d.cand_n}){flag}"
-                )
-        if self.phases:
-            lines.append("  profiled phase seconds:")
-            for d in sorted(self.phases, key=lambda d: -abs(d.delta)):
+        for title, deltas in (
+            ("per-transformation mean step duration", self.transformations),
+            ("profiled phase seconds", self.phases),
+        ):
+            if deltas:
+                lines.append(f"  {title}:")
+            for d in sorted(deltas, key=lambda d: -abs(d.delta)):
                 pct = (
                     f"{d.delta_pct:+.1f}%"
                     if not math.isinf(d.delta_pct)
@@ -295,50 +282,8 @@ class RunDiff:
         return "\n".join(lines)
 
 
-def _transformation_durations(
-    record: RunRecord,
-) -> dict[str, list[float]]:
-    """Successful per-step durations grouped by transformation."""
-    plan_steps = record.plan_steps()
-    out: dict[str, list[float]] = {}
-    for name, timing in sorted(record.step_timings().items()):
-        if timing["status"] != "success":
-            continue
-        entry = plan_steps.get(name)
-        tr = entry["transformation"] if entry else name
-        out.setdefault(tr, []).append(
-            max(0.0, float(timing["end"]) - float(timing["start"]))
-        )
-    return out
-
-
-def _retries(record: RunRecord) -> int:
-    timings = record.step_timings()
-    return sum(max(0, t["attempts"] - 1) for t in timings.values())
-
-
-def _faults(record: RunRecord) -> int:
-    return sum(
-        1 for e in record.events if e.get("kind") == "fault.injected"
-    )
-
-
-def _failures(record: RunRecord) -> int:
-    return sum(
-        1
-        for t in record.step_timings().values()
-        if t["status"] != "success"
-    )
-
-
 def _phase_samples(record: RunRecord) -> dict[str, list[float]]:
-    """Per-phase wall seconds from a profiled record ({} otherwise)."""
-    if not record.profile:
-        return {}
-    return {
-        name: [float(stat.get("seconds", 0.0))]
-        for name, stat in record.profile.get("phases", {}).items()
-    }
+    return {name: [stat["seconds"]] for name, stat in record.phases.items()}
 
 
 def _critical_seconds(record: RunRecord) -> Optional[float]:
@@ -436,13 +381,13 @@ def diff_records(
     return diff_durations(
         base.run_id,
         cand.run_id,
-        _transformation_durations(base),
-        _transformation_durations(cand),
+        base.duration_samples(),
+        cand.duration_samples(),
         makespan=(base.makespan(), cand.makespan()),
         critical=(_critical_seconds(base), _critical_seconds(cand)),
-        retries=(_retries(base), _retries(cand)),
-        faults=(_faults(base), _faults(cand)),
-        failures=(_failures(base), _failures(cand)),
+        retries=(base.retries, cand.retries),
+        faults=(base.faults, cand.faults),
+        failures=(base.failures, cand.failures),
         base_phases=_phase_samples(base),
         cand_phases=_phase_samples(cand),
         threshold_pct=threshold_pct,
@@ -451,7 +396,7 @@ def diff_records(
 
 
 def regression_report(
-    history: Any,
+    history: HistoryStore,
     candidate: RunRecord,
     baseline_ids: Optional[Iterable[str]] = None,
     window: int = 20,
@@ -506,20 +451,16 @@ def regression_report(
         base_label,
         candidate.run_id,
         history.duration_samples(baseline_ids),
-        _transformation_durations(candidate),
+        candidate.duration_samples(),
         makespan=(
             _mean(base_makespans) if base_makespans else None,
             cand_makespan,
         ),
         critical=(None, _critical_seconds(candidate)),
-        retries=(base_retries, _retries(candidate)),
-        faults=(base_faults, _faults(candidate)),
-        failures=(base_failures, _failures(candidate)),
-        base_phases=(
-            history.phase_seconds(baseline_ids)
-            if hasattr(history, "phase_seconds")
-            else None
-        ),
+        retries=(base_retries, candidate.retries),
+        faults=(base_faults, candidate.faults),
+        failures=(base_failures, candidate.failures),
+        base_phases=history.phase_seconds(baseline_ids),
         cand_phases=_phase_samples(candidate),
         threshold_pct=threshold_pct,
         abs_floor=abs_floor,

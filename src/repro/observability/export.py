@@ -1,15 +1,13 @@
-"""Exporters: JSON-lines spans, Prometheus/OpenMetrics text, trees.
+"""Exporters: JSON-lines spans, OpenMetrics text, trees.
 
 Machine formats and one human format:
 
 * :func:`spans_to_jsonl` — one JSON object per span, in creation
   order (the natural format for shipping traces off-process);
-* :meth:`MetricsRegistry.to_prometheus` — text exposition format
-  (re-exported here via :func:`metrics_to_prometheus`);
-* :func:`to_openmetrics` / :func:`validate_openmetrics` — the
-  OpenMetrics text exposition (what ``repro metrics --openmetrics``
-  prints and what a future catalog server's ``/metrics`` endpoint
-  will serve), built from the portable
+* :func:`to_openmetrics` / :func:`validate_openmetrics` — the one
+  text exposition (what ``repro metrics --openmetrics`` and ``repro
+  stats --format prom`` print and what a future catalog server's
+  ``/metrics`` endpoint will serve), built from the portable
   :meth:`MetricsRegistry.to_dict` shape so it works equally on live
   registries, persisted snapshots, and flight-record metrics;
 * :func:`render_span_tree` / :func:`render_metrics` — the terminal
@@ -30,17 +28,11 @@ from typing import Any, Optional
 
 from repro.durability.atomic import atomic_write_text
 from repro.observability.instrument import Instrumentation
-from repro.observability.metrics import (
-    MetricsRegistry,
-    _fmt,
-    _label_text,
-    prometheus_name,
-)
+from repro.observability.metrics import _fmt, _label_text, prometheus_name
 from repro.observability.tracing import Tracer
 
 SPANS_FILE = "spans.jsonl"
 METRICS_FILE = "metrics.json"
-PROMETHEUS_FILE = "metrics.prom"
 
 
 # -- spans -------------------------------------------------------------------
@@ -56,10 +48,6 @@ def spans_to_jsonl(tracer: Tracer) -> str:
 
 def spans_from_jsonl(text: str) -> list[dict[str, Any]]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def metrics_to_prometheus(registry: MetricsRegistry) -> str:
-    return registry.to_prometheus()
 
 
 def render_span_tree(source: Tracer | list[dict[str, Any]]) -> str:
@@ -432,25 +420,20 @@ def write_snapshot(obs: Instrumentation, directory: str | Path) -> Path:
         directory / METRICS_FILE,
         json.dumps(obs.metrics.to_dict(), sort_keys=True, indent=2) + "\n",
     )
-    atomic_write_text(
-        directory / PROMETHEUS_FILE, obs.metrics.to_prometheus()
-    )
     return directory
 
 
 def read_snapshot(
     directory: str | Path,
-) -> tuple[list[dict[str, Any]], dict[str, dict], str]:
-    """Load ``(spans, metrics_dict, prometheus_text)`` from a snapshot."""
+) -> tuple[list[dict[str, Any]], dict[str, dict]]:
+    """Load ``(spans, metrics_dict)`` from a snapshot."""
     directory = Path(directory)
     spans_path = directory / SPANS_FILE
     metrics_path = directory / METRICS_FILE
-    prom_path = directory / PROMETHEUS_FILE
     spans = (
         spans_from_jsonl(spans_path.read_text()) if spans_path.exists() else []
     )
     metrics = (
         json.loads(metrics_path.read_text()) if metrics_path.exists() else {}
     )
-    prom = prom_path.read_text() if prom_path.exists() else ""
-    return spans, metrics, prom
+    return spans, metrics

@@ -28,7 +28,7 @@ placement, closing the loop from observed history back into planning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 #: Health statuses, worst-first rollup; codes exported as gauges.
@@ -99,18 +99,7 @@ class SiteHealth:
         return HEALTH_CODES[self.status]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "site": self.site,
-            "attempts": self.attempts,
-            "failures": self.failures,
-            "success_rate": self.success_rate,
-            "error_budget_burn": self.error_budget_burn,
-            "p95_latency": self.p95_latency,
-            "grid_p95_latency": self.grid_p95_latency,
-            "breaker_open_seconds": self.breaker_open_seconds,
-            "status": self.status,
-            "reasons": list(self.reasons),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -283,58 +272,41 @@ def health_penalties(
     return penalties
 
 
+#: Per-site gauge families: (metric name, help, SiteHealth attribute).
+_SITE_GAUGES = (
+    ("site.health.status",
+     "Per-site health (0=ok, 1=degraded, 2=critical)", "status_code"),
+    ("site.success.rate",
+     "Per-site attempt success rate over the health window", "success_rate"),
+    ("site.error.budget.burn",
+     "Per-site error budget burn (1.0 = budget spent)", "error_budget_burn"),
+    ("site.latency.p95",
+     "Per-site p95 successful step latency (seconds)", "p95_latency"),
+    ("site.breaker.open.seconds",
+     "Per-site circuit-breaker open time over the window",
+     "breaker_open_seconds"),
+)
+
+
 def health_metrics(report: HealthReport) -> dict[str, dict[str, Any]]:
     """The report as metric families (``MetricsRegistry.to_dict``
     shape), ready to merge into an OpenMetrics exposition."""
-
-    def gauge(help_: str, series: list[dict[str, Any]]) -> dict[str, Any]:
-        return {"kind": "gauge", "help": help_, "series": series}
-
-    sites = report.sites
-    return {
-        "grid.health.status": gauge(
-            "Grid health rollup (0=ok, 1=degraded, 2=critical)",
-            [{"labels": {}, "value": HEALTH_CODES[report.status]}],
-        ),
-        "site.health.status": gauge(
-            "Per-site health (0=ok, 1=degraded, 2=critical)",
-            [
-                {"labels": {"site": s.site}, "value": s.status_code}
-                for s in sites
+    families = {
+        "grid.health.status": {
+            "kind": "gauge",
+            "help": "Grid health rollup (0=ok, 1=degraded, 2=critical)",
+            "series": [
+                {"labels": {}, "value": HEALTH_CODES[report.status]}
             ],
-        ),
-        "site.success.rate": gauge(
-            "Per-site attempt success rate over the health window",
-            [
-                {"labels": {"site": s.site}, "value": s.success_rate}
-                for s in sites
-            ],
-        ),
-        "site.error.budget.burn": gauge(
-            "Per-site error budget burn (1.0 = budget spent)",
-            [
-                {
-                    "labels": {"site": s.site},
-                    "value": s.error_budget_burn,
-                }
-                for s in sites
-            ],
-        ),
-        "site.latency.p95": gauge(
-            "Per-site p95 successful step latency (seconds)",
-            [
-                {"labels": {"site": s.site}, "value": s.p95_latency}
-                for s in sites
-            ],
-        ),
-        "site.breaker.open.seconds": gauge(
-            "Per-site circuit-breaker open time over the window",
-            [
-                {
-                    "labels": {"site": s.site},
-                    "value": s.breaker_open_seconds,
-                }
-                for s in sites
-            ],
-        ),
+        }
     }
+    for name, help_, attr in _SITE_GAUGES:
+        families[name] = {
+            "kind": "gauge",
+            "help": help_,
+            "series": [
+                {"labels": {"site": s.site}, "value": getattr(s, attr)}
+                for s in report.sites
+            ],
+        }
+    return families

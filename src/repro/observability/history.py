@@ -22,34 +22,29 @@ per-invocation and per-site tables:
     one row per recorded step *attempt* with its site, status and
     duration — the raw material for per-site SLOs and per-step diffs;
 ``invocation_sample``
-    (transformation, bytes_read, cpu_seconds, …) tuples — exactly the
-    estimator's training food, so
+    (transformation, bytes_read, cpu_seconds, …) tuples of the planned
+    invocations — exactly the estimator's training food, so
     :meth:`repro.estimator.cost.Estimator.train_on_history` can fit
     models over every run ever recorded;
-``event_count``
-    per-run event totals (retries, injected faults, timeouts);
 ``site_breaker``
     per-run, per-site circuit-breaker open time, reconstructed from
     the recorded ``breaker.transition`` events.
 
-Consumers: the run-diff/regression engine
+Every row comes from the rows :class:`~repro.observability.recorder.
+RunRecord` decodes; nothing here reads a raw record line.  Consumers:
+the run-diff/regression engine
 (:mod:`repro.observability.diff`), the grid-health SLO layer
 (:mod:`repro.observability.health`), and the estimator.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import time
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from repro.observability.recorder import RunRecord, list_runs
-from repro.resilience.policies import STATE_CODES
-
-#: Default store location inside a workspace.
-HISTORY_FILENAME = "history.sqlite"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS run (
@@ -99,12 +94,6 @@ CREATE TABLE IF NOT EXISTS invocation_sample (
     PRIMARY KEY (run_id, ordinal)
 );
 CREATE INDEX IF NOT EXISTS sample_tr ON invocation_sample (transformation);
-CREATE TABLE IF NOT EXISTS event_count (
-    run_id TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    count INTEGER NOT NULL,
-    PRIMARY KEY (run_id, kind)
-);
 CREATE TABLE IF NOT EXISTS site_breaker (
     run_id TEXT NOT NULL,
     site TEXT NOT NULL,
@@ -126,57 +115,9 @@ _RUN_TABLES = (
     "run",
     "attempt",
     "invocation_sample",
-    "event_count",
     "site_breaker",
     "phase_profile",
 )
-
-_OPEN_CODE = STATE_CODES["open"]
-
-
-def breaker_open_windows(
-    record: RunRecord,
-) -> dict[str, tuple[float, int]]:
-    """Per-site ``(open_seconds, transitions)`` from recorded events.
-
-    Walks the ``breaker.transition`` events in time order and
-    accumulates the time each site's breaker spent in the ``open``
-    state.  A breaker still open at the end of the record is charged
-    through the last recorded simulation instant.
-    """
-    transitions: dict[str, list[tuple[float, int]]] = {}
-    last_instant = 0.0
-    for event in record.events:
-        sim = event.get("sim")
-        if sim is not None:
-            last_instant = max(last_instant, float(sim))
-        if event.get("kind") != "breaker.transition":
-            continue
-        site = event.get("site")
-        if site is None or sim is None:
-            continue
-        transitions.setdefault(site, []).append(
-            (float(sim), int(event.get("state", 0)))
-        )
-    for timing in record.step_timings().values():
-        if timing.get("clock", "sim") == "sim":
-            last_instant = max(last_instant, float(timing["end"]))
-    out: dict[str, tuple[float, int]] = {}
-    for site, seq in transitions.items():
-        seq.sort(key=lambda pair: pair[0])
-        open_seconds = 0.0
-        opened_at: Optional[float] = None
-        for at, state in seq:
-            if state == _OPEN_CODE and opened_at is None:
-                opened_at = at
-            elif state != _OPEN_CODE and opened_at is not None:
-                open_seconds += at - opened_at
-                opened_at = None
-        if opened_at is not None:
-            open_seconds += max(0.0, last_instant - opened_at)
-        out[site] = (open_seconds, len(seq))
-    return out
-
 
 class HistoryStore:
     """SQLite-backed, queryable aggregate of many recorded runs."""
@@ -192,13 +133,6 @@ class HistoryStore:
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
-
-    @classmethod
-    def open(cls, workspace_root: str | Path) -> "HistoryStore":
-        """The store at ``<workspace>/history.sqlite`` (created lazily)."""
-        root = Path(workspace_root)
-        root.mkdir(parents=True, exist_ok=True)
-        return cls(root / HISTORY_FILENAME)
 
     def close(self) -> None:
         self._conn.close()
@@ -236,21 +170,6 @@ class HistoryStore:
         if not force and self.is_ingested(record):
             return False
         run_id = record.run_id
-        timings = record.step_timings()
-        plan_steps = record.plan_steps()
-        steps_total = len(plan_steps) if plan_steps else len(timings)
-        failed = sum(
-            1 for t in timings.values() if t["status"] != "success"
-        )
-        attempts_total = sum(t["attempts"] for t in timings.values())
-        clock = (
-            next(iter(timings.values()))["clock"] if timings else "wall"
-        )
-        event_counts: dict[str, int] = {}
-        for event in record.events:
-            kind = event.get("kind", "?")
-            event_counts[kind] = event_counts.get(kind, 0) + 1
-        faults = event_counts.get("fault.injected", 0)
         try:
             source_size = record.path.stat().st_size
         except OSError:
@@ -271,13 +190,13 @@ class HistoryStore:
                     record.result.get("finished_at"),
                     record.status,
                     record.command,
-                    clock,
+                    record.clock,
                     record.makespan(),
-                    steps_total,
-                    failed,
-                    attempts_total,
-                    max(0, attempts_total - len(timings)),
-                    faults,
+                    len(record.plan_steps()) or len(record.step_timings()),
+                    record.failures,
+                    len(record.attempts),
+                    record.retries,
+                    record.faults,
                     int(record.truncated),
                     record.schema_version,
                     str(record.path),
@@ -285,33 +204,22 @@ class HistoryStore:
                     time.time(),
                 ),
             )
-            # Step lines carry no attempt ordinal: number retries of
-            # the same step by encounter order (the record is
-            # append-only, so file order IS attempt order).
-            seen_attempts: dict[str, int] = {}
-            attempt_rows = []
-            for a in record.step_attempts:
-                step = a["step"]
-                ordinal = seen_attempts.get(step, 0) + 1
-                seen_attempts[step] = ordinal
-                attempt_rows.append(
-                    (
-                        run_id,
-                        step,
-                        int(a.get("attempt", ordinal)),
-                        (plan_steps.get(step) or {}).get(
-                            "transformation"
-                        ),
-                        a.get("site"),
-                        a["status"],
-                        float(a["start"]),
-                        float(a["end"]),
-                        max(0.0, float(a["end"]) - float(a["start"])),
-                    )
-                )
             cur.executemany(
                 "INSERT INTO attempt VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                attempt_rows,
+                [
+                    (
+                        run_id,
+                        a.step,
+                        a.ordinal,
+                        a.transformation,
+                        a.site,
+                        a.status,
+                        float(a.start),
+                        float(a.end),
+                        a.duration,
+                    )
+                    for a in record.attempts
+                ],
             )
             cur.executemany(
                 "INSERT INTO invocation_sample VALUES "
@@ -319,56 +227,41 @@ class HistoryStore:
                 [
                     (
                         run_id,
-                        ordinal,
-                        (
-                            plan_steps.get(
-                                inv.get("derivation_name", "")
-                            )
-                            or {}
-                        ).get("transformation")
-                        or f"?{inv.get('derivation_name', '')}",
-                        inv.get("context", {}).get("site"),
-                        inv.get("status", "?"),
-                        float(inv["usage"]["wall_seconds"]),
-                        float(inv["usage"]["cpu_seconds"]),
-                        int(inv["usage"]["bytes_read"]),
-                        int(inv["usage"]["bytes_written"]),
+                        inv.ordinal,
+                        inv.transformation,
+                        inv.site,
+                        inv.status,
+                        inv.wall_seconds,
+                        inv.cpu_seconds,
+                        inv.bytes_read,
+                        inv.bytes_written,
                     )
-                    for ordinal, inv in enumerate(record.invocations)
-                ],
-            )
-            cur.executemany(
-                "INSERT INTO event_count VALUES (?, ?, ?)",
-                [
-                    (run_id, kind, count)
-                    for kind, count in sorted(event_counts.items())
+                    for inv in record.invocation_rows
+                    if inv.transformation is not None
                 ],
             )
             cur.executemany(
                 "INSERT INTO site_breaker VALUES (?, ?, ?, ?)",
                 [
                     (run_id, site, open_seconds, transitions)
-                    for site, (open_seconds, transitions) in sorted(
-                        breaker_open_windows(record).items()
+                    for site, (open_seconds, transitions) in (
+                        record.breaker_windows().items()
                     )
                 ],
             )
-            if record.profile:
-                cur.executemany(
-                    "INSERT INTO phase_profile VALUES (?, ?, ?, ?, ?)",
-                    [
-                        (
-                            run_id,
-                            phase,
-                            float(stat.get("seconds", 0.0)),
-                            int(stat.get("samples", 0)),
-                            int(stat.get("peak_bytes", 0)),
-                        )
-                        for phase, stat in sorted(
-                            record.profile.get("phases", {}).items()
-                        )
-                    ],
-                )
+            cur.executemany(
+                "INSERT INTO phase_profile VALUES (?, ?, ?, ?, ?)",
+                [
+                    (
+                        run_id,
+                        phase,
+                        stat["seconds"],
+                        stat["samples"],
+                        stat["peak_bytes"],
+                    )
+                    for phase, stat in record.phases.items()
+                ],
+            )
             self._conn.commit()
         except BaseException:
             self._conn.rollback()
@@ -389,12 +282,6 @@ class HistoryStore:
                 ingested += 1
         return ingested
 
-    def delete_run(self, run_id: str) -> None:
-        cur = self._conn.cursor()
-        for table in _RUN_TABLES:
-            cur.execute(f"DELETE FROM {table} WHERE run_id = ?", (run_id,))
-        self._conn.commit()
-
     # -- run-level queries -------------------------------------------------
 
     def run_ids(self) -> list[str]:
@@ -406,24 +293,11 @@ class HistoryStore:
             )
         ]
 
-    def runs(self) -> list[dict[str, Any]]:
-        """Run summary rows, oldest first."""
-        return [
-            dict(row)
-            for row in self._conn.execute(
-                "SELECT * FROM run ORDER BY started_at, run_id"
-            )
-        ]
-
     def run_row(self, run_id: str) -> Optional[dict[str, Any]]:
         row = self._conn.execute(
             "SELECT * FROM run WHERE run_id = ?", (run_id,)
         ).fetchone()
         return dict(row) if row else None
-
-    def latest_run_id(self) -> Optional[str]:
-        ids = self.run_ids()
-        return ids[-1] if ids else None
 
     def __len__(self) -> int:
         return int(
@@ -479,34 +353,6 @@ class HistoryStore:
             )
         return out
 
-    def phase_rows(self, run_id: str) -> dict[str, dict[str, Any]]:
-        """One run's ingested phase profile (empty if unprofiled)."""
-        return {
-            row["phase"]: dict(row)
-            for row in self._conn.execute(
-                "SELECT * FROM phase_profile WHERE run_id = ? "
-                "ORDER BY phase",
-                (run_id,),
-            )
-        }
-
-    def transformation_series(
-        self, transformation: str
-    ) -> list[dict[str, Any]]:
-        """Per-run mean duration of one transformation, oldest first."""
-        return [
-            dict(row)
-            for row in self._conn.execute(
-                "SELECT a.run_id AS run_id, r.started_at AS started_at, "
-                "COUNT(*) AS n, AVG(a.duration) AS mean_duration, "
-                "MAX(a.duration) AS max_duration "
-                "FROM attempt a JOIN run r ON r.run_id = a.run_id "
-                "WHERE a.transformation = ? AND a.status = 'success' "
-                "GROUP BY a.run_id ORDER BY r.started_at, a.run_id",
-                (transformation,),
-            )
-        ]
-
     def site_stats(
         self, run_ids: Optional[Iterable[str]] = None
     ) -> dict[str, dict[str, Any]]:
@@ -518,57 +364,39 @@ class HistoryStore:
         """
         where, params = self._run_filter(run_ids)
         stats: dict[str, dict[str, Any]] = {}
+
+        def entry(site: str) -> dict[str, Any]:
+            return stats.setdefault(
+                site,
+                {
+                    "attempts": 0,
+                    "failures": 0,
+                    "durations": [],
+                    "breaker_open_seconds": 0.0,
+                },
+            )
+
         for row in self._conn.execute(
             "SELECT site, status, duration FROM attempt "
             f"WHERE site IS NOT NULL{where} "
             "ORDER BY run_id, step, attempt",
             params,
         ):
-            entry = stats.setdefault(
-                row["site"],
-                {
-                    "attempts": 0,
-                    "failures": 0,
-                    "durations": [],
-                    "breaker_open_seconds": 0.0,
-                },
-            )
-            entry["attempts"] += 1
+            site = entry(row["site"])
+            site["attempts"] += 1
             if row["status"] != "success":
-                entry["failures"] += 1
+                site["failures"] += 1
             else:
-                entry["durations"].append(float(row["duration"]))
+                site["durations"].append(float(row["duration"]))
         for row in self._conn.execute(
             "SELECT site, SUM(open_seconds) AS open_seconds "
             f"FROM site_breaker WHERE 1=1{where} GROUP BY site",
             params,
         ):
-            entry = stats.setdefault(
-                row["site"],
-                {
-                    "attempts": 0,
-                    "failures": 0,
-                    "durations": [],
-                    "breaker_open_seconds": 0.0,
-                },
-            )
-            entry["breaker_open_seconds"] += float(
+            entry(row["site"])["breaker_open_seconds"] += float(
                 row["open_seconds"] or 0.0
             )
         return stats
-
-    def event_totals(
-        self, run_ids: Optional[Iterable[str]] = None
-    ) -> dict[str, int]:
-        where, params = self._run_filter(run_ids)
-        return {
-            row["kind"]: int(row["total"])
-            for row in self._conn.execute(
-                "SELECT kind, SUM(count) AS total FROM event_count "
-                f"WHERE 1=1{where} GROUP BY kind ORDER BY kind",
-                params,
-            )
-        }
 
     def training_samples(
         self,
@@ -602,15 +430,3 @@ class HistoryStore:
                 }
             )
         return out
-
-    # -- maintenance -------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serializable dump (debugging / tests)."""
-        return {
-            "runs": self.runs(),
-            "events": self.event_totals(),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

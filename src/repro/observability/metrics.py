@@ -4,8 +4,8 @@ The paper's workflow layer "monitors their completion" (§5.4); real
 virtual-data deployments additionally instrumented every catalog
 lookup and wide-area transfer.  :class:`MetricsRegistry` is the
 process-local aggregation point: named metrics with label sets,
-exportable as a plain dict, JSON, or Prometheus text exposition
-format (see :mod:`repro.observability.export`).
+exportable as a plain dict or JSON, and from that dict as OpenMetrics
+text (see :mod:`repro.observability.export`).
 
 All metrics are synchronous in-process objects and **thread-safe**:
 the parallel local executor records invocations (and therefore
@@ -414,41 +414,6 @@ class MetricsRegistry:
         return {
             metric.name: metric.to_dict() for metric in self
         }
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for metric in self:
-            pname = prometheus_name(metric.name)
-            if metric.help:
-                lines.append(f"# HELP {pname} {metric.help}")
-            lines.append(f"# TYPE {pname} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for key, series in metric.series():
-                    labels = dict(key)
-                    running = 0
-                    for bound, n in zip(
-                        (*metric.buckets, float("inf")),
-                        series.bucket_counts,
-                    ):
-                        running += n
-                        le = "+Inf" if bound == float("inf") else _fmt(bound)
-                        lines.append(
-                            f"{pname}_bucket"
-                            f"{_label_text({**labels, 'le': le})} {running}"
-                        )
-                    lines.append(
-                        f"{pname}_sum{_label_text(labels)} {_fmt(series.sum)}"
-                    )
-                    lines.append(
-                        f"{pname}_count{_label_text(labels)} {series.count}"
-                    )
-            else:
-                for key, value in metric.series():
-                    lines.append(
-                        f"{pname}{_label_text(dict(key))} {_fmt(value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _label_text(labels: dict[str, str]) -> str:

@@ -279,16 +279,6 @@ class SamplingProfiler:
             "dropped_stacks": max(0, len(ranked) - top),
         }
 
-    def collapsed(self) -> list[str]:
-        """Collapsed-stack lines (``phase;frame;frame count``) — feed
-        them to flamegraph.pl or paste into speedscope."""
-        with self._lock:
-            items = sorted(self._stacks.items())
-        return [
-            ";".join((phase, *frames)) + f" {count}"
-            for (phase, frames), count in items
-        ]
-
 
 def collapsed_stacks(profile: dict[str, Any]) -> list[str]:
     """Collapsed-stack lines from a profile dict (live or loaded back

@@ -35,8 +35,10 @@ interleaves, in arrival order:
 Writes are serialized by a lock and flushed per line, so the record
 is truthful under ``workers=N`` and survives a crash mid-run (every
 completed line is valid JSON).  The :class:`RunRecord` reader
-reconstructs a finished (or crashed) run for post-hoc queries;
-analytics on top live in :mod:`repro.observability.analysis`.
+reconstructs a finished (or crashed) run for post-hoc queries and is
+the only decoder of the lines: analytics on top
+(:mod:`repro.observability.analysis`), run diffs, the history store
+and the estimator read its rows.
 
 The schema is versioned (:data:`RECORD_SCHEMA_VERSION`); readers
 reject records from a future major version rather than misreading
@@ -50,8 +52,11 @@ import json
 import os
 import threading
 import time
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
+
+from repro.resilience.policies import STATE_CODES
 
 #: Bump on breaking changes to the line schema.
 #:
@@ -63,11 +68,12 @@ from typing import Any, Optional
 #:   ``RunRecord.profile`` left ``None``.
 RECORD_SCHEMA_VERSION = 2
 
-#: Per-run directory layout under the workspace.
-RUNS_DIRNAME = "runs"
+#: Per-run record file under ``<workspace>/runs/<run_id>/``.
 RECORD_FILENAME = "record.jsonl"
 
 _run_counter = itertools.count(1)
+
+_OPEN_CODE = STATE_CODES["open"]
 
 
 def new_run_id(now: Optional[float] = None) -> str:
@@ -253,8 +259,55 @@ class FlightRecorder:
         self.close()
 
 
+class AttemptRow(NamedTuple):
+    """One recorded step attempt, its transformation resolved."""
+
+    step: str
+    #: The attempt's ``attempt`` field, or its encounter order among
+    #: the step's lines when the line carries none.
+    ordinal: int
+    #: ``None`` when no plan line names the step.
+    transformation: Optional[str]
+    site: Optional[str]
+    status: str
+    start: float
+    end: float
+    host: Optional[str] = None
+    clock: str = "sim"
+
+    @property
+    def duration(self) -> float:
+        return max(0.0, float(self.end) - float(self.start))
+
+
+class InvocationRow(NamedTuple):
+    """One recorded invocation, its transformation resolved."""
+
+    #: Position among the record's invocation lines.
+    ordinal: int
+    derivation: str
+    #: ``None`` when no plan line names the derivation (an ad-hoc
+    #: ``repro run TR``): such invocations are not training data.
+    transformation: Optional[str]
+    site: Optional[str]
+    status: str
+    wall_seconds: float
+    cpu_seconds: float
+    bytes_read: int
+    bytes_written: int
+
+
 class RunRecord:
     """A parsed flight record, reconstructed for post-hoc queries.
+
+    This is the one decoder of a record: history ingest, diff and
+    regress, the report, the Chrome trace and the estimator all read
+    the rows built here, once per load, and never the raw lines.
+    Every ``plan`` line is merged, so a recorder that saw several
+    plans resolves the transformation of every step in any of them.
+    A step's duration is its successful attempt's ``end - start``
+    (:meth:`duration_samples`), never the span from its first
+    attempt's start across backoff waits.
 
     ``truncated`` is set by :meth:`load` when the file ended in a torn
     final line (the signature of a crash mid-write): the valid prefix
@@ -270,7 +323,6 @@ class RunRecord:
         self.path = path
         self.truncated = truncated
         self.meta: dict[str, Any] = {}
-        self.plan: Optional[dict[str, Any]] = None
         self.spans: list[dict[str, Any]] = []
         self.invocations: list[dict[str, Any]] = []
         self.step_attempts: list[dict[str, Any]] = []
@@ -281,12 +333,14 @@ class RunRecord:
         #: Sampling-profiler report (schema v2+), or ``None`` — every
         #: consumer treats the absence as "run was not profiled".
         self.profile: Optional[dict[str, Any]] = None
+        self._plan_steps: dict[str, dict[str, Any]] = {}
         for line in lines:
             kind = line.get("type")
             if kind == "meta":
                 self.meta = line
             elif kind == "plan":
-                self.plan = line
+                for entry in line.get("steps", ()):
+                    self._plan_steps[entry["name"]] = entry
             elif kind == "span":
                 self.spans.append(line)
             elif kind == "invocation":
@@ -374,23 +428,92 @@ class RunRecord:
     def finished(self) -> bool:
         return bool(self.result)
 
-    # -- derived views -------------------------------------------------------
+    # -- the plan ------------------------------------------------------------
 
     def plan_steps(self) -> dict[str, dict[str, Any]]:
-        """Step name -> the plan record's step entry."""
-        if not self.plan:
-            return {}
-        return {entry["name"]: entry for entry in self.plan["steps"]}
+        """Step name -> its entry in the (merged) plan lines."""
+        return self._plan_steps
 
     def dependencies(self) -> dict[str, set[str]]:
         return {
             name: set(entry.get("deps", ()))
-            for name, entry in self.plan_steps().items()
+            for name, entry in self._plan_steps.items()
         }
 
-    def transformation_of(self, step: str) -> Optional[str]:
-        entry = self.plan_steps().get(step)
+    def _transformation(self, step: str) -> Optional[str]:
+        entry = self._plan_steps.get(step)
         return entry["transformation"] if entry else None
+
+    # -- decoded rows (built once, on first use) ----------------------------
+
+    @cached_property
+    def attempts(self) -> list[AttemptRow]:
+        """One row per ``step`` line, in record (= attempt) order."""
+        seen: dict[str, int] = {}
+        rows = []
+        for line in self.step_attempts:
+            step = line["step"]
+            seen[step] = seen.get(step, 0) + 1
+            rows.append(
+                AttemptRow(
+                    step=step,
+                    ordinal=int(line.get("attempt", seen[step])),
+                    transformation=self._transformation(step),
+                    site=line.get("site"),
+                    status=line["status"],
+                    start=line["start"],
+                    end=line["end"],
+                    host=line.get("host"),
+                    clock=line.get("clock", "sim"),
+                )
+            )
+        return rows
+
+    @cached_property
+    def invocation_rows(self) -> list[InvocationRow]:
+        rows = []
+        for ordinal, inv in enumerate(self.invocations):
+            name = inv.get("derivation_name", "")
+            usage = inv["usage"]
+            rows.append(
+                InvocationRow(
+                    ordinal=ordinal,
+                    derivation=name,
+                    transformation=self._transformation(name),
+                    site=inv.get("context", {}).get("site"),
+                    status=inv.get("status", "?"),
+                    wall_seconds=float(usage["wall_seconds"]),
+                    cpu_seconds=float(usage["cpu_seconds"]),
+                    bytes_read=int(usage["bytes_read"]),
+                    bytes_written=int(usage["bytes_written"]),
+                )
+            )
+        return rows
+
+    @cached_property
+    def _timings(self) -> dict[str, dict[str, Any]]:
+        merged: dict[str, dict[str, Any]] = {}
+        for row in self.attempts:
+            entry = merged.get(row.step)
+            if entry is None:
+                entry = merged[row.step] = {
+                    "step": row.step,
+                    "transformation": row.transformation,
+                    "start": row.start,
+                    "end": row.end,
+                    "status": row.status,
+                    "clock": row.clock,
+                    "site": row.site,
+                    "attempts": 0,
+                }
+            entry["start"] = min(entry["start"], row.start)
+            if row.end >= entry["end"]:
+                entry["end"] = row.end
+                entry["status"] = row.status
+                if row.site is not None:
+                    entry["site"] = row.site
+            entry["attempts"] += 1
+        return merged
 
     def step_timings(self) -> dict[str, dict[str, Any]]:
         """Step name -> merged timing over its attempts.
@@ -398,49 +521,126 @@ class RunRecord:
         ``start`` is the first attempt's start (a retried step's clock
         keeps running across backoff waits), ``end`` the last attempt's
         end, ``status`` the terminal attempt's status; ``attempts``
-        counts what actually ran.
+        counts what actually ran.  The schedule view critical-path and
+        slack analysis walk; step durations for diffs come from
+        :meth:`duration_samples` instead.
         """
-        merged: dict[str, dict[str, Any]] = {}
-        for attempt in self.step_attempts:
-            name = attempt["step"]
-            entry = merged.get(name)
-            if entry is None:
-                entry = merged[name] = {
-                    "step": name,
-                    "start": attempt["start"],
-                    "end": attempt["end"],
-                    "status": attempt["status"],
-                    "clock": attempt.get("clock", "sim"),
-                    "site": attempt.get("site"),
-                    "attempts": 0,
-                }
-            entry["start"] = min(entry["start"], attempt["start"])
-            if attempt["end"] >= entry["end"]:
-                entry["end"] = attempt["end"]
-                entry["status"] = attempt["status"]
-                if attempt.get("site") is not None:
-                    entry["site"] = attempt.get("site")
-            entry["attempts"] += 1
-        return merged
+        return self._timings
+
+    @property
+    def clock(self) -> str:
+        """The clock domain of the step stamps (``wall`` if none)."""
+        return self.attempts[0].clock if self.attempts else "wall"
+
+    def duration_samples(self) -> dict[str, list[float]]:
+        """Successful attempt durations per transformation.
+
+        Ordered by step, then attempt, and keyed ``"?"`` for steps no
+        plan line names: the same samples, in the same order, that the
+        history store's ``attempt`` table gives back.
+        """
+        out: dict[str, list[float]] = {}
+        for row in sorted(
+            self.attempts, key=lambda r: (r.step, r.ordinal)
+        ):
+            if row.status == "success":
+                out.setdefault(row.transformation or "?", []).append(
+                    row.duration
+                )
+        return out
+
+    @cached_property
+    def event_counts(self) -> dict[str, int]:
+        """Event kind -> number of ``event`` lines, sorted by kind."""
+        counts: dict[str, int] = {}
+        for event in self.events:
+            kind = event.get("kind", "?")
+            counts[kind] = counts.get(kind, 0) + 1
+        return dict(sorted(counts.items()))
+
+    @property
+    def retries(self) -> int:
+        return sum(t["attempts"] - 1 for t in self._timings.values())
+
+    @property
+    def faults(self) -> int:
+        return self.event_counts.get("fault.injected", 0)
+
+    @property
+    def failures(self) -> int:
+        """Steps whose terminal attempt did not succeed."""
+        return sum(
+            1 for t in self._timings.values() if t["status"] != "success"
+        )
+
+    @cached_property
+    def phases(self) -> dict[str, dict[str, Any]]:
+        """Profiled phase -> seconds, samples, peak bytes, intervals
+        (empty for an unprofiled run)."""
+        if not self.profile:
+            return {}
+        return {
+            name: {
+                "seconds": float(stat.get("seconds", 0.0)),
+                "samples": int(stat.get("samples", 0)),
+                "peak_bytes": int(stat.get("peak_bytes", 0)),
+                "intervals": stat.get("intervals", ()),
+            }
+            for name, stat in sorted(
+                self.profile.get("phases", {}).items()
+            )
+        }
+
+    def breaker_windows(self) -> dict[str, tuple[float, int]]:
+        """Per-site ``(open_seconds, transitions)`` from the recorded
+        ``breaker.transition`` events.
+
+        Accumulates the time each site's breaker spent ``open``, in
+        event time order; a breaker still open at the end of the
+        record is charged through the last recorded sim instant.
+        """
+        transitions: dict[str, list[tuple[float, int]]] = {}
+        last_instant = 0.0
+        for event in self.events:
+            sim = event.get("sim")
+            if sim is not None:
+                last_instant = max(last_instant, float(sim))
+            if event.get("kind") != "breaker.transition":
+                continue
+            site = event.get("site")
+            if site is None or sim is None:
+                continue
+            transitions.setdefault(site, []).append(
+                (float(sim), int(event.get("state", 0)))
+            )
+        for row in self.attempts:
+            if row.clock == "sim":
+                last_instant = max(last_instant, float(row.end))
+        out: dict[str, tuple[float, int]] = {}
+        for site, seq in sorted(transitions.items()):
+            seq.sort(key=lambda pair: pair[0])
+            open_seconds = 0.0
+            opened_at: Optional[float] = None
+            for at, state in seq:
+                if state == _OPEN_CODE and opened_at is None:
+                    opened_at = at
+                elif state != _OPEN_CODE and opened_at is not None:
+                    open_seconds += at - opened_at
+                    opened_at = None
+            if opened_at is not None:
+                open_seconds += max(0.0, last_instant - opened_at)
+            out[site] = (open_seconds, len(seq))
+        return out
 
     def makespan(self) -> Optional[float]:
         """The recorded makespan, preferring the result line."""
         if "makespan" in self.result:
             return float(self.result["makespan"])
-        timings = self.step_timings()
-        if not timings:
+        if not self._timings:
             return None
-        start = min(t["start"] for t in timings.values())
-        end = max(t["end"] for t in timings.values())
+        start = min(t["start"] for t in self._timings.values())
+        end = max(t["end"] for t in self._timings.values())
         return end - start
-
-    def span_children(self) -> dict[Optional[int], list[dict[str, Any]]]:
-        children: dict[Optional[int], list[dict[str, Any]]] = {}
-        for span in self.spans:
-            children.setdefault(span.get("parent_id"), []).append(span)
-        for siblings in children.values():
-            siblings.sort(key=lambda s: s.get("span_id", 0))
-        return children
 
     def counter_total(self, name: str) -> float:
         """Sum of one recorded counter across label sets (0 if absent)."""

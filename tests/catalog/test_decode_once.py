@@ -15,7 +15,7 @@ count-based tests at the end pin that the decode really happens once.
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -36,6 +36,8 @@ from repro.core.transformation import ArgumentTemplate, Transformation
 from repro.core.types import ANY_DATASET, DatasetType
 from repro.errors import NotFoundError
 from repro.estimator.cost import Estimator
+from repro.observability.history import HistoryStore
+from repro.observability.recorder import RunRecord
 from repro.provenance.lineage import lineage_report
 from repro.workloads import canonical
 from tests.catalog.test_catalog_properties import open_catalog
@@ -228,11 +230,19 @@ class TestEstimatorValidation:
         any_catalog.define(DIAMOND_VDL)
         estimator = Estimator(any_catalog)
         assert not estimator.model_for("gen").is_fitted
-        record = SimpleNamespace(
-            plan_steps=lambda: {"g1": {"transformation": "gen"}},
-            invocations=[invocation("g1", 9.0).to_dict()],
+        record = RunRecord(
+            Path("run-trained"),
+            [
+                {"type": "plan", "steps": [
+                    {"name": "g1", "transformation": "gen"},
+                ]},
+                {"type": "invocation",
+                 "invocation": invocation("g1", 9.0).to_dict()},
+            ],
         )
-        trained = estimator.train_on_record(record)["gen"]
+        history = HistoryStore(":memory:")
+        history.ingest(record)
+        trained = estimator.train_on_history(history)["gen"]
         any_catalog.add_invocation(invocation("g2", 1.0))
         with_gen_hint(any_catalog, 42.0)
         assert estimator.model_for("gen") is trained

@@ -10,10 +10,13 @@ from repro.observability.diff import (
     regression_report,
     welch_t,
 )
+from repro.catalog.memory import MemoryCatalog
 from repro.observability.history import HistoryStore
-from repro.observability.recorder import RunRecord
+from repro.observability.recorder import FlightRecorder, RunRecord
+from repro.planner.dag import Planner
+from repro.planner.request import MaterializationRequest
 
-from tests.observability.test_history import write_run
+from tests.observability.test_history import CHAIN_VDL, chain_plan, write_run
 
 
 def load(runs_root, run_id) -> RunRecord:
@@ -180,3 +183,49 @@ class TestRegressionReport:
                 load(tmp_path, "run-b"),
                 baseline_ids=["run-nope"],
             )
+
+
+class TestOneDecoder:
+    """diff, regress and the history read one decode of a record."""
+
+    def test_every_plan_line_resolves_transformations(self, tmp_path):
+        catalog = MemoryCatalog().define(CHAIN_VDL).define(
+            'DV g2->gen( o=@{output:"b0"}, seed="7" );'
+        )
+        planner = Planner(catalog, cpu_estimate=lambda dv: 5.0)
+        for run_id in ("run-a", "run-b"):
+            rec = FlightRecorder.start(tmp_path, run_id=run_id)
+            # One materialize call per target, as a campaign's sinks.
+            for target, step in (("a0", "g1"), ("b0", "g2")):
+                rec.plan(planner.plan(
+                    MaterializationRequest(targets=(target,), reuse="never")
+                ))
+                rec.step(step, status="success", start=0.0, end=2.0)
+            rec.finalize(status="ok")
+        history = HistoryStore()
+        history.ingest_dir(tmp_path)
+        assert history.duration_samples() == {"gen": [2.0] * 4}
+        record = load(tmp_path, "run-a")
+        diff = diff_records(record, load(tmp_path, "run-b"))
+        assert [d.transformation for d in diff.transformations] == ["gen"]
+        assert diff.transformations[0].base_n == 2
+        assert [a.transformation for a in record.attempts] == ["gen", "gen"]
+
+    def test_diff_and_regress_agree_on_a_retried_step(self, tmp_path):
+        for run_id in ("a", "b"):
+            rec = FlightRecorder.start(tmp_path, run_id=run_id)
+            rec.plan(chain_plan())
+            rec.step("g1", status="failure", start=0.0, end=1.0, attempt=1)
+            rec.event("step.retry", step="g1", attempt=1, delay=2.0)
+            rec.step("g1", status="success", start=3.0, end=4.0, attempt=2)
+            rec.step("p1", status="success", start=4.0, end=5.0, attempt=1)
+            rec.finalize(status="ok", makespan=5.0)
+        base, cand = load(tmp_path, "a"), load(tmp_path, "b")
+        assert diff_records(base, cand).clean
+        history = HistoryStore()
+        history.ingest(base)
+        report = regression_report(history, cand, ["a"])
+        assert report.clean, report.render()
+        assert report.retries == (1, 1)
+        # One duration: the successful attempt's end - start.
+        assert cand.duration_samples() == {"gen": [1.0], "proc": [1.0]}

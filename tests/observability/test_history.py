@@ -6,7 +6,7 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
-from repro.observability.history import HistoryStore, breaker_open_windows
+from repro.observability.history import HistoryStore
 from repro.observability.recorder import FlightRecorder, RunRecord
 from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
@@ -100,7 +100,6 @@ class TestIngest:
         assert row["steps_failed"] == 0
         assert row["clock"] == "sim"
         assert store.run_ids() == ["run-a"]
-        assert store.latest_run_id() == "run-a"
         assert len(store) == 1
 
     def test_duration_samples_grouped_by_transformation(self, tmp_path):
@@ -149,11 +148,10 @@ class TestIngest:
                 ("step.retry", {"step": "g1"}),
             ],
         )
+        totals = RunRecord.load(tmp_path / "run-a").event_counts
+        assert totals == {"fault.injected": 2, "step.retry": 1}
         store = HistoryStore()
         store.ingest_dir(tmp_path)
-        totals = store.event_totals()
-        assert totals["fault.injected"] == 2
-        assert totals["step.retry"] == 1
         assert store.run_row("run-a")["faults"] == 2
 
     def test_training_samples_feed_estimator(self, tmp_path):
@@ -174,15 +172,6 @@ class TestIngest:
             store.ingest_dir(tmp_path / "runs")
         with HistoryStore(db) as store:
             assert store.run_ids() == ["run-a"]
-
-    def test_delete_run(self, tmp_path):
-        write_run(tmp_path, "run-a")
-        write_run(tmp_path, "run-b")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        store.delete_run("run-a")
-        assert store.run_ids() == ["run-b"]
-        assert store.run_row("run-a") is None
 
 
 class TestSiteStats:
@@ -214,7 +203,7 @@ class TestSiteStats:
         rec.event("breaker.transition", site="b", state=0, sim=26.0)
         rec.finalize(status="ok")
         record = RunRecord.load(rec.path)
-        windows = breaker_open_windows(record)
+        windows = record.breaker_windows()
         assert windows["b"] == (15.0, 3)
         store = HistoryStore()
         store.ingest(record)
@@ -226,7 +215,7 @@ class TestSiteStats:
         rec.step("g1", status="success", start=0.0, end=50.0, site="a")
         rec.event("breaker.transition", site="b", state=2, sim=20.0)
         rec.finalize(status="ok")
-        windows = breaker_open_windows(RunRecord.load(rec.path))
+        windows = RunRecord.load(rec.path).breaker_windows()
         assert windows["b"] == (30.0, 1)
 
 

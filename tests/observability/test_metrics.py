@@ -1,9 +1,10 @@
-"""Counters, gauges, histograms and the Prometheus exposition."""
+"""Counters, gauges, histograms and their text exposition."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.observability.export import to_openmetrics
 from repro.observability.metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -134,6 +135,8 @@ class TestRegistry:
 
 
 class TestPrometheusExposition:
+    """The registry's one text exposition: OpenMetrics from its dict."""
+
     def test_golden_output(self):
         registry = MetricsRegistry()
         registry.counter("catalog.ops", help="catalog operations").inc(
@@ -143,10 +146,10 @@ class TestPrometheusExposition:
         registry.histogram("grid.transfer.seconds", buckets=(0.1, 1.0)).observe(
             0.15
         )
-        assert registry.to_prometheus() == (
+        assert to_openmetrics(registry.to_dict()) == (
             "# HELP catalog_ops catalog operations\n"
             "# TYPE catalog_ops counter\n"
-            'catalog_ops{op="lookup"} 3\n'
+            'catalog_ops_total{op="lookup"} 3\n'
             "# TYPE grid_transfer_seconds histogram\n"
             'grid_transfer_seconds_bucket{le="0.1"} 0\n'
             'grid_transfer_seconds_bucket{le="1"} 1\n'
@@ -155,13 +158,14 @@ class TestPrometheusExposition:
             "grid_transfer_seconds_count 1\n"
             "# TYPE sim_clock_seconds gauge\n"
             "sim_clock_seconds 12.5\n"
+            "# EOF\n"
         )
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(1, path='a"b\\c')
-        text = registry.to_prometheus()
+        text = to_openmetrics(registry.to_dict())
         assert 'path="a\\"b\\\\c"' in text
 
     def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().to_prometheus() == ""
+        assert to_openmetrics(MetricsRegistry().to_dict()) == "# EOF\n"

@@ -349,7 +349,7 @@ class TestSchemaV1BackCompat:
         with HistoryStore() as history:
             assert history.ingest(record)
             assert not history.ingest(record)  # unchanged file: skip
-            assert history.phase_rows(record.run_id) == {}
+            assert history.phase_seconds([record.run_id]) == {}
             assert history.phase_seconds() == {}
             row = history.run_row(record.run_id)
             assert row["schema_version"] == 1
@@ -428,9 +428,9 @@ class TestPhaseRegressionGating:
                     tmp_path, f"b{i}", synthetic_profile(1.0, 1.0)
                 )
                 history.ingest(record)
-                assert history.phase_rows(record.run_id)[
+                assert history.phase_seconds([record.run_id])[
                     "plan"
-                ]["seconds"] == pytest.approx(1.0)
+                ] == [pytest.approx(1.0)]
             cand = recorded_profiled_run(
                 tmp_path, "cand", synthetic_profile(4.0, 1.0)
             )
@@ -448,6 +448,7 @@ class TestPhaseRegressionGating:
         with HistoryStore() as history:
             history.ingest(record)
             history.ingest(record, force=True)
-            rows = history.phase_rows(record.run_id)
-            assert rows["execute"]["seconds"] == pytest.approx(2.0)
+            rows = history.phase_seconds([record.run_id])
+            assert rows["execute"] == [pytest.approx(2.0)]
             assert len(rows) == 2  # delete-then-insert, no dupes
+            assert all(len(seconds) == 1 for seconds in rows.values())

@@ -8,6 +8,7 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
+from repro.observability.history import HistoryStore
 from repro.observability.instrument import Instrumentation
 from repro.observability.recorder import (
     RECORD_FILENAME,
@@ -103,8 +104,6 @@ class TestFlightRecorder:
         assert record.finished
         assert set(record.plan_steps()) == {"g1", "p1"}
         assert record.dependencies()["p1"] == {"g1"}
-        assert record.transformation_of("p1") == "proc"
-        assert record.transformation_of("nope") is None
         assert len(record.invocations) == 2
         assert record.events[0]["kind"] == "step.retry"
         assert record.makespan() == 7.0
@@ -123,10 +122,9 @@ class TestFlightRecorder:
         rec = FlightRecorder.start(tmp_path)
         rec.finalize(obs, status="ok")
         record = RunRecord.load(rec.path)
-        assert [s["name"] for s in record.spans] == ["outer", "inner"]
-        children = record.span_children()
-        outer = children[None][0]
-        assert children[outer["span_id"]][0]["name"] == "inner"
+        outer, inner = record.spans
+        assert [outer["name"], inner["name"]] == ["outer", "inner"]
+        assert inner["parent_id"] == outer["span_id"]
         assert record.counter_total("c") == 3
         assert record.counter_total("missing") == 0.0
 
@@ -245,7 +243,7 @@ class TestRunListing:
 
 
 class TestEstimatorTraining:
-    def test_train_on_record_fits_models(self, tmp_path):
+    def test_train_on_history_fits_models(self, tmp_path):
         plan = chain_plan()
         rec = FlightRecorder.start(tmp_path)
         rec.plan(plan)
@@ -254,12 +252,13 @@ class TestEstimatorTraining:
         rec.invocation(make_invocation("g1", cpu=1.0, read=0))
         rec.invocation(make_invocation("g1", status="failure"))
         rec.finalize()
-        record = RunRecord.load(rec.path)
+        history = HistoryStore(":memory:")
+        history.ingest(RunRecord.load(rec.path))
 
         from repro.estimator.cost import Estimator
 
         estimator = Estimator(MemoryCatalog())
-        trained = estimator.train_on_record(record)
+        trained = estimator.train_on_history(history)
         assert set(trained) == {"gen", "proc"}
         model = trained["proc"]
         assert model.samples == 3
@@ -271,8 +270,9 @@ class TestEstimatorTraining:
         rec = FlightRecorder.start(tmp_path)
         rec.invocation(make_invocation("orphan"))
         rec.finalize()
-        record = RunRecord.load(rec.path)
+        history = HistoryStore(":memory:")
+        history.ingest(RunRecord.load(rec.path))
 
         from repro.estimator.cost import Estimator
 
-        assert Estimator(MemoryCatalog()).train_on_record(record) == {}
+        assert Estimator(MemoryCatalog()).train_on_history(history) == {}

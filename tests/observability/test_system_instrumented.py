@@ -7,7 +7,12 @@ from __future__ import annotations
 import pytest
 
 from repro.observability import Instrumentation
-from repro.observability.export import render_span_tree, write_snapshot
+from repro.observability.export import (
+    read_snapshot,
+    render_span_tree,
+    to_openmetrics,
+    write_snapshot,
+)
 from repro.system import VirtualDataSystem
 from tests.conftest import DIAMOND_VDL
 
@@ -121,10 +126,10 @@ class TestMetrics:
 
     def test_prometheus_export_contains_run_data(self, traced_run):
         obs, _ = traced_run
-        text = obs.metrics.to_prometheus()
+        text = to_openmetrics(obs.metrics.to_dict())
         assert "# TYPE scheduler_dispatched counter" in text
         assert "# TYPE grid_transfer_seconds histogram" in text
-        assert 'grid_jobs_completed{site=' in text
+        assert 'grid_jobs_completed_total{site=' in text
 
 
 class TestReuseVisibility:
@@ -138,14 +143,17 @@ class TestReuseVisibility:
 
 
 class TestSnapshot:
-    def test_write_snapshot_persists_all_three_formats(
+    def test_write_snapshot_persists_two_files(
         self, traced_run, tmp_path
     ):
         obs, _ = traced_run
         write_snapshot(obs, tmp_path / "snap")
-        assert (tmp_path / "snap" / "spans.jsonl").read_text().strip()
-        assert (tmp_path / "snap" / "metrics.json").read_text().strip()
-        assert (tmp_path / "snap" / "metrics.prom").read_text().strip()
+        assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == [
+            "metrics.json", "spans.jsonl",
+        ]
+        spans, metrics = read_snapshot(tmp_path / "snap")
+        assert len(spans) == len(obs.tracer.spans())
+        assert metrics == obs.metrics.to_dict()
 
 
 class TestUninstrumentedDefault:

@@ -230,6 +230,20 @@ class TestRunRecords:
         assert code == 0
         assert "run record: run-" in output
 
+    def test_adhoc_runs_are_not_training_data(self, defined, tmp_path):
+        """An ad-hoc ``run TR`` records invocations but no plan: they
+        name no transformation, so the history never trains on them."""
+        from repro.catalog.memory import MemoryCatalog
+        from repro.estimator.cost import Estimator
+        from repro.observability.history import HistoryStore
+
+        for n in range(3):
+            assert defined("run", "emit", f"o=adhoc{n}.txt")[0] == 0
+        with HistoryStore() as history:
+            assert history.ingest_dir(tmp_path / "ws" / "runs") == 3
+            assert history.training_samples() == {}
+            assert Estimator(MemoryCatalog()).train_on_history(history) == {}
+
     def test_report_lists_runs_when_id_omitted(self, defined):
         code, output = defined("report")
         assert code == 0
@@ -284,6 +298,17 @@ class TestRunRecords:
         assert code == 0
         metrics = json.loads(output)
         assert metrics["executor.invocations"]["kind"] == "counter"
+
+    def test_stats_run_prom_is_openmetrics(self, defined):
+        from repro.observability import validate_openmetrics
+
+        defined("materialize", "copy.txt")
+        code, output = defined("stats", "--run", "latest", "--format", "prom")
+        assert code == 0
+        assert validate_openmetrics(output + "\n") == []
+        assert 'executor_invocations_total{status="success"} 2' in output
+        # The snapshot renders the same metrics the same way.
+        assert defined("stats", "--format", "prom") == (0, output)
 
     def test_trace_run_selector_and_chrome_export(self, defined, tmp_path):
         import json
