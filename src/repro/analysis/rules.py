@@ -498,13 +498,14 @@ def _kahn_leftovers(
     upstream names) or upstream of one.  Links leaving ``names`` do not
     count."""
     deps = {name: program.linked(name, forward=not upstream) for name in names}
-    missing, dependents = dependency_counts(deps)
+    template = dependency_counts(deps)
     try:
-        for _level in kahn_levels(missing, dependents):
+        for _level in kahn_levels(*template):
             pass
     except CycleError:
         pass
-    return {name for name, count in missing.items() if count}
+    ordered, missing = template[:2]
+    return {ordered[node] for node, count in enumerate(missing) if count}
 
 
 def find_cycles(

@@ -1,17 +1,35 @@
-"""The one topological walk, and the one closure walk, over name maps.
+"""The one topological walk, and the one closure walk.
 
-Every ordered pass over a DAG — a plan's order, width and depth (a
-plan memoizes the :func:`dependency_counts` template its Frontier also
-starts from), the derivation graph's order and depth, the estimator's
-rounds (§5.3), CPM slack — reads :func:`topological_levels`.  Both
+Every ordered pass over a DAG — a plan's order, width and depth, its
+Frontier's counts, the derivation graph's order and depth, the
+estimator's rounds (§5.3), CPM slack — reads :func:`kahn_levels`.  The
+walk runs over dense integer ids: node ``i`` is the ``i``-th name in
+name order, so ascending ids are name order, and edges are CSR arrays
+(``targets[offsets[i]:offsets[i + 1]]`` are node ``i``'s edges).  A
+:class:`~repro.planner.dag.Plan` keeps its edges in that form; a
+caller with a name map goes through :func:`dependency_counts`.  Both
 walks are iterative: chains far past the recursion limit are fine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from array import array
+from itertools import accumulate, chain, repeat
+from operator import sub
+from typing import (
+    Callable,
+    Collection,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
 from repro.errors import CycleError
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def topological_levels(
@@ -28,43 +46,100 @@ def topological_levels(
     are ignored.  When nodes sit on or behind a cycle, raises ``error``
     with ``prefix`` and the first six of them in name order.
     """
-    return list(kahn_levels(*dependency_counts(deps), error, prefix))
+    names, missing, offsets, targets = dependency_counts(deps)
+    return [
+        [names[node] for node in level]
+        for level in kahn_levels(
+            names, missing, offsets, targets, error, prefix
+        )
+    ]
 
 
 def dependency_counts(
     deps: Mapping[str, Collection[str]],
-) -> tuple[dict[str, int], dict[str, list[str]]]:
-    """The walk's template: per node, how many predecessors it waits
-    for, and the nodes waiting for it (what a Frontier also starts from)."""
-    dependents: dict[str, list[str]] = {node: [] for node in deps}
-    missing: dict[str, int] = {}
-    for node, preds in deps.items():
-        count = len(preds)
-        for pred in preds:
-            try:
-                dependents[pred].append(node)
-            except KeyError:  # not a node: no edge
-                count -= 1
-        missing[node] = count
-    return missing, dependents
+) -> tuple[list[str], array, array, array]:
+    """The walk's template over a name map: the names in name order
+    (a node's id is its index), per id how many predecessors it waits
+    for, and the CSR edges from each node to the nodes waiting for it.
+    Predecessors that are not keys are no edge."""
+    names = sorted(deps)
+    (offsets, _), released = name_edges(names, deps)
+    return (names, degrees(offsets), *released)
+
+
+def name_edges(
+    names: Sequence[str], deps: Mapping[str, Iterable[str]]
+) -> tuple[tuple[array, array], tuple[array, array]]:
+    """:func:`edges` over ``names`` (given in name order: a name's id is
+    its index), each node's row the ids of its predecessors in
+    ``deps``.  A name ``deps`` lacks has none, and a predecessor that
+    is not among ``names`` is no edge."""
+    ids = dict(zip(names, range(len(names))))
+    return edges(
+        [ids[pred] for pred in deps.get(name, ()) if pred in ids]
+        for name in names
+    )
+
+
+def edges(
+    rows: Iterable[Iterable[int]],
+) -> tuple[tuple[array, array], tuple[array, array]]:
+    """CSR ``(offsets, targets)`` of ``rows`` (row ``i`` holds node
+    ``i``'s edges; read one at a time), and of the reversed edges,
+    each reversed row in ascending id order."""
+    offsets = array("i", [0])
+    targets = array("i")
+    for row in rows:
+        targets.extend(row)
+        offsets.append(len(targets))
+    if not targets:  # no edges, as in most small plans: nothing to sort
+        reverse = array("i", bytes(4 * len(offsets))), array("i")
+        return (offsets, targets), reverse
+    return (offsets, targets), _reversed(offsets, targets)
+
+
+def _reversed(offsets: array, targets: array) -> tuple[array, array]:
+    """The CSR of the reversed edges (a counting sort by target)."""
+    count = len(offsets) - 1
+    tally = array("i", bytes(4 * count))
+    for target in targets:
+        tally[target] += 1
+    starts = array("i", accumulate(tally, initial=0))
+    sources = chain.from_iterable(map(repeat, range(count), degrees(offsets)))
+    reverse = array("i", bytes(4 * len(targets)))
+    fill = starts[:-1]
+    for source, target in zip(sources, targets):
+        reverse[fill[target]] = source
+        fill[target] += 1
+    return starts, reverse
+
+
+def degrees(offsets: array) -> array:
+    """Per node, the length of its row."""
+    return array("i", map(sub, offsets[1:], offsets))
 
 
 def kahn_levels(
-    missing: dict[str, int],
-    dependents: Mapping[str, list[str]],
+    names: Sequence[str],
+    missing: array,
+    offsets: array,
+    targets: array,
     error: type[CycleError] = CycleError,
     prefix: str = "dependency cycle through",
-) -> Iterator[list[str]]:
-    """:func:`topological_levels` from a template, one level at a time
-    (a cycle raises after the levels before it); consumes ``missing``."""
-    level = sorted(node for node, count in missing.items() if not count)
+) -> Iterator[list[int]]:
+    """:func:`topological_levels` over ids, one level at a time (a
+    cycle raises after the levels before it).  ``missing`` holds each
+    node's count of unplaced predecessors and is consumed; ``offsets``
+    and ``targets`` lead from a node to the nodes waiting for it;
+    ``names`` only renders the error."""
+    level = [node for node, count in enumerate(missing) if not count]
     placed = 0
     while level:
         yield level
         placed += len(level)
-        released: list[str] = []
+        released: list[int] = []
         for node in level:
-            for child in dependents[node]:
+            for child in targets[offsets[node]:offsets[node + 1]]:
                 count = missing[child] - 1
                 missing[child] = count
                 if not count:
@@ -72,13 +147,13 @@ def kahn_levels(
         released.sort()
         level = released
     if placed < len(missing):
-        stuck = sorted(node for node, count in missing.items() if count)
+        stuck = [names[node] for node, count in enumerate(missing) if count]
         raise error(f"{prefix} {stuck[:6]}")
 
 
 def reachable(
-    successors: Callable[[str], Iterable[str]], seeds: Iterable[str]
-) -> set[str]:
+    successors: Callable[[Node], Iterable[Node]], seeds: Iterable[Node]
+) -> set[Node]:
     """The closure of ``seeds`` under ``successors`` (seeds included)."""
     seen = set(seeds)
     stack = list(seen)

@@ -106,8 +106,8 @@ class PlanningError(VirtualDataError):
 class CycleError(PlanningError):
     """A dependency graph that must be acyclic contains a cycle.
 
-    Raised by :func:`repro.core.topology.topological_levels` (so by
-    every plan and derivation-graph order) instead of hanging, matching
+    Raised by :func:`repro.core.topology.kahn_levels` (so by every
+    plan and derivation-graph order) instead of hanging, matching
     what the static cycle rule (``VDG301`` in :mod:`repro.analysis`)
     reports before planning.
     """

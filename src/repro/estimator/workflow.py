@@ -83,7 +83,6 @@ def estimate_plan(
         return transfer, step.cpu_seconds
 
     deps = plan.dependencies
-    plan.check_frontier_consistency()
     # A Kahn level is exactly one list-scheduling round: the steps whose
     # predecessors all finished in earlier rounds.
     finish: dict[str, float] = {}  # infinite hosts: the critical path

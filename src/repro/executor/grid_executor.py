@@ -93,31 +93,13 @@ class GridExecutor:
             instrumentation=self.obs,
             has_replica=self.grid.replicas.has,
             cpu_estimate=self.estimator.estimate_derivation,
-            size_estimate=lambda lfn: (
-                self.grid.replicas.size_of(lfn)
-                if self.grid.replicas.has(lfn)
-                else self.catalog.get_dataset(lfn).size_estimate(
-                    default=1_000_000
-                )
-                if self.catalog.has_dataset(lfn)
-                else 1_000_000
-            ),
+            size_estimate=self.estimator.estimate_output_bytes,
             reuse_decider=reuse_decider,
         )
 
     def plan(self, request: MaterializationRequest) -> Plan:
         with self.obs.span("executor.plan"):
-            plan = self.make_planner().plan(request)
-            # Fill output size estimates from the estimator where the
-            # planner's catalog-declared sizes were defaults.
-            for step in plan.steps.values():
-                for output in step.outputs:
-                    step.output_sizes[output] = (
-                        self.estimator.estimate_output_bytes(
-                            step.derivation, output
-                        )
-                    )
-            return plan
+            return self.make_planner().plan(request)
 
     # -- execution --------------------------------------------------------------
 

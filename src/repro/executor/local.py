@@ -47,6 +47,7 @@ from repro.executor.process import (
     exit_with_parent,
     preflight_payload,
     run_invocation,
+    run_pickled,
 )
 from repro.observability.instrument import NULL, Instrumentation
 from repro.planner.dag import Planner
@@ -276,9 +277,11 @@ class LocalExecutor:
 
         Performs the pre-run checks: compound transformations are
         refused, every formal must be bound, and inputs must already be
-        materialized.
+        materialized.  The transformation is the catalog's shared
+        record: the payload, the commit and the recipe stamp only read
+        it.
         """
-        tr = self.catalog.get_transformation(dv.transformation.name)
+        tr = self.catalog._transformation_record(dv.transformation.name)
         if not isinstance(tr, SimpleTransformation):
             raise ExecutionError(
                 f"local executor runs simple transformations only; "
@@ -776,13 +779,14 @@ class _ProcessLane(_Lane):
     """
 
     def _start(self, dv, tr, payload) -> Future:
-        # Pickle-preflighted so a failure names the offending field.
+        # Pickle-preflighted so a failure names the offending field;
+        # the worker unpickles those same bytes.
         try:
-            preflight_payload(payload)
+            pickled = preflight_payload(payload)
         except ExecutionError:
             self._executor._count(None)
             raise
-        return self._pool.submit(run_invocation, payload)
+        return self._pool.submit(run_pickled, pickled)
 
     def _result(self, dv, tr, payload, future) -> Invocation:
         try:

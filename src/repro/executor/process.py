@@ -34,7 +34,9 @@ their own ``executor.execute`` span.
 :func:`preflight_payload` pickles a payload *before* submission to a
 process pool and, on failure, re-pickles field by field so the error
 names the offending field — typically a transformation body that is a
-lambda or closure instead of a module-level function.
+lambda or closure instead of a module-level function.  The process
+lane submits those bytes to :func:`run_pickled`, so a payload is
+pickled once per step.
 """
 
 from __future__ import annotations
@@ -292,6 +294,13 @@ def preflight_payload(payload: InvocationPayload) -> bytes:
             f"derivation {payload.derivation_name!r}: payload is not "
             f"picklable ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def run_pickled(payload: bytes) -> InvocationOutcome:
+    """:func:`run_invocation` on a payload :func:`preflight_payload`
+    pickled: what the process lane submits, so a payload is pickled
+    once per step."""
+    return run_invocation(pickle.loads(payload))
 
 
 def exit_with_parent() -> None:

@@ -22,10 +22,14 @@ RunRecord` — nothing needs the live process that produced it:
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
 from typing import Any, Optional
 
-from repro.core.topology import topological_levels
+from repro.core.topology import degrees, kahn_levels, name_edges
 from repro.observability.recorder import InvocationRow, RunRecord
 
 
@@ -97,48 +101,60 @@ def compute_slack(record: RunRecord) -> dict[str, float]:
     dependency DAG; the backward pass its latest finish against the
     project end; slack is the difference.  Dependencies that never ran
     (reused or pre-completed steps) are treated as instantly available.
+    Steps come back in name order.
     """
     timings = record.step_timings()
     if not timings:
         return {}
-    deps = {
-        name: [d for d in ds if d in timings]
-        for name, ds in record.dependencies().items()
-        if name in timings
-    }
-    for name in timings:
-        deps.setdefault(name, [])
-    durations = {n: t["end"] - t["start"] for n, t in timings.items()}
+    # Steps by id in name order, their dependencies as CSR edges.
+    names = sorted(timings)
+    (offsets, preds), released = name_edges(names, record.dependencies())
+    durations = array(
+        "d", [timings[name]["end"] - timings[name]["start"] for name in names]
+    )
 
     # Both passes are iterative over a topological order: recursive
     # formulations hit Python's recursion limit near 10^3-deep chains,
     # and flight records now reach 10^5+ steps.
-    order = [name for level in topological_levels(deps) for name in level]
-
-    earliest_finish: dict[str, float] = {}
-    for name in order:
-        start = max(
-            (earliest_finish[d] for d in deps[name]), default=0.0
+    order = list(
+        chain.from_iterable(
+            kahn_levels(names, degrees(offsets), *released)
         )
-        earliest_finish[name] = start + durations[name]
-    project_end = max(earliest_finish.values())
+    )
+
+    earliest_finish = array("d", bytes(8 * len(names)))
+    finished = earliest_finish.__getitem__
+    for step_id in order:
+        start = max(
+            map(finished, preds[offsets[step_id]:offsets[step_id + 1]]),
+            default=0.0,
+        )
+        earliest_finish[step_id] = start + durations[step_id]
+    project_end = max(earliest_finish)
 
     # Backward, each step pushes its latest start to its predecessors:
     # a step's latest finish is the least latest start of its
     # successors, or the project end when nothing follows it.
-    latest_finish: dict[str, float] = {}
-    for name in reversed(order):
-        latest_start = (
-            latest_finish.setdefault(name, project_end) - durations[name]
-        )
-        for d in deps[name]:
-            if d not in latest_finish or latest_start < latest_finish[d]:
-                latest_finish[d] = latest_start
+    latest_finish = array("d", [math.inf]) * len(names)
+    for step_id in reversed(order):
+        if latest_finish[step_id] == math.inf:
+            latest_finish[step_id] = project_end
+        latest_start = latest_finish[step_id] - durations[step_id]
+        for dep in preds[offsets[step_id]:offsets[step_id + 1]]:
+            if latest_start < latest_finish[dep]:
+                latest_finish[dep] = latest_start
 
-    return {
-        name: max(latest_finish[name] - earliest_finish[name], 0.0)
-        for name in timings
-    }
+    # In name order: slack = latest - earliest finish, never negative.
+    return dict(
+        zip(
+            names,
+            map(
+                max,
+                map(sub, latest_finish, earliest_finish),
+                repeat(0.0),
+            ),
+        )
+    )
 
 
 def critical_path(record: RunRecord) -> CriticalPathReport:

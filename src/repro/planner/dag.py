@@ -20,15 +20,18 @@ dispatch (:mod:`repro.planner.scheduler`).
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.catalog.payloads import dataset_size
 from repro.catalog.resolver import ReferenceResolver
 from repro.core.derivation import DatasetArg, Derivation
-from repro.core.topology import dependency_counts, kahn_levels, reachable
+from repro.core.topology import degrees, edges, kahn_levels, reachable
 from repro.core.transformation import (
     CompoundTransformation,
     FormalRef,
@@ -46,7 +49,11 @@ from repro.provenance.graph import DerivationGraph
 
 @dataclass(slots=True)
 class PlanStep:
-    """One executable node: a concrete derivation of a simple TR."""
+    """One executable node: a concrete derivation of a simple TR.
+
+    A :class:`Plan` keeps its steps as columns and builds a PlanStep
+    when one is asked for; changing it changes nothing in the plan.
+    """
 
     name: str
     derivation: Derivation
@@ -56,9 +63,7 @@ class PlanStep:
     #: Output LFN -> estimated size in bytes.
     output_sizes: dict[str, int] = field(default_factory=dict)
     # Computed once per step: ``Derivation.inputs()``/``outputs()``
-    # sort a fresh set per call, and planner, frontier and scheduler
-    # each ask every step.  A step's derivation is never swapped —
-    # a re-plan that changes it builds a new step.
+    # sort a fresh set per call, and a step's readers ask for both.
     inputs: tuple[str, ...] = field(init=False, repr=False, compare=False)
     outputs: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
@@ -67,75 +72,141 @@ class PlanStep:
         self.outputs = self.derivation.outputs()
 
 
-@dataclass
 class Plan:
-    """An executable workflow DAG plus its boundary conditions."""
+    """An executable workflow DAG plus its boundary conditions.
 
-    targets: tuple[str, ...]
-    steps: dict[str, PlanStep] = field(default_factory=dict)
-    #: step name -> names of steps that must complete first.
-    dependencies: dict[str, set[str]] = field(default_factory=dict)
-    #: Datasets satisfied from existing replicas (reuse decisions).
-    reused: set[str] = field(default_factory=set)
-    #: Raw source datasets that must pre-exist on the grid.
-    sources: set[str] = field(default_factory=set)
-    #: Scratch datasets that may be deleted after the workflow.
-    temporaries: set[str] = field(default_factory=set)
+    Stored as columns over dense step ids, assigned in step-name order
+    so that id order is name order: a name list and a name -> id map;
+    per id the derivation, the transformation, the cpu estimate and the
+    output sizes (a tuple aligned with the derivation's sorted
+    ``outputs()``); and the dependency edges, both ways, as CSR arrays
+    (:mod:`repro.core.topology`).  Names stay the API: ``steps`` and
+    ``dependencies`` are read-only mapping views that build what they
+    return (a :class:`PlanStep`, a frozenset of step names) and keep
+    none of it.
 
-    def check_frontier_consistency(self) -> None:
-        """Verify the dependency map and step set agree.
+    This constructor is the name-keyed one: ``steps`` maps step names
+    to :class:`PlanStep`\\ s and ``dependencies`` maps every step name
+    to the names of the steps that must complete first.  It raises
+    :class:`PlanningError` on a step missing from the dependency map
+    (it would never dispatch), a dependency entry for an unknown step,
+    and a dependency on a step that is not in the plan (e.g. one
+    pruned as a reused subgraph).  The planner builds its plans from
+    columns directly.
+    """
 
-        A step missing from ``dependencies`` would never be dispatched,
-        and a dependency naming a step that is not in ``steps`` (e.g. a
-        predecessor pruned as a reused subgraph without fixing up the
-        edge) would leave its dependent unready forever.  Both used to
-        pass silently; now they raise :class:`PlanningError`.
-
-        The result is memoized against the (step count, dependency
-        count) pair so frontier construction over a large unchanged
-        plan does not re-pay an O(V+E) validation — mutations that
-        preserve both counts exactly are not re-detected.
-        """
-        marker = (len(self.steps), len(self.dependencies))
-        if self.__dict__.get("_consistent_at") == marker:
-            return
-        orphans = [name for name in self.steps if name not in self.dependencies]
+    def __init__(
+        self,
+        targets: tuple[str, ...],
+        steps: Optional[Mapping[str, PlanStep]] = None,
+        dependencies: Optional[Mapping[str, Iterable[str]]] = None,
+        reused: Optional[set[str]] = None,
+        sources: Optional[set[str]] = None,
+        temporaries: Optional[set[str]] = None,
+    ):
+        steps = steps or {}
+        dependencies = dependencies or {}
+        orphans = [name for name in steps if name not in dependencies]
         if orphans:
             raise PlanningError(
                 f"plan inconsistent: steps missing from the dependency "
                 f"map would never dispatch: {sorted(orphans)[:6]}"
             )
-        # A real set, built once: ``deps - dict.keys()`` falls off the
-        # set-difference fast path and turns this loop quadratic.
-        step_names = set(self.steps)
-        for name, deps in self.dependencies.items():
-            if name not in step_names:
+        names = sorted(steps)
+        ids = dict(zip(names, range(len(names))))
+        for name, deps in dependencies.items():
+            if name not in ids:
                 raise PlanningError(
                     f"plan inconsistent: dependency entry for unknown "
                     f"step {name!r}"
                 )
-            dangling = deps - step_names
+            dangling = {dep for dep in deps if dep not in ids}
             if dangling:
                 raise PlanningError(
                     f"plan inconsistent: step {name!r} depends on pruned "
                     f"or unknown steps {sorted(dangling)[:6]}"
                 )
-        self.__dict__["_consistent_at"] = marker
+        rows = [steps[name] for name in names]
+        self._assign(
+            targets,
+            names,
+            ids,
+            [step.derivation for step in rows],
+            [step.transformation for step in rows],
+            array("d", [step.cpu_seconds for step in rows]),
+            [
+                tuple(step.output_sizes.get(out, 0) for out in step.outputs)
+                for step in rows
+            ],
+            edges(
+                sorted({ids[dep] for dep in dependencies[name]})
+                for name in names
+            ),
+            reused,
+            sources,
+            temporaries,
+        )
 
-    def frontier_shape(
-        self,
-    ) -> tuple[dict[str, int], dict[str, list[str]]]:
-        """The plan's :func:`~repro.core.topology.dependency_counts`,
-        (missing counts, dependents), built once: :meth:`levels` and
-        every :class:`Frontier` copy the counts and share the dependents
-        read-only.  Memoized against the (step count, dependency count)
-        pair, like :meth:`check_frontier_consistency`."""
-        marker = (len(self.steps), len(self.dependencies))
-        cached = self.__dict__.get("_frontier_shape")
-        if cached is None or cached[0] != marker:
-            cached = (marker, *dependency_counts(self.dependencies))
-            self.__dict__["_frontier_shape"] = cached
-        return cached[1], cached[2]
+    @classmethod
+    def _columns(cls, targets, names, ids, derivations, transformations,
+                 cpu, sizes, links, reused, sources, temporaries):
+        """A plan from columns the planner already validated."""
+        plan = cls.__new__(cls)
+        plan._assign(targets, names, ids, derivations, transformations,
+                     cpu, sizes, links, reused, sources, temporaries)
+        return plan
+
+    def _assign(self, targets, names, ids, derivations, transformations,
+                cpu, sizes, links, reused, sources, temporaries):
+        self.targets = targets
+        #: Datasets satisfied from existing replicas (reuse decisions).
+        self.reused: set[str] = reused if reused is not None else set()
+        #: Raw source datasets that must pre-exist on the grid.
+        self.sources: set[str] = sources if sources is not None else set()
+        #: Scratch datasets that may be deleted after the workflow.
+        self.temporaries: set[str] = (
+            temporaries if temporaries is not None else set()
+        )
+        self._names: list[str] = names
+        self._ids: dict[str, int] = ids
+        self._derivations: list[Derivation] = derivations
+        self._transformations: list[SimpleTransformation] = transformations
+        self._cpu: array = cpu
+        self._sizes: list[tuple[int, ...]] = sizes
+        #: Step id -> ids of the steps it waits for, and the reverse
+        #: (:func:`~repro.core.topology.edges`).
+        self._depends_on, self._released_by = links
+
+    # -- the name API ---------------------------------------------------------
+
+    @property
+    def steps(self) -> Mapping[str, PlanStep]:
+        """Step name -> a :class:`PlanStep` built on demand."""
+        return _StepsView(self)
+
+    @property
+    def dependencies(self) -> Mapping[str, frozenset[str]]:
+        """Step name -> names of the steps that must complete first."""
+        return _DependenciesView(self)
+
+    def _step(self, step_id: int) -> PlanStep:
+        step = PlanStep(
+            self._names[step_id],
+            self._derivations[step_id],
+            self._transformations[step_id],
+            self._cpu[step_id],
+        )
+        step.output_sizes = dict(zip(step.outputs, self._sizes[step_id]))
+        return step
+
+    def _set_step(self, name, derivation, transformation, cpu, sizes):
+        """Swap one step's columns in place (the planner's patch path:
+        the step keeps its inputs and outputs, so its edges stand)."""
+        step_id = self._ids[name]
+        self._derivations[step_id] = derivation
+        self._transformations[step_id] = transformation
+        self._cpu[step_id] = cpu
+        self._sizes[step_id] = sizes
 
     def frontier(self, done: Optional[set[str]] = None) -> "Frontier":
         """An incremental ready-set tracker over this plan's DAG."""
@@ -143,29 +214,29 @@ class Plan:
 
     def levels(self) -> list[list[str]]:
         """The steps a :class:`Frontier` releases round by round, each
-        round in name order; dependencies outside the plan are ignored.
-        A cycle raises :class:`~repro.errors.CyclicDerivationError`
-        naming the stuck steps, as the static ``VDG301`` rule would."""
-        return list(self._walk())
+        round in name order.  A cycle raises
+        :class:`~repro.errors.CyclicDerivationError` naming the stuck
+        steps, as the static ``VDG301`` rule would."""
+        names = self._names
+        return [[names[i] for i in level] for level in self._walk()]
 
-    def _walk(self) -> Iterator[list[str]]:
-        missing, dependents = self.frontier_shape()
+    def _walk(self) -> Iterator[list[int]]:
+        offsets, _ = self._depends_on
         return kahn_levels(
-            dict(missing),
-            dependents,
+            self._names,
+            degrees(offsets),
+            *self._released_by,
             CyclicDerivationError,
             "plan dependency cycle through steps",
         )
 
     def topological_order(self) -> list[str]:
         """Step names in a valid execution order (the levels, flattened)."""
-        self.check_frontier_consistency()
-        return list(chain.from_iterable(self._walk()))
+        return list(chain.from_iterable(self.levels()))
 
     def width(self) -> int:
         """Maximum number of steps runnable concurrently: the widest
         level (on a cyclic plan, the widest before the cycle)."""
-        self.check_frontier_consistency()
         best = 0
         try:
             for level in self._walk():
@@ -176,21 +247,78 @@ class Plan:
 
     def depth(self) -> int:
         """Length of the longest dependency chain (the level count)."""
-        return len(self.levels())
+        return sum(1 for _ in self._walk())
 
     def producers(self) -> dict[str, str]:
         """Dataset name -> producing step name."""
         out = {}
-        for name, step in self.steps.items():
-            for dataset in step.outputs:
+        for name, derivation in zip(self._names, self._derivations):
+            for dataset in derivation.outputs():
                 out[dataset] = name
         return out
 
     def total_cpu_seconds(self) -> float:
-        return sum(step.cpu_seconds for step in self.steps.values())
+        return sum(self._cpu)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._names)
+
+    def __repr__(self) -> str:
+        return f"Plan(targets={self.targets!r}, steps={len(self)})"
+
+
+class _StepsView(Mapping):
+    """:attr:`Plan.steps`: names in name order, a step built per read."""
+
+    __slots__ = ("_plan",)
+
+    def __init__(self, plan: Plan):
+        self._plan = plan
+
+    def get(self, name: str, default=None):
+        step_id = self._plan._ids.get(name)
+        return default if step_id is None else self._plan._step(step_id)
+
+    def __getitem__(self, name: str):
+        value = self.get(name, _MISSING)
+        if value is _MISSING:
+            raise KeyError(name)
+        return value
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._plan._ids
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._plan._names)
+
+    def __len__(self) -> int:
+        return len(self._plan._names)
+
+
+class _DependenciesView(_StepsView):
+    """:attr:`Plan.dependencies`: a frozenset of names built per read."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        plan = self._plan
+        step_id = plan._ids.get(name)
+        if step_id is None:
+            return default
+        offsets, targets = plan._depends_on
+        return frozenset(
+            map(
+                plan._names.__getitem__,
+                targets[offsets[step_id]:offsets[step_id + 1]],
+            )
+        )
+
+
+_MISSING = object()
+
+
+#: A step's state in a :class:`Frontier`.
+OPEN, COMPLETED, FAILED, SKIPPED = range(4)
 
 
 class Frontier:
@@ -205,41 +333,57 @@ class Frontier:
     hands them out.  :meth:`fail` records a failure and skips what
     stands behind it.
 
-    The constructor validates the plan (see
-    :meth:`Plan.check_frontier_consistency`); ``done`` pre-completes
-    steps already satisfied, e.g. by a rescue file.
+    It keeps everything by the plan's step ids — the counts in one
+    array, each step's state in one byte, the ready set and the
+    dispatch heap as ids — and takes and returns names.  ``completed``,
+    ``failed`` and ``skipped`` are read-only set views of the states.
+    ``done`` pre-completes steps already satisfied, e.g. by a rescue
+    file; names that are not steps of the plan are ignored.
     """
 
     #: Hand out no more steps once one has failed.
     fail_fast = False
 
     def __init__(self, plan: Plan, done: Optional[set[str]] = None):
-        plan.check_frontier_consistency()
-        missing, dependents = plan.frontier_shape()
-        self._total = len(plan.steps)
-        self.completed: set[str] = set()
-        self.failed: set[str] = set()
-        self.skipped: set[str] = set()
-        # Own copy of the counts (decremented in complete()); the
-        # dependents map is shared with the plan's template, read-only.
-        self._missing: dict[str, int] = dict(missing)
-        self._dependents: dict[str, list[str]] = dependents
-        self._ready: set[str] = {
-            name for name, count in self._missing.items() if count == 0
+        self._names = plan._names
+        self._ids = plan._ids
+        self._offsets, self._targets = plan._released_by
+        # Own counts, decremented in complete().
+        self._missing = degrees(plan._depends_on[0])
+        self._state = bytearray(len(self._names))
+        #: Steps per state.
+        self._counts = [len(self._names), 0, 0, 0]
+        self._ready: set[int] = {
+            step_id for step_id, count in enumerate(self._missing) if not count
         }
-        self._queue: list[str] = []  # a heap of released, untaken steps
-        self._held: list[str] = []
+        # A heap of released, untaken ids, built at the first take():
+        # a frontier drained through ready() and complete() keeps none.
+        self._queue: Optional[list[int]] = None
+        self._held: list[int] = []
         for name in done or ():
             # Pre-completed steps may arrive in any order, so a
             # dependent of one may complete before it; complete()
             # never releases a completed step again.
-            if name in plan.steps:
-                self.complete(name)
-        self._queue = sorted(self._ready)
+            step_id = self._ids.get(name)
+            if step_id is not None:
+                self._complete(step_id)
+
+    @property
+    def completed(self) -> Set[str]:
+        return _StateView(self, COMPLETED)
+
+    @property
+    def failed(self) -> Set[str]:
+        return _StateView(self, FAILED)
+
+    @property
+    def skipped(self) -> Set[str]:
+        return _StateView(self, SKIPPED)
 
     def ready(self) -> list[str]:
         """Released, uncompleted steps in name order (deterministic)."""
-        return sorted(self._ready)
+        names = self._names
+        return [names[step_id] for step_id in sorted(self._ready)]
 
     def ready_count(self) -> int:
         return len(self._ready)
@@ -250,71 +394,130 @@ class Frontier:
         return self.remaining() <= 0
 
     def remaining(self) -> int:
-        settled = len(self.completed) + len(self.failed) + len(self.skipped)
-        return self._total - settled
+        return self._counts[OPEN]
 
     @property
     def halted(self) -> bool:
         """True once a step failed under ``fail_fast``."""
-        return self.fail_fast and bool(self.failed)
+        return self.fail_fast and bool(self._counts[FAILED])
 
     def take(self) -> Optional[str]:
         """The first released step in name order not yet taken; ``None``
         when there is none, or once the frontier has halted."""
+        if self._queue is None:
+            self._queue = sorted(self._ready)
         if not self._queue or self.halted:
             return None
-        return heapq.heappop(self._queue)
+        return self._names[heapq.heappop(self._queue)]
 
     def hold(self, name: str) -> None:
         """Hand a taken step back until the next complete() or fail()."""
-        self._held.append(name)
+        self._held.append(self._id(name))
 
     def _requeue_held(self) -> None:
-        for name in self._held:
-            heapq.heappush(self._queue, name)
+        for step_id in self._held:
+            heapq.heappush(self._queue, step_id)
         self._held.clear()
+
+    def _id(self, name: str) -> int:
+        step_id = self._ids.get(name)
+        if step_id is None:
+            raise PlanningError(f"frontier: unknown step {name!r}")
+        return step_id
+
+    def _settle(self, step_id: int, state: int) -> None:
+        self._counts[self._state[step_id]] -= 1
+        self._counts[state] += 1
+        self._state[step_id] = state
 
     def complete(self, name: str) -> list[str]:
         """Mark ``name`` done; returns the steps this newly releases."""
-        if name in self.completed:
+        released = self._complete(self._id(name))
+        if not released:
+            return released
+        names = self._names
+        return [names[i] for i in sorted(released)]
+
+    def _complete(self, step_id: int) -> list[int]:
+        state = self._state
+        if state[step_id] == COMPLETED:
             return []
-        if name not in self._missing:
-            raise PlanningError(f"frontier: unknown step {name!r}")
-        self.completed.add(name)
-        self._ready.discard(name)
-        released: list[str] = []
-        for dependent in self._dependents.get(name, ()):
-            if dependent in self.completed:
+        self._settle(step_id, COMPLETED)
+        ready, queue, missing = self._ready, self._queue, self._missing
+        ready.discard(step_id)
+        offsets = self._offsets
+        released: list[int] = []
+        for dependent in self._targets[offsets[step_id]:offsets[step_id + 1]]:
+            if state[dependent] == COMPLETED:
                 continue
-            count = self._missing[dependent] - 1
-            self._missing[dependent] = count
+            count = missing[dependent] - 1
+            missing[dependent] = count
             if count == 0:
-                self._ready.add(dependent)
+                ready.add(dependent)
                 released.append(dependent)
-                heapq.heappush(self._queue, dependent)
-        self._requeue_held()
-        return sorted(released)
+                if queue is not None:
+                    heapq.heappush(queue, dependent)
+        if self._held:
+            self._requeue_held()
+        return released
 
     def fail(self, name: str) -> list[str]:
         """Mark ``name`` failed; returns the steps this newly skips, in
         name order: its transitive dependents up to, not through, done,
         failed or skipped steps (a step behind a done one, on a rescue
         resume, needs nothing more of ``name``)."""
-        self.failed.add(name)
+        step_id = self._id(name)
+        self._settle(step_id, FAILED)
+        state, offsets, targets = self._state, self._offsets, self._targets
 
-        def open_dependents(step: str) -> list[str]:
+        def open_dependents(node: int) -> list[int]:
             return [
                 dependent
-                for dependent in self._dependents.get(step, ())
-                if dependent not in self.completed
-                and dependent not in self.failed
-                and dependent not in self.skipped
+                for dependent in targets[offsets[node]:offsets[node + 1]]
+                if state[dependent] == OPEN
             ]
 
-        newly = sorted(reachable(open_dependents, open_dependents(name)))
-        self.skipped.update(newly)
+        newly = sorted(reachable(open_dependents, open_dependents(step_id)))
+        for dependent in newly:
+            self._settle(dependent, SKIPPED)
         self._requeue_held()
-        return newly
+        names = self._names
+        return [names[i] for i in newly]
+
+
+class _StateView(Set):
+    """The names of a :class:`Frontier`'s steps in one state."""
+
+    __slots__ = ("_frontier", "_code")
+
+    def __init__(self, frontier: Frontier, code: int):
+        self._frontier = frontier
+        self._code = code
+
+    def __contains__(self, name: object) -> bool:
+        step_id = self._frontier._ids.get(name)
+        return (
+            step_id is not None
+            and self._frontier._state[step_id] == self._code
+        )
+
+    def __len__(self) -> int:
+        return self._frontier._counts[self._code]
+
+    def __iter__(self) -> Iterator[str]:
+        names, code = self._frontier._names, self._code
+        return (
+            names[step_id]
+            for step_id, state in enumerate(self._frontier._state)
+            if state == code
+        )
+
+    @classmethod
+    def _from_iterable(cls, names: Iterable[str]) -> set[str]:
+        return set(names)
+
+    def __repr__(self) -> str:
+        return repr(set(self))
 
 
 #: Callback deciding rerun-vs-retrieve for one dataset under the
@@ -335,7 +538,7 @@ class _PlanCacheEntry:
         self.visited = visited
         #: dataset -> has_replica answer consulted during the build.
         self.probes = probes
-        #: dataset -> producing step name (for size re-estimates).
+        #: dataset -> producing step id (for size re-estimates).
         self.producers = producers
 
 
@@ -348,10 +551,12 @@ class Planner:
     metadata edited) patches only the affected steps instead of
     re-walking the whole graph, and ``has_replica`` answers are
     re-probed on every hit so out-of-band sandbox changes still force a
-    rebuild.  Incremental mode requires the estimate callables
-    (``cpu_estimate``/``size_estimate``) to be pure functions of
-    catalog state — estimators that train between calls (the grid
-    executor's) must keep the default ``incremental=False``.
+    rebuild.  ``size_estimate`` is asked once per step output, with the
+    step's derivation and the output's name.  Incremental mode requires
+    the estimate callables (``cpu_estimate``/``size_estimate``) to be
+    pure functions of catalog state — estimators that train between
+    calls (the grid executor's) must keep the default
+    ``incremental=False``.
     """
 
     def __init__(
@@ -360,7 +565,7 @@ class Planner:
         resolver: Optional[ReferenceResolver] = None,
         has_replica: Optional[Callable[[str], bool]] = None,
         cpu_estimate: Optional[Callable[[Derivation], float]] = None,
-        size_estimate: Optional[Callable[[str], int]] = None,
+        size_estimate: Optional[Callable[[Derivation, str], int]] = None,
         reuse_decider: Optional[ReuseDecider] = None,
         instrumentation: Optional[Instrumentation] = None,
         incremental: bool = False,
@@ -414,7 +619,7 @@ class Planner:
         # on every cache hit (sandbox files can also appear or vanish
         # with no catalog event at all).
 
-    def _catalog_size(self, lfn: str) -> int:
+    def _catalog_size(self, dv: Derivation, lfn: str) -> int:
         cached = self._size_memo.get(lfn)
         if cached is not None:
             return cached
@@ -498,7 +703,7 @@ class Planner:
             )
 
     def _build(self, request: MaterializationRequest, graph) -> Plan:
-        plan = Plan(targets=request.targets)
+        draft = _Draft()
         self._probes = {}
         needed: list[str] = list(request.targets)
         visited: set[str] = set()
@@ -508,14 +713,14 @@ class Planner:
                 continue
             visited.add(dataset)
             if self._maybe_reuse(dataset, request, graph):
-                plan.reused.add(dataset)
+                draft.reused.add(dataset)
                 continue
             producers = graph.producer_names(dataset)
             if not producers:
                 if self._probe_replica(dataset) or self.catalog.has_dataset(
                     dataset
                 ):
-                    plan.sources.add(dataset)
+                    draft.sources.add(dataset)
                     continue
                 raise UnderivableError(
                     f"dataset {dataset!r} has no producing derivation and "
@@ -524,24 +729,23 @@ class Planner:
             # Deterministic choice when multiple producers exist.
             producer_name = min(producers)
             dv = graph.derivation(producer_name)
-            self._expand_derivation(dv, plan)
+            self._expand_derivation(dv, draft)
             # A simple derivation is its own step, which knows its
             # inputs already; a compound one expanded into several.
-            step = plan.steps.get(producer_name)
-            inputs = dv.inputs() if step is None else step.inputs
+            row = draft.rows.get(producer_name)
+            inputs = dv.inputs() if row is None else row[_INPUTS]
             # Skip already-visited inputs before pushing: high-fan-in
             # graphs would otherwise blow the worklist up with
             # duplicates that each pop-and-discard pass re-touches.
             needed.extend(name for name in inputs if name not in visited)
-        self._wire_dependencies(plan)
-        self._prune_reused_subgraphs(plan, request)
+        plan, producers = draft.plan(request)
         if self._incremental:
             self._cached = _PlanCacheEntry(
                 key=(request.targets, request.reuse),
                 plan=plan,
                 visited=visited,
                 probes=dict(self._probes),
-                producers=plan.producers(),
+                producers=producers,
             )
             self._dirty_derivations.clear()
             self._dirty_datasets.clear()
@@ -576,9 +780,9 @@ class Planner:
             # patching those piecemeal could diverge from a fresh plan.
             return None
         plan = cached.plan
-        # Validate every dirty derivation; build replacement steps
+        # Validate every dirty derivation; build replacement columns
         # without touching the plan so any bail-out leaves it intact.
-        replacements: dict[str, PlanStep] = {}
+        replacements: dict[str, tuple] = {}
         for key in sorted(self._dirty_derivations):
             step = plan.steps.get(key)
             if step is None:
@@ -601,33 +805,35 @@ class Planner:
             tr, _ = self._resolve_transformation(dv.transformation)
             if not isinstance(tr, SimpleTransformation):
                 return None
-            replacements[key] = PlanStep(
-                name=key,
-                derivation=dv,
-                transformation=tr,
-                cpu_seconds=self._cpu_estimate(dv),
-                output_sizes={
-                    out: self._size_estimate(out) for out in dv.outputs()
-                },
+            replacements[key] = (
+                dv,
+                tr,
+                self._cpu_estimate(dv),
+                {out: self._size_estimate(dv, out) for out in step.outputs},
             )
         # Size re-estimates for datasets whose records changed.
-        size_patches: dict[str, dict[str, int]] = {}
         for name in self._dirty_datasets:
-            producer = cached.producers.get(name)
-            if producer is None or producer not in plan.steps:
+            producer_id = cached.producers.get(name)
+            if producer_id is None:
                 continue
-            new_size = self._size_estimate(name)
-            target = replacements.get(producer, plan.steps[producer])
-            if target.output_sizes.get(name) != new_size:
-                size_patches.setdefault(producer, {})[name] = new_size
+            producer = plan._names[producer_id]
+            if producer not in replacements:
+                step = plan.steps[producer]
+                replacements[producer] = (
+                    step.derivation,
+                    step.transformation,
+                    step.cpu_seconds,
+                    step.output_sizes,
+                )
+            dv, _, _, sizes = replacements[producer]
+            sizes[name] = self._size_estimate(dv, name)
         # Re-probe every replica answer the cached build consulted.
         for dataset, seen in cached.probes.items():
             if bool(self._has_replica(dataset)) != seen:
                 return None
         # All clear: apply (cannot fail past this point).
-        plan.steps.update(replacements)
-        for producer, sizes in size_patches.items():
-            plan.steps[producer].output_sizes.update(sizes)
+        for key, (dv, tr, cpu, sizes) in replacements.items():
+            plan._set_step(key, dv, tr, cpu, tuple(sizes.values()))
         self._dirty_derivations.clear()
         self._dirty_datasets.clear()
         return plan
@@ -703,43 +909,43 @@ class Planner:
             cached = self._tr_memo[ref] = self.resolver.transformation(ref)
         return cached
 
-    def _expand_derivation(self, dv: Derivation, plan: Plan) -> None:
-        if dv.name in plan.steps:
+    def _expand_derivation(self, dv: Derivation, draft: "_Draft") -> None:
+        if dv.name in draft.rows:
             return
         tr, _ = self._resolve_transformation(dv.transformation)
         if isinstance(tr, SimpleTransformation):
-            self._add_step(dv.name, dv, tr, plan)
+            self._add_step(dv.name, dv, tr, draft)
             return
         assert isinstance(tr, CompoundTransformation)
-        self._expand_compound(dv.name, dv, tr, plan, depth=0)
+        self._expand_compound(dv.name, dv, tr, draft, depth=0)
 
     def _add_step(
         self,
         name: str,
         dv: Derivation,
         tr: SimpleTransformation,
-        plan: Plan,
+        draft: "_Draft",
     ) -> None:
-        step = PlanStep(
-            name=name,
-            derivation=dv,
-            transformation=tr,
-            cpu_seconds=self._cpu_estimate(dv),
+        outputs = dv.outputs()
+        size = self._size_estimate
+        draft.rows[name] = (
+            dv,
+            tr,
+            self._cpu_estimate(dv),
+            draft.shared(tuple([size(dv, out) for out in outputs])),
+            dv.inputs(),
+            outputs,
         )
-        step.output_sizes = {
-            out: self._size_estimate(out) for out in step.outputs
-        }
-        plan.steps[name] = step
-        for _, arg in dv.dataset_args():
-            if arg.temporary:
-                plan.temporaries.add(arg.dataset)
+        for arg in dv.actuals.values():
+            if isinstance(arg, DatasetArg) and arg.temporary:
+                draft.temporaries.add(arg.dataset)
 
     def _expand_compound(
         self,
         prefix: str,
         dv: Derivation,
         tr: CompoundTransformation,
-        plan: Plan,
+        draft: "_Draft",
         depth: int,
     ) -> None:
         """Flatten one compound call frame into concrete steps."""
@@ -763,7 +969,7 @@ class Planner:
                         direction=formal.direction,
                         temporary=True,
                     )
-                    plan.temporaries.add(scratch)
+                    draft.temporaries.add(scratch)
             else:
                 raise PlanningError(
                     f"compound {tr.name!r}: formal {formal.name!r} unbound "
@@ -800,52 +1006,113 @@ class Planner:
                 environment=dict(dv.environment),
             )
             if isinstance(callee, CompoundTransformation):
-                self._expand_compound(sub_name, sub_dv, callee, plan, depth + 1)
+                self._expand_compound(
+                    sub_name, sub_dv, callee, draft, depth + 1
+                )
             else:
-                self._add_step(sub_name, sub_dv, callee, plan)
+                self._add_step(sub_name, sub_dv, callee, draft)
 
-    # -- dependency wiring -------------------------------------------------------
 
-    def _wire_dependencies(self, plan: Plan) -> None:
-        producer_of: dict[str, str] = {}
-        for name, step in plan.steps.items():
-            for output in step.outputs:
-                producer_of[output] = name
-        for name, step in plan.steps.items():
-            deps = {
-                producer_of[inp]
-                for inp in step.inputs
-                if inp in producer_of and producer_of[inp] != name
+
+#: The fields of a :class:`_Draft` row.
+_DV, _TR, _CPU, _SIZES, _INPUTS, _OUTPUTS = range(6)
+
+
+class _Draft:
+    """A plan while the planner's walk is still adding steps: a row
+    per step, in the order the walk reached them, which
+    :meth:`plan` turns into a :class:`Plan`'s columns."""
+
+    __slots__ = ("rows", "reused", "sources", "temporaries", "_sizes")
+
+    def __init__(self):
+        #: Step name -> (derivation, transformation, cpu estimate,
+        #: output sizes, inputs, outputs).
+        self.rows: dict[str, tuple] = {}
+        self.reused: set[str] = set()
+        self.sources: set[str] = set()
+        self.temporaries: set[str] = set()
+        self._sizes: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def shared(self, sizes: tuple[int, ...]) -> tuple[int, ...]:
+        """One tuple per distinct row of output sizes: the steps of one
+        transformation mostly estimate alike."""
+        return self._sizes.setdefault(sizes, sizes)
+
+    def plan(self, request: MaterializationRequest) -> tuple[Plan, dict]:
+        """The plan, and its dataset -> producing step id map.
+
+        A dataset's producer is the last step the walk reached that
+        writes it.  Steps whose every output is reused or unneeded are
+        pruned, and a step waits for no pruned producer."""
+        rows = self.rows
+        if self.reused and rows:
+            producer_of = {
+                output: name
+                for name, row in rows.items()
+                for output in row[_OUTPUTS]
             }
-            plan.dependencies[name] = deps
+            kept = self._needed(producer_of, request)
+        else:
+            kept = rows
+        names = sorted(kept)
+        ids = dict(zip(names, range(len(names))))
+        # What each kept step writes, and what a step waits for: the
+        # last writer of its input overall, unless that was pruned.
+        producers = {
+            output: ids[name]
+            for name, row in rows.items()
+            if name in ids
+            for output in row[_OUTPUTS]
+        }
+        producer_id = producers if kept is rows else {
+            output: ids[name]
+            for output, name in producer_of.items()
+            if name in ids
+        }
+        columns = list(map(rows.__getitem__, names))
+        waits = (
+            sorted(
+                {
+                    producer
+                    for inp in row[_INPUTS]
+                    if (producer := producer_id.get(inp)) is not None
+                    and producer != step_id
+                }
+            )
+            for step_id, row in enumerate(columns)
+        )
+        plan = Plan._columns(
+            request.targets,
+            names,
+            ids,
+            list(map(itemgetter(_DV), columns)),
+            list(map(itemgetter(_TR), columns)),
+            array("d", map(itemgetter(_CPU), columns)),
+            list(map(itemgetter(_SIZES), columns)),
+            edges(waits),
+            self.reused,
+            self.sources,
+            self.temporaries,
+        )
+        return plan, producers
 
-    def _prune_reused_subgraphs(
-        self, plan: Plan, request: MaterializationRequest
-    ) -> None:
-        """Drop steps whose every output is reused or unneeded."""
-        if not plan.reused:
-            return
-        needed_datasets: set[str] = set(request.targets) - plan.reused
-        producer_of = plan.producers()
+    def _needed(
+        self, producer_of: dict[str, str], request: MaterializationRequest
+    ) -> set[str]:
+        """The steps some non-reused target still needs."""
+        rows, reused = self.rows, self.reused
 
-        def upstream_steps(dataset: str) -> list[str]:
+        def upstream(dataset: str) -> list[str]:
             step_name = producer_of.get(dataset)
             if step_name is None:
                 return []
             return [
-                inp
-                for inp in plan.steps[step_name].inputs
-                if inp not in plan.reused
+                inp for inp in rows[step_name][_INPUTS] if inp not in reused
             ]
 
-        needed_steps = {
-            producer_of[ds]
-            for ds in reachable(upstream_steps, needed_datasets)
-            if ds in producer_of
+        return {
+            producer_of[dataset]
+            for dataset in reachable(upstream, set(request.targets) - reused)
+            if dataset in producer_of
         }
-        for name in list(plan.steps):
-            if name not in needed_steps:
-                del plan.steps[name]
-                del plan.dependencies[name]
-        for name in plan.dependencies:
-            plan.dependencies[name] &= set(plan.steps)

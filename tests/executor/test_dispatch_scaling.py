@@ -34,6 +34,7 @@ from repro.catalog.sqlite import SQLiteCatalog
 from repro.core.derivation import Derivation
 from repro.errors import ExecutionError, MaterializationError
 from repro.executor import local as local_module
+from repro.executor import process as process_module
 from repro.executor.local import LocalExecutor
 from repro.executor.session import InteractiveSession
 from repro.observability.instrument import Instrumentation
@@ -279,7 +280,9 @@ class TestOneStepPath:
     def calls(self, monkeypatch):
         """Counts calls of the run and the commit function, per
         derivation; pools run inline so the process lane's run calls
-        happen where they can be counted."""
+        happen where they can be counted.  That lane reaches the run
+        function through ``process.run_pickled``, so it is counted in
+        both modules."""
         seen = {"run": [], "commit": []}
         real_run = local_module.run_invocation
         real_commit = local_module.commit_invocation
@@ -293,6 +296,7 @@ class TestOneStepPath:
             return real_commit(catalog, invocation, *args)
 
         monkeypatch.setattr(local_module, "run_invocation", run_invocation)
+        monkeypatch.setattr(process_module, "run_invocation", run_invocation)
         monkeypatch.setattr(
             local_module, "commit_invocation", commit_invocation
         )

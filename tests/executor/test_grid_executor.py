@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.errors import ExecutionError
+from repro.executor import grid_executor
 from repro.executor.grid_executor import GridExecutor
 from repro.grid.gram import GridExecutionService
 from repro.grid.network import uniform_topology
@@ -102,3 +103,41 @@ class TestMaterialize:
             MaterializationRequest(targets=("sim1",), reuse="never")
         )
         assert catalog.invocations_of("s1") == []
+
+
+class TestPlanSizes:
+    def test_the_size_hook_runs_once_per_output(self, world, monkeypatch):
+        """The planner's size hook is the estimator's: asked once per
+        output, and what it answers is the plan's size."""
+        catalog, executor, _, _ = world
+        for name in ("gen", "sim", "ana"):
+            tr = catalog.get_transformation(name)
+            tr.attributes.set("cost.output_bytes", 4096)
+            catalog.add_transformation(tr, replace=True)
+        answers = []
+        planner_class = grid_executor.Planner
+
+        def spying_planner(*args, size_estimate, **kwargs):
+            def hook(*call):
+                size = size_estimate(*call)
+                answers.append((call[-1], size))
+                return size
+
+            return planner_class(*args, size_estimate=hook, **kwargs)
+
+        monkeypatch.setattr(grid_executor, "Planner", spying_planner)
+        plan = executor.plan(
+            MaterializationRequest(targets=("final",), reuse="never")
+        )
+        sizes = {
+            output: (step.output_sizes[output], step.derivation)
+            for step in plan.steps.values()
+            for output in step.outputs
+        }
+        assert sorted(output for output, _ in answers) == sorted(sizes)
+        for output, answer in answers:
+            size, derivation = sizes[output]
+            assert answer == size == 4096
+            assert size == executor.estimator.estimate_output_bytes(
+                derivation, output
+            )

@@ -382,3 +382,27 @@ class TestTelemetryRelay:
                 "worker."
             ):
                 assert event["pid"] in worker_pids
+
+
+class TestPickleOnce:
+    def test_a_payload_is_pickled_once_per_step(self, tmp_path, monkeypatch):
+        """The preflight's bytes are what the worker gets: the pool
+        does not pickle the payload a second time."""
+        from repro.executor.process import InvocationPayload
+
+        pickled = []
+
+        def getstate(payload):
+            pickled.append(payload.step_name)
+            return payload.__dict__
+
+        monkeypatch.setattr(
+            InvocationPayload, "__getstate__", getstate, raising=False
+        )
+        catalog, executor = build_executor(tmp_path, wide_vdl(4), "once")
+        invocations = executor.materialize(
+            "final.out", workers=2, backend="process"
+        )
+        steps = sorted(inv.derivation_name for inv in invocations)
+        assert len(steps) == 7
+        assert sorted(pickled) == steps

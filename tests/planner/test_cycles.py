@@ -85,6 +85,10 @@ class TestDepth:
         assert _plan(deps).depth() == n
 
     def test_ignores_dependencies_outside_plan(self):
-        # Reused/pruned steps can linger in dependency sets.
-        plan = _plan({"a": {"ghost"}, "b": {"a"}})
+        # A reused/pruned step cannot linger in a dependency set: the
+        # constructor refuses the edge, and without it the depth is
+        # the plan's own.
+        with pytest.raises(PlanningError, match="pruned or unknown"):
+            _plan({"a": {"ghost"}, "b": {"a"}})
+        plan = _plan({"a": set(), "b": {"a"}})
         assert plan.depth() == 2

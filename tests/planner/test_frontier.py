@@ -7,7 +7,8 @@ used to keep themselves.  These tests pin its equivalence to the
 routines it replaced, kept here as references — :func:`ready_steps`,
 :func:`dispatch_filter`, :func:`skip_downstream` and
 :func:`downstream_of` — and the consistency check that catches plans
-whose dependency edges point at pruned steps.
+whose dependency edges point at pruned steps, which the plan's
+name-keyed constructor now runs.
 """
 
 import random
@@ -17,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.memory import MemoryCatalog
+from repro.core.derivation import Derivation
+from repro.core.naming import VDPRef
 from repro.core.topology import reachable
+from repro.core.transformation import SimpleTransformation
 from repro.errors import PlanningError
-from repro.planner.dag import Frontier, Plan, Planner
+from repro.planner.dag import Frontier, Plan, Planner, PlanStep
 from repro.planner.request import MaterializationRequest
 from tests.conftest import DIAMOND_VDL
 
@@ -48,11 +52,20 @@ def dispatch_filter(frontier, in_flight, pending_retry, failed, skipped):
     ]
 
 
+def dependents_of(plan):
+    """Step name -> the steps waiting for it, from the dependency map."""
+    dependents = {name: [] for name in plan.dependencies}
+    for name, deps in plan.dependencies.items():
+        for dep in deps:
+            dependents[dep].append(name)
+    return dependents
+
+
 def skip_downstream(plan, root, done, failed, skipped):
     """The grid scheduler's skip walk before ``Frontier.fail``: every
     transitive dependent of ``root`` reached without passing a done,
     failed or skipped step, in name order."""
-    dependents = plan.frontier_shape()[1]
+    dependents = dependents_of(plan)
 
     def open_dependents(step):
         return [
@@ -67,7 +80,7 @@ def skip_downstream(plan, root, done, failed, skipped):
 def downstream_of(plan, name):
     """Transitive dependents of ``name`` (itself only on a cycle): what
     the local pool skipped behind a failure before ``Frontier.fail``."""
-    dependents = plan.frontier_shape()[1]
+    dependents = dependents_of(plan)
     return reachable(
         lambda step: dependents.get(step, ()), dependents.get(name, ())
     )
@@ -141,40 +154,44 @@ class TestFrontierConsistency:
 
     def _plan_with(self, steps, dependencies):
         plan = diamond_plan()
-        pruned = Plan(targets=plan.targets)
-        pruned.steps = {name: plan.steps[name] for name in steps}
-        pruned.dependencies = dependencies
-        return pruned
+        return Plan(
+            targets=plan.targets,
+            steps={name: plan.steps[name] for name in steps},
+            dependencies=dependencies,
+        )
 
     def test_dangling_dependency_raises(self):
         # s1 kept, but its predecessor g1 was pruned without fixing the
         # edge: a rescan used to never return s1 (silent hang).
-        plan = self._plan_with(
-            ["s1"], {"s1": {"g1"}}
-        )
         with pytest.raises(PlanningError, match="pruned or unknown"):
-            plan.check_frontier_consistency()
-        with pytest.raises(PlanningError, match="pruned or unknown"):
-            Frontier(plan)
+            self._plan_with(["s1"], {"s1": {"g1"}})
 
     def test_step_missing_from_dependency_map_raises(self):
-        plan = self._plan_with(["g1", "g2"], {"g1": set()})
         with pytest.raises(PlanningError, match="never dispatch"):
-            plan.check_frontier_consistency()
-        with pytest.raises(PlanningError, match="never dispatch"):
-            Frontier(plan)
+            self._plan_with(["g1", "g2"], {"g1": set()})
 
     def test_dependency_entry_for_unknown_step_raises(self):
-        plan = self._plan_with(["g1"], {"g1": set(), "ghost": set()})
         with pytest.raises(PlanningError, match="unknown step"):
-            plan.check_frontier_consistency()
-        with pytest.raises(PlanningError, match="unknown step"):
-            Frontier(plan)
+            self._plan_with(["g1"], {"g1": set(), "ghost": set()})
 
     def test_consistent_plan_passes(self):
         plan = diamond_plan()
-        plan.check_frontier_consistency()  # no raise
-        assert Frontier(plan).ready() == ["g1", "g2"]
+        rebuilt = self._plan_with(plan.steps, plan.dependencies)  # no raise
+        assert rebuilt.dependencies == plan.dependencies
+        assert Frontier(rebuilt).ready() == ["g1", "g2"]
+
+
+NOOP = SimpleTransformation(name="noop", formals=[], executable="/bin/true")
+
+
+def step(name):
+    """A step with no datasets: only the dependency map links steps."""
+    derivation = Derivation(
+        name=name,
+        transformation=VDPRef("noop", kind="transformation"),
+        actuals={},
+    )
+    return PlanStep(name=name, derivation=derivation, transformation=NOOP)
 
 
 @st.composite
@@ -188,7 +205,9 @@ def random_plans(draw):
         preds = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
         dependencies[name] = {names[j] for j in preds}
     plan = Plan(
-        targets=(), steps=dict.fromkeys(names), dependencies=dependencies
+        targets=(),
+        steps={name: step(name) for name in names},
+        dependencies=dependencies,
     )
     done = draw(st.sets(st.sampled_from(names), max_size=size // 3))
     return plan, done
