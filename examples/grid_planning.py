@@ -8,13 +8,13 @@ A production manager's session on the virtual data grid:
 2. compare the four data/procedure shipping patterns for a
    data-heavy step;
 3. watch the rerun-vs-retrieve decision flip as relative costs change;
-4. re-run a campaign incrementally after one input is invalidated
-   (make-style staleness pruning).
+4. find what to re-run after a calibration error (the §2 provenance
+   question), from the catalog's derivation graph.
 
 Run:  python examples/grid_planning.py
 """
 
-from repro.provenance import DerivationGraph, StalenessTracker
+from repro.provenance import invalidated_by
 from repro.system import VirtualDataSystem
 
 VDL = """
@@ -95,19 +95,16 @@ def main():
         f"(reused: {sorted(second.reused)})"
     )
 
-    # 4. Incremental rematerialization: raw.2003 is re-calibrated ->
-    #    only the downstream chain is stale.
-    graph = DerivationGraph.from_catalog(vds.catalog)
-    tracker = StalenessTracker(graph)
-    for i, name in enumerate(["raw.2003", "cal.2003", "dst.2003",
-                              "mass.plot"]):
-        tracker.stamp(name, float(i))
-    tracker.stamp("cal.2003", 100.0)  # recalibrated!
-    print(
-        "\nafter recalibration, derivations to re-run for mass.plot:",
-        sorted(tracker.derivations_to_run("mass.plot")),
+    # 4. A calibration error in cal.2003: everything downstream of it
+    #    is tainted, and its producer re-runs with the chain.
+    report = invalidated_by(
+        vds.catalog.derivation_graph(), bad_datasets=["cal.2003"]
     )
-
+    print(
+        "\nafter a calibration error in cal.2003:\n"
+        f"  tainted datasets: {sorted(report.tainted_datasets)}\n"
+        f"  derivations to re-run: {sorted(report.rerun_derivations)}"
+    )
 
 if __name__ == "__main__":
     main()

@@ -172,8 +172,8 @@ class GraphModel:
         """The graph's shared decoded derivation — read-only."""
         return self._indexes.graph.derivation(name)
 
-    def has_replica(self, lfn: str) -> bool:
-        return bool(self._indexes.replicas_of.get(lfn))
+    def is_materialized(self, lfn: str) -> bool:
+        return self.catalog.is_materialized(lfn)
 
     def dv_target(self, name: str) -> str:
         return self.derivation(name).transformation.vdl_text()
@@ -384,9 +384,11 @@ class GraphModel:
         live = members(self.graph).derivations
         return [dvn for dvn in self._invs_by_dv if dvn in live]
 
-    def replicated(self) -> Dict[str, Any]:
-        """The replica index: LFN -> replica ids (possibly none left)."""
-        return self._indexes.replicas_of
+    def maybe_materialized(self) -> Set[str]:
+        """Every LFN that may be materialized: each one with a replica
+        entry (possibly none left), and each source, whose record may
+        declare a concrete descriptor."""
+        return self.graph.source_datasets().union(self._indexes.replicas_of)
 
     # -- staleness support ---------------------------------------------
 

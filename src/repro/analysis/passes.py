@@ -93,7 +93,7 @@ class StalenessPass(DataflowPass):
     def report_dataset(
         self, lfn: str, graph: "DerivationGraph", facts: PerKind, model: Any
     ) -> Tuple[Diagnostic, ...]:
-        if not facts.datasets.get(lfn) or not model.has_replica(lfn):
+        if not facts.datasets.get(lfn) or not model.is_materialized(lfn):
             return ()
         stale = facts.derivations
         producers = sorted(graph.producer_names(lfn))
@@ -159,8 +159,9 @@ class DeadDataPass(DataflowPass):
     def full_report(
         self, graph: "DerivationGraph", facts: PerKind, model: Any
     ) -> PerKind:
-        # Only a replica can be a garbage-collection candidate.
-        return PerKind(model.replicated(), ())
+        # Only a materialized dataset can be a garbage-collection
+        # candidate.
+        return PerKind(model.maybe_materialized(), ())
 
     def transfer_dataset(
         self, lfn: str, consumers: Iterable[str], facts: PerKind, model: Any
@@ -179,7 +180,7 @@ class DeadDataPass(DataflowPass):
         # Pending iff some needed output lacks a replica.
         needed = facts.datasets
         for lfn in outputs:
-            if needed.get(lfn) and not model.has_replica(lfn):
+            if needed.get(lfn) and not model.is_materialized(lfn):
                 return True
         return False
 
@@ -189,7 +190,7 @@ class DeadDataPass(DataflowPass):
     def report_dataset(
         self, lfn: str, graph: "DerivationGraph", facts: PerKind, model: Any
     ) -> Tuple[Diagnostic, ...]:
-        if facts.datasets.get(lfn) or not model.has_replica(lfn):
+        if facts.datasets.get(lfn) or not model.is_materialized(lfn):
             return ()
         return (
             Diagnostic(

@@ -135,13 +135,8 @@ class Program:
         ]
 
     def is_materialized(self, lfn: str) -> bool:
-        """Whether a backing catalog knows a physical copy of the LFN."""
-        catalog = self.catalog
-        if catalog is None:
-            return False
-        if catalog.has_dataset(lfn) and not catalog.get_dataset(lfn).is_virtual:
-            return True
-        return bool(catalog.replicas_of(lfn))
+        """Whether a backing catalog holds the LFN materialized."""
+        return self.catalog is not None and self.catalog.is_materialized(lfn)
 
     def lfn_types(self, lfn: str) -> list[DatasetType]:
         """Plausible :class:`DatasetType`s of an LFN, statically inferred.

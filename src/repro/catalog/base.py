@@ -38,7 +38,13 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from repro.catalog.index import CatalogIndexes, RecordCache
-from repro.catalog.payloads import document, owned
+from repro.catalog.payloads import (
+    dataset_size,
+    document,
+    file_size,
+    is_concrete,
+    owned,
+)
 from repro.core.dataset import Dataset
 from repro.durability.crashpoints import crashpoint
 from repro.core.derivation import Derivation
@@ -689,8 +695,8 @@ class VirtualDataCatalog:
     def add_dataset(self, dataset: Dataset, replace: bool = False) -> None:
         """Register a dataset definition.
 
-        ``replace=True`` permits updating an existing record (e.g. when
-        a virtual dataset becomes materialized).
+        ``replace=True`` permits updating an existing record (a new
+        type, attributes or producer).
         """
         t0 = self._obs_t0()
         if not replace and self._store_has("dataset", dataset.name):
@@ -709,6 +715,43 @@ class VirtualDataCatalog:
     @_synchronized
     def has_dataset(self, name: str) -> bool:
         return self._store_has("dataset", name)
+
+    @_synchronized
+    def is_materialized(self, name: str) -> bool:
+        """Whether ``name`` has bytes behind it: the one materialization
+        rule.
+
+        A dataset some derivation produces is materialized if and only
+        if it has a replica; its record's descriptor is never consulted
+        (a copy of a replica descriptor older trees carry there is
+        inert).  A dataset nothing produces also counts when its record
+        declares a concrete descriptor.
+        """
+        if self._indexes.replicas_of.get(name):
+            return True
+        if self._indexes.graph.producer_names(name):
+            return False
+        entry = self._at_rest("dataset", name)
+        return entry is not None and is_concrete(entry)
+
+    @_synchronized
+    def dataset_size(self, name: str, default: int) -> int:
+        """A dataset's planning size in bytes: a ``size`` attribute on
+        its record, else its newest file replica's size, else its
+        descriptor's nominal size, else ``default``.
+
+        Read off the objects at rest without caching them, so a planner
+        walk over 10^5+ outputs neither decodes nor evicts anything.
+        """
+        replica_size = None
+        for rid in sorted(self._indexes.replicas_of.get(name, ()), reverse=True):
+            replica_size = file_size(self._at_rest("replica", rid, keep=False))
+            if replica_size is not None:
+                break
+        entry = self._at_rest("dataset", name, keep=False)
+        if entry is None:
+            return default if replica_size is None else replica_size
+        return dataset_size(entry, default, replica_size)
 
     @_synchronized
     def remove_dataset(self, name: str) -> None:
@@ -1056,7 +1099,8 @@ class VirtualDataCatalog:
         """Metadata search over datasets.
 
         ``conforms_to`` matches datasets whose type is a subtype of the
-        given type; ``virtual`` filters on materialization state.
+        given type; ``virtual`` filters on materialization state
+        (:meth:`is_materialized`).
         """
         t0 = self._obs_t0()
         out = []
@@ -1070,7 +1114,7 @@ class VirtualDataCatalog:
                 continue
             if attributes and not ds.attributes.matches(attributes):
                 continue
-            if virtual is not None and ds.is_virtual != virtual:
+            if virtual is not None and self.is_materialized(name) == virtual:
                 continue
             out.append(ds.copy())
         self._obs_op("query", "dataset", t0)

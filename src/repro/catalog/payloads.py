@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.attributes import AttributeSet
 from repro.core.derivation import DatasetArg
-from repro.core.descriptors import descriptor_from_dict
+from repro.core.descriptors import FileDescriptor, descriptor_from_dict
 from repro.core.invocation import ExecutionContext
 from repro.core.naming import VDPRef
 from repro.core.types import ANY_DATASET, DatasetType
@@ -151,13 +151,37 @@ def dataset_type(entry: Any) -> DatasetType:
     return entry.dataset_type
 
 
-def dataset_size(entry: Any, default: int) -> int:
-    """A dataset's planning size (:meth:`Dataset.size_estimate`)."""
-    if type(entry) is not dict:
-        return entry.size_estimate(default)
-    size = (entry.get("attributes") or {}).get("size")
+def is_concrete(entry: Any) -> bool:
+    """Whether a dataset declares a concrete (non-virtual) descriptor."""
+    if type(entry) is dict:
+        return (entry.get("descriptor") or {}).get("kind", "virtual") != "virtual"
+    return not entry.is_virtual
+
+
+def file_size(entry: Any) -> Optional[int]:
+    """The file size a replica records in its file descriptor; None
+    for a replica of any other kind (a simulated grid copy) or none."""
+    if entry is None:
+        return None
+    if type(entry) is dict:
+        descriptor = entry.get("descriptor") or {}
+        return descriptor.get("size") if descriptor.get("kind") == "file" else None
+    descriptor = entry.descriptor
+    return descriptor.size if isinstance(descriptor, FileDescriptor) else None
+
+
+def dataset_size(entry: Any, default: int, replica_size: Optional[int]) -> int:
+    """A dataset's planning size: an explicit ``size`` attribute, else
+    ``replica_size`` (its newest file replica's), else what
+    :meth:`Dataset.size_estimate` reads, its descriptor's nominal size,
+    else ``default``."""
+    size = attribute(entry, "size")
     if isinstance(size, (int, float)):
         return int(size)
+    if replica_size is not None:
+        return replica_size
+    if type(entry) is not dict:
+        return entry.size_estimate(default)
     if entry.get("descriptor"):
         nominal = descriptor_from_dict(entry["descriptor"]).nominal_size()
         if nominal is not None:

@@ -274,7 +274,9 @@ def _cmd_list(ws: Workspace, args, out) -> int:
     kind = args.kind
     if kind == "datasets":
         for ds in catalog.datasets():
-            state = "virtual" if ds.is_virtual else "materialized"
+            state = (
+                "materialized" if catalog.is_materialized(ds.name) else "virtual"
+            )
             producer = f" <- {ds.producer}" if ds.producer else ""
             out(f"{ds.name}  [{state}]{producer}")
     elif kind == "transformations":
@@ -320,7 +322,7 @@ def _cmd_plan(ws: Workspace, args, out) -> int:
             _finish_profile(obs, None, out)
             return 1
     executor = ws.executor()
-    planner = Planner(catalog, has_replica=executor.is_materialized)
+    planner = Planner(catalog, has_replica=executor.verify_replica)
     with obs.phase("plan"):
         plan = planner.plan(
             MaterializationRequest(targets=(args.dataset,), reuse=args.reuse)
@@ -591,11 +593,7 @@ def _cmd_run_grid(ws: Workspace, args, out) -> int:
     preview = vds.plan(args.target, pattern=args.pattern)
     seed_site = sorted(sites)[0]
     for name in sorted(preview.sources | preview.reused):
-        size = 1_000_000
-        if vds.catalog.has_dataset(name):
-            size = vds.catalog.get_dataset(name).size_estimate(
-                default=1_000_000
-            )
+        size = vds.catalog.dataset_size(name, 1_000_000)
         vds.seed_dataset(name, seed_site, size)
 
     resume = args.rescue is not None

@@ -4,8 +4,9 @@
 dataset descriptor." (§3.1)  Datasets are logical: physical copies are
 :class:`repro.core.replica.Replica` objects linked by name.  A dataset
 whose descriptor is :class:`~repro.core.descriptors.VirtualDescriptor`
-is *virtual data* — it exists only as a recipe until some derivation
-materializes it.
+is *virtual data* — a recipe.  Whether it is materialized is a catalog
+question (:meth:`repro.catalog.base.VirtualDataCatalog.is_materialized`):
+a produced dataset is materialized exactly when it has a replica.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Dataset:
 
     @property
     def is_virtual(self) -> bool:
-        """True when no physical representation has been described yet."""
+        """True when the record describes no physical representation."""
         return isinstance(self.descriptor, VirtualDescriptor)
 
     def copy(self) -> "Dataset":

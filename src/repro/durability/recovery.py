@@ -19,7 +19,6 @@ kind                             severity repair
 ``orphan-output``                error    quarantine the file (its producer
                                           re-runs with full provenance)
 ``orphan-file``                  warning  quarantine the file
-``stale-dataset-state``          warning  reset the dataset to virtual
 ``torn-rescue-tail``             warning  rewrite the salvaged valid prefix
 ``corrupt-rescue-file``          warning  quarantine the rescue file
 ``stale-temporary``              info     delete the ``*.vdg-tmp`` file
@@ -229,7 +228,7 @@ class RecoveryManager:
         self._check_temporaries(report, fixing)
         self._check_replicas(report, fixing, checksums)
         self._check_invocations(report, fixing)
-        self._check_datasets_and_files(report, fixing)
+        self._check_files(report, fixing)
         self._check_rescues(report, fixing)
         self._check_runs(report)
         if self.obs.enabled:
@@ -480,46 +479,16 @@ class RecoveryManager:
         except NotFoundError:
             return False
 
-    # -- datasets and sandbox files ------------------------------------------
+    # -- sandbox files -------------------------------------------------------
 
-    def _check_datasets_and_files(self, report: FsckReport, fixing) -> None:
-        catalog = self.catalog
-        by_filename: dict[str, str] = {}
-        producers: dict[str, bool] = {}
-        for name in catalog.dataset_names():
-            by_filename[sandbox_filename(name)] = name
-        # A dataset record claiming bytes that no longer exist (and no
-        # replica backing it elsewhere) flips back to a recipe.
-        for name in catalog.dataset_names():
-            ds = catalog.get_dataset(name)
-            producers[name] = bool(ds.producer)
-            if ds.is_virtual:
-                continue
-            descriptor = ds.descriptor
-            path = (
-                Path(descriptor.path)
-                if isinstance(descriptor, FileDescriptor) and descriptor.path
-                else None
-            )
-            if path is None or path.is_file():
-                continue
-            if catalog.replicas_of(name):
-                continue
-            finding = report.add(
-                Finding(
-                    kind="stale-dataset-state",
-                    severity="warning",
-                    object=name,
-                    detail=f"marked materialized at {path}, but no file "
-                    "and no replicas back it",
-                    repair="reset the dataset to virtual",
-                )
-            )
-            if fixing(finding.kind):
-                catalog.add_dataset(revirtualized(ds), replace=True)
-                finding.repaired = True
+    def _check_files(self, report: FsckReport, fixing) -> None:
         if self.sandbox_dir is None or not self.sandbox_dir.is_dir():
             return
+        catalog = self.catalog
+        graph = catalog.derivation_graph()
+        by_filename = {
+            sandbox_filename(name): name for name in catalog.dataset_names()
+        }
         for child in sorted(self.sandbox_dir.iterdir()):
             if not child.is_file() or TMP_MARKER in child.name:
                 continue
@@ -539,10 +508,10 @@ class RecoveryManager:
                     quarantine_file(child, self.quarantine_dir)
                     finding.repaired = True
                 continue
-            if catalog.replicas_of(dataset):
-                continue  # cataloged normally
-            if not producers.get(dataset):
+            if not graph.producer_names(dataset):
                 continue  # a source the user staged in by hand
+            if catalog.is_materialized(dataset):
+                continue  # cataloged normally
             # Derived output on disk with no replica record: a crash
             # between stage-out and the provenance commit.  Reusing it
             # would silently lose the invocation record, so it goes to
@@ -559,9 +528,6 @@ class RecoveryManager:
             )
             if fixing(finding.kind):
                 quarantine_file(child, self.quarantine_dir)
-                ds = catalog.get_dataset(dataset)
-                if not ds.is_virtual:
-                    catalog.add_dataset(revirtualized(ds), replace=True)
                 finding.repaired = True
 
     # -- rescue files --------------------------------------------------------
@@ -657,14 +623,3 @@ def quarantine_file(
     os.replace(path, target)
     return target
 
-
-def revirtualized(ds):
-    """A copy of ``ds`` reset to a virtual (recipe-only) descriptor."""
-    from repro.core.dataset import Dataset
-
-    return Dataset(
-        name=ds.name,
-        dataset_type=ds.dataset_type,
-        attributes=ds.attributes.copy(),
-        producer=ds.producer,
-    )

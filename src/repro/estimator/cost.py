@@ -216,12 +216,8 @@ class Estimator:
     # -- queries --------------------------------------------------------------
 
     def input_bytes_of(self, dv: Derivation) -> int:
-        """Total declared size of a derivation's input datasets."""
-        total = 0
-        for name in dv.inputs():
-            if self.catalog.has_dataset(name):
-                total += self.catalog.get_dataset(name).size_estimate()
-        return total
+        """Total planning size of a derivation's input datasets."""
+        return sum(self.catalog.dataset_size(name, 0) for name in dv.inputs())
 
     def estimate_derivation(self, dv: Derivation) -> float:
         """Predicted cpu seconds for one derivation."""
@@ -237,12 +233,12 @@ class Estimator:
     def estimate_output_bytes(self, dv: Derivation, output: str) -> int:
         """Predicted size of one output dataset of a derivation.
 
-        A declared dataset size wins over the model's mean.
+        A known dataset size (declared, or its file replica's) wins
+        over the model's mean.
         """
-        if self.catalog.has_dataset(output):
-            declared = self.catalog.get_dataset(output).size_estimate(default=0)
-            if declared:
-                return declared
+        known = self.catalog.dataset_size(output, 0)
+        if known:
+            return known
         return self.model_for(dv.transformation.name).predict_output_bytes()
 
     def confidence(self, transformation: str) -> int:

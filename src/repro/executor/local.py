@@ -5,7 +5,8 @@ callables or real subprocesses — against a sandbox directory, and
 records what the schema demands: an
 :class:`~repro.core.invocation.Invocation` with timing, environment and
 resource usage; :class:`~repro.core.replica.Replica` records with
-content digests for every output; and materialized dataset descriptors.
+content digests for every output, which is what makes each output
+dataset materialized.
 
 It is the "interactive environment" execution path of §5: "a user could
 trigger the invocation of a derivation, and ... this mechanism would
@@ -24,7 +25,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
 from repro.catalog.base import VirtualDataCatalog
-from repro.core.dataset import Dataset
 from repro.core.derivation import Derivation
 from repro.core.descriptors import FileDescriptor
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
@@ -33,11 +33,7 @@ from repro.core.replica import Replica
 from repro.core.transformation import SimpleTransformation
 from repro.durability.checksum import verify_file
 from repro.durability.crashpoints import crashpoint
-from repro.durability.recovery import (
-    quarantine_file,
-    revirtualized,
-    sandbox_filename,
-)
+from repro.durability.recovery import quarantine_file, sandbox_filename
 from repro.errors import ExecutionError, MaterializationError
 from repro.executor.driver import UNTIL_SETTLED, Attempt, Driver
 from repro.executor.process import (
@@ -73,12 +69,13 @@ def commit_invocation(
 
     ``outputs`` are ``(formal, replica)`` pairs in the order they are
     to be recorded; ``formal`` (when known) binds the replica in the
-    invocation.  Replicas, the datasets they materialize — exactly
-    those whose replica carries a file descriptor — and the invocation
-    land in one catalog transaction or not at all: a kill inside this
-    window leaves either a rollback-able journal/backend transaction
-    or nothing, never a replica without its invocation.  Inside a
-    caller's own transaction this one extends it.
+    invocation.  The replicas and the invocation land in one catalog
+    transaction or not at all: a kill inside this window leaves either
+    a rollback-able journal/backend transaction or nothing, never a
+    replica without its invocation.  Inside a caller's own transaction
+    this one extends it.  Dataset records are not written: a replica
+    is what makes a dataset materialized
+    (:meth:`~repro.catalog.base.VirtualDataCatalog.is_materialized`).
     """
     label = f"invocation:{invocation.derivation_name}"
     with catalog.transaction(label=label):
@@ -87,15 +84,6 @@ def commit_invocation(
             catalog.add_replica(replica)
             if formal is not None:
                 invocation.replica_bindings[formal] = replica.replica_id
-            if isinstance(replica.descriptor, FileDescriptor):
-                name = replica.dataset_name
-                if catalog.has_dataset(name):
-                    ds = catalog._record("dataset", name)  # only read
-                else:
-                    ds = Dataset(name=name)
-                catalog.add_dataset(
-                    ds.materialized(replica.descriptor), replace=True
-                )
         catalog.add_invocation(invocation)
     crashpoint("executor.post-commit")
     if obs.recorder is not None:
@@ -154,18 +142,33 @@ class LocalExecutor:
         """Sandbox path holding (or destined to hold) a dataset."""
         return self.workdir / sandbox_filename(dataset_name)
 
-    def is_materialized(self, dataset_name: str) -> bool:
-        return self.path_for(dataset_name).exists()
-
-    def has_valid_replica(self, dataset_name: str) -> bool:
+    def verify_replica(self, dataset_name: str) -> bool:
         """Whether a sandbox copy exists *and* matches its checksum.
 
-        The planner's ``has_replica`` oracle: existence alone is not
-        enough once replicas carry content digests — a file that rotted
-        (or was half-written when the process died) must not satisfy
-        reuse.  On a mismatch the copy is quarantined, its replica
-        record removed, and its downstream provenance invalidated, so
-        planning transparently re-derives from the recipe.
+        Read-only: a corrupt copy is reported, not touched.  ``repro
+        plan`` asks this, so it predicts exactly what
+        :meth:`has_valid_replica` lets a materialization reuse.
+        """
+        return self._verify(dataset_name)[0]
+
+    def has_valid_replica(self, dataset_name: str) -> bool:
+        """:meth:`verify_replica`, quarantining what fails it.
+
+        The planner's ``has_replica`` oracle when materializing:
+        existence alone is not enough once replicas carry content
+        digests — a file that rotted (or was half-written when the
+        process died) must not satisfy reuse.  On a mismatch the copy
+        is quarantined, its replica record removed, and its downstream
+        provenance invalidated, so planning transparently re-derives
+        from the recipe.
+        """
+        valid, corrupt = self._verify(dataset_name)
+        if corrupt is not None:
+            self._quarantine_corrupt(dataset_name, corrupt)
+        return valid
+
+    def _verify(self, dataset_name: str) -> tuple[bool, Optional[Replica]]:
+        """(valid, the replica record the sandbox copy fails, if any).
 
         Files without a replica record (user-staged sources) verify
         trivially, and clean verifications are cached against the
@@ -176,7 +179,7 @@ class LocalExecutor:
         try:
             stat = os.stat(path)
         except OSError:
-            return False
+            return False, None
         matching = [
             replica
             for replica in self.catalog._replica_records_of(dataset_name)
@@ -184,18 +187,17 @@ class LocalExecutor:
             and replica.descriptor.path == str(path)
         ]
         if not matching:
-            return True
+            return True, None
         stamp = (stat.st_size, stat.st_mtime_ns)
         if self._verified.get(str(path)) == stamp:
-            return True
+            return True, None
         for replica in matching:
             if not verify_file(path, size=replica.size, digest=replica.digest):
-                self._quarantine_corrupt(dataset_name, replica, path)
-                return False
+                return False, replica
         self._verified[str(path)] = stamp
-        return True
+        return True, None
 
-    def _quarantine_corrupt(self, dataset_name, replica, path: Path) -> None:
+    def _quarantine_corrupt(self, dataset_name: str, replica: Replica) -> None:
         """Sideline a checksum-mismatched sandbox file and its records."""
         if self.obs.enabled:
             self.obs.count(
@@ -223,12 +225,6 @@ class LocalExecutor:
                 if target.exists():
                     quarantine_file(target, self.quarantine_dir)
                 self._verified.pop(str(target), None)
-                if self.catalog.has_dataset(name):
-                    ds = self.catalog.get_dataset(name)
-                    if not ds.is_virtual:
-                        self.catalog.add_dataset(
-                            revirtualized(ds), replace=True
-                        )
         if self.obs.recorder is not None:
             self.obs.recorder.event(
                 "replica.quarantined",
@@ -243,8 +239,8 @@ class LocalExecutor:
         """Run one derivation now; returns the recorded invocation.
 
         Inputs must already be materialized in the sandbox.  On
-        success, output datasets get replicas (with sha256 digests) and
-        file descriptors registered in the catalog.
+        success, output datasets get replicas (with sha256 digests and
+        file descriptors) registered in the catalog.
         """
         if isinstance(dv, str):
             dv = self.catalog.get_derivation(dv)

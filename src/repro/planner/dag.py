@@ -28,7 +28,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
-from repro.catalog.payloads import dataset_size
 from repro.catalog.resolver import ReferenceResolver
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.topology import degrees, edges, kahn_levels, reachable
@@ -611,27 +610,27 @@ class Planner:
                 self._dirty_datasets.add(key)
             else:
                 self._structure_dirty = True
+        elif kind == "replica":
+            # A file replica is where a materialized dataset's size
+            # comes from; the indexes name the dataset it (un)linked.
+            for name in self.catalog._indexes.touched:
+                self._size_memo.pop(name, None)
+                self._dirty_datasets.add(name)
         elif kind == "transformation":
             self._tr_memo.clear()
             self._structure_dirty = True
-        # Replica and invocation events never change plan structure;
-        # replica effects are caught by re-probing has_replica answers
-        # on every cache hit (sandbox files can also appear or vanish
-        # with no catalog event at all).
+        # Neither replica nor invocation events change plan structure;
+        # replica effects on reuse are caught by re-probing has_replica
+        # answers on every cache hit (sandbox files can also appear or
+        # vanish with no catalog event at all).
 
     def _catalog_size(self, dv: Derivation, lfn: str) -> int:
         cached = self._size_memo.get(lfn)
-        if cached is not None:
-            return cached
-        # Straight off the stored object at rest: on a document backend
-        # decoding a full Dataset per plan-step output dominates plan
-        # construction at 10^5+ steps, and the size lives in two known
-        # document spots.  keep=False keeps bulk planner walks from
-        # evicting the cache's working set one dataset at a time.
-        entry = self.catalog._at_rest("dataset", lfn, keep=False)
-        size = 1_000_000 if entry is None else dataset_size(entry, 1_000_000)
-        self._size_memo[lfn] = size
-        return size
+        if cached is None:
+            cached = self._size_memo[lfn] = self.catalog.dataset_size(
+                lfn, 1_000_000
+            )
+        return cached
 
     # -- public -------------------------------------------------------------
 

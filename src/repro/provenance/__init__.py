@@ -10,7 +10,6 @@ from repro.provenance.graph import (
 )
 from repro.provenance.invalidation import (
     InvalidationReport,
-    StalenessTracker,
     invalidated_by,
 )
 from repro.provenance.lineage import (
@@ -28,7 +27,6 @@ __all__ = [
     "LineageReport",
     "LineageStep",
     "Node",
-    "StalenessTracker",
     "cross_catalog_lineage",
     "dataset_node",
     "derivation_node",

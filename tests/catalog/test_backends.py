@@ -40,7 +40,7 @@ class TestDatasets:
             name="foo", descriptor=FileDescriptor(path="/d/foo", size=1)
         )
         any_catalog.add_dataset(updated, replace=True)
-        assert not any_catalog.get_dataset("foo").is_virtual
+        assert any_catalog.is_materialized("foo")
 
     def test_missing_raises(self, any_catalog):
         with pytest.raises(NotFoundError):

@@ -18,6 +18,7 @@ import shutil
 import sys
 import tempfile
 import urllib.parse
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -27,7 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.catalog.base import KINDS
 from repro.catalog.filetree import FileTreeCatalog
-from repro.cli import Workspace
+from repro.cli import Workspace, main
 from repro.core.dataset import Dataset
 from repro.core.invocation import Invocation
 from repro.core.replica import Replica
@@ -243,6 +244,30 @@ class TestWritePathCounts:
 
         assert pathlib_calls(operations) == []
 
+    def test_a_one_output_step_writes_one_replica_and_one_invocation(
+        self, tmp_path, monkeypatch
+    ):
+        """The provenance commit writes no dataset record: the replica
+        is what makes the output materialized."""
+        workspace = Workspace(tmp_path / "ws")
+        workspace.create()
+        executor = workspace.executor()
+        catalog = executor.catalog
+        catalog.define(DIAMOND_VDL)
+        executor.register("/bin/gen", lambda ctx: ctx.write_output("o", "42\n"))
+        puts: Counter = Counter()
+        store_put = catalog._store_put
+
+        def counted(kind, key, payload):
+            puts[kind] += 1
+            store_put(kind, key, payload)
+
+        monkeypatch.setattr(catalog, "_store_put", counted)
+        executor.execute("g1")
+        assert dict(puts) == {"replica": 1, "invocation": 1}
+        assert catalog.is_materialized("raw1")
+        catalog.journal.close()
+
 
 class TestFailedAndCollidingWrites:
     def test_failed_rename_leaves_no_temporary_and_no_entry(
@@ -359,3 +384,75 @@ class TestIndentedTree:
             FIXTURE / "catalog" / "transformation" / untouched.name
         ).read_bytes()
         catalog.journal.close()
+
+
+# -- format: trees whose dataset records carry a copied descriptor -----------
+
+#: Written by the commit path that copied each output's file descriptor
+#: into its dataset record.  Replica and dataset descriptors spell the
+#: sandbox as ``@SANDBOX@``: the copy below points them at its own.
+COPIED_DESCRIPTORS = Path(__file__).parent / "fixtures" / "tree_descriptor_copy"
+
+
+@pytest.fixture
+def copied_descriptors(tmp_path) -> Path:
+    """A workspace over a copy of that tree: ``seed.txt`` and
+    ``copy.txt`` materialized, each record naming its file."""
+    root = tmp_path / "ws"
+    shutil.copytree(COPIED_DESCRIPTORS, root)
+    for document in (root / "catalog").rglob("*.json"):
+        text = document.read_text()
+        document.write_text(text.replace("@SANDBOX@", str(root / "sandbox")))
+    return root
+
+
+def cli(root: Path, *argv: str) -> tuple[int, str]:
+    lines: list[str] = []
+    code = main(
+        ["--workspace", str(root), *argv],
+        out=lambda text="": lines.append(str(text)),
+    )
+    return code, "\n".join(lines)
+
+
+class TestCopiedDescriptorTree:
+    def test_lists_plans_and_fscks_as_it_was_written(self, copied_descriptors):
+        assert cli(copied_descriptors, "list", "datasets") == (
+            0,
+            "copy.txt  [materialized] <- c1\nseed.txt  [materialized] <- e1",
+        )
+        assert cli(copied_descriptors, "plan", "copy.txt") == (
+            0,
+            "copy.txt: nothing to do (reused: copy.txt)",
+        )
+        assert cli(copied_descriptors, "fsck") == (
+            0,
+            "fsck (full): 2 replicas, 2 files, 2 invocations checked; "
+            "0 finding(s), 0 repaired\nworkspace is clean",
+        )
+
+    def test_a_quarantined_replica_leaves_the_copy_inert(
+        self, copied_descriptors
+    ):
+        (copied_descriptors / "sandbox" / "copy.txt").write_bytes(b"X" * 10)
+        code, output = cli(copied_descriptors, "fsck", "--repair")
+        assert code == 0
+        assert "[fixed] corrupt-replica: rep-00000002 (copy.txt)" in output
+        # The record still names the file it was copied from; it is
+        # the missing replica that decides.
+        catalog = Workspace(copied_descriptors).catalog()
+        assert not catalog.get_dataset("copy.txt").is_virtual
+        assert not catalog.is_materialized("copy.txt")
+        assert [ds.name for ds in catalog.find_datasets(virtual=True)] == [
+            "copy.txt"
+        ]
+        catalog.journal.close()
+        _, listing = cli(copied_descriptors, "list", "datasets")
+        assert "copy.txt  [virtual] <- c1" in listing
+        code, output = cli(
+            copied_descriptors, "materialize", "copy.txt", "--no-record"
+        )
+        assert code == 0
+        assert output.startswith("ran c1: success")
+        assert "ran e1" not in output
+        assert cli(copied_descriptors, "fsck")[1].endswith("workspace is clean")

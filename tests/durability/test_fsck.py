@@ -106,7 +106,7 @@ class TestReplicaFindings:
         assert any(p.name.startswith("base.txt") for p in quarantined)
         # Downstream provenance is reset so planning re-derives.
         assert catalog.replicas_of("base.txt") == []
-        assert catalog.get_dataset("base.txt").is_virtual
+        assert not catalog.is_materialized("base.txt")
 
     def test_blast_radius_reads_the_live_graph(self, workspace, derivation_scans):
         catalog, executor, recovery, _ = workspace
@@ -166,17 +166,21 @@ class TestFileFindings:
         assert report.corrupted
         recovery.fsck(repair=True)
         assert not executor.path_for("derived.txt").exists()
-        assert catalog.get_dataset("derived.txt").is_virtual
+        assert not catalog.is_materialized("derived.txt")
 
     def test_stale_dataset_state(self, workspace):
+        """No dataset state to go stale: once its file and replicas are
+        gone the dataset reads virtual, and fsck reports nothing for it."""
         catalog, executor, recovery, _ = workspace
-        # File and replicas both gone, dataset still says materialized.
+        assert catalog.is_materialized("derived.txt")
         executor.path_for("derived.txt").unlink()
         for replica in catalog.replicas_of("derived.txt"):
             catalog.restore_payload("replica", replica.replica_id, None)
-        report = recovery.fsck(repair=True)
-        assert report.counts().get("stale-dataset-state") == 1
-        assert catalog.get_dataset("derived.txt").is_virtual
+        assert not catalog.is_materialized("derived.txt")
+        # Only the invocation that bound the dropped replica is left to
+        # report; nothing is reported about the dataset.
+        report = recovery.fsck(checksums=True)
+        assert report.counts() == {"half-committed-invocation": 1}
 
     def test_stale_temporary_swept(self, workspace):
         _, executor, recovery, _ = workspace

@@ -72,7 +72,7 @@ class TestHasValidReplica:
         assert not executor.has_valid_replica("base.txt")
         assert not path.exists()
         assert executor.catalog.replicas_of("base.txt") == []
-        assert executor.catalog.get_dataset("base.txt").is_virtual
+        assert not executor.catalog.is_materialized("base.txt")
         quarantined = list(executor.quarantine_dir.iterdir())
         assert any(p.name.startswith("base.txt") for p in quarantined)
 

@@ -59,7 +59,7 @@ class TestExecute:
         assert len(replicas) == 1
         assert replicas[0].digest is not None
         assert invs[0].replica_bindings["o"] == replicas[0].replica_id
-        assert not catalog.get_dataset("greeting.txt").is_virtual
+        assert catalog.is_materialized("greeting.txt")
 
     def test_failing_body_records_failure(self, executor):
         def boom(ctx):

@@ -13,12 +13,8 @@ from hypothesis import given, settings
 
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.naming import VDPRef
-from repro.provenance.graph import (
-    DATASET,
-    DerivationGraph,
-    dataset_node,
-)
-from repro.provenance.invalidation import StalenessTracker, invalidated_by
+from repro.provenance.graph import DerivationGraph, dataset_node
+from repro.provenance.invalidation import invalidated_by
 
 
 @st.composite
@@ -121,47 +117,3 @@ def test_invalidation_is_downstream_closed(graph):
     for name in report.tainted_datasets:
         downstream = graph.downstream_datasets(name)
         assert downstream <= report.tainted_datasets
-
-
-@settings(max_examples=30, deadline=None)
-@given(layered_graphs(), st.integers(0, 100))
-def test_staleness_fresh_after_full_rebuild(graph, base):
-    """Stamping every dataset in topological order leaves nothing stale."""
-    tracker = StalenessTracker(graph)
-    when = float(base)
-    for node in graph.topological_order():
-        if node.kind == DATASET:
-            when += 1.0
-            tracker.stamp(node.name, when)
-    assert tracker.stale_datasets() == set()
-
-
-@settings(max_examples=30, deadline=None)
-@given(layered_graphs())
-def test_staleness_rerun_set_sufficient(graph):
-    """After running exactly the derivations_to_run set (restamping
-    their outputs), the target is fresh."""
-    sinks = sorted(graph.sink_datasets())
-    if not sinks:
-        return
-    target = sinks[0]
-    tracker = StalenessTracker(graph)
-    when = 0.0
-    for node in graph.topological_order():
-        if node.kind == DATASET:
-            when += 1.0
-            tracker.stamp(node.name, when)
-    # Invalidate one upstream dataset by restamping it newer.
-    upstream = sorted(graph.upstream_datasets(target))
-    if not upstream:
-        return
-    tracker.stamp(upstream[0], when + 100)
-    needed = tracker.derivations_to_run(target)
-    # Re-run them in topological order, stamping outputs fresh.
-    when += 200
-    for node in graph.topological_order():
-        if node.kind != DATASET and node.name in needed:
-            when += 1.0
-            for out in graph.derivation(node.name).outputs():
-                tracker.stamp(out, when)
-    assert not tracker.is_stale(target)

@@ -1,12 +1,9 @@
-"""Tests for invalidation propagation and make-style staleness."""
+"""Tests for invalidation propagation."""
 
 import pytest
 
 from repro.provenance.graph import DerivationGraph
-from repro.provenance.invalidation import (
-    StalenessTracker,
-    invalidated_by,
-)
+from repro.provenance.invalidation import invalidated_by
 
 
 @pytest.fixture
@@ -48,54 +45,3 @@ class TestInvalidation:
         assert "a1" in report.rerun_derivations
         assert report.bad_transformations == {"ana"}
 
-
-class TestStaleness:
-    def stamps(self, tracker, *pairs):
-        for name, when in pairs:
-            tracker.stamp(name, when)
-
-    def test_fresh_chain_not_stale(self, graph):
-        tracker = StalenessTracker(graph)
-        self.stamps(
-            tracker, ("raw1", 1), ("raw2", 1), ("sim1", 2), ("sim2", 2),
-            ("final", 3),
-        )
-        assert not tracker.is_stale("final")
-        assert tracker.stale_datasets() == set()
-
-    def test_unmaterialized_is_stale(self, graph):
-        tracker = StalenessTracker(graph)
-        assert tracker.is_stale("final")
-        assert not tracker.is_materialized("final")
-
-    def test_newer_input_propagates(self, graph):
-        tracker = StalenessTracker(graph)
-        self.stamps(
-            tracker, ("raw1", 1), ("raw2", 1), ("sim1", 2), ("sim2", 2),
-            ("final", 3),
-        )
-        tracker.stamp("raw1", 10)  # re-made raw1
-        assert tracker.is_stale("sim1")
-        assert tracker.is_stale("final")
-        assert not tracker.is_stale("sim2")
-
-    def test_derivations_to_run_minimal(self, graph):
-        tracker = StalenessTracker(graph)
-        self.stamps(
-            tracker, ("raw1", 1), ("raw2", 1), ("sim1", 2), ("sim2", 2),
-            ("final", 3),
-        )
-        tracker.stamp("raw1", 10)
-        assert tracker.derivations_to_run("final") == {"s1", "a1"}
-
-    def test_everything_needed_when_nothing_built(self, graph):
-        tracker = StalenessTracker(graph)
-        assert tracker.derivations_to_run("final") == {
-            "g1", "g2", "s1", "s2", "a1",
-        }
-
-    def test_stamp_of(self, graph):
-        tracker = StalenessTracker(graph)
-        assert tracker.stamp_of("raw1") is None
-        tracker.stamp("raw1", 5)
-        assert tracker.stamp_of("raw1") == 5

@@ -141,6 +141,67 @@ class TestMaterialize:
         assert "e1" in output and "c1" in output
 
 
+class TestMaterializationState:
+    """A dataset is materialized exactly when it has a replica, and
+    ``plan`` predicts what ``materialize`` will reuse."""
+
+    CHAIN = """
+TR emit( output o ) {
+  argument stdout = ${output:o};
+  argument msg = "hello-vdg";
+  exec = "/bin/echo";
+}
+TR copy( output o, input i ) {
+  argument = ${input:i}" "${output:o};
+  exec = "/bin/cp";
+}
+DV e1->emit( o=@{output:"e1.txt"} );
+DV c1->copy( o=@{output:"c1.txt"}, i=@{input:"e1.txt"} );
+"""
+
+    def test_grid_outputs_read_materialized(self, run, tmp_path):
+        from repro.cli import Workspace
+
+        vdl_file = tmp_path / "chain.vdl"
+        vdl_file.write_text(self.CHAIN)
+        run("init")
+        run("define", str(vdl_file))
+        code, output = run(
+            "run", "--target", "c1.txt", "--grid", "a=2", "--seed", "3"
+        )
+        assert code == 0, output
+        _, listing = run("list", "datasets")
+        assert "e1.txt  [materialized] <- e1" in listing
+        assert "c1.txt  [materialized] <- c1" in listing
+        catalog = Workspace(tmp_path / "ws").catalog()
+        materialized = catalog.find_datasets(virtual=False)
+        assert [ds.name for ds in materialized] == ["c1.txt", "e1.txt"]
+        catalog.journal.close()
+
+    def test_plan_sees_a_corrupt_output_without_touching_it(
+        self, defined, tmp_path
+    ):
+        defined("materialize", "copy.txt")
+        output_file = tmp_path / "ws" / "sandbox" / "copy.txt"
+        output_file.write_bytes(b"x" * output_file.stat().st_size)
+
+        code, output = defined("plan", "copy.txt")
+        assert code == 0
+        assert "nothing to do" not in output
+        assert "  c1: copy" in output
+        # Planning is read-only: the corrupt copy and its replica stay
+        # put until a materialization quarantines them.
+        assert output_file.exists()
+        assert not list((tmp_path / "ws" / "quarantine").glob("*"))
+        _, listing = defined("list", "datasets")
+        assert "copy.txt  [materialized] <- c1" in listing
+
+        code, output = defined("materialize", "copy.txt", "--no-verify")
+        assert code == 0
+        assert "ran c1: success" in output
+        assert "ran e1" not in output
+
+
 class TestAdHocRun:
     def test_run_tracks_and_numbers(self, defined):
         code, output = defined("run", "emit", "o=adhoc.txt")
