@@ -70,7 +70,7 @@ from repro.analysis.rules import (
     cycles_through,
     find_cycles,
 )
-from repro.catalog.payloads import attribute, dataset_type, document, field
+from repro.catalog.payloads import attribute, dataset_type, field
 from repro.core.derivation import DatasetArg, Derivation
 from repro.core.recipe import RECIPE_DIGEST_ATTR, TR_VERSION_ATTR, recipe_digest
 from repro.core.types import DatasetType
@@ -410,15 +410,13 @@ class GraphModel:
         """(tr_version, recipe_digest) the catalog resolves today."""
         if dvn in self._recipe_cache:
             return self._recipe_cache[dvn]
+        # The graph's decoded derivation, digested as an executor
+        # stamps it (``stamp_recipe``): no second read of the store.
+        dv = self.derivation(dvn)
+        tr = self.resolve_transformation(dv.transformation.vdl_text())
         result: Optional[Tuple[str, str]] = None
-        tr = self.resolve_transformation(self.dv_target(dvn))
         if tr is not None:
-            entry = self.catalog._at_rest("derivation", dvn)
-            if entry is not None:
-                result = (
-                    tr.version,
-                    recipe_digest(document(entry), tr.to_dict()),
-                )
+            result = (tr.version, recipe_digest(dv.to_dict(), tr.to_dict()))
         self._recipe_cache[dvn] = result
         return result
 

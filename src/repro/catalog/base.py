@@ -247,7 +247,8 @@ class VirtualDataCatalog:
 
         ``keep=False`` for bulk walks: a miss does not populate the
         cache, so a planner walk over 10^5+ objects does not evict the
-        working set.
+        working set.  The index rebuild at open is such a walk too (it
+        reads through :meth:`_scan`): an open caches nothing.
         """
         entry = self._cache.get(kind, key)
         if keep:

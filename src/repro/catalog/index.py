@@ -13,7 +13,8 @@ every backend its indexes, and the document backends a cache:
   lineage queries are O(1) dict lookups instead of full-store scans.
   They read what they index off each object at rest
   (:mod:`repro.catalog.payloads`): a record, or a document a document
-  backend loaded and nobody decoded yet;
+  backend loaded and nobody decoded yet.  An open rebuilds them in one
+  bulk walk of the store that keeps no document;
 * :class:`RecordCache` — a bounded LRU, for the SQLite and file-tree
   backends, of the records they wrote and the documents they read,
   invalidated by the same mutation events, so repeated lookups skip
@@ -53,10 +54,13 @@ class RecordCache:
     counters read by the benchmarks and mirrored into the metrics
     registry by the catalog.
 
+    Only point reads fill it: the index rebuild at catalog open is a
+    bulk walk, like ``_peek_record``, and leaves it empty.
+
     A loaded document is decoded by whoever needs the record, and
     replaced by the record from the second decode on (:meth:`decoded`):
-    a scan that reads every object once (fsck, a VDL ``define``
-    checking its datasets) then pins nothing, and a document read
+    a scan that reads every object once (a VDL ``define`` checking
+    its datasets) then pins no record, and a document read
     again is decoded one more time and never after.  Whatever drops an
     entry — a put, an ``invalidate``, an eviction, ``clear`` — drops
     its record with it.
@@ -180,6 +184,12 @@ class CatalogIndexes:
         self._derivation_tr: dict[str, str] = {}
         self._replica_shadow: dict[str, str] = {}
         self._invocation_shadow: dict[str, str] = {}
+        #: kind -> (index one object at rest, unindex a key).
+        self._handlers = {
+            "derivation": (self._index_derivation, self._unindex_derivation),
+            "replica": (self._index_replica, self._unindex_replica),
+            "invocation": (self._index_invocation, self._unindex_invocation),
+        }
         catalog.subscribe(self.on_event)
 
     def _empty_graph(self) -> "DerivationGraph":
@@ -198,23 +208,7 @@ class CatalogIndexes:
 
     def on_event(self, event: str, kind: str, key: str) -> None:
         self.touched = ()
-        if kind == "derivation":
-            self.graph_patches += 1
-            if event == "put":
-                self._index_derivation(key)
-            else:
-                self._unindex_derivation(key)
-        elif kind == "replica":
-            if event == "put":
-                self._index_replica(key)
-            else:
-                self._unindex_replica(key)
-        elif kind == "invocation":
-            if event == "put":
-                self._index_invocation(key)
-            else:
-                self._unindex_invocation(key)
-        elif kind == "transformation":
+        if kind == "transformation":
             if event == "put":
                 self._index_transformation(key)
             else:
@@ -224,6 +218,17 @@ class CatalogIndexes:
                 if not versions:
                     self.tr_versions.pop(name, None)
                 self._touch_history(name)
+            return
+        if kind == "derivation":
+            self.graph_patches += 1
+        handlers = self._handlers.get(kind)
+        if handlers is None:
+            return
+        if event == "put":
+            # Just written: a document backend's cache holds the record.
+            handlers[0](key, self._catalog._at_rest(kind, key))
+        else:
+            handlers[1](key)
 
     def _touch_history(self, tr_name: str) -> None:
         self._stamps += 1
@@ -237,8 +242,7 @@ class CatalogIndexes:
 
     # -- derivations ------------------------------------------------------
 
-    def _index_derivation(self, key: str) -> None:
-        entry = self._catalog._at_rest("derivation", key)
+    def _index_derivation(self, key: str, entry: Any) -> None:
         if entry is None:  # racing delete; nothing to index
             return
         self._unindex_derivation(key)
@@ -261,8 +265,7 @@ class CatalogIndexes:
 
     # -- replicas ---------------------------------------------------------
 
-    def _index_replica(self, key: str) -> None:
-        entry = self._catalog._at_rest("replica", key)
+    def _index_replica(self, key: str, entry: Any) -> None:
         if entry is None:
             return
         dataset = field(entry, "dataset_name")
@@ -283,8 +286,7 @@ class CatalogIndexes:
 
     # -- invocations ------------------------------------------------------
 
-    def _index_invocation(self, key: str) -> None:
-        entry = self._catalog._at_rest("invocation", key)
+    def _index_invocation(self, key: str, entry: Any) -> None:
         if entry is None:
             return
         derivation = field(entry, "derivation_name")
@@ -330,18 +332,18 @@ class CatalogIndexes:
     def rebuild(self) -> None:
         """Reconstruct every index by scanning storage (catalog open).
 
-        Indexing a replica or invocation also advances the process-wide
-        ID allocators past its ID, and indexing a transformation
-        registers its version, so a populated store is safe to extend.
+        One bulk walk per kind: each object at rest is indexed as the
+        store yields it and then dropped, so an open leaves the record
+        cache empty and holds only what the indexes keep.  Indexing a
+        replica or invocation also advances the process-wide ID
+        allocators past its ID, and indexing a transformation registers
+        its version, so a populated store is safe to extend.
         """
         catalog = self._catalog
         self.clear()
         self.graph_builds += 1
-        for key in catalog._store_keys("derivation"):
-            self._index_derivation(key)
-        for key in catalog._store_keys("replica"):
-            self._index_replica(key)
-        for key in catalog._store_keys("invocation"):
-            self._index_invocation(key)
+        for kind, (index, _) in self._handlers.items():
+            for key, entry in catalog._scan(kind):
+                index(key, entry)
         for key in catalog._store_keys("transformation"):
             self._index_transformation(key)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 
@@ -165,6 +165,12 @@ class SQLiteCatalog(VirtualDataCatalog):
     def _store_keys(self, kind: str) -> list[str]:
         rows = self._conn.execute(f"SELECT key FROM {kind}")  # noqa: S608
         return [row[0] for row in rows]
+
+    def _store_scan(self, kind: str) -> Iterator[tuple[str, dict]]:
+        # One query, rows decoded as the cursor yields them.
+        rows = self._conn.execute(f"SELECT key, payload FROM {kind}")  # noqa: S608
+        for key, payload in rows:
+            yield key, json.loads(payload)
 
     def _store_has(self, kind: str, key: str) -> bool:
         row = self._conn.execute(

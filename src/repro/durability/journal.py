@@ -39,13 +39,14 @@ subsystem is tested against — process kills — and can be hardened via
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import JournalError
 from repro.observability.instrument import NULL, Instrumentation
@@ -60,17 +61,12 @@ JOURNAL_FILENAME = "catalog.journal"
 #: the backing store is durable; committed history is then redundant.
 CHECKPOINT_BYTES = 4 << 20
 
-_instances_lock = threading.Lock()
-_instances = 0
+#: Bytes read per step when looking for the final line from the end.
+_TAIL_WINDOW = 1 << 16
 
-
-def _next_instance() -> int:
-    """Process-unique writer nonce: two journals opened in the same
-    millisecond must still mint distinct transaction ids."""
-    global _instances
-    with _instances_lock:
-        _instances += 1
-        return _instances
+#: Process-unique writer nonces: two journals opened in the same
+#: millisecond must still mint distinct transaction ids.
+_instances = itertools.count(1)
 
 
 @dataclass
@@ -93,14 +89,19 @@ class JournalTxn:
     txn_id: str
     label: str = ""
     ops: list[JournalOp] = field(default_factory=list)
-    committed: bool = False
 
 
 @dataclass
 class JournalState:
-    """Everything a scan learned about the journal file."""
+    """Everything a scan learned about the journal file.
 
-    committed: list[JournalTxn] = field(default_factory=list)
+    Committed transactions are counted, not kept: their ops were
+    applied before their commit line, and :func:`replay_into` reads
+    them as they stream.  Only the uncommitted ones, which recovery
+    rolls back, keep their ops.
+    """
+
+    committed: int = 0
     uncommitted: list[JournalTxn] = field(default_factory=list)
     #: The final line was torn (crash mid-append); it was discarded.
     torn_tail: bool = False
@@ -108,13 +109,10 @@ class JournalState:
     #: (an unparseable line that is not last): the file cannot be
     #: trusted and recovery should quarantine it.
     corrupt: Optional[str] = None
-    lines: int = 0
 
     @property
     def clean(self) -> bool:
-        return (
-            not self.uncommitted and not self.torn_tail and not self.corrupt
-        )
+        return not (self.uncommitted or self.torn_tail or self.corrupt)
 
 
 class IntentJournal:
@@ -152,7 +150,7 @@ class IntentJournal:
         self._counter = 0
         self._epoch = (
             f"{int(time.time() * 1000) & 0xFFFFFF:06x}"
-            f"{_next_instance():04x}"
+            f"{next(_instances):04x}"
         )
 
     # -- writing -------------------------------------------------------------
@@ -160,36 +158,10 @@ class IntentJournal:
     def _file(self):
         if self._handle is None or self._handle.closed:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._repair_tail()
+            truncate_torn_tail(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
             self._size = os.fstat(self._handle.fileno()).st_size
         return self._handle
-
-    def _repair_tail(self) -> None:
-        """Truncate a torn final line before appending past it.
-
-        Appending after a torn tail would bury the tear mid-file, which
-        the scanner must treat as corruption; discarding it first keeps
-        the torn-tail model intact.  Safe because a torn op line was by
-        construction never applied to the backing store.
-        """
-        if not self.path.is_file():
-            return
-        raw = self.path.read_bytes()
-        body = raw.rstrip(b"\n")
-        if not body:
-            return
-        cut = body.rfind(b"\n")
-        last = body[cut + 1 :]
-        torn = not raw.endswith(b"\n")  # even a parseable tail: no newline
-        if not torn:
-            try:
-                json.loads(last.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                torn = True
-        if torn:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(cut + 1 if cut >= 0 else 0)
 
     def _append(self, record: dict, sync: bool = False) -> None:
         line = json.dumps(record, sort_keys=True, default=str)
@@ -286,69 +258,93 @@ class IntentJournal:
     # -- scanning ------------------------------------------------------------
 
     def scan(self) -> JournalState:
-        """Reconstruct transactions from the file, tolerating a torn tail."""
+        """Reconstruct transactions from the file, tolerating a torn tail.
+
+        Streams the file line by line and keeps the transactions still
+        open at its end, in the order they began: a second pass, run
+        only when there are some (after a crash), reads back their ops.
+        No op of a committed transaction is kept.
+        """
         state = JournalState()
         if not self.path.is_file():
             return state
-        raw_lines = [
-            raw
-            for raw in self.path.read_text(encoding="utf-8").splitlines()
-            if raw.strip()
-        ]
-        state.lines = len(raw_lines)
-        records: list[dict] = []
-        for i, raw in enumerate(raw_lines):
-            try:
-                records.append(json.loads(raw))
-            except json.JSONDecodeError:
-                if i == len(raw_lines) - 1:
-                    state.torn_tail = True
-                    break
-                state.corrupt = (
-                    f"unparseable journal line {i + 1} of {len(raw_lines)} "
-                    "(not a torn final line)"
-                )
-                return state
-        txns: dict[str, JournalTxn] = {}
-        order: list[str] = []
-        for record in records:
+        lines = _json_lines(self.path)
+        open_txns: dict[str, JournalTxn] = {}
+        for record in lines:
+            if state.corrupt:
+                continue  # read on: an unparseable line reports first
             txn_id = record.get("txn")
             rtype = record.get("type")
             if not txn_id or rtype not in ("begin", "op", "commit"):
                 state.corrupt = f"journal record without txn/type: {record}"
-                return state
-            txn = txns.get(txn_id)
-            if txn is None:
-                txn = txns[txn_id] = JournalTxn(
-                    txn_id=txn_id, label=record.get("label", "")
-                )
-                order.append(txn_id)
-            if rtype == "op":
-                txn.ops.append(
-                    JournalOp(
-                        op=record["op"],
-                        kind=record["kind"],
-                        key=record["key"],
-                        payload=record.get("payload"),
-                        prev=record.get("prev"),
-                    )
-                )
             elif rtype == "commit":
-                txn.committed = True
-        for txn_id in order:
-            txn = txns[txn_id]
-            (state.committed if txn.committed else state.uncommitted).append(
-                txn
+                open_txns.pop(txn_id, None)
+                state.committed += 1
+            elif txn_id not in open_txns:
+                open_txns[txn_id] = JournalTxn(txn_id, record.get("label", ""))
+        state.torn_tail = lines.torn
+        if lines.corrupt_at:
+            state.corrupt = (
+                f"unparseable journal line {lines.corrupt_at} of "
+                f"{lines.count} (not a torn final line)"
             )
+        if open_txns and not state.corrupt:
+            for record in _json_lines(self.path):
+                txn = open_txns.get(record.get("txn"))
+                if txn is not None and record.get("type") == "op":
+                    txn.ops.append(_op(record))
+            state.uncommitted = list(open_txns.values())
         return state
 
 
+def _json_lines(path: Path):
+    # Local import: the recorder imports this package (via resilience).
+    from repro.observability.recorder import JsonLines
+
+    return JsonLines(path)
+
+
+def _op(record: dict) -> JournalOp:
+    return JournalOp(
+        record["op"], record["kind"], record["key"],
+        record.get("payload"), record.get("prev"),
+    )
+
+
+def truncate_torn_tail(path: Path) -> None:
+    """Cut an unparseable or unterminated final line off the journal.
+
+    A writer does so before appending: appending after a torn tail
+    would bury the tear mid-file, which the scanner must treat as
+    corruption.  Safe because a torn op line was by construction never
+    applied to the backing store.  Reads backwards from the end a
+    window at a time, so what it holds is the final line, not the file.
+    """
+    if not path.is_file():
+        return
+    with open(path, "r+b") as handle:
+        pos = handle.seek(0, os.SEEK_END)
+        tail = b""
+        while pos > 0 and b"\n" not in tail.rstrip(b"\n"):
+            step = min(_TAIL_WINDOW, pos)
+            pos -= step
+            handle.seek(pos)
+            tail = handle.read(step) + tail
+        body = tail.rstrip(b"\n")
+        if not body:
+            return
+        cut = body.rfind(b"\n")
+        torn = not tail.endswith(b"\n")  # even a parseable tail: no newline
+        if not torn:
+            try:
+                json.loads(body[cut + 1 :].decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                torn = True
+        if torn:
+            handle.truncate(pos + cut + 1)
+
+
 # -- recovery primitives -----------------------------------------------------
-
-
-def _iter_rollback(txn: JournalTxn) -> Iterator[JournalOp]:
-    """Ops of an uncommitted txn in undo order (newest first)."""
-    return reversed(txn.ops)
 
 
 def rollback_uncommitted(
@@ -363,39 +359,42 @@ def rollback_uncommitted(
     """
     touched: list[tuple[str, str]] = []
     for txn in reversed(state.uncommitted):
-        for op in _iter_rollback(txn):
+        for op in reversed(txn.ops):
             catalog.restore_payload(op.kind, op.key, op.prev)
             touched.append((op.kind, op.key))
     return touched
 
 
 def replay_into(
-    catalog: "VirtualDataCatalog", state: JournalState
+    catalog: "VirtualDataCatalog", journal_dir: str | Path
 ) -> int:
-    """Redo every committed transaction into ``catalog``.
+    """Redo every committed transaction of the journal under
+    ``journal_dir`` into ``catalog``.
 
     The reconstruction path for memory-backed runs: the backing store
-    died with the process, the journal did not.  Returns the number of
-    ops applied.
+    died with the process, the journal did not.  A scan finds the
+    transactions that never committed; the ops of all others are then
+    applied as they stream past, in the order they were journaled
+    (which was the order they were applied).  Returns the number of
+    ops applied; raises :class:`JournalError`, applying nothing, on a
+    journal damaged beyond a torn tail.
     """
+    state = load_journal_state(journal_dir)
+    if state.corrupt:
+        raise JournalError(state.corrupt)
+    skip = {txn.txn_id for txn in state.uncommitted}
     applied = 0
-    for txn in state.committed:
-        for op in txn.ops:
-            if op.op == "put":
-                catalog.restore_payload(op.kind, op.key, op.payload)
-            else:
-                catalog.restore_payload(op.kind, op.key, None)
+    for record in _json_lines(Path(journal_dir) / JOURNAL_FILENAME):
+        if record.get("type") == "op" and record.get("txn") not in skip:
+            payload = record.get("payload") if record["op"] == "put" else None
+            catalog.restore_payload(record["kind"], record["key"], payload)
             applied += 1
     return applied
 
 
 def load_journal_state(journal_dir: str | Path) -> JournalState:
-    """Scan a journal directory without constructing a writer."""
-    journal = IntentJournal(journal_dir)
-    try:
-        return journal.scan()
-    finally:
-        journal.close()
+    """Scan a journal directory without opening it for writing."""
+    return IntentJournal(journal_dir).scan()
 
 
 def quarantine_journal(journal_dir: str | Path) -> Optional[Path]:
@@ -425,4 +424,5 @@ __all__ = [
     "quarantine_journal",
     "replay_into",
     "rollback_uncommitted",
+    "truncate_torn_tail",
 ]

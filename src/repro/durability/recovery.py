@@ -38,7 +38,7 @@ being deleted, so nothing fsck does is destructive.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -81,14 +81,7 @@ class Finding:
     repaired: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "severity": self.severity,
-            "object": self.object,
-            "detail": self.detail,
-            "repair": self.repair,
-            "repaired": self.repaired,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         mark = "fixed" if self.repaired else self.severity
@@ -218,6 +211,20 @@ class RecoveryManager:
         ``auto_repair`` limits fixing to the named kinds (the preflight
         repairs journal findings only).
         """
+        return self._reconcile(checksums, repair, auto_repair, runs=True)
+
+    def preflight(self) -> FsckReport:
+        """The cheap startup check executing commands run first.
+
+        Structural only (no content digests); journal findings are
+        repaired in place — replaying or discarding the torn tail is
+        exactly the "recover on startup" contract — everything else is
+        reported for ``fsck --repair`` to handle.  Flight records are
+        not read: their only finding is informational.
+        """
+        return self._reconcile(False, False, PREFLIGHT_AUTO_REPAIR, False)
+
+    def _reconcile(self, checksums, repair, auto_repair, runs) -> FsckReport:
         report = FsckReport(checksums_verified=checksums)
         auto = set(auto_repair)
 
@@ -230,7 +237,8 @@ class RecoveryManager:
         self._check_invocations(report, fixing)
         self._check_files(report, fixing)
         self._check_rescues(report, fixing)
-        self._check_runs(report)
+        if runs:
+            self._check_runs(report)
         if self.obs.enabled:
             for kind, count in sorted(report.counts().items()):
                 self.obs.count(
@@ -240,18 +248,6 @@ class RecoveryManager:
                     help="fsck findings by kind",
                 )
         return report
-
-    def preflight(self) -> FsckReport:
-        """The cheap startup check executing commands run first.
-
-        Structural only (no content digests); journal findings are
-        repaired in place — replaying or discarding the torn tail is
-        exactly the "recover on startup" contract — everything else is
-        reported for ``fsck --repair`` to handle.
-        """
-        return self.fsck(
-            checksums=False, repair=False, auto_repair=PREFLIGHT_AUTO_REPAIR
-        )
 
     # -- journal -------------------------------------------------------------
 
@@ -274,26 +270,24 @@ class RecoveryManager:
                 journal_mod.quarantine_journal(self.journal_dir)
                 finding.repaired = True
             return
-        if state.uncommitted:
-            for txn in state.uncommitted:
-                finding = report.add(
-                    Finding(
-                        kind="uncommitted-txn",
-                        severity="error",
-                        object=txn.txn_id,
-                        detail=(
-                            f"transaction {txn.label or txn.txn_id!r} has "
-                            f"{len(txn.ops)} op(s) and no commit marker "
-                            "(crash mid-commit)"
-                        ),
-                        repair="roll back each op to its prior payload",
-                    )
+        rolled_back = bool(state.uncommitted) and fixing("uncommitted-txn")
+        if rolled_back:
+            journal_mod.rollback_uncommitted(self.catalog, state)
+        for txn in state.uncommitted:
+            report.add(
+                Finding(
+                    kind="uncommitted-txn",
+                    severity="error",
+                    object=txn.txn_id,
+                    detail=(
+                        f"transaction {txn.label or txn.txn_id!r} has "
+                        f"{len(txn.ops)} op(s) and no commit marker "
+                        "(crash mid-commit)"
+                    ),
+                    repair="roll back each op to its prior payload",
+                    repaired=rolled_back,
                 )
-            if fixing("uncommitted-txn"):
-                journal_mod.rollback_uncommitted(self.catalog, state)
-                for finding in report.findings:
-                    if finding.kind == "uncommitted-txn":
-                        finding.repaired = True
+            )
         if state.torn_tail:
             finding = report.add(
                 Finding(
@@ -305,26 +299,13 @@ class RecoveryManager:
                 )
             )
             if fixing(finding.kind):
-                self._truncate_torn_tail(journal_path)
+                journal_mod.truncate_torn_tail(journal_path)
                 finding.repaired = True
         # After a full rollback the journal records are history the
         # durable store no longer needs; checkpoint so the rolled-back
         # transactions are not re-reported on the next pass.
-        if state.uncommitted and fixing("uncommitted-txn"):
-            journal = journal_mod.IntentJournal(self.journal_dir)
-            try:
-                journal.checkpoint()
-            finally:
-                journal.close()
-
-    @staticmethod
-    def _truncate_torn_tail(path: Path) -> None:
-        if not path.is_file():
-            return
-        raw = path.read_bytes()
-        cut = raw.rfind(b"\n")
-        with open(path, "r+b") as handle:
-            handle.truncate(cut + 1 if cut >= 0 else 0)
+        if rolled_back:
+            journal_mod.IntentJournal(self.journal_dir).checkpoint()
 
     # -- stale atomic-write temporaries --------------------------------------
 
@@ -362,22 +343,18 @@ class RecoveryManager:
 
     # -- replicas ------------------------------------------------------------
 
-    def _local_path_of(self, replica) -> Optional[Path]:
-        descriptor = replica.descriptor
-        if isinstance(descriptor, FileDescriptor) and descriptor.path:
-            return Path(descriptor.path)
-        return None
-
     def _check_replicas(
         self, report: FsckReport, fixing, checksums: bool
     ) -> None:
         catalog = self.catalog
         for replica_id in catalog.replica_ids():
-            replica = catalog.get_replica(replica_id)
-            path = self._local_path_of(replica)
-            if path is None:
+            # A peek: a walk of every replica pins none in the cache.
+            replica = catalog._peek_record("replica", replica_id)
+            descriptor = replica.descriptor
+            if not (isinstance(descriptor, FileDescriptor) and descriptor.path):
                 # Simulated-grid replica: no local bytes to check.
                 continue
+            path = Path(descriptor.path)
             report.checked_replicas += 1
             if not path.is_file():
                 finding = report.add(
@@ -443,13 +420,14 @@ class RecoveryManager:
 
     def _check_invocations(self, report: FsckReport, fixing) -> None:
         catalog = self.catalog
+        known = set(catalog.replica_ids())
         for invocation_id in catalog.invocation_ids():
-            invocation = catalog.get_invocation(invocation_id)
+            invocation = catalog._peek_record("invocation", invocation_id)
             report.checked_invocations += 1
             missing = sorted(
                 rid
                 for rid in invocation.replica_bindings.values()
-                if not self._has_replica(rid)
+                if rid not in known
             )
             if not missing:
                 continue
@@ -469,15 +447,6 @@ class RecoveryManager:
             if fixing(finding.kind):
                 catalog.restore_payload("invocation", invocation_id, None)
                 finding.repaired = True
-
-    def _has_replica(self, replica_id: str) -> bool:
-        from repro.errors import NotFoundError
-
-        try:
-            self.catalog.get_replica(replica_id)
-            return True
-        except NotFoundError:
-            return False
 
     # -- sandbox files -------------------------------------------------------
 
@@ -584,27 +553,24 @@ class RecoveryManager:
             if not record_path.is_file():
                 continue
             try:
-                record = RunRecord.load(record_path)
+                record = RunRecord.load_status(record_path)
             except (ValueError, OSError):
-                report.add(
-                    Finding(
-                        kind="crashed-run-record",
-                        severity="info",
-                        object=str(record_path),
-                        detail="flight record unreadable",
-                    )
+                name, detail = str(record_path), "flight record unreadable"
+            else:
+                if record.finished and not record.truncated:
+                    continue
+                name, detail = record.run_id, (
+                    "flight record has no result line "
+                    "(the run crashed); readers tolerate this"
                 )
-                continue
-            if record.truncated or not record.finished:
-                report.add(
-                    Finding(
-                        kind="crashed-run-record",
-                        severity="info",
-                        object=record.run_id,
-                        detail="flight record has no result line "
-                        "(the run crashed); readers tolerate this",
-                    )
+            report.add(
+                Finding(
+                    kind="crashed-run-record",
+                    severity="info",
+                    object=name,
+                    detail=detail,
                 )
+            )
 
 
 def quarantine_file(

@@ -54,7 +54,7 @@ import threading
 import time
 from functools import cached_property
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from repro.resilience.policies import STATE_CODES
 
@@ -259,6 +259,41 @@ class FlightRecorder:
         self.close()
 
 
+class JsonLines:
+    """Iterate a file of JSON lines written one flushed line at a time
+    (a flight record, the intent journal), parsing one line at a time.
+
+    Such a writer can tear only the final line: an unparseable line
+    ends what is yielded, and sets ``torn`` if it was the last
+    non-blank line, else ``corrupt_at`` (its 1-based number).  After
+    the pass ``count`` is the number of non-blank lines.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.count = 0
+        self.torn = False
+        self.corrupt_at = 0
+
+    def __iter__(self) -> Iterator[Any]:
+        bad = 0
+        with open(self.path, encoding="utf-8") as handle:
+            for raw in handle:
+                if raw.isspace():
+                    continue
+                self.count += 1
+                if bad:
+                    continue  # past a tear: count, decide at the end
+                try:
+                    line = json.loads(raw)
+                except json.JSONDecodeError:
+                    bad = self.count
+                    continue
+                yield line
+        self.torn = 0 < bad == self.count
+        self.corrupt_at = 0 if self.torn else bad
+
+
 class AttemptRow(NamedTuple):
     """One recorded step attempt, its transformation resolved."""
 
@@ -317,7 +352,7 @@ class RunRecord:
     def __init__(
         self,
         path: Path,
-        lines: list[dict[str, Any]],
+        lines: Iterable[dict[str, Any]],
         truncated: bool = False,
     ):
         self.path = path
@@ -334,23 +369,23 @@ class RunRecord:
         #: consumer treats the absence as "run was not profiled".
         self.profile: Optional[dict[str, Any]] = None
         self._plan_steps: dict[str, dict[str, Any]] = {}
+        rows = {
+            "span": self.spans,
+            "step": self.step_attempts,
+            "event": self.events,
+            "sample": self.samples,
+        }
         for line in lines:
             kind = line.get("type")
-            if kind == "meta":
+            if kind in rows:
+                rows[kind].append(line)
+            elif kind == "meta":
                 self.meta = line
             elif kind == "plan":
                 for entry in line.get("steps", ()):
                     self._plan_steps[entry["name"]] = entry
-            elif kind == "span":
-                self.spans.append(line)
             elif kind == "invocation":
                 self.invocations.append(line["invocation"])
-            elif kind == "step":
-                self.step_attempts.append(line)
-            elif kind == "event":
-                self.events.append(line)
-            elif kind == "sample":
-                self.samples.append(line)
             elif kind == "metrics":
                 self.metrics = line.get("metrics", {})
             elif kind == "profile":
@@ -364,44 +399,40 @@ class RunRecord:
     def load(cls, path: str | Path) -> "RunRecord":
         """Load a record from a ``record.jsonl`` path or a run dir.
 
-        A torn *final* line — the only corruption a crash can produce,
-        because the recorder flushes one complete line at a time — is
-        dropped and the record is flagged ``truncated``.  Unparseable
-        lines anywhere earlier mean the file was damaged some other
-        way, and raise :class:`ValueError` rather than misreading it.
+        A torn final line (see :class:`JsonLines`) is dropped and flags
+        the record ``truncated``; an unparseable line anywhere earlier
+        raises :class:`ValueError` rather than misreading the file.
         """
+        return cls._read(path, None)
+
+    @classmethod
+    def load_status(cls, path: str | Path) -> "RunRecord":
+        """:meth:`load` keeping only the ``meta`` and ``result`` lines:
+        the same verdict at the memory of one line (fsck's check)."""
+        return cls._read(path, ("meta", "result"))
+
+    @classmethod
+    def _read(cls, path: str | Path, kinds) -> "RunRecord":
         path = Path(path)
         if path.is_dir():
             path = path / RECORD_FILENAME
         if not path.is_file():
             raise FileNotFoundError(f"no run record at {path}")
-        raw_lines = [
-            raw.strip()
-            for raw in path.read_text(encoding="utf-8").splitlines()
-            if raw.strip()
-        ]
-        lines: list[dict[str, Any]] = []
-        truncated = False
-        for i, raw in enumerate(raw_lines):
-            try:
-                lines.append(json.loads(raw))
-            except json.JSONDecodeError:
-                # The recorder flushes whole lines, meta first: a crash
-                # can only tear the *final* line, and a valid prefix
-                # always remains.  Anything else is real corruption.
-                if i == len(raw_lines) - 1 and lines:
-                    truncated = True
-                    break
-                raise ValueError(
-                    f"run record {path} is corrupt at line {i + 1} "
-                    "(not a torn final line)"
-                ) from None
-        record = cls(path, lines, truncated=truncated)
-        version = record.schema_version
-        if version > RECORD_SCHEMA_VERSION:
+        reader = JsonLines(path)
+        record = cls(path, (
+            line for line in reader if not kinds or line.get("type") in kinds
+        ))
+        # Meta comes first: a lone torn line is no crash signature.
+        if reader.corrupt_at or (reader.torn and reader.count == 1):
             raise ValueError(
-                f"run record {path} has schema version {version}; this "
-                f"reader understands <= {RECORD_SCHEMA_VERSION}"
+                f"run record {path} is corrupt at line "
+                f"{reader.corrupt_at or 1} (not a torn final line)"
+            )
+        record.truncated = reader.torn
+        if record.schema_version > RECORD_SCHEMA_VERSION:
+            raise ValueError(
+                f"run record {path} has schema version {record.schema_version}; "
+                f"this reader understands <= {RECORD_SCHEMA_VERSION}"
             )
         return record
 

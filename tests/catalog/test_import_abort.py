@@ -117,7 +117,7 @@ def test_a_journaled_import_is_journaled_and_undone(tmp_path):
     with catalog.transaction():
         catalog.import_snapshot(snapshot())
     replayed = MemoryCatalog()
-    replay_into(replayed, journal.scan())
+    replay_into(replayed, journal.directory)
     assert replayed.export_snapshot() == catalog.export_snapshot()
     assert [dv.name for dv in replayed.producers_of("c")] == ["d2"]
     journal.close()

@@ -254,6 +254,20 @@ class TestJournalFindings:
         assert load_journal_state(tmp_path / "journal").clean
         assert not recovery.fsck(checksums=False).corrupted
 
+    def test_torn_tail_repair_cuts_a_terminated_torn_line(self, workspace):
+        """A torn line that still got its newline is cut by the repair,
+        not only reported as repaired."""
+        _, _, recovery, tmp_path = workspace
+        journal = IntentJournal(tmp_path / "journal")
+        journal.commit(journal.begin("sealed"), 0)
+        journal.close()
+        with open(journal.path, "a") as handle:
+            handle.write('{"type": "op", "txn"\n')
+        (finding,) = recovery.fsck(repair=True).findings
+        assert finding.kind == "torn-journal-tail" and finding.repaired
+        assert recovery.fsck().clean
+        assert load_journal_state(tmp_path / "journal").committed == 1
+
     def test_corrupt_journal_quarantined(self, workspace):
         _, _, recovery, tmp_path = workspace
         journal_dir = tmp_path / "journal"
@@ -343,3 +357,90 @@ class TestReportSemantics:
 
     def test_sandbox_filename_flattens_paths(self):
         assert sandbox_filename("runs/2026/x.dat") == "runs_2026_x.dat"
+
+
+class TestRunRecordCheck:
+    """fsck's streaming verdict on a flight record is the one
+    ``RunRecord.load`` gives: both read through one line reader."""
+
+    META = {"type": "meta", "schema_version": 2, "run_id": "r1"}
+    STEP = {"type": "event", "kind": "retry", "step": "s"}
+    RESULT = {"type": "result", "status": "ok"}
+
+    CASES = {
+        "clean": ([META, STEP, RESULT], "", "clean"),
+        "torn final line": ([META, STEP], '{"type": "res', "crashed"),
+        "mid-file garbage": ([META, STEP], "GARBAGE\n" + json.dumps(RESULT)
+                             + "\n", "unreadable"),
+        "newer schema": ([{**META, "schema_version": 99}, RESULT], "",
+                         "unreadable"),
+        "no result line": ([META, STEP, STEP], "", "crashed"),
+        "empty file": ([], "", "crashed"),
+    }
+
+    @staticmethod
+    def load_verdict(path):
+        from repro.observability.recorder import RunRecord
+
+        try:
+            record = RunRecord.load(path)
+        except ValueError:
+            return "unreadable"
+        if record.truncated or not record.finished:
+            return "crashed"
+        return "clean"
+
+    @staticmethod
+    def fsck_verdict(runs_dir):
+        report = RecoveryManager(MemoryCatalog(), runs_dir=runs_dir).fsck()
+        if not report.findings:
+            return "clean"
+        (finding,) = report.findings
+        assert finding.kind == "crashed-run-record"
+        return (
+            "unreadable" if finding.detail == "flight record unreadable"
+            else "crashed"
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fsck_agrees_with_load(self, tmp_path, case):
+        lines, tail, expected = self.CASES[case]
+        path = tmp_path / "runs" / "r1" / "record.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in lines) + tail
+        )
+        assert self.load_verdict(path) == expected
+        assert self.fsck_verdict(tmp_path / "runs") == expected
+
+
+def test_preflight_reads_no_flight_record(workspace, monkeypatch):
+    """The preflight before every materialize/run leaves ``runs/``
+    alone (its one finding is informational); fsck still reports it."""
+    import builtins
+    import io
+    import os
+
+    catalog, executor, recovery, tmp_path = workspace
+    runs = tmp_path / "runs"
+    (runs / "r1").mkdir(parents=True)
+    (runs / "r1" / "record.jsonl").write_text("GARBAGE\nGARBAGE\n")
+    touched = []
+    real_open, real_scandir, real_listdir = io.open, os.scandir, os.listdir
+
+    def watch(real):
+        def wrapper(path=".", *args, **kwargs):
+            touched.append(os.fspath(path) if not isinstance(path, int)
+                           else "")
+            return real(path, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(io, "open", watch(real_open))
+    monkeypatch.setattr(builtins, "open", watch(real_open))
+    monkeypatch.setattr(os, "scandir", watch(real_scandir))
+    monkeypatch.setattr(os, "listdir", watch(real_listdir))
+    report = recovery.preflight()
+    assert not report.findings
+    assert not [p for p in touched if p.startswith(str(runs))]
+    monkeypatch.undo()
+    assert [f.kind for f in recovery.fsck().findings] == ["crashed-run-record"]

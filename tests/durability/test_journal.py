@@ -2,10 +2,13 @@
 
 import json
 
+import pytest
+
 from repro.catalog.memory import MemoryCatalog
 from repro.core.dataset import Dataset
 from repro.durability.journal import (
     JOURNAL_FILENAME,
+    JournalError,
     IntentJournal,
     load_journal_state,
     quarantine_journal,
@@ -33,17 +36,23 @@ class TestScan:
     def test_empty_journal_is_clean(self, tmp_path):
         state = load_journal_state(tmp_path)
         assert state.clean
-        assert state.committed == [] and state.uncommitted == []
+        assert state.committed == 0 and state.uncommitted == []
 
     def test_committed_txn_reconstructed(self, tmp_path):
+        """A scan counts a committed transaction and keeps none of it;
+        a replay reconstructs its ops from the file."""
         write_committed_txn(tmp_path)
         state = load_journal_state(tmp_path)
         assert state.clean
-        assert len(state.committed) == 1
-        txn = state.committed[0]
-        assert txn.label == "test"
-        assert [op.key for op in txn.ops] == ["d1"]
-        assert txn.ops[0].payload == {"name": "d1"}
+        assert state.committed == 1 and state.uncommitted == []
+        restored = []
+
+        class Target:
+            def restore_payload(self, kind, key, payload):
+                restored.append((kind, key, payload))
+
+        assert replay_into(Target(), tmp_path) == 1
+        assert restored == [("dataset", "d1", {"name": "d1"})]
 
     def test_missing_commit_marker_is_uncommitted(self, tmp_path):
         journal = IntentJournal(tmp_path)
@@ -60,7 +69,7 @@ class TestScan:
             handle.write('{"type": "op", "txn": "x", "op"')  # torn append
         state = load_journal_state(tmp_path)
         assert state.torn_tail and not state.corrupt
-        assert len(state.committed) == 1  # prefix fully usable
+        assert state.committed == 1  # prefix fully usable
 
     def test_mid_file_garbage_is_corrupt(self, tmp_path):
         write_committed_txn(tmp_path)
@@ -87,7 +96,7 @@ class TestTornTailRepair:
         write_committed_txn(tmp_path, key="b")
         state = load_journal_state(tmp_path)
         assert state.clean
-        assert len(state.committed) == 2
+        assert state.committed == 2
 
     def test_parseable_tail_without_newline_also_truncated(self, tmp_path):
         write_committed_txn(tmp_path, key="a")
@@ -98,6 +107,40 @@ class TestTornTailRepair:
         # newline-less tail, producing an unparseable mid-file line.
         state = load_journal_state(tmp_path)
         assert state.clean and not state.corrupt
+
+    def test_tail_found_past_the_read_window(self, tmp_path, monkeypatch):
+        """The tail is read backwards from the end: a journal far longer
+        than the read window, and a final line longer than it, still
+        lose exactly the torn line, and the repair holds one line."""
+        import tracemalloc
+
+        from repro.durability import journal as journal_mod
+
+        monkeypatch.setattr(journal_mod, "_TAIL_WINDOW", 1024)
+        journal = IntentJournal(tmp_path)
+        for i in range(200):
+            txn = journal.begin("t")
+            journal.record(
+                txn, "put", "dataset", f"d{i}",
+                payload={"name": f"d{i}", "note": "x" * (5000 if i == 199 else 400)},
+            )
+            journal.commit(txn, 1)
+        journal.close()
+        path = journal_path(tmp_path)
+        intact = path.stat().st_size
+        with open(path, "a") as handle:
+            handle.write('{"type": "op", "txn": "t", "payload": "' + "y" * 3000)
+        tracemalloc.start()
+        try:
+            journal_mod.truncate_torn_tail(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == intact > 50 * 1024
+        assert peak < 16 * 1024
+        write_committed_txn(tmp_path, key="after")
+        state = load_journal_state(tmp_path)
+        assert state.clean and state.committed == 201
 
 
 class TestRecovery:
@@ -153,10 +196,19 @@ class TestRecovery:
         journal.close()
 
         rebuilt = MemoryCatalog()
-        state = load_journal_state(tmp_path)
-        applied = replay_into(rebuilt, state)
+        applied = replay_into(rebuilt, tmp_path)
         assert applied == 3
         assert rebuilt.dataset_names() == ["a"]
+
+    def test_replay_of_a_corrupt_journal_applies_nothing(self, tmp_path):
+        write_committed_txn(tmp_path)
+        with open(journal_path(tmp_path), "a") as handle:
+            handle.write("GARBAGE NOT JSON\n")
+            handle.write(json.dumps({"type": "begin", "txn": "t9"}) + "\n")
+        rebuilt = MemoryCatalog()
+        with pytest.raises(JournalError):
+            replay_into(rebuilt, tmp_path)
+        assert rebuilt.counts()["dataset"] == 0
 
     def test_replay_skips_uncommitted(self, tmp_path):
         journal = IntentJournal(tmp_path)
@@ -166,7 +218,7 @@ class TestRecovery:
         )
         journal.close()
         rebuilt = MemoryCatalog()
-        assert replay_into(rebuilt, load_journal_state(tmp_path)) == 0
+        assert replay_into(rebuilt, tmp_path) == 0
         assert not rebuilt.has_dataset("ghost")
 
 
@@ -229,3 +281,21 @@ class TestCheckpoint:
         journal.close()
         metrics = obs.metrics.to_dict()
         assert any("durability.journal.commits" in k for k in metrics)
+
+
+def test_journal_and_recorder_import_first():
+    """The journal reads through the recorder's line reader, and the
+    recorder imports the durability package: either may be the first
+    module a process imports."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    for module in ("repro.observability.recorder", "repro.durability.journal"):
+        subprocess.run(
+            [sys.executable, "-c", f"import {module}"], check=True, env=env
+        )

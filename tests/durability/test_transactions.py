@@ -8,7 +8,12 @@ from repro.catalog.memory import MemoryCatalog
 from repro.catalog.sqlite import SQLiteCatalog
 from repro.core.dataset import Dataset
 from repro.core.replica import Replica
-from repro.durability.journal import IntentJournal, load_journal_state
+from repro.durability.journal import (
+    JOURNAL_FILENAME,
+    IntentJournal,
+    load_journal_state,
+)
+from repro.observability.recorder import JsonLines
 from repro.errors import UnderivableError
 from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
@@ -160,8 +165,13 @@ class TestJournalIntegration:
         with catalog.transaction(label="landing"):
             catalog.add_dataset(Dataset(name="a"))
         state = load_journal_state(tmp_path)
-        assert state.clean
-        assert [t.label for t in state.committed] == ["landing"]
+        assert state.clean and state.committed == 1
+        begins = [
+            line["label"]
+            for line in JsonLines(tmp_path / JOURNAL_FILENAME)
+            if line["type"] == "begin"
+        ]
+        assert begins == ["landing"]
 
     def test_rolled_back_txn_leaves_clean_journal(self, tmp_path):
         catalog = MemoryCatalog()
@@ -178,7 +188,7 @@ class TestJournalIntegration:
         rebuilt = MemoryCatalog()
         from repro.durability.journal import replay_into
 
-        replay_into(rebuilt, state)
+        replay_into(rebuilt, tmp_path)
         assert not rebuilt.has_dataset("a")
 
     def test_mutation_outside_transaction_not_journaled(self, tmp_path):
@@ -186,7 +196,7 @@ class TestJournalIntegration:
         catalog.attach_journal(IntentJournal(tmp_path, keep_history=True))
         catalog.add_dataset(Dataset(name="solo"))
         state = load_journal_state(tmp_path)
-        assert state.committed == [] and state.uncommitted == []
+        assert state.committed == 0 and state.uncommitted == []
 
 
 class TestSQLiteNativeRollback:
