@@ -158,9 +158,7 @@ def build_replica_farm(tmp: Path) -> RecoveryManager:
             path = sandbox / name
             path.write_bytes(payload)
             descriptor = FileDescriptor(path=str(path), size=len(payload))
-            catalog.add_dataset(
-                Dataset(name=name).materialized(descriptor)
-            )
+            catalog.add_dataset(Dataset(name=name, descriptor=descriptor))
             catalog.add_replica(
                 Replica(
                     dataset_name=name,

@@ -119,7 +119,8 @@ def test_multi_modal_descriptors(scenario, analysis, table):
             store="ana1-objects", roots=tuple(container["roots"][:10])
         )
         ds = catalog.get_dataset("ana1.objects")
-        catalog.add_dataset(ds.materialized(descriptor), replace=True)
+        ds.descriptor = descriptor
+        catalog.add_dataset(ds, replace=True)
         closure = store.closure(descriptor.roots)
         assert len(closure) == 10
 

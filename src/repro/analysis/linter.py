@@ -43,7 +43,7 @@ from repro.analysis.rules import Program, check_all
 from repro.analysis.suppressions import apply_suppressions
 from repro.core.types import DatasetType, TypeRegistry
 from repro.core.versioning import VersionRegistry
-from repro.errors import SchemaError, VDLSemanticError, VDLSyntaxError
+from repro.errors import VDLSemanticError, VDLSyntaxError
 from repro.observability.instrument import NULL, Instrumentation
 from repro.provenance.graph import DerivationGraph
 from repro.vdl.ast import ProgramNode
@@ -209,14 +209,8 @@ class Linter:
         for decl in program.declarations:
             try:
                 analyzer.analyze(ProgramNode(declarations=(decl,)))
-            except (VDLSemanticError, SchemaError) as exc:
-                if isinstance(exc, VDLSemanticError):
-                    message, line = exc.bare_message, exc.line
-                else:
-                    # A versioned DV target (``tr@2.0``) fails VDPRef's
-                    # name check, as in ``define``; the version rules
-                    # still judge the version itself.
-                    message, line = str(exc), decl.line
+            except VDLSemanticError as exc:
+                message, line = exc.bare_message, exc.line
                 if "is not registered" in message:
                     # Unknown type names get the finer-grained VDG106
                     # (with the formal's own line) from the signature

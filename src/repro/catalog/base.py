@@ -85,6 +85,18 @@ def _synchronized(method):
     return wrapper
 
 
+def _formal_types(tr: Transformation) -> dict[str, DatasetType]:
+    """Best-effort formal types for a derivation's dataset args: each
+    dataset formal whose type is one concrete member."""
+    out = {}
+    for formal in tr.signature.formals:
+        if not formal.is_string and len(formal.dataset_types.members) == 1:
+            member = formal.dataset_types.members[0]
+            if not member.is_any():
+                out[formal.name] = member
+    return out
+
+
 def _transformation_from_payload(payload: dict) -> Transformation:
     import xml.etree.ElementTree as ET
 
@@ -910,16 +922,22 @@ class VirtualDataCatalog:
         t0 = self._obs_t0()
         if not replace and self._store_has("derivation", dv.name):
             raise DuplicateEntryError(f"derivation {dv.name!r} already defined")
-        if validate:
-            self.check_derivation(dv)
+        tr = (
+            self._local_transformation(dv) if validate or auto_declare
+            else None
+        )
+        if validate and tr is not None:
+            self._check_against(dv, tr)
         self._apply_put("derivation", dv.name, dv)
         if auto_declare:
-            self._declare_mentioned_datasets(dv)
+            self._declare_mentioned_datasets(dv, tr)
         self._notify("put", "derivation", dv.name)
         self._obs_op("insert", "derivation", t0)
 
-    def _declare_mentioned_datasets(self, dv: Derivation) -> None:
-        formal_types = self._formal_types_for(dv)
+    def _declare_mentioned_datasets(
+        self, dv: Derivation, tr: Optional[Transformation]
+    ) -> None:
+        formal_types = _formal_types(tr) if tr is not None else {}
         for formal_name, arg in dv.dataset_args():
             if not self._store_has("dataset", arg.dataset):
                 dtype = formal_types.get(formal_name)
@@ -935,20 +953,15 @@ class VirtualDataCatalog:
                 ds.producer = dv.name
                 self.add_dataset(ds, replace=True)
 
-    def _formal_types_for(self, dv: Derivation) -> dict[str, DatasetType]:
-        """Best-effort formal types for a derivation's dataset args."""
-        if not dv.transformation.is_local or not self.has_transformation(
-            dv.transformation.name
-        ):
-            return {}
-        tr = self._transformation_record(dv.transformation.name)
-        out = {}
-        for formal in tr.signature.formals:
-            if not formal.is_string and len(formal.dataset_types.members) == 1:
-                member = formal.dataset_types.members[0]
-                if not member.is_any():
-                    out[formal.name] = member
-        return out
+    def _local_transformation(
+        self, dv: Derivation
+    ) -> Optional[Transformation]:
+        """The registered record ``dv`` calls, or ``None`` for a remote
+        or unregistered transformation (both are tolerated)."""
+        ref = dv.transformation
+        if not ref.is_local or not self.has_transformation(ref.name):
+            return None
+        return self._transformation_record(ref.name)
 
     @_synchronized
     def get_derivation(self, name: str) -> Derivation:
@@ -983,12 +996,11 @@ class VirtualDataCatalog:
         validates them); local ones are checked for arity/direction and
         dataset-type conformance against registered dataset records.
         """
-        ref = dv.transformation
-        if not ref.is_local:
-            return
-        if not self.has_transformation(ref.name):
-            return  # foreign/unregistered; tolerated like remote refs
-        tr = self._transformation_record(ref.name)
+        tr = self._local_transformation(dv)
+        if tr is not None:
+            self._check_against(dv, tr)
+
+    def _check_against(self, dv: Derivation, tr: Transformation) -> None:
         dv.check_against(tr)
         for formal_name, arg in dv.dataset_args():
             formal = tr.signature.formal(formal_name)

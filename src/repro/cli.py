@@ -851,6 +851,9 @@ def _cmd_runs(ws: Workspace, args, out) -> int:
         return 0
     out(f"{len(runs)} recorded run(s), oldest first:")
     for record in runs:
+        if "makespan" not in record.result:
+            # A crashed run's makespan comes from its step timings.
+            record = RunRecord.load(record.path)
         flags = " [truncated]" if record.truncated else ""
         out(
             f"  {record.run_id}  "

@@ -64,16 +64,6 @@ class Dataset:
         clone.producer = self.producer
         return clone
 
-    def materialized(self, descriptor: Descriptor) -> "Dataset":
-        """Return a copy of this dataset with a concrete descriptor."""
-        return Dataset(
-            name=self.name,
-            dataset_type=self.dataset_type,
-            descriptor=descriptor,
-            attributes=self.attributes.copy(),
-            producer=self.producer,
-        )
-
     def size_estimate(self, default: int = 0) -> int:
         """Best-effort size in bytes for planning purposes.
 

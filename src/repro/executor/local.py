@@ -41,6 +41,7 @@ from repro.executor.process import (
     InvocationPayload,
     RunContext,
     exit_with_parent,
+    file_stamp,
     preflight_payload,
     run_invocation,
     run_pickled,
@@ -113,9 +114,9 @@ class LocalExecutor:
             else self.workdir / "quarantine"
         )
         # Sandbox files verified against their replica checksum, keyed
-        # by path with the (size, mtime_ns) stamp seen at verification;
-        # lets verify-on-consume cost one stat, not one hash, per reuse.
-        self._verified: dict[str, tuple[int, int]] = {}
+        # by path with the file_stamp seen at verification; lets
+        # verify-on-consume cost one stat, not one hash, per reuse.
+        self._verified: dict[str, tuple[int, int, int, int]] = {}
         self.obs = instrumentation or NULL
         if self.obs.enabled and not self.catalog.obs.enabled:
             # Adopt the catalog into this executor's observability
@@ -172,8 +173,8 @@ class LocalExecutor:
 
         Files without a replica record (user-staged sources) verify
         trivially, and clean verifications are cached against the
-        file's (size, mtime_ns) so steady-state reuse costs one
-        ``stat``, not one hash.
+        file's :func:`~repro.executor.process.file_stamp` so
+        steady-state reuse costs one ``stat``, not one hash.
         """
         path = self.path_for(dataset_name)
         try:
@@ -188,7 +189,7 @@ class LocalExecutor:
         ]
         if not matching:
             return True, None
-        stamp = (stat.st_size, stat.st_mtime_ns)
+        stamp = file_stamp(stat)
         if self._verified.get(str(path)) == stamp:
             return True, None
         for replica in matching:
@@ -375,7 +376,7 @@ class LocalExecutor:
         ]
         commit_invocation(self.catalog, invocation, outputs, self.obs)
         for stat in outcome.outputs.values():
-            self._verified[stat.path] = (stat.size, stat.mtime_ns)
+            self._verified[stat.path] = stat.stamp
         self._count(invocation)
         if outcome.status != "success":
             raise ExecutionError(

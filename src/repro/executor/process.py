@@ -128,7 +128,19 @@ class OutputStat:
     path: str
     size: int
     digest: str
-    mtime_ns: int
+    #: The file's (size, mtime_ns, inode, ctime_ns) when it was hashed:
+    #: see :func:`file_stamp`.
+    stamp: tuple[int, int, int, int]
+
+
+def file_stamp(stat: os.stat_result) -> tuple[int, int, int, int]:
+    """What a verified file must still show to be reused unhashed.
+
+    A rewrite in place can keep the size and restore the mtime, but
+    it moves the ctime, which user space cannot set; a replacement
+    file also brings a new inode.
+    """
+    return (stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
 
 
 @dataclass
@@ -403,7 +415,7 @@ def run_invocation(
                         path=str(path),
                         size=stat.st_size,
                         digest=file_digest(path),
-                        mtime_ns=stat.st_mtime_ns,
+                        stamp=file_stamp(stat),
                     )
     if capture is not None:
         _finish_capture(capture, payload, outcome)

@@ -274,11 +274,13 @@ class HistoryStore:
         """Ingest every readable record under ``runs_root``.
 
         Returns the number of runs (re-)ingested; unchanged runs are
-        skipped, so calling this before every query is cheap.
+        skipped before their record is loaded in full, so calling this
+        before every query is cheap.
         """
         ingested = 0
-        for record in list_runs(runs_root):
-            if self.ingest(record, force=force):
+        for status in list_runs(runs_root):
+            if force or not self.is_ingested(status):
+                self.ingest(RunRecord.load(status.path), force=True)
                 ingested += 1
         return ingested
 

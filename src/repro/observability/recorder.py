@@ -682,7 +682,11 @@ class RunRecord:
 
 
 def list_runs(runs_root: str | Path) -> list[RunRecord]:
-    """All readable run records under ``runs_root``, oldest first."""
+    """All readable run records under ``runs_root``, oldest first.
+
+    Each is read with :meth:`RunRecord.load_status` (identity, verdict,
+    no rows): load the one you need in full from its ``path``.
+    """
     root = Path(runs_root)
     if not root.is_dir():
         return []
@@ -690,7 +694,7 @@ def list_runs(runs_root: str | Path) -> list[RunRecord]:
     for child in sorted(root.iterdir()):
         if (child / RECORD_FILENAME).is_file():
             try:
-                records.append(RunRecord.load(child))
+                records.append(RunRecord.load_status(child))
             except (ValueError, json.JSONDecodeError, OSError):
                 continue
     records.sort(key=lambda r: (r.meta.get("started_at", 0), r.run_id))
@@ -728,10 +732,10 @@ def find_run(runs_root: str | Path, run_id: str) -> RunRecord:
     if run_id == "latest":
         if not runs:
             raise FileNotFoundError(f"no recorded runs under {runs_root}")
-        return runs[-1]
+        return RunRecord.load(runs[-1].path)
     for record in runs:
         if record.run_id == run_id:
-            return record
+            return RunRecord.load(record.path)
     known = ", ".join(r.run_id for r in runs[-10:]) or "none"
     raise FileNotFoundError(
         f"no run record {run_id!r} under {runs_root} (known: {known})"

@@ -6,7 +6,7 @@ VDL; ``to_xml``/``from_xml`` implement the machine-to-machine format.
 """
 
 from repro.vdl.ast import ProgramNode
-from repro.vdl.lexer import Lexer, Token, tokenize
+from repro.vdl.lexer import Token, tokenize
 from repro.vdl.parser import Parser, parse
 from repro.vdl.semantics import Analyzer, ProgramObjects, analyze, compile_vdl
 from repro.vdl.unparser import (
@@ -25,7 +25,6 @@ from repro.vdl.xml_io import (
 
 __all__ = [
     "Analyzer",
-    "Lexer",
     "Parser",
     "ProgramNode",
     "ProgramObjects",

@@ -1,20 +1,30 @@
-"""Lexer for the Chimera Virtual Data Language (Appendix A).
+"""Scanner for the Chimera Virtual Data Language (Appendix A).
 
-Produces a flat stream of :class:`Token` objects.  The only lexical
-subtleties are:
+One compiled master regex walks the source once and fills three
+columns: token kinds, token values and start offsets.  No object is
+built per token and no line or column is tracked per character: a
+position is computed from an offset (:func:`position`, a bisection of
+the line-start offsets) only where one is needed — an error message or
+an AST ``line=`` field.  The lexical subtleties are:
 
 * ``->`` (the derivation arrow) must win over ``-`` inside identifiers
   such as ``srch-muon``;
 * identifiers may embed ``::`` (namespaces), ``.`` (dotted keys such as
-  ``env.MAXMEM`` and ``hints.pfnHint``), ``@`` (versions) and ``-``;
+  ``env.MAXMEM`` and ``hints.pfnHint``), ``@`` (versions) and ``-``,
+  but never end in ``.`` or ``-``;
 * ``${`` and ``@{`` open formal and actual dataset references;
 * strings are double-quoted with backslash escapes.
+
+No alternative can match the same text in two ways, so a failed
+match gives a run back at most once and hostile input scans in
+linear time.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import VDLSyntaxError
 
@@ -36,28 +46,105 @@ TT_PIPE = "PIPE"                    # |
 TT_SLASH = "SLASH"                  # /
 TT_EOF = "EOF"
 
-_SINGLE_CHARS = {
+_PUNCTUATION = {
     "(": TT_LPAREN,
     ")": TT_RPAREN,
     "{": TT_LBRACE,
     "}": TT_RBRACE,
+    "${": TT_DOLLAR_LBRACE,
+    "@{": TT_AT_LBRACE,
     ",": TT_COMMA,
     ";": TT_SEMI,
     ":": TT_COLON,
     "=": TT_EQUALS,
+    "->": TT_ARROW,
     "|": TT_PIPE,
     "/": TT_SLASH,
 }
 
-_IDENT_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+# Whitespace and comments match without a group and are dropped.
+# Line comments use '#' only: '//' would be ambiguous with the '//'
+# inside vdp:// references.  ':' is deliberately NOT an identifier
+# character — namespace qualifiers (example1::t1) and direction
+# prefixes (${input:a1}) are reassembled by the parser from COLON
+# tokens.  The groups for '/*', '"' and any other character match
+# only where a comment, a string or a token is broken.
+_TOKEN = re.compile(
+    r"""
+      [ \t\r\n]+ | \#[^\n]* | /\*.*?\*/
+    | ([A-Za-z0-9_][A-Za-z0-9_@+]*(?:[.-]+[A-Za-z0-9_@+]+)*)
+    | "([^"\\\n]*(?:\\.[^"\\\n]*)*)"
+    | (/\*)
+    | (\$\{|@\{|->|[(){},;:=|/])
+    | (") | (.)
+    """,
+    re.VERBOSE | re.DOTALL,
 )
-# Note: ':' is deliberately NOT an identifier character — namespace
-# qualifiers (example1::t1) and direction prefixes (${input:a1}) are
-# reassembled by the parser from COLON tokens.
-_IDENT_CONT = _IDENT_START | set(".-@+")
+_IDENT, _STRING, _OPEN_COMMENT, _PUNCT, _OPEN_STRING, _STRAY = range(1, 7)
 
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
+def _unescape(match: re.Match) -> str:
+    char = match[1]
+    return _ESCAPES.get(char, char)
+
+
+def scan(source: str) -> tuple[list[str], list[str], list[int]]:
+    """Scan ``source`` into (kinds, values, start offsets).
+
+    The columns end in one ``EOF`` entry at ``len(source)``.
+    """
+    kinds: list[str] = []
+    values: list[str] = []
+    starts: list[int] = []
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        if group is None:
+            continue
+        text = match[group]
+        if group == _IDENT:
+            kinds.append(TT_IDENT)
+        elif group == _PUNCT:
+            kinds.append(_PUNCTUATION[text])
+        elif group == _STRING:
+            kinds.append(TT_STRING)
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+        else:
+            if group == _OPEN_COMMENT:
+                message = "unterminated block comment"
+            elif group == _OPEN_STRING:
+                message = "unterminated string literal"
+            else:
+                message = f"unexpected character {text!r}"
+            raise VDLSyntaxError(
+                message, *position(line_starts(source), match.start())
+            )
+        values.append(text)
+        starts.append(match.start())
+    kinds.append(TT_EOF)
+    values.append("")
+    starts.append(len(source))
+    return kinds, values, starts
+
+
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line of ``source`` begins."""
+    starts = [0]
+    find = source.find
+    at = find("\n")
+    while at >= 0:
+        starts.append(at + 1)
+        at = find("\n", at + 1)
+    return starts
+
+
+def position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``offset``, given :func:`line_starts`."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 @dataclass(frozen=True)
@@ -73,137 +160,11 @@ class Token:
         return f"{self.type}({self.value!r})@{self.line}:{self.column}"
 
 
-class Lexer:
-    """A one-pass scanner over VDL source text."""
-
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokens(self) -> list[Token]:
-        """Scan the whole source and return all tokens plus a final EOF."""
-        return list(self._scan())
-
-    # -- internals -----------------------------------------------------
-
-    def _scan(self) -> Iterator[Token]:
-        src = self._source
-        n = len(src)
-        while self._pos < n:
-            ch = src[self._pos]
-            if ch in " \t\r\n":
-                self._advance(ch)
-                continue
-            # Line comments use '#' only: '//' would be ambiguous with
-            # the '//' inside vdp:// references.
-            if ch == "#":
-                self._skip_line_comment()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-                continue
-            line, column = self._line, self._column
-            if ch == '"':
-                yield self._string(line, column)
-                continue
-            if ch == "$" and self._peek(1) == "{":
-                self._advance_n(2)
-                yield Token(TT_DOLLAR_LBRACE, "${", line, column)
-                continue
-            if ch == "@" and self._peek(1) == "{":
-                self._advance_n(2)
-                yield Token(TT_AT_LBRACE, "@{", line, column)
-                continue
-            if ch == "-" and self._peek(1) == ">":
-                self._advance_n(2)
-                yield Token(TT_ARROW, "->", line, column)
-                continue
-            if ch in _IDENT_START:
-                yield self._ident(line, column)
-                continue
-            if ch in _SINGLE_CHARS:
-                self._advance(ch)
-                yield Token(_SINGLE_CHARS[ch], ch, line, column)
-                continue
-            raise VDLSyntaxError(f"unexpected character {ch!r}", line, column)
-        yield Token(TT_EOF, "", self._line, self._column)
-
-    def _ident(self, line: int, column: int) -> Token:
-        src = self._source
-        start = self._pos
-        while self._pos < len(src):
-            ch = src[self._pos]
-            if ch == "-" and self._peek(1) == ">":
-                break  # the arrow, not part of the name
-            if ch not in _IDENT_CONT:
-                break
-            self._advance(ch)
-        text = src[start:self._pos]
-        # A dangling trailing separator is never part of a name.
-        while text and text[-1] in ".-":
-            text = text[:-1]
-            self._pos -= 1
-            self._column -= 1
-        return Token(TT_IDENT, text, line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        src = self._source
-        self._advance('"')
-        out = []
-        while self._pos < len(src):
-            ch = src[self._pos]
-            if ch == '"':
-                self._advance(ch)
-                return Token(TT_STRING, "".join(out), line, column)
-            if ch == "\\":
-                self._advance(ch)
-                if self._pos >= len(src):
-                    break
-                esc = src[self._pos]
-                self._advance(esc)
-                out.append(_ESCAPES.get(esc, esc))
-                continue
-            if ch == "\n":
-                raise VDLSyntaxError("unterminated string literal", line, column)
-            self._advance(ch)
-            out.append(ch)
-        raise VDLSyntaxError("unterminated string literal", line, column)
-
-    def _skip_line_comment(self) -> None:
-        src = self._source
-        while self._pos < len(src) and src[self._pos] != "\n":
-            self._advance(src[self._pos])
-
-    def _skip_block_comment(self) -> None:
-        line, column = self._line, self._column
-        src = self._source
-        self._advance_n(2)
-        while self._pos < len(src):
-            if src[self._pos] == "*" and self._peek(1) == "/":
-                self._advance_n(2)
-                return
-            self._advance(src[self._pos])
-        raise VDLSyntaxError("unterminated block comment", line, column)
-
-    def _peek(self, ahead: int) -> str:
-        pos = self._pos + ahead
-        return self._source[pos] if pos < len(self._source) else ""
-
-    def _advance(self, ch: str) -> None:
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-
-    def _advance_n(self, count: int) -> None:
-        for _ in range(count):
-            self._advance(self._source[self._pos])
-
-
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: scan ``source`` into a token list."""
-    return Lexer(source).tokens()
+    """Scan ``source`` into a token list ending in an ``EOF`` token."""
+    kinds, values, offsets = scan(source)
+    starts = line_starts(source)
+    return [
+        Token(kind, value, *position(starts, offset))
+        for kind, value, offset in zip(kinds, values, offsets)
+    ]

@@ -36,7 +36,7 @@ direction keywords.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import VDLSyntaxError
 from repro.vdl.ast import (
@@ -72,102 +72,92 @@ from repro.vdl.lexer import (
     TT_SEMI,
     TT_SLASH,
     TT_STRING,
-    Token,
-    tokenize,
+    line_starts,
+    position,
+    scan,
 )
 
 _DIRECTIONS = ("input", "output", "inout", "none")
+_VDP_TAIL = [TT_COLON, TT_SLASH, TT_SLASH]
+#: The most tokens the parser looks past the current one (``vdp://``).
+_LOOKAHEAD = 3
 
 
 class Parser:
-    """Parses one VDL compilation unit into a :class:`ProgramNode`."""
+    """Parses one VDL compilation unit into a :class:`ProgramNode`.
+
+    It reads the scanner's columns with an integer cursor: ``_kinds``
+    and ``_values`` at the cursor are the current token, and a source
+    position is computed from ``_starts`` only for an error or an AST
+    ``line``.  ``_kinds`` is padded with ``EOF`` so that lookahead
+    never runs off its end.
+    """
 
     def __init__(self, source: str):
-        self._tokens = tokenize(source)
-        self._index = 0
+        self._kinds, self._values, self._starts = scan(source)
+        self._kinds.extend((TT_EOF,) * _LOOKAHEAD)
+        self._lines = line_starts(source)
+        self._i = 0
 
     # -- public ----------------------------------------------------------
 
     def parse(self) -> ProgramNode:
+        kinds, values = self._kinds, self._values
         declarations = []
-        while not self._at(TT_EOF):
-            token = self._peek()
-            keyword = token.value.lower() if token.type == TT_IDENT else ""
+        while kinds[self._i] != TT_EOF:
+            i = self._i
+            keyword = values[i].lower() if kinds[i] == TT_IDENT else ""
             if keyword == "tr":
                 declarations.append(self._tr_decl())
             elif keyword == "dv":
                 declarations.append(self._dv_decl())
             else:
-                raise VDLSyntaxError(
-                    f"expected TR or DV declaration, got {token.value!r}",
-                    token.line,
-                    token.column,
+                raise self._error(
+                    f"expected TR or DV declaration, got {values[i]!r}", i
                 )
         return ProgramNode(declarations=tuple(declarations))
 
     # -- declarations ------------------------------------------------------
 
     def _tr_decl(self) -> TransformationDeclNode:
-        keyword = self._expect(TT_IDENT)
+        line = self._keyword()
         name = self._qname()
         version: Optional[str] = None
         if "@" in name:
             name, _, version = name.rpartition("@")
-        self._expect(TT_LPAREN)
-        formals = []
-        if not self._at(TT_RPAREN):
-            formals.append(self._formal())
-            while self._accept(TT_COMMA):
-                formals.append(self._formal())
-        self._expect(TT_RPAREN)
+        formals = self._list(self._formal)
         self._expect(TT_LBRACE)
         body: list[BodyStmtNode] = []
-        while not self._at(TT_RBRACE):
+        while self._kinds[self._i] != TT_RBRACE:
             body.append(self._body_stmt())
-        self._expect(TT_RBRACE)
+        self._i += 1
         return TransformationDeclNode(
-            name=name,
-            formals=tuple(formals),
-            body=tuple(body),
-            version=version,
-            line=keyword.line,
+            name=name, formals=formals, body=tuple(body), version=version,
+            line=line,
         )
 
     def _formal(self) -> FormalDeclNode:
-        token = self._expect(TT_IDENT)
-        direction = token.value.lower()
+        at = self._i
+        word = self._expect(TT_IDENT)
+        direction = word.lower()
         if direction not in _DIRECTIONS:
-            raise VDLSyntaxError(
-                f"expected argument direction, got {token.value!r}",
-                token.line,
-                token.column,
-            )
-        name = self._expect(TT_IDENT).value
+            raise self._error(f"expected argument direction, got {word!r}", at)
+        name = self._expect(TT_IDENT)
         type_expr = None
-        if self._at(TT_COLON) and self._peek(1).type in (TT_IDENT,):
+        if self._kinds[self._i] == TT_COLON and self._kinds[self._i + 1] == TT_IDENT:
             # Disambiguate from '::' (handled inside qname) — a single
             # colon after the name introduces a type expression.
-            self._expect(TT_COLON)
+            self._i += 1
             type_expr = self._type_expr()
         default: Optional[Union[str, DatasetRefNode]] = None
         if self._accept(TT_EQUALS):
-            if self._at(TT_STRING):
-                default = self._expect(TT_STRING).value
-            elif self._at(TT_AT_LBRACE):
-                default = self._dataset_ref()
-            else:
-                bad = self._peek()
-                raise VDLSyntaxError(
-                    "formal default must be a string or @{...} reference",
-                    bad.line,
-                    bad.column,
-                )
+            default = self._string_or(
+                TT_AT_LBRACE, self._dataset_ref,
+                "formal default must be a string or @{...} reference",
+            )
         return FormalDeclNode(
-            direction=direction,
-            name=name,
-            type_expr=type_expr,
-            default=default,
-            line=token.line,
+            direction=direction, name=name, type_expr=type_expr,
+            default=default, line=self._line(at),
         )
 
     def _type_expr(self) -> TypeExprNode:
@@ -177,24 +167,20 @@ class Parser:
         return TypeExprNode(members=tuple(members))
 
     def _type_triple(self) -> tuple[str, str, str]:
-        content = self._expect(TT_IDENT).value
+        content = self._expect(TT_IDENT)
         if not self._accept(TT_SLASH):
             return (content, "-", "-")
-        fmt = self._expect(TT_IDENT).value
+        fmt = self._expect(TT_IDENT)
         self._expect(TT_SLASH)
-        enc = self._expect(TT_IDENT).value
-        return (content, fmt, enc)
+        return (content, fmt, self._expect(TT_IDENT))
 
     def _body_stmt(self) -> BodyStmtNode:
-        token = self._peek()
-        if token.type != TT_IDENT:
-            raise VDLSyntaxError(
-                f"expected a body statement, got {token.value!r}",
-                token.line,
-                token.column,
+        i = self._i
+        if self._kinds[i] != TT_IDENT:
+            raise self._error(
+                f"expected a body statement, got {self._values[i]!r}", i
             )
-        keyword = token.value
-        lowered = keyword.lower()
+        lowered = self._values[i].lower()
         if lowered == "argument":
             return self._argument_stmt()
         if lowered == "exec":
@@ -206,232 +192,216 @@ class Parser:
         return self._call_stmt()
 
     def _argument_stmt(self) -> ArgumentStmtNode:
-        keyword = self._expect(TT_IDENT)
-        name: Optional[str] = None
-        if self._at(TT_IDENT):
-            name = self._expect(TT_IDENT).value
+        line = self._keyword()
+        name = None
+        if self._kinds[self._i] == TT_IDENT:
+            name = self._expect(TT_IDENT)
         self._expect(TT_EQUALS)
         parts = self._template()
         self._expect(TT_SEMI)
-        return ArgumentStmtNode(parts=parts, name=name, line=keyword.line)
+        return ArgumentStmtNode(parts=parts, name=name, line=line)
 
     def _exec_stmt(self) -> ExecStmtNode:
-        keyword = self._expect(TT_IDENT)
+        line = self._keyword()
         self._expect(TT_EQUALS)
-        path = self._expect(TT_STRING).value
+        path = self._expect(TT_STRING)
         self._expect(TT_SEMI)
-        return ExecStmtNode(path=path, line=keyword.line)
+        return ExecStmtNode(path=path, line=line)
 
     def _env_stmt(self) -> EnvStmtNode:
-        keyword = self._expect(TT_IDENT)
-        variable = keyword.value[len("env."):]
+        at = self._i
+        line = self._keyword()
+        variable = self._values[at][len("env."):]
         if not variable:
-            raise VDLSyntaxError(
-                "env statement requires a variable name (env.VAR = ...)",
-                keyword.line,
-                keyword.column,
+            raise self._error(
+                "env statement requires a variable name (env.VAR = ...)", at
             )
         self._expect(TT_EQUALS)
         parts = self._template()
         self._expect(TT_SEMI)
-        return EnvStmtNode(variable=variable, parts=parts, line=keyword.line)
+        return EnvStmtNode(variable=variable, parts=parts, line=line)
 
     def _profile_stmt(self) -> ProfileStmtNode:
-        keyword = self._expect(TT_IDENT)
-        key = self._expect(TT_IDENT).value
+        line = self._keyword()
+        key = self._expect(TT_IDENT)
         self._expect(TT_EQUALS)
-        value = self._expect(TT_STRING).value
+        value = self._expect(TT_STRING)
         self._expect(TT_SEMI)
-        return ProfileStmtNode(key=key, value=value, line=keyword.line)
+        return ProfileStmtNode(key=key, value=value, line=line)
 
     def _call_stmt(self) -> CallStmtNode:
-        token = self._peek()
+        line = self._line(self._i)
         target = self._target()
-        self._expect(TT_LPAREN)
-        bindings: list[tuple[str, Union[str, FormalRefNode]]] = []
-        if not self._at(TT_RPAREN):
-            bindings.append(self._binding())
-            while self._accept(TT_COMMA):
-                bindings.append(self._binding())
-        self._expect(TT_RPAREN)
+        bindings = self._list(self._binding)
         self._expect(TT_SEMI)
-        return CallStmtNode(
-            target=target, bindings=tuple(bindings), line=token.line
-        )
+        return CallStmtNode(target=target, bindings=bindings, line=line)
 
     def _binding(self) -> tuple[str, Union[str, FormalRefNode]]:
-        name = self._expect(TT_IDENT).value
+        name = self._expect(TT_IDENT)
         self._expect(TT_EQUALS)
-        if self._at(TT_STRING):
-            return name, self._expect(TT_STRING).value
-        if self._at(TT_DOLLAR_LBRACE):
-            return name, self._formal_ref()
-        bad = self._peek()
-        raise VDLSyntaxError(
+        return name, self._string_or(
+            TT_DOLLAR_LBRACE, self._formal_ref,
             "call binding must be a string or ${...} reference",
-            bad.line,
-            bad.column,
         )
 
     def _dv_decl(self) -> DerivationDeclNode:
-        keyword = self._expect(TT_IDENT)
+        line = self._keyword()
         name = self._qname()
         self._expect(TT_ARROW)
         target = self._target()
-        self._expect(TT_LPAREN)
-        actuals: list[tuple[str, Union[str, DatasetRefNode]]] = []
-        if not self._at(TT_RPAREN):
-            actuals.append(self._actual())
-            while self._accept(TT_COMMA):
-                actuals.append(self._actual())
-        self._expect(TT_RPAREN)
+        actuals = self._list(self._actual)
         self._expect(TT_SEMI)
         return DerivationDeclNode(
-            name=name, target=target, actuals=tuple(actuals), line=keyword.line
+            name=name, target=target, actuals=actuals, line=line
         )
 
     def _actual(self) -> tuple[str, Union[str, DatasetRefNode]]:
-        name = self._expect(TT_IDENT).value
+        name = self._expect(TT_IDENT)
         self._expect(TT_EQUALS)
-        if self._at(TT_STRING):
-            return name, self._expect(TT_STRING).value
-        if self._at(TT_AT_LBRACE):
-            return name, self._dataset_ref()
-        bad = self._peek()
-        raise VDLSyntaxError(
+        return name, self._string_or(
+            TT_AT_LBRACE, self._dataset_ref,
             "derivation actual must be a string or @{...} reference",
-            bad.line,
-            bad.column,
         )
 
     # -- leaf constructs ---------------------------------------------------
 
+    def _list(self, item: Callable) -> tuple:
+        """``"(" (item ("," item)*)? ")"``."""
+        self._expect(TT_LPAREN)
+        items = []
+        if self._kinds[self._i] != TT_RPAREN:
+            items.append(item())
+            while self._accept(TT_COMMA):
+                items.append(item())
+        self._expect(TT_RPAREN)
+        return tuple(items)
+
+    def _string_or(self, opener: str, reference: Callable, message: str):
+        """A string literal, or the reference that ``opener`` starts."""
+        kind = self._kinds[self._i]
+        if kind == TT_STRING:
+            self._i += 1
+            return self._values[self._i - 1]
+        if kind == opener:
+            return reference()
+        raise self._error(message, self._i)
+
     def _template(self) -> tuple[TemplatePartNode, ...]:
         parts: list[TemplatePartNode] = []
         while True:
-            if self._at(TT_STRING):
-                parts.append(self._expect(TT_STRING).value)
-            elif self._at(TT_DOLLAR_LBRACE):
+            kind = self._kinds[self._i]
+            if kind == TT_STRING:
+                parts.append(self._values[self._i])
+                self._i += 1
+            elif kind == TT_DOLLAR_LBRACE:
                 parts.append(self._formal_ref())
             else:
                 break
         if not parts:
-            bad = self._peek()
-            raise VDLSyntaxError(
+            raise self._error(
                 "expected a template (string literals and ${...} refs)",
-                bad.line,
-                bad.column,
+                self._i,
             )
         return tuple(parts)
 
     def _formal_ref(self) -> FormalRefNode:
-        opener = self._expect(TT_DOLLAR_LBRACE)
-        first = self._expect(TT_IDENT).value
+        opener = self._i
+        self._i += 1
+        name = self._expect(TT_IDENT)
         direction: Optional[str] = None
-        name = first
         if self._accept(TT_COLON):
-            direction = first.lower()
+            direction = name.lower()
             if direction not in _DIRECTIONS:
-                raise VDLSyntaxError(
-                    f"invalid direction {first!r} in ${{...}} reference",
-                    opener.line,
-                    opener.column,
+                raise self._error(
+                    f"invalid direction {name!r} in ${{...}} reference", opener
                 )
-            name = self._expect(TT_IDENT).value
+            name = self._expect(TT_IDENT)
         self._expect(TT_RBRACE)
-        return FormalRefNode(name=name, direction=direction, line=opener.line)
+        return FormalRefNode(
+            name=name, direction=direction, line=self._line(opener)
+        )
 
     def _dataset_ref(self) -> DatasetRefNode:
-        opener = self._expect(TT_AT_LBRACE)
-        direction = self._expect(TT_IDENT).value.lower()
+        opener = self._i
+        self._i += 1
+        direction = self._expect(TT_IDENT).lower()
         if direction not in _DIRECTIONS or direction == "none":
-            raise VDLSyntaxError(
-                f"invalid direction {direction!r} in @{{...}} reference",
-                opener.line,
-                opener.column,
+            raise self._error(
+                f"invalid direction {direction!r} in @{{...}} reference", opener
             )
         self._expect(TT_COLON)
-        lfn = self._expect(TT_STRING).value
-        temporary = False
-        if self._accept(TT_COLON):
-            trailer = self._expect(TT_STRING).value
-            if trailer:
-                raise VDLSyntaxError(
-                    "third component of @{...} must be the empty string",
-                    opener.line,
-                    opener.column,
-                )
-            temporary = True
+        lfn = self._expect(TT_STRING)
+        temporary = self._accept(TT_COLON)
+        if temporary and self._expect(TT_STRING):
+            raise self._error(
+                "third component of @{...} must be the empty string", opener
+            )
         self._expect(TT_RBRACE)
         return DatasetRefNode(
-            direction=direction, lfn=lfn, temporary=temporary, line=opener.line
+            direction=direction, lfn=lfn, temporary=temporary,
+            line=self._line(opener),
         )
 
     def _qname(self) -> str:
-        parts = [self._expect(TT_IDENT).value]
+        name = self._expect(TT_IDENT)
+        kinds = self._kinds
         while (
-            self._at(TT_COLON)
-            and self._peek(1).type == TT_COLON
-            and self._peek(2).type == TT_IDENT
+            kinds[self._i] == TT_COLON
+            and kinds[self._i + 1] == TT_COLON
+            and kinds[self._i + 2] == TT_IDENT
         ):
-            self._expect(TT_COLON)
-            self._expect(TT_COLON)
-            parts.append(self._expect(TT_IDENT).value)
-        return "::".join(parts)
+            self._i += 3
+            name += "::" + self._values[self._i - 1]
+        return name
 
     def _target(self) -> str:
         """A call/derivation target: qname or vdp://host/path."""
-        first = self._peek()
+        at = self._i
         if (
-            first.type == TT_IDENT
-            and first.value.lower() == "vdp"
-            and self._peek(1).type == TT_COLON
-            and self._peek(2).type == TT_SLASH
-            and self._peek(3).type == TT_SLASH
+            self._kinds[at] == TT_IDENT
+            and self._values[at].lower() == "vdp"
+            and self._kinds[at + 1:at + 4] == _VDP_TAIL
         ):
-            self._expect(TT_IDENT)
-            self._expect(TT_COLON)
-            self._expect(TT_SLASH)
-            self._expect(TT_SLASH)
-            host = self._expect(TT_IDENT).value
+            self._i = at + 4
+            host = self._expect(TT_IDENT)
             segments = []
             while self._accept(TT_SLASH):
                 segments.append(self._qname())
             if not segments:
-                raise VDLSyntaxError(
-                    "vdp:// reference requires an object name",
-                    first.line,
-                    first.column,
+                raise self._error(
+                    "vdp:// reference requires an object name", at
                 )
             return f"vdp://{host}/" + "/".join(segments)
         return self._qname()
 
-    # -- token plumbing ------------------------------------------------------
+    # -- the cursor ----------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _keyword(self) -> int:
+        """Step over a statement's leading keyword; return its line."""
+        self._i += 1
+        return self._line(self._i - 1)
 
-    def _at(self, token_type: str) -> bool:
-        return self._peek().type == token_type
+    def _accept(self, kind: str) -> bool:
+        if self._kinds[self._i] == kind:
+            self._i += 1
+            return True
+        return False
 
-    def _accept(self, token_type: str) -> Optional[Token]:
-        if self._at(token_type):
-            token = self._tokens[self._index]
-            self._index += 1
-            return token
-        return None
-
-    def _expect(self, token_type: str) -> Token:
-        token = self._accept(token_type)
-        if token is None:
-            bad = self._peek()
-            raise VDLSyntaxError(
-                f"expected {token_type}, got {bad.type} {bad.value!r}",
-                bad.line,
-                bad.column,
+    def _expect(self, kind: str) -> str:
+        """Consume a token of ``kind`` and return its value."""
+        i = self._i
+        if self._kinds[i] != kind:
+            raise self._error(
+                f"expected {kind}, got {self._kinds[i]} {self._values[i]!r}", i
             )
-        return token
+        self._i = i + 1
+        return self._values[i]
+
+    def _line(self, i: int) -> int:
+        return position(self._lines, self._starts[i])[0]
+
+    def _error(self, message: str, i: int) -> VDLSyntaxError:
+        return VDLSyntaxError(message, *position(self._lines, self._starts[i]))
 
 
 def parse(source: str) -> ProgramNode:

@@ -43,7 +43,7 @@ from repro.core.types import (
     TypeUnion,
     default_registry,
 )
-from repro.errors import UnknownTypeError, VDLSemanticError
+from repro.errors import SchemaError, UnknownTypeError, VDLSemanticError
 from repro.vdl.ast import (
     ArgumentStmtNode,
     CallStmtNode,
@@ -124,9 +124,13 @@ class Analyzer:
 
     def analyze(self, program: ProgramNode) -> ProgramObjects:
         transformations = [
-            self._transformation(decl) for decl in program.transformations()
+            _lowered(self._transformation, decl)
+            for decl in program.transformations()
         ]
-        derivations = [self._derivation(decl) for decl in program.derivations()]
+        derivations = [
+            _lowered(self._derivation, decl)
+            for decl in program.derivations()
+        ]
         return ProgramObjects(transformations, derivations)
 
     # -- transformations -------------------------------------------------
@@ -352,6 +356,16 @@ class Analyzer:
             ),
             actuals=actuals,
         )
+
+
+def _lowered(lower, decl):
+    """``lower(decl)``, with a core-schema rejection of a name the
+    declaration holds (an LFN ``".x"``, a versioned DV target
+    ``tr@2.0``) reported as a semantic error at its line."""
+    try:
+        return lower(decl)
+    except SchemaError as exc:
+        raise VDLSemanticError(str(exc), line=decl.line) from None
 
 
 def analyze(

@@ -26,7 +26,8 @@ class TestDataset:
 
     def test_materialized_copy(self):
         ds = Dataset(name="foo", attributes={"owner": "alice"})
-        mat = ds.materialized(FileDescriptor(path="/tmp/foo", size=10))
+        mat = ds.copy()
+        mat.descriptor = FileDescriptor(path="/tmp/foo", size=10)
         assert not mat.is_virtual
         assert ds.is_virtual  # original untouched
         assert mat.attributes.get("owner") == "alice"

@@ -5,6 +5,8 @@ quarantines it, drops its records, invalidates downstream provenance,
 and the next materialize transparently re-derives from the recipe.
 """
 
+import os
+
 import pytest
 
 from repro.catalog.memory import MemoryCatalog
@@ -96,7 +98,7 @@ class TestHasValidReplica:
     def test_verification_cache_skips_rehash(self, executor, monkeypatch):
         executor.materialize("base.txt")
         assert executor.has_valid_replica("base.txt")
-        # Second consult must be served from the (size, mtime) stamp.
+        # Second consult must be served from the file's cached stamp.
         import repro.executor.local as local_mod
 
         def explode(*a, **k):
@@ -125,6 +127,24 @@ class TestRederivation:
         )
         assert executor.has_valid_replica("base.txt")
         assert executor.has_valid_replica("derived.txt")
+
+    def test_same_size_rewrite_with_restored_mtime_rederived(self, executor):
+        # The rewrite keeps the size and puts the mtime back, so only
+        # the inode change time tells the cached stamp it is stale.
+        executor.materialize("base.txt")
+        path = executor.path_for("base.txt")
+        before = path.stat()
+        path.write_bytes(b"fake-bytes")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_mtime_ns == before.st_mtime_ns
+
+        invocations = executor.materialize("derived.txt")
+        assert {i.derivation_name for i in invocations} == {"mk", "cp"}
+        assert (
+            executor.path_for("derived.txt").read_bytes() == b"BASE-BYTES"
+        )
+        quarantined = list(executor.quarantine_dir.iterdir())
+        assert any(p.name.startswith("base.txt") for p in quarantined)
 
     def test_clean_rematerialize_still_reuses(self, executor):
         executor.materialize("derived.txt")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -236,6 +237,28 @@ class TestRunListing:
         rec.finalize()
         with pytest.raises(FileNotFoundError, match=rec.run_id):
             find_run(tmp_path, "run-nope")
+
+    def test_find_run_loads_only_the_found_record(self, tmp_path):
+        # Listing reads each record's status line only, so finding the
+        # newest of eight costs about one full load, not eight.
+        for n in range(8):
+            rec = FlightRecorder(tmp_path / f"run-{n}", f"run-{n}")
+            for k in range(2000):
+                rec.event("tick", step=f"s{k}", seq=k)
+            rec.finalize(status="ok")
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                record = load()
+                return record, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: RunRecord.load(tmp_path / "run-7"))[1]
+        latest, found = peak(lambda: find_run(tmp_path, "latest"))
+        assert latest.run_id == "run-7" and len(latest.events) == 2000
+        assert found <= 2 * one
 
     def test_find_latest_with_no_runs(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no recorded runs"):
