@@ -36,35 +36,25 @@ span tree and metrics snapshot of each run are written under
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from typing import Optional
 
-from repro.catalog.filetree import FileTreeCatalog
 from repro.durability.atomic import atomic_write_json
-from repro.durability.journal import IntentJournal
-from repro.durability.recovery import RecoveryManager
 from repro.errors import VDLSemanticError, VDLSyntaxError, VirtualDataError
-from repro.executor.local import LocalExecutor
 from repro.observability import (
-    FlightRecorder,
-    HistoryStore,
     Instrumentation,
-    ProgressSink,
-    ProgressTicker,
     RunRecord,
-    SamplingProfiler,
     chrome_trace,
     diff_records,
-    find_run,
     grid_health,
     health_metrics,
-    list_runs,
     openmetrics_snapshot,
     prune_runs,
-    read_snapshot,
     regression_report,
     render_metrics,
     render_profile,
@@ -73,113 +63,13 @@ from repro.observability import (
     report_dict,
     to_openmetrics,
     validate_openmetrics,
-    write_snapshot,
 )
 from repro.observability.health import SLOPolicy
 from repro.provenance.invalidation import invalidated_by
 from repro.provenance.lineage import lineage_report
+from repro.system import VirtualDataSystem, Workspace
 
 DEFAULT_WORKSPACE = ".vdg"
-
-
-class Workspace:
-    """One on-disk virtual data workspace."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.catalog_dir = self.root / "catalog"
-        self.sandbox_dir = self.root / "sandbox"
-        self.observability_dir = self.root / "observability"
-        self.runs_dir = self.root / "runs"
-        self.journal_dir = self.root / "journal"
-        self.quarantine_dir = self.root / "quarantine"
-        self.rescue_dir = self.root / "rescue"
-        self.history_path = self.root / "history.sqlite"
-
-    @property
-    def exists(self) -> bool:
-        return self.catalog_dir.is_dir()
-
-    def create(self) -> None:
-        self.catalog_dir.mkdir(parents=True, exist_ok=True)
-        self.sandbox_dir.mkdir(parents=True, exist_ok=True)
-
-    def catalog(self) -> FileTreeCatalog:
-        if not self.exists:
-            raise VirtualDataError(
-                f"no workspace at {self.root}; run 'init' first"
-            )
-        catalog = FileTreeCatalog(self.catalog_dir)
-        # Journaled commits: executors wrap provenance write-back in
-        # catalog.transaction(), so a kill mid-commit is recoverable —
-        # 'fsck' (or the preflight) rolls the partial batch back.
-        catalog.attach_journal(
-            IntentJournal(self.journal_dir, instrumentation=catalog.obs)
-        )
-        return catalog
-
-    def executor(
-        self, instrumentation: Optional[Instrumentation] = None
-    ) -> LocalExecutor:
-        return LocalExecutor(
-            self.catalog(),
-            self.sandbox_dir,
-            instrumentation=instrumentation,
-            quarantine_dir=self.quarantine_dir,
-        )
-
-    def recovery(self, catalog=None, instrumentation=None) -> RecoveryManager:
-        """A RecoveryManager over this workspace's stores."""
-        return RecoveryManager(
-            catalog if catalog is not None else self.catalog(),
-            sandbox_dir=self.sandbox_dir,
-            journal_dir=self.journal_dir,
-            rescue_dir=self.rescue_dir,
-            runs_dir=self.runs_dir,
-            quarantine_dir=self.quarantine_dir,
-            instrumentation=instrumentation,
-        )
-
-    def save_snapshot(self, obs: Instrumentation) -> None:
-        """Persist this run's spans + metrics for ``stats``/``trace``."""
-        write_snapshot(obs, self.observability_dir)
-
-    def load_snapshot(self):
-        if not self.observability_dir.is_dir():
-            raise VirtualDataError(
-                f"no observability snapshot under {self.root}; run "
-                "'materialize' or 'run' first"
-            )
-        return read_snapshot(self.observability_dir)
-
-    def start_recorder(self, command: str) -> FlightRecorder:
-        """Open a new flight record under ``<workspace>/runs/``."""
-        return FlightRecorder.start(self.runs_dir, command=command)
-
-    def list_runs(self) -> list[RunRecord]:
-        return list_runs(self.runs_dir)
-
-    def load_run(self, run_id: str) -> RunRecord:
-        try:
-            return find_run(self.runs_dir, run_id)
-        except FileNotFoundError as exc:
-            raise VirtualDataError(str(exc)) from None
-
-    def history(self, ingest: bool = True) -> HistoryStore:
-        """The workspace's run-history metastore.
-
-        With ``ingest`` (the default), every new or changed flight
-        record under ``runs/`` is pulled in first, so queries always
-        see current history.
-        """
-        if not self.exists:
-            raise VirtualDataError(
-                f"no workspace at {self.root}; run 'init' first"
-            )
-        store = HistoryStore(self.history_path)
-        if ingest:
-            store.ingest_dir(self.runs_dir)
-        return store
 
 
 def _cmd_init(ws: Workspace, args, out) -> int:
@@ -213,16 +103,16 @@ def _cmd_lint(ws: Workspace, args, out) -> int:
     registry = default_rules()
     if args.no_rule:
         registry.disable(*args.no_rule)
-    obs = Instrumentation()
-    linter = Linter(registry=registry, obs=obs)
     if args.files:
+        # Files need no workspace; one that exists keeps the snapshot.
+        linter = Linter(registry=registry, obs=Instrumentation())
         results = [linter.lint_file(path) for path in args.files]
+        if ws.exists:
+            ws.save_snapshot(linter.obs)
     else:
-        results = [
-            linter.lint_catalog(ws.catalog(), incremental=args.incremental)
-        ]
-    if ws.exists:
-        ws.save_snapshot(obs)
+        session = VirtualDataSystem.open(ws)
+        results = [session.lint(incremental=args.incremental, rules=registry)]
+        session.save_snapshot()
     render = render_json if args.format == "json" else render_text
     for result in results:
         out(render(result))
@@ -236,25 +126,15 @@ def _cmd_lint(ws: Workspace, args, out) -> int:
 
 def _cmd_analyze(ws: Workspace, args, out) -> int:
     """Whole-graph dataflow analysis over the workspace catalog."""
-    from repro.analysis.linter import LintResult
     from repro.analysis.reporters import exit_code, render_json, render_text
 
-    obs = Instrumentation()
-    catalog = ws.catalog()
-    analyzer = catalog.live_analyzer()
-    analyzer.obs = obs  # surface solver spans in `repro trace`/`stats`
-    try:
-        diagnostics = analyzer.diagnostics(passes=args.passes)
-    except KeyError as exc:
-        out(f"analyze: {exc.args[0]}")
-        return 1
-    result = LintResult(file=analyzer.file, diagnostics=diagnostics)
-    if ws.exists:
-        ws.save_snapshot(obs)
+    session = VirtualDataSystem.open(ws)
+    result = session.analyze(passes=args.passes)
+    session.save_snapshot()
     render = render_json if args.format == "json" else render_text
     out(render(result))
     if args.stats:
-        stats = analyzer.stats()
+        stats = session.catalog.live_analyzer().stats()
         out(
             f"graph: {stats['nodes']} nodes "
             f"({stats['derivations']} derivations), "
@@ -295,39 +175,31 @@ def _cmd_list(ws: Workspace, args, out) -> int:
     return 0
 
 
+def _render_profile(profile: Optional[dict], out) -> None:
+    if profile is not None:
+        out(render_profile(profile))
+
+
 def _cmd_plan(ws: Workspace, args, out) -> int:
-    from repro.planner.dag import Planner
-    from repro.planner.request import MaterializationRequest
-
-    obs = Instrumentation()
-    if getattr(args, "profile", False):
-        profiler = SamplingProfiler(memory=True)
-        obs.attach_profiler(profiler)
-        profiler.start()
-    catalog = ws.catalog()
-    if args.strict:
-        from repro.analysis import Linter
-
-        # The incremental path checks the catalog's own graph instead
-        # of re-exporting and re-parsing it.
-        with obs.phase("analyze"):
-            result = Linter().lint_catalog(catalog, incremental=True)
-        if result.errors:
-            for diag in result.errors:
+    session = VirtualDataSystem.open(ws)
+    session.start_run(profile=args.profile)
+    try:
+        if args.strict:
+            # The incremental path checks the catalog's own graph
+            # instead of re-exporting and re-parsing it.
+            with session.obs.phase("analyze"):
+                errors = session.lint(incremental=True).errors
+            for diag in errors:
                 out(diag.render())
-            out(
-                f"plan aborted: {len(result.errors)} lint error(s) in the "
-                f"catalog (run 'lint' for details, or drop --strict)"
-            )
-            _finish_profile(obs, None, out)
-            return 1
-    executor = ws.executor()
-    planner = Planner(catalog, has_replica=executor.verify_replica)
-    with obs.phase("plan"):
-        plan = planner.plan(
-            MaterializationRequest(targets=(args.dataset,), reuse=args.reuse)
-        )
-    _finish_profile(obs, None, out)
+            if errors:
+                out(
+                    f"plan aborted: {len(errors)} lint error(s) in the "
+                    f"catalog (run 'lint' for details, or drop --strict)"
+                )
+                return 1
+        plan = session.plan(args.dataset, reuse=args.reuse)
+    finally:
+        _render_profile(session.stop_profile(), out)
     if not plan.steps:
         out(f"{args.dataset}: nothing to do "
             f"(reused: {', '.join(sorted(plan.reused)) or 'n/a'})")
@@ -340,53 +212,39 @@ def _cmd_plan(ws: Workspace, args, out) -> int:
     return 0
 
 
-def _instrument_run(ws: Workspace, command: str, args):
-    """Build the (obs, recorder, ticker) triple for an executing command.
-
-    Recording is on by default (``--no-record`` opts out); the live
-    progress ticker and the sampling profiler are opt-in
-    (``--progress``, ``--profile``).
-    """
-    from contextlib import nullcontext
-
-    obs = Instrumentation()
-    recorder = None
-    if not getattr(args, "no_record", False):
-        recorder = ws.start_recorder(command)
-        obs.attach_recorder(recorder)
-    ticker = nullcontext()
-    if getattr(args, "progress", False):
-        sink = ProgressSink()
-        obs.attach_progress(sink)
-        ticker = ProgressTicker(sink)
-    if getattr(args, "profile", False):
-        profiler = SamplingProfiler(memory=True)
-        obs.attach_profiler(profiler)
-        profiler.start()
-    return obs, recorder, ticker
-
-
-def _finish_profile(obs, recorder, out) -> None:
-    """Stop an attached profiler, persist and render its profile."""
-    profiler = getattr(obs, "profiler", None)
-    if profiler is None:
-        return
-    if profiler.running:
-        profiler.stop()
-    profile = profiler.to_dict()
-    if recorder is not None:
-        recorder.profile(profile)
-    out(render_profile(profile))
+def _open_run(ws: Workspace, args, out, command) -> Optional[VirtualDataSystem]:
+    """The session for an executing command, its run started; ``None``
+    when the preflight refuses the run (exit 2; ``--no-verify`` skips
+    it), so a half-committed catalog is never planned against."""
+    session = VirtualDataSystem.open(ws)
+    if not args.no_verify:
+        report = session.preflight()
+        repaired = [f for f in report.findings if f.repaired]
+        if repaired:
+            out(
+                f"recovered from crash: {len(repaired)} journal "
+                f"finding(s) repaired (see 'fsck' for details)"
+            )
+        if report.corrupted:
+            for finding in report.unrepaired("error"):
+                out(finding.render())
+            out(
+                "workspace failed its consistency preflight; run "
+                "'fsck --repair' (or pass --no-verify to proceed anyway)"
+            )
+            return None
+    session.start_run(
+        None if args.no_record else command,
+        progress=args.progress,
+        profile=args.profile,
+    )
+    return session
 
 
-def _finalize_run(ws: Workspace, obs, recorder, out, status, **fields) -> None:
-    # The profile line must land before finalize (finalize seals the
-    # record), so stop the profiler first.
-    _finish_profile(obs, recorder, out)
-    ws.save_snapshot(obs)
-    if recorder is not None:
-        recorder.finalize(obs, status=status, **fields)
-        out(f"run record: {recorder.run_id}")
+def _finish_run(session: VirtualDataSystem, out, status, result=None) -> None:
+    _render_profile(session.finish_run(status, result), out)
+    if session.recorder is not None:
+        out(f"run record: {session.recorder.run_id}")
 
 
 def _cmd_fsck(ws: Workspace, args, out) -> int:
@@ -396,16 +254,9 @@ def _cmd_fsck(ws: Workspace, args, out) -> int:
     2 when unrepaired error-severity corruption remains — mirroring
     classic fsck semantics so scripts and CI can gate on it.
     """
-    import json
-
-    obs = Instrumentation()
-    catalog = ws.catalog()
-    recovery = ws.recovery(catalog=catalog, instrumentation=obs)
-    report = recovery.fsck(
-        checksums=not args.no_checksums, repair=args.repair
-    )
-    if ws.exists:
-        ws.save_snapshot(obs)
+    session = VirtualDataSystem.open(ws)
+    report = session.fsck(checksums=not args.no_checksums, repair=args.repair)
+    session.save_snapshot()
     if args.format == "json":
         out(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -413,67 +264,28 @@ def _cmd_fsck(ws: Workspace, args, out) -> int:
     return 2 if report.corrupted else 0
 
 
-def _preflight(ws: Workspace, args, out) -> Optional[int]:
-    """Cheap consistency check before an executing command.
-
-    Journal findings repair themselves (that *is* crash recovery);
-    anything worse refuses the run with exit 2 so a half-committed
-    catalog is never planned against.  ``--no-verify`` skips it.
-    """
-    if getattr(args, "no_verify", False) or not ws.exists:
-        return None
-    catalog = ws.catalog()
-    report = ws.recovery(catalog=catalog).preflight()
-    repaired = [f for f in report.findings if f.repaired]
-    if repaired:
-        out(
-            f"recovered from crash: {len(repaired)} journal "
-            f"finding(s) repaired (see 'fsck' for details)"
-        )
-    if report.corrupted:
-        for finding in report.unrepaired("error"):
-            out(finding.render())
-        out(
-            "workspace failed its consistency preflight; run "
-            "'fsck --repair' (or pass --no-verify to proceed anyway)"
-        )
-        return 2
-    return None
-
-
 def _cmd_materialize(ws: Workspace, args, out) -> int:
-    return _materialize_local(
-        ws, args.dataset, args.reuse, getattr(args, "workers", 1), out,
-        args=args, backend=getattr(args, "backend", "thread"),
-    )
+    return _materialize_local(ws, args, out, args.dataset, args.reuse)
 
 
-def _materialize_local(
-    ws: Workspace, dataset: str, reuse: str, workers: int, out, args=None,
-    backend: str = "thread",
-) -> int:
-    blocked = _preflight(ws, args, out)
-    if blocked is not None:
-        return blocked
-    obs, recorder, ticker = _instrument_run(
-        ws, f"materialize {dataset}", args
-    )
-    executor = ws.executor(instrumentation=obs)
+def _materialize_local(ws: Workspace, args, out, dataset, reuse) -> int:
+    session = _open_run(ws, args, out, f"materialize {dataset}")
+    if session is None:
+        return 2
     status = "error"
     try:
-        with ticker:
-            invocations = executor.materialize(
-                dataset, reuse=reuse, workers=workers, backend=backend
-            )
+        invocations = session.local.materialize(
+            dataset, reuse=reuse, workers=args.workers, backend=args.backend
+        )
         status = "ok"
     finally:
-        _finalize_run(ws, obs, recorder, out, status)
+        _finish_run(session, out, status)
     if not invocations:
         out(f"{dataset} is already materialized")
     for inv in invocations:
         out(f"ran {inv.derivation_name}: {inv.status} "
             f"({inv.usage.wall_seconds * 1e3:.1f} ms)")
-    path = executor.path_for(dataset)
+    path = session.local.path_for(dataset)
     if path.exists():
         out(f"{dataset} -> {path} ({path.stat().st_size} bytes)")
     return 0
@@ -494,30 +306,12 @@ def _cmd_run(ws: Workspace, args, out) -> int:
         if args.grid == "local":
             # Local mode: the in-process executor's thread pool stands
             # in for the grid; --workers sizes it.
-            return _materialize_local(
-                ws, args.target, "always", args.workers, out, args=args,
-                backend=getattr(args, "backend", "thread"),
-            )
+            return _materialize_local(ws, args, out, args.target, "always")
         return _cmd_run_grid(ws, args, out)
     if not args.transformation:
         out("error: provide a transformation name, or --target DATASET "
             "for a grid workflow run")
         return 1
-    blocked = _preflight(ws, args, out)
-    if blocked is not None:
-        return blocked
-    obs, recorder, _ = _instrument_run(
-        ws, f"run {args.transformation}", args
-    )
-    executor = ws.executor(instrumentation=obs)
-    session = InteractiveSession(executor, prefix=args.session)
-    # Continue numbering from previous CLI invocations of this session.
-    existing = [
-        name
-        for name in executor.catalog.derivation_names()
-        if name.startswith(f"{args.session}.")
-    ]
-    session._counter = len(existing)
     bindings = {}
     for binding in args.binding:
         if "=" not in binding:
@@ -525,16 +319,20 @@ def _cmd_run(ws: Workspace, args, out) -> int:
             return 1
         key, _, value = binding.partition("=")
         bindings[key] = value
+    session = _open_run(ws, args, out, f"run {args.transformation}")
+    if session is None:
+        return 2
+    interactive = InteractiveSession(session.local, prefix=args.session)
     status = "error"
     try:
-        outputs = session.run(args.transformation, **bindings)
+        outputs = interactive.run(args.transformation, **bindings)
         status = "ok"
     finally:
-        _finalize_run(ws, obs, recorder, out, status)
-    entry = session.log[-1]
+        _finish_run(session, out, status)
+    entry = interactive.log[-1]
     out(f"ran {entry.derivation.name}: {entry.invocation.status}")
     for name in outputs:
-        path = executor.path_for(name)
+        path = session.local.path_for(name)
         out(f"  {name} -> {path} ({path.stat().st_size} bytes)")
     return 0
 
@@ -561,82 +359,52 @@ def _parse_grid(spec: str) -> dict[str, int]:
 def _cmd_run_grid(ws: Workspace, args, out) -> int:
     """Materialize ``--target`` on a simulated grid with recovery."""
     from repro.errors import WorkflowError
-    from repro.resilience import FaultPlan, RecoveryConfig, RescueFile
-    from repro.system import VirtualDataSystem
+    from repro.resilience import FaultPlan, RecoveryConfig
 
-    blocked = _preflight(ws, args, out)
-    if blocked is not None:
-        return blocked
     sites = _parse_grid(args.grid)
     fault_plan = FaultPlan.load(args.fault_plan) if args.fault_plan else None
-    recovery = RecoveryConfig.hardened(
-        seed=args.seed,
-        failure_policy=args.failure_policy,
-        step_timeout=args.step_timeout,
+    session = _open_run(
+        ws, args, out, f"run --target {args.target} --grid {args.grid}"
     )
-    obs, recorder, ticker = _instrument_run(
-        ws, f"run --target {args.target} --grid {args.grid}", args
-    )
-    vds = VirtualDataSystem.with_grid(
-        sites,
-        catalog=ws.catalog(),
-        failure_rate=args.failure_rate,
-        seed=args.seed,
-        instrumentation=obs,
-        fault_plan=fault_plan,
-        recovery=recovery,
-    )
-    vds.executor.max_retries = args.max_retries
-
-    # Raw sources must pre-exist on the grid: seed them at the first
-    # site using catalog size estimates.
-    preview = vds.plan(args.target, pattern=args.pattern)
-    seed_site = sorted(sites)[0]
-    for name in sorted(preview.sources | preview.reused):
-        size = vds.catalog.dataset_size(name, 1_000_000)
-        vds.seed_dataset(name, seed_site, size)
-
-    resume = args.rescue is not None
-    rescue_path = (
-        Path(args.rescue)
-        if args.rescue
-        else ws.rescue_dir / f"{args.target}.rescue.json"
-    )
-    base = None
-    if resume and rescue_path.exists():
-        base = RescueFile.load(rescue_path)
-        out(f"resuming from rescue file {rescue_path} "
-            f"({len(base.completed)} completed steps recorded)")
-
+    if session is None:
+        return 2
     status = 0
     result = None
+    resume = args.rescue is not None
+    rescue_path = session.rescue_path(args.target, args.rescue)
+    base = None
     try:
-        with ticker:
-            result = vds.materialize(
-                args.target,
-                pattern=args.pattern,
-                rescue=base,
-                until=args.kill_at,
-            )
+        session.attach_grid(
+            sites,
+            failure_rate=args.failure_rate,
+            seed=args.seed,
+            fault_plan=fault_plan,
+            recovery=RecoveryConfig.hardened(
+                seed=args.seed,
+                failure_policy=args.failure_policy,
+                step_timeout=args.step_timeout,
+            ),
+            max_retries=args.max_retries,
+        )
+        session.seed_sources(args.target, pattern=args.pattern)
+        base = session.load_rescue(rescue_path) if resume else None
+        if base is not None:
+            out(f"resuming from rescue file {rescue_path} "
+                f"({len(base.completed)} completed steps recorded)")
+        result = session.materialize(
+            args.target, pattern=args.pattern, rescue=base, until=args.kill_at
+        )
     except WorkflowError as exc:
         out(exc.render_summary())
         result = exc.result
         status = 1
     finally:
-        fields = {}
-        if result is not None:
-            fields["makespan"] = result.makespan
-            fields["failed_steps"] = sorted(result.failed_steps)
-            fields["interrupted"] = result.interrupted
-        _finalize_run(
-            ws, obs, recorder, out,
-            status="ok" if status == 0 and result is not None else "error",
-            **fields,
-        )
+        ok = status == 0 and result is not None
+        _finish_run(session, out, "ok" if ok else "error", result)
 
     if result is None:
         return status
-    restore = vds.executor.last_restore
+    restore = session.executor.last_restore
     if restore is not None and restore.quarantined:
         for lfn, site in restore.quarantined:
             out(f"quarantined corrupt replica {lfn} at {site}")
@@ -658,9 +426,7 @@ def _cmd_run_grid(ws: Workspace, args, out) -> int:
         out(f"run killed at t={args.kill_at:g}: {finished} of "
             f"{len(result.plan.steps)} steps finished")
     if not result.succeeded or resume:
-        rescue = vds.executor.rescue_file(result, base=base)
-        rescue_path.parent.mkdir(parents=True, exist_ok=True)
-        rescue.save(rescue_path)
+        session.save_rescue(result, rescue_path, base)
         out(f"rescue file written to {rescue_path} "
             f"(resume with --target {args.target} --rescue)")
     return status
@@ -727,8 +493,6 @@ def _load_metrics(ws: Workspace, run: Optional[str]) -> dict:
 
 def _cmd_stats(ws: Workspace, args, out) -> int:
     """Metrics from the last run, or from a recorded run (``--run``)."""
-    import json
-
     if args.run == "":
         return _render_run_list(ws, out)
     metrics = _load_metrics(ws, args.run)
@@ -745,8 +509,6 @@ def _cmd_stats(ws: Workspace, args, out) -> int:
 def _cmd_trace(ws: Workspace, args, out) -> int:
     """Span tree from the last run; ``--run`` selects a recorded run,
     ``--chrome`` exports a Perfetto-loadable Chrome trace instead."""
-    import json
-
     if args.run == "":
         return _render_run_list(ws, out)
     if args.chrome:
@@ -778,8 +540,6 @@ def _cmd_trace(ws: Workspace, args, out) -> int:
 
 def _cmd_report(ws: Workspace, args, out) -> int:
     """Critical-path and profile report for a recorded run."""
-    import json
-
     if not args.run_id:
         return _render_run_list(ws, out, verb="report")
     record = ws.load_run(args.run_id)
@@ -792,8 +552,6 @@ def _cmd_report(ws: Workspace, args, out) -> int:
 
 def _cmd_profile(ws: Workspace, args, out) -> int:
     """Phase/hot-frame report from a recorded run's profile line."""
-    import json
-
     from repro.observability import collapsed_stacks
 
     if not args.run_id:
@@ -816,11 +574,9 @@ def _cmd_profile(ws: Workspace, args, out) -> int:
 
 
 def _fmt_stamp(epoch) -> str:
-    import time as _time
-
     if not epoch:
         return "?"
-    return _time.strftime("%Y-%m-%d %H:%M:%S", _time.localtime(epoch))
+    return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(epoch))
 
 
 def _fmt_makespan(value) -> str:
@@ -867,8 +623,6 @@ def _cmd_runs(ws: Workspace, args, out) -> int:
 
 def _cmd_diff(ws: Workspace, args, out) -> int:
     """Compare two recorded runs end to end."""
-    import json
-
     base = ws.load_run(args.base)
     cand = ws.load_run(args.candidate)
     diff = diff_records(base, cand, threshold_pct=args.threshold)
@@ -886,8 +640,6 @@ def _cmd_regress(ws: Workspace, args, out) -> int:
     found (1 is reserved for operational errors), so CI can use this
     directly.
     """
-    import json
-
     candidate = ws.load_run(args.run)
     with ws.history() as history:
         try:
@@ -913,8 +665,6 @@ def _cmd_health(ws: Workspace, args, out) -> int:
     With ``--check``, exit 2 unless every site is within SLO (for
     CI/cron gating); without it, reporting is always exit 0.
     """
-    import json
-
     policy = SLOPolicy(success_target=args.slo)
     with ws.history() as history:
         if not len(history):
@@ -1013,34 +763,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="whole-graph dataflow analysis: staleness, dead data, "
         "type flow, output conflicts",
     )
-    analyze.add_argument(
-        "--stale",
-        action="append_const",
-        const="staleness",
-        dest="passes",
-        help="only staleness propagation (VDG601/VDG602)",
-    )
-    analyze.add_argument(
-        "--dead",
-        action="append_const",
-        const="dead-data",
-        dest="passes",
-        help="only dead-data detection (VDG611/VDG612)",
-    )
-    analyze.add_argument(
-        "--types",
-        action="append_const",
-        const="type-flow",
-        dest="passes",
-        help="only interprocedural type flow (VDG621)",
-    )
-    analyze.add_argument(
-        "--conflicts",
-        action="append_const",
-        const="output-conflict",
-        dest="passes",
-        help="only interprocedural output conflicts (VDG631)",
-    )
+    for flag, analysis, what in (
+        ("--stale", "staleness", "staleness propagation (VDG601/VDG602)"),
+        ("--dead", "dead-data", "dead-data detection (VDG611/VDG612)"),
+        ("--types", "type-flow", "interprocedural type flow (VDG621)"),
+        (
+            "--conflicts",
+            "output-conflict",
+            "interprocedural output conflicts (VDG631)",
+        ),
+    ):
+        analyze.add_argument(
+            flag,
+            action="append_const",
+            const=analysis,
+            dest="passes",
+            help=f"only {what}",
+        )
     analyze.add_argument(
         "--format", default="text", choices=("text", "json")
     )
@@ -1059,9 +798,12 @@ def build_parser() -> argparse.ArgumentParser:
     lister.set_defaults(fn=_cmd_list)
 
     plan = sub.add_parser("plan", help="show the workflow for a dataset")
-    plan.add_argument("dataset")
-    plan.add_argument("--reuse", default="always",
-                      choices=("never", "always", "cost"))
+    mat = sub.add_parser("materialize", help="produce a dataset")
+    for planned in (plan, mat):
+        planned.add_argument("dataset")
+        planned.add_argument(
+            "--reuse", default="always", choices=("never", "always", "cost")
+        )
     plan.add_argument(
         "--strict",
         action="store_true",
@@ -1074,10 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.set_defaults(fn=_cmd_plan)
 
-    mat = sub.add_parser("materialize", help="produce a dataset")
-    mat.add_argument("dataset")
-    mat.add_argument("--reuse", default="always",
-                     choices=("never", "always", "cost"))
     mat.add_argument(
         "--workers",
         type=int,
@@ -1175,27 +913,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(fn=_cmd_run)
     # The flags every executing command takes, last in its help.
     for executing in (mat, run):
-        executing.add_argument(
-            "--progress",
-            action="store_true",
-            help="show a live steps-done/running/failed ticker with ETA",
-        )
-        executing.add_argument(
-            "--profile",
-            action="store_true",
-            help="run the sampling profiler; the profile rides in the run "
-            "record (read back with 'profile RUN_ID')",
-        )
-        executing.add_argument(
-            "--no-record",
-            action="store_true",
-            help="skip writing a flight record under <workspace>/runs/",
-        )
-        executing.add_argument(
-            "--no-verify",
-            action="store_true",
-            help="skip the crash-consistency preflight check",
-        )
+        for flag, what in (
+            ("--progress", "show a live steps-done/running/failed ticker "
+             "with ETA"),
+            ("--profile", "run the sampling profiler; the profile rides in "
+             "the run record (read back with 'profile RUN_ID')"),
+            ("--no-record", "skip writing a flight record under "
+             "<workspace>/runs/"),
+            ("--no-verify", "skip the crash-consistency preflight check"),
+        ):
+            executing.add_argument(flag, action="store_true", help=what)
 
     fsck = sub.add_parser(
         "fsck",
@@ -1229,31 +956,24 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", default="vdl", choices=("vdl", "xml"))
     export.set_defaults(fn=_cmd_export)
 
+    # What stats and trace read: the snapshot, or a recorded run.
+    recorded_run = dict(
+        nargs="?",
+        const="",
+        default=None,
+        metavar="RUN_ID",
+        help="read a recorded run instead of the latest snapshot; "
+        "without RUN_ID, list available runs ('latest' also works)",
+    )
     stats = sub.add_parser("stats", help="metrics from the last traced run")
     stats.add_argument(
         "--format", default="text", choices=("text", "prom", "json")
     )
-    stats.add_argument(
-        "--run",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="RUN_ID",
-        help="read a recorded run instead of the latest snapshot; "
-        "without RUN_ID, list available runs ('latest' also works)",
-    )
+    stats.add_argument("--run", **recorded_run)
     stats.set_defaults(fn=_cmd_stats)
 
     trace = sub.add_parser("trace", help="span tree from the last traced run")
-    trace.add_argument(
-        "--run",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="RUN_ID",
-        help="read a recorded run instead of the latest snapshot; "
-        "without RUN_ID, list available runs ('latest' also works)",
-    )
+    trace.add_argument("--run", **recorded_run)
     trace.add_argument(
         "--chrome",
         action="store_true",
@@ -1272,27 +992,18 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="critical path + latency/throughput profiles of a recorded run",
     )
-    report.add_argument(
-        "run_id",
-        nargs="?",
-        help="run id under <workspace>/runs ('latest' works); "
-        "omit to list available runs",
-    )
-    report.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
     report.set_defaults(fn=_cmd_report)
-
     profile = sub.add_parser(
         "profile",
         help="per-phase time/memory/hot-frame report of a profiled run",
     )
-    profile.add_argument(
-        "run_id",
-        nargs="?",
-        help="run id under <workspace>/runs ('latest' works); "
-        "omit to list available runs",
-    )
+    for reader in (report, profile):
+        reader.add_argument(
+            "run_id",
+            nargs="?",
+            help="run id under <workspace>/runs ('latest' works); "
+            "omit to list available runs",
+        )
     profile.add_argument(
         "--json", action="store_true", help="dump the raw profile dict"
     )
@@ -1333,16 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument("base", help="baseline run id ('latest' works)")
     diff.add_argument("candidate", help="candidate run id")
-    diff.add_argument(
-        "--threshold",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="relative change (%%) considered significant (default 25)",
-    )
-    diff.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
     diff.set_defaults(fn=_cmd_diff)
 
     regress = sub.add_parser(
@@ -1370,17 +1071,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="baseline window when --baseline is not given (default 20)",
     )
-    regress.add_argument(
-        "--threshold",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="relative change (%%) considered significant (default 25)",
-    )
-    regress.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
     regress.set_defaults(fn=_cmd_regress)
+    for comparing in (diff, regress):
+        comparing.add_argument(
+            "--threshold",
+            type=float,
+            default=25.0,
+            metavar="PCT",
+            help="relative change (%%) considered significant (default 25)",
+        )
 
     health = sub.add_parser(
         "health", help="per-site SLO scorecards over recent runs"
@@ -1404,10 +1103,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 2 unless every site is within SLO",
     )
-    health.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
     health.set_defaults(fn=_cmd_health)
+    for reporting in (report, diff, regress, health):
+        reporting.add_argument(
+            "--json", action="store_true", help="machine-readable output"
+        )
 
     metrics = sub.add_parser(
         "metrics",

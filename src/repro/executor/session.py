@@ -50,8 +50,18 @@ class InteractiveSession:
         self.executor = executor
         self.catalog = executor.catalog
         self.prefix = prefix
-        self._counter = 0
         self.log: list[SessionEntry] = []
+
+    def _next_number(self) -> int:
+        """One past the highest ``<prefix>.NNNN`` derivation the catalog
+        holds, so a session continues any earlier one of its name."""
+        stem = f"{self.prefix}."
+        taken = (
+            name[len(stem):]
+            for name in self.catalog.derivation_names()
+            if name.startswith(stem)
+        )
+        return max((int(n) for n in taken if n.isdecimal()), default=0) + 1
 
     # -- running ---------------------------------------------------------------
 
@@ -64,8 +74,7 @@ class InteractiveSession:
         get generated ``<prefix>.N.<formal>`` names).
         """
         tr = self.catalog.get_transformation(transformation)
-        self._counter += 1
-        dv_name = f"{self.prefix}.{self._counter:04d}"
+        dv_name = f"{self.prefix}.{self._next_number():04d}"
         actuals: dict[str, Union[str, DatasetArg]] = {}
         for formal in tr.signature.formals:
             value = bindings.get(formal.name)
@@ -84,10 +93,7 @@ class InteractiveSession:
                             f"interactive run of {transformation!r}: input "
                             f"{formal.name!r} needs a dataset name"
                         )
-                    value = (
-                        formal.default
-                        or f"{self.prefix}.{self._counter:04d}.{formal.name}"
-                    )
+                    value = formal.default or f"{dv_name}.{formal.name}"
                 actuals[formal.name] = DatasetArg(
                     dataset=value, direction=formal.direction
                 )

@@ -55,6 +55,18 @@ class TestInteractiveRuns:
         report = lineage_report(session.catalog, doubled)
         assert report.depth() == 2
 
+    def test_numbering_continues_past_taken_names(self, session):
+        session.catalog.define(
+            'DV mysess.0007->gen( o=@{output:"earlier.o"} );'
+            'DV mysess.note->gen( o=@{output:"note.o"} );'
+        )
+        (out,) = session.run("gen")
+        assert out == "mysess.0008.o"
+        # A second session of the same name continues this one.
+        again = InteractiveSession(session.executor, prefix="mysess")
+        again.run("gen")
+        assert again.log[-1].derivation.name == "mysess.0009"
+
     def test_missing_input_rejected(self, session):
         with pytest.raises(ExecutionError):
             session.run("double")  # no input binding

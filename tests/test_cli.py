@@ -219,6 +219,52 @@ class TestAdHocRun:
         code, output = defined("run", "emit", "noequals")
         assert code == 1
         assert "name=value" in output
+        # Rejected before the run starts: no crashed-looking record.
+        assert "no recorded runs" in defined("runs")[1]
+
+    def test_numbering_skips_a_taken_name(self, defined, tmp_path):
+        """A DV from VDL may hold a name the session would generate:
+        numbering continues past the highest one taken."""
+        vdl_file = tmp_path / "taken.vdl"
+        vdl_file.write_text('DV cli.0002->emit( o=@{output:"taken.txt"} );')
+        assert defined("define", str(vdl_file))[0] == 0
+        for expected in ("cli.0003", "cli.0004"):
+            code, output = defined("run", "emit", f"o={expected}.txt")
+            assert code == 0, output
+            assert f"ran {expected}: success" in output
+
+
+class TestOneCatalogOpen:
+    """Each command opens the workspace's file tree once: the preflight
+    repairs through the same handle the run then uses."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("plan", "copy.txt"),
+            ("materialize", "copy.txt"),
+            ("run", "emit", "o=adhoc.txt"),
+            ("run", "--target", "copy.txt", "--grid", "a=2,b=2"),
+            ("run", "--target", "copy.txt", "--grid", "local"),
+            ("fsck",),
+            ("lineage", "copy.txt"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_one_open_per_command(self, defined, monkeypatch, argv):
+        from repro.catalog.filetree import FileTreeCatalog
+
+        opens = []
+        real_init = FileTreeCatalog.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opens.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FileTreeCatalog, "__init__", counting_init)
+        code, output = defined(*argv)
+        assert code == 0, output
+        assert len(opens) == 1
 
 
 class TestObservability:
@@ -405,6 +451,12 @@ class TestRunRecords:
 
     def test_progress_flag_ticks(self, defined, capsys):
         code, output = defined("materialize", "copy.txt", "--progress")
+        assert code == 0
+        ticker = capsys.readouterr().err
+        assert "done" in ticker and "elapsed" in ticker
+
+    def test_progress_flag_ticks_an_ad_hoc_run(self, defined, capsys):
+        code, output = defined("run", "emit", "o=adhoc.txt", "--progress")
         assert code == 0
         ticker = capsys.readouterr().err
         assert "done" in ticker and "elapsed" in ticker
