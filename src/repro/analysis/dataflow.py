@@ -29,7 +29,10 @@ Two solve modes:
   increases) propagate exactly.  When a fact *shrinks* the engine
   re-solves the affected cone from bottom (facts on a cycle could
   otherwise sustain each other after their support vanished), which is
-  still confined to the nodes reachable from the shrink.
+  still confined to the nodes reachable from the shrink.  A seed that
+  held a fact and lies on a cycle is re-solved the same way even when
+  its recomputed fact did not shrink: a mutation may have removed its
+  support while the cycle still feeds it its old fact.
 """
 
 from __future__ import annotations
@@ -321,6 +324,21 @@ class _Solver:
                                 push(nxt)
         self.stats.visited += visited
 
+    def reaches_itself(self, kind: int, name: str) -> bool:
+        """Whether ``name``'s fact travels round a cycle back to it."""
+        seen = name_sets()
+        stack = [(kind, name)]
+        while stack:
+            at, node = stack.pop()
+            reached = seen[1 - at]
+            for nxt in self.feeds[at].get(node, ()):
+                if nxt not in reached:
+                    if 1 - at == kind and nxt == name:
+                        return True
+                    reached.add(nxt)
+                    stack.append((1 - at, nxt))
+        return False
+
     def cone(self, starts: PerKind) -> PerKind:
         """``starts`` plus everything their facts reach, per kind."""
         cone = PerKind(set(starts.datasets), set(starts.derivations))
@@ -383,7 +401,22 @@ def solve(
         stats.seeds = solver.seeded(seeds)
         _merge(result.report, seeds)
         decreased = name_sets()
+        held = PerKind(
+            *(names & table.keys() for names, table in zip(seeds, facts))
+        )
         solver.iterate(seeds, result.changed, decreased)
+        if solver.feeds is not None:
+            # A seed's transfer may have changed under it (an edge
+            # gone, a sink no longer one).  Recomputed from neighbours
+            # its own old fact supports round a cycle, its fact can
+            # stand where a solve from bottom would not: a seed that
+            # held a fact and reaches itself is re-solved as a shrink.
+            for kind, names in enumerate(held):
+                shrank = decreased[kind]
+                shrank.update(
+                    name for name in names
+                    if name not in shrank and solver.reaches_itself(kind, name)
+                )
         if any(decreased) and solver.feeds is not None:
             # A fact shrank: re-derive its cone from bottom so no
             # cyclic fact keeps feeding on removed support.  Facts at

@@ -78,8 +78,16 @@ def _cmd_init(ws: Workspace, args, out) -> int:
     return 0
 
 
+def _read_source(path: str) -> str:
+    """A VDL file's text; an unreadable file is an operational error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise VirtualDataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _cmd_define(ws: Workspace, args, out) -> int:
-    source = Path(args.file).read_text()
+    source = _read_source(args.file)
     catalog = ws.catalog()
     before = catalog.counts()
     try:
@@ -106,7 +114,10 @@ def _cmd_lint(ws: Workspace, args, out) -> int:
     if args.files:
         # Files need no workspace; one that exists keeps the snapshot.
         linter = Linter(registry=registry, obs=Instrumentation())
-        results = [linter.lint_file(path) for path in args.files]
+        results = [
+            linter.lint_source(_read_source(path), file=path)
+            for path in args.files
+        ]
         if ws.exists:
             ws.save_snapshot(linter.obs)
     else:

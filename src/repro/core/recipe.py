@@ -36,9 +36,12 @@ def _strip_volatile(payload: Mapping[str, Any]) -> dict[str, Any]:
 
 def transformation_digest(tr_payload: Mapping[str, Any]) -> str:
     """Digest of a transformation payload (name, version, body)."""
-    doc = _strip_volatile(tr_payload)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    blob = _encode(_strip_volatile(tr_payload))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _encode(doc: Any) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def recipe_digest(
@@ -57,8 +60,7 @@ def recipe_digest(
             _strip_volatile(tr_payload) if tr_payload is not None else None
         ),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode(doc).encode("utf-8")).hexdigest()
 
 
 def stamp_recipe(invocation: Any, dv: Any, tr: Any) -> None:
@@ -66,9 +68,23 @@ def stamp_recipe(invocation: Any, dv: Any, tr: Any) -> None:
 
     Called by executors just before the invocation is added to the
     catalog; the staleness analysis compares these attributes against
-    the recipe the catalog currently resolves.
+    the recipe the catalog currently resolves.  The digest is
+    :func:`recipe_digest`'s: with sorted keys the blob is
+    ``{"derivation":…,"transformation":…}``, so the transformation
+    half is encoded once per transformation record (while its
+    serialized XML stands) and spliced in.
     """
+    tr_payload = tr.to_dict()
+    memo = getattr(tr, "_recipe_half", None)
+    if memo is None or memo[0] is not tr_payload["xml"]:
+        memo = tr._recipe_half = (
+            tr_payload["xml"], _encode(_strip_volatile(tr_payload))
+        )
+    blob = (
+        f'{{"derivation":{_encode(_strip_volatile(dv.to_dict()))},'
+        f'"transformation":{memo[1]}}}'
+    )
     invocation.attributes.set(TR_VERSION_ATTR, tr.version)
     invocation.attributes.set(
-        RECIPE_DIGEST_ATTR, recipe_digest(dv.to_dict(), tr.to_dict())
+        RECIPE_DIGEST_ATTR, hashlib.sha256(blob.encode("utf-8")).hexdigest()
     )

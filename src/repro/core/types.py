@@ -57,6 +57,9 @@ class TypeRegistry:
         self._nodes: dict[str, dict[str, tuple[str, Optional[str]]]] = {}
         for dim, root in DIMENSION_ROOTS.items():
             self._nodes[dim] = {root.lower(): (root, None)}
+        # (actual, formals) -> conforms_to_any's answer, for the
+        # registry's contents as they are: cleared when a type is added.
+        self._conformance: dict[tuple, bool] = {}
 
     # -- registration ------------------------------------------------
 
@@ -85,6 +88,7 @@ class TypeRegistry:
                 )
             return
         nodes[key] = (name, parent_key)
+        self._conformance.clear()
 
     def register_hierarchy(self, dimension: str, tree: dict) -> None:
         """Register a nested ``{name: {child: {...}}}`` tree of subtypes.
@@ -194,8 +198,17 @@ class TypeRegistry:
 
         Transformation arguments may be typed as a *list* of dataset
         types, meaning a union: the actual type must match one member.
+        Answers are memoized per (actual, formals) pair: a define checks
+        the same few pairs once per dataset argument.  Unknown types
+        raise every time.
         """
-        return any(self.conforms(actual, formal) for formal in formals)
+        key = (actual, tuple(formals))
+        answer = self._conformance.get(key)
+        if answer is None:
+            answer = self._conformance[key] = any(
+                self.conforms(actual, formal) for formal in key[1]
+            )
+        return answer
 
     # -- internals ---------------------------------------------------
 

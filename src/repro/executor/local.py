@@ -20,9 +20,9 @@ import os
 import platform
 import queue
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from threading import Event, Thread
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.core.derivation import Derivation
@@ -40,7 +40,7 @@ from repro.executor.process import (
     InvocationOutcome,
     InvocationPayload,
     RunContext,
-    exit_with_parent,
+    WorkerPool,
     file_stamp,
     preflight_payload,
     run_invocation,
@@ -91,6 +91,14 @@ def commit_invocation(
         obs.recorder.invocation(invocation)
 
 
+#: Host, OS and CPU of this process, stamped on every invocation.
+_HOST = dict(
+    host=platform.node() or "localhost",
+    os=platform.system().lower() or "linux",
+    processor=platform.machine() or "x86_64",
+)
+
+
 class LocalExecutor:
     """Runs derivations in a sandbox directory, recording provenance."""
 
@@ -107,6 +115,7 @@ class LocalExecutor:
         # inside the sandbox) never resolve a path against the cwd.
         self.workdir = Path(workdir).absolute()
         self.workdir.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.workdir)
         self.site_name = site_name
         self.quarantine_dir = (
             Path(quarantine_dir)
@@ -141,7 +150,11 @@ class LocalExecutor:
 
     def path_for(self, dataset_name: str) -> Path:
         """Sandbox path holding (or destined to hold) a dataset."""
-        return self.workdir / sandbox_filename(dataset_name)
+        return Path(self._sandbox_path(dataset_name))
+
+    def _sandbox_path(self, dataset_name: str) -> str:
+        """:meth:`path_for` as a string, joined without pathlib."""
+        return os.path.join(self._root, sandbox_filename(dataset_name))
 
     def verify_replica(self, dataset_name: str) -> bool:
         """Whether a sandbox copy exists *and* matches its checksum.
@@ -250,22 +263,18 @@ class LocalExecutor:
         except ExecutionError:
             self._count(None)
             raise
-        return self._run(dv, tr, payload)
+        return self._finish(dv, tr, payload, self._execute(payload))
 
-    def _run(self, dv, tr, payload, parent=None) -> Invocation:
-        """Run a payload and commit its outcome on the calling thread.
-
-        ``parent`` is the dispatching thread's ``executor.materialize``
-        span: pool threads start with an empty context-local span
-        stack, so it is adopted explicitly to keep the
-        ``executor.execute`` span nested under the materialize span
-        rather than becoming a root.
-        """
+    def _execute(self, payload, parent=None) -> InvocationOutcome:
+        """Run a payload in the step's ``executor.execute`` span, on
+        whichever thread calls; the calling thread commits it.
+        ``parent``, the dispatching ``executor.materialize`` span, is
+        adopted explicitly: a pool thread's context-local span stack
+        starts empty, and the span must not become a root."""
         with self.obs.adopt(parent), self.obs.span(
-            "executor.execute", derivation=dv.name
+            "executor.execute", derivation=payload.derivation_name
         ):
-            outcome = run_invocation(payload, NULL)
-            return self._finish(dv, tr, payload, outcome)
+            return run_invocation(payload, NULL)
 
     def _build_payload(
         self, dv: Derivation, step_name: str
@@ -300,16 +309,14 @@ class LocalExecutor:
                 continue
             if isinstance(actual, str):
                 # Dataset formal bound via default LFN string.
-                path = self.path_for(actual)
-                dataset, direction = path.name, formal
+                dataset, direction = sandbox_filename(actual), formal
             else:
-                path = self.path_for(actual.dataset)
                 dataset, direction = actual.dataset, actual
-            values[formal.name] = str(path)
+            path = values[formal.name] = self._sandbox_path(dataset)
             if direction.is_input:
-                input_paths[formal.name] = str(path)
+                input_paths[formal.name] = path
             if direction.is_output:
-                output_paths[formal.name] = str(path)
+                output_paths[formal.name] = path
                 output_datasets[formal.name] = dataset
         for formal, path in input_paths.items():
             if not os.path.exists(path):
@@ -321,7 +328,7 @@ class LocalExecutor:
         for stream_name, rendered in tr.stream_redirects(values).items():
             if not os.path.isabs(rendered):
                 # A bare LFN (e.g. a string default): sandbox it.
-                rendered = str(self.workdir / rendered.replace("/", "_"))
+                rendered = os.path.join(self._root, rendered.replace("/", "_"))
             streams[stream_name] = rendered
         return tr, InvocationPayload(
             step_name=step_name,
@@ -332,7 +339,7 @@ class LocalExecutor:
                 **dict(dv.environment),
                 **tr.rendered_environment(values),
             },
-            workdir=str(self.workdir),
+            workdir=self._root,
             input_paths=input_paths,
             output_paths=output_paths,
             output_datasets=output_datasets,
@@ -396,10 +403,8 @@ class LocalExecutor:
             start_time=outcome.started,
             context=ExecutionContext.make(
                 site=self.site_name,
-                host=platform.node() or "localhost",
-                os=platform.system().lower() or "linux",
-                processor=platform.machine() or "x86_64",
-                environment=dict(payload.environment),
+                environment=payload.environment,
+                **_HOST,
             ),
             usage=ResourceUsage(
                 cpu_seconds=outcome.wall_seconds,
@@ -472,16 +477,15 @@ class LocalExecutor:
         frontier concurrently (§5.4's workflow manager dispatches
         "nodes of the workflow graph when the node's predecessor
         dependencies have completed"); ``workers=1`` on the thread
-        backend runs each step on the calling thread instead.
-        ``backend`` selects the pool: ``"thread"`` (default) shares the
-        interpreter and suits I/O-bound or subprocess-heavy steps;
-        ``"process"`` runs registered Python bodies in worker processes
-        so CPU-bound steps scale past the GIL (bodies must then be
-        module-level functions — see :mod:`repro.executor.process`).
-        ``failure_policy`` is one of the PR-3 policies: ``"fail-fast"``
-        (default) stops dispatching on the first failure and re-raises
-        it once in-flight steps drain; ``"run-what-you-can"`` keeps
-        executing steps outside the failed subtree and raises
+        backend runs each step on the calling thread instead.  Either
+        way the calling thread commits every step.  ``backend``:
+        ``"thread"`` (default) suits I/O-bound or subprocess-heavy
+        steps; ``"process"`` runs registered Python bodies (module-level
+        functions) in worker processes, past the GIL.
+        ``failure_policy``: ``"fail-fast"`` (default) stops dispatching
+        on the first failure and re-raises it once in-flight steps
+        drain; ``"run-what-you-can"`` keeps executing steps outside the
+        failed subtree and raises
         :class:`~repro.errors.MaterializationError` at the end.
         """
         if workers < 1:
@@ -515,17 +519,23 @@ class LocalExecutor:
                     lane.close()
                 return self._results(driver, lane.rank, policy)
 
+    def _preflight(self, payload: InvocationPayload) -> bytes:
+        """A process-lane job: the payload pickled once (a failure names
+        the offending field); the worker unpickles these very bytes."""
+        try:
+            return preflight_payload(payload)
+        except ExecutionError:
+            self._count(None)
+            raise
+
     def _lane(self, plan, workers: int, backend: str, parent) -> "_Lane":
         if backend == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=exit_with_parent
-            )
-            return _ProcessLane(self, plan, parent, pool)
+            pool = WorkerPool(run_pickled, workers)
+            return _Lane(self, plan, parent, pool, job=self._preflight)
         if workers == 1:
             return _InlineLane(self, plan, parent)
-        return _Lane(
-            self, plan, parent, ThreadPoolExecutor(max_workers=workers)
-        )
+        pool = ThreadPool(lambda job: self._execute(job, parent), workers)
+        return _Lane(self, plan, parent, pool)
 
     @staticmethod
     def _results(driver: Driver, rank, policy: str) -> list[Invocation]:
@@ -637,10 +647,58 @@ class LocalExecutor:
                     )
 
 
+class ThreadPool:
+    """The thread lane's pool, :class:`WorkerPool`'s thread twin: a
+    job's result is ``fn(job)``, or the exception it raised.  The
+    calling thread is woken only once fewer jobs wait than there are
+    threads: it then commits the whole batch, instead of contending
+    with the threads for the GIL after every step."""
+
+    def __init__(self, fn: Callable[[Any], Any], workers: int):
+        self._fn, self._size = fn, workers
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: list[tuple[str, Any]] = []
+        self._wake = Event()
+        self._threads = [Thread(target=self._serve) for _ in range(workers)]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self) -> None:
+        while (item := self._jobs.get()) is not None:
+            try:
+                result = self._fn(item[1])
+            except BaseException as exc:  # a dead thread would hang the run
+                result = exc
+            self._done.append((item[0], result))
+            if self._jobs.qsize() < self._size:
+                self._wake.set()
+
+    def submit(self, name: str, job: Any) -> None:
+        self._jobs.put((name, job))
+
+    def wait(self) -> list[tuple[str, Any]]:
+        batch: list[tuple[str, Any]] = []
+        while not batch:
+            self._wake.wait()
+            self._wake.clear()
+            batch = self._done[:]
+            del self._done[: len(batch)]
+        return batch
+
+    def close(self) -> None:
+        for _ in self._threads:
+            self._jobs.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
 class _Lane:
     """The thread lane, and what every local lane shares as a driver
-    backend: a pool thread runs the payload, then commits it itself
-    (the catalog serializes its own mutations).
+    backend.  The pool (a :class:`ThreadPool` or a
+    :class:`WorkerPool`) only runs payloads; the calling thread commits
+    every outcome (invocation, replicas, recipe stamp) as it settles
+    the step, so one thread writes the catalog and upstream provenance
+    lands before a dependent starts.
 
     ``admit`` builds the payload on the calling thread, and holds the
     step back while a live step is writing one of the same sandbox
@@ -654,7 +712,9 @@ class _Lane:
     namespace = "executor.pool"
     clock = "wall"
 
-    def __init__(self, executor: LocalExecutor, plan, parent=None, pool=None):
+    def __init__(
+        self, executor: LocalExecutor, plan, parent=None, pool=None, job=None
+    ):
         self._executor = executor
         self._steps = plan.steps
         #: Step -> topological rank: the order a batch settles in.
@@ -662,9 +722,10 @@ class _Lane:
         #: The dispatching ``executor.materialize`` span.
         self._parent = parent
         self._pool = pool
-        self._live: dict[str, tuple] = {}  # name -> (dv, tr, payload, future)
+        #: What the pool is handed for a step's payload.
+        self._job = job or (lambda payload: payload)
+        self._live: dict[str, Any] = {}  # name -> (dv, tr, payload)
         self._busy_outputs: set[str] = set()  # sandbox paths being written
-        self._finished: queue.SimpleQueue = queue.SimpleQueue()
         #: What ``admit`` prepared for ``start``: (dv, tr, payload), or
         #: the error that building the payload raised.
         self._admitted: Any = None
@@ -690,67 +751,64 @@ class _Lane:
 
     def start(self, name: str, attempt: int) -> Optional[Attempt]:
         admitted, self._admitted = self._admitted, None
-        if isinstance(admitted, ExecutionError):
-            return self._failed(admitted)
-        dv, tr, payload = admitted
         try:
-            future = self._start(dv, tr, payload)
+            if isinstance(admitted, ExecutionError):
+                raise admitted
+            self._live[name] = self._start(name, *admitted)
         except ExecutionError as exc:
             return self._failed(exc)
-        future.add_done_callback(lambda _: self._finished.put(name))
-        self._live[name] = admitted + (future,)
-        self._busy_outputs.update(payload.output_paths.values())
         return None
 
-    def _start(self, dv, tr, payload) -> Future:
-        return self._pool.submit(
-            self._executor._run, dv, tr, payload, self._parent
-        )
+    def _start(self, name, dv, tr, payload) -> Any:
+        """Hand one step to the pool; returns what settling it needs."""
+        self._pool.submit(name, self._job(payload))
+        self._busy_outputs.update(payload.output_paths.values())
+        return dv, tr, payload
 
     def run(self, driver: Driver) -> None:
         driver.dispatch()
         while self._live:
-            batch = [self._finished.get()]
-            while not self._finished.empty():
-                batch.append(self._finished.get())
-            for name in sorted(batch, key=self.rank.__getitem__):
-                driver.settle(name, self._settle(name))
+            for name, attempt in self._settled():
+                driver.settle(name, attempt)
             driver.dispatch()
 
-    def _settle(self, name: str) -> Attempt:
-        dv, tr, payload, future = self._live.pop(name)
-        self._busy_outputs.difference_update(payload.output_paths.values())
-        try:
-            invocation = self._result(dv, tr, payload, future)
-        except ExecutionError as exc:
-            return self._failed(exc)
-        start = invocation.start_time
-        return Attempt(
-            ok=True,
-            status="success",
-            start=start,
-            end=start + invocation.usage.wall_seconds,
-            site=self._executor.site_name,
-            value=invocation,
-        )
+    def _settled(self) -> Iterator[tuple[str, Attempt]]:
+        """Block for a batch of finished steps; commit each, in
+        topological rank.  A worker that raised or died fails its step
+        without provenance.  A worker process's telemetry is merged
+        even when there is nothing to commit: failed steps are the
+        ones whose trace matters."""
+        batch = sorted(self._pool.wait(), key=lambda r: self.rank[r[0]])
+        for name, result in batch:
+            dv, tr, payload = self._live.pop(name)
+            self._busy_outputs.difference_update(payload.output_paths.values())
+            try:
+                if isinstance(result, BaseException):
+                    self._executor._count(None)
+                    raise ExecutionError(
+                        f"derivation {dv.name!r}: worker failed "
+                        f"({type(result).__name__}: {result})"
+                    ) from result
+                invocation = self._executor._finish(dv, tr, payload, result)
+                attempt = self._succeeded(invocation)
+            except ExecutionError as exc:
+                attempt = self._failed(exc)
+            finally:
+                self._executor._merge_worker_telemetry(result, self._parent)
+            yield name, attempt
+
+    def _succeeded(self, invocation: Invocation) -> Attempt:
+        start, site = invocation.start_time, self._executor.site_name
+        end = start + invocation.usage.wall_seconds
+        return Attempt(True, "success", start, end, site, value=invocation)
 
     def _failed(self, error: ExecutionError) -> Attempt:
-        now = time.time()
-        return Attempt(
-            ok=False,
-            status="failure",
-            start=now,
-            end=now,
-            site=self._executor.site_name,
-            error=error,
-        )
-
-    def _result(self, dv, tr, payload, future) -> Invocation:
-        return future.result()
+        now, site = time.time(), self._executor.site_name
+        return Attempt(False, "failure", now, now, site, error=error)
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.close()
 
 
 class _InlineLane(_Lane):
@@ -760,43 +818,10 @@ class _InlineLane(_Lane):
     under fail-fast nothing behind it runs.  Each round is one level of
     the plan, so a clean run goes in the plan's topological order."""
 
-    def _start(self, dv, tr, payload) -> Future:
-        future: Future = Future()
-        future.set_result(self._executor._run(dv, tr, payload, self._parent))
-        return future
+    def _start(self, name, dv, tr, payload) -> Attempt:
+        outcome = self._executor._execute(payload, self._parent)
+        return self._succeeded(self._executor._finish(dv, tr, payload, outcome))
 
-
-class _ProcessLane(_Lane):
-    """Process backend: a worker process runs the payload and hashes
-    its outputs, touching no catalog or lock.  The calling thread
-    commits each outcome as it settles the step, before the step's
-    dependents are released — so upstream provenance always lands
-    first.  A worker's telemetry is merged even when there is nothing
-    to commit: failed steps are the ones whose trace matters.
-    """
-
-    def _start(self, dv, tr, payload) -> Future:
-        # Pickle-preflighted so a failure names the offending field;
-        # the worker unpickles those same bytes.
-        try:
-            pickled = preflight_payload(payload)
-        except ExecutionError:
-            self._executor._count(None)
-            raise
-        return self._pool.submit(run_pickled, pickled)
-
-    def _result(self, dv, tr, payload, future) -> Invocation:
-        try:
-            outcome = future.result()
-        except Exception as exc:
-            # A worker died hard (pool broken, unpicklable outcome):
-            # fail the step without provenance.
-            self._executor._count(None)
-            raise ExecutionError(
-                f"derivation {dv.name!r}: worker failed "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        try:
-            return self._executor._finish(dv, tr, payload, outcome)
-        finally:
-            self._executor._merge_worker_telemetry(outcome, self._parent)
+    def _settled(self) -> Iterator[tuple[str, Attempt]]:
+        batch, self._live = self._live, {}
+        return iter(sorted(batch.items(), key=lambda r: self.rank[r[0]]))

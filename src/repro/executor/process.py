@@ -11,19 +11,17 @@ lane, the thread lane, the process lane — takes the same route::
   it refers to the catalog, the executor, or a lock.
 - :func:`run_invocation` — this module — executes it and returns an
   :class:`InvocationOutcome`: status, timing, byte counts, and size,
-  mtime and content digest per output.  It is the only place a body is
+  stamp and content digest per output.  It is the only place a body is
   called or a subprocess started.
-- The executor turns the outcome into an ``Invocation`` and commits it
-  with ``repro.executor.local.commit_invocation``, one catalog
-  transaction per step.
+- The calling thread turns the outcome into an ``Invocation`` and
+  commits it with ``repro.executor.local.commit_invocation``, one
+  catalog transaction per step, on every lane.
 
-The lanes differ only in *where* :func:`run_invocation` executes and
-*which thread* commits: the calling thread for ``execute()`` and the
-inline lane (``workers=1``); a pool thread, which then commits itself,
-on the thread lane; a worker process on the process lane, whose
-outcomes the parent's dispatching thread commits as it settles each
-step (so catalog locks and transactions never cross a process
-boundary, and Python bodies that compute escape the GIL).
+The lanes differ only in *where* :func:`run_invocation` executes: on
+the calling thread (``execute()`` and ``workers=1``), on a pool thread,
+or in a :class:`WorkerPool` process — so catalog locks and
+transactions never cross a thread or process boundary, and Python
+bodies that compute escape the GIL on the process lane.
 
 Only worker processes capture telemetry: called with no
 instrumentation, :func:`run_invocation` records its ``worker.*`` spans,
@@ -31,24 +29,27 @@ events and failure stream tails into the outcome for the parent to
 merge; in-process callers pass the no-op instrumentation and keep
 their own ``executor.execute`` span.
 
-:func:`preflight_payload` pickles a payload *before* submission to a
-process pool and, on failure, re-pickles field by field so the error
-names the offending field — typically a transformation body that is a
-lambda or closure instead of a module-level function.  The process
-lane submits those bytes to :func:`run_pickled`, so a payload is
-pickled once per step.
+:func:`preflight_payload` pickles a payload *before* it is sent to a
+worker and, on failure, re-pickles field by field so the error names
+the offending field — typically a transformation body that is a lambda
+or closure instead of a module-level function.  The worker gets those
+very bytes (:func:`run_pickled`), so a payload is pickled once per
+step.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import shlex
 import subprocess
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from collections import deque
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
@@ -61,26 +62,17 @@ from repro.errors import ExecutionError
 STREAM_TAIL_BYTES = 2048
 
 
+@dataclass
 class RunContext:
     """Everything a registered Python transformation body receives."""
 
-    def __init__(
-        self,
-        workdir: Path,
-        argv: tuple[str, ...],
-        environment: dict[str, str],
-        input_paths: dict[str, Path],
-        output_paths: dict[str, Path],
-        parameters: dict[str, str],
-        streams: dict[str, Path],
-    ):
-        self.workdir = workdir
-        self.argv = argv
-        self.environment = environment
-        self.input_paths = input_paths
-        self.output_paths = output_paths
-        self.parameters = parameters
-        self.streams = streams
+    workdir: Path
+    argv: tuple[str, ...]
+    environment: dict[str, str]
+    input_paths: dict[str, Path]
+    output_paths: dict[str, Path]
+    parameters: dict[str, str]
+    streams: dict[str, Path]
 
     def read_input(self, formal: str) -> bytes:
         """Read the full contents of the input bound to ``formal``."""
@@ -235,12 +227,11 @@ class TelemetryCapture:
         """Read the last bytes of redirected stdout/stderr files."""
         for key in ("stdout", "stderr"):
             path = streams.get(key)
-            if not path or not os.path.exists(path):
+            if not path:
                 continue
             try:
-                size = os.path.getsize(path)
                 with open(path, "rb") as handle:
-                    if size > STREAM_TAIL_BYTES:
+                    if os.fstat(handle.fileno()).st_size > STREAM_TAIL_BYTES:
                         handle.seek(-STREAM_TAIL_BYTES, os.SEEK_END)
                     tail = handle.read().decode("utf-8", "replace")
             except OSError:
@@ -260,7 +251,6 @@ class InvocationOutcome:
     payload's formal order, only on success.
     """
 
-    step_name: str
     derivation_name: str
     status: str
     commit: bool = True
@@ -271,7 +261,6 @@ class InvocationOutcome:
     bytes_read: int = 0
     bytes_written: int = 0
     outputs: dict[str, OutputStat] = field(default_factory=dict)
-    pid: int = 0
     telemetry: Optional[WorkerTelemetry] = None
 
 
@@ -329,6 +318,99 @@ def exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+class WorkerPool:
+    """The process lane's pool: ``workers`` processes, started at the
+    first submission, each sent its jobs' bytes as they are over its
+    own pipe by the calling thread, which blocks in
+    :func:`~multiprocessing.connection.wait` for a batch of ``(name,
+    result)`` pairs: no helper thread.  A worker holds up to two jobs,
+    so it never waits on the parent between jobs; replies (outcomes of
+    a few KiB) never fill a pipe, so no send blocks for good.  A worker
+    that dies fails the job it ran, requeues the one behind it, and is
+    replaced.  Forked workers hold each other's pipe ends and never see
+    EOF: :meth:`close` sends an empty job as the sentinel, then joins
+    for a bounded time."""
+
+    def __init__(self, fn: Callable[[bytes], Any], workers: int):
+        self._fn, self._size = fn, workers
+        self._procs: dict[Connection, multiprocessing.Process] = {}
+        #: Worker -> the jobs it holds, the running one first.
+        self._held: dict[Connection, deque[tuple[str, bytes]]] = {}
+        self._queued: deque[tuple[str, bytes]] = deque()
+
+    def _spawn(self) -> None:
+        ours, theirs = multiprocessing.Pipe()
+        proc = multiprocessing.Process(target=_serve, args=(theirs, self._fn))
+        proc.start()
+        theirs.close()  # else a later fork holds it: no EOF on a death
+        self._procs[ours] = proc
+        self._held[ours] = deque()
+
+    def _retire(self, conn: Connection) -> multiprocessing.Process:
+        """Reap an exiting (or dead) worker; kill it after 5 s."""
+        proc = self._procs.pop(conn)
+        del self._held[conn]
+        conn.close()
+        proc.join(timeout=5)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        return proc
+
+    def submit(self, name: str, job: bytes) -> None:
+        while len(self._procs) < self._size:
+            self._spawn()
+        self._queued.append((name, job))
+        self._feed()
+
+    def _feed(self) -> None:
+        while self._queued:
+            conn = min(self._held, key=lambda c: len(self._held[c]))
+            if len(self._held[conn]) >= 2:
+                return
+            self._held[conn].append(self._queued.popleft())
+            with suppress(OSError):  # died: wait() sees its EOF
+                conn.send_bytes(self._held[conn][-1][1])
+
+    def wait(self) -> list[tuple[str, Any]]:
+        batch = []
+        for conn in wait([c for c, held in self._held.items() if held]):
+            held = self._held[conn]
+            try:
+                reply = conn.recv_bytes()
+            except (EOFError, OSError):
+                proc = self._retire(conn)
+                self._spawn()
+                name, _ = held.popleft()
+                self._queued.extendleft(reversed(held))  # never started
+                batch.append((name, RuntimeError(
+                    f"worker {proc.pid} died (exit code {proc.exitcode})"
+                )))
+                continue
+            batch.append((held.popleft()[0], pickle.loads(reply)))
+        self._feed()
+        return batch
+
+    def close(self) -> None:
+        for conn in self._procs:
+            with suppress(OSError):
+                conn.send_bytes(b"")
+        for conn in list(self._procs):
+            self._retire(conn)
+
+
+def _serve(conn: Connection, fn: Callable[[bytes], Any]) -> None:
+    """A worker: ``fn`` on each job's bytes, the pickled result back,
+    until the empty sentinel."""
+    exit_with_parent()
+    while job := conn.recv_bytes():
+        try:
+            reply = pickle.dumps(fn(job))
+        except Exception as exc:  # delivered as the job's result
+            reply = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        conn.send_bytes(reply)
+
+
 def run_invocation(
     payload: InvocationPayload, obs: Any = None
 ) -> InvocationOutcome:
@@ -345,22 +427,18 @@ def run_invocation(
     capture = TelemetryCapture(pid) if obs is None else None
     obs = capture or obs
     outcome = InvocationOutcome(
-        step_name=payload.step_name,
         derivation_name=payload.derivation_name,
         status="success",
         started=time.time(),
-        pid=pid,
         telemetry=capture and capture.telemetry,
     )
     clock0 = time.perf_counter()
-    input_paths = {k: Path(v) for k, v in payload.input_paths.items()}
-    output_paths = {k: Path(v) for k, v in payload.output_paths.items()}
     context = RunContext(
         workdir=Path(payload.workdir),
         argv=payload.argv,
         environment=dict(payload.environment),
-        input_paths=input_paths,
-        output_paths=output_paths,
+        input_paths={k: Path(v) for k, v in payload.input_paths.items()},
+        output_paths={k: Path(v) for k, v in payload.output_paths.items()},
         parameters=dict(payload.parameters),
         streams={k: Path(v) for k, v in payload.streams.items()},
     )
@@ -385,17 +463,20 @@ def run_invocation(
             outcome.exit_code = 1
         outcome.wall_seconds = time.perf_counter() - clock0
         if outcome.commit:
-            outcome.bytes_read = sum(
-                p.stat().st_size for p in input_paths.values() if p.exists()
-            )
+            # One stat per file: the byte counts, the missing-output
+            # check and each output's stamp all read it.
+            read = [_stat(p) for p in payload.input_paths.values()]
+            written = {f: _stat(p) for f, p in payload.output_paths.items()}
+            outcome.bytes_read = sum(s.st_size for s in read if s)
             outcome.bytes_written = sum(
-                p.stat().st_size for p in output_paths.values() if p.exists()
+                s.st_size for s in written.values() if s
             )
         if outcome.status == "success":
-            with obs.span("worker.digest", outputs=len(output_paths)):
-                for formal, path in output_paths.items():
+            with obs.span("worker.digest", outputs=len(written)):
+                for formal, path in payload.output_paths.items():
                     dataset = payload.output_datasets[formal]
-                    if not path.exists():
+                    stat = written[formal]
+                    if stat is None:
                         outcome.status = "failure"
                         outcome.commit = False
                         outcome.error = (
@@ -409,31 +490,26 @@ def run_invocation(
                             dataset=dataset,
                         )
                         break
-                    stat = path.stat()
                     outcome.outputs[formal] = OutputStat(
                         dataset=dataset,
-                        path=str(path),
+                        path=path,
                         size=stat.st_size,
                         digest=file_digest(path),
                         stamp=file_stamp(stat),
                     )
-    if capture is not None:
-        _finish_capture(capture, payload, outcome)
+    if capture is not None and outcome.status != "success":
+        # Mark the worker's root span; keep its streams' last bytes.
+        root = capture.telemetry.spans[0]
+        root.status, root.error = "error", outcome.error
+        capture.capture_tails(payload.streams)
     return outcome
 
 
-def _finish_capture(
-    capture: TelemetryCapture,
-    payload: InvocationPayload,
-    outcome: InvocationOutcome,
-) -> None:
-    """On failure, mark the worker's root span and keep the tails of
-    its redirected streams."""
-    if outcome.status != "success":
-        root = capture.telemetry.spans[0]
-        root.status = "error"
-        root.error = outcome.error
-        capture.capture_tails(payload.streams)
+def _stat(path: str) -> Optional[os.stat_result]:
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
 
 
 def _invoke(payload: InvocationPayload, context: RunContext) -> None:

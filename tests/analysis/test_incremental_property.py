@@ -473,3 +473,26 @@ def test_a_cycle_unplugged_from_its_stale_root_drains():
         assert not [d for d in live.diagnostics() if d.code.startswith("VDG60")]
     finally:
         live.close()
+
+
+@pytest.mark.parametrize("tr", ("step", "twostep"))
+def test_a_cycle_formed_by_redefinitions_drains(tr):
+    """A cycle d2 -> v1 -> d3 -> v0 -> d2 closed by redefining ``v0``
+    twice: the facts the old ``v0`` supported must not keep each other
+    up around the new cycle."""
+    catalog = MemoryCatalog()
+    catalog.define(BASE_VDL)
+    live = IncrementalAnalyzer(catalog)
+    try:
+        driver = Driver(catalog, query=live.diagnostics)
+        for op in STALE_CYCLE + [
+            ("define", "v0", "d2", "d0", tr),
+            ("define", "v1", "d3", "d2", tr),
+            ("query",),
+            ("define", "v0", "d0", "d0", tr),
+            ("define", "v0", "d2", "d3", tr),
+        ]:
+            driver.apply(op)
+        assert_tables_are_the_naive_fixpoint(live, catalog)
+    finally:
+        live.close()

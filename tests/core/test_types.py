@@ -183,6 +183,41 @@ class TestConformance:
             registry.make_type(content="UChicago"), registry
         )
 
+    def test_memoized_answers_equal_the_unmemoized_rule(self, registry):
+        """Every registered type (each dimension's names, the others at
+        their roots) against every single-type and two-type union, twice
+        — the second pass answers from the memo — and again after a
+        registration widens the hierarchy."""
+
+        def types():
+            return [
+                DatasetType(**{**DIMENSION_ROOTS, dim: name})
+                for dim in DIMENSIONS
+                for name in registry.names(dim)
+            ]
+
+        def check():
+            every = types()
+            unions = [(t,) for t in every] + list(zip(every, every[1:]))
+            for _ in range(2):
+                for actual in every:
+                    for formals in unions:
+                        expected = any(
+                            registry.conforms(actual, f) for f in formals
+                        )
+                        assert (
+                            registry.conforms_to_any(actual, formals)
+                            == expected
+                        ), (actual, formals)
+
+        check()
+        registry.register("content", "Zebra-v2", "Zebra-file")
+        check()
+        with pytest.raises(UnknownTypeError):
+            registry.conforms_to_any(
+                DatasetType(content="Nowhere"), (ANY_DATASET,)
+            )
+
     def test_empty_union_rejected(self):
         with pytest.raises(TypeSystemError):
             TypeUnion(members=())

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from concurrent.futures import Future
 
 import pytest
 
@@ -139,21 +138,26 @@ def failing_body(ctx):
 
 
 class SynchronousPool:
-    """Runs each submission inline: every batch of completions is the
-    whole batch of dispatches, so a run is fully deterministic."""
+    """Stands in for ``ThreadPool`` and ``WorkerPool``: runs each
+    submission inline, so every batch of completions is the whole batch
+    of dispatches and a run is fully deterministic."""
 
-    def __init__(self, max_workers=None, initializer=None):
-        pass
+    def __init__(self, fn, workers):
+        self._fn = fn
+        self._done = []
 
-    def submit(self, fn, *args):
-        future = Future()
+    def submit(self, name, job):
         try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # delivered through the future
-            future.set_exception(exc)
-        return future
+            result = self._fn(job)
+        except BaseException as exc:  # delivered as the job's result
+            result = exc
+        self._done.append((name, result))
 
-    def shutdown(self, wait=True):
+    def wait(self):
+        done, self._done = self._done, []
+        return done
+
+    def close(self):
         pass
 
 
@@ -242,12 +246,8 @@ class TestDispatchOrder:
     def test_matches_the_contract(
         self, tmp_path, monkeypatch, backend, policy
     ):
-        monkeypatch.setattr(
-            local_module, "ThreadPoolExecutor", SynchronousPool
-        )
-        monkeypatch.setattr(
-            local_module, "ProcessPoolExecutor", SynchronousPool
-        )
+        monkeypatch.setattr(local_module, "ThreadPool", SynchronousPool)
+        monkeypatch.setattr(local_module, "WorkerPool", SynchronousPool)
         for fail in (False, True):
             # workers=2 keeps the thread backend off its sequential path
             seen = run(
@@ -300,12 +300,8 @@ class TestOneStepPath:
         monkeypatch.setattr(
             local_module, "commit_invocation", commit_invocation
         )
-        monkeypatch.setattr(
-            local_module, "ThreadPoolExecutor", SynchronousPool
-        )
-        monkeypatch.setattr(
-            local_module, "ProcessPoolExecutor", SynchronousPool
-        )
+        monkeypatch.setattr(local_module, "ThreadPool", SynchronousPool)
+        monkeypatch.setattr(local_module, "WorkerPool", SynchronousPool)
         return seen
 
     def executor(self, tmp_path):

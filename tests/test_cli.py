@@ -620,6 +620,16 @@ class TestExitCodes:
             assert "run-nope" in output, argv
             assert "Traceback" not in output, argv
 
+    @pytest.mark.parametrize("command", ("define", "lint"))
+    def test_a_missing_vdl_file_is_exit_1(self, run, tmp_path, command):
+        assert run("init")[0] == 0
+        missing = str(tmp_path / "nowhere.vdl")
+        code, output = run(command, missing)
+        assert code == 1
+        assert output == (
+            f"error: cannot read {missing}: No such file or directory"
+        )
+
     def test_errors_go_to_stderr_by_default(self, tmp_path, capsys):
         code = main(
             ["--workspace", str(tmp_path / "ws"), "list", "datasets"]
