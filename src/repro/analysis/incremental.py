@@ -24,6 +24,7 @@ paths produce byte-identical diagnostics (property-tested in
 
 from __future__ import annotations
 
+import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -126,7 +127,7 @@ class GraphModel:
     """
 
     def __init__(self, catalog: Any, file: str) -> None:
-        self.catalog = catalog
+        self._catalog = weakref.ref(catalog)
         self.file = file
         self._indexes = catalog._indexes
         self._span = Span(file=file, line=0)
@@ -155,6 +156,11 @@ class GraphModel:
         self._vias: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     # -- trivia the passes need ---------------------------------------
+
+    @property
+    def catalog(self) -> Any:
+        """The catalog modelled (held weakly, as the analyzer holds it)."""
+        return self._catalog()
 
     @property
     def types(self) -> Any:
@@ -810,7 +816,9 @@ class IncrementalAnalyzer:
         passes: Optional[Iterable[Any]] = None,
         obs: Instrumentation = NULL,
     ) -> None:
-        self.catalog = catalog
+        # Weak: a catalog owns its live analyzer, and holds the bound
+        # method any other analyzer subscribes weakly too.
+        self._catalog = weakref.ref(catalog)
         self.file = file
         self.obs = obs
         self.model = GraphModel(catalog, file)
@@ -830,9 +838,18 @@ class IncrementalAnalyzer:
         self.rebuild()
         catalog.subscribe(self.on_event)
 
+    @property
+    def catalog(self) -> Any:
+        """The catalog analyzed."""
+        return self._catalog()
+
     def close(self) -> None:
         """Detach from the catalog's event stream."""
-        self.catalog.unsubscribe(self.on_event)
+        catalog = self.catalog
+        if catalog._analyzer is self:
+            catalog._analyzer = None
+        else:
+            catalog.unsubscribe(self.on_event)
 
     # -- event intake ---------------------------------------------------
 
@@ -846,7 +863,7 @@ class IncrementalAnalyzer:
         """
         self._events += 1
         model = self.model
-        touched = self.catalog._indexes.touched
+        touched = model._indexes.touched
         solved = [s for s in self._states.values() if s.solved]
         lint = self._lint
         seeds = name_sets()

@@ -33,8 +33,10 @@ import fnmatch
 import functools
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
+from types import MethodType
 from typing import Any, Callable, Iterator, Optional
 
 from repro.catalog.index import CatalogIndexes, RecordCache
@@ -156,10 +158,11 @@ class VirtualDataCatalog:
         self._txn_ops = 0
         self._txn_id: Optional[str] = None
         self._journal = None
-        self._subscribers: list[Callable[[str, str, str], None]] = []
-        # Fast paths, kept current by the mutation-event stream.  The
-        # cache invalidator must observe events before the indexes do:
-        # index maintenance re-reads objects through the cache.
+        #: External listeners, in subscription order: functions, or a
+        #: ``WeakMethod`` per bound method (see :meth:`subscribe`).
+        self._subscribers: list[Any] = []
+        # Fast paths, kept current by the mutation-event stream (see
+        # :meth:`_notify` for the order they hear it in).
         self._cache = RecordCache()
         # Keys the mutation choke points wrote whose "put" event is
         # still to fire: the just-written record is already cached, so
@@ -168,7 +171,6 @@ class VirtualDataCatalog:
         # add_derivation declares datasets between its own put and its
         # event, and each of those puts is pending in its turn.
         self._cache_fresh: set[tuple[str, str]] = set()
-        self.subscribe(self._invalidate_cached)
         self._indexes = CatalogIndexes(self)
         self._analyzer: Optional[Any] = None
         self._graph_cache: Optional[Any] = None
@@ -350,15 +352,49 @@ class VirtualDataCatalog:
     # change notification (used by federated indexes, Fig 4)
     # ------------------------------------------------------------------
 
+    @_synchronized
     def subscribe(self, callback: Callable[[str, str, str], None]) -> None:
-        """Register ``callback(event, kind, key)`` for every mutation."""
-        self._subscribers.append(callback)
+        """Register ``callback(event, kind, key)`` for every mutation.
 
+        A bound method is held weakly: its object (a planner, a
+        federation, an analyzer) listens for as long as its owner keeps
+        it, and is freed when dropped.  Functions, lambdas and other
+        callables are held strongly.
+        """
+        if isinstance(callback, MethodType):
+            callback = weakref.WeakMethod(callback)
+        self._subscribers = [*self._subscribers, callback]
+
+    @_synchronized
     def unsubscribe(self, callback: Callable[[str, str, str], None]) -> None:
-        self._subscribers.remove(callback)
+        subscribers = list(self._subscribers)
+        subscribers.remove(
+            weakref.WeakMethod(callback) if isinstance(callback, MethodType)
+            else callback
+        )
+        self._subscribers = subscribers
 
     def _notify(self, event: str, kind: str, key: str) -> None:
+        """Deliver one mutation event: first to what the catalog owns —
+        the record cache, then the indexes and their graph, then the
+        live analyzer — and then to each subscriber in the order they
+        subscribed.  Each hears it after the ones before it applied it:
+        index maintenance re-reads objects through the cache, and later
+        listeners read the graph and :attr:`CatalogIndexes.touched`."""
+        self._invalidate_cached(event, kind, key)
+        self._indexes.on_event(event, kind, key)
+        if self._analyzer is not None:
+            self._analyzer.on_event(event, kind, key)
         for callback in self._subscribers:
+            if type(callback) is weakref.WeakMethod:
+                callback = callback()
+                if callback is None:  # its object was dropped
+                    self._subscribers = [
+                        s for s in self._subscribers
+                        if type(s) is not weakref.WeakMethod
+                        or s() is not None
+                    ]
+                    continue
             callback(event, kind, key)
 
     # ------------------------------------------------------------------
@@ -395,6 +431,12 @@ class VirtualDataCatalog:
         if record is None:
             raise NotFoundError(f"{kind} {key!r} not found")
         return record
+
+    def _derivation_loader(self) -> Callable[[str], Derivation]:
+        """What the live graph loads derivations with: the catalog owns
+        the graph, so this reaches the catalog weakly."""
+        catalog = weakref.ref(self)
+        return lambda name: catalog()._load_derivation(name)
 
     @_synchronized
     def _load_derivation(self, name: str) -> Derivation:
@@ -448,9 +490,10 @@ class VirtualDataCatalog:
             # helpers, so a module-level import would be circular.
             from repro.analysis.incremental import IncrementalAnalyzer
 
-            self._analyzer = IncrementalAnalyzer(
-                self, file=file, obs=self._obs
-            )
+            analyzer = IncrementalAnalyzer(self, file=file, obs=self._obs)
+            # Owned: _notify calls it directly, right after the indexes.
+            self.unsubscribe(analyzer.on_event)
+            self._analyzer = analyzer
         return self._analyzer
 
     @_synchronized

@@ -22,6 +22,7 @@ forth." (§4.1)
 from __future__ import annotations
 
 import fnmatch
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -83,6 +84,7 @@ class FederatedIndex:
         self.entry_filter = entry_filter
         self.types = registry or default_registry()
         self._members: list[VirtualDataCatalog] = []
+        self._hooks: list[_MemberHook] = []
         # (kind, authority, key) -> IndexEntry
         self._entries: dict[tuple[str, str, str], IndexEntry] = {}
         #: Count of member-catalog mutations not yet reflected (periodic
@@ -100,22 +102,23 @@ class FederatedIndex:
         if catalog in self._members:
             return
         self._members.append(catalog)
-        catalog.subscribe(self._make_listener(catalog))
+        hook = _MemberHook(self, catalog)
+        self._hooks.append(hook)
+        catalog.subscribe(hook.on_event)
         self._index_catalog(catalog)
 
-    def _make_listener(self, catalog: VirtualDataCatalog):
-        def listener(event: str, kind: str, key: str) -> None:
-            if kind not in self.kinds:
-                return
-            if self.mode == "periodic":
-                self.pending_updates += 1
-                return
-            if event == "delete":
-                self._entries.pop((kind, catalog.authority, key), None)
-            else:
-                self._index_object(catalog, kind, key)
-
-        return listener
+    def _on_member_event(
+        self, catalog: VirtualDataCatalog, event: str, kind: str, key: str
+    ) -> None:
+        if kind not in self.kinds:
+            return
+        if self.mode == "periodic":
+            self.pending_updates += 1
+            return
+        if event == "delete":
+            self._entries.pop((kind, catalog.authority, key), None)
+        else:
+            self._index_object(catalog, kind, key)
 
     def members(self) -> list[str]:
         return [c.authority for c in self._members]
@@ -259,6 +262,22 @@ class FederatedIndex:
             f"mode={self.mode} entries={len(self._entries)} "
             f"members={self.members()}>"
         )
+
+
+class _MemberHook:
+    """How one member's events reach a federation.  The member holds
+    :meth:`on_event` weakly (a bound method) and the federation holds
+    the hook, which points back weakly: dropping the federation
+    detaches it from every member."""
+
+    __slots__ = ("index", "catalog", "__weakref__")
+
+    def __init__(self, index: FederatedIndex, catalog: VirtualDataCatalog):
+        self.index = weakref.ref(index)
+        self.catalog = catalog
+
+    def on_event(self, event: str, kind: str, key: str) -> None:
+        self.index()._on_member_event(self.catalog, event, kind, key)
 
 
 def scan_catalogs(

@@ -28,6 +28,7 @@ everything from a cold store (catalog open).
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -133,9 +134,11 @@ class RecordCache:
 class CatalogIndexes:
     """Secondary indexes kept current by catalog mutation events.
 
-    The catalog registers :meth:`on_event` as its first mutation
-    subscriber, so by the time any external listener (federation, a
-    test) observes a ``put``/``delete`` the indexes already reflect it.
+    The catalog owns its indexes and calls :meth:`on_event` right
+    after its record cache, so by the time the live analyzer or any
+    subscriber (federation, planner, a test) observes a
+    ``put``/``delete`` the indexes already reflect it.  They reach the
+    catalog through a weak reference: dropping the catalog frees both.
     Deletions are unindexed from per-key *shadow* records captured at
     put time — the store no longer holds the object when a delete
     event fires, so the index must remember what it indexed.  Later
@@ -154,7 +157,7 @@ class CatalogIndexes:
     """
 
     def __init__(self, catalog: "VirtualDataCatalog"):
-        self._catalog = catalog
+        self._catalog = weakref.ref(catalog)
         #: dataset <-> derivation edges, by name.
         self.graph = self._empty_graph()
         #: Times the graph was built from storage / derivations
@@ -184,23 +187,16 @@ class CatalogIndexes:
         self._derivation_tr: dict[str, str] = {}
         self._replica_shadow: dict[str, str] = {}
         self._invocation_shadow: dict[str, str] = {}
-        #: kind -> (index one object at rest, unindex a key).
-        self._handlers = {
-            "derivation": (self._index_derivation, self._unindex_derivation),
-            "replica": (self._index_replica, self._unindex_replica),
-            "invocation": (self._index_invocation, self._unindex_invocation),
-        }
-        catalog.subscribe(self.on_event)
 
     def _empty_graph(self) -> "DerivationGraph":
         # Local import: repro.provenance imports the catalog package.
         from repro.provenance.graph import DerivationGraph
 
         # A memory catalog's loader is its store: nothing to keep.
-        catalog = self._catalog
+        catalog = self._catalog()
         graph = DerivationGraph()
         graph.set_loader(
-            catalog._load_derivation, keep=not catalog._stores_records
+            catalog._derivation_loader(), keep=not catalog._stores_records
         )
         return graph
 
@@ -221,14 +217,14 @@ class CatalogIndexes:
             return
         if kind == "derivation":
             self.graph_patches += 1
-        handlers = self._handlers.get(kind)
+        handlers = _HANDLERS.get(kind)
         if handlers is None:
             return
         if event == "put":
             # Just written: a document backend's cache holds the record.
-            handlers[0](key, self._catalog._at_rest(kind, key))
+            handlers[0](self, key, self._catalog()._at_rest(kind, key))
         else:
-            handlers[1](key)
+            handlers[1](self, key)
 
     def _touch_history(self, tr_name: str) -> None:
         self._stamps += 1
@@ -314,7 +310,7 @@ class CatalogIndexes:
         name, _, version = key.rpartition("@")
         self.tr_versions.setdefault(name, set()).add(version)
         self._touch_history(name)
-        self._catalog.versions.register(name, version)
+        self._catalog().versions.register(name, version)
 
     # -- cold start -------------------------------------------------------
 
@@ -339,11 +335,26 @@ class CatalogIndexes:
         allocators past its ID, and indexing a transformation registers
         its version, so a populated store is safe to extend.
         """
-        catalog = self._catalog
+        catalog = self._catalog()
         self.clear()
         self.graph_builds += 1
-        for kind, (index, _) in self._handlers.items():
+        for kind, (index, _) in _HANDLERS.items():
             for key, entry in catalog._scan(kind):
-                index(key, entry)
+                index(self, key, entry)
         for key in catalog._store_keys("transformation"):
             self._index_transformation(key)
+
+
+#: kind -> (index one object at rest, unindex a key): functions, so
+#: the indexes hold no bound method of themselves.
+_HANDLERS = {
+    "derivation": (
+        CatalogIndexes._index_derivation,
+        CatalogIndexes._unindex_derivation,
+    ),
+    "replica": (CatalogIndexes._index_replica, CatalogIndexes._unindex_replica),
+    "invocation": (
+        CatalogIndexes._index_invocation,
+        CatalogIndexes._unindex_invocation,
+    ),
+}

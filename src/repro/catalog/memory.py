@@ -6,10 +6,9 @@ simulation workloads: nothing persists beyond the process.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.catalog.base import _DECODERS, KINDS, VirtualDataCatalog
-from repro.errors import NotFoundError
 
 
 class MemoryCatalog(VirtualDataCatalog):
@@ -29,8 +28,10 @@ class MemoryCatalog(VirtualDataCatalog):
     _stores_records = True
 
     def __init__(self, authority: Optional[str] = None, **kwargs):
-        super().__init__(authority=authority, **kwargs)
+        # Before the base class builds the indexes: their graph loads
+        # through the store (see _derivation_loader).
         self._data: dict[str, dict[str, Any]] = {kind: {} for kind in KINDS}
+        super().__init__(authority=authority, **kwargs)
 
     # -- records ------------------------------------------------------------
 
@@ -47,12 +48,11 @@ class MemoryCatalog(VirtualDataCatalog):
     def _scan(self, kind: str) -> Iterator[tuple[str, Any]]:
         return iter(self._data[kind].items())
 
-    def _load_derivation(self, name: str) -> Any:
-        # Unsynchronized on purpose: one dict read, the graph's hot path.
-        dv = self._data["derivation"].get(name)
-        if dv is None:
-            raise NotFoundError(f"derivation {name!r} not found")
-        return dv
+    def _derivation_loader(self) -> Callable[[str], Any]:
+        # The store's own lookup: one dict read on the graph's hot path,
+        # unsynchronized, and no reference to the catalog.  A miss
+        # raises KeyError, which _record turns into NotFoundError.
+        return self._data["derivation"].__getitem__
 
     # -- documents ----------------------------------------------------------
 

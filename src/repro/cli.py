@@ -450,8 +450,9 @@ def _cmd_lineage(ws: Workspace, args, out) -> int:
 
 
 def _cmd_invalidate(ws: Workspace, args, out) -> int:
+    catalog = ws.catalog()  # its graph reads derivations through it
     report = invalidated_by(
-        ws.catalog().derivation_graph(),
+        catalog.derivation_graph(),
         bad_datasets=args.dataset or (),
         bad_transformations=args.transformation or (),
     )

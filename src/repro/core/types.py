@@ -96,14 +96,15 @@ class TypeRegistry:
         Top-level keys attach under the dimension root.  Convenient for
         loading an Appendix-C-style hierarchy in one call.
         """
+        self._register_tree(dimension, None, tree)
 
-        def walk(parent: Optional[str], subtree: dict) -> None:
-            for name, children in subtree.items():
-                self.register(dimension, name, parent)
-                if children:
-                    walk(name, children)
-
-        walk(None, tree)
+    def _register_tree(
+        self, dimension: str, parent: Optional[str], tree: dict
+    ) -> None:
+        for name, children in tree.items():
+            self.register(dimension, name, parent)
+            if children:
+                self._register_tree(dimension, name, children)
 
     # -- queries -----------------------------------------------------
 

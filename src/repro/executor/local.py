@@ -20,6 +20,7 @@ import os
 import platform
 import queue
 import time
+import weakref
 from pathlib import Path
 from threading import Event, Thread
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -451,9 +452,13 @@ class LocalExecutor:
         construction (the planner captures ``obs`` at build time).
         """
         if self._planner is None or self._planner.obs is not self.obs:
+            # The executor owns its planner: the oracle reaches back
+            # weakly, and a replaced planner is freed (and stops
+            # hearing catalog events) at once.
+            executor = weakref.ref(self)
             self._planner = Planner(
                 self.catalog,
-                has_replica=self.has_valid_replica,
+                has_replica=lambda name: executor().has_valid_replica(name),
                 instrumentation=self.obs,
                 incremental=True,
             )

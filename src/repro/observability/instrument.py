@@ -20,6 +20,7 @@ dotted lowercase paths, ``<layer>.<subject>[.<unit>]``, e.g.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from typing import Any, Optional
 
@@ -108,8 +109,11 @@ class Instrumentation:
     # -- wiring -------------------------------------------------------------
 
     def bind_simulator(self, simulator: Any) -> None:
-        """Give spans a sim-time clock (``simulator.now``)."""
-        self.tracer.bind_clock(lambda: simulator.now)
+        """Give spans a sim-time clock (``simulator.now``), held weakly:
+        the simulator holds this instrumentation (no clock once it is
+        gone)."""
+        ref = weakref.ref(simulator)
+        self.tracer.bind_clock(lambda: getattr(ref(), "now", None))
 
     def attach_recorder(self, recorder: Any) -> None:
         """Route this run's stream through a flight recorder."""

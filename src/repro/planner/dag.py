@@ -574,7 +574,8 @@ class Planner:
         self.resolver = resolver or ReferenceResolver(catalog)
         self._has_replica = has_replica or (lambda lfn: False)
         self._cpu_estimate = cpu_estimate or (lambda dv: 1.0)
-        self._size_estimate = size_estimate or self._catalog_size
+        #: None: the catalog's sizes, memoized (:meth:`_catalog_size`).
+        self._size_estimate = size_estimate
         self._reuse_decider = reuse_decider or (lambda lfn, cpu: True)
         self._incremental = incremental
         # Memos.  Non-incremental planners clear these at every _plan
@@ -779,6 +780,7 @@ class Planner:
             # patching those piecemeal could diverge from a fresh plan.
             return None
         plan = cached.plan
+        size = self._size_estimate or self._catalog_size
         # Validate every dirty derivation; build replacement columns
         # without touching the plan so any bail-out leaves it intact.
         replacements: dict[str, tuple] = {}
@@ -808,7 +810,7 @@ class Planner:
                 dv,
                 tr,
                 self._cpu_estimate(dv),
-                {out: self._size_estimate(dv, out) for out in step.outputs},
+                {out: size(dv, out) for out in step.outputs},
             )
         # Size re-estimates for datasets whose records changed.
         for name in self._dirty_datasets:
@@ -825,7 +827,7 @@ class Planner:
                     step.output_sizes,
                 )
             dv, _, _, sizes = replacements[producer]
-            sizes[name] = self._size_estimate(dv, name)
+            sizes[name] = size(dv, name)
         # Re-probe every replica answer the cached build consulted.
         for dataset, seen in cached.probes.items():
             if bool(self._has_replica(dataset)) != seen:
@@ -926,7 +928,7 @@ class Planner:
         draft: "_Draft",
     ) -> None:
         outputs = dv.outputs()
-        size = self._size_estimate
+        size = self._size_estimate or self._catalog_size
         draft.rows[name] = (
             dv,
             tr,

@@ -27,6 +27,7 @@ fail-fast.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -274,7 +275,9 @@ class GramBackend:
         self._breaker_states: dict[str, int] = {}
         #: The sites ``admit`` left open to the step ``start`` submits.
         self._candidates: Optional[list[str]] = None
-        self._driver: Driver  # set by run()
+        #: The driver running this backend (set by run()); weak, as
+        #: the driver owns its backend.
+        self._driver: Callable[[], Driver]
 
     def now(self) -> float:
         return self.sim.now
@@ -283,7 +286,7 @@ class GramBackend:
         self.sim.schedule(delay, fn)
 
     def run(self, driver: Driver) -> None:
-        self._driver = driver
+        self._driver = weakref.ref(driver)
         driver.dispatch()
         self.sim.run(until=self.until)
         if self.until is not None and not driver.frontier.exhausted:
@@ -456,8 +459,9 @@ class GramBackend:
             host=job.host,
             fault=job.fault,
         )
-        if self._driver.settle(name, outcome):
-            self._driver.dispatch()
+        driver = self._driver()
+        if driver.settle(name, outcome):
+            driver.dispatch()
 
     def _note_breaker(self, site: str) -> None:
         code = self.breakers.breaker(site).state_code

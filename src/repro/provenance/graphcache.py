@@ -9,6 +9,8 @@ reports the counters planners and the benchmark ledger read.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.provenance.graph import DerivationGraph
 
 
@@ -23,17 +25,19 @@ class GraphCache:
     """
 
     def __init__(self, catalog):
-        self._catalog = catalog
+        # The catalog owns this view: a weak back-pointer.
+        self._catalog = weakref.ref(catalog)
         self.hits = 0
 
     def graph(self) -> DerivationGraph:
         """The current graph — shared and always current; read-only."""
-        with self._catalog._lock:
+        catalog = self._catalog()
+        with catalog._lock:
             self.hits += 1
-            return self._catalog._indexes.graph
+            return catalog._indexes.graph
 
     def stats(self) -> dict[str, int]:
-        indexes = self._catalog._indexes
+        indexes = self._catalog()._indexes
         return {
             "hits": self.hits,
             "misses": indexes.graph_builds,

@@ -1,5 +1,7 @@
 """Tests for cross-catalog resolution (Figs 2-3) and federation (Fig 4)."""
 
+import weakref
+
 import pytest
 
 from repro.catalog.federation import FederatedIndex, scan_catalogs
@@ -235,6 +237,35 @@ class TestFederatedIndex:
         assert any(e.name == "fresh" for e in index.find("dataset"))
         four_catalogs[0].remove_dataset("fresh")
         assert not any(e.name == "fresh" for e in index.find("dataset"))
+
+    def test_a_dropped_federation_stops_indexing(
+        self, four_catalogs, monkeypatch
+    ):
+        """Members hold a federation's hooks weakly: dropping it frees
+        it and ends its indexing, and the members join a new one."""
+        indexed = []
+        index_object = FederatedIndex._index_object
+
+        def recording(index, catalog, kind, key):
+            indexed.append(index.name)
+            index_object(index, catalog, kind, key)
+
+        monkeypatch.setattr(FederatedIndex, "_index_object", recording)
+        first = FederatedIndex("first", kinds=("dataset",))
+        for catalog in four_catalogs[:2]:
+            first.attach(catalog)
+        gone = weakref.ref(first)
+        del first
+        assert gone() is None
+        second = FederatedIndex("second", kinds=("dataset",))
+        for catalog in four_catalogs[:2]:
+            second.attach(catalog)
+        indexed.clear()
+        four_catalogs[1].add_dataset(Dataset(name="fresh"))
+        assert indexed == ["second"]
+        assert [e.authority for e in second.find("dataset", "fresh")] == [
+            four_catalogs[1].authority
+        ]
 
     def test_periodic_mode_goes_stale(self, four_catalogs):
         index = FederatedIndex("stale", mode="periodic", kinds=("dataset",))

@@ -1,10 +1,15 @@
 """Tests for the local sandbox executor with real provenance capture."""
 
+import weakref
+
 import pytest
 
 from repro.catalog.memory import MemoryCatalog
+from repro.core.dataset import Dataset
 from repro.errors import ExecutionError
 from repro.executor.local import LocalExecutor
+from repro.observability.instrument import Instrumentation
+from repro.planner.dag import Planner
 
 PIPELINE = """
 TR make-greeting( output o, none words="2" ) {
@@ -110,6 +115,30 @@ class TestMaterialize:
         executor.materialize("loud.txt")
         again = executor.materialize("loud.txt")
         assert again == []
+
+    def test_a_replaced_planner_is_freed_and_stops_listening(
+        self, executor, monkeypatch
+    ):
+        """Swapping the instrumentation rebuilds the executor's planner;
+        the one it replaces is freed at once, and no longer updates its
+        memos on catalog writes."""
+        heard = []
+        on_event = Planner._on_catalog_event
+
+        def counting(planner, *event):
+            heard.append(planner)
+            on_event(planner, *event)
+
+        monkeypatch.setattr(Planner, "_on_catalog_event", counting)
+        first = executor.planner()
+        gone = weakref.ref(first)
+        for _ in range(2):
+            executor.obs = Instrumentation()
+            assert executor.planner() is not first
+        del first
+        assert gone() is None
+        executor.catalog.add_dataset(Dataset(name="fresh"))
+        assert heard == [executor.planner()]
 
     def test_reuse_never_recomputes(self, executor):
         executor.materialize("loud.txt")
