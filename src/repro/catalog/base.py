@@ -11,7 +11,8 @@ sibling modules provide three backends:
 * :class:`repro.catalog.sqlite.SQLiteCatalog` — a relational store
   (the Appendix B shape);
 * :class:`repro.catalog.filetree.FileTreeCatalog` — a hierarchical
-  directory of JSON documents.
+  directory with one append-only segment of one-line JSON records per
+  object kind.
 
 The base class owns all semantics — registration rules, link
 maintenance, discovery queries, change notification — and delegates
@@ -125,10 +126,11 @@ _DECODERS: dict[str, Callable[[dict], Any]] = {
 class VirtualDataCatalog:
     """Backend-independent VDC semantics.
 
-    Document backends implement five storage primitives
-    (``_store_put``, ``_store_get``, ``_store_delete``, ``_store_keys``,
-    ``_store_has``); a backend that keeps records instead overrides the
-    record hooks too (see :class:`repro.catalog.memory.MemoryCatalog`).
+    Document backends implement the storage primitives (``_store_put``,
+    ``_store_put_many``, ``_store_get``, ``_store_delete``,
+    ``_store_keys``, ``_store_has``, ``_store_scan``); a backend that
+    keeps records instead overrides the record hooks too (see
+    :class:`repro.catalog.memory.MemoryCatalog`).
     Keys are: dataset name, replica id, ``name@version`` for
     transformations, derivation name, invocation id.
     """
@@ -208,6 +210,11 @@ class VirtualDataCatalog:
         """
         return []
 
+    def torn_segments(self, truncate: bool = False) -> list[Path]:
+        """Append-only segments whose last line a crash tore (for
+        ``repro fsck``); ``truncate`` cuts those lines off."""
+        return []
+
     def _store_put_many(
         self, kind: str, items: list[tuple[str, dict]]
     ) -> None:
@@ -215,19 +222,14 @@ class VirtualDataCatalog:
         cache upkeep, no undo log.
 
         Only for bulk-load paths that log and announce the written keys
-        themselves (:meth:`import_snapshot`).  Backends may override
-        with a genuinely batched implementation (SQLite uses
-        ``executemany``).
+        themselves (:meth:`import_snapshot`): SQLite runs one
+        ``executemany``, the file tree one append.
         """
-        for key, payload in items:
-            self._store_put(kind, key, payload)
+        raise NotImplementedError
 
     def _store_scan(self, kind: str) -> Iterator[tuple[str, dict]]:
         """Yield every ``(key, document)`` of a kind for bulk readers."""
-        for key in self._store_keys(kind):
-            payload = self._store_get(kind, key)
-            if payload is not None:
-                yield key, payload
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # records: the in-process form (document backends; the memory

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import weakref
 from typing import Iterator, Optional
 
 from repro.catalog.base import VirtualDataCatalog
@@ -95,6 +96,8 @@ class SQLiteCatalog(VirtualDataCatalog):
         # provenance from pool threads; the catalog's own RLock already
         # serializes every operation, so SQLite never sees concurrent use.
         self._conn = sqlite3.connect(path, check_same_thread=False)
+        # Closed on drop: its statement cache is cyclic (no refcount free).
+        self._finalizer = weakref.finalize(self, self._conn.close)
         self._in_bulk = False
         if path != ":memory:":
             # WAL keeps readers unblocked during commits and turns the
@@ -106,8 +109,8 @@ class SQLiteCatalog(VirtualDataCatalog):
         self._rebuild_indexes()
 
     def close(self) -> None:
-        """Close the underlying database connection."""
-        self._conn.close()
+        """Close the underlying database connection (idempotent)."""
+        self._finalizer()
 
     # -- transaction hooks -------------------------------------------------
 

@@ -36,6 +36,7 @@ span tree and metrics snapshot of each run are written under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -1144,6 +1145,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The argument tree, built once per process: it is large and cyclic.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None, out=print, err=None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -1159,7 +1164,7 @@ def main(argv: list[str] | None = None, out=print, err=None) -> int:
                 print(text, file=sys.stderr)
         else:
             err = out
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     ws = Workspace(args.workspace)
     try:
         code = args.fn(ws, args, out)

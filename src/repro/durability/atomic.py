@@ -1,8 +1,8 @@
 """Atomic file replacement: no reader ever sees a torn write.
 
-Every on-disk artifact the grid writes whole — catalog documents,
-rescue files, fault plans, observability snapshots, exported traces,
-benchmark results — goes through these helpers: the content lands in
+Every on-disk artifact the grid writes whole — compacted catalog
+segments, rescue files, fault plans, observability snapshots, exported
+traces, benchmark results — goes through these helpers: the content lands in
 a temporary created exclusively in the *destination directory* (same
 filesystem, so the final rename cannot degrade to a copy) and is moved
 into place with ``os.replace``, which POSIX guarantees to be atomic.
@@ -10,9 +10,9 @@ A write is exactly create, write, rename.  A process killed mid-write
 leaves at worst an orphaned ``*.vdg-tmp*`` file (``repro fsck`` reports
 and removes it), never a half-written artifact under the real name.
 
-Append-only streams (the flight recorder, the intent journal) are the
-other durability idiom — they tolerate torn *tails* instead — so they
-do not use this module.
+Append-only streams (the flight recorder, the intent journal, catalog
+segments) are the other durability idiom — they tolerate torn *tails*
+instead — so they append rather than use this module.
 """
 
 from __future__ import annotations

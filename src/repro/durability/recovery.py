@@ -11,6 +11,7 @@ kind                             severity repair
 ================================ ======== ===================================
 ``journal-corrupt``              error    quarantine the journal file
 ``torn-journal-tail``            error    truncate the torn final line
+``torn-segment-tail``            warning  truncate the torn final line
 ``uncommitted-txn``              error    roll back via each op's ``prev``
 ``phantom-replica``              error    drop the replica record
 ``corrupt-replica``              error    quarantine file, drop replica,
@@ -231,6 +232,9 @@ class RecoveryManager:
         def fixing(kind: str) -> bool:
             return repair or kind in auto
 
+        # Segments first: a journal rollback appends to them, which
+        # would cut a torn tail off unreported.
+        self._check_segments(report, fixing)
         self._check_journal(report, fixing)
         self._check_temporaries(report, fixing)
         self._check_replicas(report, fixing, checksums)
@@ -307,6 +311,21 @@ class RecoveryManager:
         if rolled_back:
             journal_mod.IntentJournal(self.journal_dir).checkpoint()
 
+    def _check_segments(self, report: FsckReport, fixing) -> None:
+        fix = fixing("torn-segment-tail")
+        for path in self.catalog.torn_segments(truncate=fix):
+            report.add(
+                Finding(
+                    kind="torn-segment-tail",
+                    severity="warning",
+                    object=str(path),
+                    detail="final catalog segment line is torn (a put "
+                    "killed mid-append; the next append cuts it off)",
+                    repair="truncate the torn line",
+                    repaired=fix,
+                )
+            )
+
     # -- stale atomic-write temporaries --------------------------------------
 
     def _check_temporaries(self, report: FsckReport, fixing) -> None:
@@ -319,8 +338,7 @@ class RecoveryManager:
         ):
             if directory is None or not directory.is_dir():
                 continue
-            # By name first: the catalog's directories hold a file per
-            # object, and only a temporary is worth a stat.
+            # By name first: only a temporary is worth a stat.
             for name in sorted(os.listdir(directory)):
                 if TMP_MARKER not in name:
                     continue

@@ -203,6 +203,7 @@ class Driver:
         outcome = self.backend.start(name, attempt)
         if outcome is not None:
             self.settle(name, outcome)
+            del outcome  # a failed one's traceback holds this frame
 
     # -- settlement ----------------------------------------------------------
 

@@ -522,7 +522,13 @@ class LocalExecutor:
                     driver.run()
                 finally:
                     lane.close()
-                return self._results(driver, lane.rank, policy)
+                invocations, error = self._results(driver, lane.rank, policy)
+                if error is None:
+                    return invocations
+                try:
+                    raise error
+                finally:
+                    error = None  # held by this frame, it would hold the run
 
     def _preflight(self, payload: InvocationPayload) -> bytes:
         """A process-lane job: the payload pickled once (a failure names
@@ -543,33 +549,32 @@ class LocalExecutor:
         return _Lane(self, plan, parent, pool)
 
     @staticmethod
-    def _results(driver: Driver, rank, policy: str) -> list[Invocation]:
-        """The invocations a run performed, in topological order, or
-        the error its failures come to."""
-        settled = sorted(driver.outcomes, key=rank.__getitem__)
+    def _results(driver: Driver, rank, policy: str) -> tuple[list, Any]:
+        """The invocations a run performed, in topological order, and
+        the error its failures come to, or None.  The outcomes leave the
+        driver: a step error's traceback holds the driver's frames."""
+        outcomes, driver.outcomes = driver.outcomes, {}
+        settled = sorted(outcomes, key=rank.__getitem__)
         invocations = [
-            driver.outcomes[name].value
-            for name in settled
-            if driver.outcomes[name].ok
+            outcomes[name].value for name in settled if outcomes[name].ok
         ]
         failures = {
-            name: driver.outcomes[name].error
+            name: outcomes[name].error
             for name in settled
-            if not driver.outcomes[name].ok
+            if not outcomes[name].ok
         }
-        if failures:
-            first = next(iter(failures))
-            if policy == FAIL_FAST:
-                raise failures[first]
-            raise MaterializationError(
-                f"{len(failures)} step(s) failed "
-                f"({', '.join(sorted(failures))}); "
-                f"{len(driver.skipped)} skipped downstream",
-                invocations=invocations,
-                failed=failures,
-                skipped=set(driver.skipped),
-            ) from failures[first]
-        return invocations
+        if not failures or policy == FAIL_FAST:
+            return invocations, next(iter(failures.values()), None)
+        error = MaterializationError(
+            f"{len(failures)} step(s) failed "
+            f"({', '.join(sorted(failures))}); "
+            f"{len(driver.skipped)} skipped downstream",
+            invocations=invocations,
+            failed=failures,
+            skipped=set(driver.skipped),
+        )
+        error.__cause__ = next(iter(failures.values()))
+        return invocations, error
 
     def _merge_worker_telemetry(self, outcome, parent=None) -> None:
         """Graft one worker's shipped telemetry into the parent's obs.
@@ -801,6 +806,7 @@ class _Lane:
             finally:
                 self._executor._merge_worker_telemetry(result, self._parent)
             yield name, attempt
+            del attempt  # a failed one's traceback holds this frame
 
     def _succeeded(self, invocation: Invocation) -> Attempt:
         start, site = invocation.start_time, self._executor.site_name

@@ -1,13 +1,15 @@
-"""The file-tree catalog's in-memory directory and its write path.
+"""The file-tree catalog's segments, its directory and its write path.
 
-A :class:`FileTreeCatalog` lists its kind directories once, at open,
-and from then on answers membership, key listings and lookups of
-unknown keys from memory.  That is a cache, so the rule sequence pins
-that after any mix of mutations the directory *is* the tree on disk;
-the count tests pin what the write path costs (a put is one create and
-one rename, membership costs no syscall, nothing builds a
-``pathlib.Path`` per operation); the format tests pin that a tree
-written with the earlier, indented encoder still opens and works.
+A :class:`FileTreeCatalog` keeps one append-only segment per kind and
+scans each once, at open, into an in-memory directory that answers
+membership, key listings and lookups of unknown keys from then on.
+That is a cache, so the rule sequence pins that after any mix of
+mutations the directory *is* what a fresh scan of the segments reads;
+the count tests pin what the write path costs (a put is one append:
+no create, no rename, no path object); the crash tests pin a torn
+final line, compaction under a second live handle and a kill
+mid-migration; the format tests pin that a tree written with one file
+per document, indented by the earlier encoder, still opens and works.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import urllib.parse
@@ -27,7 +30,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.catalog.base import KINDS
-from repro.catalog.filetree import FileTreeCatalog
+from repro.catalog.filetree import SEGMENT, FileTreeCatalog
 from repro.cli import Workspace, main
 from repro.core.dataset import Dataset
 from repro.core.invocation import Invocation
@@ -47,25 +50,46 @@ from tests.catalog.test_decode_once import (
 from tests.conftest import DIAMOND_VDL
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tree_indent1"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def listed(root: Path, kind: str) -> list[str]:
-    """The keys of ``kind`` as the filesystem has them, sorted."""
-    return sorted(
-        urllib.parse.unquote(name[: -len(".json")])
+def scanned(root: Path, kind: str) -> dict[str, dict]:
+    """The documents of ``kind`` as the files have them, read without
+    the catalog: ``<key>.json`` files, then the segment's complete
+    lines in order (the last line of a key wins, a bare key deletes)."""
+    documents = {
+        urllib.parse.unquote(name[: -len(".json")]): json.loads(
+            (root / kind / name).read_text()
+        )
         for name in os.listdir(root / kind)
         if name.endswith(".json")
-    )
+    }
+    data = (root / kind / SEGMENT).read_bytes()
+    for line in data[: data.rfind(b"\n") + 1].decode().splitlines():
+        encoded, _, document = line.partition(" ")
+        key = urllib.parse.unquote(encoded)
+        if document:
+            documents[key] = json.loads(document)
+        else:
+            documents.pop(key, None)
+    return documents
+
+
+def segment_lines(root: Path, kind: str) -> list[str]:
+    return (root / kind / SEGMENT).read_text().splitlines()
 
 
 def assert_directory_is_the_tree(catalog: FileTreeCatalog) -> None:
     root = catalog.root
-    on_disk = {kind: listed(root, kind) for kind in KINDS}
-    for kind, keys in on_disk.items():
+    on_disk = {kind: scanned(root, kind) for kind in KINDS}
+    for kind, documents in on_disk.items():
+        keys = sorted(documents)
         assert sorted(catalog._directory[kind]) == keys, kind
         assert sorted(catalog._store_keys(kind)) == keys, kind
         for key in (*keys, "no-such-key"):
             assert catalog._store_has(kind, key) == (key in keys)
+            assert catalog._store_get(kind, key) == documents.get(key)
+        assert dict(catalog._store_scan(kind)) == documents, kind
         assert not [n for n in os.listdir(root / kind) if TMP_MARKER in n]
     for name in ("ds.a", "ds.b", "ds.c", "raw1"):
         assert catalog.has_dataset(name) == (name in on_disk["dataset"])
@@ -76,9 +100,8 @@ def assert_directory_is_the_tree(catalog: FileTreeCatalog) -> None:
     )
     fresh = FileTreeCatalog(root)
     assert fresh.counts() == catalog.counts()
-    for kind, keys in on_disk.items():
-        for key in keys:
-            assert fresh._store_get(kind, key) == catalog._store_get(kind, key)
+    assert fresh.export_snapshot() == catalog.export_snapshot()
+    fresh.close()
 
 
 class DirectoryMachine(RuleBasedStateMachine):
@@ -135,7 +158,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         """A process dies with a transaction journaled, applied and
         unsealed; the next one repairs through a handle of its own."""
         catalog, journal = self.catalog, self.catalog.journal
-        before = {kind: listed(self.root, kind) for kind in KINDS}
+        before = {kind: scanned(self.root, kind) for kind in KINDS}
         txn = journal.begin("crashed")
         for name in names:
             key = f"ds.{name}"
@@ -160,7 +183,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         report = recovery.preflight()
         assert report.counts()["uncommitted-txn"] == 1
         assert load_journal_state(self.tmp / "journal").clean
-        assert {kind: listed(self.root, kind) for kind in KINDS} == before
+        assert {kind: scanned(self.root, kind) for kind in KINDS} == before
 
     @rule()
     def reopen(self):
@@ -202,17 +225,44 @@ def pathlib_calls(fn) -> list[str]:
 
 
 class TestWritePathCounts:
-    def test_a_new_dataset_is_one_create_and_one_rename(
-        self, tmp_path, syscalls
+    def test_a_new_dataset_is_one_append(
+        self, tmp_path, syscalls, monkeypatch
     ):
         catalog = FileTreeCatalog(tmp_path / "vdc")
+        writes = []
+        real_write = os.write
+
+        def write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
         syscalls.clear()
         catalog.add_dataset(Dataset(name="fresh"))
-        assert dict(syscalls) == {"open": 1, "replace": 1}
-        assert syscalls.open_flags[-1] & (os.O_CREAT | os.O_EXCL) == (
-            os.O_CREAT | os.O_EXCL
-        )
-        assert listed(tmp_path / "vdc", "dataset") == ["fresh"]
+        # No open (so no create), no rename, no stat: one write.
+        assert dict(syscalls) == {}
+        assert writes == [
+            b"fresh " + json.dumps(
+                Dataset(name="fresh").to_dict(), sort_keys=True
+            ).encode() + b"\n"
+        ]
+        assert os.listdir(tmp_path / "vdc" / "dataset") == [SEGMENT]
+        assert list(scanned(tmp_path / "vdc", "dataset")) == ["fresh"]
+
+    def test_a_batch_is_one_append(self, tmp_path, monkeypatch):
+        catalog = FileTreeCatalog(tmp_path / "vdc")
+        source = FileTreeCatalog(tmp_path / "src").define(DIAMOND_VDL)
+        writes: Counter = Counter()
+        real_write = os.write
+
+        def write(fd, data):
+            writes[fd] += 1
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        catalog.import_snapshot(source.export_snapshot())
+        assert sorted(writes.values()) == [1, 1, 1]  # dataset, TR, DV
+        assert_directory_is_the_tree(catalog)
 
     def test_membership_and_counts_touch_no_filesystem(
         self, tmp_path, syscalls
@@ -270,26 +320,33 @@ class TestWritePathCounts:
 
 
 class TestFailedAndCollidingWrites:
-    def test_failed_rename_leaves_no_temporary_and_no_entry(
-        self, tmp_path, monkeypatch
-    ):
+    def test_failed_write_leaves_no_entry(self, tmp_path, monkeypatch):
         catalog = FileTreeCatalog(tmp_path / "vdc")
+        catalog.add_dataset(Dataset(name="kept"))
+        before = (tmp_path / "vdc" / "dataset" / SEGMENT).read_bytes()
+        real_write = os.write
 
-        def refuse(src, dst):
+        def half_then_refuse(fd, data):
+            real_write(fd, bytes(data[: len(data) // 2]))
             raise OSError("disk says no")
 
-        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(os, "write", half_then_refuse)
         with pytest.raises(OSError, match="disk says no"):
             catalog.add_dataset(Dataset(name="lost"))
         monkeypatch.undo()
-        assert os.listdir(tmp_path / "vdc" / "dataset") == []
         assert not catalog.has_dataset("lost")
-        assert catalog.counts()["dataset"] == 0
+        assert catalog.counts()["dataset"] == 1
         with pytest.raises(NotFoundError):
             catalog.get_dataset("lost")
+        # The half line that landed is cut off before the next append.
+        catalog.add_dataset(Dataset(name="next"))
+        after = (tmp_path / "vdc" / "dataset" / SEGMENT).read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):].startswith(b"next ")
+        assert after.count(b"\n") == 2
         assert_directory_is_the_tree(catalog)
 
-    def test_deleted_behind_the_handle_reads_as_not_found(self, tmp_path):
+    def test_deleted_behind_the_handle_stays_in_its_view(self, tmp_path):
         root = tmp_path / "vdc"
         writer = FileTreeCatalog(root)
         replica = Replica(dataset_name="raw1", location="anl")
@@ -300,26 +357,161 @@ class TestFailedAndCollidingWrites:
                 replica_bindings={"o": replica.replica_id},
             )
         )
+        document = writer._store_get("replica", replica.replica_id)
         reader = FileTreeCatalog(root)
-        (document,) = (root / "replica").iterdir()
-        document.unlink()
+        writer.restore_payload("replica", replica.replica_id, None)
+        assert replica.replica_id not in scanned(root, "replica")
 
-        # The handle's view is what it found at open ...
+        # The handle's view is what it found at open plus what it wrote:
+        # its line is still where the directory says.
         assert reader._store_has("replica", replica.replica_id)
-        # ... until it goes to the file: not found, and forgotten.
-        assert reader._store_get("replica", replica.replica_id) is None
-        assert not reader._store_has("replica", replica.replica_id)
-        assert reader.replica_ids() == []
+        assert reader._store_get("replica", replica.replica_id) == document
+        assert reader.replica_ids() == [replica.replica_id]
         reader._cache.clear()
-        with pytest.raises(NotFoundError):
-            reader.get_replica(replica.replica_id)
-        assert_directory_is_the_tree(reader)
+        assert reader.get_replica(replica.replica_id).location == "anl"
+        # What it writes lands after the other handle's tombstone.
+        reader.add_dataset(Dataset(name="later"))
+        assert segment_lines(root, "dataset") == [
+            "later " + json.dumps(
+                Dataset(name="later").to_dict(), sort_keys=True
+            )
+        ]
 
         # fsck (a handle of its own, as the CLI opens one) reports the
         # dangling reference exactly as before.
         report = RecoveryManager(FileTreeCatalog(root)).fsck()
         assert report.counts() == {"half-committed-invocation": 1}
         assert replica.replica_id in report.findings[0].detail
+
+
+# -- crashes: a torn line, compaction, a kill mid-migration -------------------
+
+
+class TestSegmentCrashes:
+    def test_a_torn_final_line_is_skipped_reported_and_cut(self, tmp_path):
+        root = tmp_path / "vdc"
+        FileTreeCatalog(root).define(DIAMOND_VDL)
+        segment = root / "derivation" / SEGMENT
+        whole = segment.read_bytes()
+        with open(segment, "ab") as handle:
+            handle.write(b'torn {"name": "torn", "transfor')
+
+        catalog = FileTreeCatalog(root)
+        assert catalog.counts()["derivation"] == 5
+        assert not catalog.has_derivation("torn")
+        report = RecoveryManager(catalog).fsck()
+        assert report.counts() == {"torn-segment-tail": 1}
+        assert not report.corrupted  # the next append cuts it anyway
+        assert report.findings[0].object == str(segment)
+
+        # The next append cuts the torn line off first ...
+        catalog.remove_derivation("g1")
+        assert segment.read_bytes() == whole + b"g1\n"
+        assert catalog.torn_segments() == []
+        # ... and so does fsck --repair, without an append.
+        with open(segment, "ab") as handle:
+            handle.write(b"half-a-key")
+        catalog = FileTreeCatalog(root)
+        report = RecoveryManager(catalog).fsck(repair=True)
+        assert [f.repaired for f in report.findings] == [True]
+        assert segment.read_bytes() == whole + b"g1\n"
+        assert RecoveryManager(FileTreeCatalog(root)).fsck().clean
+        assert_directory_is_the_tree(catalog)
+
+    def test_compaction_under_a_second_live_handle(self, tmp_path):
+        root = tmp_path / "vdc"
+        first = FileTreeCatalog(root).define(DIAMOND_VDL)
+        for round_ in range(6):
+            first.add_dataset(
+                Dataset(name="raw1", attributes={"round": round_}),
+                replace=True,
+            )
+        first.restore_payload("dataset", "ds.never", None)
+        segment = root / "dataset" / SEGMENT
+        grown = segment.stat()
+
+        second = FileTreeCatalog(root)  # dead bytes > live: compacts
+        compacted = segment.stat()
+        assert compacted.st_ino != grown.st_ino
+        assert compacted.st_size < grown.st_size / 2
+        assert len(segment_lines(root, "dataset")) == 5
+        assert second.get_dataset("raw1").attributes["round"] == 5
+
+        # The first handle still reads its own view, then notices the
+        # replaced segment before it appends: nothing is lost.
+        assert first.get_dataset("raw1").attributes["round"] == 5
+        first.add_dataset(Dataset(name="from-first"))
+        second.add_dataset(Dataset(name="from-second"))
+        first.add_dataset(Dataset(name="raw1", attributes={}), replace=True)
+        assert segment.stat().st_ino == compacted.st_ino
+        fresh = FileTreeCatalog(root)
+        assert {"from-first", "from-second"} <= set(fresh.dataset_names())
+        assert "round" not in fresh.get_dataset("raw1").attributes
+        assert fresh.counts()["dataset"] == 7
+        assert_directory_is_the_tree(fresh)
+
+    @pytest.mark.parametrize("fsync", (False, True))
+    def test_segments_reach_the_disk_before_an_fsynced_seal(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        catalog = FileTreeCatalog(tmp_path / "vdc")
+        journal = IntentJournal(tmp_path / "journal", fsync=fsync)
+        catalog.attach_journal(journal)
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        with catalog.transaction("one"):
+            catalog.add_dataset(Dataset(name="d"))
+        # The default path adds no fsync; a durable journal's marker
+        # follows the fsync of the one segment the transaction wrote.
+        segment = catalog._fds["dataset"]
+        assert synced == ([segment, journal._handle.fileno()] if fsync else [])
+        journal.close()
+
+    def test_a_kill_mid_migration_of_a_legacy_tree(self, tmp_path):
+        """Rewriting every document of a one-file-per-document tree
+        into the segments, SIGKILLed after a few journaled ops: the
+        repaired tree reads exactly as before, and so does one whose
+        migration then completes."""
+        shutil.copytree(FIXTURE, tmp_path / "ws")
+        workspace = Workspace(tmp_path / "ws")
+        original = FileTreeCatalog(workspace.catalog_dir).export_snapshot()
+        migrate = (
+            "import sys\n"
+            "from repro.cli import Workspace\n"
+            "catalog = Workspace(sys.argv[1]).catalog()\n"
+            "with catalog.transaction('migrate'):\n"
+            "    catalog.import_snapshot(catalog.export_snapshot())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        killed = subprocess.run(
+            [sys.executable, "-c", migrate, str(workspace.root)],
+            env={**env, "REPRO_CRASH_AFTER": "4"},
+        )
+        assert killed.returncode == -9
+        assert segment_lines(workspace.catalog_dir, "dataset")  # half-way
+        transformations = workspace.catalog_dir / "transformation" / SEGMENT
+        assert not transformations.stat().st_size
+
+        report = workspace.recovery().fsck(repair=True)
+        assert report.counts() == {"uncommitted-txn": 1}
+        catalog = workspace.catalog()
+        assert catalog.export_snapshot() == original
+        catalog.journal.close()
+
+        done = subprocess.run(
+            [sys.executable, "-c", migrate, str(workspace.root)], env=env
+        )
+        assert done.returncode == 0
+        catalog = workspace.catalog()
+        assert catalog.export_snapshot() == original
+        # Every key now lives in its segment, shadowing its file.
+        for kind in KINDS:
+            assert -1 not in catalog._directory[kind].values(), kind
+        catalog.journal.close()
+        assert workspace.recovery().fsck().clean
 
 
 # -- format: trees written by the indenting encoder still work ----------------
@@ -374,15 +566,24 @@ class TestIndentedTree:
 
         catalog.add_dataset(before, replace=True)
 
-        text = path.read_text()
-        assert text.endswith("\n") and text.count("\n") == 1
-        assert text == json.dumps(json.loads(indented), sort_keys=True) + "\n"
-        assert FileTreeCatalog(old_tree.catalog_dir).get_dataset(
-            "seed.txt"
-        ).to_dict() == before.to_dict()
+        # One sorted line in the segment, shadowing the untouched file.
+        assert segment_lines(old_tree.catalog_dir, "dataset") == [
+            "seed.txt " + json.dumps(json.loads(indented), sort_keys=True)
+        ]
+        assert path.read_text() == indented
+        reopened = FileTreeCatalog(old_tree.catalog_dir)
+        assert reopened.get_dataset("seed.txt").to_dict() == before.to_dict()
+        assert reopened._directory["dataset"]["seed.txt"] >= 0
+        assert reopened._directory["dataset"]["copy.txt"] == -1
         assert untouched.read_bytes() == (
             FIXTURE / "catalog" / "transformation" / untouched.name
         ).read_bytes()
+        # A delete of a key its file holds is a tombstone that hides it.
+        catalog.restore_payload("transformation", "example1::t1@1.0", None)
+        assert untouched.exists()
+        reopened = FileTreeCatalog(old_tree.catalog_dir)
+        assert not reopened.has_transformation("example1::t1", "1.0")
+        assert_directory_is_the_tree(reopened)
         catalog.journal.close()
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.planner.dag import Frontier
 from repro.planner.request import MaterializationRequest
 from repro.workloads import canonical
 from tests.planner.test_frontier import downstream_of
+from tests.test_no_cycles import cyclic_repro_objects
 
 WIDTH = 200
 #: The step whose body fails: halfway through the wide layer.
@@ -215,6 +217,17 @@ def run(tmp_path, tag, backend, workers, policy, fail, monkeypatch):
     }
 
 
+def failed_and_dropped(tmp_path, backend, workers, policy) -> None:
+    """One failing materialize whose error is caught and dropped."""
+    _, executor, _, target = build(tmp_path, "dropped", True)
+    try:
+        executor.materialize(
+            target, workers=workers, backend=backend, failure_policy=policy
+        )
+    except (ExecutionError, MaterializationError):
+        pass
+
+
 def reference_steps(plan, policy, bad=None):
     """The dispatch contract, executed by hand on a synchronous pool:
     a batch is everything dispatched; it is handled in topological
@@ -370,6 +383,11 @@ class TestRealPools:
                 if n != BAD and n not in downstream
             ]
             assert sorted(succeeded) == sorted(seen["invocations"])
+        # The failed run, once its error is dropped, leaves nothing for
+        # the collector: the error does not hold the run back.
+        assert cyclic_repro_objects(
+            lambda: failed_and_dropped(tmp_path, backend, workers, policy)
+        ) == Counter()
 
 
 #: ``zed`` sits in the first level but sorts after the second level's

@@ -9,13 +9,18 @@ session leaves behind waits for a full collection.
 
 Each flow runs with the collector off and is then dropped; a
 collection that saves what it finds (``DEBUG_SAVEALL``) must find no
-object of a ``repro`` type.  Run with ``-s`` to see what a failing
-flow left behind.
+object of a ``repro`` type, no ``sqlite3`` connection or statement
+(a dropped catalog closes its connection, whose statement cache is
+cyclic) and no ``argparse`` parser or formatter (the CLI builds its
+argument tree once per process).  The catalog flows also leave the
+process with the file descriptors it had before them.  Run with ``-s``
+to see what a failing flow left behind.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 from collections import Counter
 
 import pytest
@@ -25,6 +30,7 @@ from repro.catalog.federation import FederatedIndex
 from repro.catalog.filetree import FileTreeCatalog
 from repro.catalog.memory import MemoryCatalog
 from repro.catalog.sqlite import SQLiteCatalog
+from repro.cli import _parser as cli_parser
 from repro.cli import main
 from repro.core.dataset import Dataset
 from repro.durability.recovery import RecoveryManager
@@ -59,21 +65,36 @@ LANES = {
 }
 
 
-def cyclic_repro_objects(flow) -> Counter:
+#: Modules whose objects a dropped flow must not leave to the
+#: collector: ours, the catalog's database connections, and the CLI's
+#: argument tree (built once per process, not per command).
+WATCHED = ("repro.", "sqlite3", "argparse")
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def cyclic_repro_objects(flow, fds: bool = False) -> Counter:
     """Run ``flow`` with the collector off, drop what it made, and
-    count the ``repro`` objects a collection then finds unreachable."""
+    count the objects of ``WATCHED`` modules a collection then finds
+    unreachable; with ``fds``, also check that dropping what it made
+    closed every descriptor it opened, before the collection."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     flags = gc.get_debug()
+    before = open_fds()
     try:
         flow()
+        if fds:
+            assert open_fds() == before
         gc.set_debug(flags | gc.DEBUG_SAVEALL)
         gc.collect()
         found = Counter(
             type(obj).__qualname__
             for obj in gc.garbage
-            if type(obj).__module__.startswith("repro.")
+            if type(obj).__module__.startswith(WATCHED)
         )
     finally:
         gc.set_debug(flags)
@@ -109,7 +130,7 @@ def test_catalog_run_frees_at_once(tmp_path, backend, lane):
         ).fsck()
         assert not report.corrupted
 
-    assert cyclic_repro_objects(flow) == Counter()
+    assert cyclic_repro_objects(flow, fds=True) == Counter()
 
 
 def test_grid_run_with_faults_frees_at_once():
@@ -144,7 +165,10 @@ def test_federation_frees_at_once():
 
 
 def test_workspace_session_frees_at_once(tmp_path):
-    """Each CLI command opens the workspace in one session and drops it."""
+    """Each CLI command opens the workspace in one session and drops
+    it, and parses with the one argument tree the process built (its
+    build leaves argparse's formatters to the collector, once)."""
+    cli_parser()
     vdl = tmp_path / "p.vdl"
     vdl.write_text(
         'TR emit( output o ) { argument stdout = ${output:o}; '
@@ -165,4 +189,4 @@ def test_workspace_session_frees_at_once(tmp_path):
         ):
             assert main(ws + argv, out=lines.append) == 0, lines
 
-    assert cyclic_repro_objects(flow) == Counter()
+    assert cyclic_repro_objects(flow, fds=True) == Counter()
