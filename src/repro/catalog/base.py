@@ -47,6 +47,7 @@ from repro.catalog.payloads import (
     file_size,
     is_concrete,
     owned,
+    sharing_empties,
 )
 from repro.core.dataset import Dataset
 from repro.durability.crashpoints import crashpoint
@@ -110,16 +111,17 @@ def _transformation_from_payload(payload: dict) -> Transformation:
     return tr
 
 
-#: How a stored payload of each kind decodes.  Every decoder rebuilds
-#: the containers it fills (attribute values, actuals, environment,
-#: bindings) and freezes the rest, so the object shares nothing
-#: mutable with the document it came from.
+#: How a stored payload of each kind decodes into a record.  Every
+#: decoder rebuilds the containers it fills (attribute values, actuals,
+#: environment, bindings) and freezes the rest, so the object shares
+#: nothing mutable with the document it came from; empty ones are the
+#: read-only empties every record shares (:func:`sharing_empties`).
 _DECODERS: dict[str, Callable[[dict], Any]] = {
-    "dataset": Dataset.from_dict,
-    "replica": Replica.from_dict,
-    "transformation": _transformation_from_payload,
-    "derivation": Derivation.from_dict,
-    "invocation": Invocation.from_dict,
+    "dataset": sharing_empties(Dataset.from_dict),
+    "replica": sharing_empties(Replica.from_dict),
+    "transformation": sharing_empties(_transformation_from_payload),
+    "derivation": sharing_empties(Derivation.from_dict),
+    "invocation": sharing_empties(Invocation.from_dict),
 }
 
 
@@ -1270,11 +1272,24 @@ class VirtualDataCatalog:
                 self.add_derivation(dv, replace=replace)
         return self
 
+    @_synchronized
     def export_vdl(self) -> str:
-        """Render the catalog's TRs and DVs back to VDL text."""
+        """Render the catalog's TRs and DVs back to VDL text, each DV's
+        actuals in its transformation's formal order (others last, by
+        name): one text on every backend, live or reopened."""
         from repro.vdl.unparser import unparse
 
-        return unparse(list(self.transformations()), list(self.derivations()))
+        ranks: dict[Any, dict[str, int]] = {}
+        derivations = list(self.derivations())
+        for dv in derivations:
+            if dv.transformation not in ranks:
+                tr = self._local_transformation(dv)
+                formals = tr.signature.formals if tr is not None else []
+                ranks[dv.transformation] = {f.name: i for i, f in enumerate(formals)}
+            rank = ranks[dv.transformation]
+            ordered = sorted(dv.actuals, key=lambda n: (rank.get(n, len(rank)), n))
+            dv.actuals = {name: dv.actuals[name] for name in ordered}
+        return unparse(list(self.transformations()), derivations)
 
     # ------------------------------------------------------------------
     # bulk export / import (used by federation snapshots and tests)

@@ -242,10 +242,14 @@ class CatalogIndexes:
         if entry is None:  # racing delete; nothing to index
             return
         self._unindex_derivation(key)
+        # Sorted tuples: the graph keeps them, the planner reuses them.
         inputs, outputs, tr_name = derivation_edges(entry)
         self.graph.add_derivation_edges(key, inputs, outputs)
         self.touched += (*inputs, *outputs)
-        self.by_transformation.setdefault(tr_name, set()).add(key)
+        callers = self.by_transformation.get(tr_name)
+        if callers is None:
+            callers = self.by_transformation[tr_name] = set()
+        callers.add(key)
         self._derivation_tr[key] = tr_name
         self._touch_history(tr_name)
 

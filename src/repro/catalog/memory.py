@@ -40,6 +40,9 @@ class MemoryCatalog(VirtualDataCatalog):
     ) -> None:
         self._data[kind][key] = record
 
+    def _invalidate_cached(self, event: str, kind: str, key: str) -> None:
+        pass  # no record cache
+
     def _at_rest(
         self, kind: str, key: str, keep: bool = True
     ) -> Optional[Any]:

@@ -7,12 +7,15 @@ read-only once stored.  A *document* (``to_dict()``) is a persistence
 format: the SQLite and file-tree backends write one per put, the
 intent journal records them, ``export_snapshot`` hands them out.
 
-:func:`owned` makes the record a put stores: a copy of the caller's
-object, canonicalized the way decoding its document would be, so a
-record kept in memory and one read back from disk are the same
-object graph (untyped datasets share :data:`ANY_DATASET`, size-less
-virtual descriptors one instance, attribute-less records the shared
-empty history, and formal names are interned).
+:func:`owned` makes the record a put stores, in one pass: a copy of
+the caller's object canonicalized the way decoding its document would
+be, so a record kept in memory and one read back from disk are the
+same object graph.  What records share is immutable: untyped datasets
+share :data:`ANY_DATASET`, size-less virtual descriptors one instance,
+attribute-less records of every kind :data:`NO_ATTRIBUTES` and
+environment-less derivations :data:`NO_ENVIRONMENT` (a write through
+either raises), and formal names are interned.  Every ``get_*`` hands
+out a copy with containers of its own.
 
 The readers below take a stored object *at rest*: a record, or — on a
 document backend, until a reader decodes it — the document loaded for
@@ -24,10 +27,11 @@ nothing and a memory catalog encodes nothing.
 from __future__ import annotations
 
 from sys import intern
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional
 
-from repro.core.attributes import AttributeSet
-from repro.core.derivation import DatasetArg
+from repro.core.attributes import NO_ATTRIBUTES, AttributeSet
+from repro.core.derivation import DatasetArg, Derivation
 from repro.core.descriptors import FileDescriptor, descriptor_from_dict
 from repro.core.invocation import ExecutionContext
 from repro.core.naming import VDPRef
@@ -36,11 +40,15 @@ from repro.core.types import ANY_DATASET, DatasetType
 #: The shared instance every size-less virtual descriptor decodes to.
 _VIRTUAL = descriptor_from_dict({"kind": "virtual", "size_hint": None})
 
+#: The one environment every environment-less stored derivation
+#: shares: read-only, like :data:`NO_ATTRIBUTES`.
+NO_ENVIRONMENT: Mapping[str, str] = MappingProxyType({})
+
 
 def _attributes(attributes: AttributeSet) -> AttributeSet:
     """The set decoding would build: current values only, and the
-    shared empty history when there are none."""
-    return AttributeSet(attributes.as_dict()) if len(attributes) else AttributeSet()
+    shared empty set when there are none."""
+    return AttributeSet(attributes.as_dict()) if len(attributes) else NO_ATTRIBUTES
 
 
 def _descriptor(descriptor):
@@ -48,34 +56,34 @@ def _descriptor(descriptor):
 
 
 def _own_dataset(ds):
-    clone = ds.copy()
+    clone = ds.copy(_attributes(ds.attributes))
     if clone.dataset_type == ANY_DATASET:
         clone.dataset_type = ANY_DATASET
     clone.descriptor = _descriptor(clone.descriptor)
-    clone.attributes = _attributes(ds.attributes)
     return clone
 
 
 def _own_replica(replica):
-    clone = replica.copy()
+    clone = replica.copy(_attributes(replica.attributes))
     if clone.descriptor is not None:
         clone.descriptor = _descriptor(clone.descriptor)
-    clone.attributes = _attributes(replica.attributes)
     return clone
 
 
 def _own_derivation(dv):
-    clone = dv.copy()
+    clone = object.__new__(type(dv))
+    clone.name = dv.name
     clone.transformation = VDPRef.parse(
         dv.transformation.uri(), default_kind="transformation"
     )
     clone.actuals = {intern(key): value for key, value in dv.actuals.items()}
+    clone.environment = dict(dv.environment) if dv.environment else NO_ENVIRONMENT
     clone.attributes = _attributes(dv.attributes)
     return clone
 
 
 def _own_invocation(inv):
-    clone = inv.copy()
+    clone = inv.copy(_attributes(inv.attributes))
     ctx = inv.context
     clone.context = ExecutionContext.make(
         site=ctx.site,
@@ -84,8 +92,22 @@ def _own_invocation(inv):
         processor=ctx.processor,
         environment=ctx.environment_dict(),
     )
-    clone.attributes = _attributes(inv.attributes)
     return clone
+
+
+def sharing_empties(decode: Callable[[dict], Any]) -> Callable[[dict], Any]:
+    """``decode`` making records as :func:`owned` does: an empty
+    attribute set or environment is the shared read-only one."""
+
+    def decoded(document: dict) -> Any:
+        record = decode(document)
+        if not record.attributes:
+            record.attributes = NO_ATTRIBUTES
+        if type(record) is Derivation and not record.environment:
+            record.environment = NO_ENVIRONMENT
+        return record
+
+    return decoded
 
 
 _OWNERS: dict[str, Callable[[Any], Any]] = {
@@ -189,8 +211,9 @@ def dataset_size(entry: Any, default: int, replica_size: Optional[int]) -> int:
     return default
 
 
-def derivation_edges(entry: Any) -> tuple[set[str], set[str], str]:
-    """(inputs, outputs, transformation name) of a derivation."""
+def derivation_edges(entry: Any) -> tuple[tuple, tuple, str]:
+    """(inputs, outputs, transformation name) of a derivation, the
+    dataset names sorted as :meth:`Derivation.inputs` sorts them."""
     inputs: set[str] = set()
     outputs: set[str] = set()
     if type(entry) is dict:
@@ -205,12 +228,12 @@ def derivation_edges(entry: Any) -> tuple[set[str], set[str], str]:
         tr_name = VDPRef.parse(
             entry["transformation"], default_kind="transformation"
         ).name
-        return inputs, outputs, tr_name
-    for actual in entry.actuals.values():
-        if isinstance(actual, DatasetArg):
-            if actual.direction in ("input", "inout"):
-                inputs.add(actual.dataset)
-            if actual.direction in ("output", "inout"):
-                outputs.add(actual.dataset)
-    return inputs, outputs, entry.transformation.name
-
+    else:
+        for actual in entry.actuals.values():
+            if isinstance(actual, DatasetArg):
+                if actual.direction in ("input", "inout"):
+                    inputs.add(actual.dataset)
+                if actual.direction in ("output", "inout"):
+                    outputs.add(actual.dataset)
+        tr_name = entry.transformation.name
+    return tuple(sorted(inputs)), tuple(sorted(outputs)), tr_name

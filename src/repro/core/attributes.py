@@ -163,7 +163,8 @@ class AttributeSet:
         return f"AttributeSet({self.as_dict()!r})"
 
     def copy(self) -> "AttributeSet":
-        """Return a deep copy including annotation history."""
+        """Return a deep copy including annotation history (a plain,
+        writable set, also when ``self`` is :data:`NO_ATTRIBUTES`)."""
         clone = AttributeSet()
         if self._history:
             clone._history = {
@@ -174,3 +175,17 @@ class AttributeSet:
                 for key, notes in self._history.items()
             }
         return clone
+
+
+class _ReadOnlyEmpty(AttributeSet):
+    """:data:`NO_ATTRIBUTES`: an empty set that refuses every write."""
+
+    __slots__ = ()
+
+    def set(self, key, value, author=None, timestamp=None) -> Annotation:
+        raise TypeError("a stored record's attributes are shared: write a copy")
+
+
+#: The one attribute set every attribute-less stored record shares
+#: (:mod:`repro.catalog.payloads`): a write through it raises.
+NO_ATTRIBUTES: AttributeSet = _ReadOnlyEmpty()

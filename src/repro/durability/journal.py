@@ -44,6 +44,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -143,7 +144,9 @@ class IntentJournal:
         self.keep_history = keep_history
         self.obs = instrumentation or NULL
         self._lock = threading.Lock()
-        self._handle = None
+        #: The open append handle, if any, which a drop closes.
+        self._handles: list = []
+        weakref.finalize(self, _close, self._handles)
         #: Bytes in the file as far as this writer knows: its size when
         #: opened plus what was appended since.
         self._size = 0
@@ -156,12 +159,12 @@ class IntentJournal:
     # -- writing -------------------------------------------------------------
 
     def _file(self):
-        if self._handle is None or self._handle.closed:
+        if not self._handles:
             self.directory.mkdir(parents=True, exist_ok=True)
             truncate_torn_tail(self.path)
-            self._handle = open(self.path, "a", encoding="utf-8")
-            self._size = os.fstat(self._handle.fileno()).st_size
-        return self._handle
+            self._handles.append(open(self.path, "a", encoding="utf-8"))
+            self._size = os.fstat(self._handles[0].fileno()).st_size
+        return self._handles[0]
 
     def _append(self, record: dict, sync: bool = False) -> None:
         line = json.dumps(record, sort_keys=True, default=str)
@@ -241,19 +244,16 @@ class IntentJournal:
             self._truncate_locked()
 
     def _truncate_locked(self) -> None:
-        if self._handle is not None and not self._handle.closed:
-            self._handle.close()
-        self._handle = None
+        _close(self._handles)
         self._size = 0
         if self.path.exists():
             with open(self.path, "w", encoding="utf-8"):
                 pass
 
     def close(self) -> None:
+        """Close the append handle (idempotent; so does a drop)."""
         with self._lock:
-            if self._handle is not None and not self._handle.closed:
-                self._handle.close()
-            self._handle = None
+            _close(self._handles)
 
     # -- scanning ------------------------------------------------------------
 
@@ -295,6 +295,12 @@ class IntentJournal:
                     txn.ops.append(_op(record))
             state.uncommitted = list(open_txns.values())
         return state
+
+
+def _close(handles: list) -> None:
+    """Close a journal's append handle (the journal's finalizer)."""
+    while handles:
+        handles.pop().close()
 
 
 def _json_lines(path: Path):

@@ -295,9 +295,13 @@ class _StepsView(Mapping):
 
 
 class _DependenciesView(_StepsView):
-    """:attr:`Plan.dependencies`: a frozenset of names built per read."""
+    """:attr:`Plan.dependencies`: a frozenset of names built per read;
+    ``names`` and ``links`` are the plan's own (id order, CSR both ways)
+    for :func:`~repro.core.topology.name_edges`."""
 
     __slots__ = ()
+    names = property(lambda self: self._plan._names)
+    links = property(lambda self: (self._plan._depends_on, self._plan._released_by))
 
     def get(self, name: str, default=None):
         plan = self._plan
@@ -728,12 +732,8 @@ class Planner:
                 )
             # Deterministic choice when multiple producers exist.
             producer_name = min(producers)
-            dv = graph.derivation(producer_name)
-            self._expand_derivation(dv, draft)
-            # A simple derivation is its own step, which knows its
-            # inputs already; a compound one expanded into several.
-            row = draft.rows.get(producer_name)
-            inputs = dv.inputs() if row is None else row[_INPUTS]
+            self._expand_derivation(graph.derivation(producer_name), draft, graph)
+            inputs = graph.input_names(producer_name)
             # Skip already-visited inputs before pushing: high-fan-in
             # graphs would otherwise blow the worklist up with
             # duplicates that each pop-and-discard pass re-touches.
@@ -910,12 +910,15 @@ class Planner:
             cached = self._tr_memo[ref] = self.resolver.transformation(ref)
         return cached
 
-    def _expand_derivation(self, dv: Derivation, draft: "_Draft") -> None:
+    def _expand_derivation(
+        self, dv: Derivation, draft: "_Draft", graph: DerivationGraph
+    ) -> None:
         if dv.name in draft.rows:
             return
         tr, _ = self._resolve_transformation(dv.transformation)
         if isinstance(tr, SimpleTransformation):
-            self._add_step(dv.name, dv, tr, draft)
+            edges = graph.input_names(dv.name), graph.output_names(dv.name)
+            self._add_step(dv.name, dv, tr, draft, edges)
             return
         assert isinstance(tr, CompoundTransformation)
         self._expand_compound(dv.name, dv, tr, draft, depth=0)
@@ -926,15 +929,17 @@ class Planner:
         dv: Derivation,
         tr: SimpleTransformation,
         draft: "_Draft",
+        edges: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None,
     ) -> None:
-        outputs = dv.outputs()
+        # The sorted tuples the graph keeps, or two sets sorted here.
+        inputs, outputs = edges or (dv.inputs(), dv.outputs())
         size = self._size_estimate or self._catalog_size
         draft.rows[name] = (
             dv,
             tr,
             self._cpu_estimate(dv),
             draft.shared(tuple([size(dv, out) for out in outputs])),
-            dv.inputs(),
+            inputs,
             outputs,
         )
         for arg in dv.actuals.values():

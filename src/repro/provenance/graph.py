@@ -89,7 +89,8 @@ class DerivationGraph:
         #: has an entry in both maps.
         self._producers: dict[str, tuple | set] = {}
         self._consumers: dict[str, tuple | set] = {}
-        #: derivation -> names of the datasets it reads / writes.
+        #: derivation -> names of the datasets it reads / writes, sorted
+        #: where the catalog links them (no walk depends on the hash seed).
         self._inputs: dict[str, tuple[str, ...]] = {}
         self._outputs: dict[str, tuple[str, ...]] = {}
         #: name -> Derivation, once loaded through :meth:`derivation`.

@@ -467,7 +467,7 @@ class TestSegmentCrashes:
         # The default path adds no fsync; a durable journal's marker
         # follows the fsync of the one segment the transaction wrote.
         segment = catalog._fds["dataset"]
-        assert synced == ([segment, journal._handle.fileno()] if fsync else [])
+        assert synced == ([segment, journal._handles[0].fileno()] if fsync else [])
         journal.close()
 
     def test_a_kill_mid_migration_of_a_legacy_tree(self, tmp_path):

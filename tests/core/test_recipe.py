@@ -66,8 +66,9 @@ def test_stamp_equals_the_uncached_digest_across_redefinitions():
     seen.append(assert_stamps_match(catalog))
     for earlier, later in zip(seen, seen[1:]):
         assert earlier != later
-    # Attributes are metadata: no new digest.
-    tr = catalog._transformation_record("sim")
+    # Attributes are metadata: no new digest.  (A stored record is
+    # read-only: annotate its copy, which carries the record's memo.)
+    tr = catalog._transformation_record("sim").copy()
     before = stamped(catalog.get_derivation("src"), tr)
     tr.attributes.set("owner", "someone")
     assert stamped(catalog.get_derivation("src"), tr) == before

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -190,3 +192,33 @@ def test_workspace_session_frees_at_once(tmp_path):
             assert main(ws + argv, out=lines.append) == 0, lines
 
     assert cyclic_repro_objects(flow, fds=True) == Counter()
+
+
+def test_workspace_commands_close_their_journal(tmp_path, monkeypatch):
+    """A dropped session's intent journal closes its append handle
+    itself, so no command leaves it to the file object's finalizer:
+    with ``ResourceWarning`` an error, none is raised for the journal
+    (a warning raised in a finalizer reaches ``sys.unraisablehook``)."""
+    raised: list[str] = []
+    monkeypatch.setattr(
+        sys, "unraisablehook", lambda hook: raised.append(repr(hook.exc_value))
+    )
+    vdl = tmp_path / "p.vdl"
+    vdl.write_text(
+        'TR emit( output o ) { argument stdout = ${output:o}; '
+        'argument msg = "hi"; exec = "/bin/echo"; }\n'
+        'DV e1->emit( o=@{output:"seed.txt"} );\n'
+    )
+    ws = ["--workspace", str(tmp_path / "ws")]
+    lines: list[str] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for argv in (
+            ["init"],
+            ["define", str(vdl)],
+            ["materialize", "seed.txt"],
+            ["fsck"],
+        ):
+            assert main(ws + argv, out=lines.append) == 0, lines
+        gc.collect()
+    assert [r for r in raised if "catalog.journal" in r] == []
