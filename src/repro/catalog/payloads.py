@@ -56,17 +56,22 @@ def _descriptor(descriptor):
 
 
 def _own_dataset(ds):
-    clone = ds.copy(_attributes(ds.attributes))
-    if clone.dataset_type == ANY_DATASET:
-        clone.dataset_type = ANY_DATASET
-    clone.descriptor = _descriptor(clone.descriptor)
+    clone = object.__new__(type(ds))
+    clone.name = ds.name
+    clone.dataset_type = (
+        ANY_DATASET if ds.dataset_type == ANY_DATASET else ds.dataset_type
+    )
+    clone.descriptor = _descriptor(ds.descriptor)
+    clone.attributes = _attributes(ds.attributes)
+    clone.producer = ds.producer
     return clone
 
 
 def _own_replica(replica):
-    clone = replica.copy(_attributes(replica.attributes))
+    clone = replica.copy()
     if clone.descriptor is not None:
         clone.descriptor = _descriptor(clone.descriptor)
+    clone.attributes = _attributes(replica.attributes)
     return clone
 
 
@@ -83,7 +88,7 @@ def _own_derivation(dv):
 
 
 def _own_invocation(inv):
-    clone = inv.copy(_attributes(inv.attributes))
+    clone = inv.copy()
     ctx = inv.context
     clone.context = ExecutionContext.make(
         site=ctx.site,
@@ -92,6 +97,7 @@ def _own_invocation(inv):
         processor=ctx.processor,
         environment=ctx.environment_dict(),
     )
+    clone.attributes = _attributes(inv.attributes)
     return clone
 
 

@@ -48,20 +48,19 @@ class Dataset:
         """True when the record describes no physical representation."""
         return isinstance(self.descriptor, VirtualDescriptor)
 
-    def copy(self, attributes: Optional[AttributeSet] = None) -> "Dataset":
+    def copy(self) -> "Dataset":
         """An independent copy: mutating it leaves ``self`` untouched.
 
         Skips the constructor's validation (``self`` already passed it)
         and shares the frozen type and descriptor, so a catalog can
         decode a stored dataset once and hand each reader its own
-        object for a fraction of the decode.  Given ``attributes``, the
-        copy takes that set instead of a copy of its own.
+        object for a fraction of the decode.
         """
         clone = object.__new__(type(self))
         clone.name = self.name
         clone.dataset_type = self.dataset_type
         clone.descriptor = self.descriptor
-        clone.attributes = self.attributes.copy() if attributes is None else attributes
+        clone.attributes = self.attributes.copy()
         clone.producer = self.producer
         return clone
 

@@ -125,7 +125,7 @@ class Invocation:
             self.attributes = AttributeSet(self.attributes)
         observe_invocation_id(self.invocation_id)
 
-    def copy(self, attributes: Optional[AttributeSet] = None) -> "Invocation":
+    def copy(self) -> "Invocation":
         """An independent, unvalidated copy sharing the frozen context
         and usage (see :meth:`repro.core.dataset.Dataset.copy`)."""
         clone = object.__new__(type(self))
@@ -138,7 +138,7 @@ class Invocation:
         clone.replica_bindings = dict(self.replica_bindings)
         clone.exit_code = self.exit_code
         clone.error = self.error
-        clone.attributes = self.attributes.copy() if attributes is None else attributes
+        clone.attributes = self.attributes.copy()
         return clone
 
     @property

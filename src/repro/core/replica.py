@@ -70,7 +70,7 @@ class Replica:
             self.attributes = AttributeSet(self.attributes)
         observe_replica_id(self.replica_id)
 
-    def copy(self, attributes: Optional[AttributeSet] = None) -> "Replica":
+    def copy(self) -> "Replica":
         """An independent, unvalidated copy sharing the frozen
         descriptor (see :meth:`repro.core.dataset.Dataset.copy`)."""
         clone = object.__new__(type(self))
@@ -80,7 +80,7 @@ class Replica:
         clone.replica_id = self.replica_id
         clone.size = self.size
         clone.digest = self.digest
-        clone.attributes = self.attributes.copy() if attributes is None else attributes
+        clone.attributes = self.attributes.copy()
         return clone
 
     def size_estimate(self, default: int = 0) -> int:

@@ -73,10 +73,7 @@ def name_edges(
     """:func:`edges` over ``names`` (given in name order: a name's id is
     its index), each node's row the ids of its predecessors in
     ``deps``.  A name ``deps`` lacks has none, and a predecessor that
-    is not among ``names`` is no edge.  A plan's ``dependencies`` over
-    the plan's own names hands back the plan's CSR (shared: read only)."""
-    if getattr(deps, "names", None) == names:
-        return deps.links
+    is not among ``names`` is no edge."""
     ids = dict(zip(names, range(len(names))))
     return edges(
         [ids[pred] for pred in deps.get(name, ()) if pred in ids]

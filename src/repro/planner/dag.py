@@ -295,13 +295,9 @@ class _StepsView(Mapping):
 
 
 class _DependenciesView(_StepsView):
-    """:attr:`Plan.dependencies`: a frozenset of names built per read;
-    ``names`` and ``links`` are the plan's own (id order, CSR both ways)
-    for :func:`~repro.core.topology.name_edges`."""
+    """:attr:`Plan.dependencies`: a frozenset of names built per read."""
 
     __slots__ = ()
-    names = property(lambda self: self._plan._names)
-    links = property(lambda self: (self._plan._depends_on, self._plan._released_by))
 
     def get(self, name: str, default=None):
         plan = self._plan
@@ -929,10 +925,9 @@ class Planner:
         dv: Derivation,
         tr: SimpleTransformation,
         draft: "_Draft",
-        edges: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None,
+        edges: tuple[tuple[str, ...], tuple[str, ...]],
     ) -> None:
-        # The sorted tuples the graph keeps, or two sets sorted here.
-        inputs, outputs = edges or (dv.inputs(), dv.outputs())
+        inputs, outputs = edges
         size = self._size_estimate or self._catalog_size
         draft.rows[name] = (
             dv,
@@ -1016,7 +1011,8 @@ class Planner:
                     sub_name, sub_dv, callee, draft, depth + 1
                 )
             else:
-                self._add_step(sub_name, sub_dv, callee, draft)
+                edges = sub_dv.inputs(), sub_dv.outputs()
+                self._add_step(sub_name, sub_dv, callee, draft, edges)
 
 
 

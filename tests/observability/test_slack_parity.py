@@ -1,12 +1,9 @@
-"""CPM slack, the critical path and Kahn levels read a plan's own CSR.
+"""CPM slack, the critical path and Kahn levels over a plan's view.
 
 ``compute_slack``, ``critical_path`` and ``topological_levels`` take a
-name -> predecessors mapping.  Handed a plan's ``dependencies`` view
-over the plan's own step names, ``name_edges`` returns the plan's CSR
-instead of rebuilding it from one frozenset per step.  On random DAGs
-every answer must equal the one a plain name mapping gives — also when
-some steps never ran (missing from the timings), where the names
-differ from the plan's and the mapping path is taken.
+name -> predecessors mapping.  On random DAGs every answer over a
+plan's ``dependencies`` view must equal the one a plain name mapping
+gives, also when some steps never ran (missing from the timings).
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.topology import name_edges, topological_levels
+from repro.core.topology import topological_levels
 from repro.observability.analysis import compute_slack, critical_path
 from tests.core.test_topology import dags, make_plan
 
@@ -45,7 +42,7 @@ class Record:
 def test_a_plan_view_answers_as_a_name_map(deps, data):
     plan = make_plan(deps)
     plain = {name: set(preds) for name, preds in deps.items()}
-    # Every step ran (the plan's CSR is read), or some did not.
+    # Every step ran, or some did not.
     everyone = data.draw(st.booleans(), label="every step ran")
     timings = {}
     for name in sorted(deps):
@@ -65,26 +62,3 @@ def test_a_plan_view_answers_as_a_name_map(deps, data):
     )
     assert topological_levels(plan.dependencies) == topological_levels(plain)
 
-
-def rows(offsets, targets):
-    return [
-        sorted(targets[offsets[i]:offsets[i + 1]])
-        for i in range(len(offsets) - 1)
-    ]
-
-
-@settings(max_examples=50, deadline=None)
-@given(dags(ghosts=False))
-def test_the_plan_csr_is_shared_only_over_the_plans_names(deps):
-    plan = make_plan(deps)
-    names = sorted(deps)
-    links = name_edges(names, plan.dependencies)
-    plain = name_edges(names, {n: set(p) for n, p in deps.items()})
-    # The same edges; a name map's rows come in set order.
-    assert [rows(*csr) for csr in links] == [rows(*csr) for csr in plain]
-    assert links[0][0] is plan._depends_on[0]
-    if names:
-        fewer = names[:-1]
-        assert name_edges(fewer, plan.dependencies)[0][0] is not (
-            plan._depends_on[0]
-        )
