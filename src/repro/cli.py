@@ -596,23 +596,23 @@ def _fmt_makespan(value) -> str:
     return f"{value:.3f}s" if value is not None else "-"
 
 
+def _require_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise VirtualDataError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_runs(ws: Workspace, args, out) -> int:
     """List recorded runs, or prune old ones (``runs prune --keep N``)."""
     if getattr(args, "runs_command", None) == "prune":
-        if args.keep < 0:
-            raise VirtualDataError(
-                f"--keep must be >= 0, got {args.keep}"
-            )
-        # Aggregates outlive the raw records: ingest before deleting.
-        ws.history().close()
-        pruned = prune_runs(ws.runs_dir, args.keep)
+        _require_nonnegative("--keep", args.keep)
+        pruned = prune_runs(ws.runs_dir, args.keep, ws.history_dir)
         if not pruned:
             out("nothing to prune")
             return 0
         for run_id in pruned:
             out(f"pruned {run_id}")
         out(f"pruned {len(pruned)} run(s), kept the {args.keep} newest "
-            "(aggregates retained in the history store)")
+            "(regress, health and training still read them from history/)")
         return 0
     runs = ws.list_runs()
     if not runs:
@@ -653,18 +653,19 @@ def _cmd_regress(ws: Workspace, args, out) -> int:
     found (1 is reserved for operational errors), so CI can use this
     directly.
     """
-    candidate = ws.load_run(args.run)
-    with ws.history() as history:
-        try:
-            diff = regression_report(
-                history,
-                candidate,
-                baseline_ids=args.baseline or None,
-                window=args.window,
-                threshold_pct=args.threshold,
-            )
-        except ValueError as exc:
-            raise VirtualDataError(str(exc)) from None
+    _require_nonnegative("--window", args.window)
+    history = ws.history()
+    candidate = ws.load_run(args.run, among=history)
+    try:
+        diff = regression_report(
+            history,
+            candidate,
+            baseline_ids=args.baseline or None,
+            window=args.window,
+            threshold_pct=args.threshold,
+        )
+    except ValueError as exc:
+        raise VirtualDataError(str(exc)) from None
     if args.json:
         out(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
     else:
@@ -678,14 +679,21 @@ def _cmd_health(ws: Workspace, args, out) -> int:
     With ``--check``, exit 2 unless every site is within SLO (for
     CI/cron gating); without it, reporting is always exit 0.
     """
-    policy = SLOPolicy(success_target=args.slo)
-    with ws.history() as history:
-        if not len(history):
-            raise VirtualDataError(
-                f"no recorded runs under {ws.runs_dir}; health needs "
-                "at least one recorded 'materialize' or 'run'"
-            )
-        report = grid_health(history, policy=policy, window=args.window)
+    if args.window is not None:
+        _require_nonnegative("--window", args.window)
+    if not 0.0 < args.slo < 1.0:
+        raise VirtualDataError(f"--slo must be in (0, 1), got {args.slo}")
+    history = ws.history()
+    if not history:
+        raise VirtualDataError(
+            f"no recorded runs under {ws.runs_dir}; health needs "
+            "at least one recorded 'materialize' or 'run'"
+        )
+    report = grid_health(
+        history,
+        policy=SLOPolicy(success_target=args.slo),
+        window=args.window,
+    )
     if args.json:
         out(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -699,16 +707,13 @@ def _cmd_metrics(ws: Workspace, args, out) -> int:
     """Metrics exposition: the scrape surface for the grid.
 
     Reads the latest snapshot (or ``--run`` record) metrics, merges in
-    health gauges when run history exists, and prints either the
+    health gauges when recorded runs exist, and prints either the
     OpenMetrics text exposition (``--openmetrics``) or the human
     rendering.
     """
     metrics = _load_metrics(ws, args.run)
-    health_report = None
-    if ws.exists and ws.list_runs():
-        with ws.history() as history:
-            if len(history):
-                health_report = grid_health(history)
+    history = ws.history() if ws.exists else []
+    health_report = grid_health(history) if history else None
     if args.openmetrics:
         text = openmetrics_snapshot(metrics, health_report=health_report)
         problems = validate_openmetrics(text)
@@ -1040,8 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
     runs_sub = runs.add_subparsers(dest="runs_command")
     prune = runs_sub.add_parser(
         "prune",
-        help="delete all but the newest N recorded runs "
-        "(aggregates are ingested into the history store first)",
+        help="delete all but the newest N recorded runs (each leaves "
+        "a compacted copy under history/ that regress, health and "
+        "training still read)",
     )
     prune.add_argument(
         "--keep",
@@ -1075,14 +1081,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RUN_ID",
         help="explicit baseline run id; repeatable "
-        "(default: the last --window ingested runs)",
+        "(default: the last --window recorded runs)",
     )
     regress.add_argument(
         "--window",
         type=int,
         default=20,
         metavar="N",
-        help="baseline window when --baseline is not given (default 20)",
+        help="baseline window when --baseline is not given "
+        "(default 20; 0 takes every run)",
     )
     regress.set_defaults(fn=_cmd_regress)
     for comparing in (diff, regress):
@@ -1102,7 +1109,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="how many recent runs to score (default: policy window)",
+        help="how many recent runs to score "
+        "(default: policy window; 0 scores every run)",
     )
     health.add_argument(
         "--slo",

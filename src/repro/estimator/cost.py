@@ -21,12 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.catalog.base import VirtualDataCatalog
 from repro.core.derivation import Derivation
 from repro.core.invocation import Invocation
 from repro.observability.instrument import NULL, Instrumentation
+
+if TYPE_CHECKING:
+    from repro.observability.recorder import RunRecord
 
 #: Used when nothing at all is known (1 second, 1 MB) — deliberately
 #: visible defaults rather than silent zeros.
@@ -65,7 +68,7 @@ def fit_samples(
     Each sample is ``(bytes_read, cpu_seconds, bytes_written)``.  The
     sample-based core lets the same fit serve live
     :class:`~repro.core.invocation.Invocation` objects and the
-    run-history metastore's aggregate tables.
+    invocation rows of recorded runs.
     """
     if not samples:
         return TransformationCostModel(transformation=transformation)
@@ -144,30 +147,30 @@ class Estimator:
             )
 
     def train_on_history(
-        self, history
+        self, history: Iterable[RunRecord]
     ) -> dict[str, TransformationCostModel]:
-        """Fit models from the whole run-history metastore.
+        """Fit models from recorded runs.
 
-        Pools every successful planned invocation the
-        :class:`~repro.observability.history.HistoryStore` has
-        ingested — the §5.3 estimation loop closed over *all* recorded
+        Pools every successful planned invocation of ``history`` (a
+        list of :class:`~repro.observability.recorder.RunRecord`, as
+        :meth:`~repro.system.Workspace.history` returns it) in run-id
+        order — the §5.3 estimation loop closed over *all* recorded
         history.  A record taken on one grid can thus train an
         estimator bound to a different (even empty) catalog.  Returns
         the transformations whose models were refreshed.
         """
+        samples: dict[str, list[tuple[float, float, float]]] = {}
+        for record in sorted(history, key=lambda r: r.run_id):
+            for row in record.invocation_rows:
+                if row.transformation is None or row.status != "success":
+                    continue
+                samples.setdefault(row.transformation, []).append(
+                    (float(row.bytes_read), row.cpu_seconds,
+                     float(row.bytes_written))
+                )
         trained: dict[str, TransformationCostModel] = {}
-        for tr_name, rows in sorted(history.training_samples().items()):
-            model = fit_samples(
-                tr_name,
-                [
-                    (
-                        float(row["bytes_read"]),
-                        float(row["cpu_seconds"]),
-                        float(row["bytes_written"]),
-                    )
-                    for row in rows
-                ],
-            )
+        for tr_name, rows in sorted(samples.items()):
+            model = fit_samples(tr_name, rows)
             if model.is_fitted:
                 self._models[tr_name] = trained[tr_name] = model
                 if self.obs.enabled:

@@ -48,7 +48,6 @@ from repro.observability.health import (
     health_metrics,
     health_penalties,
 )
-from repro.observability.history import HistoryStore
 from repro.observability.instrument import (
     NULL,
     Instrumentation,
@@ -84,7 +83,6 @@ __all__ = [
     "Gauge",
     "HealthReport",
     "Histogram",
-    "HistoryStore",
     "Instrumentation",
     "MetricsRegistry",
     "NullInstrumentation",

@@ -8,15 +8,14 @@ Two complementary entry points:
   per-transformation mean step durations, with each delta flagged
   significant or not;
 * :func:`regression_report` — one candidate run against a *baseline
-  population* pooled from the
-  :class:`~repro.observability.history.HistoryStore`, the shape a CI
-  regression gate wants ("is today's run slower than the last N?").
+  population* pooled from the workspace's recorded runs
+  (:meth:`~repro.system.Workspace.history`), the shape a CI regression
+  gate wants ("is today's run slower than the last N?").
 
 Both read a step's duration the one way the record decoder defines it
 (:meth:`~repro.observability.recorder.RunRecord.duration_samples`, the
-successful attempt's ``end - start``), which is also what the history
-store's ``attempt`` table holds, so a pair of identical runs is clean
-under either.
+successful attempt's ``end - start``), so a pair of identical runs is
+clean under either.
 
 Significance is deliberately conservative and distribution-free at
 its core: a delta is flagged when **both** the relative change exceeds
@@ -34,10 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.observability.analysis import critical_path
-from repro.observability.history import HistoryStore
 from repro.observability.recorder import RunRecord
 
 #: Welch t statistic required when a variance-based test is possible.
@@ -286,6 +284,18 @@ def _phase_samples(record: RunRecord) -> dict[str, list[float]]:
     return {name: [stat["seconds"]] for name, stat in record.phases.items()}
 
 
+def _pooled(
+    records: Iterable[RunRecord],
+    samples: Callable[[RunRecord], dict[str, list[float]]],
+) -> dict[str, list[float]]:
+    """Each record's ``samples`` concatenated per key, in run-id order."""
+    out: dict[str, list[float]] = {}
+    for record in sorted(records, key=lambda r: r.run_id):
+        for key, values in samples(record).items():
+            out.setdefault(key, []).extend(values)
+    return out
+
+
 def _critical_seconds(record: RunRecord) -> Optional[float]:
     try:
         report = critical_path(record)
@@ -314,7 +324,7 @@ def diff_durations(
 
     The shared core of :func:`diff_records` (samples from two parsed
     records) and :func:`regression_report` (baseline samples pooled
-    from the history store).  ``base_phases``/``cand_phases`` carry
+    across runs).  ``base_phases``/``cand_phases`` carry
     profiled lifecycle-phase seconds; phase deltas are computed only
     when *both* sides have them, so an unprofiled run never gates on
     phases.
@@ -396,7 +406,7 @@ def diff_records(
 
 
 def regression_report(
-    history: HistoryStore,
+    history: list[RunRecord],
     candidate: RunRecord,
     baseline_ids: Optional[Iterable[str]] = None,
     window: int = 20,
@@ -405,16 +415,18 @@ def regression_report(
 ) -> RunDiff:
     """Compare one candidate run against a pooled historical baseline.
 
-    ``baseline_ids`` defaults to the last ``window`` ingested runs,
-    excluding the candidate itself.  Baseline duration samples are
-    pooled across all baseline runs, so a one-off hiccup in a single
-    old run doesn't dominate the mean.
+    ``history`` is every recorded run, oldest first (what
+    :meth:`~repro.system.Workspace.history` returns).  ``baseline_ids``
+    defaults to the last ``window`` of them, excluding the candidate
+    itself.  Baseline duration samples are pooled across all baseline
+    runs, so a one-off hiccup in a single old run doesn't dominate the
+    mean.
     """
     if baseline_ids is None:
         ids = [
-            rid
-            for rid in history.run_ids()
-            if rid != candidate.run_id
+            record.run_id
+            for record in history
+            if record.run_id != candidate.run_id
         ]
         baseline_ids = ids[-window:]
     else:
@@ -423,24 +435,20 @@ def regression_report(
         ]
     if not baseline_ids:
         raise ValueError("no baseline runs to regress against")
-    base_rows = [history.run_row(rid) for rid in baseline_ids]
-    missing = [
-        rid
-        for rid, row in zip(baseline_ids, base_rows)
-        if row is None
-    ]
+    by_id = {record.run_id: record for record in history}
+    missing = [rid for rid in baseline_ids if rid not in by_id]
     if missing:
         raise ValueError(
             f"baseline runs not in history: {', '.join(missing)}"
         )
+    base_runs = [by_id[rid] for rid in baseline_ids]
+    # Totals count each id as given; samples pool each run once.
+    distinct = {record.run_id: record for record in base_runs}.values()
     base_makespans = [
-        float(row["makespan"])
-        for row in base_rows
-        if row["makespan"] is not None
+        float(makespan)
+        for makespan in (record.makespan() for record in base_runs)
+        if makespan is not None
     ]
-    base_retries = sum(int(row["retries"]) for row in base_rows)
-    base_faults = sum(int(row["faults"]) for row in base_rows)
-    base_failures = sum(int(row["steps_failed"]) for row in base_rows)
     base_label = (
         baseline_ids[0]
         if len(baseline_ids) == 1
@@ -450,17 +458,17 @@ def regression_report(
     diff = diff_durations(
         base_label,
         candidate.run_id,
-        history.duration_samples(baseline_ids),
+        _pooled(distinct, RunRecord.duration_samples),
         candidate.duration_samples(),
         makespan=(
             _mean(base_makespans) if base_makespans else None,
             cand_makespan,
         ),
         critical=(None, _critical_seconds(candidate)),
-        retries=(base_retries, candidate.retries),
-        faults=(base_faults, candidate.faults),
-        failures=(base_failures, candidate.failures),
-        base_phases=history.phase_seconds(baseline_ids),
+        retries=(sum(r.retries for r in base_runs), candidate.retries),
+        faults=(sum(r.faults for r in base_runs), candidate.faults),
+        failures=(sum(r.failures for r in base_runs), candidate.failures),
+        base_phases=_pooled(distinct, _phase_samples),
         cand_phases=_phase_samples(candidate),
         threshold_pct=threshold_pct,
         abs_floor=abs_floor,

@@ -1,11 +1,11 @@
-"""Grid health: per-site SLOs computed from the run history.
+"""Grid health: per-site SLOs computed from the recorded runs.
 
 The CMS production postmortems (PAPERS.md) are unambiguous about what
 keeps a long campaign alive: operators notice a *site* going bad —
 rising failure rates, latency blowups, breakers flapping — before it
 poisons whole workflow generations.  This module condenses the
-:class:`~repro.observability.history.HistoryStore` into exactly that
-signal.
+workspace's flight records (:meth:`~repro.system.Workspace.history`)
+into exactly that signal.
 
 For each site over a window of recent runs we compute:
 
@@ -28,8 +28,11 @@ placement, closing the loop from observed history back into planning.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
+
+from repro.observability.recorder import RunRecord
 
 #: Health statuses, worst-first rollup; codes exported as gauges.
 OK, DEGRADED, CRITICAL = "ok", "degraded", "critical"
@@ -154,18 +157,48 @@ class HealthReport:
         return "\n".join(lines)
 
 
+def site_stats(runs: Iterable[RunRecord]) -> dict[str, dict[str, Any]]:
+    """Per-site attempt totals, successful attempt durations and
+    breaker open seconds, pooled over ``runs`` in run-id order.
+
+    Failures and breaker open time feed the SLO error budget; the
+    durations feed the latency percentiles.
+    """
+    stats: dict[str, dict[str, Any]] = defaultdict(
+        lambda: {
+            "attempts": 0,
+            "failures": 0,
+            "durations": [],
+            "breaker_open_seconds": 0.0,
+        }
+    )
+    for record in sorted(runs, key=lambda record: record.run_id):
+        for row in record.attempts:
+            if row.site is None:
+                continue
+            site = stats[row.site]
+            site["attempts"] += 1
+            if row.status != "success":
+                site["failures"] += 1
+            else:
+                site["durations"].append(row.duration)
+        for name, (open_seconds, _) in record.breaker_windows().items():
+            stats[name]["breaker_open_seconds"] += open_seconds
+    return dict(stats)
+
+
 def grid_health(
-    history: Any,
+    history: list[RunRecord],
     policy: Optional[SLOPolicy] = None,
     window: Optional[int] = None,
 ) -> HealthReport:
-    """Score every site seen in the last ``window`` ingested runs."""
+    """Score every site seen in the last ``window`` of ``history``'s
+    runs (oldest first, as :meth:`~repro.system.Workspace.history`
+    returns them)."""
     policy = policy or SLOPolicy()
-    run_ids = history.run_ids()
     span = window if window is not None else policy.window_runs
-    if span:
-        run_ids = run_ids[-span:]
-    stats = history.site_stats(run_ids)
+    runs = history[-span:] if span else history
+    stats = site_stats(runs)
     # Reference latency: the median of per-site p95s, so a single
     # pathological site cannot drag the grid reference up to itself
     # and mask its own outlier status.
@@ -241,7 +274,7 @@ def grid_health(
         )
     return HealthReport(
         sites=sites,
-        runs_considered=len(run_ids),
+        runs_considered=len(runs),
         policy=policy,
     )
 

@@ -22,8 +22,7 @@ What comes out:
   ``memory=True`` (off by default: tracemalloc itself costs ~2×, so
   the always-on path never pays it);
 - a dict for the flight recorder's ``profile`` line, so profiles ride
-  in run records, diff across runs, and ingest into the history
-  metastore.
+  in run records, diff across runs, and gate ``repro regress``.
 
 The profiler is process-local by design: worker processes ship spans
 home through the telemetry relay (:mod:`repro.executor.process`), and

@@ -37,8 +37,8 @@ is truthful under ``workers=N`` and survives a crash mid-run (every
 completed line is valid JSON).  The :class:`RunRecord` reader
 reconstructs a finished (or crashed) run for post-hoc queries and is
 the only decoder of the lines: analytics on top
-(:mod:`repro.observability.analysis`), run diffs, the history store
-and the estimator read its rows.
+(:mod:`repro.observability.analysis`), run diffs, regress, grid
+health and the estimator read its rows.
 
 The schema is versioned (:data:`RECORD_SCHEMA_VERSION`); readers
 reject records from a future major version rather than misreading
@@ -50,12 +50,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shutil
 import threading
 import time
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
+from repro.durability.atomic import atomic_write_bytes
 from repro.resilience.policies import STATE_CODES
 
 #: Bump on breaking changes to the line schema.
@@ -318,8 +320,6 @@ class AttemptRow(NamedTuple):
 class InvocationRow(NamedTuple):
     """One recorded invocation, its transformation resolved."""
 
-    #: Position among the record's invocation lines.
-    ordinal: int
     derivation: str
     #: ``None`` when no plan line names the derivation (an ad-hoc
     #: ``repro run TR``): such invocations are not training data.
@@ -335,8 +335,8 @@ class InvocationRow(NamedTuple):
 class RunRecord:
     """A parsed flight record, reconstructed for post-hoc queries.
 
-    This is the one decoder of a record: history ingest, diff and
-    regress, the report, the Chrome trace and the estimator all read
+    This is the one decoder of a record: diff and regress, grid
+    health, the report, the Chrome trace and the estimator all read
     the rows built here, once per load, and never the raw lines.
     Every ``plan`` line is merged, so a recorder that saw several
     plans resolves the transformation of every step in any of them.
@@ -461,10 +461,6 @@ class RunRecord:
 
     # -- the plan ------------------------------------------------------------
 
-    def plan_steps(self) -> dict[str, dict[str, Any]]:
-        """Step name -> its entry in the (merged) plan lines."""
-        return self._plan_steps
-
     def dependencies(self) -> dict[str, set[str]]:
         return {
             name: set(entry.get("deps", ()))
@@ -503,12 +499,11 @@ class RunRecord:
     @cached_property
     def invocation_rows(self) -> list[InvocationRow]:
         rows = []
-        for ordinal, inv in enumerate(self.invocations):
+        for inv in self.invocations:
             name = inv.get("derivation_name", "")
             usage = inv["usage"]
             rows.append(
                 InvocationRow(
-                    ordinal=ordinal,
                     derivation=name,
                     transformation=self._transformation(name),
                     site=inv.get("context", {}).get("site"),
@@ -567,8 +562,7 @@ class RunRecord:
         """Successful attempt durations per transformation.
 
         Ordered by step, then attempt, and keyed ``"?"`` for steps no
-        plan line names: the same samples, in the same order, that the
-        history store's ``attempt`` table gives back.
+        plan line names.
         """
         out: dict[str, list[float]] = {}
         for row in sorted(
@@ -681,62 +675,112 @@ class RunRecord:
         return sum(s.get("value", 0) for s in entry.get("series", ()))
 
 
+#: Line types no cross-run query reads: a pruned run's compacted copy
+#: drops them.
+_UNQUERIED = frozenset({"span", "metrics", "sample"})
+
+
+def _collect(roots: Iterable[str | Path], read) -> list[RunRecord]:
+    records: dict[str, RunRecord] = {}
+    for root in map(Path, roots):
+        for child in sorted(root.iterdir()) if root.is_dir() else ():
+            if (child / RECORD_FILENAME).is_file():
+                try:
+                    record = read(child)
+                except (ValueError, json.JSONDecodeError, OSError):
+                    continue
+                records.setdefault(record.run_id, record)
+    return sorted(
+        records.values(),
+        key=lambda r: (r.meta.get("started_at", 0), r.run_id),
+    )
+
+
 def list_runs(runs_root: str | Path) -> list[RunRecord]:
     """All readable run records under ``runs_root``, oldest first.
 
     Each is read with :meth:`RunRecord.load_status` (identity, verdict,
     no rows): load the one you need in full from its ``path``.
     """
-    root = Path(runs_root)
-    if not root.is_dir():
-        return []
-    records = []
-    for child in sorted(root.iterdir()):
-        if (child / RECORD_FILENAME).is_file():
+    return _collect((runs_root,), RunRecord.load_status)
+
+
+def load_runs(*roots: str | Path) -> list[RunRecord]:
+    """Every readable record under ``roots``, loaded in full, oldest
+    first by ``(started_at, run_id)``: what regress, health and
+    estimator training read.
+
+    A run id counts once, from the first root that has it, so a run
+    pruned between its compacted copy and the removal of its raw
+    record is read from the raw one.
+    """
+    return _collect(roots, RunRecord.load)
+
+
+def _compacted(path: Path) -> bytes:
+    """A record's bytes without the line types no cross-run query
+    reads; a torn final line is kept, so the copy stays torn."""
+    kept = []
+    with open(path, "rb") as handle:
+        for raw in handle:
             try:
-                records.append(RunRecord.load_status(child))
-            except (ValueError, json.JSONDecodeError, OSError):
-                continue
-    records.sort(key=lambda r: (r.meta.get("started_at", 0), r.run_id))
-    return records
+                kind = json.loads(raw).get("type")
+            except ValueError:
+                kind = None
+            if kind not in _UNQUERIED:
+                kept.append(raw)
+    return b"".join(kept)
 
 
-def prune_runs(runs_root: str | Path, keep: int) -> list[str]:
+def prune_runs(
+    runs_root: str | Path, keep: int, history_root: str | Path
+) -> list[str]:
     """Delete the oldest recorded runs, keeping the ``keep`` newest.
 
     Retention GC for ``<workspace>/runs/``: the per-run directories
     (record, exported traces) of everything older than the ``keep``
     most recent runs are removed.  Returns the pruned run ids, oldest
-    first.  Ingest the records into a
-    :class:`~repro.observability.history.HistoryStore` first if the
-    aggregates should outlive the raw files.
+    first.  Each pruned record first leaves a compacted copy (every
+    line but ``span``, ``metrics`` and ``sample``) at
+    ``<history_root>/<run dir>/record.jsonl``, written in one atomic
+    replace, so :func:`load_runs` over both roots still counts it.
     """
-    import shutil
-
     if keep < 0:
         raise ValueError(f"keep must be >= 0, got {keep}")
     runs = list_runs(runs_root)
     pruned: list[str] = []
-    doomed = runs[: max(0, len(runs) - keep)]
-    for record in doomed:
+    for record in runs[: max(0, len(runs) - keep)]:
         run_dir = record.path.parent
+        copy_dir = Path(history_root) / run_dir.name
+        copy_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(copy_dir / RECORD_FILENAME, _compacted(record.path))
         if run_dir.is_dir():
             shutil.rmtree(run_dir)
         pruned.append(record.run_id)
     return pruned
 
 
-def find_run(runs_root: str | Path, run_id: str) -> RunRecord:
-    """Load one run by id; ``"latest"`` selects the newest record."""
-    runs = list_runs(runs_root)
+def find_run(
+    runs_root: str | Path,
+    run_id: str,
+    among: Optional[list[RunRecord]] = None,
+) -> RunRecord:
+    """Load one run by id; ``"latest"`` selects the newest record.
+
+    ``among`` is a list :func:`load_runs` already read: the run is
+    picked from it rather than read again.
+    """
+    runs = list_runs(runs_root) if among is None else among
     if run_id == "latest":
         if not runs:
             raise FileNotFoundError(f"no recorded runs under {runs_root}")
-        return RunRecord.load(runs[-1].path)
-    for record in runs:
-        if record.run_id == run_id:
-            return RunRecord.load(record.path)
-    known = ", ".join(r.run_id for r in runs[-10:]) or "none"
-    raise FileNotFoundError(
-        f"no run record {run_id!r} under {runs_root} (known: {known})"
-    )
+        record = runs[-1]
+    else:
+        record = next((r for r in runs if r.run_id == run_id), None)
+        if record is None:
+            known = ", ".join(r.run_id for r in runs[-10:]) or "none"
+            raise FileNotFoundError(
+                f"no run record {run_id!r} under {runs_root} "
+                f"(known: {known})"
+            )
+    return record if among is not None else RunRecord.load(record.path)

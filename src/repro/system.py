@@ -54,7 +54,6 @@ from repro.grid.simulator import Simulator
 from repro.grid.site import Site
 from repro.observability import (
     FlightRecorder,
-    HistoryStore,
     ProgressSink,
     ProgressTicker,
     RunRecord,
@@ -66,6 +65,7 @@ from repro.observability import (
 )
 from repro.observability.health import HealthReport
 from repro.observability.instrument import NULL, Instrumentation
+from repro.observability.recorder import load_runs
 from repro.planner.dag import Plan, Planner
 from repro.planner.request import MaterializationRequest
 from repro.planner.scheduler import WorkflowResult
@@ -96,7 +96,7 @@ class Workspace:
         self.journal_dir = self.root / "journal"
         self.quarantine_dir = self.root / "quarantine"
         self.rescue_dir = self.root / "rescue"
-        self.history_path = self.root / "history.sqlite"
+        self.history_dir = self.root / "history"
 
     @property
     def exists(self) -> bool:
@@ -170,22 +170,20 @@ class Workspace:
     def list_runs(self) -> list[RunRecord]:
         return list_runs(self.runs_dir)
 
-    def load_run(self, run_id: str) -> RunRecord:
+    def load_run(
+        self, run_id: str, among: Optional[list[RunRecord]] = None
+    ) -> RunRecord:
         try:
-            return find_run(self.runs_dir, run_id)
+            return find_run(self.runs_dir, run_id, among)
         except FileNotFoundError as exc:
             raise VirtualDataError(str(exc)) from None
 
-    def history(self) -> HistoryStore:
-        """The workspace's run-history metastore.
-
-        Every new or changed flight record under ``runs/`` is pulled in
-        first, so queries always see current history.
-        """
+    def history(self) -> list[RunRecord]:
+        """Every recorded run, loaded, oldest first: the records under
+        ``runs/`` and the compacted copies ``runs prune`` leaves under
+        ``history/``.  What regress, health and training read."""
         self._require()
-        store = HistoryStore(self.history_path)
-        store.ingest_dir(self.runs_dir)
-        return store
+        return load_runs(self.runs_dir, self.history_dir)
 
 
 class VirtualDataSystem:
@@ -551,13 +549,13 @@ class VirtualDataSystem:
         """The §5.3 interactive feasibility query."""
         return self.estimate(self.plan(targets)).meets_deadline(deadline_seconds)
 
-    def train_on_history(self, history: HistoryStore) -> dict[str, Any]:
-        """Refit cost models from a run-history metastore.
+    def train_on_history(self, history: list[RunRecord]) -> dict[str, Any]:
+        """Refit cost models from recorded runs.
 
-        ``history`` is a
-        :class:`~repro.observability.history.HistoryStore`; every
-        successful invocation it has ingested feeds the per-
-        transformation fits (see
+        ``history`` is a list of
+        :class:`~repro.observability.recorder.RunRecord` (what
+        :meth:`Workspace.history` returns); every successful planned
+        invocation in it feeds the per-transformation fits (see
         :meth:`~repro.estimator.cost.Estimator.train_on_history`).
         """
         return self.estimator.train_on_history(history)

@@ -36,7 +36,6 @@ from repro.core.transformation import ArgumentTemplate, Transformation
 from repro.core.types import ANY_DATASET, DatasetType
 from repro.errors import NotFoundError
 from repro.estimator.cost import Estimator
-from repro.observability.history import HistoryStore
 from repro.observability.recorder import RunRecord
 from repro.provenance.lineage import lineage_report
 from repro.workloads import canonical
@@ -240,9 +239,7 @@ class TestEstimatorValidation:
                  "invocation": invocation("g1", 9.0).to_dict()},
             ],
         )
-        history = HistoryStore(":memory:")
-        history.ingest(record)
-        trained = estimator.train_on_history(history)["gen"]
+        trained = estimator.train_on_history([record])["gen"]
         any_catalog.add_invocation(invocation("g2", 1.0))
         with_gen_hint(any_catalog, 42.0)
         assert estimator.model_for("gen") is trained

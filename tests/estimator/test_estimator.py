@@ -192,7 +192,7 @@ class TestWorkflowEstimate:
 
 
 class TestFitSamples:
-    """The raw-sample fitting core shared with the history metastore."""
+    """The raw-sample fitting core shared with training on run records."""
 
     def test_matches_fit_model(self):
         from repro.estimator.cost import fit_samples
@@ -219,17 +219,15 @@ class TestFitSamples:
 
     def test_train_on_history_pools_all_runs(self, tmp_path):
         from repro.estimator.cost import Estimator
-        from repro.observability.history import HistoryStore
+        from repro.observability.recorder import load_runs
         from tests.observability.test_history import write_run
 
         # Two runs of the same chain at different speeds: the model
         # must be fit over the pooled samples, not the latest run.
         write_run(tmp_path, "run-a", gen_seconds=4.0)
         write_run(tmp_path, "run-b", gen_seconds=8.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
         estimator = Estimator(catalog=None)
-        trained = estimator.train_on_history(store)
+        trained = estimator.train_on_history(load_runs(tmp_path))
         assert set(trained) == {"gen", "proc"}
         gen = trained["gen"]
         assert gen.samples == 2

@@ -256,7 +256,7 @@ class TestGridFaultRunEndToEnd:
         assert abs(report.path_seconds - makespan) <= 0.05 * makespan
 
     def test_record_captured_every_layer(self, record):
-        assert record.plan_steps()  # the plan line
+        assert record.dependencies()  # the plan line
         assert record.step_timings()  # scheduler step lines
         assert record.invocations  # grid executor write-back
         assert record.samples  # frontier occupancy

@@ -11,8 +11,7 @@ from repro.observability.diff import (
     welch_t,
 )
 from repro.catalog.memory import MemoryCatalog
-from repro.observability.history import HistoryStore
-from repro.observability.recorder import FlightRecorder, RunRecord
+from repro.observability.recorder import FlightRecorder, RunRecord, load_runs
 from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
 
@@ -136,9 +135,8 @@ class TestRegressionReport:
         for i in range(3):
             write_run(tmp_path, f"run-{i}")
         write_run(tmp_path, "run-slow", proc_seconds=10.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        diff = regression_report(store, load(tmp_path, "run-slow"))
+        runs = load_runs(tmp_path)
+        diff = regression_report(runs, load(tmp_path, "run-slow"))
         assert [d.transformation for d in diff.regressions] == ["proc"]
         proc = next(
             d for d in diff.transformations if d.transformation == "proc"
@@ -148,9 +146,8 @@ class TestRegressionReport:
     def test_candidate_excluded_from_baseline(self, tmp_path):
         write_run(tmp_path, "run-a")
         write_run(tmp_path, "run-slow", proc_seconds=10.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        diff = regression_report(store, load(tmp_path, "run-slow"))
+        runs = load_runs(tmp_path)
+        diff = regression_report(runs, load(tmp_path, "run-slow"))
         # Baseline is run-a only; the candidate never dilutes it.
         assert diff.regressions
 
@@ -158,35 +155,32 @@ class TestRegressionReport:
         write_run(tmp_path, "run-a")
         write_run(tmp_path, "run-b", proc_seconds=10.0)
         write_run(tmp_path, "run-c", proc_seconds=10.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
+        runs = load_runs(tmp_path)
         diff = regression_report(
-            store, load(tmp_path, "run-c"), baseline_ids=["run-b"]
+            runs, load(tmp_path, "run-c"), baseline_ids=["run-b"]
         )
         assert diff.clean  # vs run-b (same timing) it is not a regression
 
     def test_no_baseline_errors(self, tmp_path):
         write_run(tmp_path, "run-only")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
+        runs = load_runs(tmp_path)
         with pytest.raises(ValueError, match="no baseline"):
-            regression_report(store, load(tmp_path, "run-only"))
+            regression_report(runs, load(tmp_path, "run-only"))
 
     def test_unknown_baseline_errors(self, tmp_path):
         write_run(tmp_path, "run-a")
         write_run(tmp_path, "run-b")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
+        runs = load_runs(tmp_path)
         with pytest.raises(ValueError, match="run-nope"):
             regression_report(
-                store,
+                runs,
                 load(tmp_path, "run-b"),
                 baseline_ids=["run-nope"],
             )
 
 
 class TestOneDecoder:
-    """diff, regress and the history read one decode of a record."""
+    """diff and regress read one decode of a record."""
 
     def test_every_plan_line_resolves_transformations(self, tmp_path):
         catalog = MemoryCatalog().define(CHAIN_VDL).define(
@@ -202,9 +196,9 @@ class TestOneDecoder:
                 ))
                 rec.step(step, status="success", start=0.0, end=2.0)
             rec.finalize(status="ok")
-        history = HistoryStore()
-        history.ingest_dir(tmp_path)
-        assert history.duration_samples() == {"gen": [2.0] * 4}
+        assert [r.duration_samples() for r in load_runs(tmp_path)] == [
+            {"gen": [2.0, 2.0]}
+        ] * 2
         record = load(tmp_path, "run-a")
         diff = diff_records(record, load(tmp_path, "run-b"))
         assert [d.transformation for d in diff.transformations] == ["gen"]
@@ -222,9 +216,7 @@ class TestOneDecoder:
             rec.finalize(status="ok", makespan=5.0)
         base, cand = load(tmp_path, "a"), load(tmp_path, "b")
         assert diff_records(base, cand).clean
-        history = HistoryStore()
-        history.ingest(base)
-        report = regression_report(history, cand, ["a"])
+        report = regression_report([base], cand, ["a"])
         assert report.clean, report.render()
         assert report.retries == (1, 1)
         # One duration: the successful attempt's end - start.

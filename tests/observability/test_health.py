@@ -16,8 +16,7 @@ from repro.observability.health import (
     health_penalties,
     percentile,
 )
-from repro.observability.history import HistoryStore
-from repro.observability.recorder import FlightRecorder
+from repro.observability.recorder import FlightRecorder, load_runs
 
 from tests.observability.test_history import chain_plan, write_run
 
@@ -61,9 +60,8 @@ class TestGridHealth:
         """Acceptance: the site subjected to the fault window reports a
         degraded (here: critical) SLO; the healthy site stays ok."""
         faulty_run(tmp_path, "run-f")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        report = grid_health(store)
+        runs = load_runs(tmp_path)
+        report = grid_health(runs)
         bad = report.site("bad")
         assert bad.status in (DEGRADED, CRITICAL)
         assert bad.failures == 2
@@ -74,9 +72,8 @@ class TestGridHealth:
 
     def test_all_healthy_reports_ok(self, tmp_path):
         write_run(tmp_path, "run-a", site="a")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        report = grid_health(store)
+        runs = load_runs(tmp_path)
+        report = grid_health(runs)
         assert report.status == OK
         assert report.site("a").error_budget_burn == 0.0
 
@@ -88,9 +85,8 @@ class TestGridHealth:
         rec.event("breaker.transition", site="a", state=2, sim=5.0)
         rec.event("breaker.transition", site="a", state=0, sim=15.0)
         rec.finalize(status="ok")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        site = grid_health(store).site("a")
+        runs = load_runs(tmp_path)
+        site = grid_health(runs).site("a")
         assert site.breaker_open_seconds == 10.0
         assert site.status == DEGRADED
         assert any("breaker" in r for r in site.reasons)
@@ -103,9 +99,8 @@ class TestGridHealth:
             tmp_path, "run-slow",
             gen_seconds=50.0, proc_seconds=50.0, site="slow",
         )
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        report = grid_health(store)
+        runs = load_runs(tmp_path)
+        report = grid_health(runs)
         assert report.site("slow").status == DEGRADED
         assert any(
             "latency" in r for r in report.site("slow").reasons
@@ -116,20 +111,18 @@ class TestGridHealth:
         faulty_run(tmp_path, "run-old")
         for i in range(3):
             write_run(tmp_path, f"run-{i}", site="ok")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
+        runs = load_runs(tmp_path)
         # A window covering only the recent clean runs: no bad site.
-        report = grid_health(store, window=3)
+        report = grid_health(runs, window=3)
         assert report.site("bad") is None
         assert report.status == OK
         # The full window still sees the fault.
-        assert grid_health(store, window=0).site("bad") is not None
+        assert grid_health(runs, window=0).site("bad") is not None
 
     def test_render_and_to_dict(self, tmp_path):
         faulty_run(tmp_path, "run-f")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        report = grid_health(store)
+        runs = load_runs(tmp_path)
+        report = grid_health(runs)
         text = report.render()
         assert "grid health:" in text
         assert "bad" in text
@@ -204,9 +197,8 @@ class TestSystemIntegration:
         from repro.system import VirtualDataSystem
 
         faulty_run(tmp_path, "run-f", bad_site="a", ok_site="b")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        report = grid_health(store)
+        runs = load_runs(tmp_path)
+        report = grid_health(runs)
         vds = VirtualDataSystem.with_grid({"a": 2, "b": 2})
         applied = vds.apply_site_health(report)
         assert applied["a"] > 0.0
@@ -224,10 +216,9 @@ class TestSystemIntegration:
         from repro.system import VirtualDataSystem
 
         write_run(tmp_path, "run-a", gen_seconds=4.0, proc_seconds=6.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
+        runs = load_runs(tmp_path)
         vds = VirtualDataSystem.with_grid({"a": 2})
-        trained = vds.train_on_history(store)
+        trained = vds.train_on_history(runs)
         assert set(trained) == {"gen", "proc"}
         assert trained["gen"].is_fitted
         assert trained["gen"].predict_cpu_seconds(100) == pytest.approx(
@@ -238,9 +229,8 @@ class TestSystemIntegration:
 class TestHealthMetrics:
     def test_families_in_registry_shape(self, tmp_path):
         faulty_run(tmp_path, "run-f")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        families = health_metrics(grid_health(store))
+        runs = load_runs(tmp_path)
+        families = health_metrics(grid_health(runs))
         assert families["site.health.status"]["kind"] == "gauge"
         by_site = {
             s["labels"]["site"]: s["value"]

@@ -1,4 +1,5 @@
-"""The run-history metastore: ingest, idempotency, queries."""
+"""Cross-run queries over flight records: site stats, torn records,
+and pruning into compacted copies."""
 
 from __future__ import annotations
 
@@ -6,8 +7,14 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
-from repro.observability.history import HistoryStore
-from repro.observability.recorder import FlightRecorder, RunRecord
+from repro.observability.health import site_stats
+from repro.observability.recorder import (
+    FlightRecorder,
+    RunRecord,
+    list_runs,
+    load_runs,
+    prune_runs,
+)
 from repro.planner.dag import Planner
 from repro.planner.request import MaterializationRequest
 
@@ -89,54 +96,33 @@ def write_run(
 
 
 class TestIngest:
+    """What a cross-run query reads: every record, loaded once."""
+
     def test_round_trip(self, tmp_path):
         write_run(tmp_path, "run-a")
-        store = HistoryStore()
-        assert store.ingest_dir(tmp_path) == 1
-        row = store.run_row("run-a")
-        assert row["status"] == "ok"
-        assert row["makespan"] == 10.0
-        assert row["steps_total"] == 2
-        assert row["steps_failed"] == 0
-        assert row["clock"] == "sim"
-        assert store.run_ids() == ["run-a"]
-        assert len(store) == 1
+        (record,) = load_runs(tmp_path)
+        assert record.run_id == "run-a"
+        assert record.status == "ok"
+        assert record.makespan() == 10.0
+        assert len(record.dependencies()) == 2
+        assert record.failures == 0
+        assert record.clock == "sim"
 
     def test_duration_samples_grouped_by_transformation(self, tmp_path):
         write_run(tmp_path, "run-a", gen_seconds=3.0, proc_seconds=7.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        samples = store.duration_samples()
-        assert samples == {"gen": [3.0], "proc": [7.0]}
-
-    def test_ingest_is_idempotent(self, tmp_path):
-        write_run(tmp_path, "run-a")
-        store = HistoryStore()
-        assert store.ingest_dir(tmp_path) == 1
-        assert store.ingest_dir(tmp_path) == 0  # unchanged: skipped
-        assert len(store) == 1
-        assert len(store.duration_samples()["gen"]) == 1
+        (record,) = load_runs(tmp_path)
+        assert record.duration_samples() == {"gen": [3.0], "proc": [7.0]}
 
     def test_changed_record_is_reingested(self, tmp_path):
         path = write_run(tmp_path, "run-a", finalize=False)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        assert store.run_row("run-a")["status"] == "crashed"
-        # The crashed run is later finalized: the file grew.
+        assert [r.status for r in load_runs(tmp_path)] == ["crashed"]
+        # The crashed run is later finalized: the next query sees it.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(
                 '{"type": "result", "status": "ok", "makespan": 10.0, '
                 '"t": 0, "finished_at": 0}\n'
             )
-        assert store.ingest_dir(tmp_path) == 1
-        assert store.run_row("run-a")["status"] == "ok"
-        assert len(store) == 1
-
-    def test_force_reingest(self, tmp_path):
-        write_run(tmp_path, "run-a")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        assert store.ingest_dir(tmp_path, force=True) == 1
+        assert [r.status for r in load_runs(tmp_path)] == ["ok"]
 
     def test_event_totals(self, tmp_path):
         write_run(
@@ -150,28 +136,19 @@ class TestIngest:
         )
         totals = RunRecord.load(tmp_path / "run-a").event_counts
         assert totals == {"fault.injected": 2, "step.retry": 1}
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        assert store.run_row("run-a")["faults"] == 2
+        assert load_runs(tmp_path)[0].faults == 2
 
     def test_training_samples_feed_estimator(self, tmp_path):
-        write_run(tmp_path, "run-a", gen_seconds=4.0)
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        samples = store.training_samples()
-        assert set(samples) == {"gen", "proc"}
-        assert samples["gen"][0]["cpu_seconds"] == 4.0
-        assert samples["gen"][0]["bytes_read"] == 100
-        only = store.training_samples(transformation="gen")
-        assert set(only) == {"gen"}
+        from repro.estimator.cost import Estimator
 
-    def test_file_backed_store_persists(self, tmp_path):
-        write_run(tmp_path / "runs", "run-a")
-        db = tmp_path / "history.sqlite"
-        with HistoryStore(db) as store:
-            store.ingest_dir(tmp_path / "runs")
-        with HistoryStore(db) as store:
-            assert store.run_ids() == ["run-a"]
+        write_run(tmp_path, "run-a", gen_seconds=4.0)
+        (record,) = load_runs(tmp_path)
+        gen = [r for r in record.invocation_rows if r.transformation == "gen"]
+        assert gen[0].cpu_seconds == 4.0
+        assert gen[0].bytes_read == 100
+        trained = Estimator(MemoryCatalog()).train_on_history([record])
+        assert set(trained) == {"gen", "proc"}
+        assert trained["gen"].samples == 1
 
 
 class TestSiteStats:
@@ -182,16 +159,22 @@ class TestSiteStats:
         rec.step("g1", status="success", start=2.0, end=4.0, site="ok")
         rec.step("p1", status="success", start=4.0, end=6.0, site="ok")
         rec.finalize(status="ok")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        stats = store.site_stats()
+        (record,) = load_runs(tmp_path)
+        stats = site_stats([record])
         assert stats["bad"]["attempts"] == 1
         assert stats["bad"]["failures"] == 1
         assert stats["ok"]["failures"] == 0
         assert stats["ok"]["durations"] == [2.0, 2.0]
-        # The retry shows up in the run row too.
-        assert store.run_row("run-x")["retries"] == 1
-        assert store.run_row("run-x")["attempts"] == 3
+        # The retry shows up in the run's own totals too.
+        assert record.retries == 1
+        assert len(record.attempts) == 3
+
+    def test_samples_pool_in_run_id_order(self, tmp_path):
+        write_run(tmp_path, "run-b", gen_seconds=2.0)
+        write_run(tmp_path, "run-a", gen_seconds=1.0)
+        runs = load_runs(tmp_path)
+        assert site_stats(runs)["a"]["durations"] == [1.0, 5.0, 2.0, 5.0]
+        assert site_stats(reversed(runs)) == site_stats(runs)
 
     def test_breaker_open_seconds_from_transitions(self, tmp_path):
         rec = FlightRecorder.start(tmp_path, run_id="run-b")
@@ -205,9 +188,7 @@ class TestSiteStats:
         record = RunRecord.load(rec.path)
         windows = record.breaker_windows()
         assert windows["b"] == (15.0, 3)
-        store = HistoryStore()
-        store.ingest(record)
-        assert store.site_stats()["b"]["breaker_open_seconds"] == 15.0
+        assert site_stats([record])["b"]["breaker_open_seconds"] == 15.0
 
     def test_breaker_still_open_charged_to_record_end(self, tmp_path):
         rec = FlightRecorder.start(tmp_path, run_id="run-c")
@@ -220,8 +201,8 @@ class TestSiteStats:
 
 
 class TestTruncatedRecords:
-    """Satellite: a torn final line must ingest the valid prefix and
-    still be diffable against a complete run."""
+    """A torn final line keeps the valid prefix in every cross-run
+    query, and the record stays diffable against a complete run."""
 
     def tear(self, path):
         with open(path, "a", encoding="utf-8") as handle:
@@ -237,12 +218,21 @@ class TestTruncatedRecords:
     def test_torn_record_ingests(self, tmp_path):
         path = write_run(tmp_path, "run-t", finalize=False)
         self.tear(path)
-        store = HistoryStore()
-        assert store.ingest_dir(tmp_path) == 1
-        row = store.run_row("run-t")
-        assert row["truncated"] == 1
-        assert row["status"] == "crashed"
-        assert store.duration_samples() == {
+        (record,) = load_runs(tmp_path)
+        assert record.truncated
+        assert record.status == "crashed"
+        assert record.duration_samples() == {
+            "gen": [5.0], "proc": [5.0],
+        }
+        assert site_stats([record])["a"]["attempts"] == 2
+
+    def test_torn_record_stays_torn_when_pruned(self, tmp_path):
+        self.tear(write_run(tmp_path / "runs", "run-t", finalize=False))
+        prune_runs(tmp_path / "runs", keep=0, history_root=tmp_path / "h")
+        (record,) = load_runs(tmp_path / "runs", tmp_path / "h")
+        assert record.truncated
+        assert record.status == "crashed"
+        assert record.duration_samples() == {
             "gen": [5.0], "proc": [5.0],
         }
 
@@ -272,45 +262,76 @@ class TestTruncatedRecords:
 
 class TestPruneRuns:
     def test_prune_keeps_newest(self, tmp_path):
-        from repro.observability.recorder import list_runs, prune_runs
-
+        runs = tmp_path / "runs"
         for i in range(4):
-            write_run(tmp_path, f"run-{i}")
-        pruned = prune_runs(tmp_path, keep=2)
+            write_run(runs, f"run-{i}")
+        pruned = prune_runs(runs, keep=2, history_root=tmp_path / "h")
         assert pruned == ["run-0", "run-1"]
-        assert [r.run_id for r in list_runs(tmp_path)] == [
+        assert [r.run_id for r in list_runs(runs)] == [
             "run-2", "run-3",
         ]
-        assert not (tmp_path / "run-0").exists()
+        assert not (runs / "run-0").exists()
 
     def test_prune_zero_removes_all(self, tmp_path):
-        from repro.observability.recorder import list_runs, prune_runs
-
-        write_run(tmp_path, "run-a")
-        assert prune_runs(tmp_path, keep=0) == ["run-a"]
-        assert list_runs(tmp_path) == []
+        runs = tmp_path / "runs"
+        write_run(runs, "run-a")
+        assert prune_runs(runs, 0, tmp_path / "h") == ["run-a"]
+        assert list_runs(runs) == []
 
     def test_prune_keep_exceeding_count_is_a_noop(self, tmp_path):
-        from repro.observability.recorder import list_runs, prune_runs
-
-        write_run(tmp_path, "run-a")
-        assert prune_runs(tmp_path, keep=5) == []
-        assert [r.run_id for r in list_runs(tmp_path)] == ["run-a"]
+        runs = tmp_path / "runs"
+        write_run(runs, "run-a")
+        assert prune_runs(runs, 5, tmp_path / "h") == []
+        assert [r.run_id for r in list_runs(runs)] == ["run-a"]
+        assert not (tmp_path / "h").exists()
 
     def test_prune_negative_rejected(self, tmp_path):
-        from repro.observability.recorder import prune_runs
-
         with pytest.raises(ValueError):
-            prune_runs(tmp_path, keep=-1)
+            prune_runs(tmp_path / "runs", -1, tmp_path / "h")
 
     def test_aggregates_survive_pruning(self, tmp_path):
-        from repro.observability.recorder import prune_runs
+        runs, kept = tmp_path / "runs", tmp_path / "history"
+        write_run(runs, "run-old", gen_seconds=3.0)
+        write_run(runs, "run-new")
+        raw = RunRecord.load(runs / "run-old")
+        assert prune_runs(runs, keep=1, history_root=kept) == ["run-old"]
+        # The raw record is gone but its compacted copy still counts.
+        assert not (runs / "run-old").exists()
+        assert [r.run_id for r in load_runs(runs, kept)] == [
+            "run-old", "run-new",
+        ]
+        copy = RunRecord.load(kept / "run-old")
+        assert copy.duration_samples() == raw.duration_samples()
+        assert copy.invocation_rows == raw.invocation_rows
+        assert (copy.status, copy.makespan()) == ("ok", 8.0)
 
-        write_run(tmp_path / "runs", "run-old")
-        write_run(tmp_path / "runs", "run-new")
-        store = HistoryStore(tmp_path / "history.sqlite")
-        store.ingest_dir(tmp_path / "runs")
-        prune_runs(tmp_path / "runs", keep=1)
-        # The raw record is gone but the history keeps the aggregates.
-        assert store.run_ids() == ["run-old", "run-new"]
-        assert store.ingest_dir(tmp_path / "runs") == 0
+    def test_copy_drops_only_unqueried_lines(self, tmp_path):
+        import json
+
+        from repro.observability import Instrumentation
+
+        runs = tmp_path / "runs"
+        rec = FlightRecorder.start(runs, run_id="run-a", command="test")
+        rec.plan(chain_plan())
+        rec.sample(ready=1, in_flight=0, completed=0, total=2)
+        rec.step("g1", status="success", start=0.0, end=1.0, site="a")
+        rec.event("step.retry", step="g1")
+        rec.profile({"phases": {}})
+        obs = Instrumentation()
+        with obs.span("vds.materialize"):
+            obs.count("executor.invocations")
+        rec.finalize(obs, status="ok")
+
+        def kinds(path):
+            return [
+                json.loads(line)["type"]
+                for line in path.read_text().splitlines()
+            ]
+
+        before = kinds(runs / "run-a" / "record.jsonl")
+        assert {"span", "metrics", "sample"} <= set(before)
+        prune_runs(runs, keep=0, history_root=tmp_path / "h")
+        after = kinds(tmp_path / "h" / "run-a" / "record.jsonl")
+        assert after == [
+            k for k in before if k not in ("span", "metrics", "sample")
+        ]

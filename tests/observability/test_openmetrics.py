@@ -8,8 +8,8 @@ from repro.observability.export import (
     validate_openmetrics,
 )
 from repro.observability.health import grid_health
-from repro.observability.history import HistoryStore
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.recorder import load_runs
 
 from tests.observability.test_health import faulty_run
 
@@ -140,9 +140,8 @@ class TestValidator:
 class TestSnapshot:
     def test_health_gauges_merged(self, tmp_path):
         faulty_run(tmp_path, "run-f")
-        store = HistoryStore()
-        store.ingest_dir(tmp_path)
-        report = grid_health(store)
+        runs = load_runs(tmp_path)
+        report = grid_health(runs)
         live = sample_registry().to_dict()
         text = openmetrics_snapshot(live, health_report=report)
         assert validate_openmetrics(text) == []

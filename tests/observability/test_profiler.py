@@ -2,10 +2,9 @@
 
 Covers the profiler itself (phase attribution, nesting, memory
 watermarks, exports), the recorder's schema-v2 ``profile`` line, the
-Chrome-trace profiler lane, phase-level diff/regression gating, the
-history store's ``phase_profile`` table — and, because the schema
-version bumped, that pre-profile (v1) records still load, report,
-diff, and ingest exactly as before.
+Chrome-trace profiler lane, phase-level diff/regression gating — and,
+because the schema version bumped, that pre-profile (v1) records
+still load, report and diff exactly as before.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.observability.analysis import (
     validate_chrome_trace,
 )
 from repro.observability.diff import diff_records, regression_report
-from repro.observability.history import HistoryStore
 from repro.observability.instrument import NULL, Instrumentation
 from repro.observability.profiler import (
     IDLE_PHASE,
@@ -344,16 +342,11 @@ class TestSchemaV1BackCompat:
         assert "phase_regressions" not in payload
         assert diff.clean
 
-    def test_v1_ingest_is_idempotent_and_phaseless(self, tmp_path):
+    def test_v1_record_is_phaseless(self, tmp_path):
         record = RunRecord.load(write_v1_record(tmp_path))
-        with HistoryStore() as history:
-            assert history.ingest(record)
-            assert not history.ingest(record)  # unchanged file: skip
-            assert history.phase_seconds([record.run_id]) == {}
-            assert history.phase_seconds() == {}
-            row = history.run_row(record.run_id)
-            assert row["schema_version"] == 1
-            assert row["makespan"] == 2.5
+        assert record.phases == {}
+        assert record.schema_version == 1
+        assert record.makespan() == 2.5
 
     def test_mixed_diff_v1_base_v2_candidate_stays_phaseless(
         self, tmp_path
@@ -422,33 +415,20 @@ class TestPhaseRegressionGating:
         assert diff.clean
 
     def test_regress_gates_on_history_phase_baseline(self, tmp_path):
-        with HistoryStore() as history:
-            for i in range(3):
-                record = recorded_profiled_run(
-                    tmp_path, f"b{i}", synthetic_profile(1.0, 1.0)
-                )
-                history.ingest(record)
-                assert history.phase_seconds([record.run_id])[
-                    "plan"
-                ] == [pytest.approx(1.0)]
-            cand = recorded_profiled_run(
-                tmp_path, "cand", synthetic_profile(4.0, 1.0)
+        history = []
+        for i in range(3):
+            record = recorded_profiled_run(
+                tmp_path, f"b{i}", synthetic_profile(1.0, 1.0)
             )
-            diff = regression_report(history, cand)
-            assert [
-                d.transformation for d in diff.phase_regressions
-            ] == ["plan"]
-            assert not diff.clean
-            assert history.phase_seconds()["plan"] == [1.0, 1.0, 1.0]
-
-    def test_reingesting_a_profiled_run_replaces_rows(self, tmp_path):
-        record = recorded_profiled_run(
-            tmp_path, "r", synthetic_profile(1.0, 2.0)
+            history.append(record)
+            assert record.phases["plan"]["seconds"] == pytest.approx(1.0)
+        cand = recorded_profiled_run(
+            tmp_path, "cand", synthetic_profile(4.0, 1.0)
         )
-        with HistoryStore() as history:
-            history.ingest(record)
-            history.ingest(record, force=True)
-            rows = history.phase_seconds([record.run_id])
-            assert rows["execute"] == [pytest.approx(2.0)]
-            assert len(rows) == 2  # delete-then-insert, no dupes
-            assert all(len(seconds) == 1 for seconds in rows.values())
+        diff = regression_report(history, cand)
+        assert [
+            d.transformation for d in diff.phase_regressions
+        ] == ["plan"]
+        assert not diff.clean
+        plan = next(d for d in diff.phases if d.transformation == "plan")
+        assert (plan.base_n, plan.base_mean) == (3, 1.0)

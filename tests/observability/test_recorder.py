@@ -9,7 +9,6 @@ import pytest
 
 from repro.catalog.memory import MemoryCatalog
 from repro.core.invocation import ExecutionContext, Invocation, ResourceUsage
-from repro.observability.history import HistoryStore
 from repro.observability.instrument import Instrumentation
 from repro.observability.recorder import (
     RECORD_FILENAME,
@@ -103,7 +102,7 @@ class TestFlightRecorder:
         assert record.command == "materialize a1"
         assert record.status == "ok"
         assert record.finished
-        assert set(record.plan_steps()) == {"g1", "p1"}
+        assert set(record.dependencies()) == {"g1", "p1"}
         assert record.dependencies()["p1"] == {"g1"}
         assert len(record.invocations) == 2
         assert record.events[0]["kind"] == "step.retry"
@@ -275,8 +274,7 @@ class TestEstimatorTraining:
         rec.invocation(make_invocation("g1", cpu=1.0, read=0))
         rec.invocation(make_invocation("g1", status="failure"))
         rec.finalize()
-        history = HistoryStore(":memory:")
-        history.ingest(RunRecord.load(rec.path))
+        history = [RunRecord.load(rec.path)]
 
         from repro.estimator.cost import Estimator
 
@@ -293,8 +291,7 @@ class TestEstimatorTraining:
         rec = FlightRecorder.start(tmp_path)
         rec.invocation(make_invocation("orphan"))
         rec.finalize()
-        history = HistoryStore(":memory:")
-        history.ingest(RunRecord.load(rec.path))
+        history = [RunRecord.load(rec.path)]
 
         from repro.estimator.cost import Estimator
 

@@ -109,14 +109,13 @@ class TestBreakerGauge:
         assert 'grid_faults_injected_total{kind="transient"} 2' in text
 
     def test_history_charges_the_open_window(self, tmp_path):
-        from repro.observability.history import HistoryStore
+        from repro.observability.health import site_stats
 
         obs, result, record = self.run_world(tmp_path, failures=2)
-        store = HistoryStore()
-        store.ingest(record)
-        stats = store.site_stats()
+        stats = site_stats([record])
         # Open from the trip to the half-open probe: the 5s cooldown.
         assert stats["a"]["breaker_open_seconds"] == pytest.approx(
             5.0, abs=1.0
         )
-        assert store.run_row("run-breaker")["faults"] == 2
+        assert record.run_id == "run-breaker"
+        assert record.faults == 2

@@ -342,14 +342,18 @@ class TestRunRecords:
         name no transformation, so the history never trains on them."""
         from repro.catalog.memory import MemoryCatalog
         from repro.estimator.cost import Estimator
-        from repro.observability.history import HistoryStore
+        from repro.system import Workspace
 
         for n in range(3):
             assert defined("run", "emit", f"o=adhoc{n}.txt")[0] == 0
-        with HistoryStore() as history:
-            assert history.ingest_dir(tmp_path / "ws" / "runs") == 3
-            assert history.training_samples() == {}
-            assert Estimator(MemoryCatalog()).train_on_history(history) == {}
+        history = Workspace(tmp_path / "ws").history()
+        assert len(history) == 3
+        assert all(
+            row.transformation is None
+            for record in history
+            for row in record.invocation_rows
+        )
+        assert Estimator(MemoryCatalog()).train_on_history(history) == {}
 
     def test_report_lists_runs_when_id_omitted(self, defined):
         code, output = defined("report")
@@ -502,6 +506,39 @@ class TestRunHistory:
         code, output = run("regress", "--run", "latest")
         assert code == 0  # run-2 vs the retained run-0/run-1 baseline
 
+    def test_prune_crash_window_counts_once(self, seeded, tmp_path):
+        """A run caught between its compacted copy and the removal of
+        its raw record is one run to regress, health and training."""
+        import json
+
+        from repro.catalog.memory import MemoryCatalog
+        from repro.estimator.cost import Estimator
+        from repro.observability.recorder import prune_runs
+        from repro.system import Workspace
+
+        run, runs_dir = seeded
+        ws = Workspace(tmp_path / "ws")
+        # Prune, then put the raw records back: both roots hold every
+        # run, as after a kill between the copy and the removal.
+        prune_runs(runs_dir, 0, ws.history_dir)
+        for rid in ("run-0", "run-1", "run-2"):
+            (runs_dir / rid).mkdir()
+            (runs_dir / rid / "record.jsonl").write_bytes(
+                (ws.history_dir / rid / "record.jsonl").read_bytes()
+            )
+        code, output = run("regress", "--json")
+        assert code == 0
+        gen = json.loads(output)["transformations"][0]
+        assert (gen["transformation"], gen["base_n"]) == ("gen", 2)
+        code, output = run("health", "--json")
+        health = json.loads(output)
+        assert health["runs_considered"] == 3
+        assert health["sites"][0]["attempts"] == 6
+        history = ws.history()
+        assert [r.path.parent.parent for r in history] == [runs_dir] * 3
+        trained = Estimator(MemoryCatalog()).train_on_history(history)
+        assert trained["gen"].samples == 3
+
     def test_prune_nothing_to_do(self, seeded):
         run, _ = seeded
         code, output = run("runs", "prune", "--keep", "5")
@@ -619,6 +656,25 @@ class TestExitCodes:
             assert "error:" in output, argv
             assert "run-nope" in output, argv
             assert "Traceback" not in output, argv
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("health", "--window", "-1"), "--window must be >= 0, got -1"),
+            (("regress", "--window", "-1"), "--window must be >= 0, got -1"),
+            (("health", "--slo", "1.5"), "--slo must be in (0, 1), got 1.5"),
+            (("health", "--slo", "0"), "--slo must be in (0, 1), got 0.0"),
+        ],
+    )
+    def test_bad_cross_run_inputs_are_exit_1(self, run, tmp_path, argv, message):
+        from tests.observability.test_history import write_run
+
+        assert run("init")[0] == 0
+        for i in range(2):
+            write_run(tmp_path / "ws" / "runs", f"run-{i}")
+        code, output = run(*argv)
+        assert code == 1
+        assert output == f"error: {message}"
 
     @pytest.mark.parametrize("command", ("define", "lint"))
     def test_a_missing_vdl_file_is_exit_1(self, run, tmp_path, command):
